@@ -4,7 +4,7 @@
 CARGO ?= cargo
 CHAOS_SEEDS ?= 16
 
-.PHONY: build test test-all test-chaos recovery-check obs-check profile-check introspect-check fuzz-smoke scale-smoke store-smoke gvm-smoke cluster-smoke bench ci
+.PHONY: build test test-all test-chaos recovery-check obs-check profile-check introspect-check fuzz-smoke scale-smoke store-smoke gvm-smoke cluster-smoke taskbench-smoke bench ci
 
 build:
 	$(CARGO) build --release
@@ -86,6 +86,13 @@ gvm-smoke:
 # The in-harness flavor (16-seed sweep) is `cargo test -p gozer-worker`.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
+
+# The task-level benchmark (BENCHMARK.json) on all six workloads in
+# under 10 s, with a shape check of its report. No perf gating: a
+# wedge (its watchdog), a wrong task value, a dead letter or a report
+# that no longer matches BENCHMARK.json is what fails.
+taskbench-smoke:
+	$(CARGO) run --release --offline --quiet --manifest-path taskbench/Cargo.toml -- --smoke
 
 bench:
 	$(CARGO) bench --workspace

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use gozer_lang::Value;
+use gozer_lang::{AssocMap, Value};
 use gozer_vm::{NativeCtx, VmError, VmResult};
 use gozer_xml::OperationDesc;
 
@@ -136,14 +136,18 @@ fn invoke_stub(fn_name: &str, service: &str, op: &OperationDesc) -> Value {
             sym("message"),
         ]
     };
-    // (cond ((is-fiber-thread) (call-...-async ...) (yield))
+    // (cond ((is-fiber-thread) (call-...-async ...) (yield {:reason :service-call}))
     //       (t (call-wsdl-operation ...)))
+    // The reason is what banks the wait for the reply under
+    // `service_wait`; a bare yield would count it as `suspended`.
+    let mut waiting_on = AssocMap::new();
+    waiting_on.insert(Value::keyword("reason"), Value::keyword("service-call"));
     let dispatch = list(vec![
         sym("cond"),
         list(vec![
             list(vec![sym("is-fiber-thread")]),
             list(call_keys("call-wsdl-operation-async")),
-            list(vec![sym("yield")]),
+            list(vec![sym("yield"), Value::Map(Arc::new(waiting_on))]),
         ]),
         list(vec![
             Value::Bool(true),

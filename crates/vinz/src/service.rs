@@ -441,9 +441,12 @@ impl WorkflowServiceBuilder {
         // Speculative persistence (LogStore): saves return a ticket
         // before they are durable, and fiber-bound messages carry that
         // ticket in `hold_until`. The probe lets the broker ask "is this
-        // watermark committed yet?"; the commit hook releases held
-        // messages the moment the group-commit fsync lands. Synchronous
-        // stores answer "always durable", so both are no-ops for them.
+        // watermark committed yet?" — and a "no" is also how the store
+        // learns that a message is now parked behind that watermark, so
+        // it commits in its next group instead of lingering for more
+        // saves. The commit hook releases held messages the moment the
+        // group-commit fsync lands. Synchronous stores answer "always
+        // durable", so both are no-ops for them.
         inner.store.attach_obs(&inner.obs);
         {
             let store = inner.store.clone();

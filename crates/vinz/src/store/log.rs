@@ -5,8 +5,8 @@
 //! ```text
 //! dir/
 //!   checkpoint            framed index snapshot (tmp+rename published)
-//!   p0/seg-0000000001.log per-partition append-only segments
-//!   p1/seg-0000000001.log
+//!   seg-0000000001.log    the one append-only log, cut into segments
+//!   seg-0000000002.log
 //!   ...
 //! ```
 //!
@@ -20,25 +20,56 @@
 //!
 //! One `put_batch` is one record — the frame's CRC covers the whole
 //! batch, so crash recovery observes all of its entries or none
-//! (torn-tail truncation drops the record wholesale). A batch lands in
-//! the partition chosen by its first key; replay applies records across
-//! partitions in global `seq` order, so per-key ordering never depends
-//! on which partition a batch happened to land in. Because a crash can
-//! persist a higher-seq batch while losing a lower-seq one (fsyncs land
-//! partition by partition), recovery keeps only the longest contiguous
-//! seq run past the checkpoint and scrubs the rolled-back suffix from
-//! disk — the durable state is always a prefix of history.
+//! (torn-tail truncation drops the record wholesale). There is one
+//! append stream and one writer, so file order is commit order: replay
+//! walks the segments in order, requires each new record's `seq` to be
+//! exactly one past the last, and cuts the tail segment at the first
+//! frame that is torn, malformed or out of sequence. What survives a
+//! crash is therefore always a prefix of history. (Compaction rewrites
+//! keep their original `seq`; replay recognises them by it.)
 //!
-//! The group-commit writer thread drains the enqueue buffer, appends
-//! all pending batches, issues **one fsync per touched partition** for
-//! the whole group, advances the durable watermark, fires the commit
-//! hook, and wakes `flush` waiters. Saves therefore cost a fraction of
-//! an fsync each under load, instead of FileStore's one-fsync-per-save.
+//! The group-commit writer thread takes everything enqueued so far,
+//! appends it, issues **one fsync** for the whole group, advances the
+//! durable watermark, fires the commit hook, and wakes `flush` waiters.
+//! A write nobody waits on lingers for up to the commit window so later
+//! saves can share its fsync; the linger ends the moment somebody asks
+//! for a watermark that is not durable yet (a failed
+//! [`StateStore::durable`] probe, or `flush`). Groups start at least
+//! `GATHER` (500 µs) apart, so under load a group is whatever arrived in that
+//! interval, and the commit rate is set by a timer the store owns, not
+//! by how fast the device happens to fsync today.
 //!
 //! Reads are served from the pending overlay (writes not yet committed
 //! — read-your-writes), falling back to the in-memory index of
-//! `key → (partition, segment, offset)` locations, which only ever
-//! points at fsynced bytes.
+//! `key → (segment, offset)` locations, which only ever points at
+//! fsynced bytes.
+//!
+//! # Wake-up invariants
+//!
+//! Two condition variables, each with one rule: *the state a waiter
+//! tests changes only under the mutex the waiter holds while testing
+//! it, and the notify follows the change*. A waiter then either tests
+//! after the change (and sees it) or is already parked when the notify
+//! is sent; there is no window between its test and its park.
+//!
+//! * `work_cv` (mutex `pending`) — only the writer waits. Idle, it
+//!   tests `queue.is_empty()` and `stop`; lingering, it tests `wanted`
+//!   against the durable watermark, `stop`, and a deadline. `queue` and
+//!   `wanted` live inside `pending`; `stop` is an atomic (so `flush` can
+//!   read it under its own mutex) but is *stored* only with `pending`
+//!   held — see `LogStore::shut`. The durable watermark is advanced
+//!   by the writer itself, never while it waits.
+//! * `commit_cv` (mutex `commit`) — `flush` callers wait. They test
+//!   `durable`, `failed` and `stop == CRASHED`. The first two live
+//!   inside `commit`. `stop` is stored under `pending`, not `commit`, so
+//!   `shut` takes and releases `commit` between the store and its
+//!   `notify_all`: a waiter that tested the old value holds `commit`
+//!   until it is parked, so by the time `shut` gets the mutex the waiter
+//!   can be notified.
+//!
+//! Lock order: a caller's own locks (the broker probes under its
+//! held-message list) → `pending`. The writer holds none of the store's
+//! locks while it calls the commit hook.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -54,20 +85,27 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use super::{CommitHook, DurabilityTicket, StateStore, StoreError, Watermark};
 
 const SEG_MAGIC: &[u8; 8] = b"GZLOG1\0\0";
-const CKPT_MAGIC: &[u8; 4] = b"GZCK";
+const CKPT_MAGIC: &[u8; 4] = b"GZK2";
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
 
+// `stop` only ever moves up this list.
 const RUNNING: u8 = 0;
 const STOPPING: u8 = 1;
 const CRASHED: u8 = 2;
 
+/// Group commits start at least this far apart (or `window`, if that is
+/// shorter). Savers whose next save follows a commit sooner than the
+/// device can fsync would otherwise never share one: each save arrives
+/// while the other's fsync runs and gets an fsync of its own, and the
+/// store's throughput *is* the device's fsync latency, drift included.
+const GATHER: Duration = Duration::from_micros(500);
+
 /// Where a committed value lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Loc {
-    /// Sequence number of the batch that wrote it (replay tiebreaker).
+    /// Sequence number of the batch that wrote it.
     seq: u64,
-    part: u32,
     seg: u64,
     /// Byte offset of the value within the segment file.
     off: u64,
@@ -97,21 +135,30 @@ struct PendingState {
     /// Read-your-writes view of everything enqueued but not yet
     /// committed; cleared per-key as commits catch up.
     overlay: HashMap<String, OverlayVal>,
+    /// In `seq` order.
     queue: Vec<QueueEntry>,
+    /// Highest watermark somebody is known to be waiting for. While it
+    /// is ahead of the durable watermark the writer does not linger.
+    wanted: u64,
 }
 
-struct Partition {
+struct CommitState {
+    durable: u64,
+    /// Set once, by the writer, when an append or fsync fails; the
+    /// writer then exits and every later write or flush reports it.
+    failed: Option<StoreError>,
+}
+
+/// The append end of the log and its space accounting. Owned by the
+/// commit thread: one stream, one writer.
+struct Tail {
     seg_id: u64,
     file: File,
     /// Bytes appended to the current segment (including its magic).
     seg_bytes: u64,
-}
-
-#[derive(Default)]
-struct PartAccounting {
-    /// Value bytes currently referenced by the index in this partition.
+    /// Value bytes currently referenced by the index.
     live: u64,
-    /// Value bytes superseded or deleted but still on disk here.
+    /// Value bytes superseded or deleted but still on disk.
     dead: u64,
 }
 
@@ -129,7 +176,7 @@ pub struct LogStats {
     pub log_bytes: u64,
     /// Checkpoints published.
     pub checkpoints: u64,
-    /// Partition compactions completed.
+    /// Log compactions completed.
     pub compactions: u64,
 }
 
@@ -147,28 +194,20 @@ struct LogInner {
     dir: PathBuf,
     segment_bytes: u64,
     window: Duration,
-    nparts: u32,
     compact_dead_ratio: f64,
     compact_min_bytes: u64,
 
     index: RwLock<HashMap<String, Loc>>,
     pending: Mutex<PendingState>,
     work_cv: Condvar,
-    /// Durable watermark guarded for `flush` waiters; mirrored into
-    /// `durable_seq` for the lock-free probe.
-    commit: Mutex<u64>,
+    commit: Mutex<CommitState>,
     commit_cv: Condvar,
+    /// Mirror of `commit.durable` for the lock-free probe.
     durable_seq: AtomicU64,
     next_seq: AtomicU64,
     stop: AtomicU8,
-    failed: Mutex<Option<StoreError>>,
 
-    parts: Vec<Mutex<Partition>>,
-    /// Current segment id per partition, readable without the partition
-    /// lock (checkpoint needs every partition's position at once).
-    seg_ids: Vec<AtomicU64>,
-    acct: Mutex<Vec<PartAccounting>>,
-    readers: Mutex<HashMap<(u32, u64), Arc<File>>>,
+    readers: Mutex<HashMap<u64, Arc<File>>>,
 
     written: AtomicU64,
     read: AtomicU64,
@@ -200,33 +239,30 @@ pub struct LogStoreBuilder {
     dir: PathBuf,
     segment_bytes: u64,
     window: Duration,
-    partitions: u32,
     compact_dead_ratio: f64,
     compact_min_bytes: u64,
 }
 
 impl LogStoreBuilder {
-    /// Rotate a partition's segment after roughly this many bytes
-    /// (default 8 MiB).
+    /// Rotate the log's segment after roughly this many bytes (default
+    /// 8 MiB).
     pub fn segment_bytes(mut self, bytes: u64) -> LogStoreBuilder {
         self.segment_bytes = bytes.max(64);
         self
     }
 
-    /// How long the commit thread lingers collecting more saves before
-    /// fsyncing the group (default 2 ms). Zero commits every wakeup.
+    /// The longest a write that nobody waits on stays volatile before
+    /// the commit thread fsyncs it, so that later saves can share the
+    /// fsync (default 2 ms, at most an hour). A write somebody *does*
+    /// wait on — a failed [`StateStore::durable`] probe for its ticket,
+    /// or a `flush` — goes into the next group, whatever the window;
+    /// groups start at least 500 µs apart (or this window, if shorter).
     pub fn group_commit_window(mut self, window: Duration) -> LogStoreBuilder {
-        self.window = window;
+        self.window = window.min(Duration::from_secs(3600));
         self
     }
 
-    /// Number of independent commit-log partitions (default 4).
-    pub fn partitions(mut self, n: u32) -> LogStoreBuilder {
-        self.partitions = n.clamp(1, 64);
-        self
-    }
-
-    /// Compact a partition once this fraction of its bytes is dead
+    /// Compact the log once this fraction of its value bytes is dead
     /// (default 0.5).
     pub fn compact_dead_ratio(mut self, ratio: f64) -> LogStoreBuilder {
         self.compact_dead_ratio = ratio.clamp(0.05, 1.0);
@@ -240,9 +276,11 @@ impl LogStoreBuilder {
         self
     }
 
-    /// Open the store: create the directory tree, recover from any
-    /// existing checkpoint + segments (truncating a torn tail), and
-    /// start the group-commit writer thread.
+    /// Open the store: create the directory, recover from any existing
+    /// checkpoint + segments (truncating a torn tail), and start the
+    /// group-commit writer thread. A directory written by the retired
+    /// multi-partition layout (`p0/`, `p1/`, …) is refused with a
+    /// [`StoreError::Backend`].
     pub fn build(self) -> Result<LogStore, StoreError> {
         LogStore::open(self)
     }
@@ -255,7 +293,6 @@ impl LogStore {
             dir: dir.into(),
             segment_bytes: 8 * 1024 * 1024,
             window: Duration::from_millis(2),
-            partitions: 4,
             compact_dead_ratio: 0.5,
             compact_min_bytes: 64 * 1024,
         }
@@ -263,53 +300,39 @@ impl LogStore {
 
     fn open(cfg: LogStoreBuilder) -> Result<LogStore, StoreError> {
         fs::create_dir_all(&cfg.dir).map_err(StoreError::io)?;
-        for p in 0..cfg.partitions {
-            fs::create_dir_all(cfg.dir.join(format!("p{p}"))).map_err(StoreError::io)?;
-        }
+        refuse_partitioned_layout(&cfg.dir)?;
 
-        let recovered = recover(&cfg)?;
+        let recovered = recover(&cfg.dir)?;
 
-        let mut parts = Vec::with_capacity(cfg.partitions as usize);
-        let mut seg_ids = Vec::with_capacity(cfg.partitions as usize);
-        for p in 0..cfg.partitions {
-            // Always start appending into a fresh segment: a possibly
-            // truncated tail is never written to again, so "one
-            // segment, one writer incarnation" holds by construction.
-            let seg_id = recovered.max_seg[p as usize] + 1;
-            let file = create_segment(&cfg.dir, p, seg_id)?;
-            parts.push(Mutex::new(Partition {
-                seg_id,
-                file,
-                seg_bytes: SEG_MAGIC.len() as u64,
-            }));
-            seg_ids.push(AtomicU64::new(seg_id));
-        }
-
-        let mut acct: Vec<PartAccounting> = Vec::new();
-        acct.resize_with(cfg.partitions as usize, PartAccounting::default);
-        for loc in recovered.index.values() {
-            acct[loc.part as usize].live += loc.len as u64;
-        }
+        // Always start appending into a fresh segment: a possibly
+        // truncated tail is never written to again, so "one segment,
+        // one writer incarnation" holds by construction.
+        let seg_id = recovered.max_seg + 1;
+        let tail = Tail {
+            seg_id,
+            file: create_segment(&cfg.dir, seg_id)?,
+            seg_bytes: SEG_MAGIC.len() as u64,
+            live: recovered.index.values().map(|l| l.len as u64).sum(),
+            dead: 0,
+        };
 
         let inner = Arc::new(LogInner {
             dir: cfg.dir,
             segment_bytes: cfg.segment_bytes,
             window: cfg.window,
-            nparts: cfg.partitions,
             compact_dead_ratio: cfg.compact_dead_ratio,
             compact_min_bytes: cfg.compact_min_bytes,
             index: RwLock::new(recovered.index),
             pending: Mutex::new(PendingState::default()),
             work_cv: Condvar::new(),
-            commit: Mutex::new(recovered.next_seq),
+            commit: Mutex::new(CommitState {
+                durable: recovered.next_seq,
+                failed: None,
+            }),
             commit_cv: Condvar::new(),
             durable_seq: AtomicU64::new(recovered.next_seq),
             next_seq: AtomicU64::new(recovered.next_seq),
             stop: AtomicU8::new(RUNNING),
-            failed: Mutex::new(None),
-            parts,
-            seg_ids,
-            acct: Mutex::new(acct),
             readers: Mutex::new(HashMap::new()),
             written: AtomicU64::new(0),
             read: AtomicU64::new(0),
@@ -321,7 +344,7 @@ impl LogStore {
         let writer_inner = inner.clone();
         let handle = std::thread::Builder::new()
             .name("gozer-log-commit".into())
-            .spawn(move || writer_loop(writer_inner))
+            .spawn(move || writer_loop(&writer_inner, tail))
             .map_err(StoreError::io)?;
 
         Ok(LogStore {
@@ -349,22 +372,33 @@ impl LogStore {
     /// further writes; reopen the directory with a fresh builder to
     /// exercise recovery. Test affordance for the crash-recovery suite.
     pub fn simulate_crash(&self) {
-        self.inner.stop.store(CRASHED, Ordering::SeqCst);
+        self.shut(CRASHED);
+        // The un-fsynced overlay dies with the "machine".
+        let mut p = self.inner.pending.lock();
+        p.overlay.clear();
+        p.queue.clear();
+    }
+
+    /// Move `stop` up to `to`, wake everything that tests it, and join
+    /// the writer. The store happens under `pending` — the mutex the
+    /// writer holds from testing `stop` until it is parked — so the
+    /// notify cannot fall between its test and its park. See the module
+    /// docs for why `commit` is taken before `commit_cv` is notified.
+    fn shut(&self, to: u8) {
+        {
+            let _pending = self.inner.pending.lock();
+            self.inner.stop.fetch_max(to, Ordering::SeqCst);
+        }
         self.inner.work_cv.notify_all();
+        drop(self.inner.commit.lock());
         self.inner.commit_cv.notify_all();
         if let Some(h) = self.writer.lock().take() {
             let _ = h.join();
         }
-        // The un-fsynced overlay dies with the "machine".
-        self.inner.pending.lock().overlay.clear();
-        self.inner.pending.lock().queue.clear();
     }
 
     fn enqueue(&self, ops: Vec<PendingOp>) -> Result<Watermark, StoreError> {
-        if self.inner.stop.load(Ordering::SeqCst) != RUNNING {
-            return Err(StoreError::backend("store is shut down"));
-        }
-        if let Some(err) = self.inner.failed.lock().clone() {
+        if let Some(err) = self.inner.commit.lock().failed.clone() {
             return Err(err);
         }
         // Seq allocation happens under the pending lock so queue order
@@ -375,6 +409,11 @@ impl LogStore {
         // while its bytes were still only in this thread's stack, and a
         // stale-seq overlay insert could clobber a newer value.
         let mut p = self.inner.pending.lock();
+        // Tested under the lock `shut` stores it under: nothing is
+        // queued behind a writer that has been told to go.
+        if self.inner.stop.load(Ordering::SeqCst) != RUNNING {
+            return Err(StoreError::backend("store is shut down"));
+        }
         let seq = self.inner.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
         for op in &ops {
             p.overlay.insert(
@@ -385,25 +424,48 @@ impl LogStore {
                 },
             );
         }
+        // The writer waits on `work_cv` for two things: a first entry
+        // (here) and a reason to stop lingering (`want`). Entries that
+        // join a non-empty queue are neither, and must not wake it.
+        let first = p.queue.is_empty();
         p.queue.push(QueueEntry {
             seq,
             queued: Instant::now(),
             ops,
         });
         drop(p);
-        self.inner.work_cv.notify_one();
+        if first {
+            self.inner.work_cv.notify_one();
+        }
         Ok(Watermark(seq))
     }
+}
 
+impl LogInner {
+    /// Somebody is waiting for `seq` to become durable: end the
+    /// writer's linger.
+    fn want(&self, seq: u64) {
+        // A watermark this store never issued (a ticket from before a
+        // crash) must not switch the linger off for good.
+        let seq = seq.min(self.next_seq.load(Ordering::SeqCst));
+        let mut p = self.pending.lock();
+        if seq > p.wanted {
+            p.wanted = seq;
+            drop(p);
+            self.work_cv.notify_one();
+        }
+    }
+
+    /// Read a committed value straight from its segment.
     fn read_loc(&self, key: &str, loc: Loc) -> Result<Vec<u8>, StoreError> {
         let file = {
-            let mut readers = self.inner.readers.lock();
-            match readers.get(&(loc.part, loc.seg)) {
+            let mut readers = self.readers.lock();
+            match readers.get(&loc.seg) {
                 Some(f) => f.clone(),
                 None => {
-                    let path = seg_path(&self.inner.dir, loc.part, loc.seg);
+                    let path = seg_path(&self.dir, loc.seg);
                     let f = Arc::new(File::open(&path).map_err(StoreError::io)?);
-                    readers.insert((loc.part, loc.seg), f.clone());
+                    readers.insert(loc.seg, f.clone());
                     f
                 }
             }
@@ -413,8 +475,8 @@ impl LogStore {
             StoreError::corrupt(
                 key,
                 format!(
-                    "short read for {key} at p{}/seg-{} off {}: {e}",
-                    loc.part, loc.seg, loc.off
+                    "short read for {key} at seg-{} off {}: {e}",
+                    loc.seg, loc.off
                 ),
             )
         })?;
@@ -424,17 +486,7 @@ impl LogStore {
 
 impl Drop for LogStore {
     fn drop(&mut self) {
-        let _ = self.inner.stop.compare_exchange(
-            RUNNING,
-            STOPPING,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-        self.inner.work_cv.notify_all();
-        self.inner.commit_cv.notify_all();
-        if let Some(h) = self.writer.lock().take() {
-            let _ = h.join();
-        }
+        self.shut(STOPPING);
     }
 }
 
@@ -453,16 +505,20 @@ impl StateStore for LogStore {
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError> {
         // Read-your-writes: the overlay wins until the commit thread
         // has both fsynced the batch and published its index entry.
-        if let Some(ov) = self.inner.pending.lock().overlay.get(key) {
-            return match &ov.val {
-                Some(v) => {
-                    self.inner
-                        .read
-                        .fetch_add(v.len() as u64, Ordering::Relaxed);
-                    Ok(Some(v.as_ref().clone()))
-                }
-                None => Ok(None),
-            };
+        // Only the `Arc` is cloned under the lock every save needs; the
+        // bytes are copied after it is released.
+        let hit = self
+            .inner
+            .pending
+            .lock()
+            .overlay
+            .get(key)
+            .map(|ov| ov.val.clone());
+        if let Some(val) = hit {
+            return Ok(val.map(|v| {
+                self.inner.read.fetch_add(v.len() as u64, Ordering::Relaxed);
+                Arc::unwrap_or_clone(v)
+            }));
         }
         // Compaction may unlink a segment between our index lookup and
         // the open; the refreshed index then points into the compacted
@@ -472,7 +528,7 @@ impl StateStore for LogStore {
                 Some(l) => *l,
                 None => return Ok(None),
             };
-            match self.read_loc(key, loc) {
+            match self.inner.read_loc(key, loc) {
                 Ok(data) => {
                     self.inner
                         .read
@@ -545,26 +601,32 @@ impl StateStore for LogStore {
 
     fn flush(&self) -> Result<Watermark, StoreError> {
         let target = self.inner.next_seq.load(Ordering::SeqCst);
-        self.inner.work_cv.notify_one();
-        let mut durable = self.inner.commit.lock();
+        self.inner.want(target);
+        let mut commit = self.inner.commit.lock();
         loop {
-            if let Some(err) = self.inner.failed.lock().clone() {
+            if let Some(err) = commit.failed.clone() {
                 return Err(err);
             }
-            if *durable >= target {
-                return Ok(Watermark(*durable));
+            if commit.durable >= target {
+                return Ok(Watermark(commit.durable));
             }
             if self.inner.stop.load(Ordering::SeqCst) == CRASHED {
                 return Err(StoreError::backend("store crashed before flush completed"));
             }
-            self.inner
-                .commit_cv
-                .wait_for(&mut durable, Duration::from_millis(50));
+            self.inner.commit_cv.wait(&mut commit);
         }
     }
 
+    /// A probe that finds `w` not yet durable also tells the commit
+    /// thread that somebody is waiting for it: the broker probes when
+    /// it is about to park a `hold_until` message, and that message
+    /// moves again only once `w` commits.
     fn durable(&self, w: Watermark) -> bool {
-        w.is_immediate() || self.inner.durable_seq.load(Ordering::SeqCst) >= w.0
+        if w.is_immediate() || self.inner.durable_seq.load(Ordering::SeqCst) >= w.0 {
+            return true;
+        }
+        self.inner.want(w.0);
+        false
     }
 
     fn attach_obs(&self, obs: &Arc<gozer_obs::Obs>) {
@@ -593,7 +655,7 @@ impl StateStore for LogStore {
         );
         reg.counter_fn(
             "gozer_store_compactions_total",
-            "Partition compactions completed by the log store.",
+            "Log compactions completed by the log store.",
             "",
             mirror(|s| &s.compactions, &self.inner),
         );
@@ -610,22 +672,33 @@ impl StateStore for LogStore {
     }
 }
 
-/// FNV-1a; stable across runs so a key's partition never changes.
-fn partition_of(key: &str, nparts: u32) -> u32 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+fn seg_path(dir: &Path, seg: u64) -> PathBuf {
+    dir.join(format!("seg-{seg:010}.log"))
+}
+
+/// The retired layout kept one log per partition under `p<N>/`. Nothing
+/// here reads it, and opening beside it would silently start empty.
+fn refuse_partitioned_layout(dir: &Path) -> Result<(), StoreError> {
+    for entry in fs::read_dir(dir).map_err(StoreError::io)? {
+        let entry = entry.map_err(StoreError::io)?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        let partition = name
+            .strip_prefix('p')
+            .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+        if partition && entry.path().is_dir() {
+            return Err(StoreError::backend(format!(
+                "{} holds a multi-partition log ({name}/); this store reads only the \
+                 single-log layout",
+                dir.display()
+            )));
+        }
     }
-    (h % nparts as u64) as u32
+    Ok(())
 }
 
-fn seg_path(dir: &Path, part: u32, seg: u64) -> PathBuf {
-    dir.join(format!("p{part}")).join(format!("seg-{seg:010}.log"))
-}
-
-fn create_segment(dir: &Path, part: u32, seg: u64) -> Result<File, StoreError> {
-    let path = seg_path(dir, part, seg);
+fn create_segment(dir: &Path, seg: u64) -> Result<File, StoreError> {
+    let path = seg_path(dir, seg);
     let mut file = OpenOptions::new()
         .create(true)
         .write(true)
@@ -634,128 +707,146 @@ fn create_segment(dir: &Path, part: u32, seg: u64) -> Result<File, StoreError> {
         .map_err(StoreError::io)?;
     file.write_all(SEG_MAGIC).map_err(StoreError::io)?;
     // Make the new name itself durable: fsync the directory entry.
-    if let Ok(d) = File::open(path.parent().expect("segment has parent")) {
+    if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
     Ok(file)
 }
 
-/// Serialize one batch into a framed record; returns the byte offset of
-/// each put value relative to the start of the record.
-fn encode_record(entry: &QueueEntry) -> (Vec<u8>, Vec<Option<(u64, u32)>>) {
-    let mut payload = Vec::with_capacity(64);
-    payload.extend_from_slice(&entry.seq.to_le_bytes());
-    payload.extend_from_slice(&(entry.ops.len() as u32).to_le_bytes());
-    let mut val_offsets = Vec::with_capacity(entry.ops.len());
-    for op in &entry.ops {
-        payload.push(if op.val.is_some() { OP_PUT } else { OP_DELETE });
-        payload.extend_from_slice(&(op.key.len() as u16).to_le_bytes());
-        payload.extend_from_slice(op.key.as_bytes());
+/// Serialize one batch into a framed record; returns it with the byte
+/// offset and length of each put value relative to the record's start.
+fn encode_record(seq: u64, ops: &[PendingOp]) -> (Vec<u8>, Vec<Option<(u64, u32)>>) {
+    let size = 20
+        + ops
+            .iter()
+            .map(|op| 7 + op.key.len() + op.val.as_ref().map_or(0, |v| v.len()))
+            .sum::<usize>();
+    let mut record = Vec::with_capacity(size);
+    // [len][crc] are patched in once the payload behind them is known.
+    record.extend_from_slice(&[0u8; 8]);
+    record.extend_from_slice(&seq.to_le_bytes());
+    record.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    let mut val_offsets = Vec::with_capacity(ops.len());
+    for op in ops {
+        record.push(if op.val.is_some() { OP_PUT } else { OP_DELETE });
+        record.extend_from_slice(&(op.key.len() as u16).to_le_bytes());
+        record.extend_from_slice(op.key.as_bytes());
         match &op.val {
             Some(v) => {
-                payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                // +8 for the [len][crc] frame header in front of payload.
-                val_offsets.push(Some((8 + payload.len() as u64, v.len() as u32)));
-                payload.extend_from_slice(v);
+                record.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                val_offsets.push(Some((record.len() as u64, v.len() as u32)));
+                record.extend_from_slice(v);
             }
             None => {
-                payload.extend_from_slice(&0u32.to_le_bytes());
+                record.extend_from_slice(&0u32.to_le_bytes());
                 val_offsets.push(None);
             }
         }
     }
-    let mut record = Vec::with_capacity(8 + payload.len());
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&gozer_compress::crc32(&payload).to_le_bytes());
-    record.extend_from_slice(&payload);
+    let len = (record.len() - 8) as u32;
+    let crc = gozer_compress::crc32(&record[8..]);
+    record[..4].copy_from_slice(&len.to_le_bytes());
+    record[4..8].copy_from_slice(&crc.to_le_bytes());
     (record, val_offsets)
 }
 
-fn writer_loop(inner: Arc<LogInner>) {
+fn writer_loop(inner: &LogInner, mut tail: Tail) {
+    let state = || inner.stop.load(Ordering::SeqCst);
+    let gather = GATHER.min(inner.window);
+    // The earliest the next group may start.
+    let mut slot = Instant::now();
     loop {
         let batch = {
             let mut p = inner.pending.lock();
-            while p.queue.is_empty() && inner.stop.load(Ordering::SeqCst) == RUNNING {
+            while p.queue.is_empty() && state() == RUNNING {
                 inner.work_cv.wait(&mut p);
             }
-            match inner.stop.load(Ordering::SeqCst) {
+            // The group-commit window. Nobody is known to wait for
+            // these writes, so let later saves join their fsync — until
+            // the oldest has been volatile for `window`, or until a
+            // probe or a flush asks for a watermark we have not made
+            // durable, whichever is first. Either way not before `slot`.
+            if let Some(oldest) = p.queue.first() {
+                let deadline = (oldest.queued + inner.window).max(slot);
+                while state() == RUNNING {
+                    let asked = p.wanted > inner.durable_seq.load(Ordering::SeqCst);
+                    let until = if asked { slot } else { deadline };
+                    if inner.work_cv.wait_until(&mut p, until).timed_out() {
+                        break;
+                    }
+                }
+            }
+            match state() {
                 CRASHED => return,
                 STOPPING if p.queue.is_empty() => return,
                 _ => {}
             }
-            drop(p);
-            // The group-commit window: linger so concurrent savers can
-            // join this fsync instead of paying for their own.
-            if !inner.window.is_zero() && inner.stop.load(Ordering::SeqCst) == RUNNING {
-                std::thread::sleep(inner.window);
-            }
-            std::mem::take(&mut inner.pending.lock().queue)
+            std::mem::take(&mut p.queue)
         };
-        if inner.stop.load(Ordering::SeqCst) == CRASHED {
-            return;
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        if let Err(err) = commit_group(&inner, &batch) {
-            *inner.failed.lock() = Some(err);
+        slot = Instant::now() + gather;
+        if let Err(err) = commit_group(inner, &mut tail, &batch) {
+            inner.commit.lock().failed = Some(err);
             inner.commit_cv.notify_all();
             return;
         }
     }
 }
 
-fn commit_group(inner: &Arc<LogInner>, batch: &[QueueEntry]) -> Result<(), StoreError> {
-    // Assign each batch to the partition of its first key and append.
-    let mut by_part: Vec<Vec<&QueueEntry>> = (0..inner.nparts).map(|_| Vec::new()).collect();
-    for entry in batch {
-        let part = entry
-            .ops
-            .first()
-            .map(|op| partition_of(&op.key, inner.nparts))
-            .unwrap_or(0);
-        by_part[part as usize].push(entry);
-    }
+fn commit_group(inner: &LogInner, tail: &mut Tail, batch: &[QueueEntry]) -> Result<(), StoreError> {
+    let Some(newest) = batch.last() else {
+        return Ok(());
+    };
+    let max_seq = newest.seq;
 
-    let mut updates: Vec<(u64, String, Option<Loc>)> = Vec::new();
-    let mut max_seq = 0u64;
+    let mut updates: Vec<(&str, Option<Loc>)> = Vec::new();
     let mut appended = 0u64;
-    for (pid, entries) in by_part.iter().enumerate() {
-        if entries.is_empty() {
-            continue;
+    for entry in batch {
+        let (record, val_offsets) = encode_record(entry.seq, &entry.ops);
+        if tail.seg_bytes + record.len() as u64 > inner.segment_bytes
+            && tail.seg_bytes > SEG_MAGIC.len() as u64
+        {
+            rotate(inner, tail)?;
         }
-        let mut part = inner.parts[pid].lock();
-        for entry in entries {
-            let (record, val_offsets) = encode_record(entry);
-            if part.seg_bytes + record.len() as u64 > inner.segment_bytes
-                && part.seg_bytes > SEG_MAGIC.len() as u64
-            {
-                rotate(inner, pid as u32, &mut part)?;
-            }
-            let base = part.seg_bytes;
-            part.file.write_all(&record).map_err(StoreError::io)?;
-            part.seg_bytes += record.len() as u64;
-            appended += record.len() as u64;
-            for (op, val_off) in entry.ops.iter().zip(&val_offsets) {
-                let loc = val_off.map(|(rel, len)| Loc {
-                    seq: entry.seq,
-                    part: pid as u32,
-                    seg: part.seg_id,
-                    off: base + rel,
-                    len,
-                });
-                updates.push((entry.seq, op.key.clone(), loc));
-            }
-            max_seq = max_seq.max(entry.seq);
+        let base = tail.seg_bytes;
+        tail.file.write_all(&record).map_err(StoreError::io)?;
+        tail.seg_bytes += record.len() as u64;
+        appended += record.len() as u64;
+        for (op, val_off) in entry.ops.iter().zip(&val_offsets) {
+            let loc = val_off.map(|(rel, len)| Loc {
+                seq: entry.seq,
+                seg: tail.seg_id,
+                off: base + rel,
+                len,
+            });
+            updates.push((&op.key, loc));
         }
-        // The durability point for every save in this partition's share
-        // of the group: one fsync, however many batches piled up.
-        part.file.sync_all().map_err(StoreError::io)?;
-        inner.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
     }
+    // The durability point for every save in the group: one fsync,
+    // however many batches piled up. (A rotation above has already
+    // synced the segment it closed.)
+    tail.file.sync_all().map_err(StoreError::io)?;
+    inner.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
 
     // Publish locations, then retire the overlay entries they replace.
-    apply_index_updates(inner, &updates);
+    {
+        let mut idx = inner.index.write();
+        for (key, new_loc) in &updates {
+            let old = match new_loc {
+                Some(loc) => {
+                    tail.live += loc.len as u64;
+                    match idx.get_mut(*key) {
+                        Some(cur) => Some(std::mem::replace(cur, *loc)),
+                        None => idx.insert((*key).to_string(), *loc),
+                    }
+                }
+                None => idx.remove(*key),
+            };
+            if let Some(old) = old {
+                tail.dead += old.len as u64;
+                tail.live = tail.live.saturating_sub(old.len as u64);
+            }
+        }
+    }
     // Stats before the watermark advances: a caller returning from
     // `flush()` must already see this commit's counters.
     inner.stats.group_commits.fetch_add(1, Ordering::Relaxed);
@@ -765,15 +856,16 @@ fn commit_group(inner: &Arc<LogInner>, batch: &[QueueEntry]) -> Result<(), Store
         .fetch_add(updates.len() as u64, Ordering::Relaxed);
     inner.stats.log_bytes.fetch_add(appended, Ordering::Relaxed);
     {
-        let mut durable = inner.commit.lock();
-        *durable = (*durable).max(max_seq);
-        inner.durable_seq.store(*durable, Ordering::SeqCst);
+        let mut commit = inner.commit.lock();
+        commit.durable = max_seq;
+        inner.durable_seq.store(max_seq, Ordering::SeqCst);
     }
     inner.commit_cv.notify_all();
-    {
-        let mut p = inner.pending.lock();
-        p.overlay.retain(|_, ov| ov.seq > max_seq);
-    }
+    inner
+        .pending
+        .lock()
+        .overlay
+        .retain(|_, ov| ov.seq > max_seq);
 
     if let Some(hist) = inner.commit_latency.lock().clone() {
         for entry in batch {
@@ -785,68 +877,27 @@ fn commit_group(inner: &Arc<LogInner>, batch: &[QueueEntry]) -> Result<(), Store
         hook(Watermark(max_seq));
     }
 
-    for pid in 0..inner.nparts {
-        if should_compact(inner, pid) {
-            compact_partition(inner, pid)?;
-        }
-    }
-    Ok(())
-}
-
-fn apply_index_updates(inner: &LogInner, updates: &[(u64, String, Option<Loc>)]) {
-    let mut idx = inner.index.write();
-    let mut acct = inner.acct.lock();
-    for (seq, key, new_loc) in updates {
-        let current = idx.get(key).copied();
-        // Two queued batches can touch the same key; their records may
-        // be appended partition-by-partition rather than in seq order,
-        // so the newest seq must win regardless of apply order.
-        if let Some(cur) = current {
-            if cur.seq > *seq {
-                continue;
-            }
-        }
-        match new_loc {
-            Some(loc) => {
-                if let Some(old) = idx.insert(key.clone(), *loc) {
-                    acct[old.part as usize].dead += old.len as u64;
-                    acct[old.part as usize].live =
-                        acct[old.part as usize].live.saturating_sub(old.len as u64);
-                }
-                acct[loc.part as usize].live += loc.len as u64;
-            }
-            None => {
-                if let Some(old) = idx.remove(key) {
-                    acct[old.part as usize].dead += old.len as u64;
-                    acct[old.part as usize].live =
-                        acct[old.part as usize].live.saturating_sub(old.len as u64);
-                }
-            }
-        }
-    }
-}
-
-fn rotate(inner: &LogInner, pid: u32, part: &mut Partition) -> Result<(), StoreError> {
-    part.file.sync_all().map_err(StoreError::io)?;
-    inner.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-    part.seg_id += 1;
-    part.file = create_segment(&inner.dir, pid, part.seg_id)?;
-    part.seg_bytes = SEG_MAGIC.len() as u64;
-    inner.seg_ids[pid as usize].store(part.seg_id, Ordering::SeqCst);
-    Ok(())
-}
-
-fn should_compact(inner: &LogInner, pid: u32) -> bool {
-    let acct = inner.acct.lock();
-    let a = &acct[pid as usize];
-    let total = a.live + a.dead;
-    a.dead >= inner.compact_min_bytes
+    let total = tail.live + tail.dead;
+    if tail.dead >= inner.compact_min_bytes
         && total > 0
-        && (a.dead as f64) / (total as f64) >= inner.compact_dead_ratio
+        && (tail.dead as f64) / (total as f64) >= inner.compact_dead_ratio
+    {
+        compact(inner, tail)?;
+    }
+    Ok(())
 }
 
-/// Rewrite a partition's live values into a fresh segment, publish a
-/// checkpoint, then delete the partition's older segments.
+fn rotate(inner: &LogInner, tail: &mut Tail) -> Result<(), StoreError> {
+    tail.file.sync_all().map_err(StoreError::io)?;
+    inner.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+    tail.seg_id += 1;
+    tail.file = create_segment(&inner.dir, tail.seg_id)?;
+    tail.seg_bytes = SEG_MAGIC.len() as u64;
+    Ok(())
+}
+
+/// Rewrite the log's live values into a fresh segment, publish a
+/// checkpoint, then delete the older segments.
 ///
 /// Crash-ordering invariants:
 /// 1. the fresh segment is fsynced before the checkpoint names it,
@@ -854,35 +905,30 @@ fn should_compact(inner: &LogInner, pid: u32) -> bool {
 ///    is unlinked,
 /// 3. replay of a half-written compaction segment is idempotent because
 ///    moved records keep their original `seq`.
-fn compact_partition(inner: &Arc<LogInner>, pid: u32) -> Result<(), StoreError> {
-    let mut part = inner.parts[pid as usize].lock();
-    rotate(inner, pid, &mut part)?;
-    let target_seg = part.seg_id;
+fn compact(inner: &LogInner, tail: &mut Tail) -> Result<(), StoreError> {
+    rotate(inner, tail)?;
+    let target_seg = tail.seg_id;
 
+    // Everything indexed lives below the segment just opened.
     let live: Vec<(String, Loc)> = inner
         .index
         .read()
         .iter()
-        .filter(|(_, loc)| loc.part == pid && loc.seg < target_seg)
         .map(|(k, l)| (k.clone(), *l))
         .collect();
 
     let mut moved: Vec<(String, Loc, Loc)> = Vec::with_capacity(live.len());
     let mut live_bytes = 0u64;
     for (key, loc) in live {
-        let val = read_loc_raw(inner, &key, loc)?;
-        let entry = QueueEntry {
-            seq: loc.seq,
-            queued: Instant::now(),
-            ops: vec![PendingOp {
-                key: key.clone(),
-                val: Some(Arc::new(val)),
-            }],
+        let val = inner.read_loc(&key, loc)?;
+        let op = PendingOp {
+            key,
+            val: Some(Arc::new(val)),
         };
-        let (record, val_offsets) = encode_record(&entry);
-        let base = part.seg_bytes;
-        part.file.write_all(&record).map_err(StoreError::io)?;
-        part.seg_bytes += record.len() as u64;
+        let (record, val_offsets) = encode_record(loc.seq, std::slice::from_ref(&op));
+        let base = tail.seg_bytes;
+        tail.file.write_all(&record).map_err(StoreError::io)?;
+        tail.seg_bytes += record.len() as u64;
         inner
             .stats
             .log_bytes
@@ -890,18 +936,17 @@ fn compact_partition(inner: &Arc<LogInner>, pid: u32) -> Result<(), StoreError> 
         let (rel, len) = val_offsets[0].expect("compaction writes puts");
         live_bytes += len as u64;
         moved.push((
-            key,
+            op.key,
             loc,
             Loc {
                 seq: loc.seq,
-                part: pid,
                 seg: target_seg,
                 off: base + rel,
                 len,
             },
         ));
     }
-    part.file.sync_all().map_err(StoreError::io)?;
+    tail.file.sync_all().map_err(StoreError::io)?;
     inner.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
 
     {
@@ -915,60 +960,30 @@ fn compact_partition(inner: &Arc<LogInner>, pid: u32) -> Result<(), StoreError> 
         }
     }
 
-    write_checkpoint(inner)?;
+    write_checkpoint(inner, target_seg)?;
 
     // Only now is it safe to drop the old segments.
-    let mut dropped = Vec::new();
-    let dir = inner.dir.join(format!("p{pid}"));
-    for seg in list_segments(&dir)? {
+    let mut readers = inner.readers.lock();
+    for seg in list_segments(&inner.dir)? {
         if seg < target_seg {
-            let _ = fs::remove_file(seg_path(&inner.dir, pid, seg));
-            dropped.push(seg);
+            let _ = fs::remove_file(seg_path(&inner.dir, seg));
+            readers.remove(&seg);
         }
     }
-    {
-        let mut readers = inner.readers.lock();
-        for seg in dropped {
-            readers.remove(&(pid, seg));
-        }
-    }
-    {
-        let mut acct = inner.acct.lock();
-        acct[pid as usize].live = live_bytes;
-        acct[pid as usize].dead = 0;
-    }
+    drop(readers);
+    tail.live = live_bytes;
+    tail.dead = 0;
     inner.stats.compactions.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }
 
-/// Segment read used by compaction (bypasses the overlay).
-fn read_loc_raw(inner: &LogInner, key: &str, loc: Loc) -> Result<Vec<u8>, StoreError> {
-    let file = {
-        let mut readers = inner.readers.lock();
-        match readers.get(&(loc.part, loc.seg)) {
-            Some(f) => f.clone(),
-            None => {
-                let path = seg_path(&inner.dir, loc.part, loc.seg);
-                let f = Arc::new(File::open(&path).map_err(StoreError::io)?);
-                readers.insert((loc.part, loc.seg), f.clone());
-                f
-            }
-        }
-    };
-    let mut buf = vec![0u8; loc.len as usize];
-    file.read_exact_at(&mut buf, loc.off)
-        .map_err(|e| StoreError::corrupt(key, format!("short read for {key}: {e}")))?;
-    Ok(buf)
-}
-
-fn write_checkpoint(inner: &LogInner) -> Result<(), StoreError> {
+/// Publish the index as of the durable watermark; replay after it
+/// starts at segment `replay_from`.
+fn write_checkpoint(inner: &LogInner, replay_from: u64) -> Result<(), StoreError> {
     let ckpt_seq = inner.durable_seq.load(Ordering::SeqCst);
     let mut payload = Vec::new();
     payload.extend_from_slice(&ckpt_seq.to_le_bytes());
-    payload.extend_from_slice(&inner.nparts.to_le_bytes());
-    for pid in 0..inner.nparts as usize {
-        payload.extend_from_slice(&inner.seg_ids[pid].load(Ordering::SeqCst).to_le_bytes());
-    }
+    payload.extend_from_slice(&replay_from.to_le_bytes());
     {
         let idx = inner.index.read();
         payload.extend_from_slice(&(idx.len() as u64).to_le_bytes());
@@ -976,7 +991,6 @@ fn write_checkpoint(inner: &LogInner) -> Result<(), StoreError> {
             payload.extend_from_slice(&(key.len() as u16).to_le_bytes());
             payload.extend_from_slice(key.as_bytes());
             payload.extend_from_slice(&loc.seq.to_le_bytes());
-            payload.extend_from_slice(&loc.part.to_le_bytes());
             payload.extend_from_slice(&loc.seg.to_le_bytes());
             payload.extend_from_slice(&loc.off.to_le_bytes());
             payload.extend_from_slice(&loc.len.to_le_bytes());
@@ -1004,141 +1018,53 @@ fn write_checkpoint(inner: &LogInner) -> Result<(), StoreError> {
 struct Recovered {
     index: HashMap<String, Loc>,
     next_seq: u64,
-    /// Highest segment id present per partition (0 if none).
-    max_seg: Vec<u64>,
-}
-
-/// One framed batch record surfaced by replay (only records above the
-/// checkpoint sequence are collected).
-struct ReplayRec {
-    seq: u64,
-    pid: u32,
-    seg: u64,
-    /// Byte offset of the record's frame header within its segment.
-    off: u64,
-    ops: Vec<(String, Option<Loc>)>,
+    /// Highest segment id present (0 if none).
+    max_seg: u64,
 }
 
 struct Checkpoint {
     seq: u64,
-    replay_from: Vec<u64>,
+    replay_from: u64,
     index: HashMap<String, Loc>,
 }
 
-fn recover(cfg: &LogStoreBuilder) -> Result<Recovered, StoreError> {
-    let ckpt = load_checkpoint(&cfg.dir, cfg.partitions)?;
-    let (ckpt_seq, replay_from, mut index) = match ckpt {
+/// The index as replay has rebuilt it so far.
+struct Replay {
+    index: HashMap<String, Loc>,
+    /// Records at or below this are already reflected in `index` by the
+    /// checkpoint (compaction rewrites keep their original seq and are
+    /// indexed before the checkpoint publishes).
+    ckpt_seq: u64,
+    /// Seq of the newest record applied. The next new record carries
+    /// exactly `commit_point + 1`; a lower seq is a compaction rewrite.
+    commit_point: u64,
+}
+
+fn recover(dir: &Path) -> Result<Recovered, StoreError> {
+    let (ckpt_seq, replay_from, index) = match load_checkpoint(dir)? {
         Some(c) => (c.seq, c.replay_from, c.index),
-        None => (0, vec![0; cfg.partitions as usize], HashMap::new()),
+        None => (0, 0, HashMap::new()),
     };
-
-    // Records with seq > ckpt_seq, gathered across every partition and
-    // applied in global seq order: per-key ordering is independent of
-    // which partition a batch landed in. Records at or below ckpt_seq
-    // are already reflected in the checkpoint index (compaction
-    // rewrites keep their original seq and are indexed before the
-    // checkpoint publishes).
-    let mut recs: Vec<ReplayRec> = Vec::new();
-    let mut max_seg = vec![0u64; cfg.partitions as usize];
-
-    for pid in 0..cfg.partitions {
-        let dir = cfg.dir.join(format!("p{pid}"));
-        let segs = list_segments(&dir)?;
-        let Some(&tail) = segs.last() else { continue };
-        max_seg[pid as usize] = tail;
-        for &seg in &segs {
-            if seg < replay_from[pid as usize] {
-                continue;
-            }
-            scan_segment(cfg, pid, seg, seg == tail, ckpt_seq, &mut recs)?;
-        }
-    }
-
-    // The commit point is the end of the longest *contiguous* seq run
-    // above the checkpoint. Group commit fsyncs partitions one at a
-    // time — and a power cut doesn't respect append order inside a
-    // partition's page cache either — so a higher-seq batch can be on
-    // disk while a lower-seq one is lost. Any surviving record past
-    // such a gap may embed state read speculatively from the missing
-    // batch (cross-fiber overlay reads are not gated), so the whole
-    // suffix rolls back: recovery yields a prefix of history, never a
-    // sieve.
-    recs.sort_by_key(|r| r.seq);
-    let mut commit_point = ckpt_seq;
-    for r in &recs {
-        if r.seq <= commit_point {
-            continue;
-        }
-        if Some(r.seq) == commit_point.checked_add(1) {
-            commit_point = r.seq;
-        } else {
-            break;
-        }
-    }
-
-    // Physically drop the rolled-back suffix. Leaving it on disk would
-    // let fresh writes reuse its seqs (next_seq restarts at the commit
-    // point), and the next recovery would then stitch the zombie
-    // records back into a "contiguous" history. Within a partition,
-    // append order is seq order, so the doomed records form a suffix:
-    // truncate the first doomed record's segment at its frame and
-    // remove any later segments.
-    let mut cut: Vec<Option<(u64, u64)>> = vec![None; cfg.partitions as usize];
-    for r in &recs {
-        if r.seq <= commit_point {
-            continue;
-        }
-        let c = &mut cut[r.pid as usize];
-        if c.map_or(true, |cur| (r.seg, r.off) < cur) {
-            *c = Some((r.seg, r.off));
-        }
-    }
-    for (pid, c) in cut.iter().enumerate() {
-        let Some((seg, off)) = *c else { continue };
-        let f = OpenOptions::new()
-            .write(true)
-            .open(seg_path(&cfg.dir, pid as u32, seg))
-            .map_err(StoreError::io)?;
-        f.set_len(off).map_err(StoreError::io)?;
-        f.sync_all().map_err(StoreError::io)?;
-        for later in list_segments(&cfg.dir.join(format!("p{pid}")))? {
-            if later > seg {
-                fs::remove_file(seg_path(&cfg.dir, pid as u32, later)).map_err(StoreError::io)?;
-            }
-        }
-    }
-
-    for rec in recs {
-        if rec.seq > commit_point {
-            continue;
-        }
-        for (key, loc) in rec.ops {
-            match loc {
-                Some(l) => {
-                    index.insert(key, l);
-                }
-                None => {
-                    index.remove(&key);
-                }
-            }
-        }
-    }
-
-    Ok(Recovered {
+    let mut replay = Replay {
         index,
-        next_seq: commit_point,
-        max_seg,
+        ckpt_seq,
+        commit_point: ckpt_seq,
+    };
+    let segs = list_segments(dir)?;
+    let tail = segs.last().copied();
+    for &seg in segs.iter().filter(|s| **s >= replay_from) {
+        scan_segment(dir, seg, Some(seg) == tail, &mut replay)?;
+    }
+    Ok(Recovered {
+        index: replay.index,
+        next_seq: replay.commit_point,
+        max_seg: tail.unwrap_or(0),
     })
 }
 
 fn list_segments(dir: &Path) -> Result<Vec<u64>, StoreError> {
     let mut segs = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(segs),
-        Err(e) => return Err(StoreError::io(e)),
-    };
-    for entry in entries {
+    for entry in fs::read_dir(dir).map_err(StoreError::io)? {
         let entry = entry.map_err(StoreError::io)?;
         let name = entry.file_name().to_string_lossy().into_owned();
         if let Some(num) = name
@@ -1154,30 +1080,20 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>, StoreError> {
     Ok(segs)
 }
 
-/// Replay one segment. A damaged frame in the tail segment is a torn
-/// write: the file is truncated at the last valid record and the scan
-/// stops. Damage anywhere else is real corruption and fails recovery.
+/// Replay one segment into `replay`. A damaged frame in the tail
+/// segment is a torn write: the file is truncated at the last valid
+/// record and the scan stops — with one append stream, what precedes
+/// the tear *is* the durable prefix. Damage anywhere else is real
+/// corruption and fails recovery.
 fn scan_segment(
-    cfg: &LogStoreBuilder,
-    pid: u32,
+    dir: &Path,
     seg: u64,
     is_tail: bool,
-    ckpt_seq: u64,
-    out: &mut Vec<ReplayRec>,
+    replay: &mut Replay,
 ) -> Result<(), StoreError> {
-    let path = seg_path(&cfg.dir, pid, seg);
+    let path = seg_path(dir, seg);
     let data = fs::read(&path).map_err(StoreError::io)?;
-    let label = format!("p{pid}/seg-{seg:010}.log");
-
-    let truncate_to = |off: usize| -> Result<(), StoreError> {
-        let f = OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(StoreError::io)?;
-        f.set_len(off as u64).map_err(StoreError::io)?;
-        f.sync_all().map_err(StoreError::io)?;
-        Ok(())
-    };
+    let label = format!("seg-{seg:010}.log");
 
     if data.len() < SEG_MAGIC.len() || &data[..SEG_MAGIC.len()] != SEG_MAGIC {
         // `create_segment` doesn't fsync the magic, so a power cut can
@@ -1186,8 +1102,8 @@ fn scan_segment(
         // next incarnation creates a higher-numbered segment, a leftover
         // magicless file is no longer the tail and would fail every
         // later recovery as "corrupt". Zero-length segments are the same
-        // accident regardless of position (including ones emptied by
-        // older releases), so they are cleared wherever they sit.
+        // accident regardless of position, so they are cleared wherever
+        // they sit.
         if is_tail || data.is_empty() {
             fs::remove_file(&path).map_err(StoreError::io)?;
             return Ok(());
@@ -1200,149 +1116,139 @@ fn scan_segment(
 
     let mut off = SEG_MAGIC.len();
     while off < data.len() {
-        let parsed = parse_record(&data, off, pid, seg, ckpt_seq);
-        match parsed {
-            Ok((rec, next)) => {
-                out.extend(rec);
-                off = next;
+        let damage = match parse_record(&data, off, seg) {
+            Ok(rec) if rec.seq <= replay.ckpt_seq => {
+                off = rec.next;
+                continue;
             }
-            Err(RecordDamage::Torn) if is_tail => {
-                // The canonical torn tail: the machine died mid-append.
-                // Everything before this offset is intact; drop the rest.
-                truncate_to(off)?;
-                return Ok(());
+            Ok(rec) if rec.seq > replay.commit_point.saturating_add(1) => {
+                format!("record seq {} follows seq {}", rec.seq, replay.commit_point)
             }
-            Err(RecordDamage::Torn) => {
-                return Err(StoreError::corrupt(
-                    &label,
-                    format!("torn record inside non-tail segment {label} at offset {off}"),
-                ));
-            }
-            Err(RecordDamage::Malformed(why)) => {
-                if is_tail {
-                    truncate_to(off)?;
-                    return Ok(());
+            Ok(rec) => {
+                replay.commit_point = replay.commit_point.max(rec.seq);
+                for (key, loc) in rec.ops {
+                    match loc {
+                        Some(l) => replay.index.insert(key, l),
+                        None => replay.index.remove(&key),
+                    };
                 }
-                return Err(StoreError::corrupt(
-                    &label,
-                    format!("malformed record in {label} at offset {off}: {why}"),
-                ));
+                off = rec.next;
+                continue;
             }
+            Err(why) => why,
+        };
+        if !is_tail {
+            return Err(StoreError::corrupt(
+                &label,
+                format!("damaged record in non-tail segment {label} at offset {off}: {damage}"),
+            ));
         }
+        // The canonical torn tail: the machine died mid-append.
+        // Everything before this offset is intact; drop the rest.
+        let f = OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .map_err(StoreError::io)?;
+        f.set_len(off as u64).map_err(StoreError::io)?;
+        f.sync_all().map_err(StoreError::io)?;
+        return Ok(());
     }
     Ok(())
 }
 
-enum RecordDamage {
-    /// The frame runs past the end of the file or fails its CRC.
-    Torn,
-    /// The CRC passes but the payload doesn't parse (fuzzer food).
-    Malformed(String),
+/// One framed batch record surfaced by replay.
+struct ReplayRec {
+    seq: u64,
+    ops: Vec<(String, Option<Loc>)>,
+    /// Offset of the frame after this one.
+    next: usize,
 }
 
-/// Parse the record at `off`; return it (with value locations) when its
-/// seq is above the checkpoint, plus the offset of the next record.
-fn parse_record(
-    data: &[u8],
-    off: usize,
-    pid: u32,
-    seg: u64,
-    ckpt_seq: u64,
-) -> Result<(Option<ReplayRec>, usize), RecordDamage> {
-    let header = data.get(off..off + 8).ok_or(RecordDamage::Torn)?;
+/// Parse the record at `off`, with the location of each value in it.
+/// The error says what is wrong with the frame: it runs past the end of
+/// the file, fails its CRC (both a torn write), or passes the CRC but
+/// does not parse (fuzzer food).
+fn parse_record(data: &[u8], off: usize, seg: u64) -> Result<ReplayRec, String> {
+    let header = data.get(off..off + 8).ok_or("frame header past end")?;
     let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
     let payload = data
         .get(off + 8..off + 8 + len)
-        .ok_or(RecordDamage::Torn)?;
+        .ok_or("frame payload past end")?;
     if gozer_compress::crc32(payload) != crc {
-        return Err(RecordDamage::Torn);
+        return Err("checksum mismatch".into());
     }
 
     let seq = u64::from_le_bytes(
         payload
             .get(..8)
-            .ok_or_else(|| RecordDamage::Malformed("payload shorter than seq".into()))?
+            .ok_or("payload shorter than seq")?
             .try_into()
             .unwrap(),
     );
     let count = u32::from_le_bytes(
         payload
             .get(8..12)
-            .ok_or_else(|| RecordDamage::Malformed("payload shorter than count".into()))?
+            .ok_or("payload shorter than count")?
             .try_into()
             .unwrap(),
     );
     let mut ops: Vec<(String, Option<Loc>)> = Vec::new();
     let mut cursor = 12usize;
     for _ in 0..count {
-        let op = *payload
-            .get(cursor)
-            .ok_or_else(|| RecordDamage::Malformed("op byte past end".into()))?;
+        let op = *payload.get(cursor).ok_or("op byte past end")?;
         cursor += 1;
         let klen = u16::from_le_bytes(
             payload
                 .get(cursor..cursor + 2)
-                .ok_or_else(|| RecordDamage::Malformed("klen past end".into()))?
+                .ok_or("klen past end")?
                 .try_into()
                 .unwrap(),
         ) as usize;
         cursor += 2;
-        let key_bytes = payload
-            .get(cursor..cursor + klen)
-            .ok_or_else(|| RecordDamage::Malformed("key past end".into()))?;
+        let key_bytes = payload.get(cursor..cursor + klen).ok_or("key past end")?;
         let key = std::str::from_utf8(key_bytes)
-            .map_err(|_| RecordDamage::Malformed("key not utf-8".into()))?
+            .map_err(|_| "key not utf-8")?
             .to_string();
         cursor += klen;
         let vlen = u32::from_le_bytes(
             payload
                 .get(cursor..cursor + 4)
-                .ok_or_else(|| RecordDamage::Malformed("vlen past end".into()))?
+                .ok_or("vlen past end")?
                 .try_into()
                 .unwrap(),
         ) as usize;
         cursor += 4;
         if payload.get(cursor..cursor + vlen).is_none() {
-            return Err(RecordDamage::Malformed("value past end".into()));
+            return Err("value past end".into());
         }
         let val_off = (off + 8 + cursor) as u64;
         cursor += vlen;
         match op {
-            OP_PUT => {
-                ops.push((
-                    key,
-                    Some(Loc {
-                        seq,
-                        part: pid,
-                        seg,
-                        off: val_off,
-                        len: vlen as u32,
-                    }),
-                ));
-            }
-            OP_DELETE => {
-                ops.push((key, None));
-            }
-            other => {
-                return Err(RecordDamage::Malformed(format!("unknown op byte {other}")));
-            }
+            OP_PUT => ops.push((
+                key,
+                Some(Loc {
+                    seq,
+                    seg,
+                    off: val_off,
+                    len: vlen as u32,
+                }),
+            )),
+            OP_DELETE => ops.push((key, None)),
+            other => return Err(format!("unknown op byte {other}")),
         }
     }
     if cursor != payload.len() {
-        return Err(RecordDamage::Malformed("trailing bytes after ops".into()));
+        return Err("trailing bytes after ops".into());
     }
-    let rec = (seq > ckpt_seq).then(|| ReplayRec {
+    Ok(ReplayRec {
         seq,
-        pid,
-        seg,
-        off: off as u64,
         ops,
-    });
-    Ok((rec, off + 8 + len))
+        next: off + 8 + len,
+    })
 }
 
-fn load_checkpoint(dir: &Path, nparts: u32) -> Result<Option<Checkpoint>, StoreError> {
+fn load_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, StoreError> {
     let path = dir.join("checkpoint");
     let data = match fs::read(&path) {
         Ok(d) => d,
@@ -1356,7 +1262,9 @@ fn load_checkpoint(dir: &Path, nparts: u32) -> Result<Option<Checkpoint>, StoreE
     }
     let len = u32::from_le_bytes(data[4..8].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(data[8..12].try_into().unwrap());
-    let payload = data.get(12..12 + len).ok_or_else(|| corrupt("short payload"))?;
+    let payload = data
+        .get(12..12 + len)
+        .ok_or_else(|| corrupt("short payload"))?;
     if gozer_compress::crc32(payload) != crc {
         return Err(corrupt("checksum mismatch"));
     }
@@ -1370,16 +1278,7 @@ fn load_checkpoint(dir: &Path, nparts: u32) -> Result<Option<Checkpoint>, StoreE
     };
     let mut cur = 0usize;
     let seq = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-    let stored_parts = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
-    if stored_parts != nparts {
-        return Err(StoreError::backend(format!(
-            "checkpoint written with {stored_parts} partitions, store configured with {nparts}"
-        )));
-    }
-    let mut replay_from = Vec::with_capacity(nparts as usize);
-    for _ in 0..nparts {
-        replay_from.push(u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap()));
-    }
+    let replay_from = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
     let nkeys = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
     let mut index = HashMap::new();
     for _ in 0..nkeys {
@@ -1388,7 +1287,6 @@ fn load_checkpoint(dir: &Path, nparts: u32) -> Result<Option<Checkpoint>, StoreE
             .map_err(|_| corrupt("key not utf-8"))?
             .to_string();
         let kseq = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-        let part = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
         let seg = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
         let off = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
         let vlen = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
@@ -1396,7 +1294,6 @@ fn load_checkpoint(dir: &Path, nparts: u32) -> Result<Option<Checkpoint>, StoreE
             key,
             Loc {
                 seq: kseq,
-                part,
                 seg,
                 off,
                 len: vlen,
@@ -1425,6 +1322,14 @@ mod tests {
             .unwrap()
     }
 
+    /// A window no test outlives: whatever commits under it was asked for.
+    fn lingering(dir: &Path) -> LogStore {
+        LogStore::builder(dir)
+            .group_commit_window(Duration::from_secs(10))
+            .build()
+            .unwrap()
+    }
+
     /// Compaction runs on the writer thread *after* the commit that
     /// released `flush`, so stats-based assertions must wait for it.
     fn wait_for(store: &LogStore, what: &str, pred: impl Fn(LogStats) -> bool) -> LogStats {
@@ -1434,7 +1339,10 @@ mod tests {
             if pred(stats) {
                 return stats;
             }
-            assert!(Instant::now() < deadline, "timed out waiting for {what}: {stats:?}");
+            assert!(
+                Instant::now() < deadline,
+                "timed out waiting for {what}: {stats:?}"
+            );
             std::thread::sleep(Duration::from_millis(5));
         }
     }
@@ -1470,7 +1378,6 @@ mod tests {
         let store = Arc::new(
             LogStore::builder(&dir)
                 .group_commit_window(Duration::from_millis(4))
-                .partitions(1)
                 .build()
                 .unwrap(),
         );
@@ -1499,6 +1406,139 @@ mod tests {
     }
 
     #[test]
+    fn failed_probe_ends_the_linger() {
+        let dir = tmp_dir("probe");
+        let store = lingering(&dir);
+        let w = store.put_batch(&[("fiber/1", b"state")]).unwrap();
+        let asked = Instant::now();
+        assert!(
+            !store.durable(w),
+            "nothing commits under a 10 s window unasked"
+        );
+        // That one failed probe is the whole request; poll the counters,
+        // not `durable`, so nothing asks a second time.
+        wait_for(&store, "the probed ticket to commit", |s| {
+            s.group_commits == 1
+        });
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "took {:?}",
+            asked.elapsed()
+        );
+        assert!(store.durable(w));
+        drop(store);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn flush_ends_the_linger() {
+        let dir = tmp_dir("flush");
+        let store = lingering(&dir);
+        let w = store.put_batch(&[("fiber/1", b"state")]).unwrap();
+        let asked = Instant::now();
+        store.flush().unwrap();
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "took {:?}",
+            asked.elapsed()
+        );
+        assert!(store.durable(w));
+        drop(store);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn unwaited_writes_linger_for_the_window() {
+        let dir = tmp_dir("linger");
+        let store = lingering(&dir);
+        for i in 0..10 {
+            store
+                .put(&format!("k/{i}"), b"nobody waits for this")
+                .unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        let stats = store.stats();
+        assert_eq!(
+            (stats.group_commits, stats.fsyncs),
+            (0, 0),
+            "unwaited writes must stay in the window: {stats:?}"
+        );
+        // Read-your-writes meanwhile, and a clean close drains them
+        // without sitting out the window.
+        assert_eq!(
+            store.get("k/3").unwrap(),
+            Some(b"nobody waits for this".to_vec())
+        );
+        let closing = Instant::now();
+        drop(store);
+        assert!(
+            closing.elapsed() < Duration::from_secs(1),
+            "close took {:?}",
+            closing.elapsed()
+        );
+        let store = fast(&dir);
+        assert_eq!(store.list("k/").unwrap().len(), 10);
+        drop(store);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_group_costs_exactly_one_fsync() {
+        let dir = tmp_dir("onefsync");
+        let store = lingering(&dir);
+        for i in 0..100 {
+            let (data, meta) = (format!("fiber/{i}"), format!("fiber-v/{i}"));
+            store
+                .put_batch(&[(&data, b"snapshot".as_slice()), (&meta, b"v1".as_slice())])
+                .unwrap();
+        }
+        store.flush().unwrap();
+        let stats = store.stats();
+        assert_eq!(
+            (stats.group_commits, stats.fsyncs, stats.committed_entries),
+            (1, 1, 200),
+            "100 batches over 100 keys are one group and one fsync: {stats:?}"
+        );
+        drop(store);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn waited_groups_start_a_gather_apart() {
+        let dir = tmp_dir("gather");
+        let store = lingering(&dir);
+        let started = Instant::now();
+        for i in 0..21 {
+            store.put(&format!("k/{i}"), b"waited for").unwrap();
+            store.flush().unwrap();
+        }
+        // Twenty gaps between twenty-one groups, whatever the disk does.
+        assert!(
+            started.elapsed() >= GATHER * 20,
+            "took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(store.stats().group_commits, 21);
+        drop(store);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn stale_watermark_does_not_disable_the_linger() {
+        // A ticket from a previous incarnation can be far ahead of
+        // anything this store has issued; probing it must not leave the
+        // writer believing somebody waits on every later write.
+        let dir = tmp_dir("stale");
+        let store = lingering(&dir);
+        assert!(!store.durable(Watermark(1 << 40)));
+        store.put("k", b"v").unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(store.stats().group_commits, 0);
+        drop(store);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn reopen_recovers_flushed_state() {
         let dir = tmp_dir("reopen");
         {
@@ -1520,62 +1560,22 @@ mod tests {
     #[test]
     fn crash_loses_only_unflushed_writes() {
         let dir = tmp_dir("crash");
-        let store = fast(&dir);
+        let store = lingering(&dir);
         store.put("durable/1", b"kept").unwrap();
         store.flush().unwrap();
-        // Stop the commit thread first so these writes stay buffered,
-        // then "cut the power".
+        // Nobody waits for this one, so it is still in the window when
+        // the power goes.
+        store.put("lost/1", b"gone").unwrap();
         store.simulate_crash();
-        assert!(store.put("lost/1", b"gone").is_err());
+        assert!(store.put("lost/2", b"refused").is_err());
+        assert!(
+            store.flush().is_err(),
+            "a crashed store cannot promise durability"
+        );
 
         let store = fast(&dir);
         assert_eq!(store.get("durable/1").unwrap(), Some(b"kept".to_vec()));
         assert_eq!(store.get("lost/1").unwrap(), None);
-        drop(store);
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_not_fatal() {
-        let dir = tmp_dir("torn");
-        {
-            let store = LogStore::builder(&dir)
-                .group_commit_window(Duration::ZERO)
-                .partitions(1)
-                .build()
-                .unwrap();
-            store.put("k/1", b"first record").unwrap();
-            store.flush().unwrap();
-            store.put("k/2", b"second record").unwrap();
-            store.flush().unwrap();
-        }
-        // Tear the last record mid-payload.
-        let seg_dir = dir.join("p0");
-        let mut segs = list_segments(&seg_dir).unwrap();
-        let tail = segs.pop().unwrap();
-        // The tail segment created on the second open is empty; the data
-        // lives in an earlier one. Find the largest non-empty segment.
-        let mut candidates = list_segments(&seg_dir).unwrap();
-        candidates.retain(|s| {
-            fs::metadata(seg_path(&dir, 0, *s)).map(|m| m.len()).unwrap_or(0)
-                > SEG_MAGIC.len() as u64
-        });
-        let target = *candidates.last().unwrap_or(&tail);
-        let path = seg_path(&dir, 0, target);
-        let len = fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 4).unwrap();
-        drop(f);
-        // Delete any later (empty) segments so the torn one is the tail.
-        for s in list_segments(&seg_dir).unwrap() {
-            if s > target {
-                let _ = fs::remove_file(seg_path(&dir, 0, s));
-            }
-        }
-
-        let store = LogStore::builder(&dir).partitions(1).build().unwrap();
-        assert_eq!(store.get("k/1").unwrap(), Some(b"first record".to_vec()));
-        assert_eq!(store.get("k/2").unwrap(), None, "torn record must vanish");
         drop(store);
         let _ = fs::remove_dir_all(dir);
     }
@@ -1586,7 +1586,6 @@ mod tests {
         let store = LogStore::builder(&dir)
             .segment_bytes(512)
             .group_commit_window(Duration::ZERO)
-            .partitions(2)
             .compact_min_bytes(256)
             .compact_dead_ratio(0.3)
             .build()
@@ -1612,7 +1611,7 @@ mod tests {
         drop(store);
 
         // And the compacted state must survive a reopen.
-        let store = LogStore::builder(&dir).partitions(2).build().unwrap();
+        let store = LogStore::builder(&dir).build().unwrap();
         for k in 0..8 {
             assert_eq!(
                 store.get(&format!("hot/{k}")).unwrap(),
@@ -1632,7 +1631,6 @@ mod tests {
         let store = LogStore::builder(&dir)
             .segment_bytes(256)
             .group_commit_window(Duration::ZERO)
-            .partitions(2)
             .compact_min_bytes(64)
             .compact_dead_ratio(0.2)
             .build()
@@ -1642,14 +1640,20 @@ mod tests {
         store.delete("victim").unwrap();
         // Churn until a compaction+checkpoint has certainly happened.
         for round in 0..60 {
-            store.put("churn", format!("round-{round}").as_bytes()).unwrap();
+            store
+                .put("churn", format!("round-{round}").as_bytes())
+                .unwrap();
         }
         store.flush().unwrap();
         wait_for(&store, "checkpoint", |s| s.checkpoints > 0);
         drop(store);
 
-        let store = LogStore::builder(&dir).partitions(2).build().unwrap();
-        assert_eq!(store.get("victim").unwrap(), None, "deleted key resurrected");
+        let store = LogStore::builder(&dir).build().unwrap();
+        assert_eq!(
+            store.get("victim").unwrap(),
+            None,
+            "deleted key resurrected"
+        );
         assert_eq!(store.get("churn").unwrap(), Some(b"round-59".to_vec()));
         drop(store);
         let _ = fs::remove_dir_all(dir);
@@ -1664,23 +1668,17 @@ mod tests {
         // would then fail every later recovery as interior corruption.
         let dir = tmp_dir("badmagic");
         {
-            let store = LogStore::builder(&dir)
-                .group_commit_window(Duration::ZERO)
-                .partitions(1)
-                .build()
-                .unwrap();
+            let store = fast(&dir);
             store.put("k/1", b"keep").unwrap();
             store.flush().unwrap();
         }
-        let seg_dir = dir.join("p0");
-        let next = list_segments(&seg_dir).unwrap().last().unwrap() + 1;
-        // Legacy shape: a zero-length non-tail segment left by an older
-        // release's truncate-in-place recovery.
-        fs::write(seg_path(&dir, 0, next), b"").unwrap();
+        let next = list_segments(&dir).unwrap().last().unwrap() + 1;
+        // A zero-length segment that is not the tail.
+        fs::write(seg_path(&dir, next), b"").unwrap();
         // And the torn create itself: a half-written magic at the tail.
-        fs::write(seg_path(&dir, 0, next + 1), b"GZL").unwrap();
+        fs::write(seg_path(&dir, next + 1), b"GZL").unwrap();
         for reopen in 0..2 {
-            let store = LogStore::builder(&dir).partitions(1).build().unwrap();
+            let store = LogStore::builder(&dir).build().unwrap();
             assert_eq!(
                 store.get("k/1").unwrap(),
                 Some(b"keep".to_vec()),
@@ -1702,7 +1700,13 @@ mod tests {
         }));
         let w = store.put_batch(&[("h/1", b"x")]).unwrap();
         store.flush().unwrap();
-        assert!(seen.load(Ordering::SeqCst) >= w.0);
+        // `flush` returns at the durability point; the hook fires just
+        // after it, on the writer thread.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while seen.load(Ordering::SeqCst) < w.0 {
+            assert!(Instant::now() < deadline, "commit hook never reported {w}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         drop(store);
         let _ = fs::remove_dir_all(dir);
     }

@@ -8,10 +8,13 @@
 //! * [`FileStore`] — a directory of files, one per key, giving the real
 //!   write-out/read-back IO path for the §4.2 compression experiment.
 //!   One fsync'd rename per save: durable, simple, slow.
-//! * [`LogStore`] — per-partition append-only commit logs with group
-//!   commit (Netherite-style): one fsync is amortized over every save
-//!   that arrives inside the commit window, and saves become durable in
-//!   the background while the fiber speculatively resumes.
+//! * [`LogStore`] — one append-only commit log with group commit
+//!   (Netherite-style): one fsync covers every save that arrived since
+//!   the last one, issued as soon as somebody waits on a save (or, for
+//!   saves nobody waits on, when the commit window runs out) but no
+//!   sooner than 500 µs after the previous group started, and saves
+//!   become durable in the background while the fiber speculatively
+//!   resumes.
 //!
 //! # The write path: batches, watermarks, speculation
 //!

@@ -9,12 +9,13 @@ use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use gozer_lang::Value;
 use vinz::testing::{
     chaos_seeds, repro_command, run_workflow_under_chaos_store, ChaosConfig, ChaosRun,
 };
-use vinz::{LogStore, StateStore, VinzConfig};
+use vinz::{LogStore, StateStore, StoreError, VinzConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -27,14 +28,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// Path of partition `p`'s segment `seg` (mirrors the store's layout).
-fn seg_path(dir: &std::path::Path, p: u32, seg: u64) -> PathBuf {
-    dir.join(format!("p{p}")).join(format!("seg-{seg:010}.log"))
+/// Path of the log's segment `seg` (mirrors the store's layout).
+fn seg_path(dir: &std::path::Path, seg: u64) -> PathBuf {
+    dir.join(format!("seg-{seg:010}.log"))
 }
 
-/// Highest-numbered segment file in partition `p`.
-fn tail_segment(dir: &std::path::Path, p: u32) -> PathBuf {
-    let mut segs: Vec<u64> = std::fs::read_dir(dir.join(format!("p{p}")))
+/// Segment ids present in the store directory, ascending.
+fn segments(dir: &std::path::Path) -> Vec<u64> {
+    let mut segs: Vec<u64> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| {
             let name = e.unwrap().file_name().to_string_lossy().into_owned();
@@ -45,7 +46,28 @@ fn tail_segment(dir: &std::path::Path, p: u32) -> PathBuf {
         })
         .collect();
     segs.sort_unstable();
-    seg_path(dir, p, *segs.last().expect("partition has segments"))
+    segs
+}
+
+/// Highest-numbered segment file.
+fn tail_segment(dir: &std::path::Path) -> PathBuf {
+    seg_path(dir, *segments(dir).last().expect("log has segments"))
+}
+
+/// Run `body` on its own thread and fail — not stall — if it has not
+/// finished by the deadline: a lost wake-up parks two threads on a
+/// futex forever, and a hung test blocks CI silently.
+fn within<T: Send + 'static>(
+    what: &str,
+    deadline: Duration,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    rx.recv_timeout(deadline)
+        .unwrap_or_else(|e| panic!("{what}: not finished after {deadline:?} ({e})"))
 }
 
 /// Crash shape 1: the machine dies mid-append, leaving a frame whose
@@ -55,14 +77,14 @@ fn tail_segment(dir: &std::path::Path, p: u32) -> PathBuf {
 fn torn_tail_keeps_durable_prefix() {
     let dir = temp_dir("torn");
     {
-        let store = LogStore::builder(&dir).partitions(1).build().unwrap();
+        let store = LogStore::builder(&dir).build().unwrap();
         store.put("fiber/a", b"first save").unwrap();
         store.put("fiber/b", b"second save").unwrap();
         store.flush().unwrap();
         store.simulate_crash();
     }
     // Tear the last record: chop bytes off the tail segment's end.
-    let tail = tail_segment(&dir, 0);
+    let tail = tail_segment(&dir);
     let len = std::fs::metadata(&tail).unwrap().len();
     OpenOptions::new()
         .write(true)
@@ -71,7 +93,7 @@ fn torn_tail_keeps_durable_prefix() {
         .set_len(len - 4)
         .unwrap();
 
-    let store = LogStore::builder(&dir).partitions(1).build().unwrap();
+    let store = LogStore::builder(&dir).build().unwrap();
     // fiber/a's record is intact; fiber/b's was torn and is gone — the
     // durable prefix, nothing more, nothing less.
     assert_eq!(store.get("fiber/a").unwrap(), Some(b"first save".to_vec()));
@@ -90,7 +112,7 @@ fn torn_tail_keeps_durable_prefix() {
 fn partial_group_commit_batch_is_all_or_nothing() {
     let dir = temp_dir("partial-batch");
     {
-        let store = LogStore::builder(&dir).partitions(1).build().unwrap();
+        let store = LogStore::builder(&dir).build().unwrap();
         store
             .put_batch(&[("fiber/1", b"base snapshot"), ("fiber-v/1", b"v1")])
             .unwrap();
@@ -102,8 +124,8 @@ fn partial_group_commit_batch_is_all_or_nothing() {
         store.simulate_crash();
     }
     // Tear into the second batch's record (both batches share the one
-    // partition segment; the tear lands inside the last frame).
-    let tail = tail_segment(&dir, 0);
+    // segment; the tear lands inside the last frame).
+    let tail = tail_segment(&dir);
     let len = std::fs::metadata(&tail).unwrap().len();
     OpenOptions::new()
         .write(true)
@@ -112,7 +134,7 @@ fn partial_group_commit_batch_is_all_or_nothing() {
         .set_len(len - 3)
         .unwrap();
 
-    let store = LogStore::builder(&dir).partitions(1).build().unwrap();
+    let store = LogStore::builder(&dir).build().unwrap();
     // Batch 1 survives whole.
     assert_eq!(
         store.get("fiber/1").unwrap(),
@@ -136,11 +158,7 @@ fn kill_between_segment_rotations_recovers_all_segments() {
     let payload = vec![7u8; 100];
     {
         // 64-byte segments: every ~100-byte record rotates first.
-        let store = LogStore::builder(&dir)
-            .partitions(1)
-            .segment_bytes(64)
-            .build()
-            .unwrap();
+        let store = LogStore::builder(&dir).segment_bytes(64).build().unwrap();
         for i in 0..12 {
             store.put(&format!("fiber/{i}"), &payload).unwrap();
         }
@@ -150,28 +168,11 @@ fn kill_between_segment_rotations_recovers_all_segments() {
     // The crash happened just after a rotation created the next
     // segment: an empty file with only the magic, plus one where the
     // magic itself was half-written.
-    let seg_dir = dir.join("p0");
-    let next = 1 + std::fs::read_dir(&seg_dir)
-        .unwrap()
-        .filter_map(|e| {
-            e.unwrap()
-                .file_name()
-                .to_string_lossy()
-                .strip_prefix("seg-")?
-                .strip_suffix(".log")?
-                .parse::<u64>()
-                .ok()
-        })
-        .max()
-        .unwrap();
-    std::fs::write(seg_path(&dir, 0, next), b"GZLOG1\0\0").unwrap();
-    std::fs::write(seg_path(&dir, 0, next + 1), b"GZL").unwrap();
+    let next = 1 + segments(&dir).last().expect("log has segments");
+    std::fs::write(seg_path(&dir, next), b"GZLOG1\0\0").unwrap();
+    std::fs::write(seg_path(&dir, next + 1), b"GZL").unwrap();
 
-    let store = LogStore::builder(&dir)
-        .partitions(1)
-        .segment_bytes(64)
-        .build()
-        .unwrap();
+    let store = LogStore::builder(&dir).segment_bytes(64).build().unwrap();
     for i in 0..12 {
         assert_eq!(
             store.get(&format!("fiber/{i}")).unwrap(),
@@ -188,73 +189,171 @@ fn kill_between_segment_rotations_recovers_all_segments() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Mirror of the store's stable FNV-1a key → partition mapping (a
-/// documented format property: a key's partition never changes).
-fn partition_of(key: &str, nparts: u32) -> u32 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// Split a segment's bytes into its magic and its framed records.
+fn frames(seg: &[u8]) -> (&[u8], Vec<&[u8]>) {
+    let (magic, mut rest) = seg.split_at(8);
+    let mut out = Vec::new();
+    while !rest.is_empty() {
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        let (frame, tail) = rest.split_at(8 + len);
+        out.push(frame);
+        rest = tail;
     }
-    (h % nparts as u64) as u32
+    (magic, out)
 }
 
-/// Crash shape 4: group commit fsyncs partitions one at a time, so a
-/// power cut can durably land a *later* batch (in an already-synced
-/// partition) while an earlier one is lost. The survivor may embed
-/// state read speculatively from the lost write, so recovery must roll
-/// back to the contiguous seq prefix — and scrub the rolled-back
-/// records from disk, or fresh writes reusing their seqs would let the
-/// next recovery resurrect them.
+/// Crash shape 4: a record goes missing from the *middle* of the tail
+/// (the page cache owes nobody write order within one un-fsynced
+/// group). The survivor past the hole may embed state read
+/// speculatively from the lost write, so recovery must stop at the
+/// hole — the durable state is a prefix of commit order — and cut the
+/// survivor from disk, or fresh writes reusing its seq would let the
+/// next recovery resurrect it.
 #[test]
-fn torn_cross_partition_group_rolls_back_to_contiguous_prefix() {
-    let dir = temp_dir("torn-group");
-    let ka = (0..)
-        .map(|i| format!("a/{i}"))
-        .find(|k| partition_of(k, 2) == 0)
-        .unwrap();
-    let kb = (0..)
-        .map(|i| format!("b/{i}"))
-        .find(|k| partition_of(k, 2) == 1)
-        .unwrap();
+fn hole_in_the_tail_rolls_back_to_the_prefix_before_it() {
+    let dir = temp_dir("hole");
     {
-        let store = LogStore::builder(&dir).partitions(2).build().unwrap();
-        store.put(&ka, b"earlier write, lost in the cut").unwrap();
-        store.flush().unwrap();
-        store.put(&kb, b"later write, synced first").unwrap();
-        store.flush().unwrap();
+        let store = LogStore::builder(&dir).build().unwrap();
+        for (key, val) in [
+            ("a", "kept"),
+            ("b", "lost in the cut"),
+            ("c", "past the hole"),
+        ] {
+            store.put(key, val.as_bytes()).unwrap();
+            store.flush().unwrap();
+        }
         store.simulate_crash();
     }
-    // The power cut: partition 0's pages never reached the platter.
-    // Wind its segment back to bare magic, erasing the earlier batch
-    // while the later one survives in partition 1.
-    let p0 = tail_segment(&dir, 0);
-    OpenOptions::new()
-        .write(true)
-        .open(&p0)
-        .unwrap()
-        .set_len(8)
-        .unwrap();
+    let tail = tail_segment(&dir);
+    let bytes = std::fs::read(&tail).unwrap();
+    let (magic, recs) = frames(&bytes);
+    assert_eq!(recs.len(), 3, "three flushed puts are three records");
+    std::fs::write(&tail, [magic, recs[0], recs[2]].concat()).unwrap();
 
-    let store = LogStore::builder(&dir).partitions(2).build().unwrap();
-    assert_eq!(store.get(&ka).unwrap(), None);
+    let store = LogStore::builder(&dir).build().unwrap();
+    assert_eq!(store.get("a").unwrap(), Some(b"kept".to_vec()));
+    assert_eq!(store.get("b").unwrap(), None);
     assert_eq!(
-        store.get(&kb).unwrap(),
+        store.get("c").unwrap(),
         None,
-        "batch past the seq gap must roll back with it"
+        "record past the seq gap must roll back with it"
     );
     // New writes reuse the rolled-back seqs; that must be safe because
-    // the zombie records were scrubbed from disk.
-    store.put(&ka, b"rewritten").unwrap();
+    // the zombie record was cut from disk.
+    store.put("b", b"rewritten").unwrap();
     store.flush().unwrap();
     drop(store);
 
-    let store = LogStore::builder(&dir).partitions(2).build().unwrap();
-    assert_eq!(store.get(&ka).unwrap(), Some(b"rewritten".to_vec()));
+    let store = LogStore::builder(&dir).build().unwrap();
+    assert_eq!(store.get("b").unwrap(), Some(b"rewritten".to_vec()));
     assert_eq!(
-        store.get(&kb).unwrap(),
+        store.get("c").unwrap(),
         None,
         "rolled-back record resurrected by seq reuse"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The multi-partition layout is retired with no compat reader: a
+/// directory that still holds one is refused with a typed error rather
+/// than opened as an empty store beside the old data.
+#[test]
+fn multi_partition_directory_is_refused() {
+    let dir = temp_dir("old-layout");
+    std::fs::create_dir_all(dir.join("p1")).unwrap();
+    std::fs::write(dir.join("p1").join("seg-0000000001.log"), b"GZLOG1\0\0").unwrap();
+    match LogStore::builder(&dir).build() {
+        Err(StoreError::Backend(why)) => assert!(why.contains("multi-partition"), "{why}"),
+        Err(other) => panic!("want a Backend error, got {other:?}"),
+        Ok(_) => panic!("a partitioned directory must not open"),
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+// ---- shutdown wake-ups ---------------------------------------------------
+
+/// The once-seen hang (ROADMAP): `simulate_crash` and `Drop` used to
+/// flip `stop` and notify without the writer's mutex, so a writer that
+/// had just tested `stop` and not yet parked slept through the notify
+/// and `join()` never returned. Thousands of open → save → flush →
+/// shut cycles land in that window within seconds when it exists.
+#[test]
+fn shutdown_never_misses_the_writer() {
+    let dir = temp_dir("shutdown");
+    let root = dir.clone();
+    within(
+        "open/put_batch/flush/shut cycles",
+        Duration::from_secs(60),
+        move || {
+            for i in 0..3000 {
+                let dir = root.join(format!("{}", i % 8));
+                let _ = std::fs::remove_dir_all(&dir);
+                let store = LogStore::builder(&dir).build().unwrap();
+                store
+                    .put_batch(&[("fiber/1", b"state"), ("fiber-v/1", b"v1")])
+                    .unwrap();
+                store.flush().unwrap();
+                if i % 2 == 0 {
+                    store.simulate_crash();
+                }
+                drop(store);
+            }
+        },
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Shutdown racing live savers: a crash while another thread is
+/// mid-`put` must stop both promptly, every put either lands in the
+/// queue before the stop or is refused; and a clean drop right behind a
+/// save must drain it without sitting out the window.
+#[test]
+fn shutdown_races_with_enqueue() {
+    let dir = temp_dir("shutdown-race");
+    let root = dir.clone();
+    within(
+        "enqueue-vs-shutdown cycles",
+        Duration::from_secs(60),
+        move || {
+            for i in 0..300 {
+                let dir = root.join(format!("{}", i % 8));
+                let _ = std::fs::remove_dir_all(&dir);
+                let store = Arc::new(
+                    LogStore::builder(&dir)
+                        .group_commit_window(Duration::from_secs(10))
+                        .build()
+                        .unwrap(),
+                );
+                let (go, started) = std::sync::mpsc::channel();
+                let saver = {
+                    let store = store.clone();
+                    std::thread::spawn(move || {
+                        let mut n = 0u64;
+                        while store.put(&format!("k/{n}"), b"v").is_ok() {
+                            if n == 0 {
+                                go.send(()).unwrap();
+                            }
+                            n += 1;
+                        }
+                        n
+                    })
+                };
+                started.recv().unwrap();
+                store.simulate_crash();
+                assert!(saver.join().unwrap() > 0);
+                drop(store);
+
+                // Clean close right behind an unwaited save.
+                let store = LogStore::builder(&dir)
+                    .group_commit_window(Duration::from_secs(10))
+                    .build()
+                    .unwrap();
+                store.put("closing", b"drained").unwrap();
+                drop(store);
+                let store = LogStore::builder(&dir).build().unwrap();
+                assert_eq!(store.get("closing").unwrap(), Some(b"drained".to_vec()));
+            }
+        },
     );
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -367,5 +466,8 @@ fn log_store_is_opcode_identical_to_mem_store_sixteen_seeds() {
     for dir in log_dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
-    fail_sweep("log_store_is_opcode_identical_to_mem_store_sixteen_seeds", failures);
+    fail_sweep(
+        "log_store_is_opcode_identical_to_mem_store_sixteen_seeds",
+        failures,
+    );
 }

@@ -226,6 +226,60 @@ fn durability_hold_nonzero_under_logstore_zero_under_memstore() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The wait for a `deflink` call's reply is `service_wait`, not
+/// `suspended`: the generated stub yields with `{:reason :service-call}`
+/// so the ledger knows what the fiber is waiting on.
+#[test]
+fn deflink_call_accrues_service_wait() {
+    let cluster = Cluster::new();
+    vinz::testing::register_value_service(
+        &cluster,
+        "Slow",
+        Some(
+            gozer_xml::ServiceDescription::new("Slow", "urn:slow-service").operation(
+                "Echo",
+                "Returns n after a pause.",
+                &[("n", "int")],
+            ),
+        ),
+        |_op, req| {
+            std::thread::sleep(Duration::from_millis(20));
+            Ok(req
+                .as_map()
+                .and_then(|m| m.get(&Value::str("n")).cloned())
+                .unwrap_or(Value::Nil))
+        },
+    );
+    cluster.spawn_instances("Slow", 0, 1);
+    let workflow = WorkflowService::builder(&cluster, "workflow")
+        .source(
+            "(deflink S :wsdl \"urn:slow-service\" :port \"Slow\")
+             (defun main (n) (S-Echo-Method :n n))",
+        )
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    let task = workflow.start("main", vec![Value::Int(7)], None).unwrap();
+    let rec = workflow
+        .wait(&task, Duration::from_secs(45))
+        .expect("task finishes");
+    assert_eq!(rec.status, TaskStatus::Completed(Value::Int(7)));
+    let rec = workflow.obs().tracker().get(&task).unwrap();
+    cluster.shutdown();
+    assert!(
+        rec.phases.get(Phase::ServiceWait) >= Duration::from_millis(10),
+        "a 20 ms service call must show as service_wait: {}",
+        rec.phases.render()
+    );
+    assert_eq!(
+        rec.phases.get(Phase::Suspended),
+        Duration::ZERO,
+        "{}",
+        rec.phases.render()
+    );
+    assert_eq!(rec.phases.total(), rec.duration());
+}
+
 fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     let mut s = TcpStream::connect(addr).unwrap();
     s.write_all(format!("GET {path} HTTP/1.1\r\nHost: gozer\r\n\r\n").as_bytes())

@@ -95,7 +95,6 @@ fn run_seed(seed: u64, tasks: i64, store: bool) -> Result<SeedOutcome, String> {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let log = LogStore::builder(&dir)
-            .partitions(1)
             .build()
             .map_err(|e| fail(format!("logstore: {e}")))?;
         builder = builder.store(Arc::new(log));

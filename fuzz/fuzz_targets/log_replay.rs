@@ -17,7 +17,6 @@ const SEG_MAGIC: &[u8; 8] = b"GZLOG1\0\0";
 /// committed records, compacted so a checkpoint exists, then crashed.
 fn fixture(dir: &PathBuf) -> (Vec<u8>, Vec<u8>) {
     let store = LogStore::builder(dir)
-        .partitions(1)
         .segment_bytes(256)
         .compact_min_bytes(64)
         .compact_dead_ratio(0.05)
@@ -40,9 +39,10 @@ fn fixture(dir: &PathBuf) -> (Vec<u8>, Vec<u8>) {
     }
     store.simulate_crash();
     drop(store);
-    let seg = std::fs::read_dir(dir.join("p0"))
+    let seg = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "log"))
         .max()
         .expect("fixture segment");
     let ckpt = std::fs::read(dir.join("checkpoint")).unwrap_or_default();
@@ -59,7 +59,7 @@ fn main() {
     drive("log_replay", |rng| {
         case += 1;
         let dir = base.join(format!("case-{case}"));
-        std::fs::create_dir_all(dir.join("p0")).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
 
         // The segment under attack.
         let seg_bytes = match rng.below(4) {
@@ -74,14 +74,14 @@ fn main() {
             // Mutations / truncations of a genuine crashed log.
             _ => mutate(rng, &valid_seg, 6),
         };
-        std::fs::write(dir.join("p0").join("seg-0000000001.log"), &seg_bytes).unwrap();
+        std::fs::write(dir.join("seg-0000000001.log"), &seg_bytes).unwrap();
 
         // Sometimes a second, older segment (recovery walks them in
         // order; damage in a non-tail segment must surface as Corrupt,
         // not a panic).
         if rng.below(3) == 0 {
             let older = mutate(rng, &valid_seg, 2);
-            std::fs::write(dir.join("p0").join("seg-0000000000.log"), &older).unwrap();
+            std::fs::write(dir.join("seg-0000000000.log"), &older).unwrap();
         }
 
         // Sometimes a mangled checkpoint on top.
@@ -96,7 +96,7 @@ fn main() {
 
         // The contract: open either fails with a typed error or yields
         // a store that can serve reads and writes.
-        if let Ok(store) = LogStore::builder(&dir).partitions(1).build() {
+        if let Ok(store) = LogStore::builder(&dir).build() {
             let _ = store.get("fiber/1");
             let _ = store.get("fiber/hot");
             let _ = store.list("fiber/");

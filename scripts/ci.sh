@@ -92,4 +92,9 @@ run make store-smoke
 # worker processes, so a failed gate cannot leak children into CI.
 run make cluster-smoke
 
+# Task-level benchmark gate: all six BENCHMARK.json workloads in smoke
+# mode. Its watchdog turns a wedged deployment into a failure, and the
+# shape check catches a report that drifted from BENCHMARK.json.
+run make taskbench-smoke
+
 echo "ci: OK (chaos sweep width $CHAOS_SEEDS)"
