@@ -654,6 +654,21 @@ impl Cluster {
     /// The enqueue tail of [`Cluster::send`]: chaos faults, then the
     /// service queue. Held messages re-enter here when released.
     fn dispatch(&self, msg: Message) {
+        // The gate itself: whichever way a message got here (sent with
+        // its watermark already durable, or released from the held
+        // list), nothing enters a queue above the durable watermark.
+        debug_assert!(
+            msg.hold_until == 0
+                || self
+                    .durability_probe
+                    .read()
+                    .as_ref()
+                    .is_none_or(|probe| probe(msg.hold_until)),
+            "{}/{} queued behind watermark {} before it was durable",
+            msg.service,
+            msg.operation,
+            msg.hold_until
+        );
         let queue = self.queue(&msg.service);
         if let Some(plan) = self.chaos_plan() {
             if plan.on_send_duplicate(&msg) {

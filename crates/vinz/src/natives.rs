@@ -134,7 +134,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
             state.ext.set("join-deadline-ms", jd.clone());
         }
         inner.tracker.fiber_created(&task_id);
-        let ticket = inner
+        inner
             .save_fiber(&rt, IN_FIBER, &child_id, state)
             .map_err(vz)?;
         inner.set_phase(&child_id, "initial").map_err(vz)?;
@@ -153,13 +153,10 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
             children.push(',');
         }
         children.push_str(&child_id);
-        // Watermarks are monotonic, so this registry write's ticket also
-        // covers the child's snapshot above — gate the RunFiber on it.
-        let ticket = inner
+        inner
             .store
-            .put_batch(&[(&children_key, children.as_bytes())])
-            .map_err(|e| VmError::msg(e.to_string()))?
-            .max(ticket);
+            .put(&children_key, children.as_bytes())
+            .map_err(|e| VmError::msg(e.to_string()))?;
         inner.trace.record(
             rt.node_id,
             IN_FIBER,
@@ -170,7 +167,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         // Children inherit the task's deadline so deadline-aware queue
         // policies can order their RunFiber messages too.
         let deadline = inner.tracker.get(&task_id).and_then(|r| r.deadline);
-        inner.send_run_fiber(&child_id, deadline, ticket);
+        inner.send_run_fiber(&child_id, deadline);
         NativeOutcome::ok(Value::str(child_id))
     });
 
@@ -264,7 +261,10 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         // arrives. A crash between the batch and the send leaves a
         // retryable record, not a lost call — and the request itself is
         // gated on the batch's ticket so the service never sees a call
-        // whose correlation state could vanish in a crash.
+        // whose correlation state could vanish in a crash. This is the
+        // deployment's one durability hold: the request can outlive this
+        // process, and the batch's ticket covers everything the caller
+        // did before it (earlier saves have lower seqs in the same log).
         let call_req = crate::supervisor::CallReq {
             service: service.clone(),
             operation: operation.clone(),

@@ -32,8 +32,8 @@ use gozer_vm::{Condition, FiberObsEvent, FiberObsKind, FiberState, Gvm, RunOutco
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::FiberCache;
-use crate::locks::{InProcessLocks, LockManager};
-use crate::store::{DurabilityTicket, MemStore, StateStore, Watermark};
+use crate::locks::{InProcessLocks, LockGuard, LockManager};
+use crate::store::{MemStore, StateStore, Watermark};
 use crate::supervisor::{self, RetryPolicy, SupervisorConfig};
 use crate::trace::{Trace, TraceKind};
 use crate::tracker::{TaskRecord, TaskStatus, TaskTracker};
@@ -439,7 +439,8 @@ impl WorkflowServiceBuilder {
             });
         }
         // Speculative persistence (LogStore): saves return a ticket
-        // before they are durable, and fiber-bound messages carry that
+        // before they are durable, and the one message that leaves the
+        // deployment — an async service-call request — carries that
         // ticket in `hold_until`. The probe lets the broker ask "is this
         // watermark committed yet?" — and a "no" is also how the store
         // learns that a message is now parked behind that watermark, so
@@ -1305,18 +1306,17 @@ impl Inner {
     /// base under a fresh generation key, so even the "neither" outcome
     /// leaves the old base + chain fully intact.
     ///
-    /// Returns the save's [`DurabilityTicket`]. Callers that send a
-    /// message *because* this save happened (RunFiber for a fresh
-    /// child, AwakeFiber/JoinProcess on completion) must stamp it via
-    /// [`Message::with_hold_until`] so the broker holds the message
-    /// until the save's group commit lands (speculative persistence).
+    /// The save is not waited for. Whatever it causes inside the
+    /// deployment (RunFiber for a fresh child, AwakeFiber/JoinProcess on
+    /// completion) only leads to later records of the same log, which a
+    /// crash cannot keep without keeping this one (DESIGN.md §13).
     pub(crate) fn save_fiber(
         self: &Arc<Inner>,
         rt: &NodeRuntime,
         instance: u64,
         fiber_id: &str,
         mut state: FiberState,
-    ) -> Result<DurabilityTicket, VinzError> {
+    ) -> Result<(), VinzError> {
         self.tracker.note_phase(Inner::task_of(fiber_id), Phase::Serialize);
         let (version, generation, chain) = self.fiber_meta(fiber_id)?;
         let hot = self.hot.read().get(fiber_id).copied();
@@ -1339,11 +1339,10 @@ impl Inner {
         }
         let meta_key = format!("fiber-v/{fiber_id}");
         let mut full_len = None;
-        let (saved_len, ticket) = match delta {
+        let saved_len = match delta {
             Some(bytes) => {
                 let meta = Inner::fiber_meta_rec(version + 1, generation, chain + 1);
-                let ticket = self
-                    .store
+                self.store
                     .put_batch(&[
                         (&Inner::delta_key(fiber_id, chain), &bytes),
                         (&meta_key, &meta),
@@ -1353,7 +1352,7 @@ impl Inner {
                 self.metrics
                     .delta_bytes
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                (bytes.len(), ticket)
+                bytes.len()
             }
             None => {
                 let start = Instant::now();
@@ -1363,8 +1362,7 @@ impl Inner {
                     .record_serialize(bytes.len() as u64, start.elapsed().as_nanos() as u64);
                 let new_gen = if chain > 0 { generation + 1 } else { generation };
                 let meta = Inner::fiber_meta_rec(version + 1, new_gen, 0);
-                let ticket = self
-                    .store
+                self.store
                     .put_batch(&[
                         (&Inner::base_key(fiber_id, new_gen), &bytes),
                         (&meta_key, &meta),
@@ -1382,7 +1380,7 @@ impl Inner {
                     .full_bytes
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
                 full_len = Some(bytes.len());
-                (bytes.len(), ticket)
+                bytes.len()
             }
         };
         // Delta saves keep the last *full* snapshot size as the buffer
@@ -1409,7 +1407,7 @@ impl Inner {
             fiber_id,
             TraceKind::Persist(saved_len),
         );
-        Ok(ticket)
+        Ok(())
     }
 
     /// Load a fiber continuation, trying the node cache first (§4.2); a
@@ -1552,32 +1550,21 @@ impl Inner {
             .map_err(|e| VinzError(e.to_string()))?;
         rt.cache.put_immutable(&def_key, def_bytes);
 
-        let ticket = self.save_fiber(&rt, ctx.instance_id, &fiber_id, state)?;
+        self.save_fiber(&rt, ctx.instance_id, &fiber_id, state)?;
         self.set_phase(&fiber_id, "initial")?;
         self.trace
             .record(ctx.node_id, ctx.instance_id, &task_id, &fiber_id, TraceKind::Start);
-        // Back to queue_wait *before* the send: a durability park inside
-        // `send` flips to durability_hold and must not be overwritten.
         self.tracker.note_phase(&task_id, Phase::QueueWait);
-        self.send_run_fiber(&fiber_id, deadline, ticket);
+        self.send_run_fiber(&fiber_id, deadline);
         Ok(task_id.into_bytes())
     }
 
     /// Send the RunFiber message that begins (or re-begins) a fiber.
-    /// `ticket` is the durability ticket of the save that made the fiber
-    /// runnable: the broker holds the message until that save commits,
-    /// so a RunFiber can never outrun the continuation it resumes.
-    /// Callers resuming an already-durable fiber pass
-    /// [`Watermark::IMMEDIATE`].
-    pub(crate) fn send_run_fiber(
-        &self,
-        fiber_id: &str,
-        deadline: Option<Instant>,
-        ticket: DurabilityTicket,
-    ) {
-        let mut msg = Message::new(&self.name, "RunFiber", Vec::new())
-            .header("fiber-id", fiber_id)
-            .with_hold_until(ticket.0);
+    /// Ungated: the consumer reads the continuation through the store's
+    /// overlay, and everything it then writes follows that continuation
+    /// in the log.
+    pub(crate) fn send_run_fiber(&self, fiber_id: &str, deadline: Option<Instant>) {
+        let mut msg = Message::new(&self.name, "RunFiber", Vec::new()).header("fiber-id", fiber_id);
         if let Some(d) = deadline {
             msg = msg.with_deadline(d);
         }
@@ -1681,7 +1668,7 @@ impl Inner {
         if self.task_finished(&task_id) {
             return Ok(Vec::new());
         }
-        let Some(_guard) = self
+        let Some(guard) = self
             .locks
             .acquire(&format!("fiber/{fiber_id}"), self.config.awake_wait_limit)
         else {
@@ -1697,13 +1684,8 @@ impl Inner {
             // Fiber finished; a late or duplicate wake-up is meaningless.
             "done" => return Ok(Vec::new()),
             // The child finished before its parent even started (or
-            // before the parent's first suspension persisted): try again
-            // shortly.
-            "initial" => {
-                std::thread::sleep(Duration::from_millis(1));
-                self.cluster.send(msg.clone());
-                return Ok(Vec::new());
-            }
+            // before the parent's first suspension persisted).
+            "initial" => return self.retry_shortly(guard, msg),
             _ => {}
         }
         let rt = self.node_runtime(ctx.node_id)?;
@@ -1763,7 +1745,7 @@ impl Inner {
             let _ = self.store.delete(&call_req_key);
             return Ok(Vec::new());
         }
-        let Some(_guard) = self
+        let Some(guard) = self
             .locks
             .acquire(&format!("fiber/{fiber_id}"), self.config.fiber_lock_timeout)
         else {
@@ -1776,13 +1758,9 @@ impl Inner {
                 let _ = self.store.delete(&call_req_key);
                 return Ok(Vec::new());
             }
-            "initial" => {
-                // The reply won the race against the caller's suspension
-                // persist; retry shortly.
-                std::thread::sleep(Duration::from_millis(1));
-                self.cluster.send(msg.clone());
-                return Ok(Vec::new());
-            }
+            // The reply won the race against the caller's suspension
+            // persist.
+            "initial" => return self.retry_shortly(guard, msg),
             _ => {}
         }
         // Engine-level retry: a faulted reply with attempts left on the
@@ -1860,7 +1838,7 @@ impl Inner {
         if self.task_finished(&task_id) {
             return Ok(Vec::new());
         }
-        let Some(_guard) = self
+        let Some(guard) = self
             .locks
             .acquire(&format!("fiber/{fiber_id}"), self.config.fiber_lock_timeout)
         else {
@@ -1869,11 +1847,7 @@ impl Inner {
         };
         match self.get_phase(&fiber_id)?.as_str() {
             "done" => return Ok(Vec::new()),
-            "initial" => {
-                std::thread::sleep(Duration::from_millis(1));
-                self.cluster.send(msg.clone());
-                return Ok(Vec::new());
-            }
+            "initial" => return self.retry_shortly(guard, msg),
             _ => {}
         }
         let rt = self.node_runtime(ctx.node_id)?;
@@ -1909,6 +1883,17 @@ impl Inner {
         );
         self.suspended_dec();
         self.drive_fiber(ctx, &rt, &fiber_id, state, Some(result))
+    }
+
+    /// A wake-up found its fiber still in phase "initial": it beat the
+    /// suspension it answers. Requeue it after a short back-off, with the
+    /// fiber lock released first — the instance thread sleeping here
+    /// must not keep the fiber's own first run waiting on that lock.
+    fn retry_shortly(&self, guard: LockGuard, msg: &Message) -> Result<Vec<u8>, VinzError> {
+        drop(guard);
+        std::thread::sleep(Duration::from_millis(1));
+        self.cluster.send(msg.clone());
+        Ok(Vec::new())
     }
 
     // ---- fiber execution -------------------------------------------------
@@ -2003,9 +1988,7 @@ impl Inner {
                 // wall-clock goes: a dispatched call accrues
                 // service_wait, children/join wait on broker messages
                 // (queue_wait), and a manual yield is simply suspended.
-                // Flipped after the save (which banked serialize time)
-                // and before any wake-up send, so a send-side
-                // durability park cannot be clobbered.
+                // Flipped after the save (which banked serialize time).
                 let wait_phase = match reason.as_str() {
                     "service-call" => Phase::ServiceWait,
                     "children" | "join" => Phase::QueueWait,
@@ -2013,36 +1996,32 @@ impl Inner {
                 };
                 // join suspensions register a waiter; racing completion is
                 // handled by checking for the result *after* registering.
-                if reason == "join" {
-                    let target = susp
-                        .payload
-                        .as_map()
-                        .and_then(|m| m.get(&Value::keyword("target")).cloned())
-                        .and_then(|v| v.as_str().map(str::to_owned))
+                let join_target = if reason == "join" {
+                    let target = susp.payload.as_map().and_then(|m| m.get(&Value::keyword("target")));
+                    let target = target
+                        .and_then(Value::as_str)
                         .ok_or_else(|| VinzError("join suspension without target".into()))?;
-                    let ticket = self.save_fiber(rt, ctx.instance_id, fiber_id, susp.state)?;
-                    // Breadcrumb for the supervisor's orphan scan: what
-                    // this fiber is waiting on. Written before the phase
-                    // flips to "suspended" so a scan never sees a
-                    // suspended fiber without its crumb.
-                    self.store
-                        .put(
-                            &format!("susp/{fiber_id}"),
-                            format!("{reason}\n{target}").as_bytes(),
-                        )
-                        .map_err(|e| VinzError(e.to_string()))?;
-                    self.set_phase(fiber_id, "suspended")?;
-                    self.metrics.suspended_fibers.fetch_add(1, Ordering::Relaxed);
-                    self.tracker.note_phase(&task_id, wait_phase);
-                    self.register_join_waiter(&target, fiber_id, ticket)?;
+                    Some(target.to_owned())
                 } else {
-                    self.save_fiber(rt, ctx.instance_id, fiber_id, susp.state)?;
-                    self.store
-                        .put(&format!("susp/{fiber_id}"), reason.as_bytes())
-                        .map_err(|e| VinzError(e.to_string()))?;
-                    self.set_phase(fiber_id, "suspended")?;
-                    self.metrics.suspended_fibers.fetch_add(1, Ordering::Relaxed);
-                    self.tracker.note_phase(&task_id, wait_phase);
+                    None
+                };
+                self.save_fiber(rt, ctx.instance_id, fiber_id, susp.state)?;
+                // Breadcrumb for the supervisor's orphan scan: what this
+                // fiber is waiting on. Written before the phase flips to
+                // "suspended" so a scan never sees a suspended fiber
+                // without its crumb.
+                let crumb = match &join_target {
+                    Some(target) => format!("{reason}\n{target}"),
+                    None => reason,
+                };
+                self.store
+                    .put(&format!("susp/{fiber_id}"), crumb.as_bytes())
+                    .map_err(|e| VinzError(e.to_string()))?;
+                self.set_phase(fiber_id, "suspended")?;
+                self.metrics.suspended_fibers.fetch_add(1, Ordering::Relaxed);
+                self.tracker.note_phase(&task_id, wait_phase);
+                if let Some(target) = join_target {
+                    self.register_join_waiter(&target, fiber_id)?;
                 }
             }
             Err(VmError::Unwind(Unwind::TerminateTask(cond))) => {
@@ -2098,17 +2077,15 @@ impl Inner {
         notify_parent: bool,
     ) -> Result<(), VinzError> {
         // Results are write-once: prime the store and the local immutable
-        // cache. Batched so the save hands back a durability ticket: the
-        // AwakeFiber/JoinProcess messages below announce "this result
-        // exists" to other fibers, so they must not leave the broker
-        // before the result is actually on disk.
+        // cache. The AwakeFiber/JoinProcess messages below announce "this
+        // result exists" to fibers of this deployment only, whose next
+        // saves follow the result in the log, so they are not held.
         self.tracker.note_phase(task_id, Phase::Serialize);
         let bytes = serialize_value(&value, self.config.codec)
             .map_err(|e| VinzError(format!("result of {fiber_id}: {e}")))?;
         let key = format!("result/{fiber_id}");
-        let ticket = self
-            .store
-            .put_batch(&[(&key, &bytes)])
+        self.store
+            .put(&key, &bytes)
             .map_err(|e| VinzError(e.to_string()))?;
         rt.cache.put_immutable(&key, bytes);
         rt.cache.evict_fiber(fiber_id);
@@ -2119,8 +2096,7 @@ impl Inner {
             .record(ctx.node_id, ctx.instance_id, task_id, fiber_id, TraceKind::FiberDone);
         // Until another of the task's fibers activates (or the root
         // finish below closes the ledger) the task is waiting on the
-        // broker; flip before the wake-up sends so a durability park
-        // opens *on top of* queue_wait rather than being clobbered.
+        // broker.
         self.tracker.note_phase(task_id, Phase::QueueWait);
 
         // Footnote 1 of the paper: fibers created by for-each/parallel
@@ -2135,22 +2111,20 @@ impl Inner {
                     fiber_id,
                     TraceKind::AwakeSent(parent_id.clone()),
                 );
-                // AwakeFiber messages are low priority (§5), and gated
-                // on the result's durability ticket.
+                // AwakeFiber messages are low priority (§5).
                 self.cluster.send(
                     self.stamp_affinity(
                         Message::new(&self.name, "AwakeFiber", Vec::new())
                             .header("fiber-id", parent_id.as_str())
                             .header("from-child", fiber_id)
-                            .with_priority(-1)
-                            .with_hold_until(ticket.0),
+                            .with_priority(-1),
                         parent_id,
                     ),
                 );
             }
         }
         // Wake any join-process waiters.
-        self.notify_join_waiters(fiber_id, ticket)?;
+        self.notify_join_waiters(fiber_id)?;
         if is_root {
             // Record the trace event *before* finishing the task: the
             // finish notification wakes waiting clients, who may read the
@@ -2176,7 +2150,6 @@ impl Inner {
         self: &Arc<Inner>,
         target: &str,
         waiter: &str,
-        ticket: DurabilityTicket,
     ) -> Result<(), VinzError> {
         let key = format!("waiters/{target}");
         {
@@ -2206,22 +2179,17 @@ impl Inner {
             .is_some();
         if done {
             // The target finished before (or while) we registered: wake
-            // ourselves, gated on our *own* suspension save so the
-            // resume cannot outrun the continuation it restores.
-            self.notify_join_waiters(target, ticket)?;
+            // ourselves.
+            self.notify_join_waiters(target)?;
         }
         Ok(())
     }
 
-    /// Send JoinProcess to everyone waiting on `target`, each gated on
-    /// `ticket` (the durability ticket of whichever save made the wake
-    /// legitimate — the target's result, or the waiter's own suspension
-    /// save in the registration race).
-    fn notify_join_waiters(
-        self: &Arc<Inner>,
-        target: &str,
-        ticket: DurabilityTicket,
-    ) -> Result<(), VinzError> {
+    /// Send JoinProcess to everyone waiting on `target`. Ungated: the
+    /// save that made the wake legitimate (the target's result, or the
+    /// waiter's own suspension save in the registration race) is already
+    /// in the log ahead of anything the woken fiber will write.
+    fn notify_join_waiters(self: &Arc<Inner>, target: &str) -> Result<(), VinzError> {
         let key = format!("waiters/{target}");
         let waiters = {
             let _guard = self
@@ -2242,8 +2210,7 @@ impl Inner {
                 self.stamp_affinity(
                     Message::new(&self.name, "JoinProcess", Vec::new())
                         .header("fiber-id", waiter)
-                        .header("target", target)
-                        .with_hold_until(ticket.0),
+                        .header("target", target),
                     waiter,
                 ),
             );

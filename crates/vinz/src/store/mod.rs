@@ -22,9 +22,13 @@
 //! and deferred durability. [`StateStore::put_batch`] persists several
 //! keys as one atomic unit and returns a [`DurabilityTicket`] — a
 //! monotonic [`Watermark`] naming the commit that will contain the
-//! batch. A caller may continue speculatively the moment the ticket is
-//! issued, as long as every *externally visible* effect (an outbound
-//! message, a reply) is held until [`StateStore::durable`] reports the
+//! batch. A caller continues the moment the ticket is issued. What it
+//! causes *inside* the deployment (fiber-bound messages, whose only
+//! consequences are further writes to this store) is not held: a log
+//! assigns seqs under one lock and recovers a contiguous prefix, so a
+//! crash cannot keep a consequence and lose its cause. Only an effect
+//! that can outlive the process — the request of an asynchronous
+//! service call — is held until [`StateStore::durable`] reports the
 //! ticket's watermark as committed. [`Watermark::IMMEDIATE`] (zero)
 //! means "already durable when the call returned", which is what the
 //! default implementations report: `MemStore` and `FileStore` complete

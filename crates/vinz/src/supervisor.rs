@@ -284,9 +284,7 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
                 // The RunFiber that would start this fiber is gone.
                 if mark_resent(st, &format!("run:{fiber_id}"), cooldown) {
                     let deadline = inner.tracker.get(task).and_then(|r| r.deadline);
-                    // Recovery resends work from state that already
-                    // survived a crash — durable by definition, ungated.
-                    inner.send_run_fiber(fiber_id, deadline, crate::store::Watermark::IMMEDIATE);
+                    inner.send_run_fiber(fiber_id, deadline);
                     note_orphan(inner, fiber_id, "run-fiber");
                 }
             }

@@ -3,19 +3,24 @@
 //! torn tail appends, half-written group-commit batches, kills between
 //! segment rotations — and a workflow deployed on it must be
 //! indistinguishable (same results, same opcode counts) from one on the
-//! always-durable in-memory store, under the same chaos schedule.
+//! always-durable in-memory store, under the same chaos schedule. And
+//! because no fiber-bound message waits for a save, every prefix of the
+//! log a crash can leave must be causally closed on its own.
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bluebox::Cluster;
 use gozer_lang::Value;
+use gozer_serial::{deserialize_state, deserialize_state_delta};
+use gozer_vm::Gvm;
 use vinz::testing::{
-    chaos_seeds, repro_command, run_workflow_under_chaos_store, ChaosConfig, ChaosRun,
+    chaos_seeds, repro_command, run_workflow_under_chaos_store, ChaosConfig, ChaosPlan, ChaosRun,
 };
-use vinz::{LogStore, StateStore, StoreError, VinzConfig};
+use vinz::{LogStore, StateStore, StoreError, TaskStatus, VinzConfig, WorkflowService};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -470,4 +475,166 @@ fn log_store_is_opcode_identical_to_mem_store_sixteen_seeds() {
         "log_store_is_opcode_identical_to_mem_store_sixteen_seeds",
         failures,
     );
+}
+
+// ---- every recoverable prefix is causally closed -------------------------
+
+/// Sequential fork+join rounds and a `for-each`: every way one fiber's
+/// save can be caused by another's (fork, join, child termination).
+const FORK_JOIN_FOR_EACH_WF: &str = "
+(defun triple (n) (* n 3))
+(defun rounds (n)
+  (+ (join-process (fork-and-exec #'triple :argument n))
+     (join-process (fork-and-exec #'triple :argument n))))
+(defun main (n)
+  (+ (rounds n) (apply #'+ (for-each (i in (range n)) (* i i)))))
+";
+
+/// Run two concurrent `main` tasks under turbulence on a LogStore at
+/// `dir`; returns a VM with the workflow loaded (to read continuations
+/// back) once everything written is on disk and the store is closed.
+fn run_two_tasks_on_log(dir: &Path, seed: u64) -> Result<Arc<Gvm>, String> {
+    let cluster = Cluster::new();
+    cluster.set_chaos(ChaosPlan::new(ChaosConfig::turbulence(seed)));
+    // No compaction: the log must hold the run's whole history, one
+    // record per write, for its prefixes to be the crash states.
+    let store = LogStore::builder(dir)
+        .compact_min_bytes(u64::MAX)
+        .build()
+        .map_err(|e| format!("seed {seed}: {e}"))?;
+    let workflow = WorkflowService::builder(&cluster, "workflow")
+        .source(FORK_JOIN_FOR_EACH_WF)
+        .store(Arc::new(store))
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
+        .map_err(|e| format!("seed {seed}: deploy failed: {e}"))?;
+    let tasks: Vec<(String, i64)> = [4i64, 6]
+        .iter()
+        .map(|&n| (workflow.start("main", vec![Value::Int(n)], None).unwrap(), n))
+        .collect();
+    for (task, n) in &tasks {
+        let want = Value::Int(6 * n + (0..*n).map(|i| i * i).sum::<i64>());
+        match workflow.wait(task, Duration::from_secs(45)).map(|r| r.status) {
+            Some(TaskStatus::Completed(v)) if v == want => {}
+            other => return Err(format!("seed {seed}: main({n}) ended {other:?}")),
+        }
+    }
+    workflow.store().flush().map_err(|e| format!("seed {seed}: {e}"))?;
+    let gvm = workflow.node_runtimes()[0].gvm.clone();
+    cluster.shutdown();
+    Ok(gvm)
+}
+
+/// Why the state recovered from `dir` is not causally closed, if it is
+/// not: some record is present whose cause — a write the program made
+/// *before* it — is missing.
+fn closure_violation(dir: &Path, gvm: &Arc<Gvm>) -> Option<String> {
+    let store = LogStore::builder(dir).build().unwrap();
+    let has = |key: &str| store.get(key).unwrap().is_some();
+    let csv = |key: &str| -> Vec<String> {
+        let bytes = store.get(key).unwrap().unwrap_or_default();
+        let list = String::from_utf8_lossy(&bytes).into_owned();
+        list.split(',').filter(|f| !f.is_empty()).map(str::to_owned).collect()
+    };
+    for key in store.list("result/").unwrap() {
+        let fiber = key.strip_prefix("result/").unwrap();
+        if !has(&format!("fiber-v/{fiber}")) {
+            return Some(format!("{key} without the continuation of {fiber}"));
+        }
+    }
+    for key in store.list("children/").unwrap() {
+        if let Some(child) = csv(&key).iter().find(|c| !has(&format!("fiber-v/{c}"))) {
+            return Some(format!("{key} lists {child}, which has no continuation"));
+        }
+    }
+    for key in store.list("fiber-v/").unwrap() {
+        let fiber = key.strip_prefix("fiber-v/").unwrap();
+        let task = fiber.split('/').next().unwrap();
+        if !has(&format!("task-def/{task}")) {
+            return Some(format!("{key} without task-def/{task}"));
+        }
+        // The meta record names a base and a delta chain; all of it must
+        // be there and load.
+        let meta = store.get(&key).unwrap().unwrap();
+        let word = |i: usize| u64::from_le_bytes(meta[i * 8..i * 8 + 8].try_into().unwrap());
+        let (generation, chain) = (word(1), word(2));
+        let base_key = match generation {
+            0 => format!("fiber/{fiber}"),
+            g => format!("fiber/{fiber}@{g}"),
+        };
+        let Some(base) = store.get(&base_key).unwrap() else {
+            return Some(format!("{key} names {base_key}, which is missing"));
+        };
+        let mut state = match deserialize_state(&base, gvm) {
+            Ok(state) => state,
+            Err(e) => return Some(format!("{base_key} does not load: {e}")),
+        };
+        for k in 0..chain {
+            let delta_key = format!("fiber-d/{fiber}/{k}");
+            let Some(delta) = store.get(&delta_key).unwrap() else {
+                return Some(format!("{key} names {delta_key}, which is missing"));
+            };
+            state = match deserialize_state_delta(&delta, gvm, &state) {
+                Ok(state) => state,
+                Err(e) => return Some(format!("{delta_key} does not load: {e}")),
+            };
+        }
+        // A continuation that has consumed a child's wake-up was saved
+        // after that child's result was.
+        for slot in ["joins-consumed", "awakes-consumed"] {
+            let consumed = state.ext.get(slot).and_then(Value::as_list).unwrap_or(&[]);
+            for child in consumed.iter().filter_map(Value::as_str) {
+                if !has(&format!("result/{child}")) {
+                    return Some(format!("{fiber} has {slot} {child} without result/{child}"));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Happens-before ⊆ seq order, mechanically: fiber-bound messages are
+/// not held for the save that caused them, so a crash can cut the log
+/// between any two records. Whatever it keeps must stand on its own —
+/// a result with its fiber, a child with its task, a parent that has
+/// seen a child's result with that result. (Holds never changed the
+/// order of records, so this passes with or without them.)
+#[test]
+fn every_log_prefix_is_causally_closed() {
+    let failures = within("prefix-closure sweep", Duration::from_secs(240), || {
+        let mut failures = Vec::new();
+        for &seed in &chaos_seeds(8) {
+            let dir = temp_dir(&format!("closure-{seed}"));
+            match run_two_tasks_on_log(&dir, seed) {
+                Err(e) => failures.push(e),
+                Ok(gvm) => {
+                    let segs = segments(&dir);
+                    assert_eq!(segs.len(), 1, "the run fits one segment");
+                    let bytes = std::fs::read(seg_path(&dir, segs[0])).unwrap();
+                    let (magic, recs) = frames(&bytes);
+                    let cut_dir = temp_dir(&format!("closure-cut-{seed}"));
+                    let mut cut = magic.len();
+                    for (n, rec) in recs.iter().enumerate() {
+                        cut += rec.len();
+                        let _ = std::fs::remove_dir_all(&cut_dir);
+                        std::fs::create_dir_all(&cut_dir).unwrap();
+                        std::fs::write(seg_path(&cut_dir, segs[0]), &bytes[..cut]).unwrap();
+                        if let Some(why) = closure_violation(&cut_dir, &gvm) {
+                            failures.push(format!(
+                                "seed {seed}: log cut after record {} of {}: {why}",
+                                n + 1,
+                                recs.len()
+                            ));
+                            break;
+                        }
+                    }
+                    let _ = std::fs::remove_dir_all(cut_dir);
+                }
+            }
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        failures
+    });
+    fail_sweep("every_log_prefix_is_causally_closed", failures);
 }

@@ -2,8 +2,8 @@
 //! wall-clock must decompose into named phases that sum back to its
 //! measured latency — exactly at the tracker (the ledger chains
 //! instants), and within nanosecond accounting at the histogram family
-//! — with `durability_hold` appearing only under a deferred-durability
-//! store. Plus the live introspection endpoint: `/metrics` over HTTP
+//! — with `durability_hold` appearing only where a message leaves the
+//! deployment under a deferred-durability store. Plus the live introspection endpoint: `/metrics` over HTTP
 //! must be byte-identical to the in-process exporter.
 
 use std::io::{Read, Write};
@@ -183,46 +183,88 @@ fn chaos_sweep_phase_ledgers_sum_to_latency() {
     }
 }
 
-/// Run the workflow once on `store` (or the default MemStore) and
-/// return the root task's durability_hold total.
-fn hold_time_under(store: Option<Arc<dyn StateStore>>) -> Duration {
+/// Three async `deflink` calls in one task, and a task that only forks,
+/// joins and runs a `for-each`.
+const BOUNDARY_WF: &str = "
+(deflink S :wsdl \"urn:square\" :port \"Square\")
+(defun calls (n)
+  (+ (S-Square-Method :n n) (S-Square-Method :n n) (S-Square-Method :n n)))
+(defun triple (n) (* n 3))
+(defun internal (n)
+  (+ (join-process (fork-and-exec #'triple :argument n))
+     (apply #'+ (for-each (i in (range n)) (* i i)))))
+";
+
+/// What one task cost at the durability gate: its ledger's
+/// `durability_hold`, and how many messages the broker parked for it.
+struct GateCost {
+    hold: Duration,
+    parked: u64,
+}
+
+/// Run `internal(8)` and then `calls(5)` on one deployment over `store`
+/// (or the default MemStore); returns each task's gate cost.
+fn gate_costs(store: Option<Arc<dyn StateStore>>) -> (GateCost, GateCost) {
     let cluster = Cluster::new();
+    vinz::testing::register_square_service(&cluster, "Square", 1, 1, Duration::ZERO);
     let mut builder = WorkflowService::builder(&cluster, "workflow")
-        .source(FOR_EACH_WF)
+        .source(BOUNDARY_WF)
         .instances(0, 2)
         .instances(1, 2);
     if let Some(store) = store {
         builder = builder.store(store);
     }
     let workflow = builder.deploy().unwrap();
-    let task = workflow.start("main", vec![Value::Int(8)], None).unwrap();
-    let rec = workflow.wait(&task, Duration::from_secs(45)).expect("task finishes");
-    assert_eq!(rec.status, TaskStatus::Completed(Value::Int((0..8).map(|i| i * i).sum())));
-    let rec = workflow.obs().tracker().get(&task).unwrap();
+    let obs = workflow.obs();
+    let parked_total = || obs.snapshot().counter("gozer_messages_held_total").unwrap_or(0);
+    let run = |function: &str, arg: i64, want: i64| {
+        let before = parked_total();
+        let task = workflow.start(function, vec![Value::Int(arg)], None).unwrap();
+        let rec = workflow.wait(&task, Duration::from_secs(45)).expect("task finishes");
+        assert_eq!(rec.status, TaskStatus::Completed(Value::Int(want)), "{function}");
+        assert_eq!(cluster.held_count(), 0, "{function}: a message is still parked");
+        GateCost {
+            hold: obs.tracker().get(&task).unwrap().phases.get(Phase::DurabilityHold),
+            parked: parked_total() - before,
+        }
+    };
+    let internal = run("internal", 8, 24 + (0..8).map(|i| i * i).sum::<i64>());
+    // Children now start while their parent is still in its first run,
+    // so wake-ups that find it "initial" back off and requeue; none of
+    // them may sit on the parent's lock long enough to time another out.
+    let retries = obs.counters().awake_retries.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(retries <= 8, "for-each of 8 needed {retries} AwakeFiber lock retries");
+    let calls = run("calls", 5, 75);
     cluster.shutdown();
-    rec.phases.get(Phase::DurabilityHold)
+    (internal, calls)
 }
 
-/// `durability_hold` is real attribution, not noise: a group-commit
-/// LogStore (deferred durability tickets park fiber-bound messages)
-/// banks hold time; the synchronous MemStore banks none, ever.
+/// The durability gate sits at the deployment boundary. On a
+/// group-commit LogStore each async service call — the one message that
+/// can outlive the process — parks once behind its `corr/`+`call-req/`
+/// batch and banks `durability_hold`; a task that only forks, joins and
+/// awakes inside the deployment parks nothing and banks exactly zero.
+/// The synchronous MemStore never holds anything.
 #[test]
-fn durability_hold_nonzero_under_logstore_zero_under_memstore() {
-    assert_eq!(
-        hold_time_under(None),
-        Duration::ZERO,
-        "MemStore is synchronous: no message ever parks on a watermark"
-    );
+fn durability_hold_only_at_the_deployment_boundary() {
+    let (internal, calls) = gate_costs(None);
+    for (what, cost) in [("internal", &internal), ("calls", &calls)] {
+        assert_eq!(cost.hold, Duration::ZERO, "MemStore, {what}");
+        assert_eq!(cost.parked, 0, "MemStore, {what}");
+    }
+
     let dir = temp_dir("hold");
+    // A window far longer than a task: nothing commits until a parked
+    // request's probe asks for it, so every call parks exactly once.
     let store = LogStore::builder(&dir)
-        .group_commit_window(Duration::from_millis(2))
+        .group_commit_window(Duration::from_millis(50))
         .build()
         .unwrap();
-    let held = hold_time_under(Some(Arc::new(store)));
-    assert!(
-        held > Duration::ZERO,
-        "group-commit LogStore must park at least one message on a durability ticket"
-    );
+    let (internal, calls) = gate_costs(Some(Arc::new(store)));
+    assert_eq!(internal.hold, Duration::ZERO, "fork/join/for-each waited on a save");
+    assert_eq!(internal.parked, 0, "a fiber-bound message was parked");
+    assert_eq!(calls.parked, 3, "one park per async call");
+    assert!(calls.hold > Duration::ZERO, "a parked request must bank durability_hold");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

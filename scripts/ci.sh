@@ -27,6 +27,11 @@ run "$CARGO" test -p vinz --test chaos $OFFLINE -- --nocapture
 run "$CARGO" test -p bluebox chaos $OFFLINE
 run "$CARGO" test --test survivability $OFFLINE
 
+# LogStore recovery shapes, the mem-vs-log opcode-identity sweep, the
+# prefix-closure sweep, and the phase ledger with the durability
+# boundary test (under 10 s warm).
+run "$CARGO" test -p vinz --test logstore --test phases $OFFLINE
+
 # Recovery gate: the armed sweep (chaos stays enabled; leases,
 # supervisor, and retries absorb every failure) plus the dead-letter
 # quarantine assertions.
