@@ -52,6 +52,8 @@ struct SerRun {
     full_bytes: u64,
     serialize_nanos: u64,
     serialize_count: u64,
+    seed_frames_reused: u64,
+    seed_frames_walked: u64,
     affinity_hits: u64,
     affinity_misses: u64,
 }
@@ -89,6 +91,8 @@ fn serialization_run(delta_snapshots: bool, tasks: usize) -> SerRun {
         full_bytes: counters.full_bytes.load(Ordering::Relaxed),
         serialize_nanos: serial.serialize_nanos,
         serialize_count: serial.serialize_count,
+        seed_frames_reused: serial.seed_frames_reused,
+        seed_frames_walked: serial.seed_frames_walked,
         affinity_hits,
         affinity_misses,
     };
@@ -109,6 +113,8 @@ fn run_json(r: &SerRun) -> Json {
         .field("full_bytes", r.full_bytes)
         .field("bytes_per_save", per(r.delta_bytes + r.full_bytes, r.persists))
         .field("serialize_ns_per_save", per(r.serialize_nanos, r.serialize_count))
+        .field("seed_frames_reused", r.seed_frames_reused)
+        .field("seed_frames_walked", r.seed_frames_walked)
         .field("affinity_hits", r.affinity_hits)
         .field("affinity_misses", r.affinity_misses)
 }

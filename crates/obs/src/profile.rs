@@ -44,6 +44,8 @@ pub struct SerialCosts {
     deserialize_count: AtomicU64,
     deserialize_bytes: AtomicU64,
     deserialize_nanos: AtomicU64,
+    seed_frames_reused: AtomicU64,
+    seed_frames_walked: AtomicU64,
 }
 
 impl SerialCosts {
@@ -70,6 +72,14 @@ impl SerialCosts {
         self.deserialize_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
+    /// Record how one delta save or delta load got its seeding tables:
+    /// clean frames served by the continuation's seed cache against clean
+    /// frames serialized again to rebuild it.
+    pub fn record_seeding(&self, reused: u64, walked: u64) {
+        self.seed_frames_reused.fetch_add(reused, Ordering::Relaxed);
+        self.seed_frames_walked.fetch_add(walked, Ordering::Relaxed);
+    }
+
     /// Point-in-time copy.
     pub fn snapshot(&self) -> SerialCostSnapshot {
         let min = self.serialize_min_nanos.load(Ordering::Relaxed);
@@ -81,6 +91,8 @@ impl SerialCosts {
             deserialize_count: self.deserialize_count.load(Ordering::Relaxed),
             deserialize_bytes: self.deserialize_bytes.load(Ordering::Relaxed),
             deserialize_nanos: self.deserialize_nanos.load(Ordering::Relaxed),
+            seed_frames_reused: self.seed_frames_reused.load(Ordering::Relaxed),
+            seed_frames_walked: self.seed_frames_walked.load(Ordering::Relaxed),
         }
     }
 }
@@ -103,6 +115,10 @@ pub struct SerialCostSnapshot {
     pub deserialize_bytes: u64,
     /// Total nanos deserializing.
     pub deserialize_nanos: u64,
+    /// Clean frames whose delta seeding tables came from the seed cache.
+    pub seed_frames_reused: u64,
+    /// Clean frames serialized again to rebuild delta seeding tables.
+    pub seed_frames_walked: u64,
 }
 
 impl SerialCostSnapshot {
@@ -118,6 +134,8 @@ impl SerialCostSnapshot {
         self.deserialize_count += other.deserialize_count;
         self.deserialize_bytes += other.deserialize_bytes;
         self.deserialize_nanos += other.deserialize_nanos;
+        self.seed_frames_reused += other.seed_frames_reused;
+        self.seed_frames_walked += other.seed_frames_walked;
     }
 }
 
@@ -286,6 +304,11 @@ impl ProfileReport {
             s.deserialize_count,
             s.deserialize_bytes,
             s.deserialize_nanos as f64 / 1_000.0,
+        );
+        let _ = writeln!(
+            out,
+            "delta seeding: {} clean frame(s) reused, {} walked",
+            s.seed_frames_reused, s.seed_frames_walked,
         );
         out
     }

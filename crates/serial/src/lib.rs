@@ -175,16 +175,38 @@ pub fn deserialize_state(bytes: &[u8], gvm: &Arc<Gvm>) -> Result<FiberState, Ser
     r.read_state()
 }
 
+/// How a delta call obtained its seeding tables: clean frames whose
+/// tables were still in the state's [`SeedCache`](gozer_vm::SeedCache)
+/// against clean frames it had to serialize to rebuild them. A warm
+/// cache reuses nearly all; `reused == 0` on every call means the cache
+/// never hits.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SeedUse {
+    /// Clean frames covered by the kept tables.
+    pub reused: u64,
+    /// Clean frames walked by this call.
+    pub walked: u64,
+}
+
 /// Serialize a **delta snapshot**: the fiber's state relative to its
 /// previous snapshot, re-encoding only the frames above the clean prefix
 /// (`state.frames[clean_frames..]`) plus the always-small dynamic state.
 ///
-/// The writer first *seeds* its sharing and dictionary tables by walking
-/// the clean frames into a scratch buffer (discarded, CRC recorded), so
-/// dirty frames can back-reference values owned by clean frames. The
-/// reader runs the identical walk over its copy of the base state —
-/// [`deserialize_state_delta`] — which assigns the same indices, and the
-/// CRC proves the two bases match.
+/// The writer's sharing and dictionary tables must first be *seeded* as
+/// if the clean frames had just been written, so dirty frames can
+/// back-reference values owned by clean frames; the record carries the
+/// CRC of the clean frames' bytes. The reader runs the identical walk
+/// over its copy of the base state — [`deserialize_state_delta`] — which
+/// assigns the same indices, and the CRC proves the two bases match.
+///
+/// **Cost.** The seeded tables are kept in `state.seed`, checkpointed
+/// after every frame. The first delta of a state (after a full snapshot
+/// by a cold writer, or a load) walks the whole prefix; every later one
+/// rolls back to the deepest checkpoint the VM has not invalidated and
+/// walks only the frames that became clean since — O(dirty frames), not
+/// O(continuation). The bytes cannot depend on which happened: the
+/// tables for `frames[..k]` are a function of those frames alone, and
+/// the cold walk is the warm one run on empty tables.
 ///
 /// Returns `Ok(None)` when a delta is pointless or unsound: no clean
 /// frames, or a mutable object reachable from the clean prefix (object
@@ -196,24 +218,70 @@ pub fn serialize_state_delta(
     codec: Codec,
     size_hint: usize,
 ) -> Result<Option<Vec<u8>>, SerError> {
+    serialize_state_delta_costed(state, clean_frames, codec, size_hint).map(|(bytes, _)| bytes)
+}
+
+/// [`serialize_state_delta`] plus the [`SeedUse`] of the call.
+pub fn serialize_state_delta_costed(
+    state: &FiberState,
+    clean_frames: usize,
+    codec: Codec,
+    size_hint: usize,
+) -> Result<(Option<Vec<u8>>, SeedUse), SerError> {
     let prefix = clean_frames.min(state.frames.len());
     if prefix == 0 {
-        return Ok(None);
+        return Ok((None, SeedUse::default()));
     }
     let mut w = ValueWriter::with_envelope(size_hint);
     w.out.push(DELTA_MARKER);
     write_uvarint(&mut w.out, prefix as u64);
     write_uvarint(&mut w.out, state.frames.len() as u64);
-    let crc = match w.seed_from_frames(&state.frames[..prefix]) {
-        Ok(crc) => crc,
+    let written = match seed_from_cache(&mut w, state, prefix) {
+        Ok((crc, used)) => {
+            w.out.extend_from_slice(&crc.to_le_bytes());
+            let written = w
+                .write_state_meta(state)
+                .and_then(|()| w.write_frames(&state.frames[prefix..]));
+            // Back to "seeded from the clean frames": what the dirty
+            // frames registered is not clean.
+            w.unwind(prefix);
+            written.map(|()| Some(used))
+        }
         // Unserializable or mutable data in the prefix: fall back to a
         // full snapshot (which will surface any genuine error itself).
-        Err(_) => return Ok(None),
+        Err(_) => Ok(None),
     };
-    w.out.extend_from_slice(&crc.to_le_bytes());
-    w.write_state_meta(state)?;
-    w.write_frames(&state.frames[prefix..])?;
-    Ok(Some(w.finish_enveloped(codec)))
+    keep_in_cache(&mut w, state);
+    Ok(match written? {
+        Some(used) => (Some(w.finish_enveloped(codec)), used),
+        None => (None, SeedUse::default()),
+    })
+}
+
+/// Leave `w`'s tables, and the frames they are seeded from, in
+/// `state.seed` for the next delta.
+fn keep_in_cache(w: &mut ValueWriter, state: &FiberState) {
+    let tables = std::mem::take(&mut w.tables);
+    state.seed.put(tables.frames(), Box::new(tables));
+}
+
+/// Seed `w` from `state.frames[..prefix]`, starting from whatever tables
+/// `state.seed` still holds (taken out; [`keep_in_cache`] puts them back).
+fn seed_from_cache(
+    w: &mut ValueWriter,
+    state: &FiberState,
+    prefix: usize,
+) -> Result<(u32, SeedUse), SerError> {
+    let (valid, kept) = state.seed.take();
+    if let Some(tables) = kept.and_then(|t| t.downcast().ok()) {
+        w.tables = *tables;
+    }
+    let (crc, reused) = w.seed(&state.frames[..prefix], valid)?;
+    let used = SeedUse {
+        reused: reused as u64,
+        walked: (prefix - reused) as u64,
+    };
+    Ok((crc, used))
 }
 
 /// Reconstitute a fiber state from a delta snapshot and the base state
@@ -224,11 +292,25 @@ pub fn serialize_state_delta(
 /// writer held: the seeding walk assigns both sides the same table
 /// indices, and string content deduplication makes the byte stream
 /// independent of Arc-identity differences between the two sides.
+///
+/// The walk starts from the tables in `base.seed`, and the result leaves
+/// with them: replaying a chain of `n` deltas seeds each frame once, not
+/// once per delta, and the loaded state's first save finds a warm cache.
+/// When the record is rejected the tables stay with `base`.
 pub fn deserialize_state_delta(
     bytes: &[u8],
     gvm: &Arc<Gvm>,
     base: &FiberState,
 ) -> Result<FiberState, SerError> {
+    deserialize_state_delta_costed(bytes, gvm, base).map(|(state, _)| state)
+}
+
+/// [`deserialize_state_delta`] plus the [`SeedUse`] of the call.
+pub fn deserialize_state_delta_costed(
+    bytes: &[u8],
+    gvm: &Arc<Gvm>,
+    base: &FiberState,
+) -> Result<(FiberState, SeedUse), SerError> {
     let payload = strip_envelope(bytes)?;
     let data: &[u8] = &payload;
     if data.first() != Some(&DELTA_MARKER) {
@@ -249,39 +331,41 @@ pub fn deserialize_state_delta(
         .filter(|&e| e <= data.len())
         .ok_or_else(|| SerError::new("truncated delta header"))?;
     let stored_crc = u32::from_le_bytes(data[pos..crc_end].try_into().expect("4 bytes"));
-    pos = crc_end;
     let mut seeder = ValueWriter::new();
-    let crc = seeder.seed_from_frames(&base.frames[..prefix])?;
-    if crc != stored_crc {
-        return Err(SerError::new(format!(
-            "delta base mismatch: seeded prefix checksum {crc:#010x}, \
-             record expects {stored_crc:#010x}"
-        )));
-    }
-    let (slots, syms) = seeder.take_seeds();
-    let mut r = ValueReader::new(data, gvm);
-    r.pos = pos;
-    r.shared = slots.into_iter().map(Some).collect();
-    r.sym_dict = syms;
-    let (next_restart_id, ext, dyn_state) = r.read_state_meta()?;
-    // Cap the pre-allocation: `total` is attacker-controlled (a mutated
-    // record can claim billions of frames) and each missing frame errors
-    // out of the loop below after consuming at least one byte anyway.
-    let mut frames = Vec::with_capacity(total.min(1 << 12));
-    frames.extend_from_slice(&base.frames[..prefix]);
-    for _ in prefix..total {
-        frames.push(r.read_frame()?);
-    }
-    // The reconstituted state is exactly the persisted snapshot at this
-    // chain position, so the whole stack is clean.
-    let clean_prefix = frames.len();
-    Ok(FiberState {
-        frames,
-        dyn_state,
-        next_restart_id,
-        ext,
-        clean_prefix,
-    })
+    let seeded = seed_from_cache(&mut seeder, base, prefix);
+    let read = seeded.and_then(|(crc, used)| {
+        if crc != stored_crc {
+            return Err(SerError::new(format!(
+                "delta base mismatch: seeded prefix checksum {crc:#010x}, \
+                 record expects {stored_crc:#010x}"
+            )));
+        }
+        let mut r = ValueReader::seeded(data, crc_end, gvm, &seeder.tables);
+        let (next_restart_id, ext, dyn_state) = r.read_state_meta()?;
+        // Cap the pre-allocation: `total` is attacker-controlled (a mutated
+        // record can claim billions of frames) and each missing frame errors
+        // out of the loop below after consuming at least one byte anyway.
+        let mut frames = Vec::with_capacity(total.min(1 << 12));
+        frames.extend_from_slice(&base.frames[..prefix]);
+        for _ in prefix..total {
+            frames.push(r.read_frame()?);
+        }
+        // The reconstituted state is exactly the persisted snapshot at this
+        // chain position, so the whole stack is clean.
+        let clean_prefix = frames.len();
+        let state = FiberState {
+            frames,
+            dyn_state,
+            next_restart_id,
+            ext,
+            clean_prefix,
+            seed: Default::default(),
+        };
+        Ok((state, used))
+    });
+    // The tables describe `base.frames[..k]`, which the result shares.
+    keep_in_cache(&mut seeder, read.as_ref().map_or(base, |(state, _)| state));
+    read
 }
 
 /// Cost of one continuation (de)serialization, as measured by the

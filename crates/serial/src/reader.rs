@@ -16,16 +16,22 @@ pub const MAX_DEPTH: u32 = 200;
 /// Streaming reader; re-links code and natives against a [`Gvm`].
 pub struct ValueReader<'a> {
     data: &'a [u8],
-    pub(crate) pos: usize,
+    pos: usize,
     depth: u32,
     gvm: &'a Arc<Gvm>,
     /// Back-reference table, indexed in first-encounter order. `None`
     /// marks an aggregate still under construction (only mutable objects
     /// may be referenced before completion, and those register complete
     /// shells upfront).
-    pub(crate) shared: Vec<Option<Value>>,
+    shared: Vec<Option<Value>>,
     /// Symbol/keyword dictionary (format v2), in first-occurrence order.
-    pub(crate) sym_dict: Vec<Symbol>,
+    sym_dict: Vec<Symbol>,
+    /// Entries both tables start from when reading a delta record: what
+    /// seeding the base's clean frames registered. Borrowed, so applying
+    /// a delta costs nothing per seeded entry; indices continue in
+    /// `shared` / `sym_dict`.
+    seeded: &'a [Value],
+    seeded_syms: &'a [Symbol],
 }
 
 impl<'a> ValueReader<'a> {
@@ -38,6 +44,24 @@ impl<'a> ValueReader<'a> {
             gvm,
             shared: Vec::new(),
             sym_dict: Vec::new(),
+            seeded: &[],
+            seeded_syms: &[],
+        }
+    }
+
+    /// Reader over a delta record's body at `pos`, its tables starting
+    /// from the seeding journals of the base's clean frames.
+    pub(crate) fn seeded(
+        data: &'a [u8],
+        pos: usize,
+        gvm: &'a Arc<Gvm>,
+        seeds: &'a crate::writer::Seeds,
+    ) -> ValueReader<'a> {
+        ValueReader {
+            pos,
+            seeded: &seeds.slots,
+            seeded_syms: &seeds.syms,
+            ..ValueReader::new(data, gvm)
         }
     }
 
@@ -73,8 +97,10 @@ impl<'a> ValueReader<'a> {
 
     fn dict_sym(&mut self) -> Result<Symbol, SerError> {
         let idx = self.uv()? as usize;
-        self.sym_dict
+        let n = self.seeded_syms.len();
+        self.seeded_syms
             .get(idx)
+            .or_else(|| self.sym_dict.get(idx - n))
             .copied()
             .ok_or_else(|| SerError::new(format!("bad symbol dictionary reference {idx}")))
     }
@@ -234,11 +260,12 @@ impl<'a> ValueReader<'a> {
             }
             Tag::BackRef => {
                 let idx = self.uv()? as usize;
-                self.shared
-                    .get(idx)
-                    .cloned()
-                    .flatten()
-                    .ok_or_else(|| SerError::new(format!("bad back-reference {idx}")))
+                let n = self.seeded.len();
+                match self.seeded.get(idx) {
+                    Some(v) => Some(v.clone()),
+                    None => self.shared.get(idx - n).cloned().flatten(),
+                }
+                .ok_or_else(|| SerError::new(format!("bad back-reference {idx}")))
             }
             Tag::SmallIntBase => unreachable!("handled before tag decode"),
         }
@@ -342,6 +369,7 @@ impl<'a> ValueReader<'a> {
             next_restart_id,
             ext,
             clean_prefix,
+            seed: Default::default(),
         })
     }
 }

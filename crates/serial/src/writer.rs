@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use gozer_compress::crc32::Crc32;
 use gozer_compress::Codec;
 use gozer_lang::{Symbol, Value};
 use gozer_vm::fiber::Frame;
@@ -22,7 +23,33 @@ pub struct ValueWriter {
     /// True when `out` starts with 4 reserved envelope-header bytes
     /// (filled by [`finish_enveloped`](ValueWriter::finish_enveloped)).
     header: bool,
-    /// Arc pointer address → back-reference index.
+    pub(crate) tables: Seeds,
+    next_ref: u64,
+    /// Dictionary coding on (off only for format A/B tests).
+    dict: bool,
+    /// Log every table registration in `tables.slots`/`tables.syms`, so
+    /// it can be undone and a reader can mirror it. On for delta records
+    /// only: a full snapshot builds its tables once and drops them.
+    journal: bool,
+    /// Seeding mode: serializing a delta's clean frames purely to
+    /// populate the tables. Mutable objects are rejected (their fields
+    /// can change without any frame mutation, so a "clean" frame holding
+    /// one is not actually clean).
+    seeding: bool,
+}
+
+/// The writer's lookup tables. For a delta record they are first
+/// *seeded* from the clean frames, with a checkpoint after every frame,
+/// and then outlive the record in the state's
+/// [`SeedCache`](gozer_vm::SeedCache): the tables for `frames[..k]` are a
+/// pure function of those frames, which is exactly what "clean" promises,
+/// so the next delta rolls back to the deepest checkpoint still clean and
+/// seeds only the frames above it.
+#[derive(Default)]
+pub(crate) struct Seeds {
+    /// Arc pointer address → back-reference index. Every key belongs to
+    /// a value held in `slots` (when journaling), so no address can be
+    /// reused while it is in the table.
     seen: HashMap<usize, u64>,
     /// String content → back-reference index. Distinct `Arc`s with equal
     /// content collapse to one record, which keeps the byte stream a
@@ -31,17 +58,40 @@ pub struct ValueWriter {
     str_content: HashMap<Arc<str>, u64>,
     /// Symbol/keyword dictionary, indexed in first-occurrence order.
     sym_dict: HashMap<Symbol, u64>,
-    next_ref: u64,
-    /// Dictionary coding on (off only for format A/B tests).
-    dict: bool,
-    /// Seeding mode: serializing a delta's clean-frame prefix into a
-    /// scratch buffer purely to populate the tables above. Mutable
-    /// objects are rejected (their fields can change without any frame
-    /// mutation, so a "clean" frame holding one is not actually clean),
-    /// and every table registration is logged so a reader can mirror it.
-    seeding: bool,
-    seed_slots: Vec<Value>,
-    seed_syms: Vec<Symbol>,
+    /// Journal of sharing-table registrations in index order — also the
+    /// reader's initial back-reference table.
+    pub(crate) slots: Vec<Value>,
+    /// Journal of dictionary registrations in index order.
+    pub(crate) syms: Vec<Symbol>,
+    /// `marks[k]`: journal lengths and running checksum once `frames[..k]`
+    /// are seeded. Empty until the first seeding.
+    marks: Vec<Mark>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct Mark {
+    slots: usize,
+    syms: usize,
+    crc: Crc32,
+}
+
+impl Seeds {
+    /// Number of leading frames the tables are seeded from.
+    pub(crate) fn frames(&self) -> usize {
+        self.marks.len().saturating_sub(1)
+    }
+}
+
+/// Address of the allocation behind a shareable value.
+fn identity(v: &Value) -> usize {
+    match v {
+        Value::Str(s) => Arc::as_ptr(s) as *const u8 as usize,
+        Value::List(items) | Value::Vector(items) => Arc::as_ptr(items) as usize,
+        Value::Map(m) => Arc::as_ptr(m) as usize,
+        Value::Func(f) => Arc::as_ptr(f) as *const u8 as usize,
+        Value::Opaque(o) => Arc::as_ptr(o) as *const u8 as usize,
+        _ => unreachable!("only Arc-backed values enter the sharing table"),
+    }
 }
 
 impl Default for ValueWriter {
@@ -82,14 +132,11 @@ impl ValueWriter {
         ValueWriter {
             out,
             header,
-            seen: HashMap::new(),
-            str_content: HashMap::new(),
-            sym_dict: HashMap::new(),
+            tables: Seeds::default(),
             next_ref: 0,
             dict: true,
+            journal: false,
             seeding: false,
-            seed_slots: Vec::new(),
-            seed_syms: Vec::new(),
         }
     }
 
@@ -124,30 +171,74 @@ impl ValueWriter {
         }
     }
 
-    /// Serialize `frames` into a scratch buffer, keeping only the table
-    /// registrations (sharing slots, string contents, symbol dictionary).
-    /// This is the delta seeding walk: writer and reader both run it over
-    /// their copy of the clean prefix, and because it *is* the serializer
-    /// the two sides assign identical indices to corresponding objects.
-    /// Returns the CRC-32 of the scratch bytes so the reader can prove
-    /// its base state matches the writer's.
-    pub(crate) fn seed_from_frames(&mut self, frames: &[Frame]) -> Result<u32, SerError> {
+    /// Bring the tables to "seeded from exactly `frames`" and return the
+    /// CRC-32 of those frames' serialized bytes, plus how many frames the
+    /// kept tables already covered. This is the delta seeding walk:
+    /// writer and reader both run it over their copy of the clean prefix,
+    /// and because it *is* the serializer the two sides assign identical
+    /// indices to corresponding objects; the checksum lets the reader
+    /// prove its base state matches the writer's.
+    ///
+    /// `valid` is how many leading frames the tables this writer was
+    /// given may still describe (0 for fresh tables). Checkpoints above
+    /// `min(valid, frames.len())` are rolled back, frames above the
+    /// deepest one left are serialized — into the tail of `out`, which is
+    /// checksummed and cut off again — and each adds a checkpoint. The
+    /// journal stays on afterwards, so [`unwind`](Self::unwind) can remove
+    /// whatever the record's own frames register.
+    ///
+    /// On error (unserializable data, a mutable object) the tables stay
+    /// seeded from the frames before the offending one.
+    pub(crate) fn seed(
+        &mut self,
+        frames: &[Frame],
+        valid: usize,
+    ) -> Result<(u32, usize), SerError> {
+        if self.tables.marks.is_empty() {
+            self.tables.marks.push(Mark::default());
+        }
+        let reused = valid.min(frames.len()).min(self.tables.frames());
+        self.unwind(reused);
+        self.journal = true;
         self.seeding = true;
-        let main = std::mem::take(&mut self.out);
-        let result = self.write_frames(frames);
-        let scratch = std::mem::replace(&mut self.out, main);
+        let mut crc = self.tables.marks[reused].crc;
+        let start = self.out.len();
+        let result = frames[reused..].iter().try_for_each(|f| {
+            let written = self.write_frame(f);
+            crc.update(&self.out[start..]);
+            self.out.truncate(start);
+            written?;
+            self.tables.marks.push(Mark {
+                slots: self.tables.slots.len(),
+                syms: self.tables.syms.len(),
+                crc,
+            });
+            Ok(())
+        });
         self.seeding = false;
-        result?;
-        Ok(gozer_compress::crc32(&scratch))
+        if result.is_err() {
+            // Drop what the offending frame registered before it failed.
+            self.unwind(self.tables.frames());
+        }
+        result.map(|()| (crc.finish(), reused))
     }
 
-    /// The table registrations logged by seeding, in assignment order —
-    /// the reader's initial `shared` and symbol-dictionary contents.
-    pub(crate) fn take_seeds(&mut self) -> (Vec<Value>, Vec<Symbol>) {
-        (
-            std::mem::take(&mut self.seed_slots),
-            std::mem::take(&mut self.seed_syms),
-        )
+    /// Roll the tables back to the checkpoint after `frames` seeded
+    /// frames, undoing every later registration.
+    pub(crate) fn unwind(&mut self, frames: usize) {
+        let t = &mut self.tables;
+        t.marks.truncate(frames + 1);
+        let mark = t.marks[frames];
+        for v in t.slots.drain(mark.slots..) {
+            t.seen.remove(&identity(&v));
+            if let Value::Str(s) = &v {
+                t.str_content.remove(s);
+            }
+        }
+        for s in t.syms.drain(mark.syms..) {
+            t.sym_dict.remove(&s);
+        }
+        self.next_ref = mark.slots as u64;
     }
 
     fn tag(&mut self, t: Tag) {
@@ -163,34 +254,45 @@ impl ValueWriter {
         self.out.extend_from_slice(b);
     }
 
-    /// If `ptr` was already written, emit a back-reference and return
-    /// true. Otherwise register it (claiming the next index — indices are
-    /// assigned in first-encounter order on both sides).
-    fn share(&mut self, ptr: usize, v: &Value) -> bool {
-        if let Some(&idx) = self.seen.get(&ptr) {
-            self.tag(Tag::BackRef);
-            self.uv(idx);
+    /// If `v`'s allocation was already written, emit a back-reference
+    /// and return true. Otherwise register it (claiming the next index —
+    /// indices are assigned in first-encounter order on both sides).
+    fn share(&mut self, v: &Value) -> bool {
+        let ptr = identity(v);
+        if let Some(&idx) = self.tables.seen.get(&ptr) {
+            self.backref(idx);
             return true;
         }
-        self.seen.insert(ptr, self.next_ref);
-        if self.seeding {
-            self.seed_slots.push(v.clone());
+        self.register(ptr, v);
+        false
+    }
+
+    fn backref(&mut self, idx: u64) {
+        self.tag(Tag::BackRef);
+        self.uv(idx);
+    }
+
+    fn register(&mut self, ptr: usize, v: &Value) -> u64 {
+        let idx = self.next_ref;
+        self.tables.seen.insert(ptr, idx);
+        if self.journal {
+            self.tables.slots.push(v.clone());
         }
         self.next_ref += 1;
-        false
+        idx
     }
 
     fn write_sym(&mut self, s: Symbol, full: Tag, reference: Tag) {
         if self.dict {
-            if let Some(&idx) = self.sym_dict.get(&s) {
+            if let Some(&idx) = self.tables.sym_dict.get(&s) {
                 self.tag(reference);
                 self.uv(idx);
                 return;
             }
-            let idx = self.sym_dict.len() as u64;
-            self.sym_dict.insert(s, idx);
-            if self.seeding {
-                self.seed_syms.push(s);
+            let idx = self.tables.sym_dict.len() as u64;
+            self.tables.sym_dict.insert(s, idx);
+            if self.journal {
+                self.tables.syms.push(s);
             }
         }
         self.tag(full);
@@ -220,33 +322,27 @@ impl ValueWriter {
                 self.uv(*c as u64);
             }
             Value::Str(s) => {
-                let ptr = Arc::as_ptr(s) as *const u8 as usize;
-                if let Some(&idx) = self.seen.get(&ptr) {
-                    self.tag(Tag::BackRef);
-                    self.uv(idx);
+                let ptr = identity(v);
+                // Equal content under a different Arc reuses the first
+                // copy's slot (strings are immutable, aliasing is safe).
+                let known = self
+                    .tables
+                    .seen
+                    .get(&ptr)
+                    .or_else(|| self.tables.str_content.get(s));
+                if let Some(&idx) = known {
+                    self.backref(idx);
                     return Ok(());
                 }
-                if let Some(&idx) = self.str_content.get(s) {
-                    // Equal content under a different Arc: reuse the first
-                    // copy's slot (strings are immutable, aliasing is safe).
-                    self.seen.insert(ptr, idx);
-                    self.tag(Tag::BackRef);
-                    self.uv(idx);
-                    return Ok(());
-                }
-                self.seen.insert(ptr, self.next_ref);
-                self.str_content.insert(s.clone(), self.next_ref);
-                if self.seeding {
-                    self.seed_slots.push(v.clone());
-                }
-                self.next_ref += 1;
+                let idx = self.register(ptr, v);
+                self.tables.str_content.insert(s.clone(), idx);
                 self.tag(Tag::Str);
                 self.bytes(s.as_bytes());
             }
             Value::Symbol(s) => self.write_sym(*s, Tag::Symbol, Tag::SymRef),
             Value::Keyword(s) => self.write_sym(*s, Tag::Keyword, Tag::KwRef),
             Value::List(items) => {
-                if self.share(Arc::as_ptr(items) as usize, v) {
+                if self.share(v) {
                     return Ok(());
                 }
                 self.tag(Tag::List);
@@ -256,7 +352,7 @@ impl ValueWriter {
                 }
             }
             Value::Vector(items) => {
-                if self.share(Arc::as_ptr(items) as usize, v) {
+                if self.share(v) {
                     return Ok(());
                 }
                 self.tag(Tag::Vector);
@@ -266,7 +362,7 @@ impl ValueWriter {
                 }
             }
             Value::Map(m) => {
-                if self.share(Arc::as_ptr(m) as usize, v) {
+                if self.share(v) {
                     return Ok(());
                 }
                 self.tag(Tag::Map);
@@ -278,7 +374,7 @@ impl ValueWriter {
             }
             Value::Func(f) => {
                 if let Some(c) = f.as_any().downcast_ref::<Closure>() {
-                    if self.share(Arc::as_ptr(f) as *const u8 as usize, v) {
+                    if self.share(v) {
                         return Ok(());
                     }
                     self.tag(Tag::Closure);
@@ -322,7 +418,7 @@ impl ValueWriter {
                              delta snapshot is unsound",
                         ));
                     }
-                    if self.share(Arc::as_ptr(o) as *const u8 as usize, v) {
+                    if self.share(v) {
                         return Ok(());
                     }
                     self.tag(Tag::Object);
@@ -384,29 +480,30 @@ impl ValueWriter {
 
     /// Write frames in the standard layout (no count prefix).
     pub(crate) fn write_frames(&mut self, frames: &[Frame]) -> Result<(), SerError> {
-        for f in frames {
-            self.out.extend_from_slice(&f.program.id.to_le_bytes());
-            self.uv(f.chunk as u64);
-            self.uv(f.pc as u64);
-            self.uv(f.locals.len() as u64);
-            for v in &f.locals {
-                self.write_value(v)?;
-            }
-            self.uv(f.stack.len() as u64);
-            for v in &f.stack {
-                self.write_value(v)?;
-            }
-            // Captures are shared with the closure object; the sharing
-            // table keeps this from doubling the payload.
-            let captures = Value::Vector(f.captures.clone());
-            if self.share(Arc::as_ptr(&f.captures) as usize, &captures) {
-                continue;
-            }
-            self.tag(Tag::Vector);
-            self.uv(f.captures.len() as u64);
-            for v in f.captures.iter() {
-                self.write_value(v)?;
-            }
+        frames.iter().try_for_each(|f| self.write_frame(f))
+    }
+
+    fn write_frame(&mut self, f: &Frame) -> Result<(), SerError> {
+        self.out.extend_from_slice(&f.program.id.to_le_bytes());
+        self.uv(f.chunk as u64);
+        self.uv(f.pc as u64);
+        self.uv(f.locals.len() as u64);
+        for v in &f.locals {
+            self.write_value(v)?;
+        }
+        self.uv(f.stack.len() as u64);
+        for v in &f.stack {
+            self.write_value(v)?;
+        }
+        // Captures are shared with the closure object; the sharing
+        // table keeps this from doubling the payload.
+        if self.share(&Value::Vector(f.captures.clone())) {
+            return Ok(());
+        }
+        self.tag(Tag::Vector);
+        self.uv(f.captures.len() as u64);
+        for v in f.captures.iter() {
+            self.write_value(v)?;
         }
         Ok(())
     }

@@ -200,6 +200,249 @@ fn delta_skipped_without_clean_prefix() {
     );
 }
 
+// ---- seed cache: a warm writer/reader is indistinguishable from a cold one ----
+
+/// A stack the driver steers through the value it resumes each `yield`
+/// with: 0 returns from the current level, 1 and 2 call one level deeper
+/// (handing down the task-wide value or this frame's own list, so `Arc`s,
+/// strings and symbols are shared across whatever becomes the clean/dirty
+/// boundary), 3 parks a mutable object in this frame, anything else
+/// rebuilds this frame's list. Each branch brings symbols and an
+/// equal-content string no frame below need have seen.
+const STEERED_WF: &str = r#"
+(defun level (depth shared)
+  (let ((keep (list depth shared "tag" 'level :k))
+        (go t))
+    (while go
+      (let ((cmd (yield (list :at depth))))
+        (cond ((= cmd 0) (setq go nil))
+              ((= cmd 1) (setq keep (list 'went-down (level (+ depth 1) shared) keep)))
+              ((= cmd 2) (setq keep (list :handed-down (level (+ depth 1) keep) shared)))
+              ((= cmd 3) (setq keep (list (create-object "message") keep)))
+              (t (setq keep (list cmd "tag" 'rebuilt :rebuilt (concat "tag-" "fresh") keep))))))
+    keep))
+(defun root (shared) (list :root (level 1 shared) (yield :last)))
+"#;
+
+fn steered_start(gvm: &Arc<Gvm>, tag: &str) -> gozer_vm::Suspension {
+    let shared = Value::vector(vec![
+        Value::from(tag),
+        Value::from("tag"),
+        Value::symbol("level"),
+        Value::keyword("k"),
+        Value::list((0..40).map(Value::Int).collect()),
+    ]);
+    let f = gvm.function("root").unwrap();
+    match gvm.call_fiber(&f, vec![shared]).unwrap() {
+        RunOutcome::Suspended(s) => s,
+        RunOutcome::Done(v) => panic!("expected suspension, finished with {v:?}"),
+    }
+}
+
+/// Every prefix of `warm`, in a seeded order so the cache is both cut
+/// back and extended: the record (or the refusal) must equal a writer
+/// that starts with no cache. A clone is such a writer.
+fn assert_warm_equals_cold(warm: &gozer_vm::FiberState, rng: &mut bluebox::ChaosRng, ctx: &str) {
+    let n = warm.frames.len();
+    let mut order: Vec<usize> = (1..=n).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    // Twice: the second pass finds the tables the first pass left.
+    for p in order.iter().chain(order.iter()) {
+        let got = serialize_state_delta(warm, *p, Codec::None, 64).unwrap();
+        let want = serialize_state_delta(&warm.clone(), *p, Codec::None, 64).unwrap();
+        assert_eq!(got, want, "{ctx}: prefix {p} of {n} frames");
+    }
+}
+
+#[test]
+fn warm_cache_is_bit_identical_to_cold_for_random_suspension_sequences() {
+    let seed = std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xD17A_5EED);
+    let gvm = Gvm::with_pool_size(1);
+    gvm.load_str(STEERED_WF, "steered-wf").unwrap();
+    let mut rng = bluebox::ChaosRng::new(seed);
+    // A reader-side base no record of this test was written against.
+    let stranger = deserialize_state(
+        &serialize_state(&steered_start(&gvm, "someone-else").state, Codec::None).unwrap(),
+        &gvm,
+    )
+    .unwrap();
+
+    for case in 0..24 {
+        let mut rng = rng.split();
+        let ctx = format!(
+            "case {case}; replay: CHAOS_SEED={seed} cargo test -p gozer-serial --test delta warm_cache"
+        );
+        let mut susp = steered_start(&gvm, &format!("job-{case}"));
+        // The reader's copy of the chain, replayed with its cache threaded
+        // through every step.
+        let mut replayed =
+            deserialize_state(&serialize_state(&susp.state, Codec::None).unwrap(), &gvm).unwrap();
+        let mut saw_object = false;
+        for step in 0..40 {
+            let ctx = format!("{ctx}, step {step}");
+            let state = &susp.state;
+            let full = serialize_state(state, Codec::None).unwrap();
+
+            // One save in four is a compaction: a full snapshot, which
+            // leaves the writer's cache as the previous step's probes left
+            // it — describing frames this step may have changed.
+            let delta = match rng.below(4) {
+                0 => None,
+                _ => serialize_state_delta(state, state.clean_prefix, Codec::None, 64).unwrap(),
+            };
+            // Decoded by a reader whose cache came down the chain and by
+            // one that has none.
+            match &delta {
+                Some(delta) => {
+                    let cold = deserialize_state_delta(delta, &gvm, &replayed.clone()).unwrap();
+                    let threaded = deserialize_state_delta(delta, &gvm, &replayed).unwrap();
+                    assert_eq!(
+                        serialize_state(&threaded, Codec::None).unwrap(),
+                        full,
+                        "{ctx}"
+                    );
+                    assert_eq!(serialize_state(&cold, Codec::None).unwrap(), full, "{ctx}");
+                    // Cold first, then with the tables that attempt left.
+                    for _ in 0..2 {
+                        let err = deserialize_state_delta(delta, &gvm, &stranger).unwrap_err();
+                        assert!(err.to_string().contains("mismatch"), "{ctx}: {err}");
+                    }
+                    replayed = threaded;
+                    assert_warm_equals_cold(state, &mut rng, &ctx);
+                }
+                None => replayed = deserialize_state(&full, &gvm).unwrap(),
+            }
+            assert_warm_equals_cold(&replayed, &mut rng, &ctx);
+
+            // Saved: everything is clean until the fiber runs again.
+            let mut state = susp.state;
+            state.clean_prefix = state.frames.len();
+            let depth = state.frames.len();
+            let cmd = match rng.below(10) {
+                0..=2 if depth > 2 => 0,
+                0..=4 if depth < 7 => 1 + rng.below(2) as i64,
+                5 if !saw_object => 3,
+                _ => 10 + step,
+            };
+            saw_object |= cmd == 3;
+            susp = match gvm.resume_fiber(state, Value::Int(cmd)).unwrap() {
+                RunOutcome::Suspended(s) => s,
+                RunOutcome::Done(_) => break,
+            };
+        }
+    }
+}
+
+#[test]
+fn mutable_object_is_refused_by_warm_and_cold_alike() {
+    let gvm = Gvm::with_pool_size(1);
+    gvm.load_str(STEERED_WF, "steered-wf").unwrap();
+    let mut susp = steered_start(&gvm, "obj");
+    // root → level 1 → level 2, then an object lands in level 2's frame
+    // and level 3 is called above it.
+    for cmd in [1, 3, 1] {
+        let mut state = susp.state;
+        state.clean_prefix = state.frames.len();
+        // Warm the cache below the frame that is about to hold the object.
+        serialize_state_delta(&state, state.frames.len() - 1, Codec::None, 64).unwrap();
+        susp = suspend(&gvm, state, Value::Int(cmd));
+    }
+    let state = susp.state;
+    assert_eq!(state.frames.len(), 4);
+    for _ in 0..2 {
+        for p in 1..=4 {
+            let warm = serialize_state_delta(&state, p, Codec::None, 64).unwrap();
+            let cold = serialize_state_delta(&state.clone(), p, Codec::None, 64).unwrap();
+            assert_eq!(warm, cold, "prefix {p}");
+            // frames[2] is level 2: any prefix that includes it is unsound.
+            assert_eq!(warm.is_some(), p <= 2, "prefix {p}");
+        }
+    }
+}
+
+#[test]
+fn reentered_continuation_never_sees_the_abandoned_stacks_cache() {
+    // `inner` captures below `outer`, whose `note` changes after the
+    // capture; re-entering puts the *old* `outer` frame back under a cache
+    // that was seeded from the new one.
+    let src = r#"
+(defvar *k* nil)
+(defun inner (tag)
+  (let ((v (push-cc)))
+    (when (equal (type-of v) 'continuation)
+      (setq *k* v)
+      (setq v :first))
+    (list tag v (yield (list :inner v)))))
+(defun outer (tag)
+  (let ((note (concat "note-" tag))
+        (got nil))
+    (setq got (inner tag))
+    (setq note (concat note "-changed"))
+    (let ((n (yield (list :outer got))))
+      (if (< n 3)
+          (%resume-cc *k* n)
+          (list note got n)))))
+"#;
+    let gvm = Gvm::with_pool_size(1);
+    gvm.load_str(src, "cc-wf").unwrap();
+    let mut rng = bluebox::ChaosRng::new(7);
+    let f = gvm.function("outer").unwrap();
+    let RunOutcome::Suspended(mut susp) = gvm.call_fiber(&f, vec![Value::from("x")]).unwrap()
+    else {
+        panic!("expected suspension in inner");
+    };
+    // :inner :first, :outer, then two re-entries of the same continuation.
+    for (step, resume) in [10, 1, 11, 2, 12].into_iter().enumerate() {
+        assert_warm_equals_cold(&susp.state, &mut rng, &format!("step {step}"));
+        let mut state = susp.state;
+        state.clean_prefix = state.frames.len();
+        susp = suspend(&gvm, state, Value::Int(resume));
+    }
+    assert_warm_equals_cold(&susp.state, &mut rng, "last");
+    let RunOutcome::Done(v) = gvm.resume_fiber(susp.state, Value::Int(3)).unwrap() else {
+        panic!("expected completion");
+    };
+    assert_eq!(
+        v,
+        gvm.eval_str("(list \"note-x-changed\" (list \"x\" 2 12) 3)")
+            .unwrap()
+    );
+}
+
+#[test]
+fn redelivered_resume_from_one_cached_version_starts_cold() {
+    let gvm = deep_gvm();
+    let f = gvm.function("outer").unwrap();
+    let RunOutcome::Suspended(susp) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap() else {
+        panic!("expected suspension at :one");
+    };
+    let mut cached = suspend(&gvm, susp.state, Value::Int(1)).state;
+    cached.clean_prefix = cached.frames.len();
+    serialize_state_delta(&cached, 2, Codec::None, 64)
+        .unwrap()
+        .unwrap();
+    // What the node cache does on a hit: the copy that runs takes the
+    // tables, the entry (and so a second hit on the same version) has none.
+    let first = cached.clone();
+    cached.seed.move_to(&first.seed);
+    let second = cached.clone();
+    let mut rng = bluebox::ChaosRng::new(11);
+    // The two deliveries diverge; each must encode as if alone.
+    let a = suspend(&gvm, first, Value::from("first delivery")).state;
+    let b = suspend(&gvm, second, Value::from("redelivery")).state;
+    assert_warm_equals_cold(&a, &mut rng, "first delivery");
+    assert_warm_equals_cold(&b, &mut rng, "redelivery");
+    assert_ne!(
+        serialize_state_delta(&a, 2, Codec::None, 64).unwrap(),
+        serialize_state_delta(&b, 2, Codec::None, 64).unwrap()
+    );
+}
+
 #[test]
 fn dictionary_shrinks_repeated_symbols() {
     let gvm = Gvm::with_pool_size(1);

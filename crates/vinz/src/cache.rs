@@ -119,7 +119,12 @@ impl FiberCache {
         match lru.get(fiber_id) {
             Some((cached_version, state)) if *cached_version == version => {
                 self.mutable_stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(state.clone())
+                let copy = state.clone();
+                // The copy is the one that runs and gets saved next, so
+                // the serializer's seeding tables go with it. A second
+                // hit on this version (a redelivered resume) starts cold.
+                state.seed.move_to(&copy.seed);
+                Some(copy)
             }
             _ => {
                 self.mutable_stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -171,6 +176,20 @@ mod tests {
         assert!(cache.get_fiber("f1", 2).is_none(), "stale copy must miss");
         assert_eq!(cache.mutable_stats.hits.load(Ordering::Relaxed), 1);
         assert_eq!(cache.mutable_stats.misses.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_hit_hands_over_the_seed_tables_once() {
+        let cache = FiberCache::new(8);
+        let state = FiberState::default();
+        state.seed.put(3, Box::new("tables"));
+        cache.put_fiber("f1", 1, state);
+        let (frames, tables) = cache.get_fiber("f1", 1).unwrap().seed.take();
+        assert_eq!(frames, 3);
+        assert!(tables.is_some(), "the copy that runs next saves warm");
+        // A redelivered resume finds the same version but must not share
+        // tables the first delivery has since extended.
+        assert!(cache.get_fiber("f1", 1).unwrap().seed.take().1.is_none());
     }
 
     #[test]

@@ -21,12 +21,13 @@ use gozer_compress::Codec;
 use gozer_lang::Value;
 use gozer_obs::{
     Event, EventKind, FlightDump, FlightRecorder, FnProfile, HealthReport, Histogram,
-    IntrospectServer, IntrospectSource, Obs, Phase, ProfileReport, SerialCosts, Snapshot,
+    IntrospectServer, IntrospectSource, Obs, Phase, ProfileReport, SerialCostSnapshot,
+    SerialCosts, Snapshot,
     TaskSummary, TimelineSet, PHASE_COUNT,
 };
 use gozer_serial::{
-    deserialize_state_costed, deserialize_state_delta, deserialize_value,
-    serialize_state_delta, serialize_state_sized, serialize_value,
+    deserialize_state_costed, deserialize_state_delta_costed, deserialize_value,
+    serialize_state_delta_costed, serialize_state_sized, serialize_value,
 };
 use gozer_vm::{Condition, FiberObsEvent, FiberObsKind, FiberState, Gvm, RunOutcome, Unwind, VmError};
 use parking_lot::{Mutex, RwLock};
@@ -185,13 +186,15 @@ pub struct VinzMetrics {
 
 /// Per-fiber routing and sizing hints, kept in memory beside the store:
 /// the node that last persisted the fiber (stamped on resume messages
-/// as the broker affinity hint) and the size of its last full snapshot
-/// (the serializer's output-buffer hint, so steady-state saves never
-/// reallocate mid-write).
+/// as the broker affinity hint) and the sizes of its last full and last
+/// delta record (the serializer's output-buffer hint for the next record
+/// of the same kind, so steady-state saves neither reallocate mid-write
+/// nor allocate a snapshot-sized buffer for a delta a fraction of it).
 #[derive(Debug, Clone, Copy)]
 struct FiberHot {
     node: u32,
     last_size: usize,
+    last_delta_size: usize,
 }
 
 /// One node's runtime: a GVM (the "JVM" of that node) and its fiber
@@ -377,7 +380,8 @@ impl WorkflowServiceBuilder {
     pub fn deploy(self) -> Result<WorkflowService, VinzError> {
         let obs = self.cluster.obs();
         let metrics = Arc::new(VinzMetrics::default());
-        register_vinz_metrics(&obs, &metrics, &self.name);
+        let serial_costs = Arc::new(SerialCosts::new());
+        register_vinz_metrics(&obs, &metrics, &serial_costs, &self.name);
         let task_latency = obs.registry.histogram(
             "gozer_task_latency_seconds",
             "Start→complete task latency.",
@@ -407,7 +411,7 @@ impl WorkflowServiceBuilder {
             trace: Trace::over(obs.clone()),
             obs,
             metrics,
-            serial_costs: Arc::new(SerialCosts::new()),
+            serial_costs,
             task_latency,
             phase_hists,
             introspect: Mutex::new(None),
@@ -845,9 +849,32 @@ impl WorkflowObs {
 /// Mirror the [`VinzMetrics`] atomics into the cluster registry as
 /// closure-backed counters, labelled by service so multiple deployments
 /// on one cluster stay distinguishable.
-fn register_vinz_metrics(obs: &Arc<Obs>, metrics: &Arc<VinzMetrics>, service: &str) {
+fn register_vinz_metrics(
+    obs: &Arc<Obs>,
+    metrics: &Arc<VinzMetrics>,
+    serial_costs: &Arc<SerialCosts>,
+    service: &str,
+) {
     let labels = format!("service=\"{service}\"");
     let reg = &obs.registry;
+    // The live twin of the benchmark's `serial.ser_delta_us`: a delta
+    // costs what it walks, so `walked` creeping up on `reused` means the
+    // seed cache stopped hitting.
+    for (source, field) in [
+        (
+            "reused",
+            (|s| s.seed_frames_reused) as fn(SerialCostSnapshot) -> u64,
+        ),
+        ("walked", |s| s.seed_frames_walked),
+    ] {
+        let costs = serial_costs.clone();
+        reg.counter_fn(
+            "gozer_snapshot_seed_frames_total",
+            "Clean frames behind delta saves and loads, by where their seeding tables came from.",
+            &format!("source=\"{source}\",{labels}"),
+            move || field(costs.snapshot()),
+        );
+    }
     let mirror = |m: &Arc<VinzMetrics>, f: fn(&VinzMetrics) -> &AtomicU64| {
         let m = m.clone();
         move || f(&m).load(Ordering::Relaxed)
@@ -1320,8 +1347,14 @@ impl Inner {
         self.tracker.note_phase(Inner::task_of(fiber_id), Phase::Serialize);
         let (version, generation, chain) = self.fiber_meta(fiber_id)?;
         let hot = self.hot.read().get(fiber_id).copied();
-        let size_hint = hot.map_or(256, |h| h.last_size.max(64));
         let migrated = hot.is_some_and(|h| h.node != rt.node_id);
+        let mut hot = hot.unwrap_or(FiberHot {
+            node: rt.node_id,
+            last_size: 256,
+            last_delta_size: 256,
+        });
+        // The affinity stamp moves to this node whatever gets written.
+        hot.node = rt.node_id;
 
         let mut delta = None;
         if self.config.delta_snapshots
@@ -1330,15 +1363,21 @@ impl Inner {
             && chain < self.config.compact_every
         {
             let start = Instant::now();
-            delta = serialize_state_delta(&state, state.clean_prefix, self.config.codec, size_hint)
-                .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
+            let (bytes, seeds) = serialize_state_delta_costed(
+                &state,
+                state.clean_prefix,
+                self.config.codec,
+                hot.last_delta_size,
+            )
+            .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
+            delta = bytes;
+            self.serial_costs.record_seeding(seeds.reused, seeds.walked);
             if let Some(bytes) = &delta {
                 self.serial_costs
                     .record_serialize(bytes.len() as u64, start.elapsed().as_nanos() as u64);
             }
         }
         let meta_key = format!("fiber-v/{fiber_id}");
-        let mut full_len = None;
         let saved_len = match delta {
             Some(bytes) => {
                 let meta = Inner::fiber_meta_rec(version + 1, generation, chain + 1);
@@ -1352,11 +1391,12 @@ impl Inner {
                 self.metrics
                     .delta_bytes
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                hot.last_delta_size = bytes.len();
                 bytes.len()
             }
             None => {
                 let start = Instant::now();
-                let bytes = serialize_state_sized(&state, self.config.codec, size_hint)
+                let bytes = serialize_state_sized(&state, self.config.codec, hot.last_size)
                     .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
                 self.serial_costs
                     .record_serialize(bytes.len() as u64, start.elapsed().as_nanos() as u64);
@@ -1379,19 +1419,11 @@ impl Inner {
                 self.metrics
                     .full_bytes
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                full_len = Some(bytes.len());
+                hot.last_size = bytes.len();
                 bytes.len()
             }
         };
-        // Delta saves keep the last *full* snapshot size as the buffer
-        // hint but still move the affinity stamp to this node.
-        self.hot.write().insert(
-            fiber_id.to_string(),
-            FiberHot {
-                node: rt.node_id,
-                last_size: full_len.unwrap_or_else(|| hot.map_or(saved_len, |h| h.last_size)),
-            },
-        );
+        self.hot.write().insert(fiber_id.to_string(), hot);
         // The state we just persisted *is* the new snapshot: every frame
         // is clean relative to it until the fiber runs again.
         state.clean_prefix = state.frames.len();
@@ -1448,10 +1480,12 @@ impl Inner {
                 .map_err(|e| VinzError(e.to_string()))?
                 .ok_or_else(|| VinzError(format!("fiber {fiber_id} is missing delta {k}")))?;
             let start = Instant::now();
-            state = deserialize_state_delta(&dbytes, &rt.gvm, &state)
+            let (next, seeds) = deserialize_state_delta_costed(&dbytes, &rt.gvm, &state)
                 .map_err(|e| VinzError(format!("load {fiber_id} delta {k}: {e}")))?;
+            state = next;
             self.serial_costs
                 .record_deserialize(dbytes.len() as u64, start.elapsed().as_nanos() as u64);
+            self.serial_costs.record_seeding(seeds.reused, seeds.walked);
         }
         rt.cache.put_fiber(fiber_id, version, state.clone());
         self.metrics.load_count.fetch_add(1, Ordering::Relaxed);
@@ -2200,8 +2234,10 @@ impl Inner {
                 .store
                 .get(&key)
                 .map_err(|e| VinzError(e.to_string()))?
-                .map(|b| String::from_utf8_lossy(&b).into_owned())
-                .unwrap_or_default();
+                .map(|b| String::from_utf8_lossy(&b).into_owned());
+            // Nobody registered: nothing to clear (on LogStore a delete
+            // of a key never written would still append a tombstone).
+            let Some(list) = list else { return Ok(()) };
             self.store.delete(&key).map_err(|e| VinzError(e.to_string()))?;
             list
         };

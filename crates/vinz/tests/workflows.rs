@@ -374,3 +374,97 @@ fn persistence_metrics_account_for_suspensions() {
     assert_eq!(m.fibers_run.load(Ordering::Relaxed), 5);
     cluster.shutdown();
 }
+
+/// `MemStore` that counts deletes (on `LogStore` each one appends a
+/// tombstone to the commit log).
+#[derive(Default)]
+struct CountingStore {
+    inner: vinz::MemStore,
+    deletes: std::sync::atomic::AtomicU64,
+}
+
+impl vinz::StateStore for CountingStore {
+    fn put(&self, key: &str, data: &[u8]) -> Result<(), vinz::StoreError> {
+        self.inner.put(key, data)
+    }
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, vinz::StoreError> {
+        self.inner.get(key)
+    }
+    fn delete(&self, key: &str) -> Result<(), vinz::StoreError> {
+        self.deletes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.delete(key)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<String>, vinz::StoreError> {
+        self.inner.list(prefix)
+    }
+    fn bytes_written(&self) -> u64 {
+        self.inner.bytes_written()
+    }
+    fn bytes_read(&self) -> u64 {
+        self.inner.bytes_read()
+    }
+}
+
+#[test]
+fn only_a_joined_fiber_costs_a_delete() {
+    use std::sync::atomic::Ordering;
+    let cluster = Cluster::new();
+    let store = Arc::new(CountingStore::default());
+    // One node: no migration, so no compaction garbage to delete either.
+    let wf = WorkflowService::builder(&cluster, "wf")
+        .source(
+            "(defun quick (n) (* n n))
+             (defun fan (n) (apply #'+ (for-each (i in (range n)) (* i i))))
+             (defun worker (x) (* x 100))
+             (defun joined ()
+               (join-process (fork-and-exec #'worker :argument 7)))",
+        )
+        .store(store.clone())
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    assert_eq!(
+        wf.call("quick", vec![Value::Int(5)], TIMEOUT).unwrap(),
+        Value::Int(25)
+    );
+    assert_eq!(
+        wf.call("fan", vec![Value::Int(4)], TIMEOUT).unwrap(),
+        Value::Int(14)
+    );
+    // Every fiber that finished looked for waiters; none had any.
+    assert_eq!(store.deletes.load(Ordering::Relaxed), 0);
+    assert_eq!(wf.call("joined", vec![], TIMEOUT).unwrap(), Value::Int(700));
+    // The worker's waiter list, cleared once.
+    assert_eq!(store.deletes.load(Ordering::Relaxed), 1);
+    cluster.shutdown();
+}
+
+#[test]
+fn seed_cache_use_is_counted_and_exported() {
+    let cluster = Cluster::new();
+    // `fan` suspends once per child under an untouched `main` frame:
+    // the first delta of each round walks that frame, the rest reuse it.
+    let wf = WorkflowService::builder(&cluster, "wf")
+        .source(
+            "(defun fan (n) (apply #'+ (for-each (i in (range n)) (* i i))))
+             (defun main (n) (list (fan n) (fan n)))",
+        )
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    wf.call("main", vec![Value::Int(4)], TIMEOUT).unwrap();
+    let obs = wf.obs();
+    let costs = obs.profile().serial;
+    assert!(costs.seed_frames_walked > 0, "{costs:?}");
+    assert!(costs.seed_frames_reused > 0, "{costs:?}");
+    let text = obs.export_text();
+    for (source, n) in [
+        ("reused", costs.seed_frames_reused),
+        ("walked", costs.seed_frames_walked),
+    ] {
+        let line =
+            format!("gozer_snapshot_seed_frames_total{{source=\"{source}\",service=\"wf\"}} {n}");
+        assert!(text.contains(&line), "missing `{line}` in:\n{text}");
+    }
+    cluster.shutdown();
+}

@@ -7,10 +7,13 @@
 //! ordinary owned data structures. Capturing a continuation is therefore
 //! just moving this struct; persisting it is the job of `gozer-serial`.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use gozer_lang::{Symbol, Value};
+use parking_lot::Mutex;
 
 use crate::bytecode::ProgramRef;
 
@@ -143,6 +146,70 @@ pub struct FiberState {
     /// `frames.len()` (a freshly loaded state *is* its snapshot), and 0
     /// always means "no clean prefix" — the safe default.
     pub clean_prefix: usize,
+    /// What the serializer kept from seeding this state's clean frames
+    /// (transient like `clean_prefix`, never persisted).
+    pub seed: SeedCache,
+}
+
+/// The tables `gozer-serial` built while seeding a delta snapshot from
+/// this continuation's clean frames, kept so the next delta extends them
+/// by the newly clean frames instead of walking the whole prefix again.
+///
+/// The VM never looks inside. It only records how many leading frames
+/// the tables may still describe, lowering that count as execution
+/// touches deeper frames — the same watermark as
+/// [`FiberState::clean_prefix`], except that a save does not raise it.
+/// Reachable through `&FiberState` because serialization borrows the
+/// state; a clone starts cold, so two copies of one continuation can
+/// never see each other's extensions.
+#[derive(Default)]
+pub struct SeedCache(Mutex<SeedSlot>);
+
+/// Leading frames the tables are still valid for, and the tables.
+type SeedSlot = (usize, Option<Box<dyn Any + Send + Sync>>);
+
+impl SeedCache {
+    /// Remove the tables, with the number of leading frames they are
+    /// still valid for. The cache is cold until the next [`put`](Self::put).
+    pub fn take(&self) -> (usize, Option<Box<dyn Any + Send + Sync>>) {
+        std::mem::take(&mut *self.0.lock())
+    }
+
+    /// Store tables that describe the first `frames` frames.
+    pub fn put(&self, frames: usize, tables: Box<dyn Any + Send + Sync>) {
+        *self.0.lock() = (frames, Some(tables));
+    }
+
+    /// Hand the tables to `other` — a copy of the same continuation that
+    /// is about to run in this one's place.
+    pub fn move_to(&self, other: &SeedCache) {
+        *other.0.lock() = self.take();
+    }
+
+    /// Frames at or above `frames` may have changed: the tables stay
+    /// valid for at most that many leading frames.
+    pub fn lower(&mut self, frames: usize) {
+        let slot = self.0.get_mut();
+        slot.0 = slot.0.min(frames);
+    }
+}
+
+impl Clone for SeedCache {
+    fn clone(&self) -> SeedCache {
+        SeedCache::default()
+    }
+}
+
+impl fmt::Debug for SeedCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let slot = self.0.lock();
+        write!(
+            f,
+            "SeedCache({} frames, warm: {})",
+            slot.0,
+            slot.1.is_some()
+        )
+    }
 }
 
 impl FiberState {

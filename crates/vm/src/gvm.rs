@@ -494,14 +494,17 @@ impl Gvm {
             mut next_restart_id,
             mut ext,
             clean_prefix,
+            mut seed,
         } = state;
-        // Dirty-tracking watermark: the interpreter lowers this to the
-        // minimum frame-stack depth it reaches, and every frame below
-        // `low - 1` survives the run untouched (only the top frame ever
-        // mutates). Combined with the incoming prefix this tells the
-        // serializer how much of the suspended state still matches the
-        // fiber's last persisted snapshot.
-        let mut low = frames.len();
+        // Dirty-tracking watermark: every frame below `low - 1` still
+        // matches the fiber's last persisted snapshot. It starts from the
+        // incoming clean prefix and the interpreter lowers it to the
+        // minimum frame-stack depth it reaches (only the top frame ever
+        // mutates, so the frame *at* the minimum depth was touched and
+        // everything under it was not). This tells the serializer how
+        // much of the suspended state it can skip, and the capture how
+        // many frames hold only futures an earlier capture determined.
+        let mut low = frames.len().min(clean_prefix + 1);
         if resume.is_some() {
             if let Some(obs) = &observer {
                 obs(&FiberObsEvent {
@@ -533,18 +536,21 @@ impl Gvm {
         }
         match result {
             Ok(InterpOutcome::Done(v)) => Ok(RunOutcome::Done(v)),
-            Ok(InterpOutcome::Suspended(payload)) => Ok(RunOutcome::Suspended(Suspension {
-                payload,
-                state: FiberState {
-                    frames,
-                    dyn_state,
-                    next_restart_id,
-                    ext,
-                    // The frame at the watermark itself was the mutable
-                    // top at the lowest point, hence `low - 1` clean.
-                    clean_prefix: clean_prefix.min(low.saturating_sub(1)),
-                },
-            })),
+            Ok(InterpOutcome::Suspended(payload)) => {
+                let clean_prefix = low.saturating_sub(1);
+                seed.lower(clean_prefix);
+                Ok(RunOutcome::Suspended(Suspension {
+                    payload,
+                    state: FiberState {
+                        frames,
+                        dyn_state,
+                        next_restart_id,
+                        ext,
+                        clean_prefix,
+                        seed,
+                    },
+                }))
+            }
             // Vinz `break`: the fiber terminates cleanly with nil (§3.7).
             Err(VmError::Unwind(Unwind::BreakFiber)) => Ok(RunOutcome::Done(Value::Nil)),
             // Attach a backtrace to unhandled conditions: the heap frames

@@ -198,9 +198,11 @@ impl GlobalCache {
 /// mutates the top frame (value ops, calls, returns, restart transfers
 /// all work through `top`/push/pop/truncate), so the minimum stack depth
 /// observed between steps bounds the damage — every frame below
-/// `low - 1` is byte-identical to what the caller passed in. Continuation
-/// resumption replaces the whole stack and drops the watermark to 0.
-/// Nested activations pass a throwaway.
+/// `low - 1` is byte-identical to what the caller passed in. The caller
+/// starts it no higher than its clean prefix + 1, so those frames also
+/// match the last snapshot and a capture need not visit them again.
+/// Continuation resumption replaces the whole stack and drops the
+/// watermark to 0. Nested activations pass a throwaway.
 pub(crate) fn interp(
     gvm: &Arc<Gvm>,
     frames: &mut Vec<Frame>,
@@ -241,8 +243,8 @@ pub(crate) fn interp(
                 }
                 // §4.1: the continuation only becomes available once every
                 // future it references is determined.
-                determine_frames(frames)?;
                 *low = (*low).min(frames.len());
+                determine_frames(frames, *low)?;
                 return Ok(InterpOutcome::Suspended(payload));
             }
             Err(e) => {
@@ -754,24 +756,36 @@ fn run_loop(
                     Some(caller) => caller.stack.push(v),
                 }
             }
-            Pending::PushCC => {
-                // Determine futures first, then snapshot. The snapshot's pc
-                // is already past PushCC; resuming it delivers a value
-                // exactly where the live path sees the continuation object.
-                determine_frames(frames)?;
-                let state = FiberState {
-                    frames: frames.clone(),
-                    dyn_state: ds.clone(),
-                    next_restart_id: *ids,
-                    ext: ext.clone(),
-                    clean_prefix: 0,
-                };
-                top(frames)
-                    .stack
-                    .push(Value::Opaque(Arc::new(ContinuationVal { state })));
-            }
+            Pending::PushCC => push_cc(frames, ds, *ids, ext, *low)?,
         }
     }
+}
+
+/// `push-cc`: determine futures first, then snapshot. The snapshot's pc
+/// is already past PushCC; resuming it delivers a value exactly where
+/// the live path sees the continuation object. Out of line: the
+/// dispatch loop's code generation is sensitive to what its arms hold.
+#[cold]
+#[inline(never)]
+fn push_cc(
+    frames: &mut [Frame],
+    ds: &DynState,
+    ids: u64,
+    ext: &FiberExt,
+    low: usize,
+) -> VmResult<()> {
+    determine_frames(frames, low)?;
+    let state = FiberState {
+        frames: frames.to_vec(),
+        dyn_state: ds.clone(),
+        next_restart_id: ids,
+        ext: ext.clone(),
+        ..FiberState::default()
+    };
+    top(frames)
+        .stack
+        .push(Value::Opaque(Arc::new(ContinuationVal { state })));
+    Ok(())
 }
 
 /// The full `Call`/`TailCall` implementation, shared by the plain arms
@@ -1199,9 +1213,11 @@ fn const_symbol(program: &Program, c: u32) -> VmResult<gozer_lang::Symbol> {
         .ok_or_else(|| VmError::msg("expected symbol constant"))
 }
 
-/// Wait for every future reachable from the frame stack.
-fn determine_frames(frames: &[Frame]) -> VmResult<()> {
-    for f in frames {
+/// Wait for every future reachable from the frames the run may have
+/// touched. Frames below `low - 1` still match the fiber's last snapshot,
+/// so the capture behind that snapshot already determined theirs.
+fn determine_frames(frames: &[Frame], low: usize) -> VmResult<()> {
+    for f in &frames[low.saturating_sub(1)..] {
         for v in f.locals.iter().chain(f.stack.iter()).chain(f.captures.iter()) {
             determine_deep(v)?;
         }

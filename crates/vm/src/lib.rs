@@ -56,7 +56,7 @@ pub use bytecode::{disassemble, fnv1a64, Chunk, Op, Program, ProgramRef};
 pub use compiler::{Compiler, MacroHost};
 pub use conditions::Condition;
 pub use error::{Unwind, VmError, VmResult};
-pub use fiber::{DynState, FiberExt, FiberState, Frame, RunOutcome, Suspension};
+pub use fiber::{DynState, FiberExt, FiberState, Frame, RunOutcome, SeedCache, Suspension};
 pub use gvm::{FiberObsEvent, FiberObsKind, FiberObserver, Gvm, GvmHost, NativeCtx};
 pub use natives::ObjectVal;
 pub use opt::{set_fuse_override, OptConfig};

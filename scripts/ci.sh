@@ -29,8 +29,11 @@ run "$CARGO" test --test survivability $OFFLINE
 
 # LogStore recovery shapes, the mem-vs-log opcode-identity sweep, the
 # prefix-closure sweep, and the phase ledger with the durability
-# boundary test (under 10 s warm).
+# boundary test (under 10 s warm); then the serializer's own suites
+# (delta incl. the warm-vs-cold seed cache differential, roundtrip,
+# adversarial — tier-1 is the root package only; seconds).
 run "$CARGO" test -p vinz --test logstore --test phases $OFFLINE
+run "$CARGO" test -p gozer-serial $OFFLINE
 
 # Recovery gate: the armed sweep (chaos stays enabled; leases,
 # supervisor, and retries absorb every failure) plus the dead-letter
