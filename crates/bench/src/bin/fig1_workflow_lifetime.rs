@@ -12,7 +12,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use gozer::testing::register_square_service;
-use gozer::{Cluster, GozerSystem, TraceKind, Value, VinzConfig};
+use gozer::{Cluster, EventKind, GozerSystem, Value, VinzConfig};
 use gozer_bench::{json_path_from_args, smoke_mode, Json, Table};
 
 const WORKFLOW: &str = "
@@ -144,16 +144,16 @@ fn main() {
     println!("Figure 1 — sample workflow lifetime (result {v:?}):\n");
     print!("{}", obs.render());
 
-    let events = obs.trace_view().events();
-    let count = |f: &dyn Fn(&TraceKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
+    let events = obs.events();
+    let count = |f: &dyn Fn(&EventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
     println!("\nsummary:");
-    println!("  RunFiber deliveries : {}", count(&|k| matches!(k, TraceKind::RunFiber)));
-    println!("  suspensions         : {}", count(&|k| matches!(k, TraceKind::Yield(_))));
-    println!("  persists            : {}", count(&|k| matches!(k, TraceKind::Persist(_))));
-    println!("  forks               : {}", count(&|k| matches!(k, TraceKind::Fork(_))));
+    println!("  RunFiber deliveries : {}", count(&|k| matches!(k, EventKind::FiberRun)));
+    println!("  suspensions         : {}", count(&|k| matches!(k, EventKind::FiberYield { .. })));
+    println!("  persists            : {}", count(&|k| matches!(k, EventKind::FiberPersisted { .. })));
+    println!("  forks               : {}", count(&|k| matches!(k, EventKind::FiberForked { .. })));
     println!(
         "  resumes             : {}",
-        count(&|k| matches!(k, TraceKind::Resume(_)))
+        count(&|k| matches!(k, EventKind::FiberResumed { .. }))
     );
     if profiling {
         println!("\nhot functions (GOZER_PROFILE=0 disables):");

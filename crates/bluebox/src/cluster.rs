@@ -365,14 +365,13 @@ impl Cluster {
         self.held_released.fetch_add(1, Ordering::Relaxed);
         let held = msg.enqueued_at.elapsed().as_nanos() as u64;
         msg.held_nanos = msg.held_nanos.saturating_add(held);
-        self.obs.bus.emit(msg_event(
-            EventKind::MessageReleased {
-                service: msg.service.clone(),
-                operation: msg.operation.clone(),
+        self.obs.bus.emit(|| {
+            msg_event(&msg, |service, operation| EventKind::MessageReleased {
+                service,
+                operation,
                 held_nanos: held,
-            },
-            &msg,
-        ));
+            })
+        });
         self.note_phase(&msg, Phase::QueueWait);
         self.dispatch(msg);
     }
@@ -587,18 +586,15 @@ impl Cluster {
         metrics.add(&metrics.wait_nanos, wait);
         metrics.add(&metrics.wait_count, 1);
         self.hist_wait.observe_nanos(wait);
-        self.obs.bus.emit(
-            msg_event(
-                EventKind::MessageDelivered {
-                    service: msg.service.clone(),
-                    operation: msg.operation.clone(),
-                    wait_nanos: wait,
-                },
-                msg,
-            )
+        self.obs.bus.emit(|| {
+            msg_event(msg, |service, operation| EventKind::MessageDelivered {
+                service,
+                operation,
+                wait_nanos: wait,
+            })
             .node(node_id)
-            .instance(instance_id),
-        );
+            .instance(instance_id)
+        });
         self.transport().on_deliver(msg);
     }
 
@@ -614,13 +610,9 @@ impl Cluster {
         msg.id = self.next_msg_id.fetch_add(1, Ordering::Relaxed);
         msg.enqueued_at = Instant::now();
         self.metrics.add(&self.metrics.sent, 1);
-        self.obs.bus.emit(msg_event(
-            EventKind::MessageSent {
-                service: msg.service.clone(),
-                operation: msg.operation.clone(),
-            },
-            &msg,
-        ));
+        self.obs.bus.emit(|| {
+            msg_event(&msg, |service, operation| EventKind::MessageSent { service, operation })
+        });
         self.transport().on_send(&msg);
         if msg.hold_until > 0 {
             let probe = self.durability_probe.read().clone();
@@ -634,14 +626,13 @@ impl Cluster {
                 let mut held = self.held.lock();
                 if !probe(msg.hold_until) {
                     self.held_total.fetch_add(1, Ordering::Relaxed);
-                    self.obs.bus.emit(msg_event(
-                        EventKind::MessageHeld {
-                            service: msg.service.clone(),
-                            operation: msg.operation.clone(),
+                    self.obs.bus.emit(|| {
+                        msg_event(&msg, |service, operation| EventKind::MessageHeld {
+                            service,
+                            operation,
                             watermark: msg.hold_until,
-                        },
-                        &msg,
-                    ));
+                        })
+                    });
                     self.note_phase(&msg, Phase::DurabilityHold);
                     held.push(msg);
                     return;
@@ -686,15 +677,21 @@ impl Cluster {
         queue.push(msg);
     }
 
+    /// Emit a [`EventKind::MessageRedelivered`] event for `msg`.
+    fn emit_redelivered(&self, msg: &Message) {
+        self.obs.bus.emit(|| {
+            msg_event(msg, |service, operation| EventKind::MessageRedelivered { service, operation })
+        });
+    }
+
     /// Emit a [`EventKind::FaultInjected`] event correlated to `msg`.
     fn emit_fault(&self, msg: &Message, fault: &str) {
-        self.obs.bus.emit(msg_event(
-            EventKind::FaultInjected {
+        self.obs.bus.emit(|| {
+            msg_event(msg, |_, operation| EventKind::FaultInjected {
                 fault: fault.to_string(),
-                operation: msg.operation.clone(),
-            },
-            msg,
-        ));
+                operation,
+            })
+        });
     }
 
     /// Send a request whose reply is delivered as a fresh request to
@@ -1023,20 +1020,10 @@ impl Cluster {
         for p in ready {
             self.metrics.add(&self.metrics.redelivered, 1);
             self.recovery_stats.reclaims.fetch_add(1, Ordering::Relaxed);
-            self.obs.bus.emit(msg_event(
-                EventKind::LeaseReclaimed {
-                    service: p.msg.service.clone(),
-                    operation: p.msg.operation.clone(),
-                },
-                &p.msg,
-            ));
-            self.obs.bus.emit(msg_event(
-                EventKind::MessageRedelivered {
-                    service: p.msg.service.clone(),
-                    operation: p.msg.operation.clone(),
-                },
-                &p.msg,
-            ));
+            self.obs.bus.emit(|| {
+                msg_event(&p.msg, |service, operation| EventKind::LeaseReclaimed { service, operation })
+            });
+            self.emit_redelivered(&p.msg);
             self.note_phase(&p.msg, Phase::QueueWait);
             let queue = self.queue(&p.service);
             queue.push_front(p.msg);
@@ -1086,13 +1073,7 @@ impl Cluster {
             self.quarantine_inner(service, msg, reason, false);
         } else {
             self.metrics.add(&self.metrics.redelivered, 1);
-            self.obs.bus.emit(msg_event(
-                EventKind::MessageRedelivered {
-                    service: msg.service.clone(),
-                    operation: msg.operation.clone(),
-                },
-                &msg,
-            ));
+            self.emit_redelivered(&msg);
             // push_front bumps the redelivery count, so the budget
             // converges even when every attempt fails the same way.
             self.note_phase(&msg, Phase::QueueWait);
@@ -1111,14 +1092,13 @@ impl Cluster {
     /// handler path's lease is settled by the instance loop.
     fn quarantine_inner(&self, service: &str, msg: Message, reason: &str, settle: bool) {
         self.recovery_stats.dead_letters.fetch_add(1, Ordering::Relaxed);
-        self.obs.bus.emit(msg_event(
-            EventKind::MessageDeadLettered {
+        self.obs.bus.emit(|| {
+            msg_event(&msg, |_, operation| EventKind::MessageDeadLettered {
                 service: service.to_string(),
-                operation: msg.operation.clone(),
+                operation,
                 reason: reason.to_string(),
-            },
-            &msg,
-        ));
+            })
+        });
         let dl = DeadLetter {
             msg,
             service: service.to_string(),
@@ -1221,13 +1201,7 @@ fn instance_loop(
                     // alive (at-least-once redelivery, not a crash).
                     cluster.emit_fault(&msg, "drop");
                     metrics.add(&metrics.redelivered, 1);
-                    cluster.obs.bus.emit(msg_event(
-                        EventKind::MessageRedelivered {
-                            service: msg.service.clone(),
-                            operation: msg.operation.clone(),
-                        },
-                        &msg,
-                    ));
+                    cluster.emit_redelivered(&msg);
                     cluster.leases.lock().remove(&msg.id);
                     cluster.note_phase(&msg, Phase::QueueWait);
                     queue.push_front(msg);
@@ -1252,11 +1226,11 @@ fn instance_loop(
         // Manual kill before processing: die holding the message — the
         // lease reaper detects the dead holder and re-queues it.
         if *control.fault.lock() == Some(FaultPoint::BeforeProcess) {
-            cluster.obs.bus.emit(
-                msg_event(EventKind::InstanceCrashed { point: "before-process".into() }, &msg)
+            cluster.obs.bus.emit(|| {
+                msg_event(&msg, |_, _| EventKind::InstanceCrashed { point: "before-process".into() })
                     .node(ctx.node_id)
-                    .instance(ctx.instance_id),
-            );
+                    .instance(ctx.instance_id)
+            });
             control.alive.store(false, Ordering::Relaxed);
             break;
         }
@@ -1315,20 +1289,17 @@ fn crash_with(
     ctx: &ServiceCtx,
     node_wide: bool,
 ) {
-    cluster.obs.bus.emit(
-        msg_event(
-            EventKind::InstanceCrashed {
-                point: match (point, node_wide) {
-                    (_, true) => "node-kill".into(),
-                    (FaultPoint::BeforeProcess, _) => "before-process".into(),
-                    (FaultPoint::AfterProcess, _) => "after-process".into(),
-                },
+    cluster.obs.bus.emit(|| {
+        msg_event(&msg, |_, _| EventKind::InstanceCrashed {
+            point: match (point, node_wide) {
+                (_, true) => "node-kill".into(),
+                (FaultPoint::BeforeProcess, _) => "before-process".into(),
+                (FaultPoint::AfterProcess, _) => "after-process".into(),
             },
-            &msg,
-        )
+        })
         .node(ctx.node_id)
-        .instance(ctx.instance_id),
-    );
+        .instance(ctx.instance_id)
+    });
     control.alive.store(false, Ordering::Relaxed);
     if node_wide {
         cluster.kill_node(ctx.node_id, point);
@@ -1354,11 +1325,14 @@ fn reaper_loop(weak: Weak<Cluster>) {
     }
 }
 
-/// Build an [`Event`] correlated to a message: its broker id plus the
+/// Build an [`Event`] about a message from what the message carries:
+/// its service and operation (handed to `kind`), its broker id, and the
 /// workflow ids Vinz stamps into `task-id`/`fiber-id` headers (the
 /// fiber id alone implies the task via the `task/fiber` convention).
-fn msg_event(kind: EventKind, msg: &Message) -> Event {
-    Event::new(kind)
+/// Called only inside the closure handed to `EventBus::emit`, so
+/// nothing is cloned while tracing is off.
+fn msg_event(msg: &Message, kind: impl FnOnce(String, String) -> EventKind) -> Event {
+    Event::new(kind(msg.service.clone(), msg.operation.clone()))
         .message(msg.id)
         .task_opt(msg.get_header("task-id").map(str::to_string))
         .fiber_opt(msg.get_header("fiber-id").map(str::to_string))

@@ -71,9 +71,8 @@ pub use gozer_obs::{
 pub use vinz::{
     DurabilityTicket, FileLocks, FileStore, FileStoreBuilder, FsyncPolicy, InProcessLocks,
     LockManager, LogStats, LogStore, LogStoreBuilder, MemStore, RetryPolicy, StateStore,
-    StoreError, SupervisorConfig, TaskRecord, TaskStatus, Trace, TraceEvent, TraceKind,
-    VinzConfig, VinzError, Watermark, WorkflowObs, WorkflowService, WorkflowServiceBuilder,
-    ZkLocks,
+    StoreError, SupervisorConfig, TaskRecord, TaskStatus, VinzConfig, VinzError, Watermark,
+    WorkflowObs, WorkflowService, WorkflowServiceBuilder, ZkLocks,
 };
 pub use zk_lite::ZkServer;
 

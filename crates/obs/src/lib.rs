@@ -2,10 +2,9 @@
 
 //! # gozer-obs
 //!
-//! The unified observability layer of the Gozer reproduction: one
-//! structured event stream and one metrics registry shared by every
-//! layer of the system, replacing the formerly disjoint
-//! `vinz::trace::Trace` / `bluebox::metrics::Metrics` instrumentation.
+//! The observability layer of the Gozer reproduction: one structured
+//! event stream and one metrics registry shared by every layer of the
+//! system.
 //!
 //! Three pieces:
 //!
@@ -117,7 +116,7 @@ mod tests {
         );
         obs.bus.set_enabled(true);
         for _ in 0..5 {
-            obs.bus.emit(Event::new(EventKind::FiberRun).node(0));
+            obs.bus.emit(|| Event::new(EventKind::FiberRun).node(0));
         }
         assert_eq!(obs.bus.dropped(), 3);
         assert!(obs

@@ -636,17 +636,17 @@ mod tests {
     fn fork_builds_parent_links() {
         let bus = EventBus::new();
         bus.set_enabled(true);
-        bus.emit(Event::new(EventKind::TaskStarted).task("task-1"));
-        bus.emit(Event::new(EventKind::FiberRun).fiber("task-1/f0"));
-        bus.emit(
+        bus.emit(|| Event::new(EventKind::TaskStarted).task("task-1"));
+        bus.emit(|| Event::new(EventKind::FiberRun).fiber("task-1/f0"));
+        bus.emit(|| {
             Event::new(EventKind::FiberForked {
                 child: "task-1/f1".into(),
             })
-            .fiber("task-1/f0"),
-        );
-        bus.emit(Event::new(EventKind::FiberRun).fiber("task-1/f1"));
-        bus.emit(Event::new(EventKind::FiberDone).fiber("task-1/f1"));
-        bus.emit(Event::new(EventKind::TaskDone {
+            .fiber("task-1/f0")
+        });
+        bus.emit(|| Event::new(EventKind::FiberRun).fiber("task-1/f1"));
+        bus.emit(|| Event::new(EventKind::FiberDone).fiber("task-1/f1"));
+        bus.emit(|| Event::new(EventKind::TaskDone {
             outcome: "completed".into(),
         })
         .task("task-1"));
@@ -673,16 +673,16 @@ mod tests {
     fn faults_attach_to_their_task() {
         let bus = EventBus::new();
         bus.set_enabled(true);
-        bus.emit(Event::new(EventKind::TaskStarted).task("task-1"));
-        bus.emit(Event::new(EventKind::FiberRun).fiber("task-1/f0"));
-        bus.emit(
+        bus.emit(|| Event::new(EventKind::TaskStarted).task("task-1"));
+        bus.emit(|| Event::new(EventKind::FiberRun).fiber("task-1/f0"));
+        bus.emit(|| {
             Event::new(EventKind::FaultInjected {
                 fault: "drop".into(),
                 operation: "RunFiber".into(),
             })
             .fiber("task-1/f0")
-            .message(42),
-        );
+            .message(42)
+        });
         let set = TimelineSet::build(&emitted(&bus));
         let t = set.task("task-1").unwrap();
         let faults = t.faults();
@@ -700,42 +700,42 @@ mod tests {
         // Root fiber forks a child; the child's RunFiber message is
         // parked on a durability watermark, then the child makes a
         // service call; its completion awakes the root.
-        bus.emit(Event::new(EventKind::TaskStarted).task("task-1"));
-        bus.emit(Event::new(EventKind::FiberRun).fiber("task-1/f0"));
-        bus.emit(
+        bus.emit(|| Event::new(EventKind::TaskStarted).task("task-1"));
+        bus.emit(|| Event::new(EventKind::FiberRun).fiber("task-1/f0"));
+        bus.emit(|| {
             Event::new(EventKind::FiberForked { child: "task-1/f1".into() })
-                .fiber("task-1/f0"),
-        );
-        bus.emit(
+                .fiber("task-1/f0")
+        });
+        bus.emit(|| {
             Event::new(EventKind::FiberYield { reason: "children".into() })
-                .fiber("task-1/f0"),
-        );
-        bus.emit(
+                .fiber("task-1/f0")
+        });
+        bus.emit(|| {
             Event::new(EventKind::MessageReleased {
                 service: "workflow".into(),
                 operation: "RunFiber".into(),
                 held_nanos: 1,
             })
-            .fiber("task-1/f1"),
-        );
-        bus.emit(Event::new(EventKind::FiberRun).fiber("task-1/f1"));
-        bus.emit(
+            .fiber("task-1/f1")
+        });
+        bus.emit(|| Event::new(EventKind::FiberRun).fiber("task-1/f1"));
+        bus.emit(|| {
             Event::new(EventKind::ServiceCallDispatched { target: "maths:Square".into() })
-                .fiber("task-1/f1"),
-        );
-        bus.emit(
+                .fiber("task-1/f1")
+        });
+        bus.emit(|| {
             Event::new(EventKind::FiberResumed { via: "service-call".into() })
-                .fiber("task-1/f1"),
-        );
-        bus.emit(Event::new(EventKind::FiberDone).fiber("task-1/f1"));
-        bus.emit(
+                .fiber("task-1/f1")
+        });
+        bus.emit(|| Event::new(EventKind::FiberDone).fiber("task-1/f1"));
+        bus.emit(|| {
             Event::new(EventKind::FiberResumed { via: "awake".into() })
-                .fiber("task-1/f0"),
-        );
-        bus.emit(
+                .fiber("task-1/f0")
+        });
+        bus.emit(|| {
             Event::new(EventKind::TaskDone { outcome: "completed".into() })
-                .fiber("task-1/f0"),
-        );
+                .fiber("task-1/f0")
+        });
 
         let set = TimelineSet::build(&emitted(&bus));
         let t = set.task("task-1").unwrap();
@@ -777,8 +777,8 @@ mod tests {
     fn critical_path_without_task_done_is_empty() {
         let bus = EventBus::new();
         bus.set_enabled(true);
-        bus.emit(Event::new(EventKind::TaskStarted).task("task-1"));
-        bus.emit(Event::new(EventKind::FiberRun).fiber("task-1/f0"));
+        bus.emit(|| Event::new(EventKind::TaskStarted).task("task-1"));
+        bus.emit(|| Event::new(EventKind::FiberRun).fiber("task-1/f0"));
         let set = TimelineSet::build(&emitted(&bus));
         let cp = set.task("task-1").unwrap().critical_path();
         assert!(cp.segments.is_empty());
@@ -790,15 +790,15 @@ mod tests {
         let bus = EventBus::new();
         bus.set_enabled(true);
         // A fault naming a task that never started: correlation bug.
-        bus.emit(
+        bus.emit(|| {
             Event::new(EventKind::FaultInjected {
                 fault: "delay".into(),
                 operation: "RunFiber".into(),
             })
-            .task("task-9"),
-        );
+            .task("task-9")
+        });
         // Ambient traffic with no ids: orphan, but not "correlated".
-        bus.emit(Event::new(EventKind::MessageSent {
+        bus.emit(|| Event::new(EventKind::MessageSent {
             service: "admin".into(),
             operation: "Spawn".into(),
         }));

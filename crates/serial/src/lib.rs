@@ -41,13 +41,10 @@ pub use writer::ValueWriter;
 
 /// Format magic.
 pub(crate) const MAGIC: [u8; 2] = [b'G', b'Z'];
-/// Format version written by this crate. v2 adds the symbol/keyword
-/// dictionary ([`Tag::SymRef`]/[`Tag::KwRef`]), string content
-/// deduplication, and delta snapshot records; v1 payloads (which never
-/// contain the new tags) are still read.
+/// Format version written by this crate, and the only one it reads. v2
+/// has the symbol/keyword dictionary ([`Tag::SymRef`]/[`Tag::KwRef`]),
+/// string content deduplication, and delta snapshot records.
 pub(crate) const VERSION: u8 = 2;
-/// Oldest envelope version the reader accepts.
-pub(crate) const MIN_VERSION: u8 = 1;
 /// First payload byte of a delta snapshot record — distinguishes a delta
 /// from a full state, whose first byte is a varint (bit 7 clear for any
 /// plausible restart counter) so the two cannot be confused.
@@ -418,7 +415,7 @@ fn strip_envelope(bytes: &[u8]) -> Result<std::borrow::Cow<'_, [u8]>, SerError> 
     if bytes.len() < 4 || bytes[0..2] != MAGIC {
         return Err(SerError::new("bad magic"));
     }
-    if !(MIN_VERSION..=VERSION).contains(&bytes[2]) {
+    if bytes[2] != VERSION {
         return Err(SerError::new(format!("unsupported version {}", bytes[2])));
     }
     let codec = Codec::from_tag(bytes[3])
@@ -505,10 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn envelope_accepts_version_range_and_borrows_uncompressed() {
-        // v1 envelopes (pre-dictionary) still open.
-        let v1 = [b'G', b'Z', 1, 0, 42, 43];
-        assert_eq!(&*strip_envelope(&v1).unwrap(), &[42, 43]);
+    fn envelope_accepts_one_version_and_borrows_uncompressed() {
+        for other in [VERSION - 1, VERSION + 1] {
+            let err = strip_envelope(&[b'G', b'Z', other, 0, 42, 43]).unwrap_err();
+            assert!(err.0.contains("unsupported version"), "{err}");
+        }
         // Codec::None borrows the payload without copying.
         let v2 = [b'G', b'Z', VERSION, 0, 9, 9, 9];
         match strip_envelope(&v2).unwrap() {

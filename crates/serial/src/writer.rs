@@ -115,8 +115,8 @@ impl ValueWriter {
     }
 
     /// A writer with the symbol/keyword dictionary disabled — every
-    /// occurrence re-encodes its name, as format v1 did. Only useful for
-    /// comparing the two encodings in tests.
+    /// occurrence re-encodes its name. The reference encoding tests
+    /// compare the dictionary against.
     #[doc(hidden)]
     pub fn without_dictionary() -> ValueWriter {
         let mut w = ValueWriter::new();

@@ -310,7 +310,7 @@ fn corrupt_deep_nesting_is_an_error_not_a_crash() {
         payload.push(1u8); // count = 1 (varint)
     }
     payload.push(0u8); // innermost Nil
-    let mut bytes = vec![b'G', b'Z', 1, 0];
+    let mut bytes = vec![b'G', b'Z', 2, 0];
     bytes.extend_from_slice(&payload);
     let gvm = Gvm::with_pool_size(1);
     let err = deserialize_value(&bytes, &gvm).unwrap_err();

@@ -59,7 +59,6 @@ pub mod service;
 pub mod store;
 pub mod supervisor;
 pub mod testing;
-pub mod trace;
 pub mod tracker;
 
 pub use cache::{CacheStats, FiberCache};
@@ -75,5 +74,4 @@ pub use store::{
 };
 pub use supervisor::{RetryPolicy, SupervisorConfig};
 pub use gozer_obs::{FlightDump, FlightRecorder, FnProfile, ProfileReport, SerialCostSnapshot};
-pub use trace::{Trace, TraceEvent, TraceKind};
 pub use tracker::{TaskRecord, TaskStatus, TaskTracker};

@@ -8,13 +8,13 @@ use std::time::{Duration, Instant};
 
 use bluebox::Message;
 use gozer_lang::{AssocMap, Symbol, Value};
+use gozer_obs::EventKind;
 use gozer_serial::{deserialize_value, serialize_value};
 use gozer_vm::{
     Condition, Gvm, NativeCtx, NativeFn, NativeOutcome, ObjectVal, Unwind, VmError, VmResult,
 };
 
 use crate::service::Inner;
-use crate::trace::TraceKind;
 
 /// Instance id recorded for events that originate inside fiber code
 /// rather than an operation handler.
@@ -157,13 +157,9 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
             .store
             .put(&children_key, children.as_bytes())
             .map_err(|e| VmError::msg(e.to_string()))?;
-        inner.trace.record(
-            rt.node_id,
-            IN_FIBER,
-            &task_id,
-            &parent_id,
-            TraceKind::Fork(child_id.clone()),
-        );
+        inner.emit(rt.node_id, IN_FIBER, &parent_id, || EventKind::FiberForked {
+            child: child_id.clone(),
+        });
         // Children inherit the task's deadline so deadline-aware queue
         // policies can order their RunFiber messages too.
         let deadline = inner.tracker.get(&task_id).and_then(|r| r.deadline);
@@ -223,13 +219,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         };
         let inner = up(&w)?;
         let from = ext_str(ctx, "fiber-id", "awake").unwrap_or_default();
-        // AwakeFiber requests are low priority (§5).
-        inner.cluster.send(
-            Message::new(&inner.name, "AwakeFiber", Vec::new())
-                .header("fiber-id", pid)
-                .header("from-child", from)
-                .with_priority(-1),
-        );
+        inner.send_awake(pid, &from);
         NativeOutcome::ok(Value::Nil)
     });
 
@@ -243,13 +233,9 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         // Record the correlation before sending, so even an instant
         // reply finds the mapping.
         let correlation = inner.cluster.allocate_correlation();
-        inner.trace.record(
-            node_id_of(ctx),
-            IN_FIBER,
-            ext_str(ctx, "task-id", "call").unwrap_or_default().as_str(),
-            &fiber_id,
-            TraceKind::ServiceCall(format!("{service}:{operation}")),
-        );
+        inner.emit(node_id_of(ctx), IN_FIBER, &fiber_id, || EventKind::ServiceCallDispatched {
+            target: format!("{service}:{operation}"),
+        });
         // Stamp the workflow ids on the request: the broker copies them
         // onto the ResumeFromCall reply, so faults injected into either
         // leg correlate back to this fiber's timeline.

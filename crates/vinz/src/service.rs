@@ -36,7 +36,6 @@ use crate::cache::FiberCache;
 use crate::locks::{InProcessLocks, LockGuard, LockManager};
 use crate::store::{MemStore, StateStore, Watermark};
 use crate::supervisor::{self, RetryPolicy, SupervisorConfig};
-use crate::trace::{Trace, TraceKind};
 use crate::tracker::{TaskRecord, TaskStatus, TaskTracker};
 
 /// Node id used by the client-side (non-instance) runtime.
@@ -257,7 +256,6 @@ pub(crate) struct Inner {
     pub config: VinzConfig,
     pub tracker: TaskTracker,
     pub obs: Arc<Obs>,
-    pub trace: Trace,
     pub metrics: Arc<VinzMetrics>,
     pub serial_costs: Arc<SerialCosts>,
     /// Start→complete latency histogram (`gozer_task_latency_seconds`),
@@ -408,7 +406,6 @@ impl WorkflowServiceBuilder {
             locks: self.locks,
             config: self.config,
             tracker: TaskTracker::new(),
-            trace: Trace::over(obs.clone()),
             obs,
             metrics,
             serial_costs,
@@ -734,21 +731,18 @@ impl WorkflowService {
     }
 }
 
-/// The unified observability view of a deployed workflow service,
-/// returned by [`WorkflowService::obs`]. One handle replaces the former
-/// per-facet getters (`trace()`, `set_tracing()`, `metrics()`,
-/// `tracker()`): tracing toggle, correlated event stream, span-tree
-/// timelines, Vinz counters, the task tracker, and the cluster-wide
-/// Prometheus-style text exporter.
+/// The observability view of a deployed workflow service, returned by
+/// [`WorkflowService::obs`]: tracing toggle, correlated event stream,
+/// span-tree timelines, Vinz counters, the task tracker, and the
+/// cluster-wide Prometheus-style text exporter.
 #[derive(Clone)]
 pub struct WorkflowObs {
     inner: Arc<Inner>,
 }
 
 impl WorkflowObs {
-    /// Toggle event collection on the shared cluster bus (what
-    /// "tracing" means post-unification: broker, workflow and VM events
-    /// all start or stop together).
+    /// Toggle event collection on the shared cluster bus: broker,
+    /// workflow and VM events all start or stop together.
     pub fn set_tracing(&self, on: bool) {
         self.inner.obs.bus.set_enabled(on);
     }
@@ -762,12 +756,6 @@ impl WorkflowObs {
     /// emission order.
     pub fn events(&self) -> Vec<Event> {
         self.inner.obs.bus.snapshot()
-    }
-
-    /// The workflow-lifecycle view of the stream (the pre-unification
-    /// [`Trace`] shape, with broker/VM events filtered out).
-    pub fn trace_view(&self) -> &Trace {
-        &self.inner.trace
     }
 
     /// Reconstruct per-task span trees from the event stream.
@@ -1148,10 +1136,13 @@ impl Inner {
                     // events (FiberDone / TaskDone).
                     FiberObsKind::Completed | FiberObsKind::Failed => return,
                 };
-                let task = e.ext.get("task-id").and_then(|v| v.as_str().map(str::to_owned));
-                let fiber = e.ext.get("fiber-id").and_then(|v| v.as_str().map(str::to_owned));
-                obs.bus
-                    .emit(Event::new(kind).node(node_id).task_opt(task).fiber_opt(fiber));
+                obs.bus.emit(|| {
+                    let id = |slot| e.ext.get(slot).and_then(|v| v.as_str().map(str::to_owned));
+                    Event::new(kind)
+                        .node(node_id)
+                        .task_opt(id("task-id"))
+                        .fiber_opt(id("fiber-id"))
+                });
             })));
             // Profiling is enabled only now, after the prelude and the
             // workflow source have loaded: load-time opcode execution
@@ -1246,6 +1237,25 @@ impl Inner {
         fiber_id.split('/').next().unwrap_or(fiber_id)
     }
 
+    /// Emit a workflow-lifecycle event about `fiber_id`. `kind` runs
+    /// only while the bus is on, so whatever it clones or formats costs
+    /// nothing otherwise.
+    pub(crate) fn emit(
+        &self,
+        node: u32,
+        instance: u64,
+        fiber_id: &str,
+        kind: impl FnOnce() -> EventKind,
+    ) {
+        self.obs.bus.emit(|| {
+            Event::new(kind())
+                .node(node)
+                .instance(instance)
+                .task(Inner::task_of(fiber_id))
+                .fiber(fiber_id)
+        });
+    }
+
     // ---- persistence ----------------------------------------------------
 
     /// Snapshot-chain metadata for a fiber: `(version, generation,
@@ -1253,9 +1263,9 @@ impl Inner {
     /// validity token); the *generation* names the current full-snapshot
     /// base key (bumped on compaction so a crashed compaction can never
     /// pair a new base with stale deltas); *chain_len* counts the delta
-    /// records stacked on that base. A 24-byte little-endian record;
-    /// legacy 8-byte records (pre-delta deployments) parse as
-    /// generation 0, chain 0.
+    /// records stacked on that base. A 24-byte little-endian record; a
+    /// shorter one (damaged, or written by something else) reads its
+    /// missing bytes as zero rather than failing the parse.
     fn fiber_meta(&self, fiber_id: &str) -> Result<(u64, u64, u64), VinzError> {
         Ok(self
             .store
@@ -1284,8 +1294,8 @@ impl Inner {
         rec
     }
 
-    /// Store key of a fiber's full-snapshot base. Generation 0 keeps the
-    /// plain pre-delta key so legacy records stay loadable.
+    /// Store key of a fiber's full-snapshot base; generation 0, the
+    /// first, has the plain key.
     fn base_key(fiber_id: &str, generation: u64) -> String {
         if generation == 0 {
             format!("fiber/{fiber_id}")
@@ -1432,13 +1442,9 @@ impl Inner {
         self.metrics
             .persist_bytes
             .fetch_add(saved_len as u64, Ordering::Relaxed);
-        self.trace.record(
-            rt.node_id,
-            instance,
-            Inner::task_of(fiber_id),
-            fiber_id,
-            TraceKind::Persist(saved_len),
-        );
+        self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberPersisted {
+            bytes: saved_len,
+        });
         Ok(())
     }
 
@@ -1455,13 +1461,9 @@ impl Inner {
         self.tracker.note_phase(Inner::task_of(fiber_id), Phase::Deserialize);
         let (version, generation, chain) = self.fiber_meta(fiber_id)?;
         if let Some(state) = rt.cache.get_fiber(fiber_id, version) {
-            self.trace.record(
-                rt.node_id,
-                instance,
-                Inner::task_of(fiber_id),
-                fiber_id,
-                TraceKind::Load(true),
-            );
+            self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberLoaded {
+                cache_hit: true,
+            });
             return Ok(state);
         }
         let bytes = self
@@ -1489,13 +1491,9 @@ impl Inner {
         }
         rt.cache.put_fiber(fiber_id, version, state.clone());
         self.metrics.load_count.fetch_add(1, Ordering::Relaxed);
-        self.trace.record(
-            rt.node_id,
-            instance,
-            Inner::task_of(fiber_id),
-            fiber_id,
-            TraceKind::Load(false),
-        );
+        self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberLoaded {
+            cache_hit: false,
+        });
         Ok(state)
     }
 
@@ -1586,8 +1584,7 @@ impl Inner {
 
         self.save_fiber(&rt, ctx.instance_id, &fiber_id, state)?;
         self.set_phase(&fiber_id, "initial")?;
-        self.trace
-            .record(ctx.node_id, ctx.instance_id, &task_id, &fiber_id, TraceKind::Start);
+        self.emit(ctx.node_id, ctx.instance_id, &fiber_id, || EventKind::TaskStarted);
         self.tracker.note_phase(&task_id, Phase::QueueWait);
         self.send_run_fiber(&fiber_id, deadline);
         Ok(task_id.into_bytes())
@@ -1603,6 +1600,26 @@ impl Inner {
             msg = msg.with_deadline(d);
         }
         self.cluster.send(self.stamp_affinity(msg, fiber_id));
+    }
+
+    /// Send the AwakeFiber message that tells `parent_id` its child
+    /// `child_id` has finished. AwakeFiber messages are low priority
+    /// (§5).
+    pub(crate) fn send_awake(&self, parent_id: &str, child_id: &str) {
+        let msg = Message::new(&self.name, "AwakeFiber", Vec::new())
+            .header("fiber-id", parent_id)
+            .header("from-child", child_id)
+            .with_priority(-1);
+        self.cluster.send(self.stamp_affinity(msg, parent_id));
+    }
+
+    /// Send the JoinProcess message that hands `waiter` the result of
+    /// `target`.
+    pub(crate) fn send_join(&self, waiter: &str, target: &str) {
+        let msg = Message::new(&self.name, "JoinProcess", Vec::new())
+            .header("fiber-id", waiter)
+            .header("target", target);
+        self.cluster.send(self.stamp_affinity(msg, waiter));
     }
 
     /// Stamp a fiber-bound message with the node that last persisted the
@@ -1658,100 +1675,47 @@ impl Inner {
 
     /// RunFiber: execute a fiber from its persisted continuation.
     fn op_run_fiber(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
-        let fiber_id = msg
-            .get_header("fiber-id")
-            .ok_or_else(|| VinzError("RunFiber requires fiber-id".into()))?
-            .to_string();
-        let task_id = Inner::task_of(&fiber_id).to_string();
-        // Fibers of finished tasks terminate "in short order" (§3.7).
-        if self.task_finished(&task_id) {
-            self.tracker.fiber_finished(&task_id);
-            return Ok(Vec::new());
-        }
-        let Some(_guard) = self
-            .locks
-            .acquire(&format!("fiber/{fiber_id}"), self.config.fiber_lock_timeout)
-        else {
-            // Could not get the fiber; hand the message back to the queue.
-            self.cluster.send(msg.clone());
-            return Ok(Vec::new());
-        };
-        // At-least-once: a redelivered RunFiber for a fiber that has
-        // already run (and suspended or finished) must be dropped — the
-        // persisted continuation expects a *resume*, not a re-entry.
-        if self.get_phase(&fiber_id)? != "initial" {
-            return Ok(Vec::new());
-        }
-        let rt = self.node_runtime(ctx.node_id)?;
-        self.check_task_def(&rt, &task_id)?;
-        let state = self.load_fiber(&rt, ctx.instance_id, &fiber_id)?;
-        self.metrics.fibers_run.fetch_add(1, Ordering::Relaxed);
-        self.trace
-            .record(ctx.node_id, ctx.instance_id, &task_id, &fiber_id, TraceKind::RunFiber);
-        self.drive_fiber(ctx, &rt, &fiber_id, state, None)
+        let fiber_id = required_header(msg, "fiber-id")?;
+        self.enter_fiber(
+            ctx,
+            msg,
+            fiber_id,
+            self.config.fiber_lock_timeout,
+            "initial",
+            None,
+            |why| {
+                // A fiber that never ran, and now never will, still
+                // counts as finished.
+                if why == "finished" {
+                    self.tracker.fiber_finished(Inner::task_of(fiber_id));
+                }
+            },
+            |_| Ok(Some(None)),
+        )
     }
 
     /// AwakeFiber: resume a parent awaiting children (§3.5), with the §5
     /// bounded lock wait.
     fn op_awake_fiber(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
-        let fiber_id = msg
-            .get_header("fiber-id")
-            .ok_or_else(|| VinzError("AwakeFiber requires fiber-id".into()))?
-            .to_string();
-        let task_id = Inner::task_of(&fiber_id).to_string();
-        if self.task_finished(&task_id) {
-            return Ok(Vec::new());
-        }
-        let Some(guard) = self
-            .locks
-            .acquire(&format!("fiber/{fiber_id}"), self.config.awake_wait_limit)
-        else {
-            // §5: give up and go back on the queue rather than hold the
-            // instance hostage.
-            self.metrics.awake_retries.fetch_add(1, Ordering::Relaxed);
-            self.trace
-                .record(ctx.node_id, ctx.instance_id, &task_id, &fiber_id, TraceKind::AwakeRetry);
-            self.cluster.send(msg.clone());
-            return Ok(Vec::new());
-        };
-        match self.get_phase(&fiber_id)?.as_str() {
-            // Fiber finished; a late or duplicate wake-up is meaningless.
-            "done" => return Ok(Vec::new()),
-            // The child finished before its parent even started (or
-            // before the parent's first suspension persisted).
-            "initial" => return self.retry_shortly(guard, msg),
-            _ => {}
-        }
-        let rt = self.node_runtime(ctx.node_id)?;
-        self.check_task_def(&rt, &task_id)?;
-        let mut state = self.load_fiber(&rt, ctx.instance_id, &fiber_id)?;
-        // Deduplicate: each child's termination wake-up counts once, even
-        // when the broker redelivers it (at-least-once). The consumed set
-        // travels with the continuation.
-        if let Some(from) = msg.get_header("from-child") {
-            let consumed = state
-                .ext
-                .get("awakes-consumed")
-                .and_then(Value::as_list)
-                .map(<[Value]>::to_vec)
-                .unwrap_or_default();
-            if consumed.iter().any(|v| v.as_str() == Some(from)) {
-                return Ok(Vec::new());
-            }
-            let mut consumed = consumed;
-            consumed.push(Value::str(from));
-            state.ext.set("awakes-consumed", Value::list(consumed));
-        }
-        self.metrics.resumes.fetch_add(1, Ordering::Relaxed);
-        self.trace.record(
-            ctx.node_id,
-            ctx.instance_id,
-            &task_id,
-            &fiber_id,
-            TraceKind::Resume("awake".into()),
-        );
-        self.suspended_dec();
-        self.drive_fiber(ctx, &rt, &fiber_id, state, Some(Value::Nil))
+        let fiber_id = required_header(msg, "fiber-id")?;
+        self.enter_fiber(
+            ctx,
+            msg,
+            fiber_id,
+            self.config.awake_wait_limit,
+            "suspended",
+            // Each child's termination wake-up counts once.
+            msg.get_header("from-child").map(|child| ("awakes-consumed", child)),
+            |why| {
+                // §5: give up and go back on the queue rather than hold
+                // the instance hostage.
+                if why == "busy" {
+                    self.metrics.awake_retries.fetch_add(1, Ordering::Relaxed);
+                    self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::AwakeRetry);
+                }
+            },
+            |_| Ok(Some(Some(("awake", Value::Nil)))),
+        )
     }
 
     /// ResumeFromCall: deliver a service reply to the fiber that made the
@@ -1761,162 +1725,183 @@ impl Inner {
         ctx: &ServiceCtx,
         msg: &Message,
     ) -> Result<Vec<u8>, VinzError> {
-        let correlation = msg
-            .get_header("correlation")
-            .ok_or_else(|| VinzError("ResumeFromCall requires correlation".into()))?
-            .to_string();
+        let correlation = required_header(msg, "correlation")?;
         let corr_key = format!("corr/{correlation}");
         let Some(fiber_bytes) = self.store.get(&corr_key).map_err(|e| VinzError(e.to_string()))?
         else {
             // Unknown or duplicate correlation (at-least-once delivery).
             return Ok(Vec::new());
         };
-        let fiber_id = String::from_utf8_lossy(&fiber_bytes).into_owned();
-        let task_id = Inner::task_of(&fiber_id).to_string();
+        let fiber_id = String::from_utf8_lossy(&fiber_bytes);
         let call_req_key = format!("call-req/{correlation}");
-        if self.task_finished(&task_id) {
+        let forget_call = || {
             let _ = self.store.delete(&corr_key);
             let _ = self.store.delete(&call_req_key);
-            return Ok(Vec::new());
-        }
-        let Some(guard) = self
-            .locks
-            .acquire(&format!("fiber/{fiber_id}"), self.config.fiber_lock_timeout)
-        else {
-            self.cluster.send(msg.clone());
-            return Ok(Vec::new());
         };
-        match self.get_phase(&fiber_id)?.as_str() {
-            "done" => {
-                let _ = self.store.delete(&corr_key);
-                let _ = self.store.delete(&call_req_key);
-                return Ok(Vec::new());
-            }
-            // The reply won the race against the caller's suspension
-            // persist.
-            "initial" => return self.retry_shortly(guard, msg),
-            _ => {}
-        }
-        // Engine-level retry: a faulted reply with attempts left on the
-        // durable call record is re-dispatched (same correlation, so a
-        // late original reply still resumes the fiber) instead of being
-        // surfaced to the workflow. The fiber only sees the fault once
-        // the budget is spent.
-        if msg.get_header("fault-code").is_some() {
-            if let Ok(Some(bytes)) = self.store.get(&call_req_key) {
-                if let Some(mut req) = crate::supervisor::CallReq::decode(&bytes) {
-                    if req.attempts < self.config.retry.max_attempts {
-                        req.attempts += 1;
-                        self.store
-                            .put(&call_req_key, &req.encode())
-                            .map_err(|e| VinzError(e.to_string()))?;
-                        let corr_num = correlation.parse::<u64>().unwrap_or(0);
-                        let delay = self.config.retry.delay_for(req.attempts - 1, corr_num);
-                        self.metrics.calls_retried.fetch_add(1, Ordering::Relaxed);
-                        self.obs.bus.emit(
-                            gozer_obs::Event::new(gozer_obs::EventKind::CallRetried {
-                                attempt: req.attempts,
-                            })
-                            .task(task_id.as_str())
-                            .fiber(fiber_id.as_str()),
-                        );
-                        self.cluster
-                            .send_after(req.to_message(&self.name, corr_num), delay);
-                        return Ok(Vec::new());
+        self.enter_fiber(
+            ctx,
+            msg,
+            &fiber_id,
+            self.config.fiber_lock_timeout,
+            "suspended",
+            None,
+            |why| {
+                // Nobody is left to take the reply.
+                if why != "busy" {
+                    forget_call();
+                }
+            },
+            |rt| {
+                // Engine-level retry: a faulted reply with attempts left
+                // on the durable call record is re-dispatched (same
+                // correlation, so a late original reply still resumes
+                // the fiber) instead of being surfaced to the workflow.
+                // The fiber only sees the fault once the budget is spent.
+                if msg.get_header("fault-code").is_some() {
+                    if let Ok(Some(bytes)) = self.store.get(&call_req_key) {
+                        if let Some(mut req) = crate::supervisor::CallReq::decode(&bytes) {
+                            if req.attempts < self.config.retry.max_attempts {
+                                req.attempts += 1;
+                                self.store
+                                    .put(&call_req_key, &req.encode())
+                                    .map_err(|e| VinzError(e.to_string()))?;
+                                let corr_num = correlation.parse::<u64>().unwrap_or(0);
+                                let delay = self.config.retry.delay_for(req.attempts - 1, corr_num);
+                                self.metrics.calls_retried.fetch_add(1, Ordering::Relaxed);
+                                self.obs.bus.emit(|| {
+                                    Event::new(EventKind::CallRetried {
+                                        attempt: req.attempts,
+                                    })
+                                    .fiber(&*fiber_id)
+                                });
+                                self.cluster
+                                    .send_after(req.to_message(&self.name, corr_num), delay);
+                                return Ok(None);
+                            }
+                        }
                     }
                 }
-            }
-        }
-        let _ = self.store.delete(&corr_key);
-        let _ = self.store.delete(&call_req_key);
-        let rt = self.node_runtime(ctx.node_id)?;
-        self.check_task_def(&rt, &task_id)?;
-        // The resume value is the response map the generated deflink stubs
-        // hand to parse-wsdl-response.
-        let mut resp = gozer_lang::AssocMap::new();
-        if !msg.body.is_empty() {
-            let body = deserialize_value(&msg.body, &rt.gvm)
-                .map_err(|e| VinzError(format!("bad reply body: {e}")))?;
-            resp.insert(Value::keyword("body"), body);
-        }
-        if let Some(code) = msg.get_header("fault-code") {
-            resp.insert(Value::keyword("fault-code"), Value::str(code));
-            resp.insert(
-                Value::keyword("fault-message"),
-                Value::str(msg.get_header("fault-message").unwrap_or("")),
-            );
-        }
-        let resume = Value::Map(Arc::new(resp));
-        let state = self.load_fiber(&rt, ctx.instance_id, &fiber_id)?;
-        self.metrics.resumes.fetch_add(1, Ordering::Relaxed);
-        self.trace.record(
-            ctx.node_id,
-            ctx.instance_id,
-            &task_id,
-            &fiber_id,
-            TraceKind::Resume("service-call".into()),
-        );
-        self.suspended_dec();
-        self.drive_fiber(ctx, &rt, &fiber_id, state, Some(resume))
+                forget_call();
+                // The resume value is the response map the generated
+                // deflink stubs hand to parse-wsdl-response.
+                let mut resp = gozer_lang::AssocMap::new();
+                if !msg.body.is_empty() {
+                    let body = deserialize_value(&msg.body, &rt.gvm)
+                        .map_err(|e| VinzError(format!("bad reply body: {e}")))?;
+                    resp.insert(Value::keyword("body"), body);
+                }
+                if let Some(code) = msg.get_header("fault-code") {
+                    resp.insert(Value::keyword("fault-code"), Value::str(code));
+                    resp.insert(
+                        Value::keyword("fault-message"),
+                        Value::str(msg.get_header("fault-message").unwrap_or("")),
+                    );
+                }
+                Ok(Some(Some(("service-call", Value::Map(Arc::new(resp))))))
+            },
+        )
     }
 
     /// JoinProcess: resume a fiber waiting on another fiber's
     /// termination, delivering the target's result.
     fn op_join_process(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
-        let fiber_id = msg
-            .get_header("fiber-id")
-            .ok_or_else(|| VinzError("JoinProcess requires fiber-id".into()))?
-            .to_string();
-        let target = msg.get_header("target").unwrap_or("").to_string();
-        let task_id = Inner::task_of(&fiber_id).to_string();
-        if self.task_finished(&task_id) {
+        let fiber_id = required_header(msg, "fiber-id")?;
+        let target = msg.get_header("target").unwrap_or("");
+        self.enter_fiber(
+            ctx,
+            msg,
+            fiber_id,
+            self.config.fiber_lock_timeout,
+            "suspended",
+            // Redelivered join wake-ups are told apart by target.
+            Some(("joins-consumed", target)),
+            |_| {},
+            |rt| {
+                let result = match self.load_immutable(rt, &format!("result/{target}"))? {
+                    Some(bytes) => deserialize_value(&bytes, &rt.gvm)
+                        .map_err(|e| VinzError(format!("bad result for {target}: {e}")))?,
+                    None => Value::Nil,
+                };
+                Ok(Some(Some(("join", result))))
+            },
+        )
+    }
+
+    /// The one way into a persisted fiber: RunFiber, AwakeFiber,
+    /// ResumeFromCall and JoinProcess (Table 1) are this protocol, run
+    /// on what each hands in.
+    ///
+    /// * `lock_wait` — how long to wait for the fiber lock before the
+    ///   message goes back on the queue.
+    /// * `answers` — the fiber phase the message is for: `initial` for
+    ///   a first run, `suspended` for a resume. Under at-least-once
+    ///   delivery a message can find its fiber elsewhere: still
+    ///   `initial` means it beat the suspension it answers and is
+    ///   retried shortly; anything else means it is late or a duplicate
+    ///   (the continuation of a suspended fiber expects a *resume*, not
+    ///   a re-entry; a finished fiber expects nothing) and is dropped.
+    /// * `once` — `(ext slot, key)`: the wake-up counts once per key,
+    ///   even when the broker redelivers it. The consumed set travels
+    ///   with the continuation.
+    /// * `turned_away` — told why a message did not reach its fiber:
+    ///   `finished` (the task is), `busy` (the lock wait ran out), or
+    ///   the stale phase it found.
+    /// * `resume` — runs under the fiber lock once the phase matches:
+    ///   `Some(None)` runs the fiber from the top, `Some(Some((via,
+    ///   value)))` resumes it with `value`, `None` means the message
+    ///   was used up some other way and the fiber stays as it is.
+    #[allow(clippy::too_many_arguments)]
+    fn enter_fiber(
+        self: &Arc<Inner>,
+        ctx: &ServiceCtx,
+        msg: &Message,
+        fiber_id: &str,
+        lock_wait: Duration,
+        answers: &str,
+        once: Option<(&str, &str)>,
+        turned_away: impl Fn(&str),
+        resume: impl FnOnce(&NodeRuntime) -> Result<Option<Option<(&'static str, Value)>>, VinzError>,
+    ) -> Result<Vec<u8>, VinzError> {
+        let task_id = Inner::task_of(fiber_id);
+        // Fibers of finished tasks terminate "in short order" (§3.7).
+        if self.task_finished(task_id) {
+            turned_away("finished");
             return Ok(Vec::new());
         }
-        let Some(guard) = self
-            .locks
-            .acquire(&format!("fiber/{fiber_id}"), self.config.fiber_lock_timeout)
-        else {
+        let Some(guard) = self.locks.acquire(&format!("fiber/{fiber_id}"), lock_wait) else {
+            // Could not get the fiber; hand the message back to the queue.
+            turned_away("busy");
             self.cluster.send(msg.clone());
             return Ok(Vec::new());
         };
-        match self.get_phase(&fiber_id)?.as_str() {
-            "done" => return Ok(Vec::new()),
+        match self.get_phase(fiber_id)?.as_str() {
+            phase if phase == answers => {}
             "initial" => return self.retry_shortly(guard, msg),
-            _ => {}
+            phase => {
+                turned_away(phase);
+                return Ok(Vec::new());
+            }
         }
         let rt = self.node_runtime(ctx.node_id)?;
-        self.check_task_def(&rt, &task_id)?;
-        let result = match self.load_immutable(&rt, &format!("result/{target}"))? {
-            Some(bytes) => deserialize_value(&bytes, &rt.gvm)
-                .map_err(|e| VinzError(format!("bad result for {target}: {e}")))?,
-            None => Value::Nil,
+        self.check_task_def(&rt, task_id)?;
+        let Some(resume) = resume(&rt)? else {
+            return Ok(Vec::new());
         };
-        let mut state = self.load_fiber(&rt, ctx.instance_id, &fiber_id)?;
-        // Deduplicate redelivered join wake-ups by target.
-        {
-            let consumed = state
+        let mut state = self.load_fiber(&rt, ctx.instance_id, fiber_id)?;
+        if let Some((slot, key)) = once {
+            let mut consumed = state
                 .ext
-                .get("joins-consumed")
+                .get(slot)
                 .and_then(Value::as_list)
                 .map(<[Value]>::to_vec)
                 .unwrap_or_default();
-            if consumed.iter().any(|v| v.as_str() == Some(target.as_str())) {
+            if consumed.iter().any(|v| v.as_str() == Some(key)) {
                 return Ok(Vec::new());
             }
-            let mut consumed = consumed;
-            consumed.push(Value::str(&target));
-            state.ext.set("joins-consumed", Value::list(consumed));
+            consumed.push(Value::str(key));
+            state.ext.set(slot, Value::list(consumed));
         }
-        self.metrics.resumes.fetch_add(1, Ordering::Relaxed);
-        self.trace.record(
-            ctx.node_id,
-            ctx.instance_id,
-            &task_id,
-            &fiber_id,
-            TraceKind::Resume("join".into()),
-        );
-        self.suspended_dec();
-        self.drive_fiber(ctx, &rt, &fiber_id, state, Some(result))
+        self.drive_fiber(ctx, &rt, fiber_id, state, resume)
     }
 
     /// A wake-up found its fiber still in phase "initial": it beat the
@@ -1976,16 +1961,17 @@ impl Inner {
         }
     }
 
-    /// Run or resume a fiber (the lock must be held by the caller) and
-    /// deal with the outcome: completion, suspension, break, terminate,
-    /// or failure.
+    /// Run a fiber from the top (`resume` is `None`) or resume it with a
+    /// value and the way it arrived (`awake`, `service-call`, `join`),
+    /// and deal with the outcome: completion, suspension, break,
+    /// terminate, or failure. The caller holds the fiber lock.
     fn drive_fiber(
         self: &Arc<Inner>,
         ctx: &ServiceCtx,
         rt: &Arc<NodeRuntime>,
         fiber_id: &str,
         state: FiberState,
-        resume: Option<Value>,
+        resume: Option<(&'static str, Value)>,
     ) -> Result<Vec<u8>, VinzError> {
         let task_id = Inner::task_of(fiber_id).to_string();
         // Capture identity metadata before the state is consumed.
@@ -2002,8 +1988,19 @@ impl Inner {
 
         self.tracker.note_phase(&task_id, Phase::VmExec);
         let outcome = match resume {
-            None => rt.gvm.run_fiber(state),
-            Some(v) => rt.gvm.resume_fiber(state, v),
+            None => {
+                self.metrics.fibers_run.fetch_add(1, Ordering::Relaxed);
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberRun);
+                rt.gvm.run_fiber(state)
+            }
+            Some((via, value)) => {
+                self.metrics.resumes.fetch_add(1, Ordering::Relaxed);
+                self.suspended_dec();
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberResumed {
+                    via: via.into(),
+                });
+                rt.gvm.resume_fiber(state, value)
+            }
         };
         match outcome {
             Ok(RunOutcome::Done(value)) => {
@@ -2011,13 +2008,9 @@ impl Inner {
             }
             Ok(RunOutcome::Suspended(susp)) => {
                 let reason = suspension_reason(&susp.payload);
-                self.trace.record(
-                    ctx.node_id,
-                    ctx.instance_id,
-                    &task_id,
-                    fiber_id,
-                    TraceKind::Yield(reason.clone()),
-                );
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberYield {
+                    reason: reason.clone(),
+                });
                 // What the fiber is now waiting *on* decides where its
                 // wall-clock goes: a dispatched call accrues
                 // service_wait, children/join wait on broker messages
@@ -2061,13 +2054,9 @@ impl Inner {
             Err(VmError::Unwind(Unwind::TerminateTask(cond))) => {
                 self.set_phase(fiber_id, "done")?;
                 self.tracker.fiber_finished(&task_id);
-                self.trace.record(
-                    ctx.node_id,
-                    ctx.instance_id,
-                    &task_id,
-                    fiber_id,
-                    TraceKind::TaskDone("terminated".into()),
-                );
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
+                    outcome: "terminated".into(),
+                });
                 self.finish_task(&task_id, TaskStatus::Terminated(cond));
             }
             Err(e) => {
@@ -2077,13 +2066,9 @@ impl Inner {
                 let cond = e.to_condition();
                 self.set_phase(fiber_id, "done")?;
                 self.tracker.fiber_finished(&task_id);
-                self.trace.record(
-                    ctx.node_id,
-                    ctx.instance_id,
-                    &task_id,
-                    fiber_id,
-                    TraceKind::TaskDone("failed".into()),
-                );
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
+                    outcome: "failed".into(),
+                });
                 // Black box: capture the failure context before the
                 // tracker wakes any waiting client (who may tear the
                 // deployment down immediately).
@@ -2126,8 +2111,7 @@ impl Inner {
         self.hot.write().remove(fiber_id);
         self.set_phase(fiber_id, "done")?;
         self.tracker.fiber_finished(task_id);
-        self.trace
-            .record(ctx.node_id, ctx.instance_id, task_id, fiber_id, TraceKind::FiberDone);
+        self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberDone);
         // Until another of the task's fibers activates (or the root
         // finish below closes the ledger) the task is waiting on the
         // broker.
@@ -2138,38 +2122,21 @@ impl Inner {
         // do not.
         if notify_parent {
             if let Some(parent_id) = &parent {
-                self.trace.record(
-                    ctx.node_id,
-                    ctx.instance_id,
-                    task_id,
-                    fiber_id,
-                    TraceKind::AwakeSent(parent_id.clone()),
-                );
-                // AwakeFiber messages are low priority (§5).
-                self.cluster.send(
-                    self.stamp_affinity(
-                        Message::new(&self.name, "AwakeFiber", Vec::new())
-                            .header("fiber-id", parent_id.as_str())
-                            .header("from-child", fiber_id)
-                            .with_priority(-1),
-                        parent_id,
-                    ),
-                );
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::AwakeSent {
+                    parent: parent_id.clone(),
+                });
+                self.send_awake(parent_id, fiber_id);
             }
         }
         // Wake any join-process waiters.
         self.notify_join_waiters(fiber_id)?;
         if is_root {
-            // Record the trace event *before* finishing the task: the
-            // finish notification wakes waiting clients, who may read the
-            // trace immediately.
-            self.trace.record(
-                ctx.node_id,
-                ctx.instance_id,
-                task_id,
-                fiber_id,
-                TraceKind::TaskDone("completed".into()),
-            );
+            // Emit the event *before* finishing the task: the finish
+            // notification wakes waiting clients, who may read the
+            // event stream immediately.
+            self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
+                outcome: "completed".into(),
+            });
             self.finish_task(task_id, TaskStatus::Completed(value));
         }
         Ok(())
@@ -2242,17 +2209,16 @@ impl Inner {
             list
         };
         for waiter in waiters.split(',').filter(|w| !w.is_empty()) {
-            self.cluster.send(
-                self.stamp_affinity(
-                    Message::new(&self.name, "JoinProcess", Vec::new())
-                        .header("fiber-id", waiter)
-                        .header("target", target),
-                    waiter,
-                ),
-            );
+            self.send_join(waiter, target);
         }
         Ok(())
     }
+}
+
+/// A header the operation cannot do without.
+fn required_header<'m>(msg: &'m Message, name: &str) -> Result<&'m str, VinzError> {
+    msg.get_header(name)
+        .ok_or_else(|| VinzError(format!("{} requires {name}", msg.operation)))
 }
 
 /// Extract the reason keyword from a suspension payload (`{:reason

@@ -86,12 +86,6 @@ impl FileStore {
         }
     }
 
-    /// Create (the directory is created if missing).
-    #[deprecated(since = "0.1.0", note = "use FileStore::builder(dir).build()")]
-    pub fn new(dir: impl Into<PathBuf>) -> Result<FileStore, StoreError> {
-        FileStore::builder(dir).build()
-    }
-
     pub(crate) fn path(&self, key: &str) -> PathBuf {
         self.dir.join(key.replace('/', "__"))
     }
@@ -105,11 +99,16 @@ impl FileStore {
         out
     }
 
-    /// Strip and verify the frame. Files without the magic are passed
-    /// through unchanged (records written before framing existed).
+    /// Strip and verify the frame.
     fn unframe(key: &str, raw: Vec<u8>) -> Result<Vec<u8>, StoreError> {
-        if raw.len() < FILE_HEADER_LEN || &raw[..4] != FILE_MAGIC {
-            return Ok(raw);
+        if raw.len() < FILE_HEADER_LEN {
+            return Err(StoreError::corrupt(
+                key,
+                format!("truncated header for {key}: {} bytes", raw.len()),
+            ));
+        }
+        if &raw[..4] != FILE_MAGIC {
+            return Err(StoreError::corrupt(key, format!("bad magic for {key}")));
         }
         let stored_crc = u32::from_le_bytes(raw[4..8].try_into().unwrap());
         let stored_len = u64::from_le_bytes(raw[8..16].try_into().unwrap()) as usize;
@@ -216,16 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_constructor_still_works() {
-        let dir = std::env::temp_dir().join(format!("gozer-fs-compat-{}", fastrand_u64()));
-        #[allow(deprecated)]
-        let store = FileStore::new(&dir).unwrap();
-        store.put("k", b"v").unwrap();
-        assert_eq!(store.get("k").unwrap(), Some(b"v".to_vec()));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn fsync_never_policy_still_reads_back() {
         let dir = std::env::temp_dir().join(format!("gozer-fs-nosync-{}", fastrand_u64()));
         let store = FileStore::builder(&dir)
@@ -277,15 +266,28 @@ mod tests {
     }
 
     #[test]
-    fn file_store_reads_unframed_legacy_records() {
-        let dir = std::env::temp_dir().join(format!("gozer-fs-legacy-{}", fastrand_u64()));
+    fn file_store_rejects_damaged_headers() {
+        let dir = std::env::temp_dir().join(format!("gozer-fs-header-{}", fastrand_u64()));
         let store = FileStore::builder(&dir).build().unwrap();
-        // A record written by the pre-framing store: raw bytes, no magic.
-        std::fs::write(store.path("old/key"), b"plain legacy payload").unwrap();
-        assert_eq!(
-            store.get("old/key").unwrap(),
-            Some(b"plain legacy payload".to_vec())
-        );
+        let corrupt = |key: &str, damage: fn(&mut Vec<u8>)| {
+            store.put(key, b"serialized continuation bytes").unwrap();
+            let mut raw = std::fs::read(store.path(key)).unwrap();
+            damage(&mut raw);
+            std::fs::write(store.path(key), &raw).unwrap();
+            let err = store.get(key).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt { key: ref k, .. } if k == key),
+                "{err:?}"
+            );
+            err
+        };
+        // A record whose first bytes were damaged must not read back as
+        // data.
+        let err = corrupt("fiber/1", |raw| raw[0] ^= 0xFF);
+        assert!(err.message().contains("bad magic"), "{err}");
+        // Nor one cut off inside the header.
+        let err = corrupt("fiber/2", |raw| raw.truncate(FILE_HEADER_LEN - 1));
+        assert!(err.message().contains("truncated header"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

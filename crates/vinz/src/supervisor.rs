@@ -240,10 +240,12 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
             .metrics
             .supervisor_respawns
             .fetch_add(1, Ordering::Relaxed);
-        inner.obs.bus.emit(Event::new(EventKind::InstancesRespawned {
-            service: inner.name.clone(),
-            count: cfg.respawn_instances.max(1),
-        }));
+        inner.obs.bus.emit(|| {
+            Event::new(EventKind::InstancesRespawned {
+                service: inner.name.clone(),
+                count: cfg.respawn_instances.max(1),
+            })
+        });
     }
 
     // 2. Orphan scan, only once the deployment has been quiescent for
@@ -306,11 +308,7 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
                             .map_err(|e| crate::service::VinzError(e.to_string()))?
                             .is_some();
                         if done && mark_resent(st, &format!("join:{fiber_id}:{target}"), cooldown) {
-                            inner.cluster.send(
-                                Message::new(&inner.name, "JoinProcess", Vec::new())
-                                    .header("fiber-id", fiber_id)
-                                    .header("target", target.as_str()),
-                            );
+                            inner.send_join(fiber_id, &target);
                             note_orphan(inner, fiber_id, "join");
                         }
                     }
@@ -333,12 +331,7 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
                             if done
                                 && mark_resent(st, &format!("awake:{fiber_id}:{child}"), cooldown)
                             {
-                                inner.cluster.send(
-                                    Message::new(&inner.name, "AwakeFiber", Vec::new())
-                                        .header("fiber-id", fiber_id)
-                                        .header("from-child", child)
-                                        .with_priority(-1),
-                                );
+                                inner.send_awake(fiber_id, child);
                                 note_orphan(inner, fiber_id, "awake");
                             }
                         }
@@ -375,11 +368,11 @@ fn scan_call_reqs(inner: &Arc<Inner>, st: &mut ScanState) {
                 continue;
             }
             inner.metrics.calls_retried.fetch_add(1, Ordering::Relaxed);
-            inner.obs.bus.emit(
+            inner.obs.bus.emit(|| {
                 Event::new(EventKind::CallRetried { attempt: req.attempts })
                     .task(req.task.as_str())
-                    .fiber(req.fiber.as_str()),
-            );
+                    .fiber(req.fiber.as_str())
+            });
             inner
                 .cluster
                 .send(req.to_message(&inner.name, correlation));
@@ -422,7 +415,7 @@ fn note_orphan(inner: &Arc<Inner>, fiber_id: &str, via: &str) {
     inner
         .obs
         .bus
-        .emit(Event::new(EventKind::OrphanResumed { via: via.to_string() }).fiber(fiber_id));
+        .emit(|| Event::new(EventKind::OrphanResumed { via: via.to_string() }).fiber(fiber_id));
 }
 
 // ---- dead-letter handling ---------------------------------------------
@@ -470,13 +463,9 @@ pub(crate) fn install_dead_letter_observer(inner: &Arc<Inner>) {
             .metrics
             .tasks_dead_lettered
             .fetch_add(1, Ordering::Relaxed);
-        inner.trace.record(
-            u32::MAX,
-            u64::MAX,
-            &task,
-            &fiber,
-            crate::trace::TraceKind::TaskDone("failed".into()),
-        );
+        inner.emit(u32::MAX, u64::MAX, &fiber, || EventKind::TaskDone {
+            outcome: "failed".into(),
+        });
         if inner.obs.flight.is_armed() {
             let dump = inner.flight_dump(&format!(
                 "task {task} failed: {} dead-lettered ({})",

@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use bluebox::{Cluster, Fault};
 use gozer_lang::Value;
+use gozer_obs::EventKind;
 use gozer_xml::ServiceDescription;
 use vinz::testing::register_value_service;
 use vinz::{TaskStatus, WorkflowService};
@@ -119,17 +120,18 @@ fn nonblocking_call_yields_and_resumes() {
     obs.set_tracing(true);
     let result = wf.call("main", vec![Value::Int(9)], TIMEOUT).unwrap();
     assert_eq!(result, Value::Int(81));
-    let events = obs.trace_view().events();
+    let events = obs.events();
     assert!(
-        events
-            .iter()
-            .any(|e| matches!(&e.kind, vinz::TraceKind::ServiceCall(s) if s.contains("Square"))),
+        events.iter().any(|e| matches!(
+            &e.kind,
+            EventKind::ServiceCallDispatched { target } if target.contains("Square")
+        )),
         "async dispatch recorded"
     );
     assert!(
         events
             .iter()
-            .any(|e| matches!(&e.kind, vinz::TraceKind::Resume(r) if r == "service-call")),
+            .any(|e| matches!(&e.kind, EventKind::FiberResumed { via } if via == "service-call")),
         "ResumeFromCall recorded"
     );
     cluster.shutdown();

@@ -2,11 +2,16 @@
 //! Start → RunFiber → fork → yield → persist → AwakeFiber → resume,
 //! across multiple simulated nodes.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use bluebox::Cluster;
+use bluebox::{Cluster, Message};
+use gozer_compress::Codec;
 use gozer_lang::Value;
+use gozer_obs::{Event, EventKind};
+use gozer_serial::serialize_value;
+use vinz::testing::register_square_service;
 use vinz::{TaskStatus, VinzConfig, WorkflowService};
 
 fn deploy(cluster: &Arc<Cluster>, source: &str) -> WorkflowService {
@@ -254,11 +259,10 @@ fn fibers_run_on_multiple_nodes() {
     obs.set_tracing(true);
     wf.call("main", vec![], TIMEOUT).unwrap();
     let nodes: std::collections::HashSet<u32> = obs
-        .trace_view()
         .events()
         .iter()
-        .filter(|e| matches!(e.kind, vinz::TraceKind::RunFiber))
-        .map(|e| e.node)
+        .filter(|e| matches!(e.kind, EventKind::FiberRun))
+        .filter_map(|e| e.node)
         .collect();
     assert!(
         nodes.len() >= 2,
@@ -329,21 +333,20 @@ fn figure1_event_sequence_is_ordered() {
     obs.set_tracing(true);
     let v = wf.call("main", vec![], TIMEOUT).unwrap();
     assert_eq!(v, Value::Int(6));
-    let events = obs.trace_view().events();
-    let root = "task-1/f0";
-    let pos = |pred: &dyn Fn(&vinz::TraceKind) -> bool| {
+    let events = obs.events();
+    let root = Some("task-1/f0");
+    let pos = |pred: &dyn Fn(&EventKind) -> bool| {
         events
             .iter()
-            .position(|e| e.fiber == root && pred(&e.kind))
+            .position(|e| e.fiber.as_deref() == root && pred(&e.kind))
     };
-    use vinz::TraceKind;
-    let start = pos(&|k| matches!(k, TraceKind::Start)).expect("Start");
-    let run = pos(&|k| matches!(k, TraceKind::RunFiber)).expect("RunFiber");
-    let fork = pos(&|k| matches!(k, TraceKind::Fork(_))).expect("Fork");
-    let yielded = pos(&|k| matches!(k, TraceKind::Yield(_))).expect("Yield");
-    let resumed = pos(&|k| matches!(k, TraceKind::Resume(_))).expect("Resume");
-    let done = pos(&|k| matches!(k, TraceKind::FiberDone)).expect("FiberDone");
-    let task_done = pos(&|k| matches!(k, TraceKind::TaskDone(_))).expect("TaskDone");
+    let start = pos(&|k| matches!(k, EventKind::TaskStarted)).expect("Start");
+    let run = pos(&|k| matches!(k, EventKind::FiberRun)).expect("RunFiber");
+    let fork = pos(&|k| matches!(k, EventKind::FiberForked { .. })).expect("Fork");
+    let yielded = pos(&|k| matches!(k, EventKind::FiberYield { .. })).expect("Yield");
+    let resumed = pos(&|k| matches!(k, EventKind::FiberResumed { .. })).expect("Resume");
+    let done = pos(&|k| matches!(k, EventKind::FiberDone)).expect("FiberDone");
+    let task_done = pos(&|k| matches!(k, EventKind::TaskDone { .. })).expect("TaskDone");
     assert!(start < run, "Start before RunFiber");
     assert!(run < fork, "RunFiber before Fork");
     assert!(fork < yielded, "Fork before the join Yield");
@@ -466,5 +469,183 @@ fn seed_cache_use_is_counted_and_exported() {
             format!("gozer_snapshot_seed_frames_total{{source=\"{source}\",service=\"wf\"}} {n}");
         assert!(text.contains(&line), "missing `{line}` in:\n{text}");
     }
+    cluster.shutdown();
+}
+
+// ---- idempotent entry (Table 1 under at-least-once delivery) ---------------
+
+/// `GateA` and `GateB` are registered with an interface and a queue but
+/// no instances, so a call to one parks its fiber until the test staffs
+/// the service: every workflow below is still mid-flight, with a fiber
+/// suspended on `GateB`, when its duplicate message arrives.
+const GATES: &str = "(deflink GA :wsdl \"urn:gatea\" :port \"GateA\")
+                     (deflink GB :wsdl \"urn:gateb\" :port \"GateB\")";
+
+/// One row of the idempotent-entry table.
+struct Redelivery {
+    /// The Table 1 operation delivered twice.
+    op: &'static str,
+    /// A `main` that calls `GateA` (n = 3), then waits on `GateB`
+    /// (n = 4), and returns the sum of the two squares.
+    source: &'static str,
+    /// Rebuild the message that was already delivered once `GateA` has
+    /// replied, from the task id, the events so far and the correlation
+    /// of the task's first service call.
+    duplicate: fn(&str, &[Event], &str) -> Message,
+}
+
+const TWO_CALLS: &str = "(defun main () (+ (GA-Square-Method :n 3) (GB-Square-Method :n 4)))";
+
+/// The fiber that emitted the first event `kind` matches.
+fn fiber_of(events: &[Event], kind: fn(&EventKind) -> bool) -> String {
+    let e = events.iter().find(|e| kind(&e.kind)).expect("event recorded");
+    e.fiber.clone().expect("lifecycle events carry their fiber")
+}
+
+const REDELIVERIES: [Redelivery; 4] = [
+    Redelivery {
+        op: "RunFiber",
+        source: TWO_CALLS,
+        // main ran and suspended long ago.
+        duplicate: |task, _, _| {
+            Message::new("wf", "RunFiber", Vec::new()).header("fiber-id", format!("{task}/f0"))
+        },
+    },
+    Redelivery {
+        op: "AwakeFiber",
+        source: "(defun main ()
+                   (apply #'+ (for-each (n in (list 3 4))
+                                (if (= n 3) (GA-Square-Method :n n) (GB-Square-Method :n n)))))",
+        // The first child finished and woke main, which now waits for
+        // the second.
+        duplicate: |task, events, _| {
+            let child = fiber_of(events, |k| matches!(k, EventKind::AwakeSent { .. }));
+            Message::new("wf", "AwakeFiber", Vec::new())
+                .header("fiber-id", format!("{task}/f0"))
+                .header("from-child", child)
+                .with_priority(-1)
+        },
+    },
+    Redelivery {
+        op: "JoinProcess",
+        source: "(defun main ()
+                   (let ((a (fork-and-exec (lambda () (GA-Square-Method :n 3))))
+                         (b (fork-and-exec (lambda () (GB-Square-Method :n 4)))))
+                     (+ (join-process a) (join-process b))))",
+        // `a` finished and main joined it; main now joins `b`.
+        duplicate: |task, events, _| {
+            let a = fiber_of(events, |k| matches!(k, EventKind::FiberDone));
+            Message::new("wf", "JoinProcess", Vec::new())
+                .header("fiber-id", format!("{task}/f0"))
+                .header("target", a)
+        },
+    },
+    Redelivery {
+        op: "ResumeFromCall",
+        source: TWO_CALLS,
+        // GateA's reply resumed main, which now waits on GateB.
+        duplicate: |task, _, correlation| {
+            let nine = serialize_value(&Value::Int(9), Codec::Deflate).unwrap();
+            Message::new("wf", "ResumeFromCall", nine)
+                .header("correlation", correlation)
+                .header("task-id", task)
+                .header("fiber-id", format!("{task}/f0"))
+        },
+    },
+];
+
+/// Run one row to completion and report what a second entry would
+/// change: the task's value, the `resumes` counter, and how many
+/// `FiberRun` and `FiberResumed` events the task produced.
+fn run_gated(case: &Redelivery, deliver_twice: bool) -> (Value, u64, usize, usize) {
+    let cluster = Cluster::new();
+    register_square_service(&cluster, "GateA", 0, 0, Duration::ZERO);
+    register_square_service(&cluster, "GateB", 0, 0, Duration::ZERO);
+    let mut config = VinzConfig::default();
+    // The supervisor re-sends wake-ups of its own; these counts are of
+    // the messages the engine and this test sent.
+    config.supervision.enabled = false;
+    let wf = deploy_cfg(&cluster, &format!("{GATES}{}", case.source), config);
+    let obs = wf.obs();
+    obs.set_tracing(true);
+    let task = wf.start("main", vec![], None).unwrap();
+    assert!(cluster.drain("wf", TIMEOUT), "{}: parked on the gates", case.op);
+    let correlation = wf.store().list("corr/").unwrap()[0]
+        .trim_start_matches("corr/")
+        .to_string();
+    cluster.spawn_instances("GateA", 0, 1);
+    assert!(
+        cluster.drain("GateA", TIMEOUT) && cluster.drain("wf", TIMEOUT),
+        "{}: parked on GateB",
+        case.op
+    );
+    if deliver_twice {
+        cluster.send((case.duplicate)(&task, &obs.events(), &correlation));
+        assert!(cluster.drain("wf", TIMEOUT), "{}: duplicate handled", case.op);
+    }
+    cluster.spawn_instances("GateB", 0, 1);
+    let rec = wf.wait(&task, TIMEOUT).expect("task finishes");
+    let TaskStatus::Completed(value) = rec.status else {
+        panic!("{}: {:?}", case.op, rec.status);
+    };
+    let events = obs.events();
+    let count = |kind: fn(&EventKind) -> bool| events.iter().filter(|e| kind(&e.kind)).count();
+    let seen = (
+        value,
+        obs.counters().resumes.load(Ordering::Relaxed),
+        count(|k| matches!(k, EventKind::FiberRun)),
+        count(|k| matches!(k, EventKind::FiberResumed { .. })),
+    );
+    cluster.shutdown();
+    seen
+}
+
+#[test]
+fn each_fiber_entry_is_idempotent() {
+    for case in &REDELIVERIES {
+        let once = run_gated(case, false);
+        assert_eq!(once.0, Value::Int(25), "{}", case.op);
+        assert_eq!(once.1 as usize, once.3, "{}: one event per resume", case.op);
+        assert_eq!(run_gated(case, true), once, "{} delivered twice", case.op);
+    }
+}
+
+#[test]
+fn wakeup_that_beats_its_suspension_is_retried_not_lost() {
+    let cluster = Cluster::new();
+    let mut config = VinzConfig::default();
+    config.supervision.enabled = false;
+    // Nothing ever finishes `task-1/ghost`: the only JoinProcess main
+    // will ever get is the one sent below, before main exists.
+    let wf = deploy_cfg(
+        &cluster,
+        "(defun main () (list :joined (join-process \"task-1/ghost\")))",
+        config,
+    );
+    let obs = wf.obs();
+    obs.set_tracing(true);
+    cluster.send(
+        Message::new("wf", "JoinProcess", Vec::new())
+            .header("fiber-id", "task-1/f0")
+            .header("target", "task-1/ghost"),
+    );
+    // A fiber with no phase record reads as "initial": the wake-up goes
+    // back on the queue, again and again.
+    let sends = || {
+        let sent = |k: &EventKind| matches!(k, EventKind::MessageSent { operation, .. } if operation == "JoinProcess");
+        obs.events().iter().filter(|e| sent(&e.kind)).count()
+    };
+    let deadline = Instant::now() + TIMEOUT;
+    while sends() < 3 {
+        assert!(Instant::now() < deadline, "wake-up was not requeued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let rec = wf.run("main", vec![], TIMEOUT).unwrap();
+    assert_eq!(rec.id, "task-1");
+    assert_eq!(
+        rec.status,
+        TaskStatus::Completed(Value::list(vec![Value::keyword("joined"), Value::Nil]))
+    );
+    assert_eq!(obs.counters().resumes.load(Ordering::Relaxed), 1);
     cluster.shutdown();
 }

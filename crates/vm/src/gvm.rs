@@ -209,8 +209,8 @@ pub struct Gvm {
     fiber_observer: RwLock<Option<FiberObserver>>,
     /// The execution profiler (always present, disabled by default).
     profiler: Arc<crate::profile::VmProfiler>,
-    /// Interpreter optimization switches (read from `GVM_OPT` /
-    /// `GVM_NO_FUSE` at construction).
+    /// Interpreter optimization switches (read from `GVM_OPT` at
+    /// construction).
     opt: RwLock<crate::opt::OptConfig>,
 }
 

@@ -7,12 +7,9 @@
 //! lean on: the same program must produce the same value **and the same
 //! profiler opcode/pair counts** at every level.
 //!
-//! Environment knobs (read at [`crate::Gvm`] construction and, for
-//! fusion, at compile time):
-//!
-//! * `GVM_OPT=full` (default) | `nofuse` | `off`
-//! * `GVM_NO_FUSE=1` — shorthand for `GVM_OPT=nofuse`, the escape hatch
-//!   the differential sweeps use.
+//! One environment knob (read at [`crate::Gvm`] construction and, for
+//! fusion, at compile time): `GVM_OPT=full` (default) | `nofuse` |
+//! `off`. `nofuse` is the escape hatch the differential sweeps use.
 //!
 //! Fusion is a property of compiled [`crate::bytecode::Program`]s, not
 //! of the interpreter, so tests that need both modes in one process use
@@ -45,7 +42,7 @@ impl OptConfig {
         }
     }
 
-    /// Fusion off, everything else on (`GVM_NO_FUSE=1`).
+    /// Fusion off, everything else on (`GVM_OPT=nofuse`).
     pub fn no_fuse() -> OptConfig {
         OptConfig {
             fuse: false,
@@ -65,16 +62,12 @@ impl OptConfig {
         }
     }
 
-    /// Read the `GVM_OPT` / `GVM_NO_FUSE` environment knobs.
+    /// Read the `GVM_OPT` environment knob.
     pub fn from_env() -> OptConfig {
-        let explicit = std::env::var("GVM_OPT").ok();
-        let no_fuse = std::env::var("GVM_NO_FUSE").map(|v| v == "1" || v == "true");
-        match explicit.as_deref() {
-            Some("off") => OptConfig::off(),
-            Some("nofuse") => OptConfig::no_fuse(),
-            Some(_) => OptConfig::full(),
-            None if matches!(no_fuse, Ok(true)) => OptConfig::no_fuse(),
-            None => OptConfig::full(),
+        match std::env::var("GVM_OPT").as_deref() {
+            Ok("off") => OptConfig::off(),
+            Ok("nofuse") => OptConfig::no_fuse(),
+            _ => OptConfig::full(),
         }
     }
 }

@@ -102,7 +102,7 @@ pub(crate) fn opcode_index(op: &Op) -> usize {
         // Fused superinstructions are invisible to the profiler: the
         // interpreter counts their constituents individually (the first
         // via this mapping at fetch, the second inside the fused arm),
-        // keeping counts bit-identical with `GVM_NO_FUSE=1`.
+        // keeping counts bit-identical with `GVM_OPT=nofuse`.
         Op::LoadLocal2(..) | Op::LoadLocalConst(..) | Op::LoadLocalCall(..) => IDX_LOAD_LOCAL,
         Op::GlobalLocal(..) | Op::GlobalLocal2Call(..) | Op::GlobalLocalConstCall(..) => {
             IDX_LOAD_GLOBAL

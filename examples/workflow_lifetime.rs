@@ -69,12 +69,12 @@ fn main() {
     print!("{}", obs.render());
 
     // Summarize the mechanics the figure illustrates.
-    let events = obs.trace_view().events();
+    let events = obs.events();
     let persists = events
         .iter()
-        .filter(|e| matches!(e.kind, gozer::TraceKind::Persist(_)))
+        .filter(|e| matches!(e.kind, gozer::EventKind::FiberPersisted { .. }))
         .count();
-    let nodes: std::collections::HashSet<u32> = events.iter().map(|e| e.node).collect();
+    let nodes: std::collections::HashSet<u32> = events.iter().filter_map(|e| e.node).collect();
     println!(
         "\nThe task persisted its continuation {persists} times and executed on {} node(s); \
          no thread ever blocked while waiting (§3.2).",

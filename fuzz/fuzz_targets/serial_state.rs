@@ -47,14 +47,14 @@ fn main() {
         let bytes = match rng.below(4) {
             // Pure garbage.
             0 => random_bytes(rng, 512),
-            // Garbage behind a valid envelope (v1 or v2, Codec::None)
+            // Garbage behind a valid envelope (Codec::None)
             // so the payload decoders are exercised.
             1 => {
                 let mut b = random_bytes(rng, 512);
                 if b.len() >= 4 {
                     b[0] = b'G';
                     b[1] = b'Z';
-                    b[2] = 1 + (rng.below(2) as u8);
+                    b[2] = 2;
                     b[3] = 0;
                 }
                 b

@@ -29,11 +29,17 @@ run "$CARGO" test --test survivability $OFFLINE
 
 # LogStore recovery shapes, the mem-vs-log opcode-identity sweep, the
 # prefix-closure sweep, and the phase ledger with the durability
-# boundary test (under 10 s warm); then the serializer's own suites
+# boundary test (under 10 s warm); then the suites tier-1 (the root
+# package only) does not reach, seconds each: the serializer's own
 # (delta incl. the warm-vs-cold seed cache differential, roundtrip,
-# adversarial — tier-1 is the root package only; seconds).
+# adversarial), the event bus's (a disabled bus never builds an event,
+# ring overflow and drop counts), and the vinz workflow and service
+# suites, which hold the lifecycle-order assertions on `EventKind` and
+# the idempotent-entry table for the four operations that enter a fiber.
 run "$CARGO" test -p vinz --test logstore --test phases $OFFLINE
 run "$CARGO" test -p gozer-serial $OFFLINE
+run "$CARGO" test -p gozer-obs $OFFLINE
+run "$CARGO" test -p vinz --test workflows --test services $OFFLINE
 
 # Recovery gate: the armed sweep (chaos stays enabled; leases,
 # supervisor, and retries absorb every failure) plus the dead-letter

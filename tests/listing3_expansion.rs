@@ -5,11 +5,11 @@
 
 use std::time::Duration;
 
-use gozer::{GozerSystem, TaskStatus, TraceKind, Value, VinzConfig};
+use gozer::{Event, EventKind, GozerSystem, TaskStatus, Value, VinzConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
-fn run_with_limit(limit: usize, items: i64) -> (Vec<gozer::TraceEvent>, TaskStatus) {
+fn run_with_limit(limit: usize, items: i64) -> (Vec<Event>, TaskStatus) {
     let mut config = VinzConfig::default();
     config.spawn_limit = limit;
     let sys = GozerSystem::builder()
@@ -28,7 +28,7 @@ fn run_with_limit(limit: usize, items: i64) -> (Vec<gozer::TraceEvent>, TaskStat
     let numbers: Vec<Value> = (1..=items).map(Value::Int).collect();
     let task = sys.workflow.start("main", vec![Value::list(numbers)], None).unwrap();
     let rec = sys.wait(&task, TIMEOUT).unwrap();
-    let events = obs.trace_view().events();
+    let events = obs.events();
     sys.shutdown();
     (events, rec.status)
 }
@@ -43,14 +43,17 @@ fn listing3_five_values_limit_three() {
         ))
     );
     // The root fiber is f0; count its forks and children-yields.
-    let root = "task-1/f0";
-    let forks: Vec<&gozer::TraceEvent> = events
+    let root = Some("task-1/f0");
+    let forks: Vec<&Event> = events
         .iter()
-        .filter(|e| e.fiber == root && matches!(e.kind, TraceKind::Fork(_)))
+        .filter(|e| e.fiber.as_deref() == root && matches!(e.kind, EventKind::FiberForked { .. }))
         .collect();
     let yields = events
         .iter()
-        .filter(|e| e.fiber == root && matches!(&e.kind, TraceKind::Yield(r) if r == "children"))
+        .filter(|e| {
+            e.fiber.as_deref() == root
+                && matches!(&e.kind, EventKind::FiberYield { reason } if reason == "children")
+        })
         .count();
     assert_eq!(forks.len(), 5, "one fork per value");
     // "The total number of yield forms will be equal to the number of
@@ -62,21 +65,21 @@ fn listing3_five_values_limit_three() {
 fn outstanding_children_never_exceed_limit() {
     let limit = 3;
     let (events, _) = run_with_limit(limit, 8);
-    let root = "task-1/f0";
+    let root = Some("task-1/f0");
     // Replay the root fiber's event sequence: fork = +1 outstanding,
     // resume-from-awake = -1.
     let mut outstanding: i64 = 0;
     let mut max_outstanding: i64 = 0;
     for e in &events {
-        if e.fiber != root {
+        if e.fiber.as_deref() != root {
             continue;
         }
         match &e.kind {
-            TraceKind::Fork(_) => {
+            EventKind::FiberForked { .. } => {
                 outstanding += 1;
                 max_outstanding = max_outstanding.max(outstanding);
             }
-            TraceKind::Resume(r) if r == "awake" => outstanding -= 1,
+            EventKind::FiberResumed { via } if via == "awake" => outstanding -= 1,
             _ => {}
         }
     }
@@ -90,18 +93,18 @@ fn outstanding_children_never_exceed_limit() {
 #[test]
 fn high_limit_forks_everything_upfront() {
     let (events, _) = run_with_limit(64, 6);
-    let root = "task-1/f0";
+    let root = Some("task-1/f0");
     // With the limit above the child count, all forks happen before any
     // awake-resume.
     let mut seen_resume = false;
     let mut forks_after_resume = 0;
     for e in &events {
-        if e.fiber != root {
+        if e.fiber.as_deref() != root {
             continue;
         }
         match &e.kind {
-            TraceKind::Resume(r) if r == "awake" => seen_resume = true,
-            TraceKind::Fork(_) if seen_resume => forks_after_resume += 1,
+            EventKind::FiberResumed { via } if via == "awake" => seen_resume = true,
+            EventKind::FiberForked { .. } if seen_resume => forks_after_resume += 1,
             _ => {}
         }
     }
@@ -129,19 +132,19 @@ fn dynamic_spawn_limit_adjustment() {
         Value::list(vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)])
     );
     // With limit 1, forks and awakes strictly alternate after the first.
-    let root = "task-1/f0";
+    let root = Some("task-1/f0");
     let mut outstanding = 0i64;
     let mut max_outstanding = 0i64;
-    for e in obs.trace_view().events() {
-        if e.fiber != root {
+    for e in obs.events() {
+        if e.fiber.as_deref() != root {
             continue;
         }
         match &e.kind {
-            TraceKind::Fork(_) => {
+            EventKind::FiberForked { .. } => {
                 outstanding += 1;
                 max_outstanding = max_outstanding.max(outstanding);
             }
-            TraceKind::Resume(r) if r == "awake" => outstanding -= 1,
+            EventKind::FiberResumed { via } if via == "awake" => outstanding -= 1,
             _ => {}
         }
     }

@@ -4,8 +4,8 @@
 use std::time::Duration;
 
 use gozer::{
-    deserialize_value, serialize_value, Cluster, Codec, GozerSystem, Gvm, Message, TaskStatus,
-    TraceKind, Value,
+    deserialize_value, serialize_value, Cluster, Codec, EventKind, GozerSystem, Gvm, Message,
+    TaskStatus, Value,
 };
 
 const WORKFLOW: &str = r#"
@@ -107,16 +107,16 @@ fn runfiber_and_awakefiber_drive_children() {
     obs.set_tracing(true);
     let v = sys.call("with-children", vec![Value::Int(6)], TIMEOUT).unwrap();
     assert_eq!(v, Value::Int((0..6).map(|i| i * i).sum()));
-    let events = obs.trace_view().events();
+    let events = obs.events();
     let runs = events
         .iter()
-        .filter(|e| matches!(e.kind, TraceKind::RunFiber))
+        .filter(|e| matches!(e.kind, EventKind::FiberRun))
         .count();
     // 1 main + 6 children, each via a RunFiber delivery.
     assert!(runs >= 7, "expected >=7 RunFiber deliveries, saw {runs}");
     let awakes = events
         .iter()
-        .filter(|e| matches!(&e.kind, TraceKind::Resume(r) if r == "awake"))
+        .filter(|e| matches!(&e.kind, EventKind::FiberResumed { via } if via == "awake"))
         .count();
     assert_eq!(awakes, 6, "one AwakeFiber resume per child");
     sys.shutdown();
@@ -130,10 +130,9 @@ fn joinprocess_resumes_waiters() {
     let v = sys.call("forker", vec![], TIMEOUT).unwrap();
     assert_eq!(v, Value::Int(42));
     let joins = obs
-        .trace_view()
         .events()
         .iter()
-        .filter(|e| matches!(&e.kind, TraceKind::Resume(r) if r == "join"))
+        .filter(|e| matches!(&e.kind, EventKind::FiberResumed { via } if via == "join"))
         .count();
     assert_eq!(joins, 1);
     sys.shutdown();
@@ -164,11 +163,9 @@ fn resumefromcall_resumes_service_callers() {
     match v {
         Ok(v) => {
             assert_eq!(v, Value::Int(144));
-            let resumed = obs
-                .trace_view()
-                .events()
-                .iter()
-                .any(|e| matches!(&e.kind, TraceKind::Resume(r) if r == "service-call"));
+            let resumed = obs.events().iter().any(
+                |e| matches!(&e.kind, EventKind::FiberResumed { via } if via == "service-call"),
+            );
             assert!(resumed);
         }
         Err(e) => panic!("workflow failed: {e}"),
