@@ -14,8 +14,9 @@
 //! * **immutable** — write-once data (child results, task definitions),
 //!   valid whenever present.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use gozer_vm::FiberState;
 use parking_lot::Mutex;
@@ -42,8 +43,12 @@ impl CacheStats {
     }
 }
 
+/// Least-recently-used map. Every touch stamps the entry with a fresh
+/// generation; `order` is the same stamps sorted, so the victim is its
+/// first entry rather than a scan of the whole map.
 struct Lru<V> {
-    map: HashMap<String, (u64, V)>,
+    map: HashMap<Arc<str>, (u64, V)>,
+    order: BTreeMap<u64, Arc<str>>,
     generation: u64,
     capacity: usize,
 }
@@ -52,41 +57,47 @@ impl<V> Lru<V> {
     fn new(capacity: usize) -> Lru<V> {
         Lru {
             map: HashMap::with_capacity(capacity),
+            order: BTreeMap::new(),
             generation: 0,
             capacity: capacity.max(1),
         }
     }
 
     fn get(&mut self, key: &str) -> Option<&V> {
+        let slot = self.map.get_mut(key)?;
         self.generation += 1;
-        let generation = self.generation;
-        match self.map.get_mut(key) {
-            Some(slot) => {
-                slot.0 = generation;
-                Some(&slot.1)
-            }
-            None => None,
+        if let Some(key) = self.order.remove(&slot.0) {
+            self.order.insert(self.generation, key);
         }
+        slot.0 = self.generation;
+        Some(&slot.1)
     }
 
-    fn put(&mut self, key: String, v: V) {
+    fn put(&mut self, key: &str, v: V) {
         self.generation += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            // Evict the least recently used entry.
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (gen, _))| *gen)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
+        // A key already held moves to the back of the order; a new one
+        // may first have to make room.
+        let held = match self.map.get(key) {
+            Some((stamp, _)) => self.order.remove(stamp),
+            None => {
+                if self.map.len() >= self.capacity {
+                    // Evict the least recently used entry.
+                    if let Some((_, victim)) = self.order.pop_first() {
+                        self.map.remove(&victim);
+                    }
+                }
+                None
             }
-        }
+        };
+        let key = held.unwrap_or_else(|| Arc::from(key));
+        self.order.insert(self.generation, key.clone());
         self.map.insert(key, (self.generation, v));
     }
 
     fn remove(&mut self, key: &str) {
-        self.map.remove(key);
+        if let Some((stamp, _)) = self.map.remove(key) {
+            self.order.remove(&stamp);
+        }
     }
 }
 
@@ -135,7 +146,7 @@ impl FiberCache {
 
     /// Remember a fiber state at a version.
     pub fn put_fiber(&self, fiber_id: &str, version: u64, state: FiberState) {
-        self.mutable.lock().put(fiber_id.to_string(), (version, state));
+        self.mutable.lock().put(fiber_id, (version, state));
     }
 
     /// Drop a fiber entry (on completion).
@@ -160,7 +171,7 @@ impl FiberCache {
 
     /// Remember immutable data.
     pub fn put_immutable(&self, key: &str, data: Vec<u8>) {
-        self.immutable.lock().put(key.to_string(), data);
+        self.immutable.lock().put(key, data);
     }
 }
 
@@ -211,6 +222,97 @@ mod tests {
         assert!(cache.get_immutable("b").is_none());
         assert!(cache.get_immutable("a").is_some());
         assert!(cache.get_immutable("c").is_some());
+    }
+
+    /// The scan-for-the-minimum LRU this module used to have: the
+    /// reference the indexed one must be indistinguishable from.
+    struct NaiveLru {
+        map: HashMap<String, (u64, u32)>,
+        generation: u64,
+        capacity: usize,
+    }
+
+    impl NaiveLru {
+        fn get(&mut self, key: &str) -> Option<u32> {
+            self.generation += 1;
+            let slot = self.map.get_mut(key)?;
+            slot.0 = self.generation;
+            Some(slot.1)
+        }
+
+        fn put(&mut self, key: &str, v: u32) {
+            self.generation += 1;
+            if self.map.len() >= self.capacity && !self.map.contains_key(key) {
+                let victim = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp);
+                if let Some(victim) = victim.map(|(k, _)| k.clone()) {
+                    self.map.remove(&victim);
+                }
+            }
+            self.map.insert(key.to_string(), (self.generation, v));
+        }
+    }
+
+    #[test]
+    fn lru_matches_the_naive_model_over_seeded_sequences() {
+        for seed in 0..64u64 {
+            let mut rng = bluebox::chaos::ChaosRng::new(seed);
+            let capacity = 1 + rng.below(6) as usize;
+            let mut lru = Lru::new(capacity);
+            let mut naive = NaiveLru {
+                map: HashMap::new(),
+                generation: 0,
+                capacity,
+            };
+            for step in 0..400u32 {
+                let key = format!("k{}", rng.below(2 * capacity as u64 + 1));
+                match rng.below(5) {
+                    0 | 1 => assert_eq!(
+                        lru.get(&key).copied(),
+                        naive.get(&key),
+                        "seed {seed} step {step}: get {key}"
+                    ),
+                    2 | 3 => {
+                        lru.put(&key, step);
+                        naive.put(&key, step);
+                    }
+                    _ => {
+                        lru.remove(&key);
+                        naive.map.remove(&key);
+                    }
+                }
+                let mut held: Vec<(&str, u32)> =
+                    lru.map.iter().map(|(k, (_, v))| (&**k, *v)).collect();
+                let mut want: Vec<(&str, u32)> = naive
+                    .map
+                    .iter()
+                    .map(|(k, (_, v))| (k.as_str(), *v))
+                    .collect();
+                held.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(held, want, "seed {seed} step {step}");
+                assert_eq!(lru.order.len(), lru.map.len(), "seed {seed} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn eviction_does_not_scan_the_cache() {
+        const CAPACITY: usize = 50_000;
+        let started = std::time::Instant::now();
+        let mut lru = Lru::new(CAPACITY);
+        // Fill, then evict once per put: quadratic at this size is
+        // minutes, indexed is milliseconds.
+        for i in 0..2 * CAPACITY {
+            lru.put(&format!("k{i}"), i);
+        }
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "{} evicting puts took {:?}",
+            CAPACITY,
+            started.elapsed()
+        );
+        assert_eq!(lru.map.len(), CAPACITY);
+        assert!(lru.get("k0").is_none() && lru.get(&format!("k{CAPACITY}")).is_some());
     }
 
     #[test]

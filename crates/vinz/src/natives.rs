@@ -135,9 +135,8 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         }
         inner.tracker.fiber_created(&task_id);
         inner
-            .save_fiber(&rt, IN_FIBER, &child_id, state)
+            .save_newborn(&rt, IN_FIBER, &child_id, state)
             .map_err(vz)?;
-        inner.set_phase(&child_id, "initial").map_err(vz)?;
         // Durable child registry for the supervisor's orphan scan: it
         // re-sends AwakeFiber for finished children of a suspended
         // parent (serial under the parent's fiber lock, so get+put is

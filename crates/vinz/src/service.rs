@@ -196,6 +196,14 @@ struct FiberHot {
     last_delta_size: usize,
 }
 
+/// `(version, generation, chain_len)` of a fiber's snapshot chain, as
+/// kept under `fiber-v/{id}`; see [`Inner::fiber_meta`].
+type FiberMeta = (u64, u64, u64);
+
+/// Output-buffer hint for a fiber's first record of a kind, before there
+/// is a previous one to go by.
+const FIRST_SAVE_HINT: usize = 256;
+
 /// One node's runtime: a GVM (the "JVM" of that node) and its fiber
 /// cache.
 pub struct NodeRuntime {
@@ -615,29 +623,42 @@ impl WorkflowService {
             .map_err(StartError::Failed)
     }
 
-    /// The ungated Start path (no admission check).
+    /// The ungated Start path (no admission check): name the task,
+    /// register it, send `Start` one-way. The name is all the caller
+    /// needs back, so nothing waits for the service to pick the message
+    /// up; `Start` adopts the name, which also makes a redelivered or
+    /// duplicated `Start` harmless (see [`Inner::op_start`]).
     fn start_unchecked(
         &self,
         function: &str,
         args: Vec<Value>,
         deadline: Option<Duration>,
     ) -> Result<String, VinzError> {
-        let admin = self.inner.node_runtime(ADMIN_NODE)?;
-        let body = serialize_value(&Value::list(args), self.inner.config.codec)
-            .map_err(|e| VinzError(e.to_string()))?;
-        let mut msg =
-            Message::new(&self.inner.name, "Start", body).header("function", function);
-        if let Some(d) = deadline {
-            msg = msg.header("deadline-ms", d.as_millis().to_string());
-            msg = msg.with_deadline(Instant::now() + d);
+        let inner = &self.inner;
+        // A one-way send has no reply to carry "no such function".
+        let admin = inner.node_runtime(ADMIN_NODE)?;
+        if admin.gvm.function(function).is_none() {
+            return Err(VinzError(format!(
+                "workflow function {function} is not defined"
+            )));
         }
-        let reply = self
-            .inner
-            .cluster
-            .call(msg, Duration::from_secs(30))
-            .map_err(|e| VinzError(format!("Start failed: {e}")))?;
-        let _ = admin;
-        Ok(String::from_utf8_lossy(&reply).into_owned())
+        let body = serialize_value(&Value::list(args), inner.config.codec)
+            .map_err(|e| VinzError(e.to_string()))?;
+        let task_id = inner.new_task_id();
+        let mut msg = Message::new(&inner.name, "Start", body)
+            .header("function", function)
+            .header("task-id", task_id.as_str());
+        let mut due = None;
+        if let Some(d) = deadline {
+            let at = Instant::now() + d;
+            msg = msg
+                .header("deadline-ms", d.as_millis().to_string())
+                .with_deadline(at);
+            due = Some(at);
+        }
+        inner.tracker.task_started(&task_id, due);
+        inner.cluster.send(msg);
+        Ok(task_id)
     }
 
     /// Synchronously execute a workflow, returning its record (the Run
@@ -1266,7 +1287,12 @@ impl Inner {
     /// records stacked on that base. A 24-byte little-endian record; a
     /// shorter one (damaged, or written by something else) reads its
     /// missing bytes as zero rather than failing the parse.
-    fn fiber_meta(&self, fiber_id: &str) -> Result<(u64, u64, u64), VinzError> {
+    ///
+    /// The record is first written by a fiber's first *suspension*:
+    /// `None` means the fiber has never suspended, and its continuation
+    /// — if it has one — is the birth record, version 0 under the
+    /// generation-0 key.
+    fn fiber_meta(&self, fiber_id: &str) -> Result<Option<FiberMeta>, VinzError> {
         Ok(self
             .store
             .get(&format!("fiber-v/{fiber_id}"))
@@ -1279,8 +1305,7 @@ impl Inner {
                     u64::from_le_bytes(buf)
                 };
                 (word(0), word(1), word(2))
-            })
-            .unwrap_or((0, 0, 0)))
+            }))
     }
 
     /// Encode the 24-byte meta record; saved atomically *with* the data
@@ -1310,58 +1335,126 @@ impl Inner {
 
     /// Execution phase of a fiber, used to make the Table-1 operations
     /// idempotent under the broker's at-least-once delivery: `initial`
-    /// (never run), `suspended` (awaiting a resume), `done`. A duplicate
-    /// RunFiber delivered after the fiber suspended must not re-enter it,
-    /// and a duplicate resume must not advance it twice.
-    pub(crate) fn set_phase(&self, fiber_id: &str, phase: &str) -> Result<(), VinzError> {
-        self.store
-            .put(&format!("fiber-p/{fiber_id}"), phase.as_bytes())
-            .map_err(|e| VinzError(e.to_string()))
-    }
-
-    pub(crate) fn get_phase(&self, fiber_id: &str) -> Result<String, VinzError> {
-        Ok(self
+    /// (never run to a suspension), `suspended` (awaiting a resume),
+    /// `done`. A duplicate RunFiber delivered after the fiber suspended
+    /// must not re-enter it, and a duplicate resume must not advance it
+    /// twice.
+    ///
+    /// The phase has no record of its own; it is read off the two a
+    /// fiber's life writes anyway: its result means done, else its meta
+    /// record (first written when it first suspends) means suspended,
+    /// else it is still as it was born. A fiber that died with its task
+    /// leaves neither, and needs neither: every entry turns a finished
+    /// task's messages away before asking. The meta comes back too, so
+    /// the caller that goes on to load and save reads it once.
+    pub(crate) fn fiber_phase(
+        &self,
+        fiber_id: &str,
+    ) -> Result<(&'static str, Option<FiberMeta>), VinzError> {
+        let done = self
             .store
-            .get(&format!("fiber-p/{fiber_id}"))
+            .get(&format!("result/{fiber_id}"))
             .map_err(|e| VinzError(e.to_string()))?
-            .map(|b| String::from_utf8_lossy(&b).into_owned())
-            .unwrap_or_else(|| "initial".to_string()))
+            .is_some();
+        if done {
+            return Ok(("done", None));
+        }
+        let meta = self.fiber_meta(fiber_id)?;
+        let phase = if meta.is_some() { "suspended" } else { "initial" };
+        Ok((phase, meta))
     }
 
-    /// Persist a fiber continuation (under the fiber lock).
+    /// Persist a fiber that has never run: its generation-0 base and
+    /// nothing else. No meta record (absent *is* version 0), so nothing
+    /// is read first, and no routing entry — until it has run somewhere
+    /// any node is as cold as any other.
+    pub(crate) fn save_newborn(
+        &self,
+        rt: &NodeRuntime,
+        instance: u64,
+        fiber_id: &str,
+        state: FiberState,
+    ) -> Result<(), VinzError> {
+        self.tracker.note_phase(Inner::task_of(fiber_id), Phase::Serialize);
+        let start = Instant::now();
+        let bytes = serialize_state_sized(&state, self.config.codec, FIRST_SAVE_HINT)
+            .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
+        self.serial_costs
+            .record_serialize(bytes.len() as u64, start.elapsed().as_nanos() as u64);
+        self.store
+            .put(&Inner::base_key(fiber_id, 0), &bytes)
+            .map_err(|e| VinzError(e.to_string()))?;
+        self.metrics
+            .full_bytes
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.note_saved(rt, instance, fiber_id, 0, state, bytes.len());
+        Ok(())
+    }
+
+    /// The tail every save shares: the state just persisted *is* the new
+    /// snapshot — every frame is clean relative to it until the fiber
+    /// runs again — so it goes into the node cache under its version.
+    fn note_saved(
+        &self,
+        rt: &NodeRuntime,
+        instance: u64,
+        fiber_id: &str,
+        version: u64,
+        mut state: FiberState,
+        saved_len: usize,
+    ) {
+        state.clean_prefix = state.frames.len();
+        rt.cache.put_fiber(fiber_id, version, state);
+        self.metrics.persist_count.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .persist_bytes
+            .fetch_add(saved_len as u64, Ordering::Relaxed);
+        self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberPersisted {
+            bytes: saved_len,
+        });
+    }
+
+    /// Persist the continuation of a fiber that just suspended (under
+    /// the fiber lock), as one batch with the meta record that names it
+    /// and the `susp/` crumb saying what it waits on. `meta` is what the
+    /// entry read under the same lock.
     ///
     /// Steady state writes a *delta* record (the frames above the VM's
     /// clean prefix plus the dynamic state) stacked on the fiber's last
     /// full snapshot; the chain is compacted back into a full snapshot
     /// every [`VinzConfig::compact_every`] saves, on node migration, or
     /// whenever a delta would be unsound (no clean prefix, mutable
-    /// object reachable from a clean frame).
+    /// object reachable from a clean frame). A first suspension has no
+    /// snapshot of this run to be a delta of and replaces the birth
+    /// record.
     ///
-    /// Crash atomicity: the data key and the meta record that names it
-    /// are written as one [`StateStore::put_batch`], so recovery sees
-    /// either both or neither; a compaction additionally writes the new
-    /// base under a fresh generation key, so even the "neither" outcome
+    /// Crash atomicity: the batch is all or nothing, so recovery sees a
+    /// meta record only with the snapshot it names and the crumb the
+    /// orphan scan needs; a compaction additionally writes the new base
+    /// under a fresh generation key, so even the "nothing" outcome
     /// leaves the old base + chain fully intact.
     ///
     /// The save is not waited for. Whatever it causes inside the
     /// deployment (RunFiber for a fresh child, AwakeFiber/JoinProcess on
     /// completion) only leads to later records of the same log, which a
     /// crash cannot keep without keeping this one (DESIGN.md §13).
-    pub(crate) fn save_fiber(
-        self: &Arc<Inner>,
+    fn save_fiber(
+        &self,
         rt: &NodeRuntime,
         instance: u64,
         fiber_id: &str,
-        mut state: FiberState,
+        state: FiberState,
+        meta: Option<FiberMeta>,
+        crumb: &str,
     ) -> Result<(), VinzError> {
         self.tracker.note_phase(Inner::task_of(fiber_id), Phase::Serialize);
-        let (version, generation, chain) = self.fiber_meta(fiber_id)?;
+        let (version, generation, chain) = meta.unwrap_or_default();
         let hot = self.hot.read().get(fiber_id).copied();
         let migrated = hot.is_some_and(|h| h.node != rt.node_id);
         let mut hot = hot.unwrap_or(FiberHot {
             node: rt.node_id,
-            last_size: 256,
-            last_delta_size: 256,
+            last_size: FIRST_SAVE_HINT,
+            last_delta_size: FIRST_SAVE_HINT,
         });
         // The affinity stamp moves to this node whatever gets written.
         hot.node = rt.node_id;
@@ -1388,6 +1481,7 @@ impl Inner {
             }
         }
         let meta_key = format!("fiber-v/{fiber_id}");
+        let crumb_key = format!("susp/{fiber_id}");
         let saved_len = match delta {
             Some(bytes) => {
                 let meta = Inner::fiber_meta_rec(version + 1, generation, chain + 1);
@@ -1395,6 +1489,7 @@ impl Inner {
                     .put_batch(&[
                         (&Inner::delta_key(fiber_id, chain), &bytes),
                         (&meta_key, &meta),
+                        (&crumb_key, crumb.as_bytes()),
                     ])
                     .map_err(|e| VinzError(e.to_string()))?;
                 self.metrics.delta_saves.fetch_add(1, Ordering::Relaxed);
@@ -1416,6 +1511,7 @@ impl Inner {
                     .put_batch(&[
                         (&Inner::base_key(fiber_id, new_gen), &bytes),
                         (&meta_key, &meta),
+                        (&crumb_key, crumb.as_bytes()),
                     ])
                     .map_err(|e| VinzError(e.to_string()))?;
                 // Garbage, not state: the old base and its deltas are
@@ -1434,17 +1530,7 @@ impl Inner {
             }
         };
         self.hot.write().insert(fiber_id.to_string(), hot);
-        // The state we just persisted *is* the new snapshot: every frame
-        // is clean relative to it until the fiber runs again.
-        state.clean_prefix = state.frames.len();
-        rt.cache.put_fiber(fiber_id, version + 1, state);
-        self.metrics.persist_count.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .persist_bytes
-            .fetch_add(saved_len as u64, Ordering::Relaxed);
-        self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberPersisted {
-            bytes: saved_len,
-        });
+        self.note_saved(rt, instance, fiber_id, version + 1, state, saved_len);
         Ok(())
     }
 
@@ -1453,13 +1539,14 @@ impl Inner {
     /// top, which reconstitutes the state bit-identically to the last
     /// save.
     fn load_fiber(
-        self: &Arc<Inner>,
+        &self,
         rt: &NodeRuntime,
         instance: u64,
         fiber_id: &str,
+        meta: Option<FiberMeta>,
     ) -> Result<FiberState, VinzError> {
         self.tracker.note_phase(Inner::task_of(fiber_id), Phase::Deserialize);
-        let (version, generation, chain) = self.fiber_meta(fiber_id)?;
+        let (version, generation, chain) = meta.unwrap_or_default();
         if let Some(state) = rt.cache.get_fiber(fiber_id, version) {
             self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberLoaded {
                 cache_hit: true,
@@ -1515,9 +1602,50 @@ impl Inner {
 
     // ---- operations (Table 1) -------------------------------------------
 
-    /// Start: create the task and main fiber, persist the initial
-    /// continuation, enqueue RunFiber, return the task id (§3.1).
+    /// Start: create the task and main fiber, persist the fiber as it
+    /// was born, enqueue RunFiber, return the task id (§3.1).
+    ///
+    /// The task is named by whoever sent the message — a `task-id`
+    /// header, which [`WorkflowService::start`] always stamps — or,
+    /// failing that, here. A sender that named its task can send the
+    /// `Start` one-way, gets the same task however often the broker
+    /// delivers it, and is owed an end state under that name if the
+    /// task cannot be started: nobody reads a one-way message's fault.
     fn op_start(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
+        let named = msg.get_header("task-id");
+        if let Some(n) = named
+            .and_then(|id| id.strip_prefix("task-"))
+            .and_then(|n| n.parse::<u64>().ok())
+        {
+            // A name of our own shape: keep the counter ahead of it, so
+            // whoever mints next cannot collide with it.
+            self.next_task
+                .fetch_max(n.saturating_add(1), Ordering::Relaxed);
+        }
+        match self.begin_task(ctx, msg, named) {
+            Ok(task_id) => Ok(task_id.into_bytes()),
+            Err(e) => {
+                if let Some(task_id) = named {
+                    self.tracker.task_started(task_id, None);
+                    let cond = Condition::with_types(
+                        vec!["start-failed".into(), "error".into()],
+                        e.0.clone(),
+                        Value::Nil,
+                    );
+                    self.fail_task(ctx, &format!("{task_id}/f0"), cond);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// The body of Start; `named` is the id the sender chose, if any.
+    fn begin_task(
+        self: &Arc<Inner>,
+        ctx: &ServiceCtx,
+        msg: &Message,
+        named: Option<&str>,
+    ) -> Result<String, VinzError> {
         let rt = self.node_runtime(ctx.node_id)?;
         let function = msg.get_header("function").unwrap_or("main");
         let func = rt
@@ -1533,8 +1661,24 @@ impl Inner {
             _ => Vec::new(),
         };
 
-        let task_id = self.new_task_id();
+        let task_id = named.map_or_else(|| self.new_task_id(), str::to_owned);
         let fiber_id = format!("{task_id}/f0");
+        // Birth happens under the fiber's own lock. Two deliveries of one
+        // Start then cannot both find the task undefined, and the
+        // RunFiber the first one sends cannot reach a suspension —
+        // which rewrites `fiber/{id}` — while the second is still about
+        // to write the birth record over it.
+        let birth = self
+            .locks
+            .acquire(&format!("fiber/{fiber_id}"), self.config.fiber_lock_timeout)
+            .ok_or_else(|| VinzError(format!("could not lock {fiber_id} to start it")))?;
+        // The task definition is the first thing a Start writes: where
+        // it exists, this Start has been delivered before.
+        let def_key = format!("task-def/{task_id}");
+        let known = self.store.get(&def_key).map_err(|e| VinzError(e.to_string()))?;
+        if known.is_some() {
+            return Ok(task_id);
+        }
         // Anchor the deadline at submission (message enqueue), not at
         // Start processing: queueing delay counts against the deadline.
         let deadline = msg
@@ -1576,18 +1720,17 @@ impl Inner {
         );
         let def_bytes = serialize_value(&Value::Map(Arc::new(def)), self.config.codec)
             .map_err(|e| VinzError(e.to_string()))?;
-        let def_key = format!("task-def/{task_id}");
         self.store
             .put(&def_key, &def_bytes)
             .map_err(|e| VinzError(e.to_string()))?;
         rt.cache.put_immutable(&def_key, def_bytes);
 
-        self.save_fiber(&rt, ctx.instance_id, &fiber_id, state)?;
-        self.set_phase(&fiber_id, "initial")?;
+        self.save_newborn(&rt, ctx.instance_id, &fiber_id, state)?;
+        drop(birth);
         self.emit(ctx.node_id, ctx.instance_id, &fiber_id, || EventKind::TaskStarted);
         self.tracker.note_phase(&task_id, Phase::QueueWait);
         self.send_run_fiber(&fiber_id, deadline);
-        Ok(task_id.into_bytes())
+        Ok(task_id)
     }
 
     /// Send the RunFiber message that begins (or re-begins) a fiber.
@@ -1874,20 +2017,20 @@ impl Inner {
             self.cluster.send(msg.clone());
             return Ok(Vec::new());
         };
-        match self.get_phase(fiber_id)?.as_str() {
-            phase if phase == answers => {}
-            "initial" => return self.retry_shortly(guard, msg),
-            phase => {
+        let meta = match self.fiber_phase(fiber_id)? {
+            (phase, meta) if phase == answers => meta,
+            ("initial", _) => return self.retry_shortly(guard, msg),
+            (phase, _) => {
                 turned_away(phase);
                 return Ok(Vec::new());
             }
-        }
+        };
         let rt = self.node_runtime(ctx.node_id)?;
         self.check_task_def(&rt, task_id)?;
         let Some(resume) = resume(&rt)? else {
             return Ok(Vec::new());
         };
-        let mut state = self.load_fiber(&rt, ctx.instance_id, fiber_id)?;
+        let mut state = self.load_fiber(&rt, ctx.instance_id, fiber_id, meta)?;
         if let Some((slot, key)) = once {
             let mut consumed = state
                 .ext
@@ -1901,7 +2044,7 @@ impl Inner {
             consumed.push(Value::str(key));
             state.ext.set(slot, Value::list(consumed));
         }
-        self.drive_fiber(ctx, &rt, fiber_id, state, resume)
+        self.drive_fiber(ctx, &rt, fiber_id, state, meta, resume)
     }
 
     /// A wake-up found its fiber still in phase "initial": it beat the
@@ -1918,10 +2061,7 @@ impl Inner {
     // ---- fiber execution -------------------------------------------------
 
     pub(crate) fn task_finished(&self, task_id: &str) -> bool {
-        self.tracker
-            .status(task_id)
-            .map(|s| s.is_final())
-            .unwrap_or(false)
+        self.tracker.is_final(task_id)
     }
 
     /// Move a task to a final state and, when *this* call performed the
@@ -1930,17 +2070,32 @@ impl Inner {
     /// nonzero phases observe, so e.g. `durability_hold` stays an empty
     /// histogram under synchronous stores instead of a wall of zeros.
     pub(crate) fn finish_task(&self, task_id: &str, status: TaskStatus) {
-        if let Some(d) = self.tracker.finish(task_id, status) {
+        if let Some((d, phases)) = self.tracker.finish(task_id, status) {
             self.task_latency.observe_duration(d);
-            if let Some(rec) = self.tracker.get(task_id) {
-                for phase in Phase::ALL {
-                    let spent = rec.phases.get(phase);
-                    if !spent.is_zero() {
-                        self.phase_hists[phase.index()].observe_duration(spent);
-                    }
+            for phase in Phase::ALL {
+                let spent = phases.get(phase);
+                if !spent.is_zero() {
+                    self.phase_hists[phase.index()].observe_duration(spent);
                 }
             }
         }
+    }
+
+    /// End `fiber_id`'s task `Failed`: the fiber died of an unhandled
+    /// condition, or never came to be.
+    fn fail_task(&self, ctx: &ServiceCtx, fiber_id: &str, cond: Condition) {
+        let task_id = Inner::task_of(fiber_id);
+        self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
+            outcome: "failed".into(),
+        });
+        // Black box: capture the failure context before the tracker
+        // wakes any waiting client (who may tear the deployment down
+        // immediately).
+        if self.obs.flight.is_armed() {
+            let dump = self.flight_dump(&format!("task {task_id} failed at {fiber_id}: {cond}"));
+            let _ = self.obs.flight.record(&format!("{task_id}-failed"), &dump);
+        }
+        self.finish_task(task_id, TaskStatus::Failed(cond));
     }
 
     /// Decrement the suspended-fiber gauge without wrapping below zero
@@ -1964,13 +2119,15 @@ impl Inner {
     /// Run a fiber from the top (`resume` is `None`) or resume it with a
     /// value and the way it arrived (`awake`, `service-call`, `join`),
     /// and deal with the outcome: completion, suspension, break,
-    /// terminate, or failure. The caller holds the fiber lock.
+    /// terminate, or failure. The caller holds the fiber lock, under
+    /// which it read `meta` and loaded `state`.
     fn drive_fiber(
         self: &Arc<Inner>,
         ctx: &ServiceCtx,
         rt: &Arc<NodeRuntime>,
         fiber_id: &str,
         state: FiberState,
+        meta: Option<FiberMeta>,
         resume: Option<(&'static str, Value)>,
     ) -> Result<Vec<u8>, VinzError> {
         let task_id = Inner::task_of(fiber_id).to_string();
@@ -2032,19 +2189,15 @@ impl Inner {
                 } else {
                     None
                 };
-                self.save_fiber(rt, ctx.instance_id, fiber_id, susp.state)?;
                 // Breadcrumb for the supervisor's orphan scan: what this
-                // fiber is waiting on. Written before the phase flips to
-                // "suspended" so a scan never sees a suspended fiber
-                // without its crumb.
+                // fiber is waiting on. It rides in the save's batch with
+                // the meta record that makes the fiber read as
+                // suspended, so a scan never sees one without the other.
                 let crumb = match &join_target {
                     Some(target) => format!("{reason}\n{target}"),
                     None => reason,
                 };
-                self.store
-                    .put(&format!("susp/{fiber_id}"), crumb.as_bytes())
-                    .map_err(|e| VinzError(e.to_string()))?;
-                self.set_phase(fiber_id, "suspended")?;
+                self.save_fiber(rt, ctx.instance_id, fiber_id, susp.state, meta, &crumb)?;
                 self.metrics.suspended_fibers.fetch_add(1, Ordering::Relaxed);
                 self.tracker.note_phase(&task_id, wait_phase);
                 if let Some(target) = join_target {
@@ -2052,7 +2205,6 @@ impl Inner {
                 }
             }
             Err(VmError::Unwind(Unwind::TerminateTask(cond))) => {
-                self.set_phase(fiber_id, "done")?;
                 self.tracker.fiber_finished(&task_id);
                 self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
                     outcome: "terminated".into(),
@@ -2063,21 +2215,8 @@ impl Inner {
                 // Unhandled condition: the fiber dies and, with it, the
                 // task (robust default — a lost child would otherwise hang
                 // its parent forever).
-                let cond = e.to_condition();
-                self.set_phase(fiber_id, "done")?;
                 self.tracker.fiber_finished(&task_id);
-                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
-                    outcome: "failed".into(),
-                });
-                // Black box: capture the failure context before the
-                // tracker wakes any waiting client (who may tear the
-                // deployment down immediately).
-                if self.obs.flight.is_armed() {
-                    let dump =
-                        self.flight_dump(&format!("task {task_id} failed at {fiber_id}: {cond}"));
-                    let _ = self.obs.flight.record(&format!("{task_id}-failed"), &dump);
-                }
-                self.finish_task(&task_id, TaskStatus::Failed(cond));
+                self.fail_task(ctx, fiber_id, e.to_condition());
             }
         }
         Ok(Vec::new())
@@ -2109,7 +2248,6 @@ impl Inner {
         rt.cache.put_immutable(&key, bytes);
         rt.cache.evict_fiber(fiber_id);
         self.hot.write().remove(fiber_id);
-        self.set_phase(fiber_id, "done")?;
         self.tracker.fiber_finished(task_id);
         self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberDone);
         // Until another of the task's fibers activates (or the root

@@ -10,9 +10,9 @@
 //! 2. **Orphaned continuations** — when the deployment is quiescent
 //!    (empty queue, nothing leased) but a task is still running, some
 //!    resume message was lost for good (dead-lettered, or its sender
-//!    died before sending). The supervisor scans the state store's
-//!    phase records and re-sends the message that moves each fiber
-//!    forward: `RunFiber` for never-started fibers, `AwakeFiber` for
+//!    died before sending). The supervisor enumerates the task's fibers
+//!    by their base snapshots and re-sends the message that moves each
+//!    one forward: `RunFiber` for never-started fibers, `AwakeFiber` for
 //!    parents whose children finished, `JoinProcess` for joins whose
 //!    target completed. All of these are idempotent on the service side
 //!    (phase checks and consumed-sets), so re-sending is always safe.
@@ -274,14 +274,18 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
 /// Re-send whatever moves each unfinished fiber of `task` forward.
 fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<(), crate::service::VinzError> {
     let cooldown = inner.config.supervision.stall_after;
-    let phase_keys = inner
+    // Every fiber has a base snapshot from birth on: `fiber/{id}`, or
+    // `fiber/{id}@{generation}` once its chain has been compacted.
+    let base_keys = inner
         .store
-        .list(&format!("fiber-p/{task}/"))
+        .list(&format!("fiber/{task}/"))
         .map_err(|e| crate::service::VinzError(e.to_string()))?;
-    for key in phase_keys {
-        let Some(fiber_id) = key.strip_prefix("fiber-p/") else { continue };
-        let phase = inner.get_phase(fiber_id)?;
-        match phase.as_str() {
+    let fibers = base_keys
+        .iter()
+        .filter_map(|key| key.strip_prefix("fiber/"))
+        .map(|base| base.split('@').next().unwrap_or(base));
+    for fiber_id in fibers {
+        match inner.fiber_phase(fiber_id)?.0 {
             "initial" => {
                 // The RunFiber that would start this fiber is gone.
                 if mark_resent(st, &format!("run:{fiber_id}"), cooldown) {

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex as StdMutex, Once, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bluebox::{Cluster, Fault, Message, ServiceCtx};
 use gozer_compress::Codec;
@@ -283,28 +283,6 @@ pub fn run_workflow_under_chaos_store(
             || counters.supervisor_respawns.load(Ordering::Relaxed) > 0
             || counters.orphans_resumed.load(Ordering::Relaxed) > 0
     };
-    // Drain stragglers before reading the profile: a chaos-duplicated
-    // Start spawns a second task whose execution would otherwise race
-    // the snapshot, making per-seed profile comparisons flaky. Wait for
-    // the tracker to hold only final records and stay that way across a
-    // few polls (a queued duplicate Start registers its record well
-    // within the stability window on a live cluster).
-    {
-        let obs = workflow.obs();
-        let drain = Instant::now();
-        let mut stable = 0u32;
-        let mut last_count = usize::MAX;
-        while drain.elapsed() < Duration::from_secs(10) && stable < 3 {
-            let records = obs.tracker().all();
-            if records.len() == last_count && records.iter().all(|r| r.status.is_final()) {
-                stable += 1;
-            } else {
-                stable = 0;
-            }
-            last_count = records.len();
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
     // Capture the causal timeline and the profile before shutdown so
     // failure messages can show exactly which operations and injected
     // faults the task went through (the Figure-1 view, chaos edition).

@@ -108,13 +108,18 @@ impl TaskTracker {
         TaskTracker::default()
     }
 
-    /// Register a new running task. The phase ledger opens in
+    /// Register a new running task; a task already known keeps its
+    /// record (whoever names a task registers it, and `Start` may be
+    /// delivered more than once). The phase ledger opens in
     /// `queue_wait` at the same instant `started_at` is stamped, so the
     /// decomposition covers the full tracker window from nanosecond
     /// zero.
     pub fn task_started(&self, id: &str, deadline: Option<Instant>) {
-        self.running.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock();
+        if st.contains_key(id) {
+            return;
+        }
+        self.running.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
         st.insert(
             id.to_string(),
@@ -162,12 +167,12 @@ impl TaskTracker {
 
     /// Move a task to a final state (first writer wins; later attempts —
     /// e.g. a fiber noticing termination — are ignored). Returns the
-    /// task's start→complete duration when *this* call performed the
-    /// transition (the latency-histogram sample), `None` on duplicates
-    /// and unknown tasks.
-    pub fn finish(&self, task_id: &str, status: TaskStatus) -> Option<Duration> {
+    /// task's start→complete duration and its closed phase ledger when
+    /// *this* call performed the transition (the histogram samples),
+    /// `None` on duplicates and unknown tasks.
+    pub fn finish(&self, task_id: &str, status: TaskStatus) -> Option<(Duration, PhaseBreakdown)> {
         debug_assert!(status.is_final());
-        let mut duration = None;
+        let mut closed = None;
         let mut st = self.state.lock();
         if let Some(rec) = st.get_mut(task_id) {
             if !rec.status.is_final() {
@@ -178,13 +183,13 @@ impl TaskTracker {
                 rec.roll_phase(None, now);
                 rec.status = status;
                 rec.finished_at = Some(now);
-                duration = Some(now.duration_since(rec.started_at));
+                closed = Some((now.duration_since(rec.started_at), rec.phases));
                 self.running.fetch_sub(1, Ordering::Relaxed);
             }
         }
         drop(st);
         self.cond.notify_all();
-        duration
+        closed
     }
 
     /// Tasks started but not yet final (the admission gate's in-flight
@@ -201,6 +206,14 @@ impl TaskTracker {
     /// Current status.
     pub fn status(&self, task_id: &str) -> Option<TaskStatus> {
         self.state.lock().get(task_id).map(|r| r.status.clone())
+    }
+
+    /// Whether the task is known and has reached a final state.
+    pub fn is_final(&self, task_id: &str) -> bool {
+        self.state
+            .lock()
+            .get(task_id)
+            .is_some_and(|r| r.status.is_final())
     }
 
     /// Block until the task reaches a final state. `None` on timeout or
@@ -239,7 +252,9 @@ mod tests {
         t.fiber_created("t1");
         t.fiber_finished("t1");
         assert_eq!(t.status("t1"), Some(TaskStatus::Running));
+        assert!(!t.is_final("t1") && !t.is_final("unknown"));
         t.finish("t1", TaskStatus::Completed(Value::Int(7)));
+        assert!(t.is_final("t1"));
         let rec = t.get("t1").unwrap();
         assert_eq!(rec.status, TaskStatus::Completed(Value::Int(7)));
         assert_eq!(rec.fibers_created, 2);
@@ -281,6 +296,8 @@ mod tests {
         assert_eq!(t.running_count(), 0);
         t.task_started("a", None);
         t.task_started("b", None);
+        // Registering a known task again changes nothing.
+        t.task_started("b", None);
         assert_eq!(t.running_count(), 2);
         assert!(t.finish("a", TaskStatus::Completed(Value::Nil)).is_some());
         assert_eq!(t.running_count(), 1);
@@ -305,9 +322,10 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         t.note_phase("t1", Phase::ServiceWait);
         t.note_phase("t1", Phase::VmExec);
-        let d = t.finish("t1", TaskStatus::Completed(Value::Nil)).unwrap();
+        let (d, phases) = t.finish("t1", TaskStatus::Completed(Value::Nil)).unwrap();
         let rec = t.get("t1").unwrap();
         assert_eq!(rec.phases.total(), d);
+        assert_eq!(phases, rec.phases);
         assert_eq!(rec.current_phase, None);
         assert!(rec.phases.get(Phase::VmExec) >= Duration::from_millis(2));
         // Every banked phase was visited; admission never is (it lives
@@ -327,7 +345,7 @@ mod tests {
         assert_eq!(rec.phase_since, rec.started_at);
         // A task that never left the queue attributes everything there.
         std::thread::sleep(Duration::from_millis(1));
-        let d = t.finish("t1", TaskStatus::Failed(Condition::error("x"))).unwrap();
+        let (d, _) = t.finish("t1", TaskStatus::Failed(Condition::error("x"))).unwrap();
         let rec = t.get("t1").unwrap();
         assert_eq!(rec.phases.get(Phase::QueueWait), d);
     }

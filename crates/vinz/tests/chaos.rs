@@ -8,10 +8,19 @@
 //! Knobs: `CHAOS_SEED=<n>` replays one seed, `CHAOS_SEEDS=<count>`
 //! resizes the sweep (default 16, the CI width).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use bluebox::Cluster;
 use gozer_lang::Value;
+use gozer_obs::EventKind;
+use gozer_xml::ServiceDescription;
 use vinz::testing::{
-    chaos_seeds, repro_command, run_workflow_under_chaos, ChaosConfig, ChaosPlan,
+    chaos_seeds, register_value_service, repro_command, run_workflow_under_chaos, ChaosConfig,
+    ChaosPlan,
 };
+use vinz::{TaskStatus, WorkflowService};
 
 /// Listing 1's distributed shape: `for-each` fans each iteration out as
 /// its own fiber, so chaos hits the spawn, awake, and join paths.
@@ -218,4 +227,108 @@ fn off_preset_injects_nothing() {
     assert_eq!(run.value, sum_squares(6));
     assert_eq!(run.stats.total(), 0, "off preset injected {:?}", run.stats);
     assert!(!run.recovered);
+}
+
+/// One `start()`, one task — however often the broker delivers the
+/// `Start`. The plan doubles sends and kills instances after they
+/// handled the message (so it comes back with its effects standing),
+/// and touches nothing but `Start`; each task's one effect on the
+/// outside world is a call to a service that counts its requests.
+fn starts_exactly_once(seed: u64) -> Result<(u64, u64), String> {
+    const TASKS: i64 = 6;
+    let cluster = Cluster::new();
+    let served = Arc::new(AtomicU64::new(0));
+    let desc = ServiceDescription::new("Tally", "urn:tally").operation(
+        "Square",
+        "Squares the field n, and counts.",
+        &[("n", "int")],
+    );
+    let counter = served.clone();
+    register_value_service(&cluster, "Tally", Some(desc), move |_op, req| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        let n = req.as_map().and_then(|m| m.get(&Value::str("n")).cloned());
+        let n = n.and_then(|v| v.as_int()).unwrap_or(0);
+        Ok(Value::Int(n * n))
+    });
+    cluster.spawn_instances("Tally", 5, 1);
+    let plan = ChaosPlan::new(ChaosConfig {
+        duplicate_permille: 500,
+        crash_after_permille: 300,
+        max_crashes: 3,
+        target_operation: Some("Start".into()),
+        ..ChaosConfig::off(seed)
+    });
+    cluster.set_chaos(plan.clone());
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(
+            "(deflink TL :wsdl \"urn:tally\" :port \"Tally\")
+             (defun main (n) (TL-Square-Method :n n))",
+        )
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
+        .map_err(|e| format!("seed {seed}: deploy failed: {e}"))?;
+    let obs = wf.obs();
+    obs.set_tracing(true);
+    let tasks: Vec<(String, i64)> = (1..=TASKS)
+        .map(|n| (wf.start("main", vec![Value::Int(n)], None).unwrap(), n))
+        .collect();
+    for (task, n) in &tasks {
+        match wf.wait(task, Duration::from_secs(45)).map(|r| r.status) {
+            Some(TaskStatus::Completed(v)) if v == Value::Int(n * n) => {}
+            other => return Err(format!("seed {seed}: main({n}) ended {other:?}")),
+        }
+    }
+    // Late copies of a Start are still to be delivered (and dropped).
+    if !cluster.drain("workflow", Duration::from_secs(45)) {
+        return Err(format!("seed {seed}: the deployment never went quiet"));
+    }
+    let started = obs.counters().tasks_started.load(Ordering::Relaxed);
+    let events = obs.events();
+    let announced = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::TaskStarted))
+        .count() as u64;
+    let counts = (started, announced, served.load(Ordering::Relaxed));
+    let stats = plan.snapshot();
+    cluster.shutdown();
+    if counts != (TASKS as u64, TASKS as u64, TASKS as u64) {
+        return Err(format!(
+            "seed {seed}: {TASKS} starts made (tasks_started, TaskStarted events, service \
+             calls) = {counts:?} (faults {stats:?})"
+        ));
+    }
+    Ok((stats.duplicated, stats.crashes_after))
+}
+
+#[test]
+fn start_is_idempotent() {
+    let seeds = chaos_seeds(16);
+    let (mut failures, mut duplicated, mut crashed) = (Vec::new(), 0, 0);
+    for &seed in &seeds {
+        match starts_exactly_once(seed) {
+            Ok((d, c)) => {
+                duplicated += d;
+                crashed += c;
+            }
+            Err(e) => failures.push(format!(
+                "{e}\n    {}",
+                repro_command("-p vinz --test chaos", "start_is_idempotent", seed)
+            )),
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{}/{} seeds failed:\n  {}",
+        failures.len(),
+        seeds.len(),
+        failures.join("\n  ")
+    );
+    if seeds.len() > 1 {
+        assert!(
+            duplicated > 0 && crashed > 0,
+            "the sweep must deliver some Start twice both ways \
+             (duplicated {duplicated}, crashed after {crashed})"
+        );
+    }
 }

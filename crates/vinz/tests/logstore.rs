@@ -537,22 +537,41 @@ fn closure_violation(dir: &Path, gvm: &Arc<Gvm>) -> Option<String> {
         let list = String::from_utf8_lossy(&bytes).into_owned();
         list.split(',').filter(|f| !f.is_empty()).map(str::to_owned).collect()
     };
+    // A fiber has a base snapshot from birth on: under the plain key, or
+    // a generation key once its chain was compacted.
+    let born = |fiber: &str| {
+        let plain = format!("fiber/{fiber}");
+        let compacted = format!("{plain}@");
+        let keys = store.list(&plain).unwrap();
+        keys.iter().any(|k| *k == plain || k.starts_with(&compacted))
+    };
+    let task_of = |fiber: &str| fiber.split('/').next().unwrap().to_owned();
     for key in store.list("result/").unwrap() {
         let fiber = key.strip_prefix("result/").unwrap();
-        if !has(&format!("fiber-v/{fiber}")) {
-            return Some(format!("{key} without the continuation of {fiber}"));
+        if !born(fiber) {
+            return Some(format!("{key} without a continuation of {fiber}"));
+        }
+        if !has(&format!("task-def/{}", task_of(fiber))) {
+            return Some(format!("{key} without its task definition"));
         }
     }
     for key in store.list("children/").unwrap() {
-        if let Some(child) = csv(&key).iter().find(|c| !has(&format!("fiber-v/{c}"))) {
+        if let Some(child) = csv(&key).iter().find(|c| !born(c)) {
             return Some(format!("{key} lists {child}, which has no continuation"));
+        }
+    }
+    for key in store.list("fiber/").unwrap() {
+        let fiber = key.strip_prefix("fiber/").unwrap();
+        if !has(&format!("task-def/{}", task_of(fiber))) {
+            return Some(format!("{key} without its task definition"));
         }
     }
     for key in store.list("fiber-v/").unwrap() {
         let fiber = key.strip_prefix("fiber-v/").unwrap();
-        let task = fiber.split('/').next().unwrap();
-        if !has(&format!("task-def/{task}")) {
-            return Some(format!("{key} without task-def/{task}"));
+        // The meta record is what makes a fiber read as suspended; the
+        // crumb saying on what came in the same batch.
+        if !has(&format!("susp/{fiber}")) {
+            return Some(format!("{key} without susp/{fiber}"));
         }
         // The meta record names a base and a delta chain; all of it must
         // be there and load.
@@ -597,8 +616,9 @@ fn closure_violation(dir: &Path, gvm: &Arc<Gvm>) -> Option<String> {
 /// Happens-before ⊆ seq order, mechanically: fiber-bound messages are
 /// not held for the save that caused them, so a crash can cut the log
 /// between any two records. Whatever it keeps must stand on its own —
-/// a result with its fiber, a child with its task, a parent that has
-/// seen a child's result with that result. (Holds never changed the
+/// a result with its fiber's birth and its task, a listed child with
+/// its birth, a suspended fiber with a loadable chain and its crumb, a
+/// parent that has seen a child's result with that result. (Holds never changed the
 /// order of records, so this passes with or without them.)
 #[test]
 fn every_log_prefix_is_causally_closed() {

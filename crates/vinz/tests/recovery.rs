@@ -10,13 +10,13 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bluebox::{ChaosConfig, ChaosPlan, Cluster, Fault, FaultPoint, RecoveryConfig};
 use gozer_lang::Value;
 use gozer_xml::ServiceDescription;
 use vinz::testing::{chaos_seeds, register_value_service, repro_command, run_workflow_under_chaos};
-use vinz::{RetryPolicy, TaskStatus, VinzConfig, WorkflowService};
+use vinz::{MemStore, RetryPolicy, StateStore, TaskStatus, VinzConfig, WorkflowService};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -152,6 +152,17 @@ fn supervisor_respawns_after_total_node_loss() {
 /// metrics export.
 #[test]
 fn poisoned_run_fiber_dead_letters_and_fails_the_task() {
+    poisoned_operation_fails_the_task("RunFiber");
+}
+
+/// The same for the message that creates the task: `start` has named
+/// it and gone, so the name is what the quarantine resolves.
+#[test]
+fn poisoned_start_dead_letters_and_fails_the_task() {
+    poisoned_operation_fails_the_task("Start");
+}
+
+fn poisoned_operation_fails_the_task(operation: &str) {
     let cluster = Cluster::new();
     cluster.set_recovery(RecoveryConfig {
         redelivery_budget: 3,
@@ -159,7 +170,7 @@ fn poisoned_run_fiber_dead_letters_and_fails_the_task() {
         backoff_max: Duration::from_millis(5),
         ..RecoveryConfig::default()
     });
-    cluster.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, "RunFiber")));
+    cluster.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, operation)));
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source("(defun main () 42)")
         .instances(0, 2)
@@ -178,7 +189,7 @@ fn poisoned_run_fiber_dead_letters_and_fails_the_task() {
     assert!(cluster.dead_letter_total() > 0, "quarantine counter moved");
     let dead = cluster.dead_letters("workflow");
     assert!(
-        dead.iter().any(|d| d.msg.operation == "RunFiber"),
+        dead.iter().any(|d| d.msg.operation == operation),
         "the poisoned operation is what got quarantined: {dead:?}"
     );
     let obs = wf.obs();
@@ -191,6 +202,67 @@ fn poisoned_run_fiber_dead_letters_and_fails_the_task() {
         text.contains("gozer_dead_letters_total"),
         "metrics export must carry the dead-letter family:\n{text}"
     );
+    cluster.shutdown();
+}
+
+/// A `Start` wrote its task and died before its `RunFiber` reached
+/// anyone: all the store holds is the task definition and the main
+/// fiber as it was born. The client starts the task again under the
+/// same name; the second `Start` finds the first one's work and adds
+/// nothing, and the orphan scan, going by the birth record alone, sends
+/// the `RunFiber` that was lost.
+#[test]
+fn orphan_scan_runs_a_fiber_known_only_by_its_birth_record() {
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    let source = "(defun main (n) (* n n))";
+    // The first life: every RunFiber delivery kills its instance, and
+    // nothing restaffs the deployment.
+    let doomed = Cluster::new();
+    doomed.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, "RunFiber")));
+    let mut unsupervised = VinzConfig::default();
+    unsupervised.supervision.enabled = false;
+    let wf = WorkflowService::builder(&doomed, "workflow")
+        .source(source)
+        .store(store.clone())
+        .config(unsupervised)
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    let task = wf.start("main", vec![Value::Int(12)], None).unwrap();
+    let deadline = Instant::now() + TIMEOUT;
+    while doomed.live_instances("workflow") > 0 {
+        assert!(Instant::now() < deadline, "poison never took the instances");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    doomed.shutdown();
+    drop(wf);
+    assert_eq!(
+        store.list("").unwrap(),
+        [format!("fiber/{task}/f0"), format!("task-def/{task}")]
+    );
+
+    // The second life, same store.
+    let cluster = Cluster::new();
+    let mut config = VinzConfig::default();
+    config.supervision.interval = Duration::from_millis(5);
+    config.supervision.stall_after = Duration::from_millis(50);
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(source)
+        .store(store.clone())
+        .config(config)
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    assert_eq!(wf.start("main", vec![Value::Int(12)], None).unwrap(), task);
+    let rec = wf
+        .wait(&task, TIMEOUT)
+        .expect("the orphan scan restarts the fiber");
+    assert_eq!(rec.status, TaskStatus::Completed(Value::Int(144)));
+    let obs = wf.obs();
+    let counters = obs.counters();
+    assert!(counters.orphans_resumed.load(Ordering::Relaxed) >= 1);
+    // The task began once, in its first life.
+    assert_eq!(counters.tasks_started.load(Ordering::Relaxed), 0);
     cluster.shutdown();
 }
 

@@ -379,16 +379,31 @@ fn persistence_metrics_account_for_suspensions() {
 }
 
 /// `MemStore` that counts deletes (on `LogStore` each one appends a
-/// tombstone to the commit log).
+/// tombstone to the commit log) and logs the keys of every write call,
+/// a batch being one call.
 #[derive(Default)]
 struct CountingStore {
     inner: vinz::MemStore,
     deletes: std::sync::atomic::AtomicU64,
+    puts: std::sync::Mutex<Vec<Vec<String>>>,
+}
+
+impl CountingStore {
+    /// The write calls made since the last look.
+    fn take_puts(&self) -> Vec<Vec<String>> {
+        std::mem::take(&mut *self.puts.lock().unwrap())
+    }
 }
 
 impl vinz::StateStore for CountingStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), vinz::StoreError> {
+        self.puts.lock().unwrap().push(vec![key.to_string()]);
         self.inner.put(key, data)
+    }
+    fn put_batch(&self, entries: &[(&str, &[u8])]) -> Result<vinz::Watermark, vinz::StoreError> {
+        let keys = entries.iter().map(|(k, _)| k.to_string()).collect();
+        self.puts.lock().unwrap().push(keys);
+        self.inner.put_batch(entries)
     }
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, vinz::StoreError> {
         self.inner.get(key)
@@ -406,6 +421,66 @@ impl vinz::StateStore for CountingStore {
     fn bytes_read(&self) -> u64 {
         self.inner.bytes_read()
     }
+}
+
+/// What a task writes, call by call: a fiber is persisted when it is
+/// born and when it suspends, and a result when it finishes — nothing
+/// records *that* any of it happened.
+#[test]
+fn store_census_of_a_task() {
+    let cluster = Cluster::new();
+    let store = Arc::new(CountingStore::default());
+    // The benchmark's `quick` and one round of its `forkjoin-log`.
+    let wf = WorkflowService::builder(&cluster, "wf")
+        .source(
+            "(defun quick (n) (* n n))
+             (defun child (n) (* n 7))
+             (defun step (n) (join-process (fork-and-exec #'child :argument n)))
+             (defun one (n) (step n))
+             (defun two (n) (+ (step n) (step n)))",
+        )
+        .store(store.clone())
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    let census = |function: &str, want: i64| {
+        let v = wf.call(function, vec![Value::Int(3)], TIMEOUT).unwrap();
+        assert_eq!(v, Value::Int(want), "{function}");
+        assert!(cluster.drain("wf", TIMEOUT));
+        store.take_puts()
+    };
+    // A task that never suspends: its definition, its fiber as born, its
+    // result.
+    assert_eq!(
+        census("quick", 9),
+        [
+            ["task-def/task-1"],
+            ["fiber/task-1/f0"],
+            ["result/task-1/f0"]
+        ]
+    );
+    let (one, two) = (census("one", 21), census("two", 42));
+    // A fork/join round: the child as born and its entry in the parent's
+    // registry, the parent's suspension (snapshot, meta and crumb in one
+    // batch) and its entry in the child's waiter list, the child's
+    // result.
+    assert!(two.len() - one.len() <= 5, "{one:?}\n{two:?}");
+    assert!(one.len() <= 3 + 5, "{one:?}");
+    let keys: Vec<&String> = one.iter().chain(&two).flatten().collect();
+    // Nothing but these is ever written (no key records a phase).
+    const FAMILIES: [&str; 7] = [
+        "task-def/", "fiber/", "fiber-v/", "susp/", "result/", "children/", "waiters/",
+    ];
+    let stray = keys.iter().find(|k| !FAMILIES.iter().any(|f| k.starts_with(f)));
+    assert_eq!(stray, None, "{keys:?}");
+    // The meta record is written by suspensions only, with what it names.
+    for call in one.iter().chain(&two) {
+        if call.iter().any(|k| k.starts_with("fiber-v/")) {
+            assert_eq!(call.len(), 3, "{call:?}");
+            assert!(call.iter().any(|k| k.starts_with("susp/")), "{call:?}");
+        }
+    }
+    cluster.shutdown();
 }
 
 #[test]
@@ -502,13 +577,25 @@ fn fiber_of(events: &[Event], kind: fn(&EventKind) -> bool) -> String {
     e.fiber.clone().expect("lifecycle events carry their fiber")
 }
 
-const REDELIVERIES: [Redelivery; 4] = [
+const REDELIVERIES: [Redelivery; 5] = [
     Redelivery {
         op: "RunFiber",
         source: TWO_CALLS,
         // main ran and suspended long ago.
         duplicate: |task, _, _| {
             Message::new("wf", "RunFiber", Vec::new()).header("fiber-id", format!("{task}/f0"))
+        },
+    },
+    Redelivery {
+        op: "RunFiber of a fiber that never suspended",
+        source: "(defun main ()
+                   (fork-and-exec (lambda () :done))
+                   (+ (GA-Square-Method :n 3) (GB-Square-Method :n 4)))",
+        // The forked fiber ran to its end in one go: its result is all
+        // that says it must not run again.
+        duplicate: |_, events, _| {
+            let child = fiber_of(events, |k| matches!(k, EventKind::FiberDone));
+            Message::new("wf", "RunFiber", Vec::new()).header("fiber-id", child)
         },
     },
     Redelivery {
@@ -629,8 +716,8 @@ fn wakeup_that_beats_its_suspension_is_retried_not_lost() {
             .header("fiber-id", "task-1/f0")
             .header("target", "task-1/ghost"),
     );
-    // A fiber with no phase record reads as "initial": the wake-up goes
-    // back on the queue, again and again.
+    // A fiber with neither result nor meta record reads as "initial":
+    // the wake-up goes back on the queue, again and again.
     let sends = || {
         let sent = |k: &EventKind| matches!(k, EventKind::MessageSent { operation, .. } if operation == "JoinProcess");
         obs.events().iter().filter(|e| sent(&e.kind)).count()
@@ -647,5 +734,38 @@ fn wakeup_that_beats_its_suspension_is_retried_not_lost() {
         TaskStatus::Completed(Value::list(vec![Value::keyword("joined"), Value::Nil]))
     );
     assert_eq!(obs.counters().resumes.load(Ordering::Relaxed), 1);
+    cluster.shutdown();
+}
+
+// ---- Start names its task ---------------------------------------------------
+
+/// `start` returns as soon as the `Start` is sent, so a `Start` that
+/// cannot begin its task has nobody to fault to: the task it names ends
+/// `Failed` instead — whoever chose the name, the service's own
+/// `start` or a caller that went to the broker itself.
+#[test]
+fn named_start_that_cannot_begin_fails_its_task() {
+    let cluster = Cluster::new();
+    let wf = deploy(&cluster, "(defun main () :ok)");
+    let no_args = serialize_value(&Value::list(vec![]), Codec::Deflate).unwrap();
+    cluster.send(
+        Message::new("wf", "Start", no_args)
+            .header("function", "no-such-function")
+            .header("task-id", "task-7"),
+    );
+    assert!(cluster.drain("wf", TIMEOUT));
+    match wf.wait("task-7", TIMEOUT).map(|r| r.status) {
+        Some(TaskStatus::Failed(c)) => {
+            assert!(c.matches("start-failed"), "{c}");
+            assert!(c.to_string().contains("no-such-function"), "{c}");
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    // The service checks before it names anything,
+    assert!(wf.start("no-such-function", vec![], None).is_err());
+    // and its own names come after the one it was handed.
+    let rec = wf.run("main", vec![], TIMEOUT).unwrap();
+    assert_eq!(rec.id, "task-8");
+    assert_eq!(rec.status, TaskStatus::Completed(Value::keyword("ok")));
     cluster.shutdown();
 }

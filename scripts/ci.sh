@@ -35,11 +35,15 @@ run "$CARGO" test --test survivability $OFFLINE
 # adversarial), the event bus's (a disabled bus never builds an event,
 # ring overflow and drop counts), and the vinz workflow and service
 # suites, which hold the lifecycle-order assertions on `EventKind` and
-# the idempotent-entry table for the four operations that enter a fiber.
+# the idempotent-entry table for the four operations that enter a fiber
+# and the store census of a task; and the two suites either side of
+# `start`: the admission gate in front of it, and the corrupt `fiber-v/`
+# records behind it (a record whose mere presence says "suspended").
 run "$CARGO" test -p vinz --test logstore --test phases $OFFLINE
 run "$CARGO" test -p gozer-serial $OFFLINE
 run "$CARGO" test -p gozer-obs $OFFLINE
 run "$CARGO" test -p vinz --test workflows --test services $OFFLINE
+run "$CARGO" test -p vinz --test admission --test adversarial $OFFLINE
 
 # Recovery gate: the armed sweep (chaos stays enabled; leases,
 # supervisor, and retries absorb every failure) plus the dead-letter
