@@ -252,8 +252,8 @@ fn main() {
         format!("{log_rate:.0}"),
         log_stats.fsyncs.to_string(),
         format!(
-            "{} commits batched {} saves",
-            log_stats.group_commits, log_stats.committed_entries
+            "{} commits batched {} saves in {} writes",
+            log_stats.group_commits, log_stats.committed_entries, log_stats.writes
         ),
     ]);
     t.row(&[
@@ -292,6 +292,7 @@ fn main() {
                     .field("speedup", speedup)
                     .field("file_fsyncs", (threads * saves) as u64)
                     .field("log_fsyncs", log_stats.fsyncs)
+                    .field("log_writes", log_stats.writes)
                     .field("log_group_commits", log_stats.group_commits)
                     .field("log_committed_entries", log_stats.committed_entries)
                     .field("log_bytes", log_stats.log_bytes),

@@ -22,6 +22,8 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
+use gozer_compress::crc32;
+
 /// Hard upper bound on a frame's payload length. Larger claims are
 /// rejected from the 4-byte prefix alone, so a corrupt or hostile
 /// length can never drive an allocation.
@@ -33,35 +35,6 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 pub const MAX_WIRE_COUNT: u32 = 4096;
 
 const FRAME_HEADER_LEN: usize = 8;
-
-// ---- CRC-32 (IEEE 802.3) ----------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// IEEE CRC-32 of `data` (the polynomial Ethernet, zip, and PNG use).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ---- errors -----------------------------------------------------------
 
@@ -692,13 +665,6 @@ mod tests {
             WireMsg::Heartbeat { seq: 12 },
             WireMsg::Bye,
         ]
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The classic check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -42,12 +42,16 @@ pub use writer::ValueWriter;
 /// Format magic.
 pub(crate) const MAGIC: [u8; 2] = [b'G', b'Z'];
 /// Format version written by this crate, and the only one it reads. v2
-/// has the symbol/keyword dictionary ([`Tag::SymRef`]/[`Tag::KwRef`]),
-/// string content deduplication, and delta snapshot records.
-pub(crate) const VERSION: u8 = 2;
+/// brought the symbol/keyword dictionary ([`Tag::SymRef`]/[`Tag::KwRef`]),
+/// string content deduplication, and delta snapshot records; v3 writes a
+/// full state's frames before its non-frame portion, so that a full
+/// snapshot's tables are a delta's seeding tables
+/// ([`serialize_state_base`]).
+pub(crate) const VERSION: u8 = 3;
 /// First payload byte of a delta snapshot record — distinguishes a delta
-/// from a full state, whose first byte is a varint (bit 7 clear for any
-/// plausible restart counter) so the two cannot be confused.
+/// from a full state, whose first byte is its frame count as a varint
+/// (bit 7 clear below 128 frames; this byte would open a count of 213,
+/// 341, …). A sanity check: the store key says which record is which.
 pub(crate) const DELTA_MARKER: u8 = 0xD5;
 
 /// Serialization/deserialization failure.
@@ -164,6 +168,24 @@ pub fn serialize_state_sized(
     Ok(w.finish_enveloped(codec))
 }
 
+/// [`serialize_state_sized`], byte for byte, for a snapshot that deltas
+/// will be stacked on: the tables the write built anyway are left in
+/// `state.seed`, checkpointed after every frame, so the first
+/// [`serialize_state_delta`] after it finds them warm instead of
+/// serializing the whole clean prefix a second time to rebuild them.
+/// (Frames from the first one holding a mutable object up are not
+/// covered, exactly as a seeding walk would have stopped there.)
+pub fn serialize_state_base(
+    state: &FiberState,
+    codec: Codec,
+    size_hint: usize,
+) -> Result<Vec<u8>, SerError> {
+    let mut w = ValueWriter::with_envelope(size_hint);
+    w.write_state_seeding(state)?;
+    keep_in_cache(&mut w, state);
+    Ok(w.finish_enveloped(codec))
+}
+
 /// Deserialize a fiber continuation, re-linking code against `gvm`'s
 /// program registry.
 pub fn deserialize_state(bytes: &[u8], gvm: &Arc<Gvm>) -> Result<FiberState, SerError> {
@@ -197,8 +219,9 @@ pub struct SeedUse {
 /// assigns the same indices, and the CRC proves the two bases match.
 ///
 /// **Cost.** The seeded tables are kept in `state.seed`, checkpointed
-/// after every frame. The first delta of a state (after a full snapshot
-/// by a cold writer, or a load) walks the whole prefix; every later one
+/// after every frame. The first delta of a state that comes with none
+/// (a load, a clone, a full snapshot not written by
+/// [`serialize_state_base`]) walks the whole prefix; every other one
 /// rolls back to the deepest checkpoint the VM has not invalidated and
 /// walks only the frames that became clean since — O(dirty frames), not
 /// O(continuation). The bytes cannot depend on which happened: the
@@ -273,7 +296,7 @@ fn seed_from_cache(
     if let Some(tables) = kept.and_then(|t| t.downcast().ok()) {
         w.tables = *tables;
     }
-    let (crc, reused) = w.seed(&state.frames[..prefix], valid)?;
+    let (crc, reused) = w.seed(&state.frames[..prefix], valid, false)?;
     let used = SeedUse {
         reused: reused as u64,
         walked: (prefix - reused) as u64,

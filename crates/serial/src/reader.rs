@@ -354,12 +354,12 @@ impl<'a> ValueReader<'a> {
 
     /// Read a complete fiber state.
     pub fn read_state(&mut self) -> Result<FiberState, SerError> {
-        let (next_restart_id, ext, dyn_state) = self.read_state_meta()?;
         let n_frames = self.uv()? as usize;
         let mut frames = Vec::with_capacity(n_frames.min(1 << 12));
         for _ in 0..n_frames {
             frames.push(self.read_frame()?);
         }
+        let (next_restart_id, ext, dyn_state) = self.read_state_meta()?;
         // A freshly deserialized state *is* its snapshot, so every frame
         // is clean until the interpreter touches it.
         let clean_prefix = frames.len();

@@ -28,14 +28,18 @@ pub struct ValueWriter {
     /// Dictionary coding on (off only for format A/B tests).
     dict: bool,
     /// Log every table registration in `tables.slots`/`tables.syms`, so
-    /// it can be undone and a reader can mirror it. On for delta records
-    /// only: a full snapshot builds its tables once and drops them.
+    /// it can be undone and a reader can mirror it. On once the tables
+    /// are seeded: a snapshot no delta follows builds its tables once
+    /// and drops them.
     journal: bool,
     /// Seeding mode: serializing a delta's clean frames purely to
     /// populate the tables. Mutable objects are rejected (their fields
     /// can change without any frame mutation, so a "clean" frame holding
     /// one is not actually clean).
     seeding: bool,
+    /// Mutable objects written so far; a frame that wrote one gets no
+    /// checkpoint, nor does any frame above it.
+    objects: usize,
 }
 
 /// The writer's lookup tables. For a delta record they are first
@@ -137,6 +141,7 @@ impl ValueWriter {
             dict: true,
             journal: false,
             seeding: false,
+            objects: 0,
         }
     }
 
@@ -182,17 +187,22 @@ impl ValueWriter {
     /// `valid` is how many leading frames the tables this writer was
     /// given may still describe (0 for fresh tables). Checkpoints above
     /// `min(valid, frames.len())` are rolled back, frames above the
-    /// deepest one left are serialized — into the tail of `out`, which is
-    /// checksummed and cut off again — and each adds a checkpoint. The
-    /// journal stays on afterwards, so [`unwind`](Self::unwind) can remove
-    /// whatever the record's own frames register.
+    /// deepest one left are serialized into the tail of `out`, and each
+    /// adds a checkpoint. The journal stays on afterwards, so
+    /// [`unwind`](Self::unwind) can remove whatever is written next.
     ///
-    /// On error (unserializable data, a mutable object) the tables stay
-    /// seeded from the frames before the offending one.
+    /// A delta walks only to seed: the bytes are checksummed and cut off
+    /// again, and a mutable object is an error, after which the tables
+    /// stay seeded from the frames before the offending one. With `keep`
+    /// the walk *is* a full snapshot's frame section — the same bytes the
+    /// seeding walk would produce, since both start from empty tables —
+    /// so they stay in `out`; a mutable object is written like anything
+    /// else and the checkpoints stop below its frame.
     pub(crate) fn seed(
         &mut self,
         frames: &[Frame],
         valid: usize,
+        keep: bool,
     ) -> Result<(u32, usize), SerError> {
         if self.tables.marks.is_empty() {
             self.tables.marks.push(Mark::default());
@@ -200,19 +210,26 @@ impl ValueWriter {
         let reused = valid.min(frames.len()).min(self.tables.frames());
         self.unwind(reused);
         self.journal = true;
-        self.seeding = true;
+        self.seeding = !keep;
         let mut crc = self.tables.marks[reused].crc;
-        let start = self.out.len();
+        let mut start = self.out.len();
+        let objects = self.objects;
         let result = frames[reused..].iter().try_for_each(|f| {
             let written = self.write_frame(f);
             crc.update(&self.out[start..]);
-            self.out.truncate(start);
+            if keep {
+                start = self.out.len();
+            } else {
+                self.out.truncate(start);
+            }
             written?;
-            self.tables.marks.push(Mark {
-                slots: self.tables.slots.len(),
-                syms: self.tables.syms.len(),
-                crc,
-            });
+            if self.objects == objects {
+                self.tables.marks.push(Mark {
+                    slots: self.tables.slots.len(),
+                    syms: self.tables.syms.len(),
+                    crc,
+                });
+            }
             Ok(())
         });
         self.seeding = false;
@@ -418,6 +435,7 @@ impl ValueWriter {
                              delta snapshot is unsound",
                         ));
                     }
+                    self.objects += 1;
                     if self.share(v) {
                         return Ok(());
                     }
@@ -508,10 +526,24 @@ impl ValueWriter {
         Ok(())
     }
 
-    /// Write a complete fiber state.
+    /// Write a complete fiber state: frame count, frames, then the
+    /// non-frame portion. Frames come first so that they meet the same
+    /// (empty) tables a delta's seeding walk starts from.
     pub fn write_state(&mut self, state: &FiberState) -> Result<(), SerError> {
-        self.write_state_meta(state)?;
         self.uv(state.frames.len() as u64);
-        self.write_frames(&state.frames)
+        self.write_frames(&state.frames)?;
+        self.write_state_meta(state)
+    }
+
+    /// [`write_state`](Self::write_state), byte for byte, as the base of
+    /// a delta chain: the tables come out seeded from the state's frames
+    /// (see [`seed`](Self::seed)), ready to be kept for the first delta.
+    pub(crate) fn write_state_seeding(&mut self, state: &FiberState) -> Result<(), SerError> {
+        self.uv(state.frames.len() as u64);
+        self.seed(&state.frames, 0, true)?;
+        let written = self.write_state_meta(state);
+        // What the meta registered belongs to no frame.
+        self.unwind(self.tables.frames());
+        written
     }
 }

@@ -9,8 +9,9 @@ use std::sync::Arc;
 use gozer_compress::Codec;
 use gozer_lang::Value;
 use gozer_serial::{
-    deserialize_state, deserialize_state_delta, serialize_state, serialize_state_delta,
-    serialize_value, ValueReader, ValueWriter,
+    deserialize_state, deserialize_state_delta, serialize_state, serialize_state_base,
+    serialize_state_delta, serialize_state_delta_costed, serialize_value, SeedUse, ValueReader,
+    ValueWriter,
 };
 use gozer_vm::{Gvm, RunOutcome};
 
@@ -288,9 +289,9 @@ fn warm_cache_is_bit_identical_to_cold_for_random_suspension_sequences() {
             let state = &susp.state;
             let full = serialize_state(state, Codec::None).unwrap();
 
-            // One save in four is a compaction: a full snapshot, which
-            // leaves the writer's cache as the previous step's probes left
-            // it — describing frames this step may have changed.
+            // One save in four is a compaction: a full snapshot, written
+            // over a cache the previous step's probes left describing
+            // frames this step may have changed.
             let delta = match rng.below(4) {
                 0 => None,
                 _ => serialize_state_delta(state, state.clean_prefix, Codec::None, 64).unwrap(),
@@ -315,7 +316,14 @@ fn warm_cache_is_bit_identical_to_cold_for_random_suspension_sequences() {
                     replayed = threaded;
                     assert_warm_equals_cold(state, &mut rng, &ctx);
                 }
-                None => replayed = deserialize_state(&full, &gvm).unwrap(),
+                None => {
+                    // The full save of a chain's base: the same bytes, and
+                    // tables no prefix can tell from a cold walk's.
+                    let base = serialize_state_base(state, Codec::None, 64).unwrap();
+                    assert_eq!(base, full, "{ctx}");
+                    assert_warm_equals_cold(state, &mut rng, &ctx);
+                    replayed = deserialize_state(&full, &gvm).unwrap();
+                }
             }
             assert_warm_equals_cold(&replayed, &mut rng, &ctx);
 
@@ -336,6 +344,37 @@ fn warm_cache_is_bit_identical_to_cold_for_random_suspension_sequences() {
             };
         }
     }
+}
+
+#[test]
+fn a_base_save_leaves_the_next_delta_nothing_to_walk() {
+    let gvm = deep_gvm();
+    let f = gvm.function("outer").unwrap();
+    let RunOutcome::Suspended(susp1) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap()
+    else {
+        panic!("expected suspension at :one");
+    };
+    // First suspension: nothing to be a delta of.
+    let mut state = susp1.state;
+    let base = serialize_state_base(&state, Codec::None, 64).unwrap();
+    assert_eq!(base, serialize_state(&state, Codec::None).unwrap());
+    state.clean_prefix = state.frames.len();
+    let state = suspend(&gvm, state, Value::Int(10)).state;
+    assert_eq!(state.clean_prefix, 2);
+
+    let cold = serialize_state_delta_costed(&state.clone(), 2, Codec::None, 64).unwrap();
+    let warm = serialize_state_delta_costed(&state, 2, Codec::None, 64).unwrap();
+    let frames = |reused, walked| SeedUse { reused, walked };
+    assert_eq!(cold.1, frames(0, 2));
+    assert_eq!(warm.1, frames(2, 0));
+    assert_eq!(warm.0, cold.0);
+    // And a reader holding only the base's bytes applies it.
+    let loaded = deserialize_state(&base, &gvm).unwrap();
+    let applied = deserialize_state_delta(&warm.0.unwrap(), &gvm, &loaded).unwrap();
+    assert_eq!(
+        serialize_state(&applied, Codec::None).unwrap(),
+        serialize_state(&state, Codec::None).unwrap()
+    );
 }
 
 #[test]

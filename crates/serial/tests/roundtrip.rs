@@ -303,14 +303,15 @@ fn corrupted_payload_is_rejected() {
 #[test]
 fn corrupt_deep_nesting_is_an_error_not_a_crash() {
     // Hand-craft a payload of 100k nested single-element lists: tag 9
-    // (List), count 1, repeated. Envelope: magic, version, codec none.
+    // (List), count 1, repeated, behind the envelope (magic, version,
+    // codec none) of something this crate wrote.
     let mut payload = Vec::new();
     for _ in 0..100_000 {
         payload.push(9u8); // Tag::List
         payload.push(1u8); // count = 1 (varint)
     }
     payload.push(0u8); // innermost Nil
-    let mut bytes = vec![b'G', b'Z', 2, 0];
+    let mut bytes = serialize_value(&Value::Nil, Codec::None).unwrap()[..4].to_vec();
     bytes.extend_from_slice(&payload);
     let gvm = Gvm::with_pool_size(1);
     let err = deserialize_value(&bytes, &gvm).unwrap_err();

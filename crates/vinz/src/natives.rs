@@ -137,31 +137,20 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         inner
             .save_newborn(&rt, IN_FIBER, &child_id, state)
             .map_err(vz)?;
-        // Durable child registry for the supervisor's orphan scan: it
+        // Durable child registry for the supervisor's orphan scan, which
         // re-sends AwakeFiber for finished children of a suspended
-        // parent (serial under the parent's fiber lock, so get+put is
-        // race-free).
-        let children_key = format!("children/{parent_id}");
-        let mut children = inner
-            .store
-            .get(&children_key)
-            .map_err(|e| VmError::msg(e.to_string()))?
-            .map(|b| String::from_utf8_lossy(&b).into_owned())
-            .unwrap_or_default();
-        if !children.is_empty() {
-            children.push(',');
-        }
-        children.push_str(&child_id);
+        // parent: one key per child, so a fork writes its own id and
+        // reads nothing, however many siblings came before.
         inner
             .store
-            .put(&children_key, children.as_bytes())
+            .put(&format!("children/{parent_id}/{child_id}"), b"")
             .map_err(|e| VmError::msg(e.to_string()))?;
         inner.emit(rt.node_id, IN_FIBER, &parent_id, || EventKind::FiberForked {
             child: child_id.clone(),
         });
         // Children inherit the task's deadline so deadline-aware queue
         // policies can order their RunFiber messages too.
-        let deadline = inner.tracker.get(&task_id).and_then(|r| r.deadline);
+        let deadline = inner.tracker.deadline(&task_id);
         inner.send_run_fiber(&child_id, deadline);
         NativeOutcome::ok(Value::str(child_id))
     });

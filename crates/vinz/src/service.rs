@@ -27,7 +27,7 @@ use gozer_obs::{
 };
 use gozer_serial::{
     deserialize_state_costed, deserialize_state_delta_costed, deserialize_value,
-    serialize_state_delta_costed, serialize_state_sized, serialize_value,
+    serialize_state_base, serialize_state_delta_costed, serialize_state_sized, serialize_value,
 };
 use gozer_vm::{Condition, FiberObsEvent, FiberObsKind, FiberState, Gvm, RunOutcome, Unwind, VmError};
 use parking_lot::{Mutex, RwLock};
@@ -1501,7 +1501,9 @@ impl Inner {
             }
             None => {
                 let start = Instant::now();
-                let bytes = serialize_state_sized(&state, self.config.codec, hot.last_size)
+                // The base of the chain to come: its tables stay in
+                // `state.seed`, so the next delta has no prefix to walk.
+                let bytes = serialize_state_base(&state, self.config.codec, hot.last_size)
                     .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
                 self.serial_costs
                     .record_serialize(bytes.len() as u64, start.elapsed().as_nanos() as u64);

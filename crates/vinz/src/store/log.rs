@@ -29,8 +29,9 @@
 //! keep their original `seq`; replay recognises them by it.)
 //!
 //! The group-commit writer thread takes everything enqueued so far,
-//! appends it, issues **one fsync** for the whole group, advances the
-//! durable watermark, fires the commit hook, and wakes `flush` waiters.
+//! frames it into one buffer, appends that with **one write**, issues
+//! **one fsync** for the whole group, advances the durable watermark,
+//! fires the commit hook, and wakes `flush` waiters.
 //! A write nobody waits on lingers for up to the commit window so later
 //! saves can share its fsync; the linger ends the moment somebody asks
 //! for a watermark that is not durable yet (a failed
@@ -160,6 +161,9 @@ struct Tail {
     live: u64,
     /// Value bytes superseded or deleted but still on disk.
     dead: u64,
+    /// Framed records not yet handed to `file`, where they will start at
+    /// `seg_bytes`. Reused from group to group; a rotation empties it.
+    group: Vec<u8>,
 }
 
 /// Point-in-time counters for benches and the obs mirror.
@@ -168,6 +172,8 @@ pub struct LogStats {
     /// fsync calls issued by the commit path (group commits + rotations
     /// + compactions).
     pub fsyncs: u64,
+    /// Append writes issued by the commit path (group commits + rotations + compacted records).
+    pub writes: u64,
     /// Group commits completed.
     pub group_commits: u64,
     /// Individual save/delete operations made durable.
@@ -183,6 +189,7 @@ pub struct LogStats {
 #[derive(Default)]
 struct StatCells {
     fsyncs: AtomicU64,
+    writes: AtomicU64,
     group_commits: AtomicU64,
     committed_entries: AtomicU64,
     log_bytes: AtomicU64,
@@ -314,6 +321,7 @@ impl LogStore {
             seg_bytes: SEG_MAGIC.len() as u64,
             live: recovered.index.values().map(|l| l.len as u64).sum(),
             dead: 0,
+            group: Vec::new(),
         };
 
         let inner = Arc::new(LogInner {
@@ -358,6 +366,7 @@ impl LogStore {
         let s = &self.inner.stats;
         LogStats {
             fsyncs: s.fsyncs.load(Ordering::Relaxed),
+            writes: s.writes.load(Ordering::Relaxed),
             group_commits: s.group_commits.load(Ordering::Relaxed),
             committed_entries: s.committed_entries.load(Ordering::Relaxed),
             log_bytes: s.log_bytes.load(Ordering::Relaxed),
@@ -392,7 +401,10 @@ impl LogStore {
         self.inner.work_cv.notify_all();
         drop(self.inner.commit.lock());
         self.inner.commit_cv.notify_all();
-        if let Some(h) = self.writer.lock().take() {
+        // The commit hook can drop the last handle to the store on the
+        // writer itself, which must not then wait for its own exit.
+        let writer = self.writer.lock().take();
+        if let Some(h) = writer.filter(|h| h.thread().id() != std::thread::current().id()) {
             let _ = h.join();
         }
     }
@@ -713,41 +725,45 @@ fn create_segment(dir: &Path, seg: u64) -> Result<File, StoreError> {
     Ok(file)
 }
 
-/// Serialize one batch into a framed record; returns it with the byte
-/// offset and length of each put value relative to the record's start.
-fn encode_record(seq: u64, ops: &[PendingOp]) -> (Vec<u8>, Vec<Option<(u64, u32)>>) {
-    let size = 20
-        + ops
-            .iter()
-            .map(|op| 7 + op.key.len() + op.val.as_ref().map_or(0, |v| v.len()))
-            .sum::<usize>();
-    let mut record = Vec::with_capacity(size);
+/// Bytes [`encode_record`] appends for `ops`.
+fn record_len(ops: &[PendingOp]) -> usize {
+    let op_len = |op: &PendingOp| 7 + op.key.len() + op.val.as_ref().map_or(0, |v| v.len());
+    20 + ops.iter().map(op_len).sum::<usize>()
+}
+
+/// Frame one batch as a record at the tail of the group buffer: the
+/// payload is laid down once, checksummed where it lies, and its header
+/// patched. `placed` gets each key with where its value will sit in the
+/// segment (`None` for a delete).
+fn encode_record<'a>(
+    tail: &mut Tail,
+    seq: u64,
+    ops: &'a [PendingOp],
+    placed: &mut Vec<(&'a str, Option<Loc>)>,
+) {
+    let (seg, base, buf) = (tail.seg_id, tail.seg_bytes, &mut tail.group);
+    let start = buf.len();
+    buf.reserve(record_len(ops));
     // [len][crc] are patched in once the payload behind them is known.
-    record.extend_from_slice(&[0u8; 8]);
-    record.extend_from_slice(&seq.to_le_bytes());
-    record.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    let mut val_offsets = Vec::with_capacity(ops.len());
+    buf.extend_from_slice(&[0u8; 8]);
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for op in ops {
-        record.push(if op.val.is_some() { OP_PUT } else { OP_DELETE });
-        record.extend_from_slice(&(op.key.len() as u16).to_le_bytes());
-        record.extend_from_slice(op.key.as_bytes());
-        match &op.val {
-            Some(v) => {
-                record.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                val_offsets.push(Some((record.len() as u64, v.len() as u32)));
-                record.extend_from_slice(v);
-            }
-            None => {
-                record.extend_from_slice(&0u32.to_le_bytes());
-                val_offsets.push(None);
-            }
-        }
+        let val = op.val.as_ref().map(|v| v.as_slice());
+        buf.push(if val.is_some() { OP_PUT } else { OP_DELETE });
+        buf.extend_from_slice(&(op.key.len() as u16).to_le_bytes());
+        buf.extend_from_slice(op.key.as_bytes());
+        let len = val.map_or(0, |v| v.len() as u32);
+        buf.extend_from_slice(&len.to_le_bytes());
+        let off = base + buf.len() as u64;
+        placed.push((&op.key, val.map(|_| Loc { seq, seg, off, len })));
+        buf.extend_from_slice(val.unwrap_or_default());
     }
-    let len = (record.len() - 8) as u32;
-    let crc = gozer_compress::crc32(&record[8..]);
-    record[..4].copy_from_slice(&len.to_le_bytes());
-    record[4..8].copy_from_slice(&crc.to_le_bytes());
-    (record, val_offsets)
+    let payload = start + 8;
+    let len = (buf.len() - payload) as u32;
+    let crc = gozer_compress::crc32(&buf[payload..]);
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn writer_loop(inner: &LogInner, mut tail: Tail) {
@@ -799,31 +815,18 @@ fn commit_group(inner: &LogInner, tail: &mut Tail, batch: &[QueueEntry]) -> Resu
     let max_seq = newest.seq;
 
     let mut updates: Vec<(&str, Option<Loc>)> = Vec::new();
-    let mut appended = 0u64;
     for entry in batch {
-        let (record, val_offsets) = encode_record(entry.seq, &entry.ops);
-        if tail.seg_bytes + record.len() as u64 > inner.segment_bytes
-            && tail.seg_bytes > SEG_MAGIC.len() as u64
+        let end = tail.seg_bytes + tail.group.len() as u64;
+        if end + record_len(&entry.ops) as u64 > inner.segment_bytes && end > SEG_MAGIC.len() as u64
         {
             rotate(inner, tail)?;
         }
-        let base = tail.seg_bytes;
-        tail.file.write_all(&record).map_err(StoreError::io)?;
-        tail.seg_bytes += record.len() as u64;
-        appended += record.len() as u64;
-        for (op, val_off) in entry.ops.iter().zip(&val_offsets) {
-            let loc = val_off.map(|(rel, len)| Loc {
-                seq: entry.seq,
-                seg: tail.seg_id,
-                off: base + rel,
-                len,
-            });
-            updates.push((&op.key, loc));
-        }
+        encode_record(tail, entry.seq, &entry.ops, &mut updates);
     }
-    // The durability point for every save in the group: one fsync,
-    // however many batches piled up. (A rotation above has already
-    // synced the segment it closed.)
+    // The durability point for every save in the group: one write and
+    // one fsync, however many batches piled up. (A rotation above has
+    // already written and synced the segment it closed.)
+    write_out(inner, tail)?;
     tail.file.sync_all().map_err(StoreError::io)?;
     inner.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
 
@@ -854,7 +857,6 @@ fn commit_group(inner: &LogInner, tail: &mut Tail, batch: &[QueueEntry]) -> Resu
         .stats
         .committed_entries
         .fetch_add(updates.len() as u64, Ordering::Relaxed);
-    inner.stats.log_bytes.fetch_add(appended, Ordering::Relaxed);
     {
         let mut commit = inner.commit.lock();
         commit.durable = max_seq;
@@ -887,7 +889,22 @@ fn commit_group(inner: &LogInner, tail: &mut Tail, batch: &[QueueEntry]) -> Resu
     Ok(())
 }
 
+/// Hand the buffered records to the tail segment: one write.
+fn write_out(inner: &LogInner, tail: &mut Tail) -> Result<(), StoreError> {
+    let len = tail.group.len() as u64;
+    if len > 0 {
+        tail.file.write_all(&tail.group).map_err(StoreError::io)?;
+        inner.stats.writes.fetch_add(1, Ordering::Relaxed);
+        inner.stats.log_bytes.fetch_add(len, Ordering::Relaxed);
+    }
+    tail.seg_bytes += len;
+    tail.group.clear();
+    Ok(())
+}
+
+/// Close the tail segment — what is buffered belongs to it — and open the next.
 fn rotate(inner: &LogInner, tail: &mut Tail) -> Result<(), StoreError> {
+    write_out(inner, tail)?;
     tail.file.sync_all().map_err(StoreError::io)?;
     inner.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
     tail.seg_id += 1;
@@ -920,31 +937,14 @@ fn compact(inner: &LogInner, tail: &mut Tail) -> Result<(), StoreError> {
     let mut moved: Vec<(String, Loc, Loc)> = Vec::with_capacity(live.len());
     let mut live_bytes = 0u64;
     for (key, loc) in live {
-        let val = inner.read_loc(&key, loc)?;
-        let op = PendingOp {
-            key,
-            val: Some(Arc::new(val)),
-        };
-        let (record, val_offsets) = encode_record(loc.seq, std::slice::from_ref(&op));
-        let base = tail.seg_bytes;
-        tail.file.write_all(&record).map_err(StoreError::io)?;
-        tail.seg_bytes += record.len() as u64;
-        inner
-            .stats
-            .log_bytes
-            .fetch_add(record.len() as u64, Ordering::Relaxed);
-        let (rel, len) = val_offsets[0].expect("compaction writes puts");
-        live_bytes += len as u64;
-        moved.push((
-            op.key,
-            loc,
-            Loc {
-                seq: loc.seq,
-                seg: target_seg,
-                off: base + rel,
-                len,
-            },
-        ));
+        let val = Some(Arc::new(inner.read_loc(&key, loc)?));
+        let (ops, mut placed) = ([PendingOp { key, val }], Vec::new());
+        encode_record(tail, loc.seq, &ops, &mut placed);
+        write_out(inner, tail)?;
+        let new = placed[0].1.expect("compaction writes puts");
+        live_bytes += new.len as u64;
+        let [PendingOp { key, .. }] = ops;
+        moved.push((key, loc, new));
     }
     tail.file.sync_all().map_err(StoreError::io)?;
     inner.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -1686,6 +1686,33 @@ mod tests {
             );
             drop(store);
         }
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn the_last_handle_may_be_dropped_by_the_commit_hook() {
+        // A deployment's hook holds the cluster, whose probe holds the
+        // store: at teardown the writer can be the one that lets go last,
+        // and `Drop` joining the writer from the writer panicked.
+        let dir = tmp_dir("selfdrop");
+        let store = Arc::new(fast(&dir));
+        let last = Arc::new(Mutex::new(Some(store.clone())));
+        let dropped_cleanly = Arc::new(Mutex::new(None));
+        let (slot, verdict) = (last.clone(), dropped_cleanly.clone());
+        store.set_commit_hook(Arc::new(move |_| {
+            if let Some(store) = slot.lock().take() {
+                let drop_it = std::panic::AssertUnwindSafe(|| drop(store));
+                *verdict.lock() = Some(std::panic::catch_unwind(drop_it).is_ok());
+            }
+        }));
+        store.put("k", b"v").unwrap();
+        drop(store);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while dropped_cleanly.lock().is_none() {
+            assert!(Instant::now() < deadline, "the hook never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(*dropped_cleanly.lock(), Some(true));
         let _ = fs::remove_dir_all(dir);
     }
 

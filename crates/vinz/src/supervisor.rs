@@ -289,8 +289,7 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
             "initial" => {
                 // The RunFiber that would start this fiber is gone.
                 if mark_resent(st, &format!("run:{fiber_id}"), cooldown) {
-                    let deadline = inner.tracker.get(task).and_then(|r| r.deadline);
-                    inner.send_run_fiber(fiber_id, deadline);
+                    inner.send_run_fiber(fiber_id, inner.tracker.deadline(task));
                     note_orphan(inner, fiber_id, "run-fiber");
                 }
             }
@@ -320,13 +319,12 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
                         // Re-deliver the termination wake-up of every
                         // finished child; AwakeFiber's consumed-set drops
                         // the ones the parent already saw.
+                        let registry = format!("children/{fiber_id}/");
                         let children = inner
                             .store
-                            .get(&format!("children/{fiber_id}"))
-                            .map_err(|e| crate::service::VinzError(e.to_string()))?
-                            .map(|b| String::from_utf8_lossy(&b).into_owned())
-                            .unwrap_or_default();
-                        for child in children.split(',').filter(|c| !c.is_empty()) {
+                            .list(&registry)
+                            .map_err(|e| crate::service::VinzError(e.to_string()))?;
+                        for child in children.iter().filter_map(|k| k.strip_prefix(&registry)) {
                             let done = inner
                                 .store
                                 .get(&format!("result/{child}"))

@@ -203,6 +203,11 @@ impl TaskTracker {
         self.state.lock().get(task_id).cloned()
     }
 
+    /// The task's deadline, if it has one.
+    pub fn deadline(&self, task_id: &str) -> Option<Instant> {
+        self.state.lock().get(task_id).and_then(|r| r.deadline)
+    }
+
     /// Current status.
     pub fn status(&self, task_id: &str) -> Option<TaskStatus> {
         self.state.lock().get(task_id).map(|r| r.status.clone())

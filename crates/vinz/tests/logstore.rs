@@ -275,6 +275,185 @@ fn multi_partition_directory_is_refused() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+// ---- a group is one buffer, one write ------------------------------------
+
+/// A window no test outlives: nothing commits until somebody asks, so
+/// everything put before a `flush` is one group.
+fn lingering(dir: &Path) -> vinz::LogStoreBuilder {
+    LogStore::builder(dir).group_commit_window(Duration::from_secs(60))
+}
+
+/// Records in the group under test, and the ops they carry.
+const GROUP_RECORDS: usize = 12 + 2;
+const GROUP_OPS: u64 = 12 * 2 + 2;
+
+/// The group under test: batches of uneven sizes, overwrites and two
+/// deletes among them, one record each. Returns what the store holds
+/// once the first `upto` records have been applied and none after.
+fn group_batches(store: Option<&LogStore>, upto: usize) -> BTreeMap<String, Vec<u8>> {
+    let mut want = BTreeMap::new();
+    let mut records = 0;
+    for i in 0..12usize {
+        let (data, meta) = (format!("g/{i}"), format!("g-v/{}", i % 5));
+        let val = vec![i as u8; 3 + (i * 37) % 90];
+        let doomed = (i % 5 == 4).then(|| format!("g/{}", i - 3));
+        if let Some(store) = store {
+            store
+                .put_batch(&[(&data, &val), (&meta, data.as_bytes())])
+                .unwrap();
+            if let Some(doomed) = &doomed {
+                store.delete(doomed).unwrap();
+            }
+        }
+        if records < upto {
+            want.insert(data.clone(), val);
+            want.insert(meta, data.into_bytes());
+        }
+        records += 1;
+        if let Some(doomed) = doomed {
+            if records < upto {
+                want.remove(&doomed);
+            }
+            records += 1;
+        }
+    }
+    want
+}
+
+fn contents(store: &LogStore) -> BTreeMap<String, Vec<u8>> {
+    let keys = store.list("g").unwrap();
+    keys.into_iter()
+        .map(|k| {
+            let v = store.get(&k).unwrap().expect("listed key reads back");
+            (k, v)
+        })
+        .collect()
+}
+
+/// However many batches pile up behind the window, the group that
+/// commits them costs the kernel one append and one fsync.
+#[test]
+fn a_group_is_one_write() {
+    let dir = temp_dir("one-write");
+    let store = lingering(&dir).build().unwrap();
+    store.put("earlier", b"its own group").unwrap();
+    store.flush().unwrap();
+    let before = store.stats();
+    let want = group_batches(Some(&store), usize::MAX);
+    assert_eq!(store.stats().group_commits, before.group_commits);
+    store.flush().unwrap();
+    let after = store.stats();
+    assert_eq!(
+        (
+            after.group_commits - before.group_commits,
+            after.writes - before.writes,
+            after.fsyncs - before.fsyncs,
+        ),
+        (1, 1, 1),
+        "{before:?} -> {after:?}"
+    );
+    assert_eq!(after.committed_entries - before.committed_entries, GROUP_OPS);
+    // From the index (the overlay is retired) and from disk alone.
+    assert_eq!(contents(&store), want);
+    drop(store);
+    let store = LogStore::builder(&dir).build().unwrap();
+    assert_eq!(contents(&store), want);
+    assert_eq!(store.get("earlier").unwrap(), Some(b"its own group".to_vec()));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A group larger than a segment: every rotation inside it first hands
+/// the buffered records to the segment it closes, so each segment holds
+/// whole records only and the group costs one write per segment touched.
+#[test]
+fn a_group_straddling_a_rotation_lands_whole() {
+    let dir = temp_dir("straddle");
+    const SEGMENT: u64 = 300;
+    let store = lingering(&dir).segment_bytes(SEGMENT).build().unwrap();
+    let want = group_batches(Some(&store), usize::MAX);
+    store.flush().unwrap();
+    let stats = store.stats();
+    let segs = segments(&dir);
+    assert!(segs.len() > 3, "the group must span segments: {segs:?}");
+    let rotations = segs.len() as u64 - 1;
+    assert_eq!(
+        (stats.group_commits, stats.writes, stats.fsyncs),
+        (1, 1 + rotations, 1 + rotations),
+        "{stats:?}"
+    );
+    // `frames` panics on a frame that runs past its segment's end.
+    let mut records = 0;
+    for seg in &segs {
+        let bytes = std::fs::read(seg_path(&dir, *seg)).unwrap();
+        let (_, recs) = frames(&bytes);
+        assert!(
+            bytes.len() as u64 <= SEGMENT || recs.len() == 1,
+            "seg {seg}: {} bytes in {} records",
+            bytes.len(),
+            recs.len()
+        );
+        records += recs.len();
+    }
+    assert_eq!(records, GROUP_RECORDS);
+    assert_eq!(contents(&store), want);
+    store.simulate_crash();
+    drop(store);
+    let store = LogStore::builder(&dir).build().unwrap();
+    assert_eq!(contents(&store), want);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// One `write` of N framed records can be torn anywhere. Cut the tail
+/// at *every* byte inside the last group: what comes back is exactly
+/// the whole records before the cut — the mid-record companion of
+/// `every_log_prefix_is_causally_closed`, which cuts between records.
+#[test]
+fn a_torn_group_recovers_to_a_record_boundary() {
+    let dir = temp_dir("torn-group");
+    {
+        let store = lingering(&dir).build().unwrap();
+        store.put("earlier", b"its own group").unwrap();
+        store.flush().unwrap();
+        group_batches(Some(&store), usize::MAX);
+        store.flush().unwrap();
+        assert_eq!(store.stats().writes, 2);
+        store.simulate_crash();
+    }
+    let bytes = std::fs::read(tail_segment(&dir)).unwrap();
+    let (magic, recs) = frames(&bytes);
+    assert_eq!(recs.len(), 1 + GROUP_RECORDS);
+    // ends[k]: offset just past record k.
+    let ends: Vec<usize> = recs
+        .iter()
+        .scan(magic.len(), |end, r| {
+            *end += r.len();
+            Some(*end)
+        })
+        .collect();
+    let scratch = temp_dir("torn-group-cut");
+    for cut in ends[0]..=bytes.len() {
+        let _ = std::fs::remove_dir_all(&scratch);
+        std::fs::create_dir_all(&scratch).unwrap();
+        std::fs::write(seg_path(&scratch, 1), &bytes[..cut]).unwrap();
+        let store = LogStore::builder(&scratch)
+            .build()
+            .unwrap_or_else(|e| panic!("cut at {cut}: a torn tail is not an error: {e}"));
+        // Whole records of the last group that precede the cut.
+        let whole = ends.iter().filter(|end| **end <= cut).count() - 1;
+        assert_eq!(contents(&store), group_batches(None, whole), "cut at {cut}");
+        assert_eq!(store.get("earlier").unwrap(), Some(b"its own group".to_vec()));
+        drop(store);
+        // And the tear itself is gone from disk.
+        assert_eq!(
+            std::fs::metadata(seg_path(&scratch, 1)).unwrap().len() as usize,
+            ends[whole],
+            "cut at {cut}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(scratch);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 // ---- shutdown wake-ups ---------------------------------------------------
 
 /// The once-seen hang (ROADMAP): `simulate_crash` and `Drop` used to
@@ -532,11 +711,6 @@ fn run_two_tasks_on_log(dir: &Path, seed: u64) -> Result<Arc<Gvm>, String> {
 fn closure_violation(dir: &Path, gvm: &Arc<Gvm>) -> Option<String> {
     let store = LogStore::builder(dir).build().unwrap();
     let has = |key: &str| store.get(key).unwrap().is_some();
-    let csv = |key: &str| -> Vec<String> {
-        let bytes = store.get(key).unwrap().unwrap_or_default();
-        let list = String::from_utf8_lossy(&bytes).into_owned();
-        list.split(',').filter(|f| !f.is_empty()).map(str::to_owned).collect()
-    };
     // A fiber has a base snapshot from birth on: under the plain key, or
     // a generation key once its chain was compacted.
     let born = |fiber: &str| {
@@ -555,9 +729,12 @@ fn closure_violation(dir: &Path, gvm: &Arc<Gvm>) -> Option<String> {
             return Some(format!("{key} without its task definition"));
         }
     }
+    // `children/{parent}/{child}`; a fiber id is `{task}/{fiber}`.
     for key in store.list("children/").unwrap() {
-        if let Some(child) = csv(&key).iter().find(|c| !born(c)) {
-            return Some(format!("{key} lists {child}, which has no continuation"));
+        let mut tail = key.rsplitn(3, '/');
+        let (fiber, task) = (tail.next().unwrap(), tail.next().unwrap());
+        if !born(&format!("{task}/{fiber}")) {
+            return Some(format!("{key} names a child that has no continuation"));
         }
     }
     for key in store.list("fiber/").unwrap() {

@@ -386,6 +386,9 @@ struct CountingStore {
     inner: vinz::MemStore,
     deletes: std::sync::atomic::AtomicU64,
     puts: std::sync::Mutex<Vec<Vec<String>>>,
+    /// Key + value bytes of each write under `children/`.
+    registry_puts: std::sync::Mutex<Vec<usize>>,
+    registry_gets: std::sync::atomic::AtomicU64,
 }
 
 impl CountingStore {
@@ -398,6 +401,9 @@ impl CountingStore {
 impl vinz::StateStore for CountingStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), vinz::StoreError> {
         self.puts.lock().unwrap().push(vec![key.to_string()]);
+        if key.starts_with("children/") {
+            self.registry_puts.lock().unwrap().push(key.len() + data.len());
+        }
         self.inner.put(key, data)
     }
     fn put_batch(&self, entries: &[(&str, &[u8])]) -> Result<vinz::Watermark, vinz::StoreError> {
@@ -406,6 +412,9 @@ impl vinz::StateStore for CountingStore {
         self.inner.put_batch(entries)
     }
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, vinz::StoreError> {
+        if key.starts_with("children/") {
+            self.registry_gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
         self.inner.get(key)
     }
     fn delete(&self, key: &str) -> Result<(), vinz::StoreError> {
@@ -483,6 +492,36 @@ fn store_census_of_a_task() {
     cluster.shutdown();
 }
 
+/// Forking the n-th child costs what forking the first did: its own
+/// registry key, no look at its siblings'. (One comma list per parent,
+/// read and rewritten on every fork, made an n-way `for-each` append
+/// 1 + 2 + … + n ids.)
+#[test]
+fn child_registry_is_linear_in_children() {
+    use std::sync::atomic::Ordering;
+    let cluster = Cluster::new();
+    let store = Arc::new(CountingStore::default());
+    let wf = WorkflowService::builder(&cluster, "wf")
+        .source("(defun fan (n) (apply #'+ (for-each (i in (range n)) (* i i))))")
+        .store(store.clone())
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    let registry_of = |n: i64| {
+        let want = (0..n).map(|i| i * i).sum::<i64>();
+        assert_eq!(wf.call("fan", vec![Value::Int(n)], TIMEOUT).unwrap(), Value::Int(want));
+        assert!(cluster.drain("wf", TIMEOUT));
+        std::mem::take(&mut *store.registry_puts.lock().unwrap())
+    };
+    let (few, many) = (registry_of(8), registry_of(64));
+    assert_eq!((few.len(), many.len()), (8, 64));
+    // `children/task-N/f0/task-N/fM`, empty value: the longest entry
+    // among 64 is a digit or two longer than among 8, not 8 times.
+    assert!(many.iter().max().unwrap() <= &(few.iter().max().unwrap() + 2), "{few:?}\n{many:?}");
+    assert_eq!(store.registry_gets.load(Ordering::Relaxed), 0);
+    cluster.shutdown();
+}
+
 #[test]
 fn only_a_joined_fiber_costs_a_delete() {
     use std::sync::atomic::Ordering;
@@ -519,32 +558,42 @@ fn only_a_joined_fiber_costs_a_delete() {
 
 #[test]
 fn seed_cache_use_is_counted_and_exported() {
-    let cluster = Cluster::new();
-    // `fan` suspends once per child under an untouched `main` frame:
-    // the first delta of each round walks that frame, the rest reuse it.
-    let wf = WorkflowService::builder(&cluster, "wf")
-        .source(
-            "(defun fan (n) (apply #'+ (for-each (i in (range n)) (* i i))))
-             (defun main (n) (list (fan n) (fan n)))",
-        )
-        .instances(0, 2)
-        .deploy()
-        .unwrap();
-    wf.call("main", vec![Value::Int(4)], TIMEOUT).unwrap();
-    let obs = wf.obs();
-    let costs = obs.profile().serial;
-    assert!(costs.seed_frames_walked > 0, "{costs:?}");
-    assert!(costs.seed_frames_reused > 0, "{costs:?}");
-    let text = obs.export_text();
-    for (source, n) in [
-        ("reused", costs.seed_frames_reused),
-        ("walked", costs.seed_frames_walked),
-    ] {
-        let line =
-            format!("gozer_snapshot_seed_frames_total{{source=\"{source}\",service=\"wf\"}} {n}");
-        assert!(text.contains(&line), "missing `{line}` in:\n{text}");
+    // `fan` suspends once per child under an untouched `main` frame. Its
+    // first save (a full one) leaves the seeding tables behind, so while
+    // the node cache holds the fiber no delta walks a clean frame; with
+    // room for one fiber every child's birth evicts the parent, and each
+    // reload rebuilds the tables from the frames it read.
+    for (cache_capacity, walks) in [(vinz::VinzConfig::default().cache_capacity, false), (1, true)] {
+        let cluster = Cluster::new();
+        let wf = WorkflowService::builder(&cluster, "wf")
+            .source(
+                "(defun fan (n) (apply #'+ (for-each (i in (range n)) (* i i))))
+                 (defun main (n) (list (fan n) (fan n)))",
+            )
+            .config(vinz::VinzConfig {
+                cache_capacity,
+                ..Default::default()
+            })
+            .instances(0, 2)
+            .deploy()
+            .unwrap();
+        wf.call("main", vec![Value::Int(4)], TIMEOUT).unwrap();
+        let obs = wf.obs();
+        let costs = obs.profile().serial;
+        assert_eq!(costs.seed_frames_walked > 0, walks, "{costs:?}");
+        assert!(costs.seed_frames_reused > 0, "{costs:?}");
+        let text = obs.export_text();
+        for (source, n) in [
+            ("reused", costs.seed_frames_reused),
+            ("walked", costs.seed_frames_walked),
+        ] {
+            let line = format!(
+                "gozer_snapshot_seed_frames_total{{source=\"{source}\",service=\"wf\"}} {n}"
+            );
+            assert!(text.contains(&line), "missing `{line}` in:\n{text}");
+        }
+        cluster.shutdown();
     }
-    cluster.shutdown();
 }
 
 // ---- idempotent entry (Table 1 under at-least-once delivery) ---------------

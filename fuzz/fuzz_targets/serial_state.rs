@@ -1,8 +1,8 @@
-//! Fuzz target: `gozer-serial` value and full-snapshot deserialization
-//! (envelope versions v1 and v2). Arbitrary bytes and mutated valid
-//! records must produce `Err` or a decoded value — never panic, never
-//! hang (the reader consumes at least one byte per loop iteration by
-//! construction; a wedge here would trip the smoke-runner timeout).
+//! Fuzz target: `gozer-serial` value and full-snapshot deserialization.
+//! Arbitrary bytes and mutated valid records must produce `Err` or a
+//! decoded value — never panic, never hang (the reader consumes at least
+//! one byte per loop iteration by construction; a wedge here would trip
+//! the smoke-runner timeout).
 
 use std::sync::Arc;
 
@@ -47,15 +47,12 @@ fn main() {
         let bytes = match rng.below(4) {
             // Pure garbage.
             0 => random_bytes(rng, 512),
-            // Garbage behind a valid envelope (Codec::None)
-            // so the payload decoders are exercised.
+            // Garbage behind a valid envelope (the fixture's: current
+            // version, Codec::None) so the payload decoders are exercised.
             1 => {
                 let mut b = random_bytes(rng, 512);
                 if b.len() >= 4 {
-                    b[0] = b'G';
-                    b[1] = b'Z';
-                    b[2] = 2;
-                    b[3] = 0;
+                    b[..4].copy_from_slice(&snapshot[..4]);
                 }
                 b
             }
