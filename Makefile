@@ -4,7 +4,7 @@
 CARGO ?= cargo
 CHAOS_SEEDS ?= 16
 
-.PHONY: build test test-all test-chaos recovery-check obs-check profile-check introspect-check fuzz-smoke scale-smoke store-smoke gvm-smoke cluster-smoke taskbench-smoke bench ci
+.PHONY: build test test-all test-chaos recovery-check obs-check profile-check introspect-check fuzz-smoke experiments-smoke cluster-smoke taskbench-smoke ci
 
 build:
 	$(CARGO) build --release
@@ -56,29 +56,13 @@ FUZZ_ITERS ?= 5000
 fuzz-smoke:
 	FUZZ_ITERS=$(FUZZ_ITERS) sh scripts/fuzz_smoke.sh
 
-# Downscaled run of the 1M-fiber scale bench with shape checks on both
-# JSON reports. The full-scale run that produces the committed
-# BENCH_scale.json + BENCH_latency.json baselines is `cargo run
-# --release -p gozer-bench --bin scale -- --json BENCH_scale.json
-# --latency-json BENCH_latency.json` (takes minutes).
-scale-smoke:
-	sh scripts/scale_smoke.sh
-
-# Downscaled run of the §5 production-day bench (cluster slice + the
-# FileStore-vs-LogStore saves/sec replay) with a shape check on the JSON
-# report. The full run that produces the committed BENCH_store.json
-# baseline is `cargo run --release -p gozer-bench --bin
-# sec5_production_day -- --json BENCH_store.json`.
-store-smoke:
-	sh scripts/store_smoke.sh
-
-# GVM interpreter perf gate: the gvm_perf workloads in smoke mode,
-# full optimization vs GVM_OPT=off, with a minimum-speedup assertion
-# and a JSON shape check. The committed BENCH_gvm.json baseline is the
-# full-size run: `cargo run --release -p gozer-bench --bin gvm_perf --
-# --compare --json BENCH_gvm.json`.
-gvm-smoke:
-	sh scripts/gvm_smoke.sh
+# Every paper experiment (the `experiments` binary's `all`) at smoke
+# size with its shape assertions on, then each report's key set checked
+# against the committed BENCH_*.json of the same name. A baseline is
+# regenerated with `cargo run --release -p gozer-bench -- <experiment>
+# --out .` (`scale` takes minutes at full size).
+experiments-smoke:
+	sh scripts/experiments_smoke.sh
 
 # Multi-process transport gate: a broker process plus two real
 # gozer-worker OS processes over TCP, with one genuine `kill -9` and a
@@ -93,9 +77,6 @@ cluster-smoke:
 # that no longer matches BENCHMARK.json is what fails.
 taskbench-smoke:
 	$(CARGO) run --release --offline --quiet --manifest-path taskbench/Cargo.toml -- --smoke
-
-bench:
-	$(CARGO) bench --workspace
 
 ci:
 	sh scripts/ci.sh

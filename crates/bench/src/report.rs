@@ -250,38 +250,6 @@ impl From<Vec<Json>> for Json {
     }
 }
 
-/// The `--json <path>` CLI convention shared by the bench binaries:
-/// when present, the bench writes its machine-readable report there
-/// (the committed `BENCH_*.json` baselines) in addition to the tables
-/// it prints.
-pub fn json_path_from_args() -> Option<std::path::PathBuf> {
-    path_from_args("--json")
-}
-
-/// Generic `<flag> <path>` / `<flag>=<path>` lookup for benches that
-/// write more than one report (e.g. the scale bench's `--latency-json`
-/// for the committed `BENCH_latency.json` phase-attribution baseline).
-pub fn path_from_args(flag: &str) -> Option<std::path::PathBuf> {
-    let prefix = format!("{flag}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix(&prefix) {
-            return Some(std::path::PathBuf::from(p));
-        }
-    }
-    None
-}
-
-/// True when `BENCH_SMOKE=1`: benches shrink their populations so the
-/// CI bench-smoke step finishes in seconds while still producing a
-/// structurally complete JSON report.
-pub fn smoke_mode() -> bool {
-    std::env::var("BENCH_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,9 +286,11 @@ mod tests {
         assert!(s.contains("== Demo =="));
         assert!(s.contains("alpha"));
         let lines: Vec<&str> = s.lines().collect();
-        // Header and rows align on the value column.
+        // Every row's value starts in the column of the header's `value`.
         let col = lines[1].find("value").unwrap();
-        assert_eq!(lines[3].find('1'), Some(col).map(|_| lines[3].find('1').unwrap()));
+        for row in &lines[3..] {
+            assert_eq!(row.find(|c: char| c.is_ascii_digit()), Some(col), "{row:?}");
+        }
     }
 
     #[test]

@@ -63,46 +63,18 @@ run make profile-check
 # /timeline/<task> with well-formed payloads.
 run make introspect-check
 
-# Bench smoke: run the serialization and cache benches with shrunk
-# populations (BENCH_SMOKE=1) and validate the JSON report shape — the
-# same reports committed at the repo root as BENCH_*.json baselines.
-# Shape only, no perf gating: CI machines are too noisy for thresholds.
-BENCH_TMP="${TMPDIR:-/tmp}/gozer-bench-smoke.$$"
-mkdir -p "$BENCH_TMP"
-trap 'rm -rf "$BENCH_TMP"' EXIT
-run env BENCH_SMOKE=1 "$CARGO" run --release $OFFLINE -q -p gozer-bench \
-    --bin fig1_workflow_lifetime -- --json "$BENCH_TMP/serialization.json"
-run env BENCH_SMOKE=1 "$CARGO" run --release $OFFLINE -q -p gozer-bench \
-    --bin sec42_cache -- --json "$BENCH_TMP/cache.json"
-for key in '"delta_saves"' '"bytes_per_save"' '"steady_state"' '"reduction"'; do
-    grep -q "$key" "$BENCH_TMP/serialization.json" \
-        || { echo "bench-smoke: $key missing from serialization.json" >&2; exit 1; }
-done
-for key in '"mutable_affinity_on"' '"mutable_affinity_off"' '"affinity_hit_rate"' '"paper_mutable_rate"'; do
-    grep -q "$key" "$BENCH_TMP/cache.json" \
-        || { echo "bench-smoke: $key missing from cache.json" >&2; exit 1; }
-done
-echo "bench-smoke: OK"
-
 # Adversarial-input gate: bounded-iteration run of every fuzz target
 # (reader, compiler, serial state, serial delta) — any panic, abort, or
-# hang is a finding — plus the downscaled scale bench with its JSON
-# shape check.
+# hang is a finding.
 FUZZ_ITERS="${FUZZ_ITERS:-2000}"
 export FUZZ_ITERS
 run make fuzz-smoke
 
-run make scale-smoke
-
-# GVM interpreter perf gate: smoke-mode gvm_perf, full vs GVM_OPT=off,
-# with a deliberately loose minimum-speedup assertion (catches "fast
-# paths wired off", not machine variance) and a JSON shape check.
-run make gvm-smoke
-
-# Store smoke: the production-day bench (cluster slice + the
-# FileStore-vs-LogStore saves/sec replay) with its JSON shape check and
-# the fsync-amortization assertion.
-run make store-smoke
+# Experiments gate: every paper experiment downscaled with its shape
+# assertions on (including the GVM fast-path floor and the LogStore
+# fsync/write counts), and every report's key set equal to its
+# committed BENCH_*.json baseline. No timing thresholds.
+run make experiments-smoke
 
 # Multi-process transport gate: real gozer-worker OS processes over the
 # TCP transport, one genuine kill -9 + restart mid-stream, exact values
