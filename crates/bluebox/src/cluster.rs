@@ -595,7 +595,6 @@ impl Cluster {
             .node(node_id)
             .instance(instance_id)
         });
-        self.transport().on_deliver(msg);
     }
 
     /// Fire-and-forget send.
@@ -613,7 +612,6 @@ impl Cluster {
         self.obs.bus.emit(|| {
             msg_event(&msg, |service, operation| EventKind::MessageSent { service, operation })
         });
-        self.transport().on_send(&msg);
         if msg.hold_until > 0 {
             let probe = self.durability_probe.read().clone();
             if let Some(probe) = probe {
@@ -757,7 +755,6 @@ impl Cluster {
     }
 
     pub(crate) fn route_reply(&self, request: &Message, result: Result<Vec<u8>, Fault>) {
-        self.transport().on_reply(request);
         match &request.reply_to {
             ReplyTo::Nowhere => {
                 if result.is_err() {

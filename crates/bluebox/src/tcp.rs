@@ -354,25 +354,23 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
     // stalled worker) must not desynchronise the byte stream.
     let mut reader = FrameReader::new();
     // Handshake: Hello in, HelloAck out. Anything else is not a worker.
-    let (worker, node) = loop {
-        match reader.read_frame(&mut stream) {
-            Ok(WireMsg::Hello { worker, node }) => {
-                tm.frames_received.fetch_add(1, Ordering::Relaxed);
-                break (worker, node);
-            }
-            Err(e) if is_read_timeout(&e) => {
-                return; // silent peer: not a worker, drop it
-            }
-            Ok(_) => {
+    let (worker, node) = match reader.read_frame(&mut stream) {
+        Ok(WireMsg::Hello { worker, node }) => {
+            tm.frames_received.fetch_add(1, Ordering::Relaxed);
+            (worker, node)
+        }
+        Err(e) if is_read_timeout(&e) => {
+            return; // silent peer: not a worker, drop it
+        }
+        Ok(_) => {
+            tm.decode_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        Err(e) => {
+            if is_decode_error(&e) {
                 tm.decode_errors.fetch_add(1, Ordering::Relaxed);
-                return;
             }
-            Err(e) => {
-                if is_decode_error(&e) {
-                    tm.decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
+            return;
         }
     };
     let writer = match stream.try_clone() {

@@ -9,15 +9,13 @@
 //! OS processes with local proxy instances that forward deliveries over
 //! a socket (see [`crate::tcp::TcpBroker`]).
 //!
-//! The trait's observation hooks (`on_send` / `on_deliver` /
-//! `on_reply`) fire on the broker's hot paths. They default to no-ops
-//! so the in-process transport adds nothing to the paths the
-//! deterministic suites time and assert on.
+//! The broker's hot paths (send, delivery, reply routing) never consult
+//! the transport: it is asked only to spawn instances, report liveness
+//! and shut down.
 
 use std::sync::Arc;
 
 use crate::cluster::Cluster;
-use crate::message::Message;
 
 /// Where and how service instances run. Installed on a [`Cluster`] via
 /// [`Cluster::set_transport`]; the default is [`InProcessTransport`].
@@ -40,16 +38,6 @@ pub trait Transport: Send + Sync {
     fn alive(&self) -> bool {
         true
     }
-
-    /// Observation hook: a message was accepted by the broker (id
-    /// assigned, before queueing/parking).
-    fn on_send(&self, _msg: &Message) {}
-
-    /// Observation hook: a message was handed to an instance.
-    fn on_deliver(&self, _msg: &Message) {}
-
-    /// Observation hook: a handler result was routed back.
-    fn on_reply(&self, _msg: &Message) {}
 
     /// Tear down transport resources (listeners, connections, proxy
     /// threads). Called by [`Cluster::shutdown`] before instance
@@ -82,6 +70,7 @@ impl Transport for InProcessTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
     use std::time::Duration;
 
     #[test]

@@ -127,6 +127,11 @@ fn dead_letter_observers_fire_on_quarantine() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(cluster.drain("oneshot", Duration::from_secs(5)), "quarantine settles the lease");
+    // Observers run after the settle, so the drain can return first.
+    while seen.lock().is_empty() {
+        assert!(Instant::now() < deadline, "observer never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(seen.lock().as_slice(), &[("oneshot".to_string(), "Doomed".to_string())]);
     cluster.shutdown();
 }

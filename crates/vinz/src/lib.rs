@@ -51,6 +51,7 @@
 //! ```
 
 pub mod cache;
+mod calls;
 mod deflink;
 pub mod locks;
 mod natives;

@@ -6,7 +6,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use bluebox::Message;
+use bluebox::{CallError, Message};
 use gozer_lang::{AssocMap, Symbol, Value};
 use gozer_obs::EventKind;
 use gozer_serial::{deserialize_value, serialize_value};
@@ -14,6 +14,7 @@ use gozer_vm::{
     Condition, Gvm, NativeCtx, NativeFn, NativeOutcome, ObjectVal, Unwind, VmError, VmResult,
 };
 
+use crate::calls::{self, CallReq};
 use crate::service::Inner;
 
 /// Instance id recorded for events that originate inside fiber code
@@ -218,53 +219,15 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         let inner = up(&w)?;
         let fiber_id = ext_str(ctx, "fiber-id", "call-wsdl-operation-async")?;
         let (service, operation, soap_action, body) = call_params(&kwargs, &inner)?;
-        // Record the correlation before sending, so even an instant
-        // reply finds the mapping.
-        let correlation = inner.cluster.allocate_correlation();
         inner.emit(node_id_of(ctx), IN_FIBER, &fiber_id, || EventKind::ServiceCallDispatched {
             target: format!("{service}:{operation}"),
         });
-        // Stamp the workflow ids on the request: the broker copies them
-        // onto the ResumeFromCall reply, so faults injected into either
-        // leg correlate back to this fiber's timeline.
-        let task_id = ext_str(ctx, "task-id", "call").unwrap_or_default();
-        // Durable call state, written as ONE atomic batch before the
-        // send: the correlation → fiber mapping (so even an instant
-        // reply finds it) and the call record the retry machinery needs
-        // to re-send this exact request if the reply faults or never
-        // arrives. A crash between the batch and the send leaves a
-        // retryable record, not a lost call — and the request itself is
-        // gated on the batch's ticket so the service never sees a call
-        // whose correlation state could vanish in a crash. This is the
-        // deployment's one durability hold: the request can outlive this
-        // process, and the batch's ticket covers everything the caller
-        // did before it (earlier saves have lower seqs in the same log).
-        let call_req = crate::supervisor::CallReq {
-            service: service.clone(),
-            operation: operation.clone(),
-            soap_action: soap_action.clone(),
-            task: task_id.clone(),
-            fiber: fiber_id.clone(),
-            attempts: 1,
-            body: body.clone(),
-        };
-        let ticket = inner
-            .store
-            .put_batch(&[
-                (&format!("corr/{correlation}"), fiber_id.as_bytes()),
-                (&format!("call-req/{correlation}"), &call_req.encode()),
-            ])
-            .map_err(|e| VmError::msg(e.to_string()))?;
-        inner.cluster.send_with_service_reply_corr(
-            Message::new(&service, &operation, body)
-                .header("soap-action", soap_action)
-                .header("task-id", task_id)
-                .header("fiber-id", fiber_id.as_str())
-                .with_hold_until(ticket.0),
-            &inner.name,
-            "ResumeFromCall",
-            correlation,
-        );
+        // The workflow ids ride on the request and, copied by the broker,
+        // on its ResumeFromCall reply: faults injected into either leg
+        // correlate back to this fiber's timeline.
+        let task = ext_str(ctx, "task-id", "call").unwrap_or_default();
+        let req = CallReq { service, operation, soap_action, task, fiber: fiber_id, attempts: 1, body };
+        let correlation = calls::dispatch(&inner, req).map_err(vz)?;
         NativeOutcome::ok(Value::Int(correlation as i64))
     });
 
@@ -277,19 +240,9 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
             Message::new(&service, &operation, body).header("soap-action", soap_action),
             inner.config.sync_call_timeout,
         );
-        let mut resp = AssocMap::new();
-        match result {
-            Ok(bytes) => {
-                if !bytes.is_empty() {
-                    let v = deserialize_value(&bytes, ctx.gvm)
-                        .map_err(|e| VmError::msg(e.to_string()))?;
-                    resp.insert(Value::keyword("body"), v);
-                }
-            }
-            Err(bluebox::CallError::Fault(f)) => {
-                resp.insert(Value::keyword("fault-code"), Value::str(&f.code));
-                resp.insert(Value::keyword("fault-message"), Value::str(&f.message));
-            }
+        let resp = match result {
+            Ok(bytes) => calls::response(ctx.gvm, &bytes, None),
+            Err(CallError::Fault(f)) => calls::response(ctx.gvm, &[], Some((&f.code, &f.message))),
             Err(e) => {
                 return Err(ctx.raise(Condition::with_types(
                     vec!["service-timeout".into(), "error".into()],
@@ -297,8 +250,8 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
                     Value::Nil,
                 )));
             }
-        }
-        NativeOutcome::ok(Value::Map(Arc::new(resp)))
+        };
+        NativeOutcome::ok(resp.map_err(|e| VmError::msg(e.to_string()))?)
     });
 
     // ---- task variables (§3.6) --------------------------------------------

@@ -1102,7 +1102,7 @@ impl bluebox::Handler for WorkflowHandler {
             "Terminate" => inner.op_terminate(ctx, msg),
             "RunFiber" => inner.op_run_fiber(ctx, msg),
             "AwakeFiber" => inner.op_awake_fiber(ctx, msg),
-            "ResumeFromCall" => inner.op_resume_from_call(ctx, msg),
+            "ResumeFromCall" => crate::calls::take_reply(&inner, ctx, msg),
             "JoinProcess" => inner.op_join_process(ctx, msg),
             other => Err(VinzError(format!("unknown operation {other}"))),
         };
@@ -1254,7 +1254,7 @@ impl Inner {
         )
     }
 
-    fn task_of(fiber_id: &str) -> &str {
+    pub(crate) fn task_of(fiber_id: &str) -> &str {
         fiber_id.split('/').next().unwrap_or(fiber_id)
     }
 
@@ -1634,7 +1634,7 @@ impl Inner {
                         e.0.clone(),
                         Value::Nil,
                     );
-                    self.fail_task(ctx, &format!("{task_id}/f0"), cond);
+                    self.fail_task(ctx.node_id, ctx.instance_id, &format!("{task_id}/f0"), "failed", cond);
                 }
                 Err(e)
             }
@@ -1863,90 +1863,6 @@ impl Inner {
         )
     }
 
-    /// ResumeFromCall: deliver a service reply to the fiber that made the
-    /// non-blocking request (§3.2).
-    fn op_resume_from_call(
-        self: &Arc<Inner>,
-        ctx: &ServiceCtx,
-        msg: &Message,
-    ) -> Result<Vec<u8>, VinzError> {
-        let correlation = required_header(msg, "correlation")?;
-        let corr_key = format!("corr/{correlation}");
-        let Some(fiber_bytes) = self.store.get(&corr_key).map_err(|e| VinzError(e.to_string()))?
-        else {
-            // Unknown or duplicate correlation (at-least-once delivery).
-            return Ok(Vec::new());
-        };
-        let fiber_id = String::from_utf8_lossy(&fiber_bytes);
-        let call_req_key = format!("call-req/{correlation}");
-        let forget_call = || {
-            let _ = self.store.delete(&corr_key);
-            let _ = self.store.delete(&call_req_key);
-        };
-        self.enter_fiber(
-            ctx,
-            msg,
-            &fiber_id,
-            self.config.fiber_lock_timeout,
-            "suspended",
-            None,
-            |why| {
-                // Nobody is left to take the reply.
-                if why != "busy" {
-                    forget_call();
-                }
-            },
-            |rt| {
-                // Engine-level retry: a faulted reply with attempts left
-                // on the durable call record is re-dispatched (same
-                // correlation, so a late original reply still resumes
-                // the fiber) instead of being surfaced to the workflow.
-                // The fiber only sees the fault once the budget is spent.
-                if msg.get_header("fault-code").is_some() {
-                    if let Ok(Some(bytes)) = self.store.get(&call_req_key) {
-                        if let Some(mut req) = crate::supervisor::CallReq::decode(&bytes) {
-                            if req.attempts < self.config.retry.max_attempts {
-                                req.attempts += 1;
-                                self.store
-                                    .put(&call_req_key, &req.encode())
-                                    .map_err(|e| VinzError(e.to_string()))?;
-                                let corr_num = correlation.parse::<u64>().unwrap_or(0);
-                                let delay = self.config.retry.delay_for(req.attempts - 1, corr_num);
-                                self.metrics.calls_retried.fetch_add(1, Ordering::Relaxed);
-                                self.obs.bus.emit(|| {
-                                    Event::new(EventKind::CallRetried {
-                                        attempt: req.attempts,
-                                    })
-                                    .fiber(&*fiber_id)
-                                });
-                                self.cluster
-                                    .send_after(req.to_message(&self.name, corr_num), delay);
-                                return Ok(None);
-                            }
-                        }
-                    }
-                }
-                forget_call();
-                // The resume value is the response map the generated
-                // deflink stubs hand to parse-wsdl-response.
-                let mut resp = gozer_lang::AssocMap::new();
-                if !msg.body.is_empty() {
-                    let body = deserialize_value(&msg.body, &rt.gvm)
-                        .map_err(|e| VinzError(format!("bad reply body: {e}")))?;
-                    resp.insert(Value::keyword("body"), body);
-                }
-                if let Some(code) = msg.get_header("fault-code") {
-                    resp.insert(Value::keyword("fault-code"), Value::str(code));
-                    resp.insert(
-                        Value::keyword("fault-message"),
-                        Value::str(msg.get_header("fault-message").unwrap_or("")),
-                    );
-                }
-                Ok(Some(Some(("service-call", Value::Map(Arc::new(resp))))))
-            },
-        )
-    }
-
     /// JoinProcess: resume a fiber waiting on another fiber's
     /// termination, delivering the target's result.
     fn op_join_process(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
@@ -1996,7 +1912,7 @@ impl Inner {
     ///   value)))` resumes it with `value`, `None` means the message
     ///   was used up some other way and the fiber stays as it is.
     #[allow(clippy::too_many_arguments)]
-    fn enter_fiber(
+    pub(crate) fn enter_fiber(
         self: &Arc<Inner>,
         ctx: &ServiceCtx,
         msg: &Message,
@@ -2083,11 +1999,12 @@ impl Inner {
         }
     }
 
-    /// End `fiber_id`'s task `Failed`: the fiber died of an unhandled
-    /// condition, or never came to be.
-    fn fail_task(&self, ctx: &ServiceCtx, fiber_id: &str, cond: Condition) {
+    /// End `fiber_id`'s task `Failed` with `cond`: the fiber died of an
+    /// unhandled condition, never came to be, or a message of its task
+    /// was dead-lettered. `why` labels the flight dump (`{task}-{why}`).
+    pub(crate) fn fail_task(&self, node: u32, instance: u64, fiber_id: &str, why: &str, cond: Condition) {
         let task_id = Inner::task_of(fiber_id);
-        self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
+        self.emit(node, instance, fiber_id, || EventKind::TaskDone {
             outcome: "failed".into(),
         });
         // Black box: capture the failure context before the tracker
@@ -2095,7 +2012,7 @@ impl Inner {
         // immediately).
         if self.obs.flight.is_armed() {
             let dump = self.flight_dump(&format!("task {task_id} failed at {fiber_id}: {cond}"));
-            let _ = self.obs.flight.record(&format!("{task_id}-failed"), &dump);
+            let _ = self.obs.flight.record(&format!("{task_id}-{why}"), &dump);
         }
         self.finish_task(task_id, TaskStatus::Failed(cond));
     }
@@ -2218,7 +2135,7 @@ impl Inner {
                 // task (robust default — a lost child would otherwise hang
                 // its parent forever).
                 self.tracker.fiber_finished(&task_id);
-                self.fail_task(ctx, fiber_id, e.to_condition());
+                self.fail_task(ctx.node_id, ctx.instance_id, fiber_id, "failed", e.to_condition());
             }
         }
         Ok(Vec::new())
@@ -2356,7 +2273,7 @@ impl Inner {
 }
 
 /// A header the operation cannot do without.
-fn required_header<'m>(msg: &'m Message, name: &str) -> Result<&'m str, VinzError> {
+pub(crate) fn required_header<'m>(msg: &'m Message, name: &str) -> Result<&'m str, VinzError> {
     msg.get_header(name)
         .ok_or_else(|| VinzError(format!("{} requires {name}", msg.operation)))
 }

@@ -16,30 +16,28 @@
 //!    parents whose children finished, `JoinProcess` for joins whose
 //!    target completed. All of these are idempotent on the service side
 //!    (phase checks and consumed-sets), so re-sending is always safe.
-//! 3. **In-flight service calls** — every async call is recorded under
-//!    `call-req/<correlation>`; a call with no reply after
-//!    [`RetryPolicy::call_timeout`] is re-sent (same correlation) until
-//!    [`RetryPolicy::max_attempts`], then surfaced to the fiber as a
-//!    `{vinz}CallTimeout` fault, where `retry`/`give-up` restarts take
-//!    over.
+//! 3. **In-flight service calls** — each tick runs the timeout scan of
+//!    [`crate::calls`] over the `call-req/` records: a call with no reply
+//!    after [`RetryPolicy::call_timeout`] is re-sent (same correlation)
+//!    until [`RetryPolicy::max_attempts`], then surfaced to the fiber as
+//!    a `{vinz}CallTimeout` fault, where `retry`/`give-up` restarts take
+//!    over. The supervisor only keeps when it first saw each record.
 //!
-//! Separately, a dead-letter observer registered with the broker maps a
-//! quarantined message back to its task and finishes it with a terminal
-//! `Failed` status (plus a flight dump when the recorder is armed) —
-//! the paper's survivability story needs a *defined* end state for
-//! poison messages, not an eternal hang.
+//! Separately, a dead-letter observer registered with the broker finds
+//! a quarantined message's task from its `task-id` / `fiber-id` headers
+//! (every workflow message carries one) and fails it through
+//! [`Inner::fail_task`] — the paper's survivability story needs a
+//! *defined* end state for poison messages, not an eternal hang.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use bluebox::{Message, ReplyTo};
 use gozer_obs::{Event, EventKind};
 use gozer_vm::Condition;
 
 use crate::service::Inner;
-use crate::tracker::TaskStatus;
 
 /// Engine-level retry policy for asynchronous service calls.
 #[derive(Debug, Clone)]
@@ -105,65 +103,6 @@ impl Default for SupervisorConfig {
     }
 }
 
-// ---- call-req records -------------------------------------------------
-
-/// The durable record of one in-flight async call, everything needed to
-/// re-send it: stored under `call-req/<correlation>` by
-/// `call-wsdl-operation-async`, consumed by `ResumeFromCall`.
-pub(crate) struct CallReq {
-    pub service: String,
-    pub operation: String,
-    pub soap_action: String,
-    pub task: String,
-    pub fiber: String,
-    pub attempts: u32,
-    pub body: Vec<u8>,
-}
-
-const FIELD_SEP: char = '\x1f';
-
-impl CallReq {
-    pub fn encode(&self) -> Vec<u8> {
-        let head = format!(
-            "{}{FIELD_SEP}{}{FIELD_SEP}{}{FIELD_SEP}{}{FIELD_SEP}{}{FIELD_SEP}{}\n",
-            self.service, self.operation, self.soap_action, self.task, self.fiber, self.attempts
-        );
-        let mut out = head.into_bytes();
-        out.extend_from_slice(&self.body);
-        out
-    }
-
-    pub fn decode(bytes: &[u8]) -> Option<CallReq> {
-        let nl = bytes.iter().position(|&b| b == b'\n')?;
-        let head = std::str::from_utf8(&bytes[..nl]).ok()?;
-        let mut parts = head.split(FIELD_SEP);
-        Some(CallReq {
-            service: parts.next()?.to_string(),
-            operation: parts.next()?.to_string(),
-            soap_action: parts.next()?.to_string(),
-            task: parts.next()?.to_string(),
-            fiber: parts.next()?.to_string(),
-            attempts: parts.next()?.parse().ok()?,
-            body: bytes[nl + 1..].to_vec(),
-        })
-    }
-
-    /// The request message this record re-creates, reply routed back to
-    /// `reply_service`'s ResumeFromCall under the same correlation.
-    pub fn to_message(&self, reply_service: &str, correlation: u64) -> Message {
-        let mut msg = Message::new(&self.service, &self.operation, self.body.clone())
-            .header("soap-action", self.soap_action.as_str())
-            .header("task-id", self.task.as_str())
-            .header("fiber-id", self.fiber.as_str());
-        msg.reply_to = ReplyTo::Service {
-            service: reply_service.to_string(),
-            operation: "ResumeFromCall".to_string(),
-            correlation,
-        };
-        msg
-    }
-}
-
 // ---- the supervisor thread --------------------------------------------
 
 /// Start the supervisor thread for a deployment. Holds only a weak
@@ -222,7 +161,7 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
         .filter(|r| !r.status.is_final())
         .map(|r| r.id)
         .collect();
-    scan_call_reqs(inner, st);
+    crate::calls::scan(inner, &mut st.call_seen);
     if running.is_empty() {
         st.stalled_since = None;
         return;
@@ -289,8 +228,9 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
             "initial" => {
                 // The RunFiber that would start this fiber is gone.
                 if mark_resent(st, &format!("run:{fiber_id}"), cooldown) {
-                    inner.send_run_fiber(fiber_id, inner.tracker.deadline(task));
+                    // Counted before the send: the fiber may finish first.
                     note_orphan(inner, fiber_id, "run-fiber");
+                    inner.send_run_fiber(fiber_id, inner.tracker.deadline(task));
                 }
             }
             "suspended" => {
@@ -311,8 +251,8 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
                             .map_err(|e| crate::service::VinzError(e.to_string()))?
                             .is_some();
                         if done && mark_resent(st, &format!("join:{fiber_id}:{target}"), cooldown) {
-                            inner.send_join(fiber_id, &target);
                             note_orphan(inner, fiber_id, "join");
+                            inner.send_join(fiber_id, &target);
                         }
                     }
                     "children" => {
@@ -333,13 +273,13 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
                             if done
                                 && mark_resent(st, &format!("awake:{fiber_id}:{child}"), cooldown)
                             {
-                                inner.send_awake(fiber_id, child);
                                 note_orphan(inner, fiber_id, "awake");
+                                inner.send_awake(fiber_id, child);
                             }
                         }
                     }
-                    // service-call suspensions are owned by the call-req
-                    // scan (timeout-driven, not stall-driven).
+                    // Service-call suspensions are owned by the timeout
+                    // scan of `calls` (timeout-driven, not stall-driven).
                     _ => {}
                 }
             }
@@ -347,58 +287,6 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
         }
     }
     Ok(())
-}
-
-/// Watch `call-req/` records: re-send unanswered calls, then give up
-/// with a synthesized timeout fault.
-fn scan_call_reqs(inner: &Arc<Inner>, st: &mut ScanState) {
-    let retry = &inner.config.retry;
-    let Ok(keys) = inner.store.list("call-req/") else { return };
-    st.call_seen.retain(|k, _| keys.contains(k));
-    for key in keys {
-        let first = *st.call_seen.entry(key.clone()).or_insert_with(Instant::now);
-        if first.elapsed() < retry.call_timeout {
-            continue;
-        }
-        let Some(corr_str) = key.strip_prefix("call-req/") else { continue };
-        let Ok(correlation) = corr_str.parse::<u64>() else { continue };
-        let Ok(Some(bytes)) = inner.store.get(&key) else { continue };
-        let Some(mut req) = CallReq::decode(&bytes) else { continue };
-        if req.attempts < retry.max_attempts {
-            req.attempts += 1;
-            if inner.store.put(&key, &req.encode()).is_err() {
-                continue;
-            }
-            inner.metrics.calls_retried.fetch_add(1, Ordering::Relaxed);
-            inner.obs.bus.emit(|| {
-                Event::new(EventKind::CallRetried { attempt: req.attempts })
-                    .task(req.task.as_str())
-                    .fiber(req.fiber.as_str())
-            });
-            inner
-                .cluster
-                .send(req.to_message(&inner.name, correlation));
-            st.call_seen.insert(key, Instant::now());
-        } else {
-            // Out of attempts: surface a timeout fault to the fiber.
-            // ResumeFromCall consumes the correlation and the fiber's
-            // restarts (`retry` / `give-up`) decide what happens next.
-            let _ = inner.store.delete(&key);
-            st.call_seen.remove(&key);
-            inner.cluster.send(
-                Message::new(&inner.name, "ResumeFromCall", Vec::new())
-                    .header("correlation", corr_str)
-                    .header("fault-code", "{vinz}CallTimeout")
-                    .header(
-                        "fault-message",
-                        format!(
-                            "{}:{} unanswered after {} attempt(s)",
-                            req.service, req.operation, req.attempts
-                        ),
-                    ),
-            );
-        }
-    }
 }
 
 fn mark_resent(st: &mut ScanState, key: &str, cooldown: Duration) -> bool {
@@ -428,81 +316,23 @@ pub(crate) fn install_dead_letter_observer(inner: &Arc<Inner>) {
     let weak = Arc::downgrade(inner);
     inner.cluster.on_dead_letter(move |dl| {
         let Some(inner) = weak.upgrade() else { return };
-        if dl.service != inner.name {
+        let Some(fiber) = dl.msg.get_header("fiber-id").or(dl.msg.get_header("task-id")) else { return };
+        if dl.service != inner.name || inner.task_finished(Inner::task_of(fiber)) {
             return;
         }
-        // Recover the task id: workflow messages carry it directly or
-        // via the fiber id; ResumeFromCall only knows its correlation.
-        let task = dl
-            .msg
-            .get_header("task-id")
-            .map(str::to_owned)
-            .or_else(|| {
-                dl.msg
-                    .get_header("fiber-id")
-                    .map(|f| f.split('/').next().unwrap_or(f).to_owned())
-            })
-            .or_else(|| {
-                let corr = dl.msg.get_header("correlation")?;
-                let fiber = inner.store.get(&format!("corr/{corr}")).ok().flatten()?;
-                let fiber = String::from_utf8_lossy(&fiber).into_owned();
-                Some(fiber.split('/').next().unwrap_or(&fiber).to_owned())
-            });
-        let Some(task) = task else { return };
-        if inner.task_finished(&task) {
-            return;
-        }
-        let fiber = dl.msg.get_header("fiber-id").unwrap_or(task.as_str()).to_string();
         let cond = Condition::with_types(
             vec!["dead-letter".into(), "error".into()],
-            format!(
-                "{} message {} dead-lettered: {}",
-                dl.msg.operation, dl.msg.id, dl.reason
-            ),
+            format!("{} message {} dead-lettered: {}", dl.msg.operation, dl.msg.id, dl.reason),
             gozer_lang::Value::Nil,
         );
-        inner
-            .metrics
-            .tasks_dead_lettered
-            .fetch_add(1, Ordering::Relaxed);
-        inner.emit(u32::MAX, u64::MAX, &fiber, || EventKind::TaskDone {
-            outcome: "failed".into(),
-        });
-        if inner.obs.flight.is_armed() {
-            let dump = inner.flight_dump(&format!(
-                "task {task} failed: {} dead-lettered ({})",
-                dl.msg.operation, dl.reason
-            ));
-            let _ = inner.obs.flight.record(&format!("{task}-dead-letter"), &dump);
-        }
-        inner.finish_task(&task, TaskStatus::Failed(cond));
+        inner.metrics.tasks_dead_lettered.fetch_add(1, Ordering::Relaxed);
+        inner.fail_task(u32::MAX, u64::MAX, fiber, "dead-letter", cond);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn call_req_round_trips() {
-        let req = CallReq {
-            service: "pricing".into(),
-            operation: "Quote".into(),
-            soap_action: "urn:q".into(),
-            task: "task-1".into(),
-            fiber: "task-1/f0".into(),
-            attempts: 2,
-            body: vec![0, 1, 2, 0xff, b'\n', 3],
-        };
-        let back = CallReq::decode(&req.encode()).expect("decodes");
-        assert_eq!(back.service, "pricing");
-        assert_eq!(back.operation, "Quote");
-        assert_eq!(back.soap_action, "urn:q");
-        assert_eq!(back.task, "task-1");
-        assert_eq!(back.fiber, "task-1/f0");
-        assert_eq!(back.attempts, 2);
-        assert_eq!(back.body, vec![0, 1, 2, 0xff, b'\n', 3]);
-    }
 
     #[test]
     fn retry_delay_scales_and_is_deterministic() {

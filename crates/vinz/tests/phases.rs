@@ -241,8 +241,8 @@ fn gate_costs(store: Option<Arc<dyn StateStore>>) -> (GateCost, GateCost) {
 
 /// The durability gate sits at the deployment boundary. On a
 /// group-commit LogStore each async service call — the one message that
-/// can outlive the process — parks once behind its `corr/`+`call-req/`
-/// batch and banks `durability_hold`; a task that only forks, joins and
+/// can outlive the process — parks once behind the write of its one
+/// `call-req/` record and banks `durability_hold`; a task that only forks, joins and
 /// awakes inside the deployment parks nothing and banks exactly zero.
 /// The synchronous MemStore never holds anything.
 #[test]

@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 
 use bluebox::{ChaosConfig, ChaosPlan, Cluster, Fault, FaultPoint, RecoveryConfig};
 use gozer_lang::Value;
+use gozer_obs::EventKind;
 use gozer_xml::ServiceDescription;
 use vinz::testing::{chaos_seeds, register_value_service, repro_command, run_workflow_under_chaos};
 use vinz::{MemStore, RetryPolicy, StateStore, TaskStatus, VinzConfig, WorkflowService};
@@ -162,8 +163,22 @@ fn poisoned_start_dead_letters_and_fails_the_task() {
     poisoned_operation_fails_the_task("Start");
 }
 
+/// And for a service reply: the quarantined `ResumeFromCall` names its
+/// task and fiber in its headers, the only place the observer looks.
+#[test]
+fn poisoned_resume_from_call_dead_letters_and_fails_the_task() {
+    poisoned_operation_fails_the_task("ResumeFromCall");
+}
+
 fn poisoned_operation_fails_the_task(operation: &str) {
     let cluster = Cluster::new();
+    register_value_service(
+        &cluster,
+        "Answer",
+        Some(ServiceDescription::new("Answer", "urn:answer").operation("Get", "Answers.", &[])),
+        |_op, _req| Ok(Value::Int(42)),
+    );
+    cluster.spawn_instances("Answer", 5, 1);
     cluster.set_recovery(RecoveryConfig {
         redelivery_budget: 3,
         backoff_base: Duration::from_millis(1),
@@ -172,7 +187,10 @@ fn poisoned_operation_fails_the_task(operation: &str) {
     });
     cluster.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, operation)));
     let wf = WorkflowService::builder(&cluster, "workflow")
-        .source("(defun main () 42)")
+        .source(
+            "(deflink AN :wsdl \"urn:answer\" :port \"Answer\")
+             (defun main () (AN-Get-Method))",
+        )
         .instances(0, 2)
         .deploy()
         .unwrap();
@@ -193,9 +211,10 @@ fn poisoned_operation_fails_the_task(operation: &str) {
         "the poisoned operation is what got quarantined: {dead:?}"
     );
     let obs = wf.obs();
-    assert!(
-        obs.counters().tasks_dead_lettered.load(Ordering::Relaxed) >= 1,
-        "task-level dead-letter counter moved"
+    assert_eq!(
+        obs.counters().tasks_dead_lettered.load(Ordering::Relaxed),
+        1,
+        "the task failed once, however many of its messages were quarantined"
     );
     let text = cluster.obs().registry.render_text();
     assert!(
@@ -339,8 +358,23 @@ fn call_timeout_synthesizes_fault_and_gives_up() {
         })
         .deploy()
         .unwrap();
-    let v = wf.call("main", vec![], Duration::from_secs(30)).unwrap();
-    assert_eq!(v, Value::keyword("gave-up"));
+    let obs = wf.obs();
+    obs.set_tracing(true);
+    let task = wf.start("main", vec![], None).unwrap();
+    let rec = wf.wait(&task, Duration::from_secs(30)).expect("task finishes");
+    assert_eq!(rec.status, TaskStatus::Completed(Value::keyword("gave-up")));
+    // The synthesized reply, like a real one, correlates to the caller.
+    let fiber = format!("{task}/f0");
+    let replies: Vec<_> = obs
+        .events()
+        .into_iter()
+        .filter(|e| matches!(&e.kind, EventKind::MessageSent { operation, .. } if operation == "ResumeFromCall"))
+        .collect();
+    assert!(!replies.is_empty(), "the timeout reply was sent");
+    for e in &replies {
+        assert_eq!(e.task.as_deref(), Some(task.as_str()), "{e:?}");
+        assert_eq!(e.fiber.as_deref(), Some(fiber.as_str()), "{e:?}");
+    }
     cluster.shutdown();
 }
 

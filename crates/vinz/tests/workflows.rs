@@ -2,16 +2,17 @@
 //! Start → RunFiber → fork → yield → persist → AwakeFiber → resume,
 //! across multiple simulated nodes.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bluebox::{Cluster, Message};
+use bluebox::{Cluster, Fault, Message};
 use gozer_compress::Codec;
 use gozer_lang::Value;
 use gozer_obs::{Event, EventKind};
 use gozer_serial::serialize_value;
-use vinz::testing::register_square_service;
+use gozer_xml::ServiceDescription;
+use vinz::testing::{register_square_service, register_value_service};
 use vinz::{TaskStatus, VinzConfig, WorkflowService};
 
 fn deploy(cluster: &Arc<Cluster>, source: &str) -> WorkflowService {
@@ -386,6 +387,8 @@ struct CountingStore {
     inner: vinz::MemStore,
     deletes: std::sync::atomic::AtomicU64,
     puts: std::sync::Mutex<Vec<Vec<String>>>,
+    /// The keys of each `put_batch` call alone.
+    batches: std::sync::Mutex<Vec<Vec<String>>>,
     /// Key + value bytes of each write under `children/`.
     registry_puts: std::sync::Mutex<Vec<usize>>,
     registry_gets: std::sync::atomic::AtomicU64,
@@ -407,7 +410,8 @@ impl vinz::StateStore for CountingStore {
         self.inner.put(key, data)
     }
     fn put_batch(&self, entries: &[(&str, &[u8])]) -> Result<vinz::Watermark, vinz::StoreError> {
-        let keys = entries.iter().map(|(k, _)| k.to_string()).collect();
+        let keys: Vec<String> = entries.iter().map(|(k, _)| k.to_string()).collect();
+        self.batches.lock().unwrap().push(keys.clone());
         self.puts.lock().unwrap().push(keys);
         self.inner.put_batch(entries)
     }
@@ -489,6 +493,67 @@ fn store_census_of_a_task() {
             assert!(call.iter().any(|k| k.starts_with("susp/")), "{call:?}");
         }
     }
+    cluster.shutdown();
+}
+
+/// An async call is one record: written alone in the batch whose ticket
+/// holds the request, rewritten in place when a faulted reply is retried,
+/// and deleted when the reply resumes the fiber.
+#[test]
+fn store_census_of_an_async_call() {
+    let cluster = Cluster::new();
+    let store = Arc::new(CountingStore::default());
+    let served = Arc::new(AtomicU64::new(0));
+    let s2 = served.clone();
+    register_value_service(
+        &cluster,
+        "Shaky",
+        Some(ServiceDescription::new("Shaky", "urn:shaky").operation("Get", "Faults once.", &[])),
+        move |_op, _req| match s2.fetch_add(1, Ordering::SeqCst) {
+            0 => Err(Fault::new("{urn:shaky}Transient", "not yet")),
+            _ => Ok(Value::Int(7)),
+        },
+    );
+    cluster.spawn_instances("Shaky", 0, 1);
+    let wf = WorkflowService::builder(&cluster, "wf")
+        .source(
+            "(deflink SH :wsdl \"urn:shaky\" :port \"Shaky\")
+             (defun main () (SH-Get-Method))",
+        )
+        .store(store.clone())
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    assert_eq!(wf.call("main", vec![], TIMEOUT).unwrap(), Value::Int(7));
+    assert!(cluster.drain("wf", TIMEOUT));
+    assert_eq!(served.load(Ordering::SeqCst), 2);
+    let puts = store.take_puts();
+    let writes: Vec<&Vec<String>> = puts
+        .iter()
+        .filter(|call| call.iter().any(|k| k.starts_with("call-req/")))
+        .collect();
+    // The dispatch, then the retry's rewrite of the same key.
+    assert_eq!(writes.len(), 2, "{puts:?}");
+    assert_eq!(writes[0].len(), 1, "{puts:?}");
+    assert_eq!(writes[0], writes[1], "{puts:?}");
+    let batches = store.batches.lock().unwrap().clone();
+    assert_eq!(
+        batches.iter().filter(|b| b.iter().any(|k| k.starts_with("call-req/"))).count(),
+        1,
+        "{batches:?}"
+    );
+    // No second key for the call: its correlation names only the record.
+    let correlation = writes[0][0].trim_start_matches("call-req/");
+    assert!(
+        puts.iter()
+            .flatten()
+            .all(|k| k == &writes[0][0] || k.rsplit('/').next() != Some(correlation)),
+        "{puts:?}"
+    );
+    // One node, no join: the record is the only thing deleted.
+    assert_eq!(store.deletes.load(Ordering::Relaxed), 1);
+    assert!(vinz::StateStore::list(&*store, "call-req/").unwrap().is_empty());
+    assert_eq!(wf.obs().counters().calls_retried.load(Ordering::Relaxed), 1);
     cluster.shutdown();
 }
 
@@ -706,8 +771,8 @@ fn run_gated(case: &Redelivery, deliver_twice: bool) -> (Value, u64, usize, usiz
     obs.set_tracing(true);
     let task = wf.start("main", vec![], None).unwrap();
     assert!(cluster.drain("wf", TIMEOUT), "{}: parked on the gates", case.op);
-    let correlation = wf.store().list("corr/").unwrap()[0]
-        .trim_start_matches("corr/")
+    let correlation = wf.store().list("call-req/").unwrap()[0]
+        .trim_start_matches("call-req/")
         .to_string();
     cluster.spawn_instances("GateA", 0, 1);
     assert!(

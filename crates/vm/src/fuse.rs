@@ -17,7 +17,8 @@
 //! keep its original instruction as the landing pad.
 //!
 //! The pair table is profiler-derived: `gozer-repl profile --top-pairs`
-//! on `gvm_microbench`-shaped workloads reports `load-local/load-local`,
+//! on the workloads of `cargo run --release -p gozer-bench -- gvm`
+//! reports `load-local/load-local`,
 //! `load-local/const`, `load-global/load-local`, `const/call`,
 //! `load-local/call` and `call/jump-if-false` as the hottest adjacent
 //! pairs by an order of magnitude; `dup/store-local` (every

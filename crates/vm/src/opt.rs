@@ -52,7 +52,7 @@ impl OptConfig {
 
     /// Everything off: the pre-optimization interpreter, kept as the
     /// reference implementation for differential testing and the
-    /// `gvm_perf --compare` speedup gate.
+    /// speedup gate of `cargo run --release -p gozer-bench -- gvm`.
     pub fn off() -> OptConfig {
         OptConfig {
             fuse: false,

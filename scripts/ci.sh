@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: release build, full test suite, and the 16-seed chaos sweep.
+# CI gate: release build, full test suite, clippy, and the 16-seed chaos sweep.
 #
 # Offline-friendly: the workspace uses only in-tree path dependencies,
 # so --offline always works; we pass it when the network is known-bad
@@ -18,6 +18,10 @@ run() {
 
 run "$CARGO" build --release $OFFLINE
 run "$CARGO" test -q $OFFLINE
+
+# Lint gate: clippy over every crate and target. Warnings print but pass;
+# a deny-level lint (e.g. `never_loop`) fails the build and with it CI.
+run "$CARGO" clippy $OFFLINE --workspace --all-targets --no-deps
 
 # The deterministic chaos sweep: 16 seeds (CHAOS_SEEDS to widen). A
 # failing seed prints its own one-line replay command.
