@@ -13,8 +13,8 @@
 //! all on.
 //!
 //! This crate is the facade: it re-exports every layer and provides
-//! [`GozerSystem`], a builder wiring a cluster, persistence, locks, and a
-//! deployed workflow together.
+//! [`GozerSystem`], a builder wiring a cluster, persistence and a deployed
+//! workflow together.
 //!
 //! ## Local evaluation
 //!
@@ -69,12 +69,11 @@ pub use gozer_obs::{
     TimelineSet, PHASE_COUNT,
 };
 pub use vinz::{
-    DurabilityTicket, FileLocks, FileStore, FileStoreBuilder, FsyncPolicy, InProcessLocks,
-    LockManager, LogStats, LogStore, LogStoreBuilder, MemStore, RetryPolicy, StateStore,
-    StoreError, SupervisorConfig, TaskRecord, TaskStatus, VinzConfig, VinzError, Watermark,
-    WorkflowObs, WorkflowService, WorkflowServiceBuilder, ZkLocks,
+    DurabilityTicket, FileStore, FileStoreBuilder, FsyncPolicy, LogStats, LogStore,
+    LogStoreBuilder, MemStore, RetryPolicy, StateStore, StoreError, SupervisorConfig, TaskRecord,
+    TaskStatus, VinzConfig, VinzError, Watermark, WorkflowObs, WorkflowService,
+    WorkflowServiceBuilder,
 };
-pub use zk_lite::ZkServer;
 
 /// Re-export of the test-service and chaos-harness helpers (used by
 /// examples, benches, and the randomized survivability suite).
@@ -85,7 +84,7 @@ pub mod testing {
     };
 }
 
-/// A fully wired deployment: cluster + store + locks + workflow service.
+/// A fully wired deployment: cluster + store + workflow service.
 pub struct GozerSystem {
     /// The simulated cluster.
     pub cluster: Arc<Cluster>,
@@ -102,7 +101,6 @@ pub struct GozerSystemBuilder {
     config: VinzConfig,
     policy: Policy,
     store: Option<Arc<dyn StateStore>>,
-    locks: Option<Arc<dyn LockManager>>,
     cluster: Option<Arc<Cluster>>,
     introspect_addr: Option<String>,
 }
@@ -118,7 +116,6 @@ impl GozerSystem {
             config: VinzConfig::default(),
             policy: Policy::Fcfs,
             store: None,
-            locks: None,
             cluster: None,
             introspect_addr: None,
         }
@@ -202,12 +199,6 @@ impl GozerSystemBuilder {
         self
     }
 
-    /// Lock manager (default [`InProcessLocks`]).
-    pub fn locks(mut self, locks: Arc<dyn LockManager>) -> Self {
-        self.locks = Some(locks);
-        self
-    }
-
     /// Use an existing cluster (e.g. with extra services registered).
     pub fn cluster(mut self, cluster: Arc<Cluster>) -> Self {
         self.cluster = Some(cluster);
@@ -228,13 +219,9 @@ impl GozerSystemBuilder {
             .cluster
             .unwrap_or_else(|| Cluster::with_policy(self.policy));
         let store = self.store.unwrap_or_else(|| Arc::new(MemStore::new()));
-        let locks = self
-            .locks
-            .unwrap_or_else(|| Arc::new(InProcessLocks::new()));
         let mut builder = WorkflowService::builder(&cluster, &self.service_name)
             .source(&self.source)
             .store(store)
-            .locks(locks)
             .config(self.config);
         if let Some(addr) = &self.introspect_addr {
             builder = builder.introspect(addr);

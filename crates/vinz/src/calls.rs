@@ -32,6 +32,7 @@ use gozer_obs::{Event, EventKind};
 use gozer_serial::{deserialize_value, SerError};
 use gozer_vm::Gvm;
 
+use crate::locks::LOCK_WAIT;
 use crate::service::{required_header, Inner, VinzError};
 
 const PREFIX: &str = "call-req/";
@@ -141,7 +142,7 @@ pub(crate) fn take_reply(
         ctx,
         msg,
         fiber_id,
-        inner.config.fiber_lock_timeout,
+        LOCK_WAIT,
         "suspended",
         None,
         // Nobody is left to take the reply.

@@ -53,7 +53,7 @@
 pub mod cache;
 mod calls;
 mod deflink;
-pub mod locks;
+mod locks;
 mod natives;
 pub mod prelude;
 pub mod service;
@@ -63,7 +63,6 @@ pub mod testing;
 pub mod tracker;
 
 pub use cache::{CacheStats, FiberCache};
-pub use locks::{FileLocks, InProcessLocks, LockManager, ZkLocks};
 pub use prelude::VINZ_PRELUDE;
 pub use service::{
     NodeRuntime, StartError, VinzConfig, VinzError, VinzMetrics, WorkflowObs, WorkflowService,

@@ -1,193 +1,80 @@
-//! Distributed locks preventing a fiber from running on two JVMs at once
-//! (paper §4.2). Three managers, mirroring the paper's history:
-//!
-//! * [`InProcessLocks`] — plain mutex table, for single-process tests;
-//! * [`FileLocks`] — NFS-style lock files ("simple and effective, but
-//!   completely opaque");
-//! * [`ZkLocks`] — the ZooKeeper-recipe replacement being developed in
-//!   the paper, backed by [`zk_lite`].
+//! The deployment's lock table: named, exclusive, timed locks that keep
+//! a fiber from running on two instances at once (paper §4.2, where NFS
+//! lock files do this job and ZooKeeper is named as their replacement).
+//! Every fiber runs in the deployment's process, so one mutex-guarded
+//! table keeps that contract; when fibers move into worker processes
+//! the lock becomes a lease in the broker's lease table.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use zk_lite::{Session, ZkServer};
 
-/// A held lock; released on drop.
-pub type LockGuard = Box<dyn Send>;
+/// How long a lock site waits before giving up: the fiber lock of
+/// RunFiber, ResumeFromCall, JoinProcess and a Start's birth, a task
+/// variable's mutation, and a join-waiter list. AwakeFiber waits only
+/// `VinzConfig::awake_wait_limit` (§5).
+pub(crate) const LOCK_WAIT: Duration = Duration::from_secs(10);
 
-/// Acquire named exclusive locks, cluster-wide.
-pub trait LockManager: Send + Sync {
-    /// Acquire `name`, waiting up to `timeout`. `None` on timeout.
-    fn acquire(&self, name: &str, timeout: Duration) -> Option<LockGuard>;
-}
-
-// ---- in-process ---------------------------------------------------------
-
-struct InProcessState {
+/// Lock name → owner token of the current holder.
+struct Table {
     held: HashMap<String, u64>,
     next_owner: u64,
 }
 
-/// Mutex-table lock manager for single-process deployments.
-pub struct InProcessLocks {
-    state: Arc<(Mutex<InProcessState>, Condvar)>,
-}
-
-impl Default for InProcessLocks {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The lock table of one deployment.
+pub(crate) struct InProcessLocks {
+    table: Mutex<Table>,
+    released: Condvar,
 }
 
 impl InProcessLocks {
-    /// Fresh manager.
-    pub fn new() -> InProcessLocks {
+    pub(crate) fn new() -> InProcessLocks {
         InProcessLocks {
-            state: Arc::new((
-                Mutex::new(InProcessState {
-                    held: HashMap::new(),
-                    next_owner: 1,
-                }),
-                Condvar::new(),
-            )),
+            table: Mutex::new(Table {
+                held: HashMap::new(),
+                next_owner: 1,
+            }),
+            released: Condvar::new(),
         }
     }
-}
 
-struct InProcessGuard {
-    state: Arc<(Mutex<InProcessState>, Condvar)>,
-    name: String,
-    owner: u64,
-}
-
-impl Drop for InProcessGuard {
-    fn drop(&mut self) {
-        let (lock, cond) = &*self.state;
-        let mut st = lock.lock();
-        if st.held.get(&self.name) == Some(&self.owner) {
-            st.held.remove(&self.name);
-        }
-        cond.notify_all();
-    }
-}
-
-impl LockManager for InProcessLocks {
-    fn acquire(&self, name: &str, timeout: Duration) -> Option<LockGuard> {
-        let deadline = Instant::now() + timeout;
-        let (lock, cond) = &*self.state;
-        let mut st = lock.lock();
+    /// Acquire `key`, waiting up to `wait`. `None` on timeout.
+    pub(crate) fn acquire(&self, key: String, wait: Duration) -> Option<LockGuard<'_>> {
+        let deadline = Instant::now() + wait;
+        let mut table = self.table.lock();
         loop {
-            if !st.held.contains_key(name) {
-                let owner = st.next_owner;
-                st.next_owner += 1;
-                st.held.insert(name.to_string(), owner);
-                return Some(Box::new(InProcessGuard {
-                    state: self.state.clone(),
-                    name: name.to_string(),
+            if !table.held.contains_key(&key) {
+                let owner = table.next_owner;
+                table.next_owner += 1;
+                table.held.insert(key.clone(), owner);
+                return Some(LockGuard {
+                    locks: self,
+                    key,
                     owner,
-                }));
+                });
             }
-            if cond.wait_until(&mut st, deadline).timed_out() {
+            if self.released.wait_until(&mut table, deadline).timed_out() {
                 return None;
             }
         }
     }
 }
 
-// ---- NFS-style lock files -----------------------------------------------
-
-/// Lock files in a shared directory: `create_new` wins the lock, delete
-/// releases it. Polling-based waiting, like NFS lock emulation.
-pub struct FileLocks {
-    dir: PathBuf,
+/// A held lock; released on drop, including when its holder unwinds.
+pub(crate) struct LockGuard<'a> {
+    locks: &'a InProcessLocks,
+    key: String,
+    owner: u64,
 }
 
-impl FileLocks {
-    /// Manager over a (shared) directory.
-    pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<FileLocks> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(FileLocks { dir })
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{}.lock", name.replace('/', "__")))
-    }
-}
-
-struct FileGuard {
-    path: PathBuf,
-}
-
-impl Drop for FileGuard {
+impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-impl LockManager for FileLocks {
-    fn acquire(&self, name: &str, timeout: Duration) -> Option<LockGuard> {
-        let deadline = Instant::now() + timeout;
-        let path = self.path(name);
-        loop {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(_) => return Some(Box::new(FileGuard { path })),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if Instant::now() >= deadline {
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => return None,
-            }
+        let mut table = self.locks.table.lock();
+        if table.held.get(&self.key) == Some(&self.owner) {
+            table.held.remove(&self.key);
         }
-    }
-}
-
-// ---- ZooKeeper recipe -----------------------------------------------------
-
-/// Lock manager over [`zk_lite`]'s ephemeral-sequential lock recipe — the
-/// replacement the paper describes being developed for the NFS locks.
-pub struct ZkLocks {
-    server: Arc<ZkServer>,
-}
-
-impl ZkLocks {
-    /// Manager over a coordination server.
-    pub fn new(server: Arc<ZkServer>) -> ZkLocks {
-        ZkLocks { server }
-    }
-}
-
-struct ZkGuard {
-    // Order matters: the lock node (owned by the session) must drop
-    // before the session.
-    _session: Box<Session>,
-}
-
-impl LockManager for ZkLocks {
-    fn acquire(&self, name: &str, timeout: Duration) -> Option<LockGuard> {
-        let session = Box::new(self.server.session());
-        let base = format!("/vinz-locks/{}", name.replace('/', "_"));
-        // SAFETY-free trick: keep the session alive in the guard and let
-        // session close release the ephemeral lock node.
-        let acquired = {
-            // The DistributedLock borrows the session; rather than fight
-            // the self-referential lifetime, acquire and immediately
-            // *leak the acquisition into session lifetime*: dropping the
-            // session deletes the ephemeral node, releasing the lock.
-            let lock = zk_lite::DistributedLock::acquire(&session, &base, timeout).ok()??;
-            std::mem::forget(lock);
-            true
-        };
-        acquired.then(|| Box::new(ZkGuard { _session: session }) as LockGuard)
+        self.locks.released.notify_all();
     }
 }
 
@@ -195,70 +82,68 @@ impl LockManager for ZkLocks {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
-    fn exercise_exclusive(mgr: Arc<dyn LockManager>) {
-        let g = mgr.acquire("fiber/t1", Duration::from_millis(200)).unwrap();
+    #[test]
+    fn exclusive_per_key() {
+        let locks = InProcessLocks::new();
+        let g = locks.acquire("fiber/t1".into(), Duration::from_millis(200)).unwrap();
         assert!(
-            mgr.acquire("fiber/t1", Duration::from_millis(50)).is_none(),
+            locks.acquire("fiber/t1".into(), Duration::from_millis(50)).is_none(),
             "second acquire should time out"
         );
         // Different name is independent.
-        assert!(mgr.acquire("fiber/t2", Duration::from_millis(50)).is_some());
+        assert!(locks.acquire("fiber/t2".into(), Duration::from_millis(50)).is_some());
         drop(g);
-        assert!(mgr.acquire("fiber/t1", Duration::from_millis(200)).is_some());
-    }
-
-    #[test]
-    fn in_process_exclusive() {
-        exercise_exclusive(Arc::new(InProcessLocks::new()));
-    }
-
-    #[test]
-    fn file_locks_exclusive() {
-        let dir = std::env::temp_dir().join(format!(
-            "gozer-locks-{}",
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        exercise_exclusive(Arc::new(FileLocks::new(&dir).unwrap()));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn zk_locks_exclusive() {
-        exercise_exclusive(Arc::new(ZkLocks::new(ZkServer::new())));
+        assert!(locks.acquire("fiber/t1".into(), Duration::from_millis(200)).is_some());
     }
 
     #[test]
     fn contention_is_safe() {
-        for mgr in [
-            Arc::new(InProcessLocks::new()) as Arc<dyn LockManager>,
-            Arc::new(ZkLocks::new(ZkServer::new())),
-        ] {
-            let inside = Arc::new(AtomicUsize::new(0));
-            let max = Arc::new(AtomicUsize::new(0));
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let mgr = mgr.clone();
-                    let inside = inside.clone();
-                    let max = max.clone();
-                    std::thread::spawn(move || {
-                        for _ in 0..15 {
-                            let g = mgr.acquire("hot", Duration::from_secs(10)).unwrap();
-                            let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                            max.fetch_max(now, Ordering::SeqCst);
-                            inside.fetch_sub(1, Ordering::SeqCst);
-                            drop(g);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
+        let locks = InProcessLocks::new();
+        let inside = AtomicUsize::new(0);
+        let max = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..15 {
+                        let g = locks.acquire("hot".into(), LOCK_WAIT).unwrap();
+                        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                        max.fetch_max(now, Ordering::SeqCst);
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                        drop(g);
+                    }
+                });
             }
-            assert_eq!(max.load(Ordering::SeqCst), 1);
-        }
+        });
+        assert_eq!(max.load(Ordering::SeqCst), 1);
+    }
+
+    /// A holder that dies frees its lock: a thread panicking while it
+    /// holds `fiber/x` releases it on unwind, and a waiter already
+    /// blocked on `fiber/x` gets it within its wait. (An instance thread
+    /// whose handler panics dies this way.)
+    #[test]
+    fn holder_crash_releases() {
+        let locks = &InProcessLocks::new();
+        let (held_tx, held_rx) = mpsc::channel();
+        let (waiting_tx, waiting_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let holder = s.spawn(move || {
+                let _g = locks.acquire("fiber/x".into(), LOCK_WAIT).unwrap();
+                held_tx.send(()).unwrap();
+                waiting_rx.recv().unwrap();
+                // Give the waiter time to block on the condvar.
+                std::thread::sleep(Duration::from_millis(20));
+                panic!("holder crashed");
+            });
+            held_rx.recv().unwrap();
+            let waiter = s.spawn(move || {
+                waiting_tx.send(()).unwrap();
+                locks.acquire("fiber/x".into(), LOCK_WAIT).is_some()
+            });
+            assert!(holder.join().is_err(), "holder should have panicked");
+            assert!(waiter.join().unwrap(), "waiter should get the dead holder's lock");
+        });
     }
 }

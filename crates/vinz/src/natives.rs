@@ -15,6 +15,7 @@ use gozer_vm::{
 };
 
 use crate::calls::{self, CallReq};
+use crate::locks::LOCK_WAIT;
 use crate::service::Inner;
 
 /// Instance id recorded for events that originate inside fiber code
@@ -303,7 +304,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         // appropriate locks"; §5 calls this overhead out as future work).
         let _guard = inner
             .locks
-            .acquire(&format!("taskvar/{task_id}/{name}"), Duration::from_secs(10))
+            .acquire(format!("taskvar/{task_id}/{name}"), LOCK_WAIT)
             .ok_or_else(|| VmError::msg(format!("could not lock task variable {name}")))?;
         let version = read_version(&inner, &vkey)? + 1;
         let bytes = serialize_value(&args[1], inner.config.codec)

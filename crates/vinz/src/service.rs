@@ -33,7 +33,7 @@ use gozer_vm::{Condition, FiberObsEvent, FiberObsKind, FiberState, Gvm, RunOutco
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::FiberCache;
-use crate::locks::{InProcessLocks, LockGuard, LockManager};
+use crate::locks::{InProcessLocks, LockGuard, LOCK_WAIT};
 use crate::store::{MemStore, StateStore, Watermark};
 use crate::supervisor::{self, RetryPolicy, SupervisorConfig};
 use crate::tracker::{TaskRecord, TaskStatus, TaskTracker};
@@ -53,9 +53,6 @@ pub struct VinzConfig {
     pub cache_capacity: usize,
     /// Timeout for synchronous service calls.
     pub sync_call_timeout: Duration,
-    /// How long RunFiber/ResumeFromCall wait for the fiber lock before
-    /// re-queuing themselves.
-    pub fiber_lock_timeout: Duration,
     /// The §5 "strict limit on how long [an AwakeFiber] will wait for its
     /// turn" before giving up and re-queuing.
     pub awake_wait_limit: Duration,
@@ -114,7 +111,6 @@ impl Default for VinzConfig {
             codec: Codec::Deflate,
             cache_capacity: 64,
             sync_call_timeout: Duration::from_secs(10),
-            fiber_lock_timeout: Duration::from_secs(10),
             awake_wait_limit: Duration::from_millis(50),
             future_pool_size: 2,
             profiling: false,
@@ -260,7 +256,7 @@ pub(crate) struct Inner {
     pub source: String,
     pub cluster: Arc<Cluster>,
     pub store: Arc<dyn StateStore>,
-    pub locks: Arc<dyn LockManager>,
+    pub locks: InProcessLocks,
     pub config: VinzConfig,
     pub tracker: TaskTracker,
     pub obs: Arc<Obs>,
@@ -297,16 +293,14 @@ pub struct WorkflowService {
 
 /// Staged deployment of a [`WorkflowService`]: created by
 /// [`WorkflowService::builder`], finished by
-/// [`WorkflowServiceBuilder::deploy`]. Store, locks and config have
-/// in-process defaults ([`MemStore`], [`InProcessLocks`],
-/// `VinzConfig::default()`), so a minimal deployment is just
-/// `.source(..).deploy()`.
+/// [`WorkflowServiceBuilder::deploy`]. Store and config have defaults
+/// ([`MemStore`], `VinzConfig::default()`), so a minimal deployment is
+/// just `.source(..).deploy()`.
 pub struct WorkflowServiceBuilder {
     cluster: Arc<Cluster>,
     name: String,
     source: String,
     store: Arc<dyn StateStore>,
-    locks: Arc<dyn LockManager>,
     config: VinzConfig,
     instances: Vec<(u32, usize)>,
     introspect_addr: Option<String>,
@@ -323,12 +317,6 @@ impl WorkflowServiceBuilder {
     /// The shared persistence store (default: a fresh [`MemStore`]).
     pub fn store(mut self, store: Arc<dyn StateStore>) -> Self {
         self.store = store;
-        self
-    }
-
-    /// The distributed lock manager (default: [`InProcessLocks`]).
-    pub fn locks(mut self, locks: Arc<dyn LockManager>) -> Self {
-        self.locks = locks;
         self
     }
 
@@ -411,7 +399,7 @@ impl WorkflowServiceBuilder {
             source: self.source,
             cluster: self.cluster.clone(),
             store: self.store,
-            locks: self.locks,
+            locks: InProcessLocks::new(),
             config: self.config,
             tracker: TaskTracker::new(),
             obs,
@@ -515,7 +503,6 @@ impl WorkflowService {
             name: name.to_string(),
             source: String::new(),
             store: Arc::new(MemStore::new()),
-            locks: Arc::new(InProcessLocks::new()),
             config: VinzConfig::default(),
             instances: Vec::new(),
             introspect_addr: None,
@@ -1672,7 +1659,7 @@ impl Inner {
         // to write the birth record over it.
         let birth = self
             .locks
-            .acquire(&format!("fiber/{fiber_id}"), self.config.fiber_lock_timeout)
+            .acquire(format!("fiber/{fiber_id}"), LOCK_WAIT)
             .ok_or_else(|| VinzError(format!("could not lock {fiber_id} to start it")))?;
         // The task definition is the first thing a Start writes: where
         // it exists, this Start has been delivered before.
@@ -1825,7 +1812,7 @@ impl Inner {
             ctx,
             msg,
             fiber_id,
-            self.config.fiber_lock_timeout,
+            LOCK_WAIT,
             "initial",
             None,
             |why| {
@@ -1872,7 +1859,7 @@ impl Inner {
             ctx,
             msg,
             fiber_id,
-            self.config.fiber_lock_timeout,
+            LOCK_WAIT,
             "suspended",
             // Redelivered join wake-ups are told apart by target.
             Some(("joins-consumed", target)),
@@ -1929,7 +1916,7 @@ impl Inner {
             turned_away("finished");
             return Ok(Vec::new());
         }
-        let Some(guard) = self.locks.acquire(&format!("fiber/{fiber_id}"), lock_wait) else {
+        let Some(guard) = self.locks.acquire(format!("fiber/{fiber_id}"), lock_wait) else {
             // Could not get the fiber; hand the message back to the queue.
             turned_away("busy");
             self.cluster.send(msg.clone());
@@ -1969,7 +1956,7 @@ impl Inner {
     /// suspension it answers. Requeue it after a short back-off, with the
     /// fiber lock released first — the instance thread sleeping here
     /// must not keep the fiber's own first run waiting on that lock.
-    fn retry_shortly(&self, guard: LockGuard, msg: &Message) -> Result<Vec<u8>, VinzError> {
+    fn retry_shortly(&self, guard: LockGuard<'_>, msg: &Message) -> Result<Vec<u8>, VinzError> {
         drop(guard);
         std::thread::sleep(Duration::from_millis(1));
         self.cluster.send(msg.clone());
@@ -2213,7 +2200,7 @@ impl Inner {
         {
             let _guard = self
                 .locks
-                .acquire(&key, Duration::from_secs(10))
+                .acquire(key.clone(), LOCK_WAIT)
                 .ok_or_else(|| VinzError(format!("could not lock {key}")))?;
             let mut list = self
                 .store
@@ -2252,7 +2239,7 @@ impl Inner {
         let waiters = {
             let _guard = self
                 .locks
-                .acquire(&key, Duration::from_secs(10))
+                .acquire(key.clone(), LOCK_WAIT)
                 .ok_or_else(|| VinzError(format!("could not lock {key}")))?;
             let list = self
                 .store

@@ -1,26 +1,18 @@
 //! Stress and contention tests: concurrent task-variable mutation,
-//! large fan-outs under small spawn limits, deep nesting, and
-//! mixed-lock-manager deployments.
+//! large fan-outs under small spawn limits, and deep nesting.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bluebox::Cluster;
 use gozer_lang::Value;
-use vinz::{InProcessLocks, TaskStatus, VinzConfig, WorkflowService, ZkLocks};
-use zk_lite::ZkServer;
+use vinz::{TaskStatus, VinzConfig, WorkflowService};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
-fn deploy_with(
-    cluster: &Arc<Cluster>,
-    source: &str,
-    config: VinzConfig,
-    locks: Arc<dyn vinz::LockManager>,
-) -> WorkflowService {
+fn deploy_with(cluster: &Arc<Cluster>, source: &str, config: VinzConfig) -> WorkflowService {
     WorkflowService::builder(cluster, "wf")
         .source(source)
-        .locks(locks)
         .config(config)
         .instances(0, 3)
         .instances(1, 3)
@@ -45,7 +37,6 @@ fn task_variable_counter_under_contention() {
              (setf ^slot^ i))  ; last-writer-wins on a shared var is safe
            (length (for-each (i in (range n)) i)))",
         VinzConfig::default(),
-        Arc::new(InProcessLocks::new()),
     );
     let v = wf.call("main", vec![Value::Int(12)], TIMEOUT).unwrap();
     assert_eq!(v, Value::Int(12));
@@ -63,7 +54,6 @@ fn task_variables_are_isolated_between_tasks() {
            ;; children of THIS task see x; other tasks see their own.
            (first (for-each (i in (list 1)) ^tag^)))",
         VinzConfig::default(),
-        Arc::new(InProcessLocks::new()),
     );
     let tasks: Vec<(String, i64)> = (0..8)
         .map(|k| {
@@ -89,7 +79,6 @@ fn large_fanout_with_tiny_spawn_limit() {
         &cluster,
         "(defun main (n) (apply #'+ (for-each (i in (range n)) i)))",
         config,
-        Arc::new(InProcessLocks::new()),
     );
     let v = wf.call("main", vec![Value::Int(50)], TIMEOUT).unwrap();
     assert_eq!(v, Value::Int((0..50).sum()));
@@ -107,7 +96,6 @@ fn parallel_inside_for_each() {
            (for-each (i in (list 10 20))
              (apply #'+ (parallel (+ i 1) (+ i 2)))))",
         VinzConfig::default(),
-        Arc::new(InProcessLocks::new()),
     );
     let v = wf.call("main", vec![], TIMEOUT).unwrap();
     // 10: 11+12=23; 20: 21+22=43.
@@ -129,32 +117,10 @@ fn three_level_nesting() {
                  (for-each (j in (range 2))
                    (first (for-each (k in (list (* (+ i 1) (+ j 1)))) k)))))))",
         config,
-        Arc::new(InProcessLocks::new()),
     );
     let v = wf.call("main", vec![], TIMEOUT).unwrap();
     // (1*1 + 1*2) + (2*1 + 2*2) = 3 + 6 = 9.
     assert_eq!(v, Value::Int(9));
-    cluster.shutdown();
-}
-
-#[test]
-fn zookeeper_locked_deployment_under_load() {
-    let cluster = Cluster::new();
-    let zk = ZkServer::new();
-    let wf = deploy_with(
-        &cluster,
-        "(defun main (n) (apply #'+ (for-each (i in (range n)) (* i i))))",
-        VinzConfig::default(),
-        Arc::new(ZkLocks::new(zk)),
-    );
-    let tasks: Vec<String> = (0..4)
-        .map(|_| wf.start("main", vec![Value::Int(10)], None).unwrap())
-        .collect();
-    let expected = Value::Int((0..10).map(|i| i * i).sum());
-    for task in tasks {
-        let rec = wf.wait(&task, TIMEOUT).unwrap();
-        assert_eq!(rec.status, TaskStatus::Completed(expected.clone()));
-    }
     cluster.shutdown();
 }
 
@@ -170,7 +136,6 @@ fn results_can_be_large_and_structured() {
               :squares (loop for j from 0 below 50 collect (* j j))
               :label (concat \"chunk-\" i)}))",
         VinzConfig::default(),
-        Arc::new(InProcessLocks::new()),
     );
     let v = wf.call("main", vec![], TIMEOUT).unwrap();
     let items = v.as_list().unwrap();
@@ -200,7 +165,6 @@ fn recursive_distributed_fibonacci() {
                (apply #'+ (for-each (k in (list (- n 1) (- n 2)))
                             (dfib k)))))",
         config,
-        Arc::new(InProcessLocks::new()),
     );
     let v = wf.call("dfib", vec![Value::Int(7)], TIMEOUT).unwrap();
     assert_eq!(v, Value::Int(13));
@@ -220,7 +184,6 @@ fn adaptive_chunk_sizing() {
            (for-each (x in items :chunk-size :auto)
              (progn (sleep-millis 30) (* x x))))",
         VinzConfig::default(),
-        Arc::new(InProcessLocks::new()),
     );
     let items = Value::list((0..12).map(Value::Int).collect());
     let expected = Value::list((0..12).map(|i| Value::Int(i * i)).collect());

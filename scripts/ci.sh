@@ -28,7 +28,9 @@ run "$CARGO" clippy $OFFLINE --workspace --all-targets --no-deps
 CHAOS_SEEDS="${CHAOS_SEEDS:-16}"
 export CHAOS_SEEDS
 run "$CARGO" test -p vinz --test chaos $OFFLINE -- --nocapture
-run "$CARGO" test -p bluebox chaos $OFFLINE
+# Both lib suites, about a second warm: bluebox's chaos and TCP
+# write-deadlock regressions, vinz's LogStore writer and lock table.
+run "$CARGO" test -p bluebox -p vinz --lib $OFFLINE
 run "$CARGO" test --test survivability $OFFLINE
 
 # LogStore recovery shapes, the mem-vs-log opcode-identity sweep, the

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use gozer::testing::{chaos_seeds, repro_command, run_workflow_under_chaos};
 use gozer::{ChaosConfig, ChaosPlan, CrashPoint, GozerSystem, TaskStatus, Value, VinzConfig};
-use vinz::{FileLocks, FileStore};
+use vinz::FileStore;
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -86,9 +86,9 @@ fn many_tasks_survive_rolling_failures() {
 }
 
 #[test]
-fn file_backed_store_and_locks_full_run() {
-    // The NFS-shaped deployment: state files + lock files in a shared
-    // directory (what production used before ZooKeeper, §4.2).
+fn file_backed_store_full_run() {
+    // The NFS-shaped deployment: fiber state as files in a shared
+    // directory (§4.2).
     let dir = std::env::temp_dir().join(format!(
         "gozer-nfs-{}",
         std::time::SystemTime::now()
@@ -100,7 +100,6 @@ fn file_backed_store_and_locks_full_run() {
         .nodes(2)
         .instances_per_node(2)
         .store(Arc::new(FileStore::builder(dir.join("state")).build().unwrap()))
-        .locks(Arc::new(FileLocks::new(dir.join("locks")).unwrap()))
         .workflow(WORKFLOW)
         .build()
         .unwrap();
@@ -110,22 +109,6 @@ fn file_backed_store_and_locks_full_run() {
     assert!(sys.workflow.store().bytes_written() > 0);
     sys.shutdown();
     let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn zookeeper_locks_full_run() {
-    // The replacement lock manager the paper describes developing (§4.2).
-    let zk = gozer::ZkServer::new();
-    let sys = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
-        .locks(Arc::new(gozer::ZkLocks::new(zk)))
-        .workflow(WORKFLOW)
-        .build()
-        .unwrap();
-    let v = sys.call("main", vec![Value::Int(10)], TIMEOUT).unwrap();
-    assert_eq!(v, expected(10));
-    sys.shutdown();
 }
 
 #[test]
