@@ -630,7 +630,8 @@ mod tests {
     }
 
     /// Golden test: the exporter's exact output for a fixed set of
-    /// values must never drift (scrapers and `obs-check` depend on it).
+    /// values must never drift (scrapers and the tests that parse
+    /// scraped samples depend on it).
     #[test]
     fn exporter_output_is_stable() {
         let reg = MetricsRegistry::new();

@@ -2,11 +2,10 @@
 //! execution profiler.
 //!
 //! `gozer-obs` sits below `gozer-vm` in the dependency graph, so this
-//! module defines only plain data: the embedder (Vinz) converts each
-//! node VM's raw profiler snapshot into a [`ProfileReport`], merges
-//! reports across nodes, and folds in the continuation
-//! serialize/deserialize costs tracked by [`SerialCosts`]. The report
-//! renders two ways:
+//! module defines only plain data: each node VM's profiler exports a
+//! [`ProfileReport`], and the embedder (Vinz) merges reports across
+//! nodes and folds in the continuation serialize/deserialize costs
+//! tracked by [`SerialCosts`]. The report renders two ways:
 //!
 //! * [`ProfileReport::folded_stacks`] — flamegraph folded format, one
 //!   `root;child;leaf weight` line per stack, weight = exclusive nanos

@@ -20,9 +20,8 @@ use bluebox::{Cluster, Fault, Message, ServiceCtx};
 use gozer_compress::Codec;
 use gozer_lang::Value;
 use gozer_obs::{
-    Event, EventKind, FlightDump, FlightRecorder, FnProfile, HealthReport, Histogram,
-    IntrospectServer, IntrospectSource, Obs, Phase, ProfileReport, SerialCostSnapshot,
-    SerialCosts, Snapshot,
+    Event, EventKind, FlightDump, FlightRecorder, HealthReport, Histogram, IntrospectServer,
+    IntrospectSource, Obs, Phase, ProfileReport, SerialCostSnapshot, SerialCosts, Snapshot,
     TaskSummary, TimelineSet, PHASE_COUNT,
 };
 use gozer_serial::{
@@ -1178,34 +1177,9 @@ impl Inner {
     pub(crate) fn profile_report(&self) -> ProfileReport {
         let mut report = ProfileReport::default();
         for rt in self.nodes.read().values() {
-            if rt.node_id == ADMIN_NODE {
-                continue;
+            if rt.node_id != ADMIN_NODE {
+                report.merge(&rt.gvm.profiler().snapshot());
             }
-            let snap = rt.gvm.profiler().snapshot();
-            let mut part = ProfileReport::default();
-            for (name, count) in snap.opcodes {
-                if count > 0 {
-                    *part.opcodes.entry(name).or_insert(0) += count;
-                }
-            }
-            for f in snap.functions {
-                part.functions.insert(
-                    f.name.clone(),
-                    FnProfile {
-                        name: f.name,
-                        calls: f.calls,
-                        incl_nanos: f.incl_nanos,
-                        excl_nanos: f.excl_nanos,
-                    },
-                );
-            }
-            for (path, weight) in snap.folded {
-                *part.folded.entry(path).or_insert(0) += weight;
-            }
-            for (a, b, count) in snap.pairs {
-                *part.pairs.entry((a, b)).or_insert(0) += count;
-            }
-            report.merge(&part);
         }
         report.serial = self.serial_costs.snapshot();
         report

@@ -187,9 +187,10 @@ fn span_tree_reconstructs_fiber_parentage() {
     cluster.shutdown();
 }
 
-/// In-process version of the `obs-check` CI gate: after one workflow
-/// run, the exporter must serve all required metric families with
-/// non-zero activity.
+/// After one workflow run, the exporter serves every required metric
+/// family, and the run moved each broker and workflow counter: a layer
+/// whose events stop reaching the registry fails here even while the
+/// functional suites pass.
 #[test]
 fn exporter_serves_required_families_after_a_run() {
     let cluster = Cluster::new();
@@ -225,6 +226,19 @@ fn exporter_serves_required_families_after_a_run() {
 
     // The snapshot diff isolates this run and yields computable means.
     let delta = obs.snapshot().diff(&before);
+    for counter in [
+        "bluebox_messages_sent_total",
+        "bluebox_messages_delivered_total",
+        "vinz_tasks_started_total{service=\"workflow\"}",
+        "vinz_fibers_run_total{service=\"workflow\"}",
+        "vinz_fiber_persists_total{service=\"workflow\"}",
+    ] {
+        assert!(
+            delta.counter(counter).is_some_and(|n| n > 0),
+            "{counter} did not move: {:?}",
+            delta.counter(counter)
+        );
+    }
     let wait = delta
         .histogram("bluebox_queue_wait_seconds")
         .expect("wait histogram");

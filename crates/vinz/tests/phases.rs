@@ -358,9 +358,11 @@ fn introspect_http_matches_in_process_exporter() {
     // Closure-backed samples (queue gauges, drop counters) can tick
     // between the two reads, so retry until a stable pair appears.
     let mut matched = false;
+    let mut scraped = String::new();
     for _ in 0..20 {
-        let (status, scraped) = http_get(addr, "/metrics");
+        let (status, body) = http_get(addr, "/metrics");
         assert_eq!(status, "HTTP/1.1 200 OK");
+        scraped = body;
         if scraped == obs.export_text() {
             matched = true;
             break;
@@ -368,6 +370,19 @@ fn introspect_http_matches_in_process_exporter() {
         std::thread::sleep(Duration::from_millis(25));
     }
     assert!(matched, "/metrics never matched export_text() byte for byte");
+    // The run reached both task histograms: a phase ledger that
+    // reconciles against latency also holds when both are empty.
+    assert!(scraped.contains("# TYPE gozer_task_phase_seconds histogram\n"));
+    for sample in [
+        "gozer_task_phase_seconds_count{phase=\"vm_exec\",service=\"workflow\"}",
+        "gozer_task_latency_seconds_count{service=\"workflow\"}",
+    ] {
+        let count = scraped
+            .lines()
+            .find_map(|l| l.strip_prefix(sample)?.strip_prefix(' '))
+            .and_then(|v| v.parse::<u64>().ok());
+        assert!(count.is_some_and(|n| n > 0), "{sample} = {count:?}");
+    }
 
     let (status, health) = http_get(addr, "/healthz");
     assert_eq!(status, "HTTP/1.1 200 OK", "healthy deployment: {health}");
@@ -382,7 +397,10 @@ fn introspect_http_matches_in_process_exporter() {
         .find(|l| l.starts_with(&format!("{task} ")))
         .unwrap_or_else(|| panic!("no /tasks row for {task} in:\n{tasks}"));
     assert!(row.contains(" completed "), "row: {row}");
-    assert!(row.contains(" - "), "final task shows no open phase: {row}");
+    assert!(
+        row.contains(" - fibers="),
+        "final task shows no open phase: {row}"
+    );
 
     let (status, timeline) = http_get(addr, &format!("/timeline/{task}"));
     assert_eq!(status, "HTTP/1.1 200 OK");

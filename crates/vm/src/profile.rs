@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use gozer_obs::{FnProfile, ProfileReport};
 use parking_lot::{Mutex, RwLock};
 
 use crate::bytecode::Op;
@@ -134,39 +135,6 @@ struct FnStat {
     excl_nanos: AtomicU64,
 }
 
-/// Per-function totals, as exported by [`VmProfiler::snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnCounts {
-    /// Function (chunk) name.
-    pub name: String,
-    /// Frame entries (calls + tail calls); resumed frames are not
-    /// re-counted.
-    pub calls: u64,
-    /// Wall nanos while the function's frame was live and the fiber was
-    /// actually running (suspended intervals excluded).
-    pub incl_nanos: u64,
-    /// Inclusive minus time spent in Gozer callees.
-    pub excl_nanos: u64,
-}
-
-/// Point-in-time export of a profiler's counters.
-#[derive(Debug, Clone, Default)]
-pub struct VmProfileSnapshot {
-    /// `(opcode name, executed count)`, in [`OPCODE_NAMES`] order.
-    pub opcodes: Vec<(String, u64)>,
-    /// Per-function totals, merged by name, sorted by name.
-    pub functions: Vec<FnCounts>,
-    /// Folded call stacks (`root;child;leaf` → exclusive nanos), sorted
-    /// by path.
-    pub folded: Vec<(String, u64)>,
-    /// Adjacent dynamic opcode pairs `(first, second, count)` — the data
-    /// behind `gozer-repl profile --top-pairs` and the fusion pair
-    /// table. Only nonzero pairs, sorted by name. The pair stream is
-    /// built from *constituent* opcodes, so it is identical fused vs
-    /// unfused.
-    pub pairs: Vec<(String, String, u64)>,
-}
-
 /// The per-VM profiler. Always present on a [`crate::Gvm`]; disabled by
 /// default.
 pub struct VmProfiler {
@@ -252,52 +220,46 @@ impl VmProfiler {
             .clone()
     }
 
-    /// Export every counter. Functions are merged by name (a redefined
-    /// function keeps one row) and sorted; folded paths are sorted.
-    pub fn snapshot(&self) -> VmProfileSnapshot {
-        let opcodes = OPCODE_NAMES
-            .iter()
-            .zip(self.opcodes.iter())
-            .map(|(n, c)| (n.to_string(), c.load(Ordering::Relaxed)))
-            .collect();
-        let mut by_name: HashMap<&str, FnCounts> = HashMap::new();
-        let fns = self.fns.read();
-        for stat in fns.values() {
-            let e = by_name.entry(&stat.name).or_insert_with(|| FnCounts {
-                name: stat.name.to_string(),
-                calls: 0,
-                incl_nanos: 0,
-                excl_nanos: 0,
-            });
-            e.calls += stat.calls.load(Ordering::Relaxed);
-            e.incl_nanos += stat.incl_nanos.load(Ordering::Relaxed);
-            e.excl_nanos += stat.excl_nanos.load(Ordering::Relaxed);
-        }
-        let mut functions: Vec<FnCounts> = by_name.into_values().collect();
-        functions.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut folded: Vec<(String, u64)> = self
-            .folded
-            .lock()
-            .iter()
-            .map(|(p, w)| (p.to_string(), *w))
-            .collect();
-        folded.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut pairs: Vec<(String, String, u64)> = Vec::new();
-        for a in 0..OPCODE_COUNT {
-            for b in 0..OPCODE_COUNT {
-                let c = self.pairs[a * OPCODE_COUNT + b].load(Ordering::Relaxed);
-                if c > 0 {
-                    pairs.push((OPCODE_NAMES[a].to_string(), OPCODE_NAMES[b].to_string(), c));
-                }
+    /// Export every counter as a report with empty continuation costs
+    /// (the embedder owns those). Functions are merged by name, so a
+    /// redefined function keeps one row; opcodes and pairs that never
+    /// ran are left out.
+    pub fn snapshot(&self) -> ProfileReport {
+        let mut report = ProfileReport::default();
+        for (name, c) in OPCODE_NAMES.iter().zip(&self.opcodes) {
+            let n = c.load(Ordering::Relaxed);
+            if n > 0 {
+                report.opcodes.insert(name.to_string(), n);
             }
         }
-        pairs.sort_by(|x, y| (&x.0, &x.1).cmp(&(&y.0, &y.1)));
-        VmProfileSnapshot {
-            opcodes,
-            functions,
-            folded,
-            pairs,
+        for stat in self.fns.read().values() {
+            let f = report
+                .functions
+                .entry(stat.name.to_string())
+                .or_insert_with(|| FnProfile {
+                    name: stat.name.to_string(),
+                    calls: 0,
+                    incl_nanos: 0,
+                    excl_nanos: 0,
+                });
+            f.calls += stat.calls.load(Ordering::Relaxed);
+            f.incl_nanos += stat.incl_nanos.load(Ordering::Relaxed);
+            f.excl_nanos += stat.excl_nanos.load(Ordering::Relaxed);
         }
+        for (path, w) in self.folded.lock().iter() {
+            report.folded.insert(path.to_string(), *w);
+        }
+        for (i, c) in self.pairs.iter().enumerate() {
+            let n = c.load(Ordering::Relaxed);
+            if n > 0 {
+                let pair = (
+                    OPCODE_NAMES[i / OPCODE_COUNT].to_string(),
+                    OPCODE_NAMES[i % OPCODE_COUNT].to_string(),
+                );
+                report.pairs.insert(pair, n);
+            }
+        }
+        report
     }
 }
 
@@ -468,10 +430,10 @@ mod tests {
     fn snapshot_of_fresh_profiler_is_empty() {
         let p = VmProfiler::default();
         let s = p.snapshot();
-        assert_eq!(s.opcodes.len(), OPCODE_COUNT);
-        assert!(s.opcodes.iter().all(|(_, c)| *c == 0));
+        assert!(s.opcodes.is_empty());
         assert!(s.functions.is_empty());
         assert!(s.folded.is_empty());
+        assert!(s.pairs.is_empty());
     }
 
     #[test]
@@ -482,25 +444,13 @@ mod tests {
             .unwrap();
         gvm.eval_str("(fib 10)").unwrap();
         let s = gvm.profiler().snapshot();
-        let fib = s
-            .functions
-            .iter()
-            .find(|f| f.name == "fib")
-            .expect("fib profiled");
+        let fib = &s.functions["fib"];
         assert_eq!(fib.calls, 177, "fib(10) makes 177 fib invocations");
         assert!(fib.incl_nanos >= fib.excl_nanos);
         // Every exclusive segment lands in exactly one folded path.
-        let sum_excl: u64 = s.functions.iter().map(|f| f.excl_nanos).sum();
-        let sum_folded: u64 = s.folded.iter().map(|(_, w)| *w).sum();
-        assert_eq!(sum_excl, sum_folded);
-        assert!(s.folded.iter().any(|(p, _)| p.contains("fib;fib")));
-        let calls = s
-            .opcodes
-            .iter()
-            .find(|(n, _)| n == "call")
-            .map(|(_, c)| *c)
-            .unwrap();
-        assert!(calls > 0, "call opcodes counted");
+        assert_eq!(s.total_exclusive_nanos(), s.total_folded_nanos());
+        assert!(s.folded.keys().any(|p| p.contains("fib;fib")));
+        assert!(s.opcodes["call"] > 0, "call opcodes counted");
         // Disabled VMs collect nothing.
         let quiet = crate::Gvm::new();
         quiet.eval_str("(+ 1 2)").unwrap();
@@ -530,11 +480,7 @@ mod tests {
         };
         assert_eq!(v, Value::Int(42));
         let s = gvm.profiler().snapshot();
-        let w = s
-            .functions
-            .iter()
-            .find(|f| f.name == "waiter")
-            .expect("waiter profiled");
+        let w = &s.functions["waiter"];
         assert_eq!(w.calls, 1, "resume must not re-count the call");
         assert!(
             w.incl_nanos < 50_000_000,

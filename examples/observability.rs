@@ -94,8 +94,9 @@ fn main() {
     println!("\n== live introspection ==========================================\n");
     println!("serving http://{addr}/metrics  /healthz  /tasks  /timeline/<task-id>");
     // Interactive exploration: GOZER_INTROSPECT_WAIT_SECS=30 keeps the
-    // server up for curl; the default exits immediately (CI scrapes the
-    // endpoint through `make introspect-check` instead).
+    // server up for curl; the default exits immediately (the
+    // `introspect_http_matches_in_process_exporter` test in
+    // `crates/vinz/tests/phases.rs` scrapes every route).
     let wait = std::env::var("GOZER_INTROSPECT_WAIT_SECS")
         .ok()
         .and_then(|s| s.parse::<u64>().ok())

@@ -8,7 +8,7 @@
 //! exit); a clean run exits 0 — which is what `make fuzz-smoke` checks.
 //!
 //! Knobs (environment):
-//! * `FUZZ_ITERS` — iterations per target (default 5000).
+//! * `FUZZ_ITERS` — iterations per target (default 2000).
 //! * `FUZZ_SEED`  — base seed (default 0); each iteration derives its
 //!   own case seed, printed on entry when `FUZZ_VERBOSE` is set, so a
 //!   crashing case replays with `FUZZ_SEED=<case> FUZZ_ITERS=1`.
@@ -20,7 +20,7 @@ pub fn iters() -> u64 {
     std::env::var("FUZZ_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(5000)
+        .unwrap_or(2000)
 }
 
 /// Base seed for this run.

@@ -4,7 +4,7 @@
 # valid records, pathological shapes) and requires Err-or-value — any
 # panic, abort, or hang is a finding and fails the gate.
 #
-# FUZZ_ITERS widens the sweep (default 5000 per target); FUZZ_SEED pins
+# FUZZ_ITERS widens the sweep (default 2000 per target); FUZZ_SEED pins
 # the base seed for replay; FUZZ_VERBOSE=1 prints per-case seeds.
 set -eu
 
@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 CARGO="${CARGO:-cargo}"
 OFFLINE="${CARGO_OFFLINE:---offline}"
-FUZZ_ITERS="${FUZZ_ITERS:-5000}"
+FUZZ_ITERS="${FUZZ_ITERS:-2000}"
 export FUZZ_ITERS
 
 # A wedged target is a finding too: bound each run's wall time.
