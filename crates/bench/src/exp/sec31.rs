@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use gozer::{CrashPoint, GozerSystem, TaskStatus, Value, VinzConfig};
+use gozer::{FaultPoint, GozerSystem, TaskStatus, Value, VinzConfig};
 use gozer_bench::Table;
 
 const WORKFLOW: &str = "
@@ -51,9 +51,9 @@ fn survivability_run(kill_nodes: &[u32]) -> (usize, Duration, u64) {
     for &node in kill_nodes {
         std::thread::sleep(Duration::from_millis(5));
         let point = if node % 2 == 0 {
-            CrashPoint::BeforeProcess
+            FaultPoint::BeforeProcess
         } else {
-            CrashPoint::AfterProcess
+            FaultPoint::AfterProcess
         };
         sys.cluster.kill_node(node, point);
     }

@@ -14,9 +14,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gozer::{
-    FileStore, FsyncPolicy, GozerSystem, LogStore, StateStore, TaskStatus, Value, VinzConfig,
-};
+use gozer::{FileStore, GozerSystem, LogStore, StateStore, TaskStatus, Value, VinzConfig};
 use gozer_bench::{production_day, Json, Table};
 
 /// One simulated fiber save, shaped like `save_fiber`'s write: the
@@ -207,10 +205,7 @@ pub fn run(smoke: bool) -> Json {
     ));
 
     let file_dir = base.join("file");
-    let file_store = FileStore::builder(&file_dir)
-        .fsync(FsyncPolicy::Always)
-        .build()
-        .unwrap();
+    let file_store = FileStore::open(&file_dir).unwrap();
     let file_rate = replay_saves(&file_store, threads, saves, &payload);
     let file_fsyncs = (threads * saves) as u64;
 

@@ -32,9 +32,8 @@ use crate::message::Message;
 
 /// Where a fault fires relative to message processing.
 ///
-/// This generalizes the old `CrashPoint`: manual kills
-/// ([`crate::Cluster::kill_instance`]) and seeded chaos crashes share
-/// the enum.
+/// Manual kills ([`crate::Cluster::kill_instance`]) and seeded chaos
+/// crashes share the enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
     /// Before the handler runs; the message is redelivered untouched.

@@ -16,13 +16,9 @@ use crate::message::{Fault, Message, ReplyTo};
 use crate::metrics::Metrics;
 use crate::queue::{Policy, ServiceQueue};
 use crate::recovery::{DeadLetter, Lease, PendingReclaim, RecoveryConfig, RecoveryStats, RecoveryStatsSnapshot};
-use crate::transport::{InProcessTransport, Transport};
+use crate::tcp::TcpBroker;
 
 pub use crate::chaos::FaultPoint;
-
-/// Backwards-compatible name for [`FaultPoint`]: manual kill injection
-/// predates the general chaos layer.
-pub type CrashPoint = FaultPoint;
 
 /// A service operation handler. One handler object serves every instance
 /// of the service (instances are threads competing on the queue).
@@ -111,11 +107,21 @@ struct InstanceHandle {
     thread: Option<JoinHandle<()>>,
 }
 
+/// Where a synchronous call's reply is handed to its waiting caller.
+pub(crate) type ReplySlot = Sender<Result<Vec<u8>, Fault>>;
+
+/// An embedder hook, shared with the broker threads that call it.
+type Hook<F> = RwLock<Option<Arc<F>>>;
+
+type AffinityResolver = dyn Fn(&str) -> Option<u32> + Send + Sync;
+type PhaseObserver = dyn Fn(&str, Phase) + Send + Sync;
+type DeadLetterObserver = Box<dyn Fn(&DeadLetter) + Send + Sync>;
+
 /// The simulated BlueBox cluster.
 pub struct Cluster {
     queues: RwLock<HashMap<String, Arc<ServiceQueue>>>,
     services: RwLock<HashMap<String, ServiceEntry>>,
-    pending: Mutex<HashMap<u64, Sender<Result<Vec<u8>, Fault>>>>,
+    pending: Mutex<HashMap<u64, ReplySlot>>,
     instances: Mutex<Vec<InstanceHandle>>,
     next_msg_id: AtomicU64,
     next_corr: AtomicU64,
@@ -127,12 +133,12 @@ pub struct Cluster {
     /// Maps a fiber id to its affine node, so service replies
     /// (`ResumeFromCall`) inherit the placement hint of the fiber they
     /// resume. Installed by the embedder (Vinz).
-    affinity_resolver: RwLock<Option<Arc<dyn Fn(&str) -> Option<u32> + Send + Sync>>>,
+    affinity_resolver: Hook<AffinityResolver>,
     /// Latency-phase attribution hook: `f(task_id, phase)` flips the
     /// task's tracker ledger into `phase`. Installed by the embedder
     /// (Vinz); the broker calls it when it parks, releases, reclaims,
     /// or re-queues a task-correlated message.
-    phase_observer: RwLock<Option<Arc<dyn Fn(&str, Phase) + Send + Sync>>>,
+    phase_observer: Hook<PhaseObserver>,
     chaos: RwLock<Option<Arc<ChaosPlan>>>,
     /// Broker metrics.
     pub metrics: Arc<Metrics>,
@@ -150,7 +156,7 @@ pub struct Cluster {
     delayed: Mutex<Vec<(Instant, Message)>>,
     /// Per-queue dead-letter stores.
     dead: Mutex<HashMap<String, Vec<DeadLetter>>>,
-    dead_observers: Mutex<Vec<Box<dyn Fn(&DeadLetter) + Send + Sync>>>,
+    dead_observers: Mutex<Vec<DeadLetterObserver>>,
     recovery_stats: Arc<RecoveryStats>,
     closed: AtomicBool,
     reaper: Mutex<Option<JoinHandle<()>>>,
@@ -158,17 +164,16 @@ pub struct Cluster {
     /// Asks the store whether a commit watermark is durable yet.
     /// Installed by the embedder (Vinz) when its store defers
     /// durability; absent means nothing is ever held.
-    durability_probe: RwLock<Option<Arc<dyn Fn(u64) -> bool + Send + Sync>>>,
+    durability_probe: Hook<dyn Fn(u64) -> bool + Send + Sync>,
     /// Messages parked until the store's commit watermark passes their
     /// `hold_until` gate. Dropped on shutdown — exactly what a crash
     /// would do to effects whose save never became durable.
     held: Mutex<Vec<Message>>,
     held_total: AtomicU64,
     held_released: AtomicU64,
-    /// Where instances run: in-process threads (the deterministic
-    /// default) or proxies for remote worker processes. See
-    /// [`crate::transport`].
-    transport: RwLock<Arc<dyn Transport>>,
+    /// The TCP listener remote worker processes register through, once
+    /// [`TcpBroker::start`] has put one up; shut down with the cluster.
+    pub(crate) tcp: Mutex<Option<Arc<TcpBroker>>>,
 }
 
 impl Cluster {
@@ -244,7 +249,7 @@ impl Cluster {
             held: Mutex::new(Vec::new()),
             held_total: AtomicU64::new(0),
             held_released: AtomicU64::new(0),
-            transport: RwLock::new(Arc::new(InProcessTransport)),
+            tcp: Mutex::new(None),
         });
         // Affinity delivery counters, summed across all service queues.
         let weak = Arc::downgrade(&cluster);
@@ -446,29 +451,10 @@ impl Cluster {
         self.services.read().get(service)?.desc.clone()
     }
 
-    /// Install a transport (see [`crate::transport`]); subsequent
-    /// [`spawn_instances`](Self::spawn_instances) calls go through it.
-    /// Replaces the previous transport without tearing it down.
-    pub fn set_transport(&self, t: Arc<dyn Transport>) {
-        *self.transport.write() = t;
-    }
-
-    /// The installed transport.
-    pub fn transport(&self) -> Arc<dyn Transport> {
-        self.transport.read().clone()
-    }
-
-    /// Spawn `count` instances of `service` on `node_id` via the
-    /// installed transport. Returns their instance ids.
+    /// Spawn `count` instances of `service` on `node_id`: threads of this
+    /// process. (Remote worker processes add capacity by registering
+    /// with a [`TcpBroker`].) Returns their instance ids.
     pub fn spawn_instances(self: &Arc<Cluster>, service: &str, node_id: u32, count: usize) -> Vec<u64> {
-        let transport = self.transport();
-        transport.spawn_instances(self, service, node_id, count)
-    }
-
-    /// Spawn `count` in-process instance threads of `service` on
-    /// `node_id` — the [`InProcessTransport`] implementation, and the
-    /// path remote transports use for services that stay local.
-    pub(crate) fn spawn_local_instances(self: &Arc<Cluster>, service: &str, node_id: u32, count: usize) -> Vec<u64> {
         let handler = self
             .services
             .read()
@@ -511,7 +497,7 @@ impl Cluster {
     }
 
     /// Register one *proxy* instance for a remote worker process: the
-    /// transport allocates the id and control here, then `spawn` starts
+    /// TCP broker allocates the id and control here, then `spawn` starts
     /// the proxy thread that pops the queue and forwards deliveries
     /// over its connection. The handle joins the normal instance table,
     /// so the lease reaper, `live_instances`, kill helpers, and
@@ -575,8 +561,8 @@ impl Cluster {
     }
 
     /// Delivery-side accounting shared by local instance loops and
-    /// remote proxies: metrics, queue-wait attribution, the
-    /// `MessageDelivered` event, and the transport observation hook.
+    /// remote proxies: metrics, queue-wait attribution and the
+    /// `MessageDelivered` event.
     pub(crate) fn note_delivered(&self, msg: &Message, node_id: u32, instance_id: u64) {
         let metrics = &self.metrics;
         // Pure queue wait: durability-hold time (stamped on release) is
@@ -1126,10 +1112,13 @@ impl Cluster {
         if let Some(t) = self.reaper.lock().take() {
             let _ = t.join();
         }
-        // Tear the transport down before taking the instances lock:
+        // Tear the TCP listener down before taking the instances lock:
         // connection threads register instances (which takes it), and
         // remote proxy threads only exit once their connections die.
-        self.transport().shutdown();
+        let tcp = self.tcp.lock().take();
+        if let Some(broker) = tcp {
+            broker.shutdown();
+        }
         let mut instances = self.instances.lock();
         for h in instances.iter() {
             h.control.stop.store(true, Ordering::Relaxed);

@@ -51,13 +51,12 @@ pub mod metrics;
 pub mod queue;
 pub mod recovery;
 pub mod tcp;
-pub mod transport;
 pub mod wire;
 
 pub use chaos::{
     ChaosConfig, ChaosPlan, ChaosRng, ChaosStats, ChaosStatsSnapshot, FaultAction, FaultPoint,
 };
-pub use cluster::{CallError, Cluster, CrashPoint, Handler, ServiceCtx};
+pub use cluster::{CallError, Cluster, Handler, ServiceCtx};
 pub use message::{Fault, Message, ReplyTo};
 pub use metrics::{Metrics, MetricsSnapshot, TransportMetrics, TransportMetricsSnapshot};
 pub use queue::{Policy, ServiceQueue};
@@ -66,5 +65,4 @@ pub use tcp::{
     RemoteDelivery, RemoteHandler, TcpBroker, TcpBrokerConfig, TcpWorker, WorkerConfig,
     WorkerCtx, WorkerStats,
 };
-pub use transport::{InProcessTransport, Transport};
 pub use wire::{FrameError, SettleBody, WireMsg, WirePayload, MAX_FRAME_LEN};

@@ -121,11 +121,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     fn mean_of(nanos: u64, count: u64) -> Option<Duration> {
-        if count == 0 {
-            None
-        } else {
-            Some(Duration::from_nanos(nanos / count))
-        }
+        nanos.checked_div(count).map(Duration::from_nanos)
     }
 
     /// Mean queue wait per delivery, or `None` with zero deliveries.
@@ -167,7 +163,7 @@ impl MetricsSnapshot {
 /// Counters of the TCP transport layer (see [`crate::tcp`]): framing
 /// traffic, connection churn, and the settle disambiguation outcomes
 /// the exactly-once tests assert on. Kept separate from [`Metrics`] —
-/// the in-process transport has nothing to report, and embedders
+/// in-process instances have nothing to report, and embedders
 /// snapshot the broker counters by value.
 #[derive(Debug, Default)]
 pub struct TransportMetrics {

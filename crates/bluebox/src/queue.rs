@@ -442,7 +442,7 @@ mod tests {
         // case: interleaved priorities, strict FCFS inside each.
         let q = ServiceQueue::new(Policy::Priority);
         for i in 0..500 {
-            q.push(msg(&format!("m{}-p{}", i, i % 5), (i % 5) as i32));
+            q.push(msg(&format!("m{}-p{}", i, i % 5), i % 5));
         }
         let mut last_prio = i32::MAX;
         let mut last_index_in_prio = -1i64;

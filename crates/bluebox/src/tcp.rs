@@ -36,13 +36,12 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, RecvTimeoutError};
 use parking_lot::Mutex;
 
-use crate::cluster::{Cluster, InstanceControl};
+use crate::cluster::{Cluster, InstanceControl, ReplySlot};
 use crate::message::{Fault, Message};
 use crate::metrics::TransportMetrics;
-use crate::transport::Transport;
 use crate::wire::{
     encode_frame, FrameError, FrameReader, SettleBody, WireMsg, WirePayload,
 };
@@ -143,7 +142,7 @@ struct Conn {
     /// Outstanding forwarded deliveries by delivery id; the reader
     /// routes Settle frames here. Entries removed on settle, conn
     /// death, reclaim, or proxy exit — a lookup miss is a stale settle.
-    pending: Mutex<HashMap<u64, Sender<Result<Vec<u8>, Fault>>>>,
+    pending: Mutex<HashMap<u64, ReplySlot>>,
     /// Controls of the proxy instances registered on this connection.
     instances: Mutex<Vec<Arc<InstanceControl>>>,
     tm: Arc<TransportMetrics>,
@@ -193,8 +192,8 @@ impl Conn {
     }
 }
 
-/// The broker's TCP listener: accepts worker connections and installs
-/// itself as the cluster's [`Transport`]. Services the embedder spawns
+/// The broker's TCP listener: accepts worker connections, and is shut
+/// down with the cluster it serves. Services the embedder spawns
 /// directly (e.g. the Vinz workflow service) still run as in-process
 /// threads; only capacity *registered over a connection* is remote.
 pub struct TcpBroker {
@@ -211,7 +210,7 @@ pub struct TcpBroker {
 
 impl TcpBroker {
     /// Bind `addr` (use port 0 for an ephemeral port), start accepting
-    /// workers, and install the broker as `cluster`'s transport.
+    /// workers, and hand the broker to `cluster` to shut down with it.
     pub fn start(
         cluster: &Arc<Cluster>,
         addr: &str,
@@ -230,7 +229,7 @@ impl TcpBroker {
             next_delivery: AtomicU64::new(1),
             tmetrics: Arc::new(TransportMetrics::default()),
         });
-        cluster.set_transport(broker.clone());
+        *cluster.tcp.lock() = Some(broker.clone());
         let accept_broker = broker.clone();
         let thread = std::thread::Builder::new()
             .name("bb-tcp-accept".into())
@@ -271,32 +270,17 @@ impl TcpBroker {
 
     fn closing(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
-            || self.cluster.upgrade().map_or(true, |c| c.is_shutdown())
-    }
-}
-
-impl Transport for TcpBroker {
-    fn name(&self) -> &str {
-        "tcp"
+            || self.cluster.upgrade().is_none_or(|c| c.is_shutdown())
     }
 
-    fn spawn_instances(
-        &self,
-        cluster: &Arc<Cluster>,
-        service: &str,
-        node_id: u32,
-        count: usize,
-    ) -> Vec<u64> {
-        // Direct spawns stay local: the broker process hosts the
-        // embedder's own services; workers add capacity by registering.
-        cluster.spawn_local_instances(service, node_id, count)
-    }
-
-    fn alive(&self) -> bool {
+    /// Whether the listener is still up (not shut down).
+    pub fn alive(&self) -> bool {
         !self.stop.load(Ordering::Relaxed)
     }
 
-    fn shutdown(&self) {
+    /// Stop accepting, kill every worker connection and join their
+    /// threads. Called by [`Cluster::shutdown`]; idempotent.
+    pub fn shutdown(&self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -1035,7 +1019,7 @@ mod tests {
         cluster.set_recovery(fast_recovery());
         let broker =
             TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
-        assert_eq!(cluster.transport().name(), "tcp");
+        assert!(broker.alive());
         let handler = Arc::new(
             |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
                 let mut reply = d.body.clone();

@@ -799,7 +799,7 @@ mod tests {
     impl Read for ChoppyStream {
         fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
             self.tick += 1;
-            if self.tick % 2 == 0 {
+            if self.tick.is_multiple_of(2) {
                 return Err(std::io::ErrorKind::WouldBlock.into());
             }
             if self.pos >= self.data.len() {

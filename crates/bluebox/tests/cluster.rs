@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bluebox::{CallError, Cluster, CrashPoint, Fault, Message, ServiceCtx};
+use bluebox::{CallError, Cluster, FaultPoint, Fault, Message, ServiceCtx};
 use parking_lot::Mutex;
 
 #[test]
@@ -89,7 +89,7 @@ fn load_balances_across_instances() {
 fn service_routed_reply_reaches_other_service() {
     // A -> B with reply routed to A's "Resume" operation (ResumeFromCall).
     let cluster = Cluster::new();
-    let resumed: Arc<Mutex<Vec<(String, Vec<u8>)>>> = Arc::new(Mutex::new(Vec::new()));
+    let resumed = Arc::new(Mutex::new(Vec::<(String, Vec<u8>)>::new()));
     let resumed2 = resumed.clone();
     cluster.register_service(
         "a",
@@ -141,7 +141,7 @@ fn crash_before_process_redelivers_to_survivor() {
     // Spawn ONLY a doomed instance first so the redelivery is
     // deterministic: it must take the first message and crash.
     let ids = cluster.spawn_instances("resilient", 0, 1);
-    cluster.kill_instance(ids[0], CrashPoint::BeforeProcess);
+    cluster.kill_instance(ids[0], FaultPoint::BeforeProcess);
     for _ in 0..10 {
         cluster.send(Message::new("resilient", "Op", vec![]));
     }
@@ -178,7 +178,7 @@ fn crash_after_process_causes_duplicate_processing() {
         }),
     );
     let ids = cluster.spawn_instances("dup", 0, 2);
-    cluster.kill_instance(ids[0], CrashPoint::AfterProcess);
+    cluster.kill_instance(ids[0], FaultPoint::AfterProcess);
     cluster.send(Message::new("dup", "Op", vec![]));
     assert!(cluster.drain("dup", Duration::from_secs(10)));
     // Processed once by the doomed instance + once after redelivery, OR
@@ -216,7 +216,7 @@ fn after_process_redelivery_is_idempotent_when_keyed_by_message_id() {
     // Only the doomed instance exists at first, so it must take the
     // message, process it, and crash before acknowledging.
     let ids = cluster.spawn_instances("ledger", 0, 1);
-    cluster.kill_instance(ids[0], CrashPoint::AfterProcess);
+    cluster.kill_instance(ids[0], FaultPoint::AfterProcess);
     cluster.send(Message::new("ledger", "Credit", vec![]));
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while cluster.live_instances("ledger") > 0 {

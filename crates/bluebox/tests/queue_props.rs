@@ -120,10 +120,9 @@ fn concurrent_producers_consumers_preserve_messages() {
         .map(|_| {
             let q = q.clone();
             let consumed = consumed.clone();
-            std::thread::spawn(move || loop {
-                match q.pop(Duration::from_millis(100)) {
-                    Some(m) => consumed.lock().push(m.operation),
-                    None => break,
+            std::thread::spawn(move || {
+                while let Some(m) = q.pop(Duration::from_millis(100)) {
+                    consumed.lock().push(m.operation);
                 }
             })
         })

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bluebox::{ChaosConfig, ChaosPlan, Cluster, CrashPoint, Message, RecoveryConfig, ServiceCtx};
+use bluebox::{ChaosConfig, ChaosPlan, Cluster, FaultPoint, Message, RecoveryConfig, ServiceCtx};
 
 #[test]
 fn reaper_reclaims_lease_without_any_survivor_present() {
@@ -26,7 +26,7 @@ fn reaper_reclaims_lease_without_any_survivor_present() {
         }),
     );
     let ids = cluster.spawn_instances("leased", 0, 1);
-    cluster.kill_instance(ids[0], CrashPoint::BeforeProcess);
+    cluster.kill_instance(ids[0], FaultPoint::BeforeProcess);
     cluster.send(Message::new("leased", "Op", vec![]));
     let deadline = Instant::now() + Duration::from_secs(5);
     while cluster.live_instances("leased") > 0 {
@@ -119,7 +119,7 @@ fn dead_letter_observers_fire_on_quarantine() {
     );
     // Budget zero: the very first reclaim quarantines instead.
     let ids = cluster.spawn_instances("oneshot", 0, 1);
-    cluster.kill_instance(ids[0], CrashPoint::BeforeProcess);
+    cluster.kill_instance(ids[0], FaultPoint::BeforeProcess);
     cluster.send(Message::new("oneshot", "Doomed", vec![]));
     let deadline = Instant::now() + Duration::from_secs(10);
     while cluster.dead_letter_total() == 0 {
@@ -180,7 +180,7 @@ fn reclaimed_message_keeps_id_and_bumps_redeliveries() {
         }),
     );
     let ids = cluster.spawn_instances("idem", 0, 1);
-    cluster.kill_instance(ids[0], CrashPoint::AfterProcess);
+    cluster.kill_instance(ids[0], FaultPoint::AfterProcess);
     cluster.send(Message::new("idem", "Op", vec![]));
     let deadline = Instant::now() + Duration::from_secs(5);
     while cluster.live_instances("idem") > 0 {

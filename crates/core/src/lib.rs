@@ -53,8 +53,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use bluebox::{
-    CallError, ChaosConfig, ChaosPlan, ChaosRng, ChaosStatsSnapshot, Cluster, CrashPoint,
-    DeadLetter, Fault, FaultAction, FaultPoint, Message, MetricsSnapshot, Policy, RecoveryConfig,
+    CallError, ChaosConfig, ChaosPlan, ChaosRng, ChaosStatsSnapshot, Cluster, DeadLetter, Fault,
+    FaultAction, FaultPoint, Message, MetricsSnapshot, Policy, RecoveryConfig,
     RecoveryStatsSnapshot, ServiceCtx,
 };
 pub use gozer_compress::Codec;
@@ -69,10 +69,9 @@ pub use gozer_obs::{
     TimelineSet, PHASE_COUNT,
 };
 pub use vinz::{
-    DurabilityTicket, FileStore, FileStoreBuilder, FsyncPolicy, LogStats, LogStore,
-    LogStoreBuilder, MemStore, RetryPolicy, StateStore, StoreError, SupervisorConfig, TaskRecord,
-    TaskStatus, VinzConfig, VinzError, Watermark, WorkflowObs, WorkflowService,
-    WorkflowServiceBuilder,
+    DurabilityTicket, FileStore, LogStats, LogStore, LogStoreBuilder, MemStore, RetryPolicy,
+    StateStore, StoreError, SupervisorConfig, TaskRecord, TaskStatus, VinzConfig, VinzError,
+    Watermark, WorkflowObs, WorkflowService, WorkflowServiceBuilder,
 };
 
 /// Re-export of the test-service and chaos-harness helpers (used by

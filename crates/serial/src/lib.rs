@@ -72,6 +72,14 @@ impl fmt::Display for SerError {
 
 impl std::error::Error for SerError {}
 
+/// A native that (de)serializes raises the failure as a plain error
+/// condition.
+impl From<SerError> for gozer_vm::VmError {
+    fn from(e: SerError) -> gozer_vm::VmError {
+        gozer_vm::VmError::msg(e.to_string())
+    }
+}
+
 /// Value tags. Kept stable: persisted fiber state outlives processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]

@@ -32,6 +32,7 @@ use gozer_obs::{Event, EventKind};
 use gozer_serial::{deserialize_value, SerError};
 use gozer_vm::Gvm;
 
+use crate::host::{Entry, FiberPhase, Resume, TurnedAway};
 use crate::locks::LOCK_WAIT;
 use crate::service::{required_header, Inner, VinzError};
 
@@ -100,10 +101,6 @@ impl CallReq {
     }
 }
 
-fn store_err(e: crate::StoreError) -> VinzError {
-    VinzError(e.to_string())
-}
-
 /// Start a call: allocate its correlation, write its record as one
 /// batch, and send the request held on that batch's ticket. The ticket
 /// also covers everything the fiber wrote before the call (earlier saves
@@ -113,7 +110,7 @@ fn store_err(e: crate::StoreError) -> VinzError {
 pub(crate) fn dispatch(inner: &Inner, req: CallReq) -> Result<u64, VinzError> {
     let correlation = inner.cluster.allocate_correlation();
     let key = format!("{PREFIX}{correlation}");
-    let ticket = inner.store.put_batch(&[(&key, &req.encode())]).map_err(store_err)?;
+    let ticket = inner.store.put_batch(&[(&key, &req.encode())])?;
     inner.cluster.send(req.into_message(&inner.name, correlation).with_hold_until(ticket.0));
     Ok(correlation)
 }
@@ -132,21 +129,19 @@ pub(crate) fn take_reply(
         return Ok(Vec::new());
     };
     let key = format!("{PREFIX}{correlation}");
-    let record = inner.store.get(&key).map_err(store_err)?;
+    let record = inner.store.get(&key)?;
     let Some(fiber_id) = record.as_deref().and_then(CallReq::fiber_of) else {
         // Unknown or used-up correlation (at-least-once delivery).
         return Ok(Vec::new());
     };
     let forget = || drop(inner.store.delete(&key));
+    let entry = Entry { fiber_id, lock_wait: LOCK_WAIT, answers: FiberPhase::Suspended, once: None };
     inner.enter_fiber(
         ctx,
         msg,
-        fiber_id,
-        LOCK_WAIT,
-        "suspended",
-        None,
+        entry,
         // Nobody is left to take the reply.
-        |why| if why != "busy" { forget() },
+        |why| if why != TurnedAway::Busy { forget() },
         |rt| {
             if msg.get_header("fault-code").is_some() {
                 // Re-read under the fiber lock: a redelivered fault may
@@ -164,7 +159,7 @@ pub(crate) fn take_reply(
             let fault = msg.get_header("fault-code").map(|code| (code, message));
             let resp = response(&rt.gvm, &msg.body, fault)
                 .map_err(|e| VinzError(format!("bad reply body: {e}")))?;
-            Ok(Some(Some(("service-call", resp))))
+            Ok(Some(Resume::With { via: "service-call", value: resp }))
         },
     )
 }
@@ -194,7 +189,7 @@ pub(crate) fn response(
 pub(crate) fn redispatch(inner: &Inner, correlation: u64, mut req: CallReq) -> Result<(), VinzError> {
     let delay = inner.config.retry.delay_for(req.attempts, correlation);
     req.attempts += 1;
-    inner.store.put(&format!("{PREFIX}{correlation}"), &req.encode()).map_err(store_err)?;
+    inner.store.put(&format!("{PREFIX}{correlation}"), &req.encode())?;
     inner.metrics.calls_retried.fetch_add(1, Ordering::Relaxed);
     inner.obs.bus.emit(|| {
         Event::new(EventKind::CallRetried { attempt: req.attempts })

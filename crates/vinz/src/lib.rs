@@ -53,12 +53,15 @@
 pub mod cache;
 mod calls;
 mod deflink;
+mod host;
 mod locks;
 mod natives;
+mod observe;
 pub mod prelude;
 pub mod service;
 pub mod store;
 pub mod supervisor;
+mod tasks;
 pub mod testing;
 pub mod tracker;
 
@@ -69,8 +72,8 @@ pub use service::{
     WorkflowServiceBuilder,
 };
 pub use store::{
-    CommitHook, DurabilityTicket, FileStore, FileStoreBuilder, FsyncPolicy, LogStats, LogStore,
-    LogStoreBuilder, MemStore, StateStore, StoreError, Watermark,
+    CommitHook, DurabilityTicket, FileStore, LogStats, LogStore, LogStoreBuilder, MemStore,
+    StateStore, StoreError, Watermark,
 };
 pub use supervisor::{RetryPolicy, SupervisorConfig};
 pub use gozer_obs::{FlightDump, FlightRecorder, FnProfile, ProfileReport, SerialCostSnapshot};

@@ -16,6 +16,14 @@ use parking_lot::{Condvar, Mutex};
 /// `VinzConfig::awake_wait_limit` (§5).
 pub(crate) const LOCK_WAIT: Duration = Duration::from_secs(10);
 
+/// How long a synchronous service call (`call-wsdl-operation`) waits
+/// for its reply.
+pub(crate) const SYNC_CALL_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long the blocking waits for a task give up after: `Run`'s wait
+/// for its task, and a `join-process` on a thread that cannot suspend.
+pub(crate) const JOIN_DEADLINE: Duration = Duration::from_secs(600);
+
 /// Lock name → owner token of the current holder.
 struct Table {
     held: HashMap<String, u64>,
@@ -87,15 +95,15 @@ mod tests {
     #[test]
     fn exclusive_per_key() {
         let locks = InProcessLocks::new();
-        let g = locks.acquire("fiber/t1".into(), Duration::from_millis(200)).unwrap();
+        let g = locks.acquire("lock/t1".into(), Duration::from_millis(200)).unwrap();
         assert!(
-            locks.acquire("fiber/t1".into(), Duration::from_millis(50)).is_none(),
+            locks.acquire("lock/t1".into(), Duration::from_millis(50)).is_none(),
             "second acquire should time out"
         );
         // Different name is independent.
-        assert!(locks.acquire("fiber/t2".into(), Duration::from_millis(50)).is_some());
+        assert!(locks.acquire("lock/t2".into(), Duration::from_millis(50)).is_some());
         drop(g);
-        assert!(locks.acquire("fiber/t1".into(), Duration::from_millis(200)).is_some());
+        assert!(locks.acquire("lock/t1".into(), Duration::from_millis(200)).is_some());
     }
 
     #[test]
@@ -120,8 +128,8 @@ mod tests {
     }
 
     /// A holder that dies frees its lock: a thread panicking while it
-    /// holds `fiber/x` releases it on unwind, and a waiter already
-    /// blocked on `fiber/x` gets it within its wait. (An instance thread
+    /// holds `lock/x` releases it on unwind, and a waiter already
+    /// blocked on `lock/x` gets it within its wait. (An instance thread
     /// whose handler panics dies this way.)
     #[test]
     fn holder_crash_releases() {
@@ -130,7 +138,7 @@ mod tests {
         let (waiting_tx, waiting_rx) = mpsc::channel();
         std::thread::scope(|s| {
             let holder = s.spawn(move || {
-                let _g = locks.acquire("fiber/x".into(), LOCK_WAIT).unwrap();
+                let _g = locks.acquire("lock/x".into(), LOCK_WAIT).unwrap();
                 held_tx.send(()).unwrap();
                 waiting_rx.recv().unwrap();
                 // Give the waiter time to block on the condvar.
@@ -140,7 +148,7 @@ mod tests {
             held_rx.recv().unwrap();
             let waiter = s.spawn(move || {
                 waiting_tx.send(()).unwrap();
-                locks.acquire("fiber/x".into(), LOCK_WAIT).is_some()
+                locks.acquire("lock/x".into(), LOCK_WAIT).is_some()
             });
             assert!(holder.join().is_err(), "holder should have panicked");
             assert!(waiter.join().unwrap(), "waiter should get the dead holder's lock");

@@ -15,8 +15,22 @@ use gozer_vm::{
 };
 
 use crate::calls::{self, CallReq};
-use crate::locks::LOCK_WAIT;
-use crate::service::Inner;
+use crate::locks::{JOIN_DEADLINE, LOCK_WAIT, SYNC_CALL_TIMEOUT};
+use crate::service::{Inner, VinzError};
+use crate::StoreError;
+
+/// Natives raise what the host reports as a plain error condition.
+impl From<VinzError> for VmError {
+    fn from(e: VinzError) -> VmError {
+        VmError::msg(e.0)
+    }
+}
+
+impl From<StoreError> for VmError {
+    fn from(e: StoreError) -> VmError {
+        VmError::msg(e.to_string())
+    }
+}
 
 /// Instance id recorded for events that originate inside fiber code
 /// rather than an operation handler.
@@ -26,10 +40,6 @@ fn up(inner: &Weak<Inner>) -> VmResult<Arc<Inner>> {
     inner
         .upgrade()
         .ok_or_else(|| VmError::msg("workflow service was dropped"))
-}
-
-fn vz(e: crate::service::VinzError) -> VmError {
-    VmError::msg(e.0)
 }
 
 fn ext_str(ctx: &NativeCtx<'_>, key: &str, what: &str) -> VmResult<String> {
@@ -117,7 +127,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         let inner = up(&w)?;
         let task_id = ext_str(ctx, "task-id", "fork-and-exec")?;
         let parent_id = ext_str(ctx, "fiber-id", "fork-and-exec")?;
-        let rt = inner.node_runtime(node_id_of(ctx)).map_err(vz)?;
+        let rt = inner.node_runtime(node_id)?;
         let child_id = inner.new_fiber_id(&task_id);
         // The child starts as a clone of the parent's environment in the
         // paper; by-value closure capture gives the same observable
@@ -132,21 +142,11 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         if let Some(limit) = ctx.ext.get("spawn-limit") {
             state.ext.set("spawn-limit", limit.clone());
         }
-        if let Some(jd) = ctx.ext.get("join-deadline-ms") {
-            state.ext.set("join-deadline-ms", jd.clone());
-        }
         inner.tracker.fiber_created(&task_id);
-        inner
-            .save_newborn(&rt, IN_FIBER, &child_id, state)
-            .map_err(vz)?;
-        // Durable child registry for the supervisor's orphan scan, which
-        // re-sends AwakeFiber for finished children of a suspended
-        // parent: one key per child, so a fork writes its own id and
-        // reads nothing, however many siblings came before.
-        inner
-            .store
-            .put(&format!("children/{parent_id}/{child_id}"), b"")
-            .map_err(|e| VmError::msg(e.to_string()))?;
+        inner.save_newborn(&rt, IN_FIBER, &child_id, state)?;
+        // The orphan scan re-sends AwakeFiber for the finished children
+        // of a suspended parent it finds here.
+        inner.register_child(&parent_id, &child_id)?;
         inner.emit(rt.node_id, IN_FIBER, &parent_id, || EventKind::FiberForked {
             child: child_id.clone(),
         });
@@ -174,26 +174,11 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
             });
         }
         // Background thread: only this thread blocks, the fiber is
-        // unaffected (§3.4). The wait is bounded by the deployment's
-        // join deadline, inherited through the fiber's extension slots
-        // so child tasks see the same budget as their root.
-        let budget = ctx
-            .ext
-            .get("join-deadline-ms")
-            .and_then(|v| v.as_int())
-            .map(|ms| Duration::from_millis(ms.max(0) as u64))
-            .unwrap_or(inner.config.join_deadline);
-        let deadline = Instant::now() + budget;
-        let key = format!("result/{target}");
+        // unaffected (§3.4).
+        let deadline = Instant::now() + JOIN_DEADLINE;
         loop {
-            if let Some(bytes) = inner
-                .store
-                .get(&key)
-                .map_err(|e| VmError::msg(e.to_string()))?
-            {
-                return deserialize_value(&bytes, ctx.gvm)
-                    .map(NativeOutcome::Value)
-                    .map_err(|e| VmError::msg(e.to_string()));
+            if let Some(bytes) = inner.result_bytes(target)? {
+                return NativeOutcome::ok(deserialize_value(&bytes, ctx.gvm)?);
             }
             if Instant::now() > deadline {
                 return Err(VmError::msg(format!("join-process: {target} never finished")));
@@ -220,7 +205,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         let inner = up(&w)?;
         let fiber_id = ext_str(ctx, "fiber-id", "call-wsdl-operation-async")?;
         let (service, operation, soap_action, body) = call_params(&kwargs, &inner)?;
-        inner.emit(node_id_of(ctx), IN_FIBER, &fiber_id, || EventKind::ServiceCallDispatched {
+        inner.emit(node_id, IN_FIBER, &fiber_id, || EventKind::ServiceCallDispatched {
             target: format!("{service}:{operation}"),
         });
         // The workflow ids ride on the request and, copied by the broker,
@@ -228,7 +213,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         // correlate back to this fiber's timeline.
         let task = ext_str(ctx, "task-id", "call").unwrap_or_default();
         let req = CallReq { service, operation, soap_action, task, fiber: fiber_id, attempts: 1, body };
-        let correlation = calls::dispatch(&inner, req).map_err(vz)?;
+        let correlation = calls::dispatch(&inner, req)?;
         NativeOutcome::ok(Value::Int(correlation as i64))
     });
 
@@ -239,7 +224,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         let (service, operation, soap_action, body) = call_params(&kwargs, &inner)?;
         let result = inner.cluster.call(
             Message::new(&service, &operation, body).header("soap-action", soap_action),
-            inner.config.sync_call_timeout,
+            SYNC_CALL_TIMEOUT,
         );
         let resp = match result {
             Ok(bytes) => calls::response(ctx.gvm, &bytes, None),
@@ -252,7 +237,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
                 )));
             }
         };
-        NativeOutcome::ok(resp.map_err(|e| VmError::msg(e.to_string()))?)
+        NativeOutcome::ok(resp?)
     });
 
     // ---- task variables (§3.6) --------------------------------------------
@@ -279,10 +264,9 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         inner.metrics.taskvar_misses.fetch_add(1, Ordering::Relaxed);
         let bytes = inner
             .store
-            .get(&dkey)
-            .map_err(|e| VmError::msg(e.to_string()))?
+            .get(&dkey)?
             .ok_or_else(|| VmError::msg(format!("task variable {name} has version but no data")))?;
-        let v = deserialize_value(&bytes, ctx.gvm).map_err(|e| VmError::msg(e.to_string()))?;
+        let v = deserialize_value(&bytes, ctx.gvm)?;
         taskvar_cache_put(ctx, &name, version, v.clone());
         NativeOutcome::ok(v)
     });
@@ -307,14 +291,12 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
             .acquire(format!("taskvar/{task_id}/{name}"), LOCK_WAIT)
             .ok_or_else(|| VmError::msg(format!("could not lock task variable {name}")))?;
         let version = read_version(&inner, &vkey)? + 1;
-        let bytes = serialize_value(&args[1], inner.config.codec)
-            .map_err(|e| VmError::msg(e.to_string()))?;
+        let bytes = serialize_value(&args[1], inner.config.codec)?;
         // One atomic batch: the version key can never name data that a
         // crash failed to persist.
         inner
             .store
-            .put_batch(&[(&dkey, &bytes), (&vkey, &version.to_le_bytes())])
-            .map_err(|e| VmError::msg(e.to_string()))?;
+            .put_batch(&[(&dkey, &bytes), (&vkey, &version.to_le_bytes())])?;
         taskvar_cache_put(ctx, &name, version, args[1].clone());
         NativeOutcome::ok(args[1].clone())
     });
@@ -330,26 +312,18 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
 
     // ---- children & results (§3.5) -----------------------------------------
     let w = inner.clone();
-    reg(gvm, "collect-child-results", move |ctx, args| {
+    reg(gvm, "collect-child-results", move |_ctx, args| {
         let Some(ids) = args.first().and_then(Value::as_seq) else {
             return Err(VmError::msg("collect-child-results requires a list of ids"));
         };
         let inner = up(&w)?;
-        let rt = inner.node_runtime(node_id_of(ctx)).map_err(vz)?;
+        let rt = inner.node_runtime(node_id)?;
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
             let Some(id) = id.as_str() else {
                 return Err(VmError::type_error("fiber id string", id));
             };
-            let v = match inner
-                .load_immutable(&rt, &format!("result/{id}"))
-                .map_err(vz)?
-            {
-                Some(bytes) => deserialize_value(&bytes, ctx.gvm)
-                    .map_err(|e| VmError::msg(e.to_string()))?,
-                None => Value::Nil,
-            };
-            out.push(v);
+            out.push(inner.load_result(&rt, id)?);
         }
         NativeOutcome::ok(Value::list(out))
     });
@@ -360,12 +334,7 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
             return Err(VmError::msg("%fiber-done? requires a fiber id"));
         };
         let inner = up(&w)?;
-        let done = inner
-            .store
-            .get(&format!("result/{id}"))
-            .map_err(|e| VmError::msg(e.to_string()))?
-            .is_some();
-        NativeOutcome::ok(Value::Bool(done))
+        NativeOutcome::ok(Value::Bool(inner.fiber_done(id)?))
     });
 
     // ---- spawn limit (§3.5) -------------------------------------------------
@@ -440,25 +409,12 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
             expand_with_retries(&args).map(NativeOutcome::Value)
         }),
     );
-
-    // Remember the node id for natives that need a runtime handle.
-    gvm.set_global(Symbol::intern("%node-id"), Value::Int(node_id as i64));
-}
-
-/// Read the node id back out of the VM globals (set at install time).
-fn node_id_of(ctx: &NativeCtx<'_>) -> u32 {
-    ctx.gvm
-        .get_global(Symbol::intern("%node-id"))
-        .and_then(|v| v.as_int())
-        .map(|v| v as u32)
-        .unwrap_or(u32::MAX)
 }
 
 fn read_version(inner: &Arc<Inner>, key: &str) -> VmResult<u64> {
     Ok(inner
         .store
-        .get(key)
-        .map_err(|e| VmError::msg(e.to_string()))?
+        .get(key)?
         .map(|b| {
             // Length-tolerant: a truncated/corrupt version record reads
             // as a low version rather than panicking the instance.
@@ -491,8 +447,7 @@ fn call_params(
         Some(obj) => Value::Map(Arc::new(obj.snapshot())),
         None => message,
     };
-    let body = serialize_value(&wire, inner.config.codec)
-        .map_err(|e| VmError::msg(e.to_string()))?;
+    let body = serialize_value(&wire, inner.config.codec)?;
     Ok((service, operation, soap_action, body))
 }
 

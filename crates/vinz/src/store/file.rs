@@ -6,20 +6,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::{fastrand_u64, StateStore, StoreError};
 
-/// When a [`FileStore`] forces its writes to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// fsync every record before the rename publishes it (the crash-safe
-    /// default; what the paper's NFS deployment provides).
-    #[default]
-    Always,
-    /// Skip the fsync and trust the OS page cache — measurably faster,
-    /// durable only against process death, not machine death. For
-    /// benches that want the FileStore code path without its device
-    /// stalls.
-    Never,
-}
-
 /// Directory-backed store: one file per key (slashes become `__`),
 /// emulating the shared NFS filesystem.
 ///
@@ -30,46 +16,13 @@ pub enum FsyncPolicy {
 /// bit-rotted record as an error instead of handing back garbage bytes
 /// for the resume path to deserialize.
 ///
-/// Construct with [`FileStore::builder`]:
-///
 /// ```no_run
-/// use vinz::{FileStore, FsyncPolicy};
-/// let store = FileStore::builder("/mnt/nas/gozer")
-///     .fsync(FsyncPolicy::Always)
-///     .build()
-///     .unwrap();
+/// let store = vinz::FileStore::open("/mnt/nas/gozer").unwrap();
 /// ```
 pub struct FileStore {
     dir: PathBuf,
-    fsync: FsyncPolicy,
     written: AtomicU64,
     read: AtomicU64,
-}
-
-/// Configures and opens a [`FileStore`]; see [`FileStore::builder`].
-#[derive(Debug, Clone)]
-pub struct FileStoreBuilder {
-    dir: PathBuf,
-    fsync: FsyncPolicy,
-}
-
-impl FileStoreBuilder {
-    /// Set the fsync policy (default [`FsyncPolicy::Always`]).
-    pub fn fsync(mut self, policy: FsyncPolicy) -> FileStoreBuilder {
-        self.fsync = policy;
-        self
-    }
-
-    /// Open the store (the directory is created if missing).
-    pub fn build(self) -> Result<FileStore, StoreError> {
-        std::fs::create_dir_all(&self.dir).map_err(StoreError::io)?;
-        Ok(FileStore {
-            dir: self.dir,
-            fsync: self.fsync,
-            written: AtomicU64::new(0),
-            read: AtomicU64::new(0),
-        })
-    }
 }
 
 /// Frame header: magic + CRC32(payload) + payload length, all fsynced
@@ -78,12 +31,16 @@ const FILE_MAGIC: &[u8; 4] = b"GZS1";
 const FILE_HEADER_LEN: usize = 4 + 4 + 8;
 
 impl FileStore {
-    /// Start configuring a store rooted at `dir`.
-    pub fn builder(dir: impl Into<PathBuf>) -> FileStoreBuilder {
-        FileStoreBuilder {
-            dir: dir.into(),
-            fsync: FsyncPolicy::Always,
-        }
+    /// Open the store rooted at `dir` (the directory is created if
+    /// missing).
+    pub fn open(dir: impl Into<PathBuf>) -> Result<FileStore, StoreError> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir).map_err(StoreError::io)?;
+        Ok(FileStore {
+            dir,
+            written: AtomicU64::new(0),
+            read: AtomicU64::new(0),
+        })
     }
 
     pub(crate) fn path(&self, key: &str) -> PathBuf {
@@ -148,9 +105,7 @@ impl StateStore for FileStore {
             // Durability point: the frame must be on disk before the
             // rename can publish it, or a crash could expose a record
             // whose name is new but whose bytes are not.
-            if self.fsync == FsyncPolicy::Always {
-                f.sync_all()?;
-            }
+            f.sync_all()?;
             std::fs::rename(&tmp, self.path(key))
         };
         write().map_err(|e| {
@@ -209,30 +164,15 @@ mod tests {
     #[test]
     fn file_store() {
         let dir = std::env::temp_dir().join(format!("gozer-fs-test-{}", fastrand_u64()));
-        let store = FileStore::builder(&dir).build().unwrap();
+        let store = FileStore::open(&dir).unwrap();
         crate::store::tests::exercise(&store);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn fsync_never_policy_still_reads_back() {
-        let dir = std::env::temp_dir().join(format!("gozer-fs-nosync-{}", fastrand_u64()));
-        let store = FileStore::builder(&dir)
-            .fsync(FsyncPolicy::Never)
-            .build()
-            .unwrap();
-        store.put("fiber/9", b"page-cache only").unwrap();
-        assert_eq!(
-            store.get("fiber/9").unwrap(),
-            Some(b"page-cache only".to_vec())
-        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn file_store_detects_torn_writes() {
         let dir = std::env::temp_dir().join(format!("gozer-fs-torn-{}", fastrand_u64()));
-        let store = FileStore::builder(&dir).build().unwrap();
+        let store = FileStore::open(&dir).unwrap();
         store.put("fiber/1", b"serialized continuation bytes").unwrap();
 
         // Truncate the record mid-payload, as a crash between the data
@@ -268,7 +208,7 @@ mod tests {
     #[test]
     fn file_store_rejects_damaged_headers() {
         let dir = std::env::temp_dir().join(format!("gozer-fs-header-{}", fastrand_u64()));
-        let store = FileStore::builder(&dir).build().unwrap();
+        let store = FileStore::open(&dir).unwrap();
         let corrupt = |key: &str, damage: fn(&mut Vec<u8>)| {
             store.put(key, b"serialized continuation bytes").unwrap();
             let mut raw = std::fs::read(store.path(key)).unwrap();

@@ -45,7 +45,7 @@ mod mem;
 use std::fmt;
 use std::sync::Arc;
 
-pub use file::{FileStore, FileStoreBuilder, FsyncPolicy};
+pub use file::FileStore;
 pub use log::{LogStats, LogStore, LogStoreBuilder};
 pub use mem::MemStore;
 

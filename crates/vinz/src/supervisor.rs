@@ -3,10 +3,9 @@
 //! One background thread per deployment watches three things:
 //!
 //! 1. **Staffing** — a running task whose service has zero live
-//!    instances gets fresh instances on a new node id
-//!    ([`SupervisorConfig::respawn_instances`]). State lives in the
-//!    store, not in instances, so the respawned node picks up exactly
-//!    where the dead one left off.
+//!    instances gets `RESPAWN_INSTANCES` (2) fresh instances on a new
+//!    node id. State lives in the store, not in instances, so the
+//!    respawned node picks up exactly where the dead one left off.
 //! 2. **Orphaned continuations** — when the deployment is quiescent
 //!    (empty queue, nothing leased) but a task is still running, some
 //!    resume message was lost for good (dead-lettered, or its sender
@@ -37,18 +36,24 @@ use std::time::{Duration, Instant};
 use gozer_obs::{Event, EventKind};
 use gozer_vm::Condition;
 
-use crate::service::Inner;
+use crate::host::{FiberPhase, Wait};
+use crate::service::{Inner, VinzError};
+
+/// Base delay before a call's retry send, scaled linearly by attempt.
+const BACKOFF: Duration = Duration::from_millis(10);
+
+/// Upper bound on the deterministic per-call jitter added to the
+/// backoff (derived from the correlation id, not a clock).
+const JITTER: Duration = Duration::from_millis(10);
+
+/// Instances spawned when a running task's service has none left.
+const RESPAWN_INSTANCES: usize = 2;
 
 /// Engine-level retry policy for asynchronous service calls.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total send attempts per call (the original send counts as one).
     pub max_attempts: u32,
-    /// Base delay before a retry send (scaled linearly by attempt).
-    pub backoff: Duration,
-    /// Upper bound on the deterministic per-call jitter added to the
-    /// backoff (derived from the correlation id, not a clock).
-    pub jitter: Duration,
     /// How long a call may stay unanswered before the supervisor
     /// re-sends it (or, out of attempts, synthesizes a
     /// `{vinz}CallTimeout` fault).
@@ -59,8 +64,6 @@ impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
-            backoff: Duration::from_millis(10),
-            jitter: Duration::from_millis(10),
             call_timeout: Duration::from_secs(10),
         }
     }
@@ -70,9 +73,8 @@ impl RetryPolicy {
     /// Delay before the `attempt`-th re-send (1-based), with the
     /// correlation-derived jitter mixed in.
     pub fn delay_for(&self, attempt: u32, correlation: u64) -> Duration {
-        let jitter_ms = self.jitter.as_millis().max(1) as u64;
-        let jitter = Duration::from_millis((correlation ^ attempt as u64) % jitter_ms);
-        self.backoff.saturating_mul(attempt.max(1)) + jitter
+        let jitter = Duration::from_millis((correlation ^ attempt as u64) % JITTER.as_millis() as u64);
+        BACKOFF.saturating_mul(attempt.max(1)) + jitter
     }
 }
 
@@ -88,8 +90,6 @@ pub struct SupervisorConfig {
     /// leased, tasks still running) before the orphan scan re-sends
     /// resume messages.
     pub stall_after: Duration,
-    /// Instances spawned when a running task's service has none left.
-    pub respawn_instances: usize,
 }
 
 impl Default for SupervisorConfig {
@@ -98,7 +98,6 @@ impl Default for SupervisorConfig {
             enabled: true,
             interval: Duration::from_millis(25),
             stall_after: Duration::from_secs(1),
-            respawn_instances: 2,
         }
     }
 }
@@ -174,7 +173,7 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
         st.next_node += 1;
         inner
             .cluster
-            .spawn_instances(&inner.name, node, cfg.respawn_instances.max(1));
+            .spawn_instances(&inner.name, node, RESPAWN_INSTANCES);
         inner
             .metrics
             .supervisor_respawns
@@ -182,7 +181,7 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
         inner.obs.bus.emit(|| {
             Event::new(EventKind::InstancesRespawned {
                 service: inner.name.clone(),
-                count: cfg.respawn_instances.max(1),
+                count: RESPAWN_INSTANCES,
             })
         });
     }
@@ -202,30 +201,17 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
         return;
     }
     for task in &running {
-        if let Err(e) = resume_orphans(inner, st, task) {
-            // Store trouble: report through the trace and move on; the
-            // next tick retries.
-            let _ = e;
-        }
+        // Store trouble: move on; the next tick retries.
+        let _ = resume_orphans(inner, st, task);
     }
 }
 
 /// Re-send whatever moves each unfinished fiber of `task` forward.
-fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<(), crate::service::VinzError> {
+fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<(), VinzError> {
     let cooldown = inner.config.supervision.stall_after;
-    // Every fiber has a base snapshot from birth on: `fiber/{id}`, or
-    // `fiber/{id}@{generation}` once its chain has been compacted.
-    let base_keys = inner
-        .store
-        .list(&format!("fiber/{task}/"))
-        .map_err(|e| crate::service::VinzError(e.to_string()))?;
-    let fibers = base_keys
-        .iter()
-        .filter_map(|key| key.strip_prefix("fiber/"))
-        .map(|base| base.split('@').next().unwrap_or(base));
-    for fiber_id in fibers {
+    for fiber_id in &inner.fibers_of(task)? {
         match inner.fiber_phase(fiber_id)?.0 {
-            "initial" => {
+            FiberPhase::Initial => {
                 // The RunFiber that would start this fiber is gone.
                 if mark_resent(st, &format!("run:{fiber_id}"), cooldown) {
                     // Counted before the send: the fiber may finish first.
@@ -233,57 +219,32 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
                     inner.send_run_fiber(fiber_id, inner.tracker.deadline(task));
                 }
             }
-            "suspended" => {
-                let crumb = inner
-                    .store
-                    .get(&format!("susp/{fiber_id}"))
-                    .map_err(|e| crate::service::VinzError(e.to_string()))?
-                    .map(|b| String::from_utf8_lossy(&b).into_owned())
-                    .unwrap_or_default();
-                let mut lines = crumb.lines();
-                let reason = lines.next().unwrap_or("").to_string();
-                let target = lines.next().unwrap_or("").to_string();
-                match reason.as_str() {
-                    "join" if !target.is_empty() => {
-                        let done = inner
-                            .store
-                            .get(&format!("result/{target}"))
-                            .map_err(|e| crate::service::VinzError(e.to_string()))?
-                            .is_some();
-                        if done && mark_resent(st, &format!("join:{fiber_id}:{target}"), cooldown) {
-                            note_orphan(inner, fiber_id, "join");
-                            inner.send_join(fiber_id, &target);
-                        }
-                    }
-                    "children" => {
-                        // Re-deliver the termination wake-up of every
-                        // finished child; AwakeFiber's consumed-set drops
-                        // the ones the parent already saw.
-                        let registry = format!("children/{fiber_id}/");
-                        let children = inner
-                            .store
-                            .list(&registry)
-                            .map_err(|e| crate::service::VinzError(e.to_string()))?;
-                        for child in children.iter().filter_map(|k| k.strip_prefix(&registry)) {
-                            let done = inner
-                                .store
-                                .get(&format!("result/{child}"))
-                                .map_err(|e| crate::service::VinzError(e.to_string()))?
-                                .is_some();
-                            if done
-                                && mark_resent(st, &format!("awake:{fiber_id}:{child}"), cooldown)
-                            {
-                                note_orphan(inner, fiber_id, "awake");
-                                inner.send_awake(fiber_id, child);
-                            }
-                        }
-                    }
-                    // Service-call suspensions are owned by the timeout
-                    // scan of `calls` (timeout-driven, not stall-driven).
-                    _ => {}
+            FiberPhase::Suspended => match inner.wait_of(fiber_id)? {
+                Some(Wait::Join(target))
+                    if inner.fiber_done(&target)?
+                        && mark_resent(st, &format!("join:{fiber_id}:{target}"), cooldown) =>
+                {
+                    note_orphan(inner, fiber_id, "join");
+                    inner.send_join(fiber_id, &target);
                 }
-            }
-            _ => {}
+                Some(Wait::Children) => {
+                    // Re-deliver the termination wake-up of every
+                    // finished child; AwakeFiber's consumed-set drops the
+                    // ones the parent already saw.
+                    for child in inner.children_of(fiber_id)? {
+                        if inner.fiber_done(&child)?
+                            && mark_resent(st, &format!("awake:{fiber_id}:{child}"), cooldown)
+                        {
+                            note_orphan(inner, fiber_id, "awake");
+                            inner.send_awake(fiber_id, &child);
+                        }
+                    }
+                }
+                // Service-call suspensions are owned by the timeout scan
+                // of `calls` (timeout-driven, not stall-driven).
+                _ => {}
+            },
+            FiberPhase::Done => {}
         }
     }
     Ok(())
@@ -317,7 +278,7 @@ pub(crate) fn install_dead_letter_observer(inner: &Arc<Inner>) {
     inner.cluster.on_dead_letter(move |dl| {
         let Some(inner) = weak.upgrade() else { return };
         let Some(fiber) = dl.msg.get_header("fiber-id").or(dl.msg.get_header("task-id")) else { return };
-        if dl.service != inner.name || inner.task_finished(Inner::task_of(fiber)) {
+        if dl.service != inner.name || inner.tracker.is_final(Inner::task_of(fiber)) {
             return;
         }
         let cond = Condition::with_types(
@@ -336,13 +297,11 @@ mod tests {
 
     #[test]
     fn retry_delay_scales_and_is_deterministic() {
-        let p = RetryPolicy {
-            backoff: Duration::from_millis(10),
-            jitter: Duration::from_millis(8),
-            ..RetryPolicy::default()
-        };
+        let p = RetryPolicy::default();
         assert_eq!(p.delay_for(1, 42), p.delay_for(1, 42));
-        assert!(p.delay_for(3, 42) >= Duration::from_millis(30));
-        assert!(p.delay_for(1, 42) < Duration::from_millis(10 + 8));
+        // BACKOFF × attempt + (correlation ^ attempt) mod JITTER.
+        assert_eq!(p.delay_for(1, 42), BACKOFF + Duration::from_millis(43 % 10));
+        assert_eq!(p.delay_for(3, 42), BACKOFF * 3 + Duration::from_millis(41 % 10));
+        assert!(p.delay_for(1, 42) < BACKOFF + JITTER);
     }
 }

@@ -232,12 +232,44 @@ fn poisoned_operation_fails_the_task(operation: &str) {
 /// the `RunFiber` that was lost.
 #[test]
 fn orphan_scan_runs_a_fiber_known_only_by_its_birth_record() {
+    let (task, left) = orphan_scan_finishes("RunFiber", "(defun main (n) (* n n))", 12, 144);
+    assert_eq!(left, [format!("fiber/{task}/f0"), format!("task-def/{task}")]);
+}
+
+/// A `for-each` parent suspended on its children, and every child's
+/// wake-up was lost: the orphan scan reads the parent's `children` crumb
+/// and re-sends an `AwakeFiber` for each finished child (and a
+/// `RunFiber` for any child that never ran).
+#[test]
+fn orphan_scan_wakes_a_parent_whose_awakes_were_lost() {
+    let source = "(defun main (n) (apply #'+ (for-each (i in (range n)) (* i i))))";
+    let (task, left) = orphan_scan_finishes("AwakeFiber", source, 4, 14);
+    assert!(left.contains(&format!("susp/{task}/f0")), "{left:?}");
+}
+
+/// A `join-process` waiter suspended on a forked fiber, and the
+/// `JoinProcess` that would have woken it was lost: the orphan scan
+/// reads the waiter's `join` crumb, finds the target finished, and
+/// re-sends the wake-up.
+#[test]
+fn orphan_scan_wakes_a_join_whose_wake_up_was_lost() {
+    let source = "(defun sq (n) (* n n))
+                  (defun main (n) (join-process (fork-and-exec #'sq :argument n)))";
+    let (task, left) = orphan_scan_finishes("JoinProcess", source, 7, 49);
+    assert!(left.contains(&format!("susp/{task}/f0")), "{left:?}");
+}
+
+/// Two lives of one deployment on one store. In the first, every
+/// delivery of `poisoned` kills its instance and nothing restaffs the
+/// deployment, so the message that would move the task on is lost. In
+/// the second, the client starts the task again under the same name (a
+/// duplicate `Start`, which adds nothing) and the orphan scan must
+/// finish it with `expected`. Returns the task and the keys the first
+/// life left.
+fn orphan_scan_finishes(poisoned: &str, source: &str, n: i64, expected: i64) -> (String, Vec<String>) {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let source = "(defun main (n) (* n n))";
-    // The first life: every RunFiber delivery kills its instance, and
-    // nothing restaffs the deployment.
     let doomed = Cluster::new();
-    doomed.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, "RunFiber")));
+    doomed.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, poisoned)));
     let mut unsupervised = VinzConfig::default();
     unsupervised.supervision.enabled = false;
     let wf = WorkflowService::builder(&doomed, "workflow")
@@ -247,7 +279,7 @@ fn orphan_scan_runs_a_fiber_known_only_by_its_birth_record() {
         .instances(0, 2)
         .deploy()
         .unwrap();
-    let task = wf.start("main", vec![Value::Int(12)], None).unwrap();
+    let task = wf.start("main", vec![Value::Int(n)], None).unwrap();
     let deadline = Instant::now() + TIMEOUT;
     while doomed.live_instances("workflow") > 0 {
         assert!(Instant::now() < deadline, "poison never took the instances");
@@ -255,12 +287,8 @@ fn orphan_scan_runs_a_fiber_known_only_by_its_birth_record() {
     }
     doomed.shutdown();
     drop(wf);
-    assert_eq!(
-        store.list("").unwrap(),
-        [format!("fiber/{task}/f0"), format!("task-def/{task}")]
-    );
+    let left = store.list("").unwrap();
 
-    // The second life, same store.
     let cluster = Cluster::new();
     let mut config = VinzConfig::default();
     config.supervision.interval = Duration::from_millis(5);
@@ -272,17 +300,18 @@ fn orphan_scan_runs_a_fiber_known_only_by_its_birth_record() {
         .instances(0, 2)
         .deploy()
         .unwrap();
-    assert_eq!(wf.start("main", vec![Value::Int(12)], None).unwrap(), task);
+    assert_eq!(wf.start("main", vec![Value::Int(n)], None).unwrap(), task);
     let rec = wf
         .wait(&task, TIMEOUT)
-        .expect("the orphan scan restarts the fiber");
-    assert_eq!(rec.status, TaskStatus::Completed(Value::Int(144)));
+        .unwrap_or_else(|| panic!("the orphan scan finishes the task ({poisoned} lost)"));
+    assert_eq!(rec.status, TaskStatus::Completed(Value::Int(expected)));
     let obs = wf.obs();
     let counters = obs.counters();
     assert!(counters.orphans_resumed.load(Ordering::Relaxed) >= 1);
     // The task began once, in its first life.
     assert_eq!(counters.tasks_started.load(Ordering::Relaxed), 0);
     cluster.shutdown();
+    (task, left)
 }
 
 /// Engine-level retry is invisible to the workflow: a service that
@@ -352,7 +381,6 @@ fn call_timeout_synthesizes_fault_and_gives_up() {
             retry: RetryPolicy {
                 max_attempts: 1,
                 call_timeout: Duration::from_millis(100),
-                ..RetryPolicy::default()
             },
             ..VinzConfig::default()
         })

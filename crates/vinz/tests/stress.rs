@@ -73,8 +73,7 @@ fn task_variables_are_isolated_between_tasks() {
 #[test]
 fn large_fanout_with_tiny_spawn_limit() {
     let cluster = Cluster::new();
-    let mut config = VinzConfig::default();
-    config.spawn_limit = 2;
+    let config = VinzConfig { spawn_limit: 2, ..VinzConfig::default() };
     let wf = deploy_with(
         &cluster,
         "(defun main (n) (apply #'+ (for-each (i in (range n)) i)))",
@@ -106,8 +105,7 @@ fn parallel_inside_for_each() {
 #[test]
 fn three_level_nesting() {
     let cluster = Cluster::new();
-    let mut config = VinzConfig::default();
-    config.spawn_limit = 4;
+    let config = VinzConfig { spawn_limit: 4, ..VinzConfig::default() };
     let wf = deploy_with(
         &cluster,
         "(defun main ()
@@ -155,8 +153,7 @@ fn results_can_be_large_and_structured() {
 fn recursive_distributed_fibonacci() {
     // Recursion through fork/join: each level forks two children.
     let cluster = Cluster::new();
-    let mut config = VinzConfig::default();
-    config.spawn_limit = 32;
+    let config = VinzConfig { spawn_limit: 32, ..VinzConfig::default() };
     let wf = deploy_with(
         &cluster,
         "(defun dfib (n)

@@ -56,8 +56,7 @@ fn dist_sum_squares_matches_listing_1() {
 #[test]
 fn spawn_limit_bounds_outstanding_children() {
     let cluster = Cluster::new();
-    let mut config = VinzConfig::default();
-    config.spawn_limit = 3;
+    let config = VinzConfig { spawn_limit: 3, ..VinzConfig::default() };
     let wf = deploy_cfg(
         &cluster,
         "(defun main (n)
@@ -131,8 +130,7 @@ fn task_variables_share_state_across_fibers() {
     // child itself returns t (the value of the setf), as in the paper's
     // listing.
     let cluster = Cluster::new();
-    let mut config = VinzConfig::default();
-    config.spawn_limit = 1;
+    let config = VinzConfig { spawn_limit: 1, ..VinzConfig::default() };
     let wf = deploy_cfg(
         &cluster,
         "(deftaskvar exit-flag \"When this becomes true, stop.\")
@@ -285,7 +283,7 @@ fn workflow_survives_instance_failure() {
     let task = wf.start("main", vec![], None).unwrap();
     // Crash node 0 (both instances) almost immediately.
     std::thread::sleep(Duration::from_millis(20));
-    cluster.kill_node(0, bluebox::CrashPoint::BeforeProcess);
+    cluster.kill_node(0, bluebox::FaultPoint::BeforeProcess);
     let rec = wf.wait(&task, TIMEOUT).expect("task survives the crash");
     assert_eq!(
         rec.status,

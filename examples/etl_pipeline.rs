@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gozer::testing::register_value_service;
-use gozer::{Cluster, CrashPoint, Fault, GozerSystem, ServiceDescription, Value};
+use gozer::{Cluster, FaultPoint, Fault, GozerSystem, ServiceDescription, Value};
 
 const WORKFLOW: &str = r#"
 (deflink FEED :wsdl "urn:feed" :port "FeedService")
@@ -106,7 +106,7 @@ fn main() {
     std::thread::sleep(Duration::from_millis(30));
     // Take out a whole node mid-run: persisted checkpoints + message
     // redelivery let the survivors finish the task.
-    cluster.kill_node(0, CrashPoint::BeforeProcess);
+    cluster.kill_node(0, FaultPoint::BeforeProcess);
 
     let rec = system
         .wait(&task, Duration::from_secs(120))

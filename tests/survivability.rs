@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gozer::testing::{chaos_seeds, repro_command, run_workflow_under_chaos};
-use gozer::{ChaosConfig, ChaosPlan, CrashPoint, GozerSystem, TaskStatus, Value, VinzConfig};
+use gozer::{ChaosConfig, ChaosPlan, FaultPoint, GozerSystem, TaskStatus, Value, VinzConfig};
 use vinz::FileStore;
 
 const TIMEOUT: Duration = Duration::from_secs(120);
@@ -32,7 +32,7 @@ fn survives_sequential_node_crashes() {
     // Take out three of the four nodes while the task runs.
     for node in 0..3 {
         std::thread::sleep(Duration::from_millis(15));
-        sys.cluster.kill_node(node, CrashPoint::BeforeProcess);
+        sys.cluster.kill_node(node, FaultPoint::BeforeProcess);
     }
     let rec = sys.wait(&task, TIMEOUT).expect("survives");
     assert_eq!(rec.status, TaskStatus::Completed(expected(24)));
@@ -53,7 +53,7 @@ fn survives_crash_after_processing_before_ack() {
         .unwrap();
     let task = sys.workflow.start("main", vec![Value::Int(16)], None).unwrap();
     std::thread::sleep(Duration::from_millis(10));
-    sys.cluster.kill_node(0, CrashPoint::AfterProcess);
+    sys.cluster.kill_node(0, FaultPoint::AfterProcess);
     let rec = sys.wait(&task, TIMEOUT).expect("survives");
     assert_eq!(rec.status, TaskStatus::Completed(expected(16)));
     sys.shutdown();
@@ -71,9 +71,9 @@ fn many_tasks_survive_rolling_failures() {
         .map(|_| sys.workflow.start("main", vec![Value::Int(8)], None).unwrap())
         .collect();
     std::thread::sleep(Duration::from_millis(10));
-    sys.cluster.kill_node(1, CrashPoint::BeforeProcess);
+    sys.cluster.kill_node(1, FaultPoint::BeforeProcess);
     std::thread::sleep(Duration::from_millis(10));
-    sys.cluster.kill_node(2, CrashPoint::AfterProcess);
+    sys.cluster.kill_node(2, FaultPoint::AfterProcess);
     for task in &tasks {
         let rec = sys.wait(task, TIMEOUT).expect("each survives");
         assert_eq!(rec.status, TaskStatus::Completed(expected(8)));
@@ -99,7 +99,7 @@ fn file_backed_store_full_run() {
     let sys = GozerSystem::builder()
         .nodes(2)
         .instances_per_node(2)
-        .store(Arc::new(FileStore::builder(dir.join("state")).build().unwrap()))
+        .store(Arc::new(FileStore::open(dir.join("state")).unwrap()))
         .workflow(WORKFLOW)
         .build()
         .unwrap();
