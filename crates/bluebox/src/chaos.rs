@@ -383,7 +383,7 @@ impl ChaosPlan {
         };
         eat(msg.service.as_bytes());
         eat(msg.operation.as_bytes());
-        for (k, v) in &msg.headers {
+        for (k, v) in msg.headers.iter() {
             eat(k.as_bytes());
             eat(v.as_bytes());
         }

@@ -1,6 +1,5 @@
 //! The cluster: broker, service registry, instances, failure injection.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -10,6 +9,7 @@ use crossbeam::channel::{bounded, Sender};
 use gozer_obs::{Event, EventKind, Histogram, Obs, Phase};
 use gozer_xml::ServiceDescription;
 use parking_lot::{Mutex, RwLock};
+use rustc_hash::FxHashMap;
 
 use crate::chaos::{ChaosPlan, FaultAction};
 use crate::message::{Fault, Message, ReplyTo};
@@ -119,9 +119,9 @@ type DeadLetterObserver = Box<dyn Fn(&DeadLetter) + Send + Sync>;
 
 /// The simulated BlueBox cluster.
 pub struct Cluster {
-    queues: RwLock<HashMap<String, Arc<ServiceQueue>>>,
-    services: RwLock<HashMap<String, ServiceEntry>>,
-    pending: Mutex<HashMap<u64, ReplySlot>>,
+    queues: RwLock<FxHashMap<String, Arc<ServiceQueue>>>,
+    services: RwLock<FxHashMap<String, ServiceEntry>>,
+    pending: Mutex<FxHashMap<u64, ReplySlot>>,
     instances: Mutex<Vec<InstanceHandle>>,
     next_msg_id: AtomicU64,
     next_corr: AtomicU64,
@@ -149,13 +149,13 @@ pub struct Cluster {
     // --- recovery layer ---------------------------------------------------
     recovery_cfg: RwLock<RecoveryConfig>,
     /// Outstanding leases by broker message id.
-    leases: Mutex<HashMap<u64, Lease>>,
+    leases: Mutex<FxHashMap<u64, Lease>>,
     /// Reclaimed messages waiting out their backoff (queue lease held).
     reclaims_pending: Mutex<Vec<PendingReclaim>>,
     /// Delayed sends ([`Cluster::send_after`]).
     delayed: Mutex<Vec<(Instant, Message)>>,
     /// Per-queue dead-letter stores.
-    dead: Mutex<HashMap<String, Vec<DeadLetter>>>,
+    dead: Mutex<FxHashMap<String, Vec<DeadLetter>>>,
     dead_observers: Mutex<Vec<DeadLetterObserver>>,
     recovery_stats: Arc<RecoveryStats>,
     closed: AtomicBool,
@@ -219,9 +219,9 @@ impl Cluster {
             move || rs.dead_letters.load(Ordering::Relaxed),
         );
         let cluster = Arc::new(Cluster {
-            queues: RwLock::new(HashMap::new()),
-            services: RwLock::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            queues: RwLock::new(FxHashMap::default()),
+            services: RwLock::new(FxHashMap::default()),
+            pending: Mutex::new(FxHashMap::default()),
             instances: Mutex::new(Vec::new()),
             next_msg_id: AtomicU64::new(1),
             next_corr: AtomicU64::new(1),
@@ -237,10 +237,10 @@ impl Cluster {
             hist_busy,
             hist_sync,
             recovery_cfg: RwLock::new(RecoveryConfig::default()),
-            leases: Mutex::new(HashMap::new()),
+            leases: Mutex::new(FxHashMap::default()),
             reclaims_pending: Mutex::new(Vec::new()),
             delayed: Mutex::new(Vec::new()),
-            dead: Mutex::new(HashMap::new()),
+            dead: Mutex::new(FxHashMap::default()),
             dead_observers: Mutex::new(Vec::new()),
             recovery_stats,
             closed: AtomicBool::new(false),
@@ -534,12 +534,12 @@ impl Cluster {
     }
 
     /// Record a lease: `msg` is in flight at `instance`.
-    pub(crate) fn insert_lease(&self, msg: &Message, service: &str, instance: u64) {
+    pub(crate) fn insert_lease(&self, msg: &Arc<Message>, service: &Arc<str>, instance: u64) {
         self.leases.lock().insert(
             msg.id,
             Lease {
                 msg: msg.clone(),
-                service: service.to_string(),
+                service: service.clone(),
                 instance,
             },
         );
@@ -951,43 +951,37 @@ impl Cluster {
         // 1. Expire leases. A dead holder (crashed thread, `alive`
         //    false, or no longer registered) expires immediately; a live
         //    one only after its heartbeat goes stale past the TTL.
-        let mut expired: Vec<Lease> = Vec::new();
-        {
+        //    A scan that expires nothing allocates nothing.
+        let expired: Vec<Lease> = {
             let instances = self.instances.lock();
             let mut leases = self.leases.lock();
-            let ids: Vec<u64> = leases.keys().copied().collect();
-            for id in ids {
-                let holder = match leases.get(&id) {
-                    Some(l) => l.instance,
-                    None => continue,
-                };
-                let failed = match instances.iter().find(|h| h.id == holder) {
+            leases
+                .extract_if(|_, lease| match instances.iter().find(|h| h.id == lease.instance) {
                     None => true,
                     Some(h) => {
                         !h.control.alive.load(Ordering::Relaxed)
                             || now.saturating_duration_since(*h.control.heartbeat.lock())
                                 > cfg.lease_ttl
                     }
-                };
-                if failed {
-                    if let Some(l) = leases.remove(&id) {
-                        expired.push(l);
-                    }
-                }
-            }
-        }
+                })
+                .map(|(_, lease)| lease)
+                .collect()
+        };
         for lease in expired {
-            if lease.msg.redeliveries >= cfg.redelivery_budget {
-                self.quarantine(&lease.service, lease.msg, "redelivery-budget");
+            // A dead holder dropped its share of the message; a stale
+            // one that still runs keeps its own copy.
+            let msg = Arc::unwrap_or_clone(lease.msg);
+            if msg.redeliveries >= cfg.redelivery_budget {
+                self.quarantine(&lease.service, msg, "redelivery-budget");
             } else {
                 // The task is now waiting on the redelivery machinery,
                 // not on a queue or a handler.
-                self.note_phase(&lease.msg, Phase::LeaseRedelivery);
-                let due = now + cfg.backoff_for(lease.msg.redeliveries);
+                self.note_phase(&msg, Phase::LeaseRedelivery);
+                let due = now + cfg.backoff_for(msg.redeliveries);
                 self.reclaims_pending.lock().push(PendingReclaim {
                     due,
                     service: lease.service,
-                    msg: lease.msg,
+                    msg,
                 });
             }
         }
@@ -1141,6 +1135,7 @@ fn instance_loop(
     control: Arc<InstanceControl>,
 ) {
     let cluster = ctx.cluster.clone();
+    let service: Arc<str> = ctx.service.as_str().into();
     // Announce this node to the queue so affinity-stamped messages can
     // find it; withdrawn after the loop on *every* exit path (stop,
     // fault, crash) so dead nodes never pin their messages.
@@ -1162,14 +1157,9 @@ fn instance_loop(
         // The message is leased from here: every exit path below must
         // settle exactly once — or die leaving the lease registered, in
         // which case the reaper settles it after reclaim/quarantine.
-        cluster.leases.lock().insert(
-            msg.id,
-            Lease {
-                msg: msg.clone(),
-                service: ctx.service.clone(),
-                instance: ctx.instance_id,
-            },
-        );
+        // The lease and the handler share the one message.
+        let msg = Arc::new(msg);
+        cluster.insert_lease(&msg, &service, ctx.instance_id);
         let metrics = &cluster.metrics;
         cluster.note_delivered(&msg, ctx.node_id, ctx.instance_id);
         // Seeded chaos: the plan decides this delivery's fate from the
@@ -1190,7 +1180,7 @@ fn instance_loop(
                     cluster.emit_redelivered(&msg);
                     cluster.leases.lock().remove(&msg.id);
                     cluster.note_phase(&msg, Phase::QueueWait);
-                    queue.push_front(msg);
+                    queue.push_front(Arc::unwrap_or_clone(msg));
                     queue.settle();
                     continue;
                 }
@@ -1204,7 +1194,7 @@ fn instance_loop(
                             (FaultPoint::AfterProcess, _) => "crash-after",
                         },
                     );
-                    crash_with(&cluster, &queue, &control, msg, point, &ctx, node_wide);
+                    crash_with(&cluster, &queue, &control, &msg, point, &ctx, node_wide);
                     break;
                 }
             }
@@ -1246,7 +1236,7 @@ fn instance_loop(
                 &cluster,
                 &queue,
                 &control,
-                msg,
+                &msg,
                 FaultPoint::AfterProcess,
                 &ctx,
                 node_wide,
@@ -1270,13 +1260,13 @@ fn crash_with(
     cluster: &Arc<Cluster>,
     _queue: &Arc<ServiceQueue>,
     control: &Arc<InstanceControl>,
-    msg: Message,
+    msg: &Message,
     point: FaultPoint,
     ctx: &ServiceCtx,
     node_wide: bool,
 ) {
     cluster.obs.bus.emit(|| {
-        msg_event(&msg, |_, _| EventKind::InstanceCrashed {
+        msg_event(msg, |_, _| EventKind::InstanceCrashed {
             point: match (point, node_wide) {
                 (_, true) => "node-kill".into(),
                 (FaultPoint::BeforeProcess, _) => "before-process".into(),

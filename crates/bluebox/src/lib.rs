@@ -57,7 +57,7 @@ pub use chaos::{
     ChaosConfig, ChaosPlan, ChaosRng, ChaosStats, ChaosStatsSnapshot, FaultAction, FaultPoint,
 };
 pub use cluster::{CallError, Cluster, Handler, ServiceCtx};
-pub use message::{Fault, Message, ReplyTo};
+pub use message::{Fault, Headers, Message, ReplyTo};
 pub use metrics::{Metrics, MetricsSnapshot, TransportMetrics, TransportMetricsSnapshot};
 pub use queue::{Policy, ServiceQueue};
 pub use recovery::{DeadLetter, RecoveryConfig, RecoveryStats, RecoveryStatsSnapshot};

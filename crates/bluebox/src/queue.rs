@@ -14,11 +14,12 @@
 //! case delivery degrades to plain load balancing. Skipped messages stay
 //! in order, so affinity never reorders work destined for the same node.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+use rustc_hash::FxHashMap;
 
 use crate::message::Message;
 
@@ -70,10 +71,10 @@ struct QueueState {
     interrupt_epoch: u64,
     /// Registered consumer count per node id; a node with no entries is
     /// *dead* for affinity purposes and its messages are free to take.
-    consumers: HashMap<u32, usize>,
+    consumers: FxHashMap<u32, usize>,
     /// Waiting (not yet popped) messages per affinity node — the
     /// backlog the slack rule compares against.
-    affine_depth: HashMap<u32, usize>,
+    affine_depth: FxHashMap<u32, usize>,
 }
 
 impl QueueState {
@@ -128,8 +129,8 @@ impl ServiceQueue {
                 closed: false,
                 leased: 0,
                 interrupt_epoch: 0,
-                consumers: HashMap::new(),
-                affine_depth: HashMap::new(),
+                consumers: FxHashMap::default(),
+                affine_depth: FxHashMap::default(),
             }),
             cond: Condvar::new(),
             idle_cond: Condvar::new(),

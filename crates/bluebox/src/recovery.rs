@@ -19,6 +19,7 @@
 //! flight".
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::message::Message;
@@ -70,11 +71,13 @@ impl RecoveryConfig {
 /// One outstanding lease: a message popped by an instance and not yet
 /// settled. Keyed by broker message id in the cluster's lease table.
 pub(crate) struct Lease {
-    /// The leased message, kept so a crashed holder's copy can be
-    /// re-queued verbatim (same broker id — idempotency keys survive).
-    pub msg: Message,
-    /// Destination service (names the queue to reclaim into).
-    pub service: String,
+    /// The leased message, shared with its holder, so a crashed
+    /// holder's delivery can be re-queued verbatim (same broker id —
+    /// idempotency keys survive) without a copy per delivery.
+    pub msg: Arc<Message>,
+    /// Destination service (names the queue to reclaim into), shared
+    /// by every lease its instance takes.
+    pub service: Arc<str>,
     /// Holding instance.
     pub instance: u64,
 }
@@ -83,7 +86,7 @@ pub(crate) struct Lease {
 /// queue lease stays held the whole time.
 pub(crate) struct PendingReclaim {
     pub due: Instant,
-    pub service: String,
+    pub service: Arc<str>,
     pub msg: Message,
 }
 

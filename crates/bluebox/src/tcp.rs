@@ -28,7 +28,7 @@
 //!   no settle, no requeue. The lease expires and the reaper
 //!   redelivers — exactly the contract in-process crashes follow.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, RecvTimeoutError};
 use parking_lot::Mutex;
+use rustc_hash::FxHashMap;
 
 use crate::cluster::{Cluster, InstanceControl, ReplySlot};
 use crate::message::{Fault, Message};
@@ -52,7 +53,7 @@ fn wire_payload_of(msg: &Message) -> WirePayload {
     WirePayload {
         service: msg.service.clone(),
         operation: msg.operation.clone(),
-        headers: msg.headers.clone(),
+        headers: msg.headers.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
         body: msg.body.clone(),
         priority: msg.priority,
         hold_until: msg.hold_until,
@@ -65,7 +66,7 @@ fn message_from(p: WirePayload) -> Message {
     if p.hold_until > 0 {
         msg = msg.with_hold_until(p.hold_until);
     }
-    msg.headers = p.headers;
+    msg.headers = p.headers.into_iter().collect();
     msg
 }
 
@@ -142,7 +143,7 @@ struct Conn {
     /// Outstanding forwarded deliveries by delivery id; the reader
     /// routes Settle frames here. Entries removed on settle, conn
     /// death, reclaim, or proxy exit — a lookup miss is a stale settle.
-    pending: Mutex<HashMap<u64, ReplySlot>>,
+    pending: Mutex<FxHashMap<u64, ReplySlot>>,
     /// Controls of the proxy instances registered on this connection.
     instances: Mutex<Vec<Arc<InstanceControl>>>,
     tm: Arc<TransportMetrics>,
@@ -366,7 +367,7 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
         node,
         stream: Mutex::new(writer),
         dead: AtomicBool::new(false),
-        pending: Mutex::new(HashMap::new()),
+        pending: Mutex::new(FxHashMap::default()),
         instances: Mutex::new(Vec::new()),
         tm: tm.clone(),
     });
@@ -495,6 +496,7 @@ fn remote_instance_loop(
     instance_id: u64,
     control: Arc<InstanceControl>,
 ) {
+    let service: Arc<str> = service.into();
     let queue = cluster.service_queue(&service);
     let node_id = conn.node;
     queue.register_consumer(node_id);
@@ -511,6 +513,7 @@ fn remote_instance_loop(
         // Leased from here. Every exit path either settles exactly once
         // (lease taken first) or abandons the message with the lease
         // registered for the reaper — never both.
+        let msg = Arc::new(msg);
         cluster.insert_lease(&msg, &service, instance_id);
         cluster.note_delivered(&msg, node_id, instance_id);
         let delivery_id = broker.next_delivery.fetch_add(1, Ordering::Relaxed);
@@ -1143,7 +1146,7 @@ mod tests {
             node: 0,
             stream: Mutex::new(client),
             dead: AtomicBool::new(false),
-            pending: Mutex::new(HashMap::new()),
+            pending: Mutex::new(FxHashMap::default()),
             instances: Mutex::new(Vec::new()),
             tm: Arc::new(TransportMetrics::default()),
         });

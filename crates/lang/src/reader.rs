@@ -10,11 +10,11 @@
 //! running them requires an evaluator, which the reader reaches through the
 //! [`ReadEval`] callback so this crate does not depend on the VM.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rustc_hash::FxHashMap;
 
 use crate::error::LangError;
 use crate::value::{Opaque, Value};
@@ -170,7 +170,7 @@ struct MacroEntry {
 /// The mapping from macro characters to handlers.
 #[derive(Clone, Default)]
 pub struct ReadTable {
-    entries: HashMap<char, MacroEntry>,
+    entries: FxHashMap<char, MacroEntry>,
 }
 
 impl ReadTable {

@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// An interned symbol name. Copyable, `O(1)` comparison and hashing.
 ///
@@ -21,7 +21,7 @@ pub struct Symbol(pub u32);
 
 struct Interner {
     names: Vec<&'static str>,
-    ids: HashMap<&'static str, u32>,
+    ids: FxHashMap<&'static str, u32>,
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -29,7 +29,7 @@ fn interner() -> &'static RwLock<Interner> {
     INTERNER.get_or_init(|| {
         RwLock::new(Interner {
             names: Vec::with_capacity(1024),
-            ids: HashMap::with_capacity(1024),
+            ids: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
         })
     })
 }

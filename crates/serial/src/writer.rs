@@ -1,6 +1,5 @@
 //! The value/state writer.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gozer_compress::crc32::Crc32;
@@ -9,6 +8,7 @@ use gozer_lang::{Symbol, Value};
 use gozer_vm::fiber::Frame;
 use gozer_vm::runtime::{Closure, ContinuationVal, FutureVal, NativeFn};
 use gozer_vm::{FiberState, ObjectVal};
+use rustc_hash::FxHashMap;
 
 use crate::{
     write_uvarint, zigzag, SerError, Tag, MAGIC, SMALL_INT_BASE, SMALL_INT_RANGE, VERSION,
@@ -54,14 +54,14 @@ pub(crate) struct Seeds {
     /// Arc pointer address → back-reference index. Every key belongs to
     /// a value held in `slots` (when journaling), so no address can be
     /// reused while it is in the table.
-    seen: HashMap<usize, u64>,
+    seen: FxHashMap<usize, u64>,
     /// String content → back-reference index. Distinct `Arc`s with equal
     /// content collapse to one record, which keeps the byte stream a
     /// function of the *state*, not of allocation history — the property
     /// that makes delta-reconstituted states re-serialize bit-identically.
-    str_content: HashMap<Arc<str>, u64>,
+    str_content: FxHashMap<Arc<str>, u64>,
     /// Symbol/keyword dictionary, indexed in first-occurrence order.
-    sym_dict: HashMap<Symbol, u64>,
+    sym_dict: FxHashMap<Symbol, u64>,
     /// Journal of sharing-table registrations in index order — also the
     /// reader's initial back-reference table.
     pub(crate) slots: Vec<Value>,

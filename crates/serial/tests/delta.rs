@@ -465,11 +465,11 @@ fn redelivered_resume_from_one_cached_version_starts_cold() {
     serialize_state_delta(&cached, 2, Codec::None, 64)
         .unwrap()
         .unwrap();
-    // What the node cache does on a hit: the copy that runs takes the
-    // tables, the entry (and so a second hit on the same version) has none.
-    let first = cached.clone();
-    cached.seed.move_to(&first.seed);
+    // What the node cache does on a hit: the state that runs is the
+    // cached one, tables and all; a second delivery of the same version
+    // finds no entry and runs a cold copy.
     let second = cached.clone();
+    let first = cached;
     let mut rng = bluebox::ChaosRng::new(11);
     // The two deliveries diverge; each must encode as if alone.
     let a = suspend(&gvm, first, Value::from("first delivery")).state;

@@ -10,16 +10,19 @@
 //!
 //! * **mutable** — fiber continuations, validated by a version counter
 //!   that increments on every save; a fiber that last ran on another
-//!   node invalidates the local copy;
+//!   node invalidates the local copy. A hit hands the state over rather
+//!   than copying it: the fiber runs it, and its next save puts the new
+//!   version back;
 //! * **immutable** — write-once data (child results, task definitions),
-//!   valid whenever present.
+//!   valid whenever present and shared with every reader.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gozer_vm::FiberState;
 use parking_lot::Mutex;
+use rustc_hash::FxHashMap;
 
 /// Hit/miss counters for one compartment.
 #[derive(Debug, Default)]
@@ -47,7 +50,7 @@ impl CacheStats {
 /// generation; `order` is the same stamps sorted, so the victim is its
 /// first entry rather than a scan of the whole map.
 struct Lru<V> {
-    map: HashMap<Arc<str>, (u64, V)>,
+    map: FxHashMap<Arc<str>, (u64, V)>,
     order: BTreeMap<u64, Arc<str>>,
     generation: u64,
     capacity: usize,
@@ -56,7 +59,7 @@ struct Lru<V> {
 impl<V> Lru<V> {
     fn new(capacity: usize) -> Lru<V> {
         Lru {
-            map: HashMap::with_capacity(capacity),
+            map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
             order: BTreeMap::new(),
             generation: 0,
             capacity: capacity.max(1),
@@ -94,17 +97,17 @@ impl<V> Lru<V> {
         self.map.insert(key, (self.generation, v));
     }
 
-    fn remove(&mut self, key: &str) {
-        if let Some((stamp, _)) = self.map.remove(key) {
-            self.order.remove(&stamp);
-        }
+    fn remove(&mut self, key: &str) -> Option<V> {
+        let (stamp, v) = self.map.remove(key)?;
+        self.order.remove(&stamp);
+        Some(v)
     }
 }
 
 /// The per-node cache.
 pub struct FiberCache {
     mutable: Mutex<Lru<(u64, FiberState)>>,
-    immutable: Mutex<Lru<Vec<u8>>>,
+    immutable: Mutex<Lru<Arc<Vec<u8>>>>,
     /// Mutable-compartment statistics.
     pub mutable_stats: CacheStats,
     /// Immutable-compartment statistics.
@@ -122,20 +125,20 @@ impl FiberCache {
         }
     }
 
-    /// Look up a fiber state; a hit requires the cached version to match
-    /// the store's current `version` (a fiber that ran elsewhere since we
-    /// cached it has a higher version, so the stale local copy misses).
+    /// Take a fiber state out of the cache; a hit requires the cached
+    /// version to match the store's current `version` (a fiber that ran
+    /// elsewhere since we cached it has a higher version, so the stale
+    /// local copy misses). The entry leaves the cache either way: the
+    /// state that runs is the cached one, seeding tables and all, and
+    /// the fiber's next save puts its new version back. A second lookup
+    /// at this version (a redelivered resume) misses and loads from the
+    /// store.
     pub fn get_fiber(&self, fiber_id: &str, version: u64) -> Option<FiberState> {
-        let mut lru = self.mutable.lock();
-        match lru.get(fiber_id) {
-            Some((cached_version, state)) if *cached_version == version => {
+        let entry = self.mutable.lock().remove(fiber_id);
+        match entry {
+            Some((cached_version, state)) if cached_version == version => {
                 self.mutable_stats.hits.fetch_add(1, Ordering::Relaxed);
-                let copy = state.clone();
-                // The copy is the one that runs and gets saved next, so
-                // the serializer's seeding tables go with it. A second
-                // hit on this version (a redelivered resume) starts cold.
-                state.seed.move_to(&copy.seed);
-                Some(copy)
+                Some(state)
             }
             _ => {
                 self.mutable_stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -149,13 +152,9 @@ impl FiberCache {
         self.mutable.lock().put(fiber_id, (version, state));
     }
 
-    /// Drop a fiber entry (on completion).
-    pub fn evict_fiber(&self, fiber_id: &str) {
-        self.mutable.lock().remove(fiber_id);
-    }
-
-    /// Look up immutable data (valid whenever present).
-    pub fn get_immutable(&self, key: &str) -> Option<Vec<u8>> {
+    /// Look up immutable data (valid whenever present), shared with the
+    /// cache.
+    pub fn get_immutable(&self, key: &str) -> Option<Arc<Vec<u8>>> {
         let mut lru = self.immutable.lock();
         match lru.get(key) {
             Some(data) => {
@@ -170,7 +169,7 @@ impl FiberCache {
     }
 
     /// Remember immutable data.
-    pub fn put_immutable(&self, key: &str, data: Vec<u8>) {
+    pub fn put_immutable(&self, key: &str, data: Arc<Vec<u8>>) {
         self.immutable.lock().put(key, data);
     }
 }
@@ -197,28 +196,33 @@ mod tests {
         cache.put_fiber("f1", 1, state);
         let (frames, tables) = cache.get_fiber("f1", 1).unwrap().seed.take();
         assert_eq!(frames, 3);
-        assert!(tables.is_some(), "the copy that runs next saves warm");
-        // A redelivered resume finds the same version but must not share
-        // tables the first delivery has since extended.
-        assert!(cache.get_fiber("f1", 1).unwrap().seed.take().1.is_none());
+        assert!(tables.is_some(), "the state that runs next saves warm");
+        // The state was handed over, not copied: a redelivered resume at
+        // the same version must not share tables the first delivery has
+        // since extended, so it misses and loads from the store.
+        assert!(cache.get_fiber("f1", 1).is_none());
+        assert_eq!(cache.mutable_stats.hits.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.mutable_stats.misses.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn immutable_hits_when_present() {
         let cache = FiberCache::new(8);
         assert!(cache.get_immutable("r1").is_none());
-        cache.put_immutable("r1", vec![1, 2, 3]);
-        assert_eq!(cache.get_immutable("r1"), Some(vec![1, 2, 3]));
+        let data = Arc::new(vec![1, 2, 3]);
+        cache.put_immutable("r1", data.clone());
+        let hit = cache.get_immutable("r1").unwrap();
+        assert!(Arc::ptr_eq(&hit, &data), "a hit shares the cached bytes");
         assert!((cache.immutable_stats.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn lru_evicts_oldest() {
         let cache = FiberCache::new(2);
-        cache.put_immutable("a", vec![1]);
-        cache.put_immutable("b", vec![2]);
+        cache.put_immutable("a", Arc::new(vec![1]));
+        cache.put_immutable("b", Arc::new(vec![2]));
         assert!(cache.get_immutable("a").is_some()); // refresh a
-        cache.put_immutable("c", vec![3]); // evicts b
+        cache.put_immutable("c", Arc::new(vec![3])); // evicts b
         assert!(cache.get_immutable("b").is_none());
         assert!(cache.get_immutable("a").is_some());
         assert!(cache.get_immutable("c").is_some());
@@ -227,7 +231,7 @@ mod tests {
     /// The scan-for-the-minimum LRU this module used to have: the
     /// reference the indexed one must be indistinguishable from.
     struct NaiveLru {
-        map: HashMap<String, (u64, u32)>,
+        map: FxHashMap<String, (u64, u32)>,
         generation: u64,
         capacity: usize,
     }
@@ -259,7 +263,7 @@ mod tests {
             let capacity = 1 + rng.below(6) as usize;
             let mut lru = Lru::new(capacity);
             let mut naive = NaiveLru {
-                map: HashMap::new(),
+                map: FxHashMap::default(),
                 generation: 0,
                 capacity,
             };

@@ -21,7 +21,6 @@
 //!
 //! [`RetryPolicy::call_timeout`]: crate::RetryPolicy::call_timeout
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,6 +30,7 @@ use gozer_lang::{AssocMap, Value};
 use gozer_obs::{Event, EventKind};
 use gozer_serial::{deserialize_value, SerError};
 use gozer_vm::Gvm;
+use rustc_hash::FxHashMap;
 
 use crate::host::{Entry, FiberPhase, Resume, TurnedAway};
 use crate::locks::LOCK_WAIT;
@@ -206,7 +206,7 @@ pub(crate) fn redispatch(inner: &Inner, correlation: u64, mut req: CallReq) -> R
 /// with a synthesized `{vinz}CallTimeout` fault. That reply leaves the
 /// record for [`take_reply`] to consume, so a lost one is sent again a
 /// call timeout later.
-pub(crate) fn scan(inner: &Inner, seen: &mut HashMap<String, Instant>) {
+pub(crate) fn scan(inner: &Inner, seen: &mut FxHashMap<String, Instant>) {
     let retry = &inner.config.retry;
     let Ok(keys) = inner.store.list(PREFIX) else { return };
     seen.retain(|k, _| keys.contains(k));

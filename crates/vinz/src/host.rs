@@ -317,7 +317,7 @@ impl Inner {
         let key = task_def_key(task_id);
         let bytes = serialize_value(def, self.config.codec)?;
         self.store.put(&key, &bytes)?;
-        rt.cache.put_immutable(&key, bytes);
+        rt.cache.put_immutable(&key, Arc::new(bytes));
         Ok(())
     }
 
@@ -331,12 +331,12 @@ impl Inner {
     }
 
     /// Read write-once data through the immutable cache.
-    fn load_immutable(&self, rt: &NodeRuntime, key: &str) -> Result<Option<Vec<u8>>, VinzError> {
+    fn load_immutable(&self, rt: &NodeRuntime, key: &str) -> Result<Option<Arc<Vec<u8>>>, VinzError> {
         if let Some(data) = rt.cache.get_immutable(key) {
             return Ok(Some(data));
         }
-        let data = self.store.get(key)?;
-        if let Some(ref d) = data {
+        let data = self.store.get(key)?.map(Arc::new);
+        if let Some(d) = &data {
             rt.cache.put_immutable(key, d.clone());
         }
         Ok(data)
@@ -480,6 +480,8 @@ impl Inner {
                 .map(<[Value]>::to_vec)
                 .unwrap_or_default();
             if consumed.iter().any(|v| v.as_str() == Some(key)) {
+                // A duplicate wake-up: the fiber stays as it was.
+                self.keep_loaded(&rt, fiber_id, meta, state);
                 return Ok(Vec::new());
             }
             consumed.push(Value::str(key));
@@ -592,8 +594,7 @@ impl Inner {
             serialize_value(&value, self.config.codec).map_err(|e| VinzError(format!("result of {fiber_id}: {e}")))?;
         let key = result_key(fiber_id);
         self.store.put(&key, &bytes)?;
-        rt.cache.put_immutable(&key, bytes);
-        rt.cache.evict_fiber(fiber_id);
+        rt.cache.put_immutable(&key, Arc::new(bytes));
         self.hot.write().remove(fiber_id);
         self.tracker.fiber_finished(task_id);
         self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberDone);
@@ -707,6 +708,13 @@ impl Inner {
     /// in the log ahead of anything the woken fiber will write.
     fn notify_join_waiters(self: &Arc<Inner>, target: &str) -> Result<(), VinzError> {
         let key = waiters_key(target);
+        // Most fibers have no waiters, and finding none needs no lock: a
+        // waiter registers first and then checks for the result, which
+        // is written before this runs, so one that registers after this
+        // read wakes itself.
+        if self.store.get(&key)?.is_none() {
+            return Ok(());
+        }
         let waiters = {
             let _guard = self
                 .locks

@@ -226,10 +226,12 @@ impl Inner {
         Ok(())
     }
 
-    /// Load a fiber continuation, trying the node cache first (§4.2); a
-    /// miss reads the full-snapshot base and replays any delta chain on
-    /// top, which reconstitutes the state bit-identically to the last
-    /// save.
+    /// Load a fiber continuation, taking it from the node cache first
+    /// (§4.2); a miss reads the full-snapshot base and replays any delta
+    /// chain on top, which reconstitutes the state bit-identically to the
+    /// last save. Either way the cache no longer holds the fiber: its
+    /// next save puts it back, and a caller that stops short of running
+    /// it hands it back with [`Inner::keep_loaded`].
     pub(super) fn load_fiber(
         &self,
         rt: &NodeRuntime,
@@ -265,12 +267,18 @@ impl Inner {
                 .record_deserialize(dbytes.len() as u64, start.elapsed().as_nanos() as u64);
             self.serial_costs.record_seeding(seeds.reused, seeds.walked);
         }
-        rt.cache.put_fiber(fiber_id, version, state.clone());
         self.metrics.load_count.fetch_add(1, Ordering::Relaxed);
         self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberLoaded {
             cache_hit: false,
         });
         Ok(state)
+    }
+
+    /// Return a state [`Inner::load_fiber`] handed out, unrun and
+    /// unchanged, to the node cache under the version it was loaded at.
+    pub(super) fn keep_loaded(&self, rt: &NodeRuntime, fiber_id: &str, meta: Option<FiberMeta>, state: FiberState) {
+        let (version, _, _) = meta.unwrap_or_default();
+        rt.cache.put_fiber(fiber_id, version, state);
     }
 }
 

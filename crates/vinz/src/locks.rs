@@ -5,10 +5,10 @@
 //! table keeps that contract; when fibers move into worker processes
 //! the lock becomes a lease in the broker's lease table.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+use rustc_hash::FxHashMap;
 
 /// How long a lock site waits before giving up: the fiber lock of
 /// RunFiber, ResumeFromCall, JoinProcess and a Start's birth, a task
@@ -26,7 +26,7 @@ pub(crate) const JOIN_DEADLINE: Duration = Duration::from_secs(600);
 
 /// Lock name → owner token of the current holder.
 struct Table {
-    held: HashMap<String, u64>,
+    held: FxHashMap<String, u64>,
     next_owner: u64,
 }
 
@@ -40,7 +40,7 @@ impl InProcessLocks {
     pub(crate) fn new() -> InProcessLocks {
         InProcessLocks {
             table: Mutex::new(Table {
-                held: HashMap::new(),
+                held: FxHashMap::default(),
                 next_owner: 1,
             }),
             released: Condvar::new(),

@@ -10,7 +10,6 @@
 //! it — usually on a different instance, because the message queue load
 //! balances freely.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -25,6 +24,7 @@ use gozer_obs::{
 use gozer_serial::SerError;
 use gozer_vm::{FiberObsEvent, FiberObsKind, Gvm};
 use parking_lot::{Mutex, RwLock};
+use rustc_hash::FxHashMap;
 
 use crate::cache::FiberCache;
 use crate::host::FiberHot;
@@ -249,8 +249,8 @@ pub(crate) struct Inner {
     /// ([`WorkflowServiceBuilder::tcp_listen`]): remote worker
     /// processes connect here to register compute capacity.
     pub tcp: Mutex<Option<Arc<TcpBroker>>>,
-    pub nodes: RwLock<HashMap<u32, Arc<NodeRuntime>>>,
-    pub hot: RwLock<HashMap<String, FiberHot>>,
+    pub nodes: RwLock<FxHashMap<u32, Arc<NodeRuntime>>>,
+    pub hot: RwLock<FxHashMap<String, FiberHot>>,
     pub next_task: AtomicU64,
     next_fiber: AtomicU64,
 }
@@ -379,8 +379,8 @@ impl WorkflowServiceBuilder {
             phase_hists,
             introspect: Mutex::new(None),
             tcp: Mutex::new(None),
-            nodes: RwLock::new(HashMap::new()),
-            hot: RwLock::new(HashMap::new()),
+            nodes: RwLock::new(FxHashMap::default()),
+            hot: RwLock::new(FxHashMap::default()),
             next_task: AtomicU64::new(1),
             next_fiber: AtomicU64::new(1),
         });

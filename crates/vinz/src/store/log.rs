@@ -72,7 +72,6 @@
 //! held-message list) → `pending`. The writer holds none of the store's
 //! locks while it calls the commit hook.
 
-use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::os::unix::fs::FileExt;
@@ -82,6 +81,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
+use rustc_hash::FxHashMap;
 
 use super::{CommitHook, DurabilityTicket, StateStore, StoreError, Watermark};
 
@@ -135,7 +135,7 @@ struct OverlayVal {
 struct PendingState {
     /// Read-your-writes view of everything enqueued but not yet
     /// committed; cleared per-key as commits catch up.
-    overlay: HashMap<String, OverlayVal>,
+    overlay: FxHashMap<String, OverlayVal>,
     /// In `seq` order.
     queue: Vec<QueueEntry>,
     /// Highest watermark somebody is known to be waiting for. While it
@@ -204,7 +204,7 @@ struct LogInner {
     compact_dead_ratio: f64,
     compact_min_bytes: u64,
 
-    index: RwLock<HashMap<String, Loc>>,
+    index: RwLock<FxHashMap<String, Loc>>,
     pending: Mutex<PendingState>,
     work_cv: Condvar,
     commit: Mutex<CommitState>,
@@ -214,7 +214,7 @@ struct LogInner {
     next_seq: AtomicU64,
     stop: AtomicU8,
 
-    readers: Mutex<HashMap<u64, Arc<File>>>,
+    readers: Mutex<FxHashMap<u64, Arc<File>>>,
 
     written: AtomicU64,
     read: AtomicU64,
@@ -341,7 +341,7 @@ impl LogStore {
             durable_seq: AtomicU64::new(recovered.next_seq),
             next_seq: AtomicU64::new(recovered.next_seq),
             stop: AtomicU8::new(RUNNING),
-            readers: Mutex::new(HashMap::new()),
+            readers: Mutex::new(FxHashMap::default()),
             written: AtomicU64::new(0),
             read: AtomicU64::new(0),
             stats: StatCells::default(),
@@ -1016,7 +1016,7 @@ fn write_checkpoint(inner: &LogInner, replay_from: u64) -> Result<(), StoreError
 }
 
 struct Recovered {
-    index: HashMap<String, Loc>,
+    index: FxHashMap<String, Loc>,
     next_seq: u64,
     /// Highest segment id present (0 if none).
     max_seg: u64,
@@ -1025,12 +1025,12 @@ struct Recovered {
 struct Checkpoint {
     seq: u64,
     replay_from: u64,
-    index: HashMap<String, Loc>,
+    index: FxHashMap<String, Loc>,
 }
 
 /// The index as replay has rebuilt it so far.
 struct Replay {
-    index: HashMap<String, Loc>,
+    index: FxHashMap<String, Loc>,
     /// Records at or below this are already reflected in `index` by the
     /// checkpoint (compaction rewrites keep their original seq and are
     /// indexed before the checkpoint publishes).
@@ -1043,7 +1043,7 @@ struct Replay {
 fn recover(dir: &Path) -> Result<Recovered, StoreError> {
     let (ckpt_seq, replay_from, index) = match load_checkpoint(dir)? {
         Some(c) => (c.seq, c.replay_from, c.index),
-        None => (0, 0, HashMap::new()),
+        None => (0, 0, FxHashMap::default()),
     };
     let mut replay = Replay {
         index,
@@ -1280,7 +1280,7 @@ fn load_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, StoreError> {
     let seq = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
     let replay_from = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
     let nkeys = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-    let mut index = HashMap::new();
+    let mut index = FxHashMap::default();
     for _ in 0..nkeys {
         let klen = u16::from_le_bytes(take(&mut cur, 2)?.try_into().unwrap()) as usize;
         let key = std::str::from_utf8(take(&mut cur, klen)?)

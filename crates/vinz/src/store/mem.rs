@@ -1,17 +1,17 @@
 //! [`MemStore`]: the in-process shared map standing in for the
 //! enterprise NAS in tests and benches.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
+use rustc_hash::FxHashMap;
 
 use super::{StateStore, StoreError};
 
 /// In-memory store shared by all simulated nodes.
 #[derive(Default)]
 pub struct MemStore {
-    map: RwLock<HashMap<String, Vec<u8>>>,
+    map: RwLock<FxHashMap<String, Vec<u8>>>,
     written: AtomicU64,
     read: AtomicU64,
     /// Optional per-byte artificial IO latency in nanoseconds, to model

@@ -28,13 +28,13 @@
 //! [`Inner::fail_task`] — the paper's survivability story needs a
 //! *defined* end state for poison messages, not an eternal hang.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use gozer_obs::{Event, EventKind};
 use gozer_vm::Condition;
+use rustc_hash::FxHashMap;
 
 use crate::host::{FiberPhase, Wait};
 use crate::service::{Inner, VinzError};
@@ -126,17 +126,17 @@ struct ScanState {
     stalled_since: Option<Instant>,
     /// Resume messages re-sent recently (cooldown keyed by a
     /// per-message string), so a slow resume isn't spammed every tick.
-    resent: HashMap<String, Instant>,
+    resent: FxHashMap<String, Instant>,
     /// First time each in-flight call-req key was observed.
-    call_seen: HashMap<String, Instant>,
+    call_seen: FxHashMap<String, Instant>,
 }
 
 fn supervise(weak: Weak<Inner>) {
     let mut st = ScanState {
         next_node: 100,
         stalled_since: None,
-        resent: HashMap::new(),
-        call_seen: HashMap::new(),
+        resent: FxHashMap::default(),
+        call_seen: FxHashMap::default(),
     };
     loop {
         let interval = {

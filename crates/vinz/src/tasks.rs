@@ -138,8 +138,7 @@ impl Inner {
         let deadline = deadline_ms
             .and_then(|s| s.parse::<u64>().ok())
             .map(|ms| msg.enqueued_at + Duration::from_millis(ms));
-        self.tracker.task_started(&task_id, deadline);
-        self.tracker.fiber_created(&task_id);
+        self.tracker.task_born(&task_id, deadline);
         self.metrics.tasks_started.fetch_add(1, Ordering::Relaxed);
 
         let mut state = rt

@@ -1,7 +1,6 @@
 //! The global task tracking service (paper §4.2 mentions BlueBox provides
 //! one): task status, results, fiber accounting, and blocking waits.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -9,6 +8,7 @@ use gozer_lang::Value;
 use gozer_obs::{Phase, PhaseBreakdown};
 use gozer_vm::Condition;
 use parking_lot::{Condvar, Mutex};
+use rustc_hash::FxHashMap;
 
 /// Lifecycle of a task.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +95,7 @@ impl TaskRecord {
 /// The tracker.
 #[derive(Default)]
 pub struct TaskTracker {
-    state: Mutex<HashMap<String, TaskRecord>>,
+    state: Mutex<FxHashMap<String, TaskRecord>>,
     cond: Condvar,
     /// Tasks started but not yet final — kept as an atomic beside the
     /// map so the admission gate can read it without taking the lock.
@@ -115,27 +115,41 @@ impl TaskTracker {
     /// decomposition covers the full tracker window from nanosecond
     /// zero.
     pub fn task_started(&self, id: &str, deadline: Option<Instant>) {
-        let mut st = self.state.lock();
-        if st.contains_key(id) {
-            return;
+        self.register(&mut self.state.lock(), id, deadline);
+    }
+
+    /// [`task_started`](Self::task_started) and the birth of the task's
+    /// main fiber, under one lock: what `Start` records.
+    pub fn task_born(&self, id: &str, deadline: Option<Instant>) {
+        self.register(&mut self.state.lock(), id, deadline).fibers_created += 1;
+    }
+
+    fn register<'a>(
+        &self,
+        st: &'a mut FxHashMap<String, TaskRecord>,
+        id: &str,
+        deadline: Option<Instant>,
+    ) -> &'a mut TaskRecord {
+        if !st.contains_key(id) {
+            self.running.fetch_add(1, Ordering::Relaxed);
+            let now = Instant::now();
+            st.insert(
+                id.to_string(),
+                TaskRecord {
+                    id: id.to_string(),
+                    status: TaskStatus::Running,
+                    fibers_created: 0,
+                    fibers_finished: 0,
+                    started_at: now,
+                    finished_at: None,
+                    deadline,
+                    phases: PhaseBreakdown::default(),
+                    current_phase: Some(Phase::QueueWait),
+                    phase_since: now,
+                },
+            );
         }
-        self.running.fetch_add(1, Ordering::Relaxed);
-        let now = Instant::now();
-        st.insert(
-            id.to_string(),
-            TaskRecord {
-                id: id.to_string(),
-                status: TaskStatus::Running,
-                fibers_created: 0,
-                fibers_finished: 0,
-                started_at: now,
-                finished_at: None,
-                deadline,
-                phases: PhaseBreakdown::default(),
-                current_phase: Some(Phase::QueueWait),
-                phase_since: now,
-            },
-        );
+        st.get_mut(id).expect("the task was registered above")
     }
 
     /// Flip a task's ledger into `phase`: bank the open phase's time

@@ -621,17 +621,19 @@ fn only_a_joined_fiber_costs_a_delete() {
 
 #[test]
 fn seed_cache_use_is_counted_and_exported() {
-    // `fan` suspends once per child under an untouched `main` frame. Its
-    // first save (a full one) leaves the seeding tables behind, so while
-    // the node cache holds the fiber no delta walks a clean frame; with
-    // room for one fiber every child's birth evicts the parent, and each
+    // `fan` suspends once per child under an untouched frame of its
+    // own. Its first save (a full one) leaves the seeding tables behind,
+    // so while the node cache holds the fiber no delta walks a clean
+    // frame. A fiber is out of the cache while it runs, so with room for
+    // one entry it is the *other* `fan` of the `parallel` — its saves,
+    // its children's births — that evicts a suspended one, and each
     // reload rebuilds the tables from the frames it read.
     for (cache_capacity, walks) in [(vinz::VinzConfig::default().cache_capacity, false), (1, true)] {
         let cluster = Cluster::new();
         let wf = WorkflowService::builder(&cluster, "wf")
             .source(
                 "(defun fan (n) (apply #'+ (for-each (i in (range n)) (* i i))))
-                 (defun main (n) (list (fan n) (fan n)))",
+                 (defun main (n) (parallel (fan n) (fan n)))",
             )
             .config(vinz::VinzConfig {
                 cache_capacity,

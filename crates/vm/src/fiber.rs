@@ -180,12 +180,6 @@ impl SeedCache {
         *self.0.lock() = (frames, Some(tables));
     }
 
-    /// Hand the tables to `other` — a copy of the same continuation that
-    /// is about to run in this one's place.
-    pub fn move_to(&self, other: &SeedCache) {
-        *other.0.lock() = self.take();
-    }
-
     /// Frames at or above `frames` may have changed: the tables stay
     /// valid for at most that many leading frames.
     pub fn lower(&mut self, frames: usize) {

@@ -7,13 +7,13 @@
 //! tasks run against one `Gvm` per node, exactly as multiple workflow
 //! service threads share one JVM in production.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gozer_lang::reader::SharedStream;
 use gozer_lang::{LangError, ReadEval, Reader, Symbol, Value};
 use parking_lot::{Mutex, RwLock};
+use rustc_hash::FxHashMap;
 
 use crate::bytecode::{fnv1a64, ProgramRef};
 use crate::compiler::{Compiler, MacroHost};
@@ -121,7 +121,7 @@ pub type FiberObserver = Arc<dyn Fn(&FiberObsEvent<'_>) + Send + Sync>;
 ///   redefinition and still observe the new value;
 /// * lock order is `map` then `slots`, everywhere.
 struct GlobalTable {
-    map: RwLock<HashMap<Symbol, u32>>,
+    map: RwLock<FxHashMap<Symbol, u32>>,
     slots: RwLock<Vec<Value>>,
     gen: AtomicU32,
     /// Bumped on *every* write (new definition or in-place update).
@@ -134,7 +134,7 @@ struct GlobalTable {
 impl GlobalTable {
     fn new() -> GlobalTable {
         GlobalTable {
-            map: RwLock::new(HashMap::with_capacity(256)),
+            map: RwLock::new(FxHashMap::with_capacity_and_hasher(256, Default::default())),
             slots: RwLock::new(Vec::with_capacity(256)),
             gen: AtomicU32::new(1),
             epoch: AtomicU64::new(1),
@@ -189,10 +189,10 @@ impl GlobalTable {
 /// The engine.
 pub struct Gvm {
     globals: GlobalTable,
-    macros: RwLock<HashMap<Symbol, Value>>,
+    macros: RwLock<FxHashMap<Symbol, Value>>,
     /// The active read table; `set-macro-character` mutates it.
     pub reader: Mutex<Reader>,
-    programs: RwLock<HashMap<u64, ProgramRef>>,
+    programs: RwLock<FxHashMap<u64, ProgramRef>>,
     pool: Arc<ThreadPool>,
     gensym_counter: AtomicU64,
     /// Captured output of `log`/`print` for tests and the workflow trace.
@@ -231,9 +231,9 @@ impl Gvm {
     pub fn with_pool(pool: Arc<ThreadPool>) -> Arc<Gvm> {
         let gvm = Arc::new(Gvm {
             globals: GlobalTable::new(),
-            macros: RwLock::new(HashMap::new()),
+            macros: RwLock::new(FxHashMap::default()),
             reader: Mutex::new(Reader::new()),
-            programs: RwLock::new(HashMap::new()),
+            programs: RwLock::new(FxHashMap::default()),
             pool,
             gensym_counter: AtomicU64::new(0),
             log: Mutex::new(Vec::new()),

@@ -23,13 +23,13 @@
 //! under its own root, so nested activations show up as separate stacks
 //! in the folded output.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use gozer_obs::{FnProfile, ProfileReport};
 use parking_lot::{Mutex, RwLock};
+use rustc_hash::FxHashMap;
 
 use crate::bytecode::Op;
 use crate::fiber::Frame;
@@ -143,8 +143,8 @@ pub struct VmProfiler {
     /// Dense `OPCODE_COUNT × OPCODE_COUNT` matrix of adjacent dynamic
     /// pairs, row = first opcode of the pair.
     pairs: Vec<AtomicU64>,
-    fns: RwLock<HashMap<(u64, u32), Arc<FnStat>>>,
-    folded: Mutex<HashMap<Arc<str>, u64>>,
+    fns: RwLock<FxHashMap<(u64, u32), Arc<FnStat>>>,
+    folded: Mutex<FxHashMap<Arc<str>, u64>>,
 }
 
 impl Default for VmProfiler {
@@ -155,8 +155,8 @@ impl Default for VmProfiler {
             pairs: std::iter::repeat_with(|| AtomicU64::new(0))
                 .take(OPCODE_COUNT * OPCODE_COUNT)
                 .collect(),
-            fns: RwLock::new(HashMap::new()),
-            folded: Mutex::new(HashMap::new()),
+            fns: RwLock::new(FxHashMap::default()),
+            folded: Mutex::new(FxHashMap::default()),
         }
     }
 }
@@ -195,7 +195,7 @@ impl VmProfiler {
         let mut scope = ProfScope {
             prof: self,
             stack: Vec::with_capacity(frames.len().max(8)),
-            local_folded: HashMap::new(),
+            local_folded: FxHashMap::default(),
             prev_op: None,
         };
         scope.seed(frames);
@@ -282,7 +282,7 @@ pub(crate) struct ProfScope<'p> {
     /// Folded-path weights buffered locally and flushed on drop, so a
     /// hot recursive function costs an atomic add per return, not a
     /// global map lock.
-    local_folded: HashMap<Arc<str>, u64>,
+    local_folded: FxHashMap<Arc<str>, u64>,
     /// Previous *constituent* opcode index, for the adjacent-pair
     /// matrix. Per-activation (resets at scope creation), so the pair
     /// stream is a pure function of the constituent opcode stream and
