@@ -4,7 +4,7 @@
 CARGO ?= cargo
 CHAOS_SEEDS ?= 16
 
-.PHONY: build test test-chaos fuzz-smoke experiments-smoke taskbench-smoke ci
+.PHONY: build test test-chaos test-repeat fuzz-smoke experiments-smoke taskbench-smoke ci
 
 build:
 	$(CARGO) build --release
@@ -18,6 +18,12 @@ test:
 test-chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(CARGO) test -p vinz --test chaos -- --nocapture
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(CARGO) test --test survivability
+
+# Repeat the tests matching TEST (a cargo test-name filter) N times
+# beside two busy CPU hogs and print passes/N; fails unless all pass.
+N ?= 20
+test-repeat:
+	sh scripts/test_repeat.sh "$(TEST)" $(N)
 
 # Bounded-iteration run of every fuzz target (reader, compiler, serial
 # state, serial delta, ...). FUZZ_ITERS to widen, FUZZ_SEED=<n> to

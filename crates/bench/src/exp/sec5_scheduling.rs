@@ -60,22 +60,19 @@ fn policy_run(policy: Policy) -> (usize, usize, Duration) {
         .unwrap();
     let specs = burst(99);
     let t0 = Instant::now();
-    // Submit the whole burst concurrently: all Start messages hit the
-    // queue before any RunFiber work begins, as with independent clients.
-    let tasks: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .iter()
-            .map(|s| {
-                let wf = sys.workflow.clone();
-                let (busy, deadline) = (s.busy_ms, s.deadline);
-                scope.spawn(move || {
-                    wf.start("main", vec![Value::Float(busy)], Some(deadline))
-                        .unwrap()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    // Submit the burst in order: a `start` only sends its Start, so every
+    // Start is queued, batch first, before the RunFibers they cause, and
+    // the interactive work arrives behind the batch on every run. (Racing
+    // one client thread per task made the order, and FCFS's misses, a
+    // matter of which thread the host ran first.)
+    let tasks: Vec<String> = specs
+        .iter()
+        .map(|s| {
+            sys.workflow
+                .start("main", vec![Value::Float(s.busy_ms)], Some(s.deadline))
+                .unwrap()
+        })
+        .collect();
     let mut missed = 0;
     for task in &tasks {
         let rec = sys.wait(task, Duration::from_secs(300)).expect("finishes");

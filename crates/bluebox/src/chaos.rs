@@ -101,11 +101,6 @@ impl ChaosRng {
         lo.wrapping_add(self.below((hi - lo) as u64) as i64)
     }
 
-    /// Bernoulli trial: true `permille` times out of 1000.
-    pub fn chance(&mut self, permille: u32) -> bool {
-        self.below(1000) < permille as u64
-    }
-
     /// Derive an independent generator (parent advances once).
     pub fn split(&mut self) -> ChaosRng {
         ChaosRng::new(self.next_u64() ^ 0xA5A5_A5A5_5A5A_5A5A)

@@ -6,7 +6,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender};
-use gozer_obs::{Event, EventKind, Histogram, Obs, Phase};
+use gozer_obs::{Event, EventKind, Obs, Phase};
 use gozer_xml::ServiceDescription;
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
@@ -14,7 +14,7 @@ use rustc_hash::FxHashMap;
 use crate::chaos::{ChaosPlan, FaultAction};
 use crate::message::{Fault, Message, ReplyTo};
 use crate::metrics::Metrics;
-use crate::queue::{Policy, ServiceQueue};
+use crate::queue::{AffinityCounts, Policy, ServiceQueue};
 use crate::recovery::{DeadLetter, Lease, PendingReclaim, RecoveryConfig, RecoveryStats, RecoveryStatsSnapshot};
 use crate::tcp::TcpBroker;
 
@@ -128,8 +128,10 @@ pub struct Cluster {
     next_instance: AtomicU64,
     policy: Policy,
     /// Steal slack applied to queues created from now on (see
-    /// [`ServiceQueue::with_affinity_slack`]).
+    /// [`Cluster::set_affinity_slack`]).
     affinity_slack: RwLock<usize>,
+    /// The affinity delivery counts every queue of this cluster adds to.
+    affinity: AffinityCounts,
     /// Maps a fiber id to its affine node, so service replies
     /// (`ResumeFromCall`) inherit the placement hint of the fiber they
     /// resume. Installed by the embedder (Vinz).
@@ -141,11 +143,8 @@ pub struct Cluster {
     phase_observer: Hook<PhaseObserver>,
     chaos: RwLock<Option<Arc<ChaosPlan>>>,
     /// Broker metrics.
-    pub metrics: Arc<Metrics>,
+    pub metrics: Metrics,
     obs: Arc<Obs>,
-    hist_wait: Arc<Histogram>,
-    hist_busy: Arc<Histogram>,
-    hist_sync: Arc<Histogram>,
     // --- recovery layer ---------------------------------------------------
     recovery_cfg: RwLock<RecoveryConfig>,
     /// Outstanding leases by broker message id.
@@ -157,7 +156,7 @@ pub struct Cluster {
     /// Per-queue dead-letter stores.
     dead: Mutex<FxHashMap<String, Vec<DeadLetter>>>,
     dead_observers: Mutex<Vec<DeadLetterObserver>>,
-    recovery_stats: Arc<RecoveryStats>,
+    recovery_stats: RecoveryStats,
     closed: AtomicBool,
     reaper: Mutex<Option<JoinHandle<()>>>,
     // --- speculative persistence (store watermark gating) -------------
@@ -169,8 +168,7 @@ pub struct Cluster {
     /// `hold_until` gate. Dropped on shutdown — exactly what a crash
     /// would do to effects whose save never became durable.
     held: Mutex<Vec<Message>>,
-    held_total: AtomicU64,
-    held_released: AtomicU64,
+    held_total: Arc<AtomicU64>,
     /// The TCP listener remote worker processes register through, once
     /// [`TcpBroker::start`] has put one up; shut down with the cluster.
     pub(crate) tcp: Mutex<Option<Arc<TcpBroker>>>,
@@ -185,39 +183,6 @@ impl Cluster {
     /// New cluster with the given queue scheduling policy.
     pub fn with_policy(policy: Policy) -> Arc<Cluster> {
         let obs = Arc::new(Obs::new());
-        let metrics = Arc::new(Metrics::default());
-        register_broker_metrics(&obs, &metrics);
-        let reg = &obs.registry;
-        let hist_wait = reg.histogram(
-            "bluebox_queue_wait_seconds",
-            "Message queue wait, enqueue to delivery.",
-            "",
-        );
-        let hist_busy = reg.histogram(
-            "bluebox_handler_busy_seconds",
-            "Time spent inside handlers.",
-            "",
-        );
-        let hist_sync = reg.histogram(
-            "bluebox_sync_block_seconds",
-            "Caller block time of synchronous nested calls.",
-            "",
-        );
-        let recovery_stats = Arc::new(RecoveryStats::default());
-        let rs = recovery_stats.clone();
-        reg.counter_fn(
-            "bluebox_lease_reclaims_total",
-            "In-flight messages reclaimed from dead or stale instances.",
-            "",
-            move || rs.reclaims.load(Ordering::Relaxed),
-        );
-        let rs = recovery_stats.clone();
-        reg.counter_fn(
-            "gozer_dead_letters_total",
-            "Messages quarantined after exhausting their redelivery budget.",
-            "",
-            move || rs.dead_letters.load(Ordering::Relaxed),
-        );
         let cluster = Arc::new(Cluster {
             queues: RwLock::new(FxHashMap::default()),
             services: RwLock::new(FxHashMap::default()),
@@ -228,71 +193,27 @@ impl Cluster {
             next_instance: AtomicU64::new(1),
             policy,
             affinity_slack: RwLock::new(crate::queue::DEFAULT_AFFINITY_SLACK),
+            affinity: AffinityCounts::default(),
             affinity_resolver: RwLock::new(None),
             phase_observer: RwLock::new(None),
             chaos: RwLock::new(None),
-            metrics,
+            metrics: Metrics::default(),
             obs,
-            hist_wait,
-            hist_busy,
-            hist_sync,
             recovery_cfg: RwLock::new(RecoveryConfig::default()),
             leases: Mutex::new(FxHashMap::default()),
             reclaims_pending: Mutex::new(Vec::new()),
             delayed: Mutex::new(Vec::new()),
             dead: Mutex::new(FxHashMap::default()),
             dead_observers: Mutex::new(Vec::new()),
-            recovery_stats,
+            recovery_stats: RecoveryStats::default(),
             closed: AtomicBool::new(false),
             reaper: Mutex::new(None),
             durability_probe: RwLock::new(None),
             held: Mutex::new(Vec::new()),
-            held_total: AtomicU64::new(0),
-            held_released: AtomicU64::new(0),
+            held_total: Arc::default(),
             tcp: Mutex::new(None),
         });
-        // Affinity delivery counters, summed across all service queues.
-        let weak = Arc::downgrade(&cluster);
-        cluster.obs.registry.counter_fn(
-            "gozer_affinity_hits_total",
-            "Affinity-stamped messages delivered to their affine node.",
-            "",
-            move || weak.upgrade().map_or(0, |c| c.affinity_stats().0),
-        );
-        let weak = Arc::downgrade(&cluster);
-        cluster.obs.registry.counter_fn(
-            "gozer_affinity_misses_total",
-            "Affinity-stamped messages delivered elsewhere (steal or dead node).",
-            "",
-            move || weak.upgrade().map_or(0, |c| c.affinity_stats().1),
-        );
-        // Speculative-persistence gate visibility.
-        let weak = Arc::downgrade(&cluster);
-        cluster.obs.registry.counter_fn(
-            "gozer_messages_held_total",
-            "Outbound messages parked behind a not-yet-durable store watermark.",
-            "",
-            move || {
-                weak.upgrade()
-                    .map_or(0, |c| c.held_total.load(Ordering::Relaxed))
-            },
-        );
-        let weak = Arc::downgrade(&cluster);
-        cluster.obs.registry.gauge_fn(
-            "gozer_messages_held",
-            "Messages currently parked awaiting durability.",
-            "",
-            move || weak.upgrade().map_or(0, |c| c.held.lock().len() as i64),
-        );
-        // Backpressure introspection: total waiting messages across all
-        // service queues, read by admission gates and the scale bench.
-        let weak = Arc::downgrade(&cluster);
-        cluster.obs.registry.gauge_fn(
-            "gozer_queue_depth",
-            "Waiting messages across all service queues.",
-            "",
-            move || weak.upgrade().map_or(0, |c| c.total_queue_depth() as i64),
-        );
+        cluster.register_metrics();
         let weak = Arc::downgrade(&cluster);
         let reaper = std::thread::Builder::new()
             .name("bb-reaper".into())
@@ -367,7 +288,6 @@ impl Cluster {
     /// long it was parked (so queue-wait accounting can exclude it),
     /// flip its task back to `queue_wait`, and dispatch.
     fn release_held(&self, mut msg: Message) {
-        self.held_released.fetch_add(1, Ordering::Relaxed);
         let held = msg.enqueued_at.elapsed().as_nanos() as u64;
         msg.held_nanos = msg.held_nanos.saturating_add(held);
         self.obs.bus.emit(|| {
@@ -390,11 +310,60 @@ impl Cluster {
     /// `(hits, misses)` — the `gozer_affinity_hits_total` /
     /// `gozer_affinity_misses_total` metrics.
     pub fn affinity_stats(&self) -> (u64, u64) {
-        let queues = self.queues.read();
-        queues.values().fold((0, 0), |(h, m), q| {
-            let (qh, qm) = q.affinity_counts();
-            (h + qh, m + qm)
-        })
+        let AffinityCounts { hits, misses } = &self.affinity;
+        (hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed))
+    }
+
+    /// Adopt every broker handle into the registry, and register the
+    /// two gauges that are sizes of live structures.
+    fn register_metrics(self: &Arc<Self>) {
+        let reg = &self.obs.registry;
+        self.metrics.register(reg);
+        for (name, help, handle) in [
+            (
+                "bluebox_lease_reclaims_total",
+                "In-flight messages reclaimed from dead or stale instances.",
+                &self.recovery_stats.reclaims,
+            ),
+            (
+                "gozer_dead_letters_total",
+                "Messages quarantined after exhausting their redelivery budget.",
+                &self.recovery_stats.dead_letters,
+            ),
+            (
+                "gozer_affinity_hits_total",
+                "Affinity-stamped messages delivered to their affine node.",
+                &self.affinity.hits,
+            ),
+            (
+                "gozer_affinity_misses_total",
+                "Affinity-stamped messages delivered elsewhere (steal or dead node).",
+                &self.affinity.misses,
+            ),
+            (
+                "gozer_messages_held_total",
+                "Outbound messages parked behind a not-yet-durable store watermark.",
+                &self.held_total,
+            ),
+        ] {
+            reg.counter(name, help, "", handle);
+        }
+        let weak = Arc::downgrade(self);
+        reg.gauge_fn(
+            "gozer_messages_held",
+            "Messages currently parked awaiting durability.",
+            "",
+            move || weak.upgrade().map_or(0, |c| c.held.lock().len() as u64),
+        );
+        // Backpressure introspection: total waiting messages across all
+        // service queues, read by admission gates and the scale bench.
+        let weak = Arc::downgrade(self);
+        reg.gauge_fn(
+            "gozer_queue_depth",
+            "Waiting messages across all service queues.",
+            "",
+            move || weak.upgrade().map_or(0, |c| c.total_queue_depth() as u64),
+        );
     }
 
     /// The cluster's observability handle: the shared event bus and
@@ -428,7 +397,13 @@ impl Cluster {
         let slack = *self.affinity_slack.read();
         queues
             .entry(service.to_string())
-            .or_insert_with(|| Arc::new(ServiceQueue::with_affinity_slack(self.policy, slack)))
+            .or_insert_with(|| {
+                Arc::new(ServiceQueue::with_affinity(
+                    self.policy,
+                    slack,
+                    self.affinity.clone(),
+                ))
+            })
             .clone()
     }
 
@@ -568,10 +543,8 @@ impl Cluster {
         // Pure queue wait: durability-hold time (stamped on release) is
         // its own latency phase, not queue time.
         let wait = (msg.enqueued_at.elapsed().as_nanos() as u64).saturating_sub(msg.held_nanos);
-        metrics.add(&metrics.delivered, 1);
-        metrics.add(&metrics.wait_nanos, wait);
-        metrics.add(&metrics.wait_count, 1);
-        self.hist_wait.observe_nanos(wait);
+        metrics.delivered.fetch_add(1, Ordering::Relaxed);
+        metrics.wait.observe_nanos(wait);
         self.obs.bus.emit(|| {
             msg_event(msg, |service, operation| EventKind::MessageDelivered {
                 service,
@@ -594,7 +567,7 @@ impl Cluster {
     pub fn send(&self, mut msg: Message) {
         msg.id = self.next_msg_id.fetch_add(1, Ordering::Relaxed);
         msg.enqueued_at = Instant::now();
-        self.metrics.add(&self.metrics.sent, 1);
+        self.metrics.sent.fetch_add(1, Ordering::Relaxed);
         self.obs.bus.emit(|| {
             msg_event(&msg, |service, operation| EventKind::MessageSent { service, operation })
         });
@@ -727,9 +700,7 @@ impl Cluster {
         let started = Instant::now();
         let result = rx.recv_timeout(timeout);
         let blocked = started.elapsed().as_nanos() as u64;
-        self.metrics.add(&self.metrics.sync_block_nanos, blocked);
-        self.metrics.add(&self.metrics.sync_block_count, 1);
-        self.hist_sync.observe_nanos(blocked);
+        self.metrics.sync_block.observe_nanos(blocked);
         match result {
             Ok(Ok(body)) => Ok(body),
             Ok(Err(fault)) => Err(CallError::Fault(fault)),
@@ -744,12 +715,12 @@ impl Cluster {
         match &request.reply_to {
             ReplyTo::Nowhere => {
                 if result.is_err() {
-                    self.metrics.add(&self.metrics.faults, 1);
+                    self.metrics.faults.fetch_add(1, Ordering::Relaxed);
                 }
             }
             ReplyTo::Caller { correlation } => {
                 if result.is_err() {
-                    self.metrics.add(&self.metrics.faults, 1);
+                    self.metrics.faults.fetch_add(1, Ordering::Relaxed);
                 }
                 // Chaos reply loss: the caller's entry stays in
                 // `pending` and the call surfaces as a timeout, exactly
@@ -791,7 +762,7 @@ impl Cluster {
                 match result {
                     Ok(body) => reply.body = body,
                     Err(fault) => {
-                        self.metrics.add(&self.metrics.faults, 1);
+                        self.metrics.faults.fetch_add(1, Ordering::Relaxed);
                         reply = reply
                             .header("fault-code", fault.code)
                             .header("fault-message", fault.message);
@@ -995,7 +966,7 @@ impl Cluster {
             ready
         };
         for p in ready {
-            self.metrics.add(&self.metrics.redelivered, 1);
+            self.metrics.redelivered.fetch_add(1, Ordering::Relaxed);
             self.recovery_stats.reclaims.fetch_add(1, Ordering::Relaxed);
             self.obs.bus.emit(|| {
                 msg_event(&p.msg, |service, operation| EventKind::LeaseReclaimed { service, operation })
@@ -1049,7 +1020,7 @@ impl Cluster {
         if msg.redeliveries >= budget {
             self.quarantine_inner(service, msg, reason, false);
         } else {
-            self.metrics.add(&self.metrics.redelivered, 1);
+            self.metrics.redelivered.fetch_add(1, Ordering::Relaxed);
             self.emit_redelivered(&msg);
             // push_front bumps the redelivery count, so the budget
             // converges even when every attempt fails the same way.
@@ -1176,7 +1147,7 @@ fn instance_loop(
                     // The handoff is lost in transit: re-queue, stay
                     // alive (at-least-once redelivery, not a crash).
                     cluster.emit_fault(&msg, "drop");
-                    metrics.add(&metrics.redelivered, 1);
+                    metrics.redelivered.fetch_add(1, Ordering::Relaxed);
                     cluster.emit_redelivered(&msg);
                     cluster.leases.lock().remove(&msg.id);
                     cluster.note_phase(&msg, Phase::QueueWait);
@@ -1215,9 +1186,7 @@ fn instance_loop(
         let started = Instant::now();
         let result = handler.handle(&ctx, &msg);
         let busy = started.elapsed().as_nanos() as u64;
-        metrics.add(&metrics.busy_nanos, busy);
-        metrics.add(&metrics.busy_count, 1);
-        cluster.hist_busy.observe_nanos(busy);
+        metrics.busy.observe_nanos(busy);
         metrics.exit_flight();
         control.busy.store(false, Ordering::Relaxed);
         // Crash after processing but before the ack/reply (manual kill
@@ -1245,7 +1214,7 @@ fn instance_loop(
         }
         cluster.leases.lock().remove(&msg.id);
         cluster.route_reply(&msg, result);
-        metrics.add(&metrics.completed, 1);
+        metrics.completed.fetch_add(1, Ordering::Relaxed);
         queue.settle();
     }
     queue.deregister_consumer(ctx.node_id);
@@ -1323,58 +1292,4 @@ fn task_of(msg: &Message) -> Option<&str> {
     let fiber = msg.get_header("fiber-id")?;
     let task = fiber.split('/').next()?;
     (!task.is_empty() && task != fiber).then_some(task)
-}
-
-/// Mirror the [`Metrics`] atomics into the registry as closure-backed
-/// samples: one source of truth, two read paths.
-fn register_broker_metrics(obs: &Arc<Obs>, metrics: &Arc<Metrics>) {
-    let reg = &obs.registry;
-    let mirror = |m: &Arc<Metrics>, f: fn(&Metrics) -> &AtomicU64| {
-        let m = m.clone();
-        move || f(&m).load(Ordering::Relaxed)
-    };
-    reg.counter_fn(
-        "bluebox_messages_sent_total",
-        "Messages accepted by the broker.",
-        "",
-        mirror(metrics, |m| &m.sent),
-    );
-    reg.counter_fn(
-        "bluebox_messages_delivered_total",
-        "Messages handed to an instance.",
-        "",
-        mirror(metrics, |m| &m.delivered),
-    );
-    reg.counter_fn(
-        "bluebox_messages_redelivered_total",
-        "Messages re-queued after a failed delivery.",
-        "",
-        mirror(metrics, |m| &m.redelivered),
-    );
-    reg.counter_fn(
-        "bluebox_handler_completions_total",
-        "Handler invocations that completed.",
-        "",
-        mirror(metrics, |m| &m.completed),
-    );
-    reg.counter_fn(
-        "bluebox_handler_faults_total",
-        "Handler invocations that returned a fault.",
-        "",
-        mirror(metrics, |m| &m.faults),
-    );
-    let m = metrics.clone();
-    reg.gauge_fn(
-        "bluebox_messages_in_flight",
-        "Messages currently being processed.",
-        "",
-        move || m.in_flight.load(Ordering::Relaxed) as i64,
-    );
-    let m = metrics.clone();
-    reg.gauge_fn(
-        "bluebox_messages_in_flight_peak",
-        "High-water mark of in-flight messages.",
-        "",
-        move || m.max_in_flight.load(Ordering::Relaxed) as i64,
-    );
 }

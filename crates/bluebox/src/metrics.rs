@@ -1,52 +1,44 @@
 //! Cluster-wide counters used by the benchmark harnesses (§3.2, §5).
 //!
-//! Each latency sum (`busy_nanos`, `wait_nanos`, `sync_block_nanos`)
-//! carries a paired observation count, so a mean is computable from any
-//! [`MetricsSnapshot`] — and two snapshots [`diff`](MetricsSnapshot::diff)
-//! into an interval view. The same atomics are mirrored into the
-//! cluster's [`gozer_obs::MetricsRegistry`] as closure-backed samples,
-//! so the text exporter and these counters can never disagree.
+//! Every field is a handle: the broker moves it, and the cluster's
+//! [`gozer_obs::MetricsRegistry`] adopts a clone of it, so the text
+//! exporter and a [`MetricsSnapshot`] read the same atomic. A latency
+//! is one [`Histogram`], whose count and sum are the snapshot's
+//! `*_count` / `*_nanos` pair.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
 
-/// Monotonic counters; cheap enough to leave always-on.
-#[derive(Debug, Default)]
+use gozer_obs::{Histogram, MetricsRegistry};
+
+/// Monotonic counters and latency histograms; cheap enough to leave
+/// always-on.
+#[derive(Default)]
 pub struct Metrics {
     /// Messages accepted by the broker.
-    pub sent: AtomicU64,
+    pub sent: Arc<AtomicU64>,
     /// Messages handed to an instance.
-    pub delivered: AtomicU64,
+    pub delivered: Arc<AtomicU64>,
     /// Messages re-queued after a failed delivery.
-    pub redelivered: AtomicU64,
+    pub redelivered: Arc<AtomicU64>,
     /// Handler invocations that completed (reply routed or none needed).
-    pub completed: AtomicU64,
+    pub completed: Arc<AtomicU64>,
     /// Handler invocations that returned a fault.
-    pub faults: AtomicU64,
-    /// Total time spent inside handlers.
-    pub busy_nanos: AtomicU64,
-    /// Number of handler invocations contributing to `busy_nanos`.
-    pub busy_count: AtomicU64,
-    /// Total message queue-wait time (enqueue → delivery).
-    pub wait_nanos: AtomicU64,
-    /// Number of deliveries contributing to `wait_nanos`.
-    pub wait_count: AtomicU64,
+    pub faults: Arc<AtomicU64>,
+    /// Messages currently being processed.
+    pub in_flight: Arc<AtomicU64>,
+    /// High-water mark of `in_flight`.
+    pub max_in_flight: Arc<AtomicU64>,
+    /// Message queue wait (enqueue → delivery).
+    pub wait: Arc<Histogram>,
+    /// Time spent inside handlers.
+    pub busy: Arc<Histogram>,
     /// Time instances spent blocked inside *synchronous* nested service
     /// calls — the wasted "request slot" time of §3.2.
-    pub sync_block_nanos: AtomicU64,
-    /// Number of synchronous calls contributing to `sync_block_nanos`.
-    pub sync_block_count: AtomicU64,
-    /// Messages currently being processed.
-    pub in_flight: AtomicU64,
-    /// High-water mark of `in_flight`.
-    pub max_in_flight: AtomicU64,
+    pub sync_block: Arc<Histogram>,
 }
 
 impl Metrics {
-    pub(crate) fn add(&self, counter: &AtomicU64, v: u64) {
-        counter.fetch_add(v, Ordering::Relaxed);
-    }
-
     pub(crate) fn enter_flight(&self) {
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.max_in_flight.fetch_max(now, Ordering::Relaxed);
@@ -56,36 +48,91 @@ impl Metrics {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Mean queue wait per delivery, or `None` before any delivery.
-    pub fn mean_wait(&self) -> Option<Duration> {
-        self.snapshot().mean_wait()
-    }
-
-    /// Mean handler busy time, or `None` before any invocation.
-    pub fn mean_busy(&self) -> Option<Duration> {
-        self.snapshot().mean_busy()
-    }
-
-    /// Mean synchronous-call block time, or `None` before any call.
-    pub fn mean_sync_block(&self) -> Option<Duration> {
-        self.snapshot().mean_sync_block()
+    /// Adopt every handle into `reg`.
+    pub(crate) fn register(&self, reg: &MetricsRegistry) {
+        for (name, help, handle) in [
+            (
+                "bluebox_messages_sent_total",
+                "Messages accepted by the broker.",
+                &self.sent,
+            ),
+            (
+                "bluebox_messages_delivered_total",
+                "Messages handed to an instance.",
+                &self.delivered,
+            ),
+            (
+                "bluebox_messages_redelivered_total",
+                "Messages re-queued after a failed delivery.",
+                &self.redelivered,
+            ),
+            (
+                "bluebox_handler_completions_total",
+                "Handler invocations that completed.",
+                &self.completed,
+            ),
+            (
+                "bluebox_handler_faults_total",
+                "Handler invocations that returned a fault.",
+                &self.faults,
+            ),
+        ] {
+            reg.counter(name, help, "", handle);
+        }
+        reg.gauge(
+            "bluebox_messages_in_flight",
+            "Messages currently being processed.",
+            "",
+            &self.in_flight,
+        );
+        reg.gauge(
+            "bluebox_messages_in_flight_peak",
+            "High-water mark of in-flight messages.",
+            "",
+            &self.max_in_flight,
+        );
+        for (name, help, handle) in [
+            (
+                "bluebox_queue_wait_seconds",
+                "Message queue wait, enqueue to delivery.",
+                &self.wait,
+            ),
+            (
+                "bluebox_handler_busy_seconds",
+                "Time spent inside handlers.",
+                &self.busy,
+            ),
+            (
+                "bluebox_sync_block_seconds",
+                "Caller block time of synchronous nested calls.",
+                &self.sync_block,
+            ),
+        ] {
+            reg.histogram(name, help, "", handle);
+        }
     }
 
     /// Point-in-time copy for reporting.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let (wait, busy, sync_block) = (
+            self.wait.snapshot(),
+            self.busy.snapshot(),
+            self.sync_block.snapshot(),
+        );
         MetricsSnapshot {
-            sent: self.sent.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            redelivered: self.redelivered.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            faults: self.faults.load(Ordering::Relaxed),
-            busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
-            busy_count: self.busy_count.load(Ordering::Relaxed),
-            wait_nanos: self.wait_nanos.load(Ordering::Relaxed),
-            wait_count: self.wait_count.load(Ordering::Relaxed),
-            sync_block_nanos: self.sync_block_nanos.load(Ordering::Relaxed),
-            sync_block_count: self.sync_block_count.load(Ordering::Relaxed),
-            max_in_flight: self.max_in_flight.load(Ordering::Relaxed),
+            sent: load(&self.sent),
+            delivered: load(&self.delivered),
+            redelivered: load(&self.redelivered),
+            completed: load(&self.completed),
+            faults: load(&self.faults),
+            busy_nanos: busy.sum_nanos,
+            busy_count: busy.count,
+            wait_nanos: wait.sum_nanos,
+            wait_count: wait.count,
+            sync_block_nanos: sync_block.sum_nanos,
+            sync_block_count: sync_block.count,
+            max_in_flight: load(&self.max_in_flight),
         }
     }
 }
@@ -103,108 +150,127 @@ pub struct MetricsSnapshot {
     pub completed: u64,
     /// See [`Metrics::faults`].
     pub faults: u64,
-    /// See [`Metrics::busy_nanos`].
+    /// Total time spent inside handlers ([`Metrics::busy`]'s sum).
     pub busy_nanos: u64,
-    /// See [`Metrics::busy_count`].
+    /// Handler invocations behind `busy_nanos`.
     pub busy_count: u64,
-    /// See [`Metrics::wait_nanos`].
+    /// Total queue wait ([`Metrics::wait`]'s sum).
     pub wait_nanos: u64,
-    /// See [`Metrics::wait_count`].
+    /// Deliveries behind `wait_nanos`.
     pub wait_count: u64,
-    /// See [`Metrics::sync_block_nanos`].
+    /// Total synchronous-call block time ([`Metrics::sync_block`]'s sum).
     pub sync_block_nanos: u64,
-    /// See [`Metrics::sync_block_count`].
+    /// Synchronous calls behind `sync_block_nanos`.
     pub sync_block_count: u64,
     /// See [`Metrics::max_in_flight`].
     pub max_in_flight: u64,
 }
 
-impl MetricsSnapshot {
-    fn mean_of(nanos: u64, count: u64) -> Option<Duration> {
-        nanos.checked_div(count).map(Duration::from_nanos)
-    }
-
-    /// Mean queue wait per delivery, or `None` with zero deliveries.
-    pub fn mean_wait(&self) -> Option<Duration> {
-        Self::mean_of(self.wait_nanos, self.wait_count)
-    }
-
-    /// Mean handler busy time, or `None` with zero invocations.
-    pub fn mean_busy(&self) -> Option<Duration> {
-        Self::mean_of(self.busy_nanos, self.busy_count)
-    }
-
-    /// Mean synchronous-call block time, or `None` with zero calls.
-    pub fn mean_sync_block(&self) -> Option<Duration> {
-        Self::mean_of(self.sync_block_nanos, self.sync_block_count)
-    }
-
-    /// This snapshot minus an `earlier` one (saturating): counters and
-    /// latency pairs become interval deltas. `max_in_flight` keeps the
-    /// later high-water mark (it is not a counter).
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            sent: self.sent.saturating_sub(earlier.sent),
-            delivered: self.delivered.saturating_sub(earlier.delivered),
-            redelivered: self.redelivered.saturating_sub(earlier.redelivered),
-            completed: self.completed.saturating_sub(earlier.completed),
-            faults: self.faults.saturating_sub(earlier.faults),
-            busy_nanos: self.busy_nanos.saturating_sub(earlier.busy_nanos),
-            busy_count: self.busy_count.saturating_sub(earlier.busy_count),
-            wait_nanos: self.wait_nanos.saturating_sub(earlier.wait_nanos),
-            wait_count: self.wait_count.saturating_sub(earlier.wait_count),
-            sync_block_nanos: self.sync_block_nanos.saturating_sub(earlier.sync_block_nanos),
-            sync_block_count: self.sync_block_count.saturating_sub(earlier.sync_block_count),
-            max_in_flight: self.max_in_flight,
-        }
-    }
-}
-
 /// Counters of the TCP transport layer (see [`crate::tcp`]): framing
 /// traffic, connection churn, and the settle disambiguation outcomes
-/// the exactly-once tests assert on. Kept separate from [`Metrics`] —
-/// in-process instances have nothing to report, and embedders
-/// snapshot the broker counters by value.
+/// the exactly-once tests assert on. Kept separate from [`Metrics`]
+/// because in-process instances have nothing to report; a
+/// [`crate::TcpBroker`] adopts its handles into the cluster's registry
+/// when it starts.
 #[derive(Debug, Default)]
 pub struct TransportMetrics {
     /// Frames written to sockets.
-    pub frames_sent: AtomicU64,
+    pub frames_sent: Arc<AtomicU64>,
     /// Frames successfully decoded off sockets.
-    pub frames_received: AtomicU64,
+    pub frames_received: Arc<AtomicU64>,
     /// Bytes written to sockets (frame headers included).
-    pub bytes_sent: AtomicU64,
+    pub bytes_sent: Arc<AtomicU64>,
     /// Frames that failed to decode (bad CRC, bad tag, oversized,
     /// torn) — each one is connection-fatal.
-    pub decode_errors: AtomicU64,
+    pub decode_errors: Arc<AtomicU64>,
     /// Worker connections accepted (handshake completed).
-    pub worker_connects: AtomicU64,
+    pub worker_connects: Arc<AtomicU64>,
     /// Worker connections lost or closed.
-    pub worker_disconnects: AtomicU64,
+    pub worker_disconnects: Arc<AtomicU64>,
     /// Deliveries forwarded to remote workers.
-    pub remote_deliveries: AtomicU64,
+    pub remote_deliveries: Arc<AtomicU64>,
     /// Settles applied (the proxy still owned the lease).
-    pub remote_settles: AtomicU64,
+    pub remote_settles: Arc<AtomicU64>,
     /// Settles discarded because the lease was already reclaimed or
     /// the delivery superseded — the double-effect guard firing.
-    pub duplicate_settles: AtomicU64,
+    pub duplicate_settles: Arc<AtomicU64>,
     /// Heartbeat frames received from workers.
-    pub heartbeats: AtomicU64,
+    pub heartbeats: Arc<AtomicU64>,
 }
 
 impl TransportMetrics {
+    /// Adopt every handle into `reg`.
+    pub(crate) fn register(&self, reg: &MetricsRegistry) {
+        for (name, help, handle) in [
+            (
+                "bluebox_tcp_frames_sent_total",
+                "Frames written to worker sockets.",
+                &self.frames_sent,
+            ),
+            (
+                "bluebox_tcp_frames_received_total",
+                "Frames decoded off worker sockets.",
+                &self.frames_received,
+            ),
+            (
+                "bluebox_tcp_bytes_sent_total",
+                "Bytes written to worker sockets.",
+                &self.bytes_sent,
+            ),
+            (
+                "bluebox_tcp_decode_errors_total",
+                "Frames that failed to decode (each one is connection-fatal).",
+                &self.decode_errors,
+            ),
+            (
+                "bluebox_tcp_worker_connects_total",
+                "Worker connections accepted.",
+                &self.worker_connects,
+            ),
+            (
+                "bluebox_tcp_worker_disconnects_total",
+                "Worker connections lost or closed.",
+                &self.worker_disconnects,
+            ),
+            (
+                "bluebox_tcp_remote_deliveries_total",
+                "Deliveries forwarded to remote workers.",
+                &self.remote_deliveries,
+            ),
+            (
+                "bluebox_tcp_remote_settles_total",
+                "Remote settles applied to a live lease.",
+                &self.remote_settles,
+            ),
+            (
+                "bluebox_tcp_duplicate_settles_total",
+                "Remote settles discarded because the lease was already reclaimed or superseded.",
+                &self.duplicate_settles,
+            ),
+            (
+                "bluebox_tcp_heartbeats_total",
+                "Heartbeat frames received from workers.",
+                &self.heartbeats,
+            ),
+        ] {
+            reg.counter(name, help, "", handle);
+        }
+    }
+
     /// Point-in-time copy for reporting.
     pub fn snapshot(&self) -> TransportMetricsSnapshot {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         TransportMetricsSnapshot {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            worker_connects: self.worker_connects.load(Ordering::Relaxed),
-            worker_disconnects: self.worker_disconnects.load(Ordering::Relaxed),
-            remote_deliveries: self.remote_deliveries.load(Ordering::Relaxed),
-            remote_settles: self.remote_settles.load(Ordering::Relaxed),
-            duplicate_settles: self.duplicate_settles.load(Ordering::Relaxed),
-            heartbeats: self.heartbeats.load(Ordering::Relaxed),
+            frames_sent: load(&self.frames_sent),
+            frames_received: load(&self.frames_received),
+            bytes_sent: load(&self.bytes_sent),
+            decode_errors: load(&self.decode_errors),
+            worker_connects: load(&self.worker_connects),
+            worker_disconnects: load(&self.worker_disconnects),
+            remote_deliveries: load(&self.remote_deliveries),
+            remote_settles: load(&self.remote_settles),
+            duplicate_settles: load(&self.duplicate_settles),
+            heartbeats: load(&self.heartbeats),
         }
     }
 }
@@ -237,6 +303,7 @@ pub struct TransportMetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn flight_tracking() {
@@ -249,27 +316,36 @@ mod tests {
         assert_eq!(s.max_in_flight, 2);
     }
 
+    /// A latency pair is its histogram's count and sum: no mean before
+    /// the first observation, the exact one after.
     #[test]
     fn means_need_counts() {
         let m = Metrics::default();
-        assert_eq!(m.mean_wait(), None);
-        m.add(&m.wait_nanos, 3_000);
-        m.add(&m.wait_count, 2);
-        assert_eq!(m.mean_wait(), Some(Duration::from_nanos(1_500)));
+        assert_eq!(m.wait.snapshot().mean(), None);
+        m.wait.observe_nanos(1_000);
+        m.wait.observe_nanos(2_000);
+        let s = m.snapshot();
+        assert_eq!((s.wait_count, s.wait_nanos), (2, 3_000));
+        assert_eq!(m.wait.snapshot().mean(), Some(Duration::from_nanos(1_500)));
     }
 
+    /// The registry reads the handles the broker moves, so two of its
+    /// snapshots diff into the interval between them.
     #[test]
     fn snapshot_diff_isolates_interval() {
         let m = Metrics::default();
-        m.add(&m.busy_nanos, 10_000);
-        m.add(&m.busy_count, 1);
-        let before = m.snapshot();
-        m.add(&m.busy_nanos, 2_000);
-        m.add(&m.busy_count, 1);
-        m.add(&m.busy_nanos, 4_000);
-        m.add(&m.busy_count, 1);
-        let delta = m.snapshot().diff(&before);
-        assert_eq!(delta.busy_count, 2);
-        assert_eq!(delta.mean_busy(), Some(Duration::from_nanos(3_000)));
+        let reg = MetricsRegistry::new();
+        m.register(&reg);
+        m.busy.observe_nanos(10_000);
+        m.completed.fetch_add(1, Ordering::Relaxed);
+        let before = reg.snapshot();
+        m.busy.observe_nanos(2_000);
+        m.busy.observe_nanos(4_000);
+        m.completed.fetch_add(2, Ordering::Relaxed);
+        let delta = reg.snapshot().diff(&before);
+        assert_eq!(delta.counter("bluebox_handler_completions_total"), Some(2));
+        let busy = delta.histogram("bluebox_handler_busy_seconds").unwrap();
+        assert_eq!(busy.count, 2);
+        assert_eq!(busy.mean(), Some(Duration::from_nanos(3_000)));
     }
 }

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -96,6 +97,15 @@ impl QueueState {
     }
 }
 
+/// Where queues count their affinity-stamped deliveries: to the affine
+/// node (`hits`) or elsewhere, a steal or a dead node (`misses`). A
+/// cluster's queues share its pair.
+#[derive(Clone, Default)]
+pub(crate) struct AffinityCounts {
+    pub hits: Arc<AtomicU64>,
+    pub misses: Arc<AtomicU64>,
+}
+
 /// A service queue.
 pub struct ServiceQueue {
     state: Mutex<QueueState>,
@@ -105,22 +115,23 @@ pub struct ServiceQueue {
     /// Reference instant for EDF deadline ranking.
     epoch: Instant,
     affinity_slack: usize,
-    /// Deliveries of affinity-stamped messages to their affine node.
-    affinity_hits: AtomicU64,
-    /// Deliveries of affinity-stamped messages elsewhere (steal or dead
-    /// node fallback).
-    affinity_misses: AtomicU64,
+    affinity: AffinityCounts,
 }
 
 impl ServiceQueue {
     /// Queue with the given policy and the default affinity slack.
     pub fn new(policy: Policy) -> ServiceQueue {
-        ServiceQueue::with_affinity_slack(policy, DEFAULT_AFFINITY_SLACK)
+        ServiceQueue::with_affinity(policy, DEFAULT_AFFINITY_SLACK, AffinityCounts::default())
     }
 
-    /// Queue with an explicit affinity steal slack. Slack 0 disables
-    /// affinity preference entirely (every consumer takes the head).
-    pub fn with_affinity_slack(policy: Policy, affinity_slack: usize) -> ServiceQueue {
+    /// Queue with an explicit affinity steal slack, counting into
+    /// `affinity`. Slack 0 disables affinity preference entirely
+    /// (every consumer takes the head).
+    pub(crate) fn with_affinity(
+        policy: Policy,
+        affinity_slack: usize,
+        affinity: AffinityCounts,
+    ) -> ServiceQueue {
         ServiceQueue {
             state: Mutex::new(QueueState {
                 messages: BTreeMap::new(),
@@ -137,8 +148,7 @@ impl ServiceQueue {
             policy,
             epoch: Instant::now(),
             affinity_slack,
-            affinity_hits: AtomicU64::new(0),
-            affinity_misses: AtomicU64::new(0),
+            affinity,
         }
     }
 
@@ -280,11 +290,12 @@ impl ServiceQueue {
         let m = st.messages.remove(&key).expect("chosen key present");
         st.note_dequeued(&m);
         if m.affinity.is_some() {
-            if hit {
-                self.affinity_hits.fetch_add(1, Ordering::Relaxed);
+            let count = if hit {
+                &self.affinity.hits
             } else {
-                self.affinity_misses.fetch_add(1, Ordering::Relaxed);
-            }
+                &self.affinity.misses
+            };
+            count.fetch_add(1, Ordering::Relaxed);
         }
         Some(m)
     }
@@ -375,12 +386,11 @@ impl ServiceQueue {
     }
 
     /// Deliveries of affinity-stamped messages to their affine node vs
-    /// elsewhere, as `(hits, misses)`.
+    /// elsewhere, as `(hits, misses)`, summed over every queue sharing
+    /// this one's counts.
     pub fn affinity_counts(&self) -> (u64, u64) {
-        (
-            self.affinity_hits.load(Ordering::Relaxed),
-            self.affinity_misses.load(Ordering::Relaxed),
-        )
+        let AffinityCounts { hits, misses } = &self.affinity;
+        (hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed))
     }
 
     /// Close: wake all receivers; subsequent pops drain then return
@@ -583,7 +593,7 @@ mod tests {
     #[test]
     fn backlogged_affine_node_gets_stolen_from() {
         let slack = 2;
-        let q = ServiceQueue::with_affinity_slack(Policy::Fcfs, slack);
+        let q = ServiceQueue::with_affinity(Policy::Fcfs, slack, AffinityCounts::default());
         q.register_consumer(1);
         q.register_consumer(2);
         for i in 0..4 {

@@ -102,14 +102,14 @@ pub struct DeadLetter {
     pub reason: String,
 }
 
-/// Monotonic recovery counters, mirrored into the metrics registry as
+/// Monotonic recovery counters, adopted by the metrics registry as
 /// `bluebox_lease_reclaims_total` / `gozer_dead_letters_total`.
 #[derive(Debug, Default)]
 pub struct RecoveryStats {
     /// Leases reclaimed from dead or stale holders.
-    pub reclaims: AtomicU64,
+    pub reclaims: Arc<AtomicU64>,
     /// Messages moved to the dead-letter store.
-    pub dead_letters: AtomicU64,
+    pub dead_letters: Arc<AtomicU64>,
 }
 
 impl RecoveryStats {

@@ -230,6 +230,7 @@ impl TcpBroker {
             next_delivery: AtomicU64::new(1),
             tmetrics: Arc::new(TransportMetrics::default()),
         });
+        broker.tmetrics.register(&cluster.obs().registry);
         *cluster.tcp.lock() = Some(broker.clone());
         let accept_broker = broker.clone();
         let thread = std::thread::Builder::new()
@@ -565,7 +566,7 @@ fn remote_instance_loop(
                         .remote_settles
                         .fetch_add(1, Ordering::Relaxed);
                     cluster.route_reply(&msg, result);
-                    cluster.metrics.add(&cluster.metrics.completed, 1);
+                    cluster.metrics.completed.fetch_add(1, Ordering::Relaxed);
                     queue.settle();
                 } else {
                     // Settled after reclaim: result discarded, the

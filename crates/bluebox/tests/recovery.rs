@@ -88,7 +88,7 @@ fn poison_message_dead_letters_after_redelivery_budget() {
     assert_eq!(dead[0].reason, "redelivery-budget");
     assert!(dead[0].msg.redeliveries >= 3, "budget was spent first");
     assert_eq!(healthy.load(Ordering::SeqCst), 1, "the healthy message got through");
-    // The counter is mirrored into the metrics registry under the
+    // The registry adopts the counter under the
     // paper-facing name.
     let text = cluster.obs().registry.render_text();
     assert!(

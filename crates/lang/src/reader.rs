@@ -95,11 +95,6 @@ impl SharedStream {
         (inner.line, inner.col)
     }
 
-    /// True when the stream is exhausted.
-    pub fn at_eof(&self) -> bool {
-        self.peek().is_none()
-    }
-
     fn err(&self, msg: impl Into<String>) -> LangError {
         let (l, c) = self.position();
         LangError::at(msg, l, c)

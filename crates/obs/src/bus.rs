@@ -38,8 +38,8 @@ pub struct EventBus {
     shard_capacity: usize,
     seq: AtomicU64,
     enabled: AtomicBool,
-    // Shared so the metrics registry can mirror it via `counter_fn`
-    // (`gozer_events_dropped_total`) without holding the bus.
+    // A handle the metrics registry adopts as
+    // `gozer_events_dropped_total`.
     dropped: Arc<AtomicU64>,
 }
 
@@ -131,9 +131,9 @@ impl EventBus {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Shared handle on the drop counter, for closure-backed metrics.
-    pub fn dropped_handle(&self) -> Arc<AtomicU64> {
-        self.dropped.clone()
+    /// The drop counter, for the metrics registry to adopt.
+    pub fn dropped_handle(&self) -> &Arc<AtomicU64> {
+        &self.dropped
     }
 
     /// Drop all buffered events and reset the drop counter (the global

@@ -39,9 +39,7 @@ pub use bus::EventBus;
 pub use event::{Event, EventKind};
 pub use flight::{FlightDump, FlightRecorder};
 pub use introspect::{HealthReport, IntrospectServer, IntrospectSource, TaskSummary};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, SampleSnapshot, Snapshot,
-};
+pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, SampleSnapshot, Snapshot};
 pub use phase::{Phase, PhaseBreakdown, PHASE_COUNT};
 pub use profile::{FnProfile, ProfileReport, SerialCostSnapshot, SerialCosts};
 pub use span::{CriticalPath, CriticalSegment, FiberSpan, TaskTimeline, TimelineSet};
@@ -66,24 +64,26 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// Fresh bus + registry + recorder. The bus's drop counter is
-    /// mirrored into the registry as `gozer_events_dropped_total`, so
-    /// ring overflow is visible to scrapes.
+    /// Fresh bus + registry + recorder. The registry adopts the bus's
+    /// drop counter as `gozer_events_dropped_total`, so ring overflow
+    /// is visible to scrapes.
     pub fn new() -> Obs {
-        let bus = EventBus::new();
-        let registry = MetricsRegistry::new();
-        let dropped = bus.dropped_handle();
-        registry.counter_fn(
+        let obs = Obs {
+            bus: EventBus::new(),
+            registry: MetricsRegistry::new(),
+            flight: FlightRecorder::new(),
+        };
+        obs.adopt_dropped();
+        obs
+    }
+
+    fn adopt_dropped(&self) {
+        self.registry.counter(
             "gozer_events_dropped_total",
             "Events evicted from the bus ring by overflow.",
             "",
-            move || dropped.load(std::sync::atomic::Ordering::Relaxed),
+            self.bus.dropped_handle(),
         );
-        Obs {
-            bus,
-            registry,
-            flight: FlightRecorder::new(),
-        }
     }
 }
 
@@ -100,20 +100,14 @@ mod tests {
         assert!(text.contains("# TYPE gozer_events_dropped_total counter"));
         assert!(text.contains("\ngozer_events_dropped_total 0\n"));
 
-        // Overflow a tiny ring and watch the mirrored counter move.
+        // Overflow a tiny ring and watch the adopted counter move.
         let obs = Obs {
             bus: EventBus::with_capacity(2),
             ..Obs::new()
         };
-        // Re-mirror: the counter_fn registered in new() reads the bus
-        // built there, so rebuild the mirror over the replacement bus.
-        let dropped = obs.bus.dropped_handle();
-        obs.registry.counter_fn(
-            "gozer_events_dropped_total",
-            "Events evicted from the bus ring by overflow.",
-            "",
-            move || dropped.load(std::sync::atomic::Ordering::Relaxed),
-        );
+        // `new()` adopted the counter of the bus it built; adopt the
+        // replacement's.
+        obs.adopt_dropped();
         obs.bus.set_enabled(true);
         for _ in 0..5 {
             obs.bus.emit(|| Event::new(EventKind::FiberRun).node(0));

@@ -3,18 +3,19 @@
 //! point-in-time [`Snapshot`] diff API.
 //!
 //! Families are registered by name with help text; samples within a
-//! family are distinguished by their label string. Besides owned
-//! atomics the registry accepts *closure-backed* counters and gauges
-//! ([`MetricsRegistry::counter_fn`] / [`MetricsRegistry::gauge_fn`]),
-//! which is how the legacy `bluebox::Metrics` and `VinzMetrics` atomic
-//! fields are mirrored into the registry without double-counting.
+//! family are distinguished by their label string. A sample is a
+//! handle the instrumented code owns and moves — an `Arc<AtomicU64>`
+//! for a counter or gauge, an `Arc<Histogram>` — and the registry
+//! adopts a clone of it, so a scrape reads the very atomic the code
+//! increments. Only a gauge that is the size of a live structure is
+//! computed at scrape time ([`MetricsRegistry::gauge_fn`]).
 //!
 //! Everything renders and snapshots in deterministic (BTreeMap) order,
 //! which is what makes the exporter output golden-testable.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,58 +29,6 @@ pub const HISTOGRAM_BUCKETS: usize = 12;
 /// latencies in both the in-process simulator and chaos runs.
 pub fn bucket_upper_nanos(i: usize) -> u64 {
     1_000u64.saturating_mul(4u64.saturating_pow(i as u32))
-}
-
-/// A monotonically increasing counter.
-#[derive(Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can go up and down.
-#[derive(Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// New gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Set the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add (possibly negative) `n`.
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 /// A latency histogram with [`HISTOGRAM_BUCKETS`] fixed log buckets
@@ -128,11 +77,6 @@ impl Histogram {
         self.observe_nanos(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Point-in-time copy of the histogram state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -157,11 +101,9 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Mean latency, or `None` with zero observations.
     pub fn mean(&self) -> Option<Duration> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(Duration::from_nanos(self.sum_nanos / self.count))
-        }
+        self.sum_nanos
+            .checked_div(self.count)
+            .map(Duration::from_nanos)
     }
 
     /// Estimate the `q`-quantile (0 ≤ q ≤ 1) from the bucket counts.
@@ -229,39 +171,39 @@ impl HistogramSnapshot {
     }
 }
 
-/// Closure yielding a counter value.
-type CounterFn = Box<dyn Fn() -> u64 + Send + Sync>;
-/// Closure yielding a gauge value.
-type GaugeFn = Box<dyn Fn() -> i64 + Send + Sync>;
+/// Closure computing a gauge value at scrape time.
+type GaugeFn = Box<dyn Fn() -> u64 + Send + Sync>;
 
 enum Sample {
-    Counter(Arc<Counter>),
-    CounterFn(CounterFn),
-    Gauge(Arc<Gauge>),
+    Counter(Arc<AtomicU64>),
+    Gauge(Arc<AtomicU64>),
     GaugeFn(GaugeFn),
     Histogram(Arc<Histogram>),
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum MetricKind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-impl MetricKind {
-    fn as_str(self) -> &'static str {
+impl Sample {
+    /// The family's `# TYPE`.
+    fn kind(&self) -> &'static str {
         match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
+            Sample::Counter(_) => "counter",
+            Sample::Gauge(_) | Sample::GaugeFn(_) => "gauge",
+            Sample::Histogram(_) => "histogram",
+        }
+    }
+
+    fn value(&self) -> SampleSnapshot {
+        match self {
+            Sample::Counter(c) => SampleSnapshot::Counter(c.load(Ordering::Relaxed)),
+            Sample::Gauge(g) => SampleSnapshot::Gauge(g.load(Ordering::Relaxed)),
+            Sample::GaugeFn(f) => SampleSnapshot::Gauge(f()),
+            Sample::Histogram(h) => SampleSnapshot::Histogram(h.snapshot()),
         }
     }
 }
 
 struct Family {
     help: String,
-    kind: MetricKind,
+    kind: &'static str,
     // label string (e.g. `service="maths"`, possibly empty) → sample
     samples: BTreeMap<String, Sample>,
 }
@@ -279,7 +221,8 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn register(&self, name: &str, help: &str, kind: MetricKind, labels: &str, sample: Sample) {
+    fn register(&self, name: &str, help: &str, labels: &str, sample: Sample) {
+        let kind = sample.kind();
         let mut families = self.families.write();
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
@@ -293,76 +236,34 @@ impl MetricsRegistry {
         family.samples.insert(labels.to_string(), sample);
     }
 
-    /// Register (or fetch) an unlabelled counter.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        self.counter_with(name, help, "")
+    /// Adopt `handle` as the counter `name{labels}` (labels like
+    /// `service="maths"`, rendered verbatim inside `{}`; empty for
+    /// none). The code keeps incrementing its own clone.
+    pub fn counter(&self, name: &str, help: &str, labels: &str, handle: &Arc<AtomicU64>) {
+        self.register(name, help, labels, Sample::Counter(handle.clone()));
     }
 
-    /// Register (or fetch) a counter with a label string like
-    /// `service="maths"` (rendered verbatim inside `{}`).
-    pub fn counter_with(&self, name: &str, help: &str, labels: &str) -> Arc<Counter> {
-        if let Some(existing) = self.find(name, labels, |s| match s {
-            Sample::Counter(c) => Some(c.clone()),
-            _ => None,
-        }) {
-            return existing;
-        }
-        let c = Arc::new(Counter::new());
-        self.register(name, help, MetricKind::Counter, labels, Sample::Counter(c.clone()));
-        c
+    /// Adopt `handle` as the gauge `name{labels}`.
+    pub fn gauge(&self, name: &str, help: &str, labels: &str, handle: &Arc<AtomicU64>) {
+        self.register(name, help, labels, Sample::Gauge(handle.clone()));
     }
 
-    /// Register a closure-backed counter (reads an external atomic).
-    pub fn counter_fn(
+    /// Register a gauge computed at scrape time: for the size of a live
+    /// structure, never for reading an atomic (adopt that with
+    /// [`MetricsRegistry::gauge`]).
+    pub fn gauge_fn(
         &self,
         name: &str,
         help: &str,
         labels: &str,
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, MetricKind::Counter, labels, Sample::CounterFn(Box::new(f)));
+        self.register(name, help, labels, Sample::GaugeFn(Box::new(f)));
     }
 
-    /// Register (or fetch) an unlabelled gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        if let Some(existing) = self.find(name, "", |s| match s {
-            Sample::Gauge(g) => Some(g.clone()),
-            _ => None,
-        }) {
-            return existing;
-        }
-        let g = Arc::new(Gauge::new());
-        self.register(name, help, MetricKind::Gauge, "", Sample::Gauge(g.clone()));
-        g
-    }
-
-    /// Register a closure-backed gauge.
-    pub fn gauge_fn(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &str,
-        f: impl Fn() -> i64 + Send + Sync + 'static,
-    ) {
-        self.register(name, help, MetricKind::Gauge, labels, Sample::GaugeFn(Box::new(f)));
-    }
-
-    /// Register (or fetch) a histogram with a label string.
-    pub fn histogram(&self, name: &str, help: &str, labels: &str) -> Arc<Histogram> {
-        if let Some(existing) = self.find(name, labels, |s| match s {
-            Sample::Histogram(h) => Some(h.clone()),
-            _ => None,
-        }) {
-            return existing;
-        }
-        let h = Arc::new(Histogram::new());
-        self.register(name, help, MetricKind::Histogram, labels, Sample::Histogram(h.clone()));
-        h
-    }
-
-    fn find<T>(&self, name: &str, labels: &str, pick: impl Fn(&Sample) -> Option<T>) -> Option<T> {
-        let families = self.families.read();
-        families.get(name).and_then(|f| f.samples.get(labels)).and_then(pick)
+    /// Adopt `handle` as the histogram `name{labels}`.
+    pub fn histogram(&self, name: &str, help: &str, labels: &str, handle: &Arc<Histogram>) {
+        self.register(name, help, labels, Sample::Histogram(handle.clone()));
     }
 
     /// Render every family in Prometheus text exposition format.
@@ -377,23 +278,13 @@ impl MetricsRegistry {
         let families = self.families.read();
         for (name, family) in families.iter() {
             let _ = writeln!(out, "# HELP {name} {}", family.help);
-            let _ = writeln!(out, "# TYPE {name} {}", family.kind.as_str());
+            let _ = writeln!(out, "# TYPE {name} {}", family.kind);
             for (labels, sample) in family.samples.iter() {
-                match sample {
-                    Sample::Counter(c) => {
-                        let _ = writeln!(out, "{} {}", with_labels(name, labels), c.get());
+                match sample.value() {
+                    SampleSnapshot::Counter(v) | SampleSnapshot::Gauge(v) => {
+                        let _ = writeln!(out, "{} {v}", with_labels(name, labels));
                     }
-                    Sample::CounterFn(f) => {
-                        let _ = writeln!(out, "{} {}", with_labels(name, labels), f());
-                    }
-                    Sample::Gauge(g) => {
-                        let _ = writeln!(out, "{} {}", with_labels(name, labels), g.get());
-                    }
-                    Sample::GaugeFn(f) => {
-                        let _ = writeln!(out, "{} {}", with_labels(name, labels), f());
-                    }
-                    Sample::Histogram(h) => {
-                        let snap = h.snapshot();
+                    SampleSnapshot::Histogram(snap) => {
                         let mut cumulative = 0u64;
                         for (i, n) in snap.buckets.iter().enumerate() {
                             cumulative += n;
@@ -453,15 +344,7 @@ impl MetricsRegistry {
         let families = self.families.read();
         for (name, family) in families.iter() {
             for (labels, sample) in family.samples.iter() {
-                let key = with_labels(name, labels);
-                let value = match sample {
-                    Sample::Counter(c) => SampleSnapshot::Counter(c.get()),
-                    Sample::CounterFn(f) => SampleSnapshot::Counter(f()),
-                    Sample::Gauge(g) => SampleSnapshot::Gauge(g.get()),
-                    Sample::GaugeFn(f) => SampleSnapshot::Gauge(f()),
-                    Sample::Histogram(h) => SampleSnapshot::Histogram(h.snapshot()),
-                };
-                values.insert(key, value);
+                values.insert(with_labels(name, labels), sample.value());
             }
         }
         Snapshot { values }
@@ -494,7 +377,7 @@ pub enum SampleSnapshot {
     /// A counter's value.
     Counter(u64),
     /// A gauge's value.
-    Gauge(i64),
+    Gauge(u64),
     /// A histogram's state.
     Histogram(HistogramSnapshot),
 }
@@ -538,7 +421,7 @@ impl Snapshot {
     }
 
     /// Gauge value by key, if present.
-    pub fn gauge(&self, key: &str) -> Option<i64> {
+    pub fn gauge(&self, key: &str) -> Option<u64> {
         match self.values.get(key) {
             Some(SampleSnapshot::Gauge(v)) => Some(*v),
             _ => None,
@@ -557,6 +440,10 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn add(handle: &AtomicU64, n: u64) {
+        handle.fetch_add(n, Ordering::Relaxed);
+    }
 
     #[test]
     fn bucket_bounds_are_powers_of_four_from_one_micro() {
@@ -596,32 +483,43 @@ mod tests {
     #[test]
     fn registry_counters_and_snapshot_diff() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("gozer_things_total", "Things that happened.");
-        c.add(5);
+        let c = Arc::new(AtomicU64::new(0));
+        reg.counter("gozer_things_total", "Things that happened.", "", &c);
+        add(&c, 5);
         let before = reg.snapshot();
-        c.add(7);
+        add(&c, 7);
         let delta = reg.snapshot().diff(&before);
         assert_eq!(delta.counter("gozer_things_total"), Some(7));
     }
 
+    /// A handle the code keeps and bumps after adoption is what both
+    /// read paths report: no copy, no mirror.
     #[test]
-    fn counter_fn_mirrors_external_atomic() {
-        use std::sync::atomic::AtomicU64;
+    fn adopted_handle_renders_and_snapshots_its_value() {
         let reg = MetricsRegistry::new();
-        let external = Arc::new(AtomicU64::new(0));
-        let mirror = external.clone();
-        reg.counter_fn("gozer_mirrored_total", "Mirrored.", "", move || {
-            mirror.load(Ordering::Relaxed)
-        });
-        external.store(42, Ordering::Relaxed);
-        assert_eq!(reg.snapshot().counter("gozer_mirrored_total"), Some(42));
+        let sent = Arc::new(AtomicU64::new(0));
+        let depth = Arc::new(AtomicU64::new(0));
+        reg.counter("gozer_sent_total", "Sent.", "service=\"a\"", &sent);
+        reg.gauge("gozer_depth", "Depth.", "", &depth);
+        add(&sent, 42);
+        depth.store(3, Ordering::Relaxed);
+        let text = reg.render_text();
+        assert!(
+            text.contains("\ngozer_sent_total{service=\"a\"} 42\n"),
+            "{text}"
+        );
+        assert!(text.contains("\ngozer_depth 3\n"), "{text}");
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("gozer_sent_total{service=\"a\"}"), Some(42));
+        assert_eq!(snap.gauge("gozer_depth"), Some(3));
     }
 
     #[test]
     fn labelled_samples_render_separately() {
         let reg = MetricsRegistry::new();
-        reg.counter_with("gozer_ops_total", "Ops.", "service=\"a\"").add(1);
-        reg.counter_with("gozer_ops_total", "Ops.", "service=\"b\"").add(2);
+        let (a, b) = (Arc::new(AtomicU64::new(1)), Arc::new(AtomicU64::new(2)));
+        reg.counter("gozer_ops_total", "Ops.", "service=\"a\"", &a);
+        reg.counter("gozer_ops_total", "Ops.", "service=\"b\"", &b);
         let text = reg.render_text();
         assert!(text.contains("gozer_ops_total{service=\"a\"} 1"));
         assert!(text.contains("gozer_ops_total{service=\"b\"} 2"));
@@ -635,10 +533,11 @@ mod tests {
     #[test]
     fn exporter_output_is_stable() {
         let reg = MetricsRegistry::new();
-        reg.counter("bb_sent_total", "Messages sent.").add(3);
-        let g = reg.gauge("bb_in_flight", "Messages in flight.");
-        g.set(2);
-        let h = reg.histogram("bb_wait_seconds", "Queue wait.", "");
+        let (sent, in_flight) = (Arc::new(AtomicU64::new(3)), Arc::new(AtomicU64::new(2)));
+        reg.counter("bb_sent_total", "Messages sent.", "", &sent);
+        reg.gauge("bb_in_flight", "Messages in flight.", "", &in_flight);
+        let h = Arc::new(Histogram::new());
+        reg.histogram("bb_wait_seconds", "Queue wait.", "", &h);
         h.observe_nanos(500); // ≤ 1µs bucket
         h.observe_nanos(2_000_000); // ≤ 4.096ms bucket
         let expected = "\
@@ -736,13 +635,14 @@ bb_wait_seconds{quantile=\"0.99\"} 0.003983994
     #[test]
     fn snapshot_diff_survives_counter_reset() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("gozer_restarts_total", "Restarting thing.");
-        c.add(100);
+        let c = Arc::new(AtomicU64::new(100));
+        reg.counter("gozer_restarts_total", "Restarting thing.", "", &c);
         let before = reg.snapshot();
         // Simulate the respawn: a fresh registry (new atomics at zero)
         // that has seen less traffic than the old one.
         let reg2 = MetricsRegistry::new();
-        reg2.counter("gozer_restarts_total", "Restarting thing.").add(3);
+        let c2 = Arc::new(AtomicU64::new(3));
+        reg2.counter("gozer_restarts_total", "Restarting thing.", "", &c2);
         let delta = reg2.snapshot().diff(&before);
         assert_eq!(delta.counter("gozer_restarts_total"), Some(0));
     }
@@ -796,11 +696,11 @@ bb_wait_seconds{quantile=\"0.99\"} 0.003983994
     #[test]
     fn snapshot_diff_new_samples_and_gauges() {
         let reg = MetricsRegistry::new();
-        let g = reg.gauge("gozer_depth", "Depth.");
-        g.set(10);
+        let g = Arc::new(AtomicU64::new(10));
+        reg.gauge("gozer_depth", "Depth.", "", &g);
         let before = reg.snapshot();
-        g.set(4);
-        reg.counter("gozer_new_total", "Appeared mid-interval.").add(7);
+        g.store(4, Ordering::Relaxed);
+        reg.counter("gozer_new_total", "Appeared mid-interval.", "", &Arc::new(AtomicU64::new(7)));
         let delta = reg.snapshot().diff(&before);
         assert_eq!(delta.gauge("gozer_depth"), Some(4));
         assert_eq!(delta.counter("gozer_new_total"), Some(7));

@@ -16,6 +16,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use crate::MetricsRegistry;
 
 /// One profiled function's totals.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,8 +46,8 @@ pub struct SerialCosts {
     deserialize_count: AtomicU64,
     deserialize_bytes: AtomicU64,
     deserialize_nanos: AtomicU64,
-    seed_frames_reused: AtomicU64,
-    seed_frames_walked: AtomicU64,
+    seed_frames_reused: Arc<AtomicU64>,
+    seed_frames_walked: Arc<AtomicU64>,
 }
 
 impl SerialCosts {
@@ -77,6 +80,24 @@ impl SerialCosts {
     pub fn record_seeding(&self, reused: u64, walked: u64) {
         self.seed_frames_reused.fetch_add(reused, Ordering::Relaxed);
         self.seed_frames_walked.fetch_add(walked, Ordering::Relaxed);
+    }
+
+    /// Adopt the seed-frame counters into `reg` under `labels` (e.g.
+    /// `service="wf"`). The live twin of the benchmark's
+    /// `serial.ser_delta_us`: a delta costs what it walks, so `walked`
+    /// creeping up on `reused` means the seed cache stopped hitting.
+    pub fn register(&self, reg: &MetricsRegistry, labels: &str) {
+        for (source, handle) in [
+            ("reused", &self.seed_frames_reused),
+            ("walked", &self.seed_frames_walked),
+        ] {
+            reg.counter(
+                "gozer_snapshot_seed_frames_total",
+                "Clean frames behind delta saves and loads, by where their seeding tables came from.",
+                &format!("source=\"{source}\",{labels}"),
+                handle,
+            );
+        }
     }
 
     /// Point-in-time copy.

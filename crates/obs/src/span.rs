@@ -29,13 +29,6 @@ pub struct FiberSpan {
     pub events: Vec<Event>,
 }
 
-impl FiberSpan {
-    /// Whether this span recorded any injected fault.
-    pub fn has_fault(&self) -> bool {
-        self.events.iter().any(|e| e.kind.is_fault())
-    }
-}
-
 /// One task's reconstructed lifetime.
 #[derive(Debug, Clone)]
 pub struct TaskTimeline {
@@ -94,7 +87,7 @@ impl TaskTimeline {
             let is_root = span
                 .parent
                 .as_deref()
-                .map_or(true, |p| !known.contains_key(p));
+                .is_none_or(|p| !known.contains_key(p));
             if is_root {
                 render_span(span, &known, 1, origin, &mut out);
             }
@@ -159,7 +152,7 @@ impl TaskTimeline {
             return CriticalPath::default();
         };
         let root = self.spans.iter().find(|s| {
-            s.parent.as_deref().map_or(true, |p| self.span(p).is_none())
+            s.parent.as_deref().is_none_or(|p| self.span(p).is_none())
         });
         let Some(mut fiber) = done
             .fiber

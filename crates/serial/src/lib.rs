@@ -408,21 +408,6 @@ pub struct CostSample {
     pub nanos: u64,
 }
 
-/// [`serialize_state`] plus a [`CostSample`] for the profiler's
-/// continuation-cost accounting.
-pub fn serialize_state_costed(
-    state: &FiberState,
-    codec: Codec,
-) -> Result<(Vec<u8>, CostSample), SerError> {
-    let start = std::time::Instant::now();
-    let bytes = serialize_state(state, codec)?;
-    let sample = CostSample {
-        bytes: bytes.len() as u64,
-        nanos: (start.elapsed().as_nanos() as u64).max(1),
-    };
-    Ok((bytes, sample))
-}
-
 /// [`deserialize_state`] plus a [`CostSample`].
 pub fn deserialize_state_costed(
     bytes: &[u8],

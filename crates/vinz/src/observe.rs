@@ -1,13 +1,12 @@
 //! How a deployment is seen from outside: the [`WorkflowObs`] handle,
-//! the Vinz counters mirrored into the metrics registry, the live
+//! the Vinz counters adopted by the metrics registry, the live
 //! introspection source, the merged profile and the flight dump.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use gozer_obs::{
-    Event, FlightDump, FlightRecorder, HealthReport, IntrospectSource, Obs, ProfileReport, SerialCostSnapshot,
-    SerialCosts, Snapshot, TaskSummary, TimelineSet,
+    Event, FlightDump, FlightRecorder, HealthReport, IntrospectSource, Obs, Phase, ProfileReport,
+    Snapshot, TaskSummary, TimelineSet,
 };
 
 use crate::service::{Inner, VinzMetrics, ADMIN_NODE};
@@ -29,11 +28,6 @@ impl WorkflowObs {
     /// workflow and VM events all start or stop together.
     pub fn set_tracing(&self, on: bool) {
         self.inner.obs.bus.set_enabled(on);
-    }
-
-    /// Whether event collection is on.
-    pub fn is_tracing(&self) -> bool {
-        self.inner.obs.bus.is_enabled()
     }
 
     /// The full correlated event stream (broker + workflow + VM), in
@@ -152,131 +146,133 @@ impl Inner {
             events,
         }
     }
-}
 
-/// Mirror the [`VinzMetrics`] atomics into the cluster registry as
-/// closure-backed counters, labelled by service so multiple deployments
-/// on one cluster stay distinguishable.
-pub(crate) fn register_vinz_metrics(
-    obs: &Arc<Obs>,
-    metrics: &Arc<VinzMetrics>,
-    serial_costs: &Arc<SerialCosts>,
-    service: &str,
-) {
-    let labels = format!("service=\"{service}\"");
-    let reg = &obs.registry;
-    // The live twin of the benchmark's `serial.ser_delta_us`: a delta
-    // costs what it walks, so `walked` creeping up on `reused` means the
-    // seed cache stopped hitting.
-    for (source, field) in [
-        ("reused", (|s| s.seed_frames_reused) as fn(SerialCostSnapshot) -> u64),
-        ("walked", |s| s.seed_frames_walked),
-    ] {
-        let costs = serial_costs.clone();
-        reg.counter_fn(
-            "gozer_snapshot_seed_frames_total",
-            "Clean frames behind delta saves and loads, by where their seeding tables came from.",
-            &format!("source=\"{source}\",{labels}"),
-            move || field(costs.snapshot()),
+    /// Adopt the deployment's handles into the cluster registry,
+    /// labelled by service so multiple deployments on one cluster stay
+    /// distinguishable. The whole (closed) phase family is registered
+    /// up front, so a scrape sees every label from the first sample on
+    /// and the label space is provably bounded: `PHASE_COUNT` phases
+    /// per service.
+    pub(crate) fn register_metrics(&self) {
+        let labels = format!("service=\"{}\"", self.name);
+        let reg = &self.obs.registry;
+        self.serial_costs.register(reg, &labels);
+        let m = &self.metrics;
+        for (name, help, handle) in [
+            (
+                "vinz_tasks_started_total",
+                "Tasks started.",
+                &m.tasks_started,
+            ),
+            (
+                "vinz_fibers_run_total",
+                "RunFiber executions.",
+                &m.fibers_run,
+            ),
+            (
+                "vinz_resumes_total",
+                "Fiber resumptions (AwakeFiber + ResumeFromCall + JoinProcess).",
+                &m.resumes,
+            ),
+            (
+                "vinz_awake_retries_total",
+                "AwakeFiber lock-wait give-ups.",
+                &m.awake_retries,
+            ),
+            (
+                "vinz_fiber_persists_total",
+                "Fiber states persisted.",
+                &m.persist_count,
+            ),
+            (
+                "vinz_fiber_persist_bytes_total",
+                "Bytes of persisted (compressed) fiber state.",
+                &m.persist_bytes,
+            ),
+            (
+                "vinz_fiber_store_loads_total",
+                "Fiber loads served by the store (cache misses).",
+                &m.load_count,
+            ),
+            (
+                "vinz_taskvar_cache_hits_total",
+                "Task-variable reads served by the node cache.",
+                &m.taskvar_hits,
+            ),
+            (
+                "vinz_taskvar_cache_misses_total",
+                "Task-variable reads served by the store.",
+                &m.taskvar_misses,
+            ),
+            (
+                "vinz_supervisor_respawns_total",
+                "Dead deployments re-provisioned by the supervisor.",
+                &m.supervisor_respawns,
+            ),
+            (
+                "vinz_orphans_resumed_total",
+                "Orphaned continuations resumed by the supervisor.",
+                &m.orphans_resumed,
+            ),
+            (
+                "vinz_calls_retried_total",
+                "Async service calls re-dispatched by the retry policy.",
+                &m.calls_retried,
+            ),
+            (
+                "vinz_tasks_dead_lettered_total",
+                "Tasks terminally failed by dead-lettered messages.",
+                &m.tasks_dead_lettered,
+            ),
+            (
+                "gozer_snapshot_delta_bytes_total",
+                "Bytes of persisted delta snapshot records.",
+                &m.delta_bytes,
+            ),
+            (
+                "gozer_snapshot_full_bytes_total",
+                "Bytes of persisted full snapshot records.",
+                &m.full_bytes,
+            ),
+            (
+                "gozer_snapshot_delta_saves_total",
+                "Fiber saves persisted as delta snapshots.",
+                &m.delta_saves,
+            ),
+            (
+                "gozer_admission_rejected_total",
+                "Starts shed by the admission gate.",
+                &m.admission_rejected,
+            ),
+            (
+                "gozer_admission_delayed_total",
+                "Starts delayed by the admission gate before a decision.",
+                &m.admission_delayed,
+            ),
+        ] {
+            reg.counter(name, help, &labels, handle);
+        }
+        reg.gauge(
+            "gozer_suspended_fibers",
+            "Fibers currently suspended with a persisted continuation.",
+            &labels,
+            &m.suspended_fibers,
         );
+        reg.histogram(
+            "gozer_task_latency_seconds",
+            "Start→complete task latency.",
+            &labels,
+            &self.task_latency,
+        );
+        for (p, hist) in Phase::ALL.iter().zip(&self.phase_hists) {
+            reg.histogram(
+                "gozer_task_phase_seconds",
+                "Per-phase share of task wall-clock (latency attribution).",
+                &format!("phase=\"{}\",{labels}", p.as_str()),
+                hist,
+            );
+        }
     }
-    let mirror = |m: &Arc<VinzMetrics>, f: fn(&VinzMetrics) -> &AtomicU64| {
-        let m = m.clone();
-        move || f(&m).load(Ordering::Relaxed)
-    };
-    for (name, help, field) in [
-        (
-            "vinz_tasks_started_total",
-            "Tasks started.",
-            (|m: &VinzMetrics| &m.tasks_started) as fn(&VinzMetrics) -> &AtomicU64,
-        ),
-        ("vinz_fibers_run_total", "RunFiber executions.", |m| &m.fibers_run),
-        (
-            "vinz_resumes_total",
-            "Fiber resumptions (AwakeFiber + ResumeFromCall + JoinProcess).",
-            |m| &m.resumes,
-        ),
-        ("vinz_awake_retries_total", "AwakeFiber lock-wait give-ups.", |m| {
-            &m.awake_retries
-        }),
-        ("vinz_fiber_persists_total", "Fiber states persisted.", |m| {
-            &m.persist_count
-        }),
-        (
-            "vinz_fiber_persist_bytes_total",
-            "Bytes of persisted (compressed) fiber state.",
-            |m| &m.persist_bytes,
-        ),
-        (
-            "vinz_fiber_store_loads_total",
-            "Fiber loads served by the store (cache misses).",
-            |m| &m.load_count,
-        ),
-        (
-            "vinz_taskvar_cache_hits_total",
-            "Task-variable reads served by the node cache.",
-            |m| &m.taskvar_hits,
-        ),
-        (
-            "vinz_taskvar_cache_misses_total",
-            "Task-variable reads served by the store.",
-            |m| &m.taskvar_misses,
-        ),
-        (
-            "vinz_supervisor_respawns_total",
-            "Dead deployments re-provisioned by the supervisor.",
-            |m| &m.supervisor_respawns,
-        ),
-        (
-            "vinz_orphans_resumed_total",
-            "Orphaned continuations resumed by the supervisor.",
-            |m| &m.orphans_resumed,
-        ),
-        (
-            "vinz_calls_retried_total",
-            "Async service calls re-dispatched by the retry policy.",
-            |m| &m.calls_retried,
-        ),
-        (
-            "vinz_tasks_dead_lettered_total",
-            "Tasks terminally failed by dead-lettered messages.",
-            |m| &m.tasks_dead_lettered,
-        ),
-        (
-            "gozer_snapshot_delta_bytes_total",
-            "Bytes of persisted delta snapshot records.",
-            |m| &m.delta_bytes,
-        ),
-        (
-            "gozer_snapshot_full_bytes_total",
-            "Bytes of persisted full snapshot records.",
-            |m| &m.full_bytes,
-        ),
-        (
-            "gozer_snapshot_delta_saves_total",
-            "Fiber saves persisted as delta snapshots.",
-            |m| &m.delta_saves,
-        ),
-        (
-            "gozer_admission_rejected_total",
-            "Starts shed by the admission gate.",
-            |m| &m.admission_rejected,
-        ),
-        (
-            "gozer_admission_delayed_total",
-            "Starts delayed by the admission gate before a decision.",
-            |m| &m.admission_delayed,
-        ),
-    ] {
-        reg.counter_fn(name, help, &labels, mirror(metrics, field));
-    }
-    let m = metrics.clone();
-    reg.gauge_fn(
-        "gozer_suspended_fibers",
-        "Fibers currently suspended with a persisted continuation.",
-        &labels,
-        move || m.suspended_fibers.load(Ordering::Relaxed) as i64,
-    );
 }
 
 /// The workflow layer behind the live introspection endpoint:

@@ -29,7 +29,7 @@ use rustc_hash::FxHashMap;
 use crate::cache::FiberCache;
 use crate::host::FiberHot;
 use crate::locks::InProcessLocks;
-use crate::observe::{register_vinz_metrics, VinzIntrospect};
+use crate::observe::VinzIntrospect;
 use crate::store::{MemStore, StateStore, StoreError, Watermark};
 use crate::supervisor::{self, RetryPolicy, SupervisorConfig};
 use crate::tracker::{TaskRecord, TaskStatus, TaskTracker};
@@ -108,55 +108,56 @@ impl Default for VinzConfig {
     }
 }
 
-/// Vinz-level counters.
+/// Vinz-level counters: handles the workflow layer increments and the
+/// cluster's metrics registry adopts (see `register_metrics`).
 #[derive(Debug, Default)]
 pub struct VinzMetrics {
     /// Fiber states persisted.
-    pub persist_count: AtomicU64,
+    pub persist_count: Arc<AtomicU64>,
     /// Bytes of persisted (compressed) fiber state.
-    pub persist_bytes: AtomicU64,
+    pub persist_bytes: Arc<AtomicU64>,
     /// Fiber loads that went to the store (cache misses).
-    pub load_count: AtomicU64,
+    pub load_count: Arc<AtomicU64>,
     /// RunFiber executions.
-    pub fibers_run: AtomicU64,
+    pub fibers_run: Arc<AtomicU64>,
     /// Resumptions (AwakeFiber + ResumeFromCall + JoinProcess).
-    pub resumes: AtomicU64,
+    pub resumes: Arc<AtomicU64>,
     /// AwakeFiber lock-wait give-ups (§5 burstiness symptom).
-    pub awake_retries: AtomicU64,
+    pub awake_retries: Arc<AtomicU64>,
     /// Tasks started.
-    pub tasks_started: AtomicU64,
+    pub tasks_started: Arc<AtomicU64>,
     /// Task-variable cache hits / misses.
-    pub taskvar_hits: AtomicU64,
+    pub taskvar_hits: Arc<AtomicU64>,
     /// Task-variable reads served from the store.
-    pub taskvar_misses: AtomicU64,
+    pub taskvar_misses: Arc<AtomicU64>,
     /// Times the supervisor re-provisioned a dead deployment.
-    pub supervisor_respawns: AtomicU64,
+    pub supervisor_respawns: Arc<AtomicU64>,
     /// Orphaned continuations the supervisor re-sent resume messages for.
-    pub orphans_resumed: AtomicU64,
+    pub orphans_resumed: Arc<AtomicU64>,
     /// Async service calls re-dispatched by the retry policy.
-    pub calls_retried: AtomicU64,
+    pub calls_retried: Arc<AtomicU64>,
     /// Tasks terminally failed because a message of theirs was
     /// dead-lettered.
-    pub tasks_dead_lettered: AtomicU64,
+    pub tasks_dead_lettered: Arc<AtomicU64>,
     /// Bytes of persisted delta snapshot records.
-    pub delta_bytes: AtomicU64,
+    pub delta_bytes: Arc<AtomicU64>,
     /// Bytes of persisted full snapshot records.
-    pub full_bytes: AtomicU64,
+    pub full_bytes: Arc<AtomicU64>,
     /// Saves persisted as deltas (the rest of `persist_count` were
     /// full snapshots).
-    pub delta_saves: AtomicU64,
+    pub delta_saves: Arc<AtomicU64>,
     /// `Start`s shed by the admission gate (typed rejection returned to
     /// the caller).
-    pub admission_rejected: AtomicU64,
+    pub admission_rejected: Arc<AtomicU64>,
     /// `Start`s delayed (backoff slept at least once) by the admission
     /// gate before being admitted or rejected.
-    pub admission_delayed: AtomicU64,
+    pub admission_delayed: Arc<AtomicU64>,
     /// Fibers currently suspended with a persisted continuation.
     /// Incremented on every suspension persist, decremented when a
     /// resume operation reloads the fiber; approximate under task
     /// termination (resumes addressed to already-finished tasks drop
     /// without decrementing).
-    pub suspended_fibers: AtomicU64,
+    pub suspended_fibers: Arc<AtomicU64>,
 }
 
 /// One node's runtime: a GVM (the "JVM" of that node) and its fiber
@@ -230,8 +231,8 @@ pub(crate) struct Inner {
     pub config: VinzConfig,
     pub tracker: TaskTracker,
     pub obs: Arc<Obs>,
-    pub metrics: Arc<VinzMetrics>,
-    pub serial_costs: Arc<SerialCosts>,
+    pub metrics: VinzMetrics,
+    pub serial_costs: SerialCosts,
     /// Start→complete latency histogram (`gozer_task_latency_seconds`),
     /// fed by [`Inner::finish_task`] on each first final transition.
     pub task_latency: Arc<Histogram>,
@@ -342,28 +343,6 @@ impl WorkflowServiceBuilder {
     /// source lazily, which is what lets migrated continuations re-link
     /// (program ids are content-derived).
     pub fn deploy(self) -> Result<WorkflowService, VinzError> {
-        let obs = self.cluster.obs();
-        let metrics = Arc::new(VinzMetrics::default());
-        let serial_costs = Arc::new(SerialCosts::new());
-        register_vinz_metrics(&obs, &metrics, &serial_costs, &self.name);
-        let task_latency = obs.registry.histogram(
-            "gozer_task_latency_seconds",
-            "Start→complete task latency.",
-            &format!("service=\"{}\"", self.name),
-        );
-        // Eagerly register the full (closed) phase family so a scrape
-        // sees every label from the first sample on, and the label
-        // space is provably bounded: PHASE_COUNT phases per service.
-        let phase_hists: [Arc<Histogram>; PHASE_COUNT] = {
-            let name = self.name.clone();
-            Phase::ALL.map(|p| {
-                obs.registry.histogram(
-                    "gozer_task_phase_seconds",
-                    "Per-phase share of task wall-clock (latency attribution).",
-                    &format!("phase=\"{}\",service=\"{name}\"", p.as_str()),
-                )
-            })
-        };
         let inner = Arc::new(Inner {
             name: self.name.clone(),
             source: self.source,
@@ -372,11 +351,11 @@ impl WorkflowServiceBuilder {
             locks: InProcessLocks::new(),
             config: self.config,
             tracker: TaskTracker::new(),
-            obs,
-            metrics,
-            serial_costs,
-            task_latency,
-            phase_hists,
+            obs: self.cluster.obs(),
+            metrics: VinzMetrics::default(),
+            serial_costs: SerialCosts::new(),
+            task_latency: Arc::default(),
+            phase_hists: Default::default(),
             introspect: Mutex::new(None),
             tcp: Mutex::new(None),
             nodes: RwLock::new(FxHashMap::default()),
@@ -384,6 +363,7 @@ impl WorkflowServiceBuilder {
             next_task: AtomicU64::new(1),
             next_fiber: AtomicU64::new(1),
         });
+        inner.register_metrics();
         // Fail fast on compile errors.
         inner.node_runtime(ADMIN_NODE)?;
         // Service replies (ResumeFromCall) are built by the broker, not

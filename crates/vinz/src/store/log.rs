@@ -166,7 +166,7 @@ struct Tail {
     group: Vec<u8>,
 }
 
-/// Point-in-time counters for benches and the obs mirror.
+/// Point-in-time counters for benches and smoke checks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LogStats {
     /// fsync calls issued by the commit path (group commits + rotations
@@ -186,15 +186,19 @@ pub struct LogStats {
     pub compactions: u64,
 }
 
+/// The counters behind [`LogStats`]; the metrics registry adopts four
+/// of them when the store is attached to a deployment.
 #[derive(Default)]
 struct StatCells {
-    fsyncs: AtomicU64,
+    fsyncs: Arc<AtomicU64>,
     writes: AtomicU64,
-    group_commits: AtomicU64,
+    group_commits: Arc<AtomicU64>,
     committed_entries: AtomicU64,
-    log_bytes: AtomicU64,
+    log_bytes: Arc<AtomicU64>,
     checkpoints: AtomicU64,
-    compactions: AtomicU64,
+    compactions: Arc<AtomicU64>,
+    /// Enqueue-to-durable latency of each committed entry.
+    commit_latency: Arc<gozer_obs::Histogram>,
 }
 
 struct LogInner {
@@ -220,7 +224,6 @@ struct LogInner {
     read: AtomicU64,
     stats: StatCells,
     commit_hook: Mutex<Option<CommitHook>>,
-    commit_latency: Mutex<Option<Arc<gozer_obs::Histogram>>>,
 }
 
 /// Log-structured [`StateStore`] with group commit and speculative
@@ -346,7 +349,6 @@ impl LogStore {
             read: AtomicU64::new(0),
             stats: StatCells::default(),
             commit_hook: Mutex::new(None),
-            commit_latency: Mutex::new(None),
         });
 
         let writer_inner = inner.clone();
@@ -643,40 +645,37 @@ impl StateStore for LogStore {
 
     fn attach_obs(&self, obs: &Arc<gozer_obs::Obs>) {
         let reg = &obs.registry;
-        let mirror = |cell: fn(&StatCells) -> &AtomicU64, inner: &Arc<LogInner>| {
-            let inner = inner.clone();
-            move || cell(&inner.stats).load(Ordering::Relaxed)
-        };
-        reg.counter_fn(
-            "gozer_store_fsyncs_total",
-            "fsync calls issued by the log store's commit path.",
-            "",
-            mirror(|s| &s.fsyncs, &self.inner),
-        );
-        reg.counter_fn(
-            "gozer_store_group_commit_batch_total",
-            "Group commits completed by the log store.",
-            "",
-            mirror(|s| &s.group_commits, &self.inner),
-        );
-        reg.counter_fn(
-            "gozer_store_log_bytes_total",
-            "Bytes appended to log segments.",
-            "",
-            mirror(|s| &s.log_bytes, &self.inner),
-        );
-        reg.counter_fn(
-            "gozer_store_compactions_total",
-            "Log compactions completed by the log store.",
-            "",
-            mirror(|s| &s.compactions, &self.inner),
-        );
-        let hist = reg.histogram(
+        let s = &self.inner.stats;
+        for (name, help, handle) in [
+            (
+                "gozer_store_fsyncs_total",
+                "fsync calls issued by the log store's commit path.",
+                &s.fsyncs,
+            ),
+            (
+                "gozer_store_group_commit_batch_total",
+                "Group commits completed by the log store.",
+                &s.group_commits,
+            ),
+            (
+                "gozer_store_log_bytes_total",
+                "Bytes appended to log segments.",
+                &s.log_bytes,
+            ),
+            (
+                "gozer_store_compactions_total",
+                "Log compactions completed by the log store.",
+                &s.compactions,
+            ),
+        ] {
+            reg.counter(name, help, "", handle);
+        }
+        reg.histogram(
             "gozer_store_commit_latency",
             "Enqueue-to-durable latency of saves through the group-commit path.",
             "",
+            &s.commit_latency,
         );
-        *self.inner.commit_latency.lock() = Some(hist);
     }
 
     fn set_commit_hook(&self, hook: CommitHook) {
@@ -869,10 +868,12 @@ fn commit_group(inner: &LogInner, tail: &mut Tail, batch: &[QueueEntry]) -> Resu
         .overlay
         .retain(|_, ov| ov.seq > max_seq);
 
-    if let Some(hist) = inner.commit_latency.lock().clone() {
-        for entry in batch {
-            hist.observe_duration(entry.queued.elapsed());
-        }
+    let now = Instant::now();
+    for entry in batch {
+        inner
+            .stats
+            .commit_latency
+            .observe_duration(now.saturating_duration_since(entry.queued));
     }
     let hook = inner.commit_hook.lock().clone();
     if let Some(hook) = hook {

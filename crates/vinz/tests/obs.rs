@@ -3,13 +3,21 @@
 //! hit, so it must land inside a live task's timeline — a fault the
 //! timeline cannot place (a "correlated orphan") is a correlation bug.
 
-use std::time::Duration;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use bluebox::Cluster;
+use bluebox::{Cluster, Fault, RemoteDelivery, TcpWorker, WorkerConfig, WorkerCtx};
+use gozer_compress::Codec;
 use gozer_lang::Value;
 use gozer_obs::{EventKind, TimelineSet};
-use vinz::testing::{chaos_seeds, repro_command, ChaosConfig, ChaosPlan};
-use vinz::{TaskStatus, WorkflowService};
+use gozer_serial::{deserialize_value, serialize_value};
+use gozer_vm::Gvm;
+use gozer_xml::ServiceDescription;
+use vinz::testing::{
+    chaos_seeds, register_remote_service_desc, repro_command, ChaosConfig, ChaosPlan,
+};
+use vinz::{LogStore, TaskStatus, WorkflowService};
 
 const FOR_EACH_WF: &str = "
 (defun main (n)
@@ -248,5 +256,178 @@ fn exporter_serves_required_families_after_a_run() {
         .histogram("bluebox_handler_busy_seconds")
         .expect("busy histogram");
     assert!(busy.count > 0 && busy.mean().is_some());
+    let memstore_shapes = family_shapes(&text);
     cluster.shutdown();
+
+    // The same layers plus the log store and the TCP transport: every
+    // family either deployment serves keeps its name, TYPE, HELP and
+    // label keys, and the in-memory deployment serves exactly the
+    // families that belong to neither of those two.
+    let full = family_shapes(&remote_log_deployment_scrape());
+    assert_eq!(
+        full.iter().map(String::as_str).collect::<Vec<_>>(),
+        FAMILY_SHAPES,
+        "exported family shapes drifted"
+    );
+    let layered =
+        |shape: &&str| shape.starts_with("gozer_store_") || shape.starts_with("bluebox_tcp_");
+    assert_eq!(
+        memstore_shapes
+            .iter()
+            .map(String::as_str)
+            .collect::<Vec<_>>(),
+        FAMILY_SHAPES
+            .iter()
+            .copied()
+            .filter(|s| !layered(s))
+            .collect::<Vec<_>>(),
+    );
 }
+
+/// One line per family a scrape serves: `name type [label keys] help`.
+/// The exporter's own `le` and `quantile` labels are left out.
+fn family_shapes(text: &str) -> BTreeSet<String> {
+    let mut families: BTreeMap<&str, (&str, &str, BTreeSet<&str>)> = BTreeMap::new();
+    let mut current = "";
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, help) = rest.split_once(' ').unwrap();
+            current = name;
+            families.entry(name).or_default().1 = help;
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').unwrap();
+            families.entry(name).or_default().0 = kind;
+        } else if let Some((_, labels)) = line.split_once('{') {
+            let labels = &labels[..labels.rfind('}').unwrap()];
+            let keys = &mut families.get_mut(current).unwrap().2;
+            for pair in labels.split(',') {
+                let key = pair.split_once('=').unwrap().0;
+                if key != "le" && key != "quantile" {
+                    keys.insert(key);
+                }
+            }
+        }
+    }
+    families
+        .into_iter()
+        .map(|(name, (kind, help, keys))| {
+            let keys: Vec<&str> = keys.into_iter().collect();
+            format!("{name} {kind} [{}] {help}", keys.join(","))
+        })
+        .collect()
+}
+
+/// Run one task on a LogStore deployment whose `Compute` service is a
+/// [`TcpWorker`] over loopback, and return the cluster's scrape.
+fn remote_log_deployment_scrape() -> String {
+    let cluster = Cluster::new();
+    let desc = ServiceDescription::new("Compute", "urn:compute").operation(
+        "Square",
+        "Squares the field n.",
+        &[("n", "int")],
+    );
+    register_remote_service_desc(&cluster, "Compute", desc);
+    let dir = std::env::temp_dir().join(format!("gozer-obs-shapes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(LogStore::builder(&dir).build().unwrap());
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(
+            "(deflink C :wsdl \"urn:compute\" :port \"Compute\")
+             (defun main (n)
+               (+ (C-Square-Method :n n) (apply #'+ (for-each (i in (range n)) (* i i)))))",
+        )
+        .store(store)
+        .instances(0, 2)
+        .tcp_listen("127.0.0.1:0")
+        .deploy()
+        .unwrap();
+    let gvm = Gvm::with_pool_size(1);
+    let square = move |_: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
+        let request =
+            deserialize_value(&d.body, &gvm).map_err(|e| Fault::new("{t}Bad", e.to_string()))?;
+        let n = request
+            .as_map()
+            .and_then(|m| m.get(&Value::str("n")).cloned())
+            .and_then(|v| v.as_int())
+            .ok_or_else(|| Fault::new("{t}BadArg", "need n"))?;
+        serialize_value(&Value::Int(n * n), Codec::None)
+            .map_err(|e| Fault::new("{t}Bad", e.to_string()))
+    };
+    let addr = wf.tcp_addr().unwrap().to_string();
+    let worker = TcpWorker::spawn(WorkerConfig::new(addr, "Compute", 1), Arc::new(square));
+    let broker = wf.tcp_broker().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while broker.live_connections() < 1 {
+        assert!(Instant::now() < deadline, "worker never connected");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let v = wf
+        .call("main", vec![Value::Int(4)], Duration::from_secs(60))
+        .unwrap();
+    assert_eq!(v, Value::Int(16 + 14));
+    let text = wf.obs().export_text();
+    worker.stop();
+    cluster.shutdown();
+    drop(wf);
+    let _ = std::fs::remove_dir_all(&dir);
+    text
+}
+
+/// Every family the scrape of [`remote_log_deployment_scrape`] serves.
+const FAMILY_SHAPES: &[&str] = &[
+    "bluebox_handler_busy_seconds histogram [] Time spent inside handlers.",
+    "bluebox_handler_completions_total counter [] Handler invocations that completed.",
+    "bluebox_handler_faults_total counter [] Handler invocations that returned a fault.",
+    "bluebox_lease_reclaims_total counter [] In-flight messages reclaimed from dead or stale instances.",
+    "bluebox_messages_delivered_total counter [] Messages handed to an instance.",
+    "bluebox_messages_in_flight gauge [] Messages currently being processed.",
+    "bluebox_messages_in_flight_peak gauge [] High-water mark of in-flight messages.",
+    "bluebox_messages_redelivered_total counter [] Messages re-queued after a failed delivery.",
+    "bluebox_messages_sent_total counter [] Messages accepted by the broker.",
+    "bluebox_queue_wait_seconds histogram [] Message queue wait, enqueue to delivery.",
+    "bluebox_sync_block_seconds histogram [] Caller block time of synchronous nested calls.",
+    "bluebox_tcp_bytes_sent_total counter [] Bytes written to worker sockets.",
+    "bluebox_tcp_decode_errors_total counter [] Frames that failed to decode (each one is connection-fatal).",
+    "bluebox_tcp_duplicate_settles_total counter [] Remote settles discarded because the lease was already reclaimed or superseded.",
+    "bluebox_tcp_frames_received_total counter [] Frames decoded off worker sockets.",
+    "bluebox_tcp_frames_sent_total counter [] Frames written to worker sockets.",
+    "bluebox_tcp_heartbeats_total counter [] Heartbeat frames received from workers.",
+    "bluebox_tcp_remote_deliveries_total counter [] Deliveries forwarded to remote workers.",
+    "bluebox_tcp_remote_settles_total counter [] Remote settles applied to a live lease.",
+    "bluebox_tcp_worker_connects_total counter [] Worker connections accepted.",
+    "bluebox_tcp_worker_disconnects_total counter [] Worker connections lost or closed.",
+    "gozer_admission_delayed_total counter [service] Starts delayed by the admission gate before a decision.",
+    "gozer_admission_rejected_total counter [service] Starts shed by the admission gate.",
+    "gozer_affinity_hits_total counter [] Affinity-stamped messages delivered to their affine node.",
+    "gozer_affinity_misses_total counter [] Affinity-stamped messages delivered elsewhere (steal or dead node).",
+    "gozer_dead_letters_total counter [] Messages quarantined after exhausting their redelivery budget.",
+    "gozer_events_dropped_total counter [] Events evicted from the bus ring by overflow.",
+    "gozer_messages_held gauge [] Messages currently parked awaiting durability.",
+    "gozer_messages_held_total counter [] Outbound messages parked behind a not-yet-durable store watermark.",
+    "gozer_queue_depth gauge [] Waiting messages across all service queues.",
+    "gozer_snapshot_delta_bytes_total counter [service] Bytes of persisted delta snapshot records.",
+    "gozer_snapshot_delta_saves_total counter [service] Fiber saves persisted as delta snapshots.",
+    "gozer_snapshot_full_bytes_total counter [service] Bytes of persisted full snapshot records.",
+    "gozer_snapshot_seed_frames_total counter [service,source] Clean frames behind delta saves and loads, by where their seeding tables came from.",
+    "gozer_store_commit_latency histogram [] Enqueue-to-durable latency of saves through the group-commit path.",
+    "gozer_store_compactions_total counter [] Log compactions completed by the log store.",
+    "gozer_store_fsyncs_total counter [] fsync calls issued by the log store's commit path.",
+    "gozer_store_group_commit_batch_total counter [] Group commits completed by the log store.",
+    "gozer_store_log_bytes_total counter [] Bytes appended to log segments.",
+    "gozer_suspended_fibers gauge [service] Fibers currently suspended with a persisted continuation.",
+    "gozer_task_latency_seconds histogram [service] Start→complete task latency.",
+    "gozer_task_phase_seconds histogram [phase,service] Per-phase share of task wall-clock (latency attribution).",
+    "vinz_awake_retries_total counter [service] AwakeFiber lock-wait give-ups.",
+    "vinz_calls_retried_total counter [service] Async service calls re-dispatched by the retry policy.",
+    "vinz_fiber_persist_bytes_total counter [service] Bytes of persisted (compressed) fiber state.",
+    "vinz_fiber_persists_total counter [service] Fiber states persisted.",
+    "vinz_fiber_store_loads_total counter [service] Fiber loads served by the store (cache misses).",
+    "vinz_fibers_run_total counter [service] RunFiber executions.",
+    "vinz_orphans_resumed_total counter [service] Orphaned continuations resumed by the supervisor.",
+    "vinz_resumes_total counter [service] Fiber resumptions (AwakeFiber + ResumeFromCall + JoinProcess).",
+    "vinz_supervisor_respawns_total counter [service] Dead deployments re-provisioned by the supervisor.",
+    "vinz_tasks_dead_lettered_total counter [service] Tasks terminally failed by dead-lettered messages.",
+    "vinz_tasks_started_total counter [service] Tasks started.",
+    "vinz_taskvar_cache_hits_total counter [service] Task-variable reads served by the node cache.",
+    "vinz_taskvar_cache_misses_total counter [service] Task-variable reads served by the store.",
+];

@@ -621,28 +621,44 @@ fn only_a_joined_fiber_costs_a_delete() {
 
 #[test]
 fn seed_cache_use_is_counted_and_exported() {
-    // `fan` suspends once per child under an untouched frame of its
-    // own. Its first save (a full one) leaves the seeding tables behind,
-    // so while the node cache holds the fiber no delta walks a clean
-    // frame. A fiber is out of the cache while it runs, so with room for
-    // one entry it is the *other* `fan` of the `parallel` — its saves,
-    // its children's births — that evicts a suspended one, and each
-    // reload rebuilds the tables from the frames it read.
-    for (cache_capacity, walks) in [(vinz::VinzConfig::default().cache_capacity, false), (1, true)] {
+    // `main`'s frame stays untouched under `inner` while `inner` waits on
+    // three gated calls. Its first save (a full one) leaves the seeding
+    // tables behind, so while the node cache holds the fiber no delta
+    // walks that clean frame. Between the first save and the first
+    // reply a second task saves on the same node; with room for one
+    // entry its save evicts `main`, whose reload then rebuilds the
+    // tables from the frame it read. Each step below waits for the
+    // queue to drain, so the eviction happens by construction.
+    const SOURCE: &str = "(deflink GA :wsdl \"urn:gatea\" :port \"GateA\")
+         (deflink GB :wsdl \"urn:gateb\" :port \"GateB\")
+         (deflink GC :wsdl \"urn:gatec\" :port \"GateC\")
+         (defun inner () (+ (GA-Square-Method :n 1) (GB-Square-Method :n 2) (GB-Square-Method :n 3)))
+         (defun main () (+ 1 (inner)))
+         (defun hold () (GC-Square-Method :n 4))";
+    for (cache_capacity, walks) in [(VinzConfig::default().cache_capacity, false), (1, true)] {
         let cluster = Cluster::new();
+        for gate in ["GateA", "GateB", "GateC"] {
+            register_square_service(&cluster, gate, 0, 0, Duration::ZERO);
+        }
         let wf = WorkflowService::builder(&cluster, "wf")
-            .source(
-                "(defun fan (n) (apply #'+ (for-each (i in (range n)) (* i i))))
-                 (defun main (n) (parallel (fan n) (fan n)))",
-            )
-            .config(vinz::VinzConfig {
+            .source(SOURCE)
+            .config(VinzConfig {
                 cache_capacity,
                 ..Default::default()
             })
             .instances(0, 2)
             .deploy()
             .unwrap();
-        wf.call("main", vec![Value::Int(4)], TIMEOUT).unwrap();
+        let main = wf.start("main", vec![], None).unwrap();
+        assert!(cluster.drain("wf", TIMEOUT), "main parked on GateA");
+        let hold = wf.start("hold", vec![], None).unwrap();
+        assert!(cluster.drain("wf", TIMEOUT), "hold parked on GateC");
+        cluster.spawn_instances("GateA", 0, 1);
+        cluster.spawn_instances("GateB", 0, 1);
+        let done = |task: &str| wf.wait(task, TIMEOUT).map(|r| r.status);
+        assert_eq!(done(&main), Some(TaskStatus::Completed(Value::Int(15))));
+        cluster.spawn_instances("GateC", 0, 1);
+        assert_eq!(done(&hold), Some(TaskStatus::Completed(Value::Int(16))));
         let obs = wf.obs();
         let costs = obs.profile().serial;
         assert_eq!(costs.seed_frames_walked > 0, walks, "{costs:?}");

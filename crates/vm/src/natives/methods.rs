@@ -46,11 +46,6 @@ impl ObjectVal {
         self.fields.lock().get(&Value::str(name)).cloned()
     }
 
-    /// Write a field by string name.
-    pub fn set_field(&self, name: &str, v: Value) {
-        self.fields.lock().insert(Value::str(name), v);
-    }
-
     /// Snapshot the fields.
     pub fn snapshot(&self) -> AssocMap {
         self.fields.lock().clone()

@@ -31,9 +31,9 @@ run "$CARGO" test -q $OFFLINE
 # Lint gate: clippy over every crate and target. Warnings print but pass;
 # a deny-level lint (e.g. `never_loop`) fails the build and with it CI.
 run "$CARGO" clippy $OFFLINE --workspace --all-targets --no-deps
-# The broker, the workflow service, the reader, the serializer and the
-# hasher shim are held to zero warnings.
-run "$CARGO" clippy $OFFLINE -p vinz -p bluebox -p gozer-lang -p gozer-serial -p rustc-hash --all-targets --no-deps -- -D warnings
+# The broker, the workflow service, the observability layer, the reader,
+# the serializer and the hasher shim are held to zero warnings.
+run "$CARGO" clippy $OFFLINE -p vinz -p bluebox -p gozer-obs -p gozer-lang -p gozer-serial -p rustc-hash --all-targets --no-deps -- -D warnings
 
 # Adversarial-input gate: bounded-iteration run of every fuzz target —
 # any panic, abort, or hang is a finding (FUZZ_ITERS to widen).

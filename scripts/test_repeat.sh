@@ -1,0 +1,39 @@
+#!/bin/sh
+# Run the tests whose names match a filter N times beside two busy CPU
+# hogs, and print passes/N. A schedule-dependent test shows up here long
+# before it shows up as a one-in-sixty red tier-1 run.
+#
+#   make test-repeat TEST=<filter> N=20
+#   sh scripts/test_repeat.sh <filter> [N]
+#
+# The filter is cargo's test-name substring filter, applied to every
+# workspace test binary. Exits non-zero unless every run passed.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+TEST="${1:?usage: test_repeat.sh <filter> [N]}"
+N="${2:-20}"
+CARGO="${CARGO:-cargo}"
+OFFLINE="${CARGO_OFFLINE:---offline}"
+
+"$CARGO" test -q $OFFLINE --no-run
+
+sh -c 'while :; do :; done' &
+HOG1=$!
+sh -c 'while :; do :; done' &
+HOG2=$!
+trap 'kill $HOG1 $HOG2 2>/dev/null' EXIT INT TERM
+
+passes=0
+i=0
+while [ "$i" -lt "$N" ]; do
+    i=$((i + 1))
+    if "$CARGO" test -q $OFFLINE -- "$TEST" >/dev/null 2>&1; then
+        passes=$((passes + 1))
+    else
+        echo "run $i failed"
+    fi
+done
+echo "$TEST: $passes/$N passed beside two CPU hogs"
+[ "$passes" -eq "$N" ]
