@@ -5,22 +5,34 @@
 //! mean, ~190 h serial), then executes a time-scaled subset of the day on
 //! the simulated cluster and reports the achieved concurrency, and
 //! finally replays the day's persistence traffic against the durable
-//! store backends — FileStore (one fsync'd rename per save) vs LogStore
-//! (group-commit log) — to measure the saves/sec headroom group commit
-//! buys. Two counts are asserted, the same on any machine: group commit
-//! amortizes fsyncs, and a group reaches the kernel as one write.
+//! store, LogStore, under two commit policies — a flush after every
+//! save vs group commit — to measure the saves/sec headroom group
+//! commit buys. Two counts are asserted, the same on any machine: group
+//! commit amortizes fsyncs, and a group reaches the kernel as one write.
 
+use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gozer::{FileStore, GozerSystem, LogStore, StateStore, TaskStatus, Value, VinzConfig};
+use gozer::{GozerSystem, LogStats, LogStore, StateStore, TaskStatus, Value, VinzConfig};
 use gozer_bench::{production_day, Json, Table};
 
-/// One simulated fiber save, shaped like `save_fiber`'s write: the
-/// continuation bytes plus the 24-byte meta record naming them, as one
-/// atomic batch.
-fn replay_saves(store: &dyn StateStore, threads: usize, saves: usize, payload: &[u8]) -> f64 {
+/// Replay simulated fiber saves into a fresh LogStore under `dir`, each
+/// shaped like `save_fiber`'s write: the continuation bytes plus the
+/// 24-byte meta record naming them, as one atomic batch. With
+/// `flush_each` every save waits until it is durable (writers waiting
+/// at the same moment share a commit); otherwise the one flush at the
+/// end is the durability point. Returns saves/sec and the store's
+/// counts.
+fn replay_saves(
+    dir: &Path,
+    threads: usize,
+    saves: usize,
+    payload: &[u8],
+    flush_each: bool,
+) -> (f64, LogStats) {
+    let store = LogStore::builder(dir).build().unwrap();
+    let store = &store;
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -32,6 +44,9 @@ fn replay_saves(store: &dyn StateStore, threads: usize, saves: usize, payload: &
                     store
                         .put_batch(&[(&data_key, payload), (&meta_key, &meta)])
                         .expect("bench save");
+                    if flush_each {
+                        store.flush().expect("bench flush");
+                    }
                 }
             });
         }
@@ -39,7 +54,7 @@ fn replay_saves(store: &dyn StateStore, threads: usize, saves: usize, payload: &
     // The durability point: nothing counts until it is on disk.
     store.flush().expect("bench flush");
     let wall = t0.elapsed().as_secs_f64();
-    (threads * saves) as f64 / wall
+    ((threads * saves) as f64 / wall, store.stats())
 }
 
 const WORKFLOW: &str = "
@@ -187,10 +202,10 @@ pub fn run(smoke: bool) -> Json {
     assert_eq!(completed, specs.len(), "every task must complete");
     sys.shutdown();
 
-    // ---- durable-store replay: FileStore vs LogStore -------------------
+    // ---- durable-store replay: flush per save vs group commit -----------
     // The §5 day persists ~45k continuations; replay that traffic shape
     // (concurrent instances, ~1 KiB compressed continuation + meta per
-    // save) against both durable backends and measure saves/sec at the
+    // save) under both commit policies and measure saves/sec at the
     // durability point.
     let threads = 4;
     let saves = if smoke { 50 } else { 250 };
@@ -204,27 +219,20 @@ pub fn run(smoke: bool) -> Json {
             .as_nanos()
     ));
 
-    let file_dir = base.join("file");
-    let file_store = FileStore::open(&file_dir).unwrap();
-    let file_rate = replay_saves(&file_store, threads, saves, &payload);
-    let file_fsyncs = (threads * saves) as u64;
-
-    let log_dir = base.join("log");
-    let log_store = Arc::new(LogStore::builder(&log_dir).build().unwrap());
-    let log_rate = replay_saves(log_store.as_ref(), threads, saves, &payload);
-    let log_stats = log_store.stats();
-    drop(log_store);
-    let speedup = log_rate / file_rate;
+    let (flushed_rate, flushed_stats) =
+        replay_saves(&base.join("flushed"), threads, saves, &payload, true);
+    let (log_rate, log_stats) = replay_saves(&base.join("log"), threads, saves, &payload, false);
+    let speedup = log_rate / flushed_rate;
 
     let mut t = Table::new(
-        "sec5 — durable saves/sec: fsync-per-save vs group commit",
+        "sec5 — durable saves/sec: flush per save vs group commit",
         &["backend", "saves/sec", "fsyncs", "notes"],
     );
     t.row(&[
-        "FileStore (fsync always)".into(),
-        format!("{file_rate:.0}"),
-        file_fsyncs.to_string(),
-        "one fsync'd rename per save".into(),
+        "LogStore (flush per save)".into(),
+        format!("{flushed_rate:.0}"),
+        flushed_stats.fsyncs.to_string(),
+        format!("{} writes", flushed_stats.writes),
     ]);
     t.row(&[
         "LogStore (group commit)".into(),
@@ -245,9 +253,10 @@ pub fn run(smoke: bool) -> Json {
     let _ = std::fs::remove_dir_all(&base);
 
     assert!(
-        log_stats.fsyncs < file_fsyncs,
-        "group commit did not amortize fsyncs ({} vs {file_fsyncs})",
-        log_stats.fsyncs
+        log_stats.fsyncs < flushed_stats.fsyncs,
+        "group commit did not amortize fsyncs ({} vs {})",
+        log_stats.fsyncs,
+        flushed_stats.fsyncs
     );
     // Each write is followed by the fsync of its group or of the segment
     // a rotation closed (this replay never compacts), so writes never
@@ -279,10 +288,10 @@ pub fn run(smoke: bool) -> Json {
                 .field("threads", threads)
                 .field("saves_per_thread", saves)
                 .field("payload_bytes", payload.len())
-                .field("file_saves_per_sec", file_rate)
+                .field("flushed_saves_per_sec", flushed_rate)
                 .field("log_saves_per_sec", log_rate)
                 .field("speedup", speedup)
-                .field("file_fsyncs", file_fsyncs)
+                .field("flushed_fsyncs", flushed_stats.fsyncs)
                 .field("log_fsyncs", log_stats.fsyncs)
                 .field("log_writes", log_stats.writes)
                 .field("log_group_commits", log_stats.group_commits)

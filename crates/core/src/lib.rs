@@ -60,16 +60,18 @@ pub use bluebox::{
 pub use gozer_compress::Codec;
 pub use gozer_lang::{Reader, Symbol, Value};
 pub use gozer_serial::{deserialize_state, deserialize_value, serialize_state, serialize_value};
-pub use gozer_vm::{Condition, FiberState, Gvm, RunOutcome, Suspension, VmError};
+pub use gozer_vm::{
+    Condition, FiberState, FnProfile, Gvm, ProfileReport, RunOutcome, SerialCostSnapshot,
+    Suspension, VmError,
+};
 pub use gozer_xml::{Element, QName, ServiceDescription};
 pub use gozer_obs::{
     CriticalPath, CriticalSegment, Event, EventBus, EventKind, FlightDump, FlightRecorder,
-    FnProfile, HealthReport, IntrospectServer, IntrospectSource, MetricsRegistry, Obs, Phase,
-    PhaseBreakdown, ProfileReport, SerialCostSnapshot, Snapshot, TaskSummary, TaskTimeline,
-    TimelineSet, PHASE_COUNT,
+    HealthReport, IntrospectServer, IntrospectSource, MetricsRegistry, Obs, Phase,
+    PhaseBreakdown, Snapshot, TaskSummary, TaskTimeline, TimelineSet, PHASE_COUNT,
 };
 pub use vinz::{
-    DurabilityTicket, FileStore, LogStats, LogStore, LogStoreBuilder, MemStore, RetryPolicy,
+    DurabilityTicket, LogStats, LogStore, LogStoreBuilder, MemStore, RetryPolicy,
     StateStore, StoreError, SupervisorConfig, TaskRecord, TaskStatus, VinzConfig, VinzError,
     Watermark, WorkflowObs, WorkflowService, WorkflowServiceBuilder,
 };
@@ -79,7 +81,7 @@ pub use vinz::{
 pub mod testing {
     pub use vinz::testing::{
         chaos_seeds, install_flight_panic_hook, register_square_service, register_value_service,
-        repro_command, run_workflow_under_chaos, run_workflow_under_chaos_flight, ChaosRun,
+        repro_command, run_workflow_under_chaos, run_workflow_under_chaos_store, ChaosRun,
     };
 }
 

@@ -28,7 +28,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use parking_lot::Mutex;
 
 use crate::event::Event;
-use crate::profile::ProfileReport;
 
 /// Everything a dump contains, pre-rendered by the embedder (which is
 /// the layer that owns the bus, the timelines and the profile).
@@ -43,8 +42,9 @@ pub struct FlightDump {
     pub timelines: String,
     /// Metrics snapshot in Prometheus text form.
     pub metrics: String,
-    /// The execution profile, if profiling was on.
-    pub profile: Option<ProfileReport>,
+    /// The execution profile, if profiling was on, as the text of
+    /// `profile.txt` (report) and `profile.folded` (folded stacks).
+    pub profile: Option<(String, String)>,
 }
 
 /// The black box. One per [`crate::Obs`]; unarmed by default.
@@ -98,9 +98,9 @@ impl FlightRecorder {
         std::fs::write(dir.join("events.log"), render_events(&dump.events))?;
         std::fs::write(dir.join("timelines.txt"), &dump.timelines)?;
         std::fs::write(dir.join("metrics.prom"), &dump.metrics)?;
-        if let Some(profile) = &dump.profile {
-            std::fs::write(dir.join("profile.txt"), profile.render(20))?;
-            std::fs::write(dir.join("profile.folded"), profile.folded_stacks())?;
+        if let Some((report, folded)) = &dump.profile {
+            std::fs::write(dir.join("profile.txt"), report)?;
+            std::fs::write(dir.join("profile.folded"), folded)?;
         }
         *self.last.lock() = Some(dir.clone());
         Ok(Some(dir))
@@ -198,7 +198,7 @@ mod tests {
             ],
             timelines: "task task-1\n".into(),
             metrics: "# TYPE x counter\nx 1\n".into(),
-            profile: Some(ProfileReport::default()),
+            profile: Some(("== hot functions ==\n".into(), "main 1\n".into())),
         };
         let dir = rec.record("task-1-failed", &dump).unwrap().unwrap();
         assert!(dump_is_complete(&dir, true));

@@ -32,7 +32,6 @@ pub mod flight;
 pub mod introspect;
 pub mod metrics;
 pub mod phase;
-pub mod profile;
 pub mod span;
 
 pub use bus::EventBus;
@@ -41,7 +40,6 @@ pub use flight::{FlightDump, FlightRecorder};
 pub use introspect::{HealthReport, IntrospectServer, IntrospectSource, TaskSummary};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, SampleSnapshot, Snapshot};
 pub use phase::{Phase, PhaseBreakdown, PHASE_COUNT};
-pub use profile::{FnProfile, ProfileReport, SerialCostSnapshot, SerialCosts};
 pub use span::{CriticalPath, CriticalSegment, FiberSpan, TaskTimeline, TimelineSet};
 
 /// One bus + one registry + one flight recorder: the observability

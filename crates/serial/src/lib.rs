@@ -396,32 +396,6 @@ pub fn deserialize_state_delta_costed(
     read
 }
 
-/// Cost of one continuation (de)serialization, as measured by the
-/// `*_costed` entry points: envelope bytes on the wire and wall nanos
-/// spent encoding or decoding. `nanos` is clamped to at least 1 so a
-/// recorded sample is always distinguishable from "never measured".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostSample {
-    /// Envelope size in bytes.
-    pub bytes: u64,
-    /// Wall time of the operation, nanoseconds (≥ 1).
-    pub nanos: u64,
-}
-
-/// [`deserialize_state`] plus a [`CostSample`].
-pub fn deserialize_state_costed(
-    bytes: &[u8],
-    gvm: &Arc<Gvm>,
-) -> Result<(FiberState, CostSample), SerError> {
-    let start = std::time::Instant::now();
-    let state = deserialize_state(bytes, gvm)?;
-    let sample = CostSample {
-        bytes: bytes.len() as u64,
-        nanos: (start.elapsed().as_nanos() as u64).max(1),
-    };
-    Ok((state, sample))
-}
-
 /// Validate the transport envelope and expose the payload. With
 /// [`Codec::None`] this borrows straight out of `bytes` — the zero-copy
 /// counterpart of the writer's in-place

@@ -241,7 +241,7 @@ impl<'a> ValueReader<'a> {
                 // resolve (mutable objects may be cyclic).
                 let idx = self.reserve_slot();
                 let class = self.string()?;
-                let shell = ObjectVal::new(&class, AssocMap::new());
+                let shell = ObjectVal::new_value(&class, AssocMap::new());
                 self.fill_slot(idx, shell.clone());
                 let n = self.uv()? as usize;
                 let obj = shell

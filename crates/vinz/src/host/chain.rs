@@ -8,8 +8,8 @@ use std::time::Instant;
 
 use gozer_obs::{EventKind, Phase};
 use gozer_serial::{
-    deserialize_state_costed, deserialize_state_delta_costed, serialize_state_base, serialize_state_delta_costed,
-    serialize_state_sized,
+    deserialize_state, deserialize_state_delta_costed, serialize_state_base, serialize_state_delta_costed,
+    serialize_state_sized, SeedUse,
 };
 use gozer_vm::FiberState;
 
@@ -84,17 +84,22 @@ impl Inner {
         let start = Instant::now();
         let bytes = serialize_state_sized(&state, self.config.codec, FIRST_SAVE_HINT)
             .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
-        self.serial_costs
-            .record_serialize(bytes.len() as u64, start.elapsed().as_nanos() as u64);
+        let nanos = nanos_since(start);
         self.store.put(&base_key(fiber_id, 0), &bytes)?;
         self.metrics.full_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.note_saved(rt, instance, fiber_id, 0, state, bytes.len());
+        self.note_saved(rt, instance, fiber_id, 0, state, bytes.len(), nanos);
         Ok(())
     }
 
     /// The tail every save shares: the state just persisted *is* the new
     /// snapshot — every frame is clean relative to it until the fiber
     /// runs again — so it goes into the node cache under its version.
+    /// Also the one place a save is counted: `saved_len` bytes written,
+    /// `nanos` spent serializing them.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one save's facts, counted in one place"
+    )]
     fn note_saved(
         &self,
         rt: &NodeRuntime,
@@ -103,13 +108,20 @@ impl Inner {
         version: u64,
         mut state: FiberState,
         saved_len: usize,
+        nanos: u64,
     ) {
         state.clean_prefix = state.frames.len();
         rt.cache.put_fiber(fiber_id, version, state);
-        self.metrics.persist_count.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .persist_bytes
+        let m = &self.metrics;
+        m.persist_count.fetch_add(1, Ordering::Relaxed);
+        m.persist_bytes
             .fetch_add(saved_len as u64, Ordering::Relaxed);
+        m.serialize_nanos.fetch_add(nanos, Ordering::Relaxed);
+        let _ = m
+            .min_serialize_nanos
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |min| {
+                (min == 0 || nanos < min).then_some(nanos)
+            });
         self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberPersisted {
             bytes: saved_len,
         });
@@ -168,18 +180,14 @@ impl Inner {
             let (bytes, seeds) =
                 serialize_state_delta_costed(&state, state.clean_prefix, self.config.codec, hot.last_delta_size)
                     .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
-            delta = bytes;
-            self.serial_costs.record_seeding(seeds.reused, seeds.walked);
-            if let Some(bytes) = &delta {
-                self.serial_costs
-                    .record_serialize(bytes.len() as u64, start.elapsed().as_nanos() as u64);
-            }
+            delta = bytes.map(|bytes| (bytes, nanos_since(start)));
+            self.note_seeding(seeds);
         }
         let meta_key = meta_key(fiber_id);
         let crumb_key = crumb_key(fiber_id);
         let crumb = wait.encode();
-        let saved_len = match delta {
-            Some(bytes) => {
+        let (saved_len, nanos) = match delta {
+            Some((bytes, nanos)) => {
                 let meta = meta_rec(version + 1, generation, chain + 1);
                 self.store.put_batch(&[
                     (&delta_key(fiber_id, chain), &bytes),
@@ -191,7 +199,7 @@ impl Inner {
                     .delta_bytes
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
                 hot.last_delta_size = bytes.len();
-                bytes.len()
+                (bytes.len(), nanos)
             }
             None => {
                 let start = Instant::now();
@@ -199,8 +207,7 @@ impl Inner {
                 // `state.seed`, so the next delta has no prefix to walk.
                 let bytes = serialize_state_base(&state, self.config.codec, hot.last_size)
                     .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
-                self.serial_costs
-                    .record_serialize(bytes.len() as u64, start.elapsed().as_nanos() as u64);
+                let nanos = nanos_since(start);
                 let new_gen = if chain > 0 { generation + 1 } else { generation };
                 let meta = meta_rec(version + 1, new_gen, 0);
                 self.store.put_batch(&[
@@ -218,11 +225,11 @@ impl Inner {
                 }
                 self.metrics.full_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
                 hot.last_size = bytes.len();
-                bytes.len()
+                (bytes.len(), nanos)
             }
         };
         self.hot.write().insert(fiber_id.to_string(), hot);
-        self.note_saved(rt, instance, fiber_id, version + 1, state, saved_len);
+        self.note_saved(rt, instance, fiber_id, version + 1, state, saved_len, nanos);
         Ok(())
     }
 
@@ -251,9 +258,10 @@ impl Inner {
             .store
             .get(&base_key(fiber_id, generation))?
             .ok_or_else(|| VinzError(format!("fiber {fiber_id} has no persisted state")))?;
-        let (mut state, cost) =
-            deserialize_state_costed(&bytes, &rt.gvm).map_err(|e| VinzError(format!("load {fiber_id}: {e}")))?;
-        self.serial_costs.record_deserialize(cost.bytes, cost.nanos);
+        let start = Instant::now();
+        let mut state =
+            deserialize_state(&bytes, &rt.gvm).map_err(|e| VinzError(format!("load {fiber_id}: {e}")))?;
+        self.note_loaded(bytes.len(), start);
         for k in 0..chain {
             let dbytes = self
                 .store
@@ -263,9 +271,8 @@ impl Inner {
             let (next, seeds) = deserialize_state_delta_costed(&dbytes, &rt.gvm, &state)
                 .map_err(|e| VinzError(format!("load {fiber_id} delta {k}: {e}")))?;
             state = next;
-            self.serial_costs
-                .record_deserialize(dbytes.len() as u64, start.elapsed().as_nanos() as u64);
-            self.serial_costs.record_seeding(seeds.reused, seeds.walked);
+            self.note_loaded(dbytes.len(), start);
+            self.note_seeding(seeds);
         }
         self.metrics.load_count.fetch_add(1, Ordering::Relaxed);
         self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberLoaded {
@@ -274,12 +281,33 @@ impl Inner {
         Ok(state)
     }
 
+    /// Count one continuation record deserialized since `start`.
+    fn note_loaded(&self, bytes: usize, start: Instant) {
+        let m = &self.metrics;
+        m.deserialize_count.fetch_add(1, Ordering::Relaxed);
+        m.deserialize_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        m.deserialize_nanos.fetch_add(nanos_since(start), Ordering::Relaxed);
+    }
+
+    /// Count where one delta save or load got its seeding tables.
+    fn note_seeding(&self, seeds: SeedUse) {
+        let m = &self.metrics;
+        m.seed_frames_reused.fetch_add(seeds.reused, Ordering::Relaxed);
+        m.seed_frames_walked.fetch_add(seeds.walked, Ordering::Relaxed);
+    }
+
     /// Return a state [`Inner::load_fiber`] handed out, unrun and
     /// unchanged, to the node cache under the version it was loaded at.
     pub(super) fn keep_loaded(&self, rt: &NodeRuntime, fiber_id: &str, meta: Option<FiberMeta>, state: FiberState) {
         let (version, _, _) = meta.unwrap_or_default();
         rt.cache.put_fiber(fiber_id, version, state);
     }
+}
+
+/// Wall nanos since `start`, at least 1, so a counted sample is never
+/// mistaken for "none yet".
+fn nanos_since(start: Instant) -> u64 {
+    (start.elapsed().as_nanos() as u64).max(1)
 }
 
 /// Encode the 24-byte meta record; saved atomically *with* the data key

@@ -72,9 +72,10 @@ pub use service::{
     WorkflowServiceBuilder,
 };
 pub use store::{
-    CommitHook, DurabilityTicket, FileStore, LogStats, LogStore, LogStoreBuilder, MemStore,
-    StateStore, StoreError, Watermark,
+    CommitHook, DurabilityTicket, LogStats, LogStore, LogStoreBuilder, MemStore, StateStore,
+    StoreError, Watermark,
 };
 pub use supervisor::{RetryPolicy, SupervisorConfig};
-pub use gozer_obs::{FlightDump, FlightRecorder, FnProfile, ProfileReport, SerialCostSnapshot};
+pub use gozer_obs::{FlightDump, FlightRecorder};
+pub use gozer_vm::{FnProfile, ProfileReport, SerialCostSnapshot};
 pub use tracker::{TaskRecord, TaskStatus, TaskTracker};

@@ -2,12 +2,14 @@
 //! the Vinz counters adopted by the metrics registry, the live
 //! introspection source, the merged profile and the flight dump.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use gozer_obs::{
-    Event, FlightDump, FlightRecorder, HealthReport, IntrospectSource, Obs, Phase, ProfileReport,
-    Snapshot, TaskSummary, TimelineSet,
+    Event, FlightDump, FlightRecorder, HealthReport, IntrospectSource, Obs, Phase, Snapshot,
+    TaskSummary, TimelineSet,
 };
+use gozer_vm::{ProfileReport, SerialCostSnapshot};
 
 use crate::service::{Inner, VinzMetrics, ADMIN_NODE};
 use crate::tracker::{TaskStatus, TaskTracker};
@@ -115,10 +117,10 @@ impl WorkflowObs {
 }
 
 impl Inner {
-    /// Merge every node VM's profiler snapshot, plus the continuation
-    /// costs, into one [`ProfileReport`]. The admin runtime is skipped
-    /// (it never executes workflow fibers, and its profiler is never
-    /// enabled).
+    /// Merge every node VM's profiler snapshot into one
+    /// [`ProfileReport`] and fill in the continuation costs from the
+    /// save/load counters. The admin runtime is skipped (it never
+    /// executes workflow fibers, and its profiler is never enabled).
     pub(crate) fn profile_report(&self) -> ProfileReport {
         let mut report = ProfileReport::default();
         for rt in self.nodes.read().values() {
@@ -126,7 +128,20 @@ impl Inner {
                 report.merge(&rt.gvm.profiler().snapshot());
             }
         }
-        report.serial = self.serial_costs.snapshot();
+        let m = &self.metrics;
+        let load = |handle: &AtomicU64| handle.load(Ordering::Relaxed);
+        let min = load(&m.min_serialize_nanos);
+        report.serial = SerialCostSnapshot {
+            serialize_count: load(&m.persist_count),
+            serialize_bytes: load(&m.persist_bytes),
+            serialize_nanos: load(&m.serialize_nanos),
+            min_serialize_nanos: (min > 0).then_some(min),
+            deserialize_count: load(&m.deserialize_count),
+            deserialize_bytes: load(&m.deserialize_bytes),
+            deserialize_nanos: load(&m.deserialize_nanos),
+            seed_frames_reused: load(&m.seed_frames_reused),
+            seed_frames_walked: load(&m.seed_frames_walked),
+        };
         report
     }
 
@@ -138,11 +153,10 @@ impl Inner {
             reason: reason.to_string(),
             timelines,
             metrics: self.obs.registry.render_text(),
-            profile: if self.config.profiling {
-                Some(self.profile_report())
-            } else {
-                None
-            },
+            profile: self.config.profiling.then(|| {
+                let report = self.profile_report();
+                (report.render(20), report.folded_stacks())
+            }),
             events,
         }
     }
@@ -156,7 +170,6 @@ impl Inner {
     pub(crate) fn register_metrics(&self) {
         let labels = format!("service=\"{}\"", self.name);
         let reg = &self.obs.registry;
-        self.serial_costs.register(reg, &labels);
         let m = &self.metrics;
         for (name, help, handle) in [
             (
@@ -251,6 +264,20 @@ impl Inner {
             ),
         ] {
             reg.counter(name, help, &labels, handle);
+        }
+        // The live twin of the benchmark's `serial.ser_delta_us`: a delta
+        // costs what it walks, so `walked` creeping up on `reused` means
+        // the seed cache stopped hitting.
+        for (source, handle) in [
+            ("reused", &m.seed_frames_reused),
+            ("walked", &m.seed_frames_walked),
+        ] {
+            reg.counter(
+                "gozer_snapshot_seed_frames_total",
+                "Clean frames behind delta saves and loads, by where their seeding tables came from.",
+                &format!("source=\"{source}\",{labels}"),
+                handle,
+            );
         }
         reg.gauge(
             "gozer_suspended_fibers",

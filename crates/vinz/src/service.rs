@@ -18,9 +18,7 @@ use bluebox::tcp::{TcpBroker, TcpBrokerConfig};
 use bluebox::{Cluster, Fault, Message, ServiceCtx};
 use gozer_compress::Codec;
 use gozer_lang::Value;
-use gozer_obs::{
-    Event, EventKind, Histogram, IntrospectServer, Obs, Phase, SerialCosts, PHASE_COUNT,
-};
+use gozer_obs::{Event, EventKind, Histogram, IntrospectServer, Obs, Phase, PHASE_COUNT};
 use gozer_serial::SerError;
 use gozer_vm::{FiberObsEvent, FiberObsKind, Gvm};
 use parking_lot::{Mutex, RwLock};
@@ -109,13 +107,29 @@ impl Default for VinzConfig {
 }
 
 /// Vinz-level counters: handles the workflow layer increments and the
-/// cluster's metrics registry adopts (see `register_metrics`).
+/// cluster's metrics registry adopts (see `register_metrics`). The
+/// save/load path counts each continuation here once; the profile's
+/// continuation costs are read from these handles.
 #[derive(Debug, Default)]
 pub struct VinzMetrics {
-    /// Fiber states persisted.
+    /// Fiber states persisted (each one serialized once).
     pub persist_count: Arc<AtomicU64>,
     /// Bytes of persisted (compressed) fiber state.
     pub persist_bytes: Arc<AtomicU64>,
+    /// Nanos spent serializing the persisted states.
+    pub serialize_nanos: Arc<AtomicU64>,
+    /// Cheapest single serialization in nanos; 0 until the first save.
+    pub min_serialize_nanos: Arc<AtomicU64>,
+    /// Continuation records deserialized (a base and each delta on it).
+    pub deserialize_count: Arc<AtomicU64>,
+    /// Bytes of the deserialized records.
+    pub deserialize_bytes: Arc<AtomicU64>,
+    /// Nanos spent deserializing them.
+    pub deserialize_nanos: Arc<AtomicU64>,
+    /// Clean frames whose delta seeding tables came from the seed cache.
+    pub seed_frames_reused: Arc<AtomicU64>,
+    /// Clean frames serialized again to rebuild delta seeding tables.
+    pub seed_frames_walked: Arc<AtomicU64>,
     /// Fiber loads that went to the store (cache misses).
     pub load_count: Arc<AtomicU64>,
     /// RunFiber executions.
@@ -232,7 +246,6 @@ pub(crate) struct Inner {
     pub tracker: TaskTracker,
     pub obs: Arc<Obs>,
     pub metrics: VinzMetrics,
-    pub serial_costs: SerialCosts,
     /// Start→complete latency histogram (`gozer_task_latency_seconds`),
     /// fed by [`Inner::finish_task`] on each first final transition.
     pub task_latency: Arc<Histogram>,
@@ -353,7 +366,6 @@ impl WorkflowServiceBuilder {
             tracker: TaskTracker::new(),
             obs: self.cluster.obs(),
             metrics: VinzMetrics::default(),
-            serial_costs: SerialCosts::new(),
             task_latency: Arc::default(),
             phase_hists: Default::default(),
             introspect: Mutex::new(None),

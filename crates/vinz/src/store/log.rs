@@ -1313,7 +1313,11 @@ mod tests {
     use super::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("gozer-log-{tag}-{}", super::super::fastrand_u64()))
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        std::env::temp_dir().join(format!("gozer-log-{tag}-{}-{nanos}", std::process::id()))
     }
 
     fn fast(dir: &Path) -> LogStore {

@@ -1,13 +1,10 @@
 //! The shared persistence store (paper §4.2): "a shared NFS filesystem
 //! provides all instances with read and write access to this data".
 //!
-//! Three implementations of [`StateStore`]:
+//! Two implementations of [`StateStore`]:
 //!
 //! * [`MemStore`] — in-process shared map, the fast default for tests and
 //!   benches (stands in for the enterprise NAS).
-//! * [`FileStore`] — a directory of files, one per key, giving the real
-//!   write-out/read-back IO path for the §4.2 compression experiment.
-//!   One fsync'd rename per save: durable, simple, slow.
 //! * [`LogStore`] — one append-only commit log with group commit
 //!   (Netherite-style): one fsync covers every save that arrived since
 //!   the last one, issued as soon as somebody waits on a save (or, for
@@ -31,21 +28,19 @@
 //! service call — is held until [`StateStore::durable`] reports the
 //! ticket's watermark as committed. [`Watermark::IMMEDIATE`] (zero)
 //! means "already durable when the call returned", which is what the
-//! default implementations report: `MemStore` and `FileStore` complete
-//! their IO before returning, so nothing ever needs holding.
+//! default implementation reports: `MemStore` completes its writes
+//! before returning, so nothing ever needs holding.
 //!
 //! Stores that defer durability invoke the hook installed by
 //! [`StateStore::set_commit_hook`] each time the commit watermark
 //! advances; the cluster uses it to release held messages.
 
-mod file;
 mod log;
 mod mem;
 
 use std::fmt;
 use std::sync::Arc;
 
-pub use file::FileStore;
 pub use log::{LogStats, LogStore, LogStoreBuilder};
 pub use mem::MemStore;
 
@@ -194,21 +189,6 @@ pub trait StateStore: Send + Sync {
     /// Install the callback fired when the commit watermark advances.
     /// Stores that never defer durability ignore it.
     fn set_commit_hook(&self, _hook: CommitHook) {}
-}
-
-/// Cheap thread-local PRNG for temp-file suffixes.
-pub(crate) fn fastrand_u64() -> u64 {
-    use std::cell::Cell;
-    thread_local! {
-        static STATE: Cell<u64> = Cell::new(0x853c49e6748fea9b ^ std::process::id() as u64);
-    }
-    STATE.with(|s| {
-        let mut x = s.get().wrapping_add(0x9E3779B97F4A7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-        s.set(x);
-        x ^ (x >> 31)
-    })
 }
 
 #[cfg(test)]

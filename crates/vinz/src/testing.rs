@@ -10,9 +10,8 @@ use std::time::Duration;
 use bluebox::{Cluster, Fault, Message, ServiceCtx};
 use gozer_compress::Codec;
 use gozer_lang::Value;
-use gozer_obs::ProfileReport;
 use gozer_serial::{deserialize_value, serialize_value};
-use gozer_vm::Gvm;
+use gozer_vm::{Gvm, ProfileReport};
 use gozer_xml::ServiceDescription;
 
 use crate::service::{VinzConfig, WorkflowObs, WorkflowService};
@@ -104,18 +103,7 @@ pub fn register_remote_service_desc(
 /// knobs (and base), so process-kill sweeps are tuned independently of
 /// the in-process chaos suites.
 pub fn cluster_seeds(default_count: u64) -> Vec<u64> {
-    const BASE: u64 = 0xC1_05_7E_00;
-    if let Some(seed) = std::env::var("CLUSTER_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-    {
-        return vec![seed];
-    }
-    let count = std::env::var("CLUSTER_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(default_count);
-    (0..count).map(|i| BASE + i).collect()
+    seeds("CLUSTER", 0xC1_05_7E_00, default_count)
 }
 
 /// The seeds a chaos sweep runs.
@@ -128,18 +116,18 @@ pub fn cluster_seeds(default_count: u64) -> Vec<u64> {
 /// The default seeds are consecutive from a fixed base, so a sweep is
 /// itself deterministic run to run.
 pub fn chaos_seeds(default_count: u64) -> Vec<u64> {
-    const BASE: u64 = 0xB1EB_0B00;
-    if let Some(seed) = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-    {
+    seeds("CHAOS", 0xB1EB_0B00, default_count)
+}
+
+/// `{knob}_SEED`, else `{knob}_SEEDS` (or `default_count`) consecutive
+/// seeds from `base`.
+fn seeds(knob: &str, base: u64, default_count: u64) -> Vec<u64> {
+    let var = |name: String| std::env::var(name).ok().and_then(|s| s.trim().parse().ok());
+    if let Some(seed) = var(format!("{knob}_SEED")) {
         return vec![seed];
     }
-    let count = std::env::var("CHAOS_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(default_count);
-    (0..count).map(|i| BASE + i).collect()
+    let count = var(format!("{knob}_SEEDS")).unwrap_or(default_count);
+    (0..count).map(|i| base + i).collect()
 }
 
 /// The one-line command that replays a failing seed, e.g.
@@ -191,44 +179,23 @@ pub fn run_workflow_under_chaos(
     config: ChaosConfig,
 ) -> Result<ChaosRun, String> {
     let flight_base = std::env::var_os("GOZER_FLIGHT_DIR").map(PathBuf::from);
-    run_workflow_under_chaos_flight(source, function, args, config, flight_base)
+    run_workflow_under_chaos_store(source, function, args, config, VinzConfig::default(), None, flight_base)
 }
 
-/// [`run_workflow_under_chaos`] with an explicit flight-recorder base
-/// directory: when `Some`, the deployment's recorder is armed there, so
-/// a task failure or a contract violation leaves a complete black-box
-/// dump behind (events, timelines, metrics, profile).
-pub fn run_workflow_under_chaos_flight(
-    source: &str,
-    function: &str,
-    args: Vec<Value>,
-    config: ChaosConfig,
-    flight_base: Option<PathBuf>,
-) -> Result<ChaosRun, String> {
-    run_workflow_under_chaos_vinz(source, function, args, config, VinzConfig::default(), flight_base)
-}
-
-/// [`run_workflow_under_chaos_flight`] with an explicit [`VinzConfig`],
-/// so sweeps can pit deployment variants (delta snapshots on/off,
-/// compaction cadence, codec) against each other under the same fault
-/// schedule. Profiling is forced on regardless of the given config.
-pub fn run_workflow_under_chaos_vinz(
-    source: &str,
-    function: &str,
-    args: Vec<Value>,
-    config: ChaosConfig,
-    vinz: VinzConfig,
-    flight_base: Option<PathBuf>,
-) -> Result<ChaosRun, String> {
-    run_workflow_under_chaos_store(source, function, args, config, vinz, None, flight_base)
-}
-
-/// [`run_workflow_under_chaos_vinz`] with an explicit [`StateStore`]
-/// (`None` = the default in-memory store), so sweeps can pit
-/// persistence backends against each other — e.g. assert a
-/// [`crate::LogStore`] deployment completes with the same value and
-/// opcode counts as a [`crate::MemStore`] one under the same fault
-/// schedule.
+/// [`run_workflow_under_chaos`] with every option explicit:
+///
+/// * `vinz` — the deployment's [`VinzConfig`], so sweeps can pit
+///   variants (delta snapshots on/off, compaction cadence, codec)
+///   against each other under the same fault schedule. Profiling is
+///   forced on regardless.
+/// * `store` — the [`StateStore`](crate::StateStore) (`None` = the
+///   default in-memory store), e.g. to assert a [`crate::LogStore`]
+///   deployment completes with the same value and opcode counts as a
+///   [`crate::MemStore`] one.
+/// * `flight_base` — when `Some`, the deployment's flight recorder is
+///   armed there, so a task failure or a contract violation leaves a
+///   complete black-box dump behind (events, timelines, metrics,
+///   profile).
 pub fn run_workflow_under_chaos_store(
     source: &str,
     function: &str,

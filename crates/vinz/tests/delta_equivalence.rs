@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use gozer_lang::Value;
 use vinz::testing::{
-    chaos_seeds, repro_command, run_workflow_under_chaos_vinz, ChaosConfig, ChaosRun,
+    chaos_seeds, repro_command, run_workflow_under_chaos_store, ChaosConfig, ChaosRun,
 };
 use vinz::VinzConfig;
 
@@ -108,12 +108,13 @@ fn delta_resume_is_opcode_identical_sixteen_seeds() {
     let mut total_persists = 0u64;
     for &seed in &chaos_seeds(16) {
         let run = |vinz: VinzConfig, label: &str| -> Result<ChaosRun, String> {
-            let r = run_workflow_under_chaos_vinz(
+            let r = run_workflow_under_chaos_store(
                 DEEP_SEQ_WF,
                 "main",
                 vec![Value::Int(5)],
                 ChaosConfig::turbulence(seed),
                 vinz,
+                None,
                 None,
             )
             .map_err(|e| format!("seed {seed}: {label}: {e}"))?;
@@ -181,12 +182,13 @@ fn delta_resume_survives_crashes_sixteen_seeds() {
     let expected = Value::Int((0..6).map(|i| i * i).sum());
     for &seed in &chaos_seeds(16) {
         let run = |vinz: VinzConfig, label: &str| -> Result<ChaosRun, String> {
-            let r = run_workflow_under_chaos_vinz(
+            let r = run_workflow_under_chaos_store(
                 DEEP_FORK_WF,
                 "main",
                 vec![Value::Int(6)],
                 ChaosConfig::survivability(seed),
                 vinz,
+                None,
                 None,
             )
             .map_err(|e| format!("seed {seed}: {label}: {e}"))?;

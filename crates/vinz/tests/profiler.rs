@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use bluebox::Cluster;
@@ -16,9 +17,9 @@ use gozer_lang::Value;
 use gozer_obs::flight::dump_is_complete;
 use vinz::testing::{
     chaos_seeds, install_flight_panic_hook, repro_command, run_workflow_under_chaos,
-    run_workflow_under_chaos_flight, ChaosConfig, ChaosRun,
+    run_workflow_under_chaos_store, ChaosConfig, ChaosRun,
 };
-use vinz::WorkflowService;
+use vinz::{VinzConfig, WorkflowService};
 
 /// Fork-free workflow: one suspension (sleep) and plenty of frame
 /// entries. With no for-each, per-seed opcode totals are
@@ -218,11 +219,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
 #[test]
 fn failing_seed_leaves_complete_flight_dumps() {
     let base = scratch_dir("fail");
-    let err = run_workflow_under_chaos_flight(
+    let err = run_workflow_under_chaos_store(
         "(defun main () (error \"deliberate failure\"))",
         "main",
         vec![],
         ChaosConfig::off(1),
+        VinzConfig::default(),
+        None,
         Some(base.clone()),
     )
     .expect_err("the workflow must fail");
@@ -281,6 +284,10 @@ fn panic_hook_records_flight_dump() {
         .last_dump()
         .expect("panic hook recorded a dump");
     assert!(dump_is_complete(&dump, true), "{}", dump.display());
+    let profile = obs.profile();
+    let read = |file: &str| std::fs::read_to_string(dump.join(file)).unwrap();
+    assert_eq!(read("profile.txt"), profile.render(20));
+    assert_eq!(read("profile.folded"), profile.folded_stacks());
     let reason = std::fs::read_to_string(dump.join("reason.txt")).unwrap();
     assert!(
         reason.contains("deliberate panic for the flight recorder"),
@@ -288,4 +295,56 @@ fn panic_hook_records_flight_dump() {
     );
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Every continuation the save path serializes is one it persists, so
+/// the profile's serialize figures and the save counters are the same
+/// facts: on a run that stacks deltas on full snapshots they agree
+/// exactly. The cheapest-save figure is absent until the first save.
+#[test]
+fn serialize_costs_equal_persist_counters() {
+    // Three sequential joins under two live frames: one full save,
+    // then deltas.
+    const DEEP_SEQ_WF: &str = "
+(defun triple (n) (* n 3))
+(defun leaf (n)
+  (+ (join-process (fork-and-exec #'triple :argument n))
+     (join-process (fork-and-exec #'triple :argument n))
+     (join-process (fork-and-exec #'triple :argument n))))
+(defun main (n) (+ (+ 1 (leaf n)) 1))
+";
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(DEEP_SEQ_WF)
+        .config(VinzConfig {
+            delta_snapshots: true,
+            ..VinzConfig::default()
+        })
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    let obs = wf.obs();
+    assert_eq!(obs.profile().serial.min_serialize_nanos, None, "nothing saved yet");
+    for _ in 0..4 {
+        let v = wf.call("main", vec![Value::Int(5)], Duration::from_secs(30)).unwrap();
+        assert_eq!(v, Value::Int(47));
+    }
+    cluster.shutdown();
+    let serial = obs.profile().serial;
+    let c = obs.counters();
+    let load = |h: &std::sync::atomic::AtomicU64| h.load(Ordering::Relaxed);
+    assert!(load(&c.delta_saves) > 0, "the run must take the delta path");
+    assert_eq!(serial.serialize_count, load(&c.persist_count), "{serial:?}");
+    assert_eq!(
+        serial.serialize_bytes,
+        load(&c.full_bytes) + load(&c.delta_bytes),
+        "{serial:?}"
+    );
+    // The cheapest save is a real, nonzero sample among those summed.
+    assert!(
+        serial
+            .min_serialize_nanos
+            .is_some_and(|min| min > 0 && min <= serial.serialize_nanos),
+        "{serial:?}"
+    );
 }

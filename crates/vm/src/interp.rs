@@ -203,6 +203,10 @@ impl GlobalCache {
 /// match the last snapshot and a capture need not visit them again.
 /// Continuation resumption replaces the whole stack and drops the
 /// watermark to 0. Nested activations pass a throwaway.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "reshaping the dispatch loop's signature risks the dispatch-arm codegen cliff (DESIGN §16)"
+)]
 pub(crate) fn interp(
     gvm: &Arc<Gvm>,
     frames: &mut Vec<Frame>,

@@ -62,5 +62,7 @@ pub use natives::ObjectVal;
 pub use opt::{set_fuse_override, OptConfig};
 pub use pool::ThreadPool;
 pub use verify::verify_program;
-pub use profile::{VmProfiler, OPCODE_COUNT, OPCODE_NAMES};
+pub use profile::{
+    FnProfile, ProfileReport, SerialCostSnapshot, VmProfiler, OPCODE_COUNT, OPCODE_NAMES,
+};
 pub use runtime::{force, Closure, ContinuationVal, Fast2, FutureVal, NativeFn, NativeOutcome};

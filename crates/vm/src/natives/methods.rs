@@ -33,8 +33,8 @@ pub struct ObjectVal {
 }
 
 impl ObjectVal {
-    /// Create an object value.
-    pub fn new(class: &str, fields: AssocMap) -> Value {
+    /// Create an object and wrap it as a value.
+    pub fn new_value(class: &str, fields: AssocMap) -> Value {
         Value::Opaque(Arc::new(ObjectVal {
             class: class.to_string(),
             fields: Mutex::new(fields),
@@ -91,7 +91,7 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
             fields.insert(rest[i].clone(), rest[i + 1].clone());
             i += 2;
         }
-        NativeOutcome::ok(ObjectVal::new(class, fields))
+        NativeOutcome::ok(ObjectVal::new_value(class, fields))
     });
     reg(gvm, "object-class", |_, args| {
         arity("object-class", &args, 1, Some(1))?;

@@ -2,12 +2,10 @@
 //! distributed workflows cause only redelivery-sized delays, never lost
 //! work, because every fiber's state lives in the shared store.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use gozer::testing::{chaos_seeds, repro_command, run_workflow_under_chaos};
 use gozer::{ChaosConfig, ChaosPlan, FaultPoint, GozerSystem, TaskStatus, Value, VinzConfig};
-use vinz::FileStore;
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -83,32 +81,6 @@ fn many_tasks_survive_rolling_failures() {
     // redelivery assertions live in the bluebox crate's tests. What must
     // hold unconditionally is completion, asserted above.
     sys.shutdown();
-}
-
-#[test]
-fn file_backed_store_full_run() {
-    // The NFS-shaped deployment: fiber state as files in a shared
-    // directory (§4.2).
-    let dir = std::env::temp_dir().join(format!(
-        "gozer-nfs-{}",
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let sys = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
-        .store(Arc::new(FileStore::open(dir.join("state")).unwrap()))
-        .workflow(WORKFLOW)
-        .build()
-        .unwrap();
-    let v = sys.call("main", vec![Value::Int(10)], TIMEOUT).unwrap();
-    assert_eq!(v, expected(10));
-    // The store really wrote fiber state to disk.
-    assert!(sys.workflow.store().bytes_written() > 0);
-    sys.shutdown();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
