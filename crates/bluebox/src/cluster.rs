@@ -16,7 +16,7 @@ use crate::message::{Fault, Message, ReplyTo};
 use crate::metrics::Metrics;
 use crate::queue::{AffinityCounts, Policy, ServiceQueue};
 use crate::recovery::{DeadLetter, Lease, PendingReclaim, RecoveryConfig, RecoveryStats, RecoveryStatsSnapshot};
-use crate::tcp::TcpBroker;
+use crate::tcp::{Conn, TcpBroker};
 
 pub use crate::chaos::FaultPoint;
 
@@ -81,9 +81,10 @@ pub(crate) struct InstanceControl {
     pub(crate) fault: Mutex<Option<FaultPoint>>,
     pub(crate) busy: AtomicBool,
     pub(crate) alive: AtomicBool,
-    /// Last queue interaction (or, for remote proxy instances, last
-    /// heartbeat frame from the worker process); the reaper treats a
-    /// holder whose heartbeat is older than the lease TTL as failed.
+    /// Last queue interaction (or, for a remote slot, last heartbeat
+    /// frame from its worker process while the slot was idle); the
+    /// reaper treats a holder whose heartbeat is older than the lease
+    /// TTL as failed.
     pub(crate) heartbeat: Mutex<Instant>,
 }
 
@@ -96,6 +97,22 @@ impl InstanceControl {
             alive: AtomicBool::new(true),
             heartbeat: Mutex::new(Instant::now()),
         }
+    }
+}
+
+/// What serves an instance's deliveries. Both kinds run the one
+/// `instance_loop`: the same lease, chaos, kill and settle steps.
+pub(crate) enum Slot {
+    /// A handler on a thread of this process.
+    Local(Arc<dyn Handler>),
+    /// One slot of a remote worker process, reached over its connection.
+    Remote(Arc<Conn>),
+}
+
+impl Slot {
+    /// Whether the slot can serve no more: its worker's connection died.
+    fn gone(&self) -> bool {
+        matches!(self, Slot::Remote(conn) if conn.is_dead())
     }
 }
 
@@ -436,80 +453,55 @@ impl Cluster {
             .get(service)
             .map(|e| e.handler.clone())
             .expect("service must be registered before spawning instances");
-        let mut ids = Vec::with_capacity(count);
-        for _ in 0..count {
-            let id = self.next_instance.fetch_add(1, Ordering::Relaxed);
-            ids.push(id);
-            let control = Arc::new(InstanceControl {
-                stop: AtomicBool::new(false),
-                fault: Mutex::new(None),
-                busy: AtomicBool::new(false),
-                alive: AtomicBool::new(true),
-                heartbeat: Mutex::new(Instant::now()),
-            });
-            let queue = self.queue(service);
-            let ctx = ServiceCtx {
-                cluster: self.clone(),
-                node_id,
-                instance_id: id,
-                service: service.to_string(),
-            };
-            let thread_control = control.clone();
-            let thread_handler = handler.clone();
-            let thread = std::thread::Builder::new()
-                .name(format!("bb-{service}-{id}"))
-                .spawn(move || instance_loop(ctx, queue, thread_handler, thread_control))
-                .expect("spawn instance thread");
-            self.instances.lock().push(InstanceHandle {
-                id,
-                node_id,
-                service: service.to_string(),
-                control,
-                thread: Some(thread),
-            });
-        }
-        ids
+        (0..count)
+            .map(|_| self.spawn_instance(service, node_id, Slot::Local(handler.clone())))
+            .collect()
     }
 
-    /// Register one *proxy* instance for a remote worker process: the
-    /// TCP broker allocates the id and control here, then `spawn` starts
-    /// the proxy thread that pops the queue and forwards deliveries
-    /// over its connection. The handle joins the normal instance table,
-    /// so the lease reaper, `live_instances`, kill helpers, and
-    /// shutdown all treat remote capacity exactly like local threads.
-    pub(crate) fn register_remote_instance(
+    /// Start one instance of `service` on `node_id`, served by `slot`.
+    /// Local handlers and remote worker slots both come through here,
+    /// so the lease reaper, `live_instances`, the kill helpers and
+    /// shutdown treat them alike. Returns the instance id.
+    pub(crate) fn spawn_instance(
         self: &Arc<Cluster>,
         service: &str,
         node_id: u32,
-        spawn: impl FnOnce(u64, Arc<InstanceControl>) -> JoinHandle<()>,
+        slot: Slot,
     ) -> u64 {
         let id = self.next_instance.fetch_add(1, Ordering::Relaxed);
         let control = Arc::new(InstanceControl::new());
-        // Table entry first, thread second: a lease the new proxy
-        // inserts must always find its holder registered, or a reaper
-        // scan in the gap would reclaim it instantly as "dead holder".
-        self.instances.lock().push(InstanceHandle {
+        if let Slot::Remote(conn) = &slot {
+            conn.instances.lock().push(control.clone());
+        }
+        let ctx = ServiceCtx {
+            cluster: self.clone(),
+            node_id,
+            instance_id: id,
+            service: service.to_string(),
+        };
+        let queue = self.queue(service);
+        let thread_control = control.clone();
+        // Start the thread under the table lock: the reaper scans under
+        // it too, so no scan can see a lease the new instance takes
+        // before the instance's entry is in (it would reclaim it at
+        // once as held by a "dead holder").
+        let mut instances = self.instances.lock();
+        let thread = std::thread::Builder::new()
+            .name(format!("bb-{service}-{id}"))
+            .spawn(move || instance_loop(ctx, queue, slot, thread_control))
+            .expect("spawn instance thread");
+        instances.push(InstanceHandle {
             id,
             node_id,
             service: service.to_string(),
-            control: control.clone(),
-            thread: None,
+            control,
+            thread: Some(thread),
         });
-        let thread = spawn(id, control);
-        let mut instances = self.instances.lock();
-        if let Some(h) = instances.iter_mut().find(|h| h.id == id) {
-            h.thread = Some(thread);
-        }
         id
     }
 
-    /// The queue of a service (created on first touch).
-    pub(crate) fn service_queue(&self, service: &str) -> Arc<ServiceQueue> {
-        self.queue(service)
-    }
-
     /// Record a lease: `msg` is in flight at `instance`.
-    pub(crate) fn insert_lease(&self, msg: &Arc<Message>, service: &Arc<str>, instance: u64) {
+    fn insert_lease(&self, msg: &Arc<Message>, service: &Arc<str>, instance: u64) {
         self.leases.lock().insert(
             msg.id,
             Lease {
@@ -520,25 +512,32 @@ impl Cluster {
         );
     }
 
-    /// Claim the lease for settling. `true` means the caller owns the
-    /// completion — the reaper has *not* reclaimed the message — and
-    /// must route the reply and settle the queue. `false` means the
-    /// message was already reclaimed (and possibly redelivered); the
-    /// caller must drop its result, or the same delivery would take
-    /// effect twice.
-    pub(crate) fn take_lease(&self, msg_id: u64) -> bool {
-        self.leases.lock().remove(&msg_id).is_some()
+    /// Claim `instance`'s lease on `msg_id` for settling. `true` means
+    /// the caller owns the completion — the reaper has *not* reclaimed
+    /// the message — and must route the reply and settle the queue.
+    /// `false` means the message was reclaimed (and possibly redelivered
+    /// under the same id to another holder); the caller must drop its
+    /// result, or the same delivery would take effect twice.
+    fn take_lease(&self, msg_id: u64, instance: u64) -> bool {
+        let mut leases = self.leases.lock();
+        let held = leases.get(&msg_id).is_some_and(|l| l.instance == instance);
+        if held {
+            leases.remove(&msg_id);
+        }
+        held
     }
 
-    /// Whether `msg_id`'s lease is still outstanding.
-    pub(crate) fn lease_held(&self, msg_id: u64) -> bool {
-        self.leases.lock().contains_key(&msg_id)
+    /// Whether `instance` still holds the lease on `msg_id`.
+    pub(crate) fn lease_held(&self, msg_id: u64, instance: u64) -> bool {
+        self.leases
+            .lock()
+            .get(&msg_id)
+            .is_some_and(|l| l.instance == instance)
     }
 
-    /// Delivery-side accounting shared by local instance loops and
-    /// remote proxies: metrics, queue-wait attribution and the
+    /// Delivery-side accounting: metrics, queue-wait attribution and the
     /// `MessageDelivered` event.
-    pub(crate) fn note_delivered(&self, msg: &Message, node_id: u32, instance_id: u64) {
+    fn note_delivered(&self, msg: &Message, node_id: u32, instance_id: u64) {
         let metrics = &self.metrics;
         // Pure queue wait: durability-hold time (stamped on release) is
         // its own latency phase, not queue time.
@@ -651,42 +650,12 @@ impl Cluster {
         });
     }
 
-    /// Send a request whose reply is delivered as a fresh request to
-    /// `reply_service`/`reply_operation` — the `ResumeFromCall` pattern
-    /// of §3.2. Returns the correlation id stamped on the reply.
-    pub fn send_with_service_reply(
-        &self,
-        msg: Message,
-        reply_service: &str,
-        reply_operation: &str,
-    ) -> u64 {
-        let correlation = self.allocate_correlation();
-        self.send_with_service_reply_corr(msg, reply_service, reply_operation, correlation);
-        correlation
-    }
-
-    /// Reserve a correlation id without sending anything. Lets callers
-    /// durably record the correlation *before* the request goes out, so a
-    /// fast reply can never race the bookkeeping.
+    /// Reserve a correlation id for a [`ReplyTo::Service`] reply (the
+    /// `ResumeFromCall` pattern of §3.2). Lets callers durably record
+    /// the correlation *before* the request goes out, so a fast reply
+    /// can never race the bookkeeping.
     pub fn allocate_correlation(&self) -> u64 {
         self.next_corr.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// [`send_with_service_reply`](Self::send_with_service_reply) with a
-    /// pre-allocated correlation id.
-    pub fn send_with_service_reply_corr(
-        &self,
-        mut msg: Message,
-        reply_service: &str,
-        reply_operation: &str,
-        correlation: u64,
-    ) {
-        msg.reply_to = ReplyTo::Service {
-            service: reply_service.to_string(),
-            operation: reply_operation.to_string(),
-            correlation,
-        };
-        self.send(msg);
     }
 
     /// Synchronous call: blocks the calling thread until the reply (the
@@ -711,7 +680,7 @@ impl Cluster {
         }
     }
 
-    pub(crate) fn route_reply(&self, request: &Message, result: Result<Vec<u8>, Fault>) {
+    fn route_reply(&self, request: &Message, result: Result<Vec<u8>, Fault>) {
         match &request.reply_to {
             ReplyTo::Nowhere => {
                 if result.is_err() {
@@ -885,6 +854,12 @@ impl Cluster {
             .get(service)
             .map(|q| q.leased_count())
             .unwrap_or(0)
+    }
+
+    /// The TCP listener remote workers register through, once
+    /// [`TcpBroker::start`] has put one up.
+    pub fn tcp_broker(&self) -> Option<Arc<TcpBroker>> {
+        self.tcp.lock().clone()
     }
 
     /// Whether [`shutdown`](Self::shutdown) has begun.
@@ -1079,7 +1054,7 @@ impl Cluster {
         }
         // Tear the TCP listener down before taking the instances lock:
         // connection threads register instances (which takes it), and
-        // remote proxy threads only exit once their connections die.
+        // remote slots only exit once their connections die.
         let tcp = self.tcp.lock().take();
         if let Some(broker) = tcp {
             broker.shutdown();
@@ -1102,18 +1077,28 @@ impl Cluster {
 fn instance_loop(
     ctx: ServiceCtx,
     queue: Arc<ServiceQueue>,
-    handler: Arc<dyn Handler>,
+    slot: Slot,
     control: Arc<InstanceControl>,
 ) {
     let cluster = ctx.cluster.clone();
     let service: Arc<str> = ctx.service.as_str().into();
+    let metrics = &cluster.metrics;
     // Announce this node to the queue so affinity-stamped messages can
     // find it; withdrawn after the loop on *every* exit path (stop,
     // fault, crash) so dead nodes never pin their messages.
     queue.register_consumer(ctx.node_id);
     loop {
-        *control.heartbeat.lock() = Instant::now();
+        // A local instance vouches for itself on every queue
+        // interaction. A remote slot is vouched for only by its
+        // worker's heartbeat frames: this thread is not the process.
+        if let Slot::Local(_) = slot {
+            *control.heartbeat.lock() = Instant::now();
+        }
         if control.stop.load(Ordering::Relaxed) {
+            break;
+        }
+        if slot.gone() {
+            control.alive.store(false, Ordering::Relaxed);
             break;
         }
         let Some(msg) = queue.pop_for(ctx.node_id, Duration::from_millis(50)) else {
@@ -1131,7 +1116,6 @@ fn instance_loop(
         // The lease and the handler share the one message.
         let msg = Arc::new(msg);
         cluster.insert_lease(&msg, &service, ctx.instance_id);
-        let metrics = &cluster.metrics;
         cluster.note_delivered(&msg, ctx.node_id, ctx.instance_id);
         // Seeded chaos: the plan decides this delivery's fate from the
         // message's stable key alone.
@@ -1145,14 +1129,16 @@ fn instance_loop(
                 }
                 FaultAction::DropRedeliver => {
                     // The handoff is lost in transit: re-queue, stay
-                    // alive (at-least-once redelivery, not a crash).
+                    // alive (at-least-once redelivery, not a crash) —
+                    // unless the reaper already took the lease back.
                     cluster.emit_fault(&msg, "drop");
-                    metrics.redelivered.fetch_add(1, Ordering::Relaxed);
-                    cluster.emit_redelivered(&msg);
-                    cluster.leases.lock().remove(&msg.id);
-                    cluster.note_phase(&msg, Phase::QueueWait);
-                    queue.push_front(Arc::unwrap_or_clone(msg));
-                    queue.settle();
+                    if cluster.take_lease(msg.id, ctx.instance_id) {
+                        metrics.redelivered.fetch_add(1, Ordering::Relaxed);
+                        cluster.emit_redelivered(&msg);
+                        cluster.note_phase(&msg, Phase::QueueWait);
+                        queue.push_front(Arc::unwrap_or_clone(msg));
+                        queue.settle();
+                    }
                     continue;
                 }
                 FaultAction::Crash(point) => {
@@ -1165,7 +1151,7 @@ fn instance_loop(
                             (FaultPoint::AfterProcess, _) => "crash-after",
                         },
                     );
-                    crash_with(&cluster, &queue, &control, &msg, point, &ctx, node_wide);
+                    crash_with(&cluster, &control, &msg, point, &ctx, node_wide);
                     break;
                 }
             }
@@ -1184,11 +1170,25 @@ fn instance_loop(
         control.busy.store(true, Ordering::Relaxed);
         metrics.enter_flight();
         let started = Instant::now();
-        let result = handler.handle(&ctx, &msg);
+        let result = match &slot {
+            Slot::Local(handler) => Some(handler.handle(&ctx, &msg)),
+            Slot::Remote(conn) => conn.deliver(&ctx, &msg, &control),
+        };
         let busy = started.elapsed().as_nanos() as u64;
         metrics.busy.observe_nanos(busy);
         metrics.exit_flight();
         control.busy.store(false, Ordering::Relaxed);
+        let Some(result) = result else {
+            // A remote slot abandoned the message. Worker gone (torn
+            // frame, kill -9) or slot stopping: die holding the lease,
+            // as a local crash does. Lease reclaimed from a slow worker
+            // over a healthy connection: keep serving.
+            if slot.gone() || control.stop.load(Ordering::Relaxed) || cluster.is_shutdown() {
+                control.alive.store(false, Ordering::Relaxed);
+                break;
+            }
+            continue;
+        };
         // Crash after processing but before the ack/reply (manual kill
         // or chaos): redelivered even though the handler's effects may
         // stand, exercising the at-least-once path (handlers must be
@@ -1203,7 +1203,6 @@ fn instance_loop(
                 && chaos.as_ref().is_some_and(|p| p.on_node_scope(&msg));
             crash_with(
                 &cluster,
-                &queue,
                 &control,
                 &msg,
                 FaultPoint::AfterProcess,
@@ -1212,10 +1211,19 @@ fn instance_loop(
             );
             break;
         }
-        cluster.leases.lock().remove(&msg.id);
-        cluster.route_reply(&msg, result);
-        metrics.completed.fetch_add(1, Ordering::Relaxed);
-        queue.settle();
+        // The settle rule: only the lease holder routes the reply and
+        // settles the queue. A result that outlived its lease is
+        // dropped — the reaper already returned the queue lease, and the
+        // redelivery owns the message now.
+        let settled = cluster.take_lease(msg.id, ctx.instance_id);
+        if let Slot::Remote(conn) = &slot {
+            conn.note_settle(settled);
+        }
+        if settled {
+            cluster.route_reply(&msg, result);
+            metrics.completed.fetch_add(1, Ordering::Relaxed);
+            queue.settle();
+        }
     }
     queue.deregister_consumer(ctx.node_id);
 }
@@ -1227,7 +1235,6 @@ fn instance_loop(
 /// quarantines it once the redelivery budget is spent.
 fn crash_with(
     cluster: &Arc<Cluster>,
-    _queue: &Arc<ServiceQueue>,
     control: &Arc<InstanceControl>,
     msg: &Message,
     point: FaultPoint,

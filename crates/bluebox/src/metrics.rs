@@ -189,7 +189,7 @@ pub struct TransportMetrics {
     pub worker_disconnects: Arc<AtomicU64>,
     /// Deliveries forwarded to remote workers.
     pub remote_deliveries: Arc<AtomicU64>,
-    /// Settles applied (the proxy still owned the lease).
+    /// Settles applied (the slot still held the lease).
     pub remote_settles: Arc<AtomicU64>,
     /// Settles discarded because the lease was already reclaimed or
     /// the delivery superseded — the double-effect guard firing.

@@ -2,31 +2,36 @@
 //!
 //! Architecture: the broker process keeps *all* queueing, lease, and
 //! recovery state. A remote worker never owns a queue — when it
-//! connects and registers, the broker spawns one local **proxy
-//! instance** thread per registered slot. The proxy competes on the
-//! service queue exactly like an in-process instance, but instead of
-//! invoking a handler it forwards the delivery over the connection and
-//! waits for the worker's settle. The payoff is that every recovery
-//! mechanism built for in-process instances — the lease reaper,
+//! connects and registers `n` slots of a service, the broker starts `n`
+//! ordinary instances whose slot is the connection
+//! (`Slot::Remote`). They run the one instance
+//! loop in `cluster.rs`, so they pop, lease, take chaos and kill faults,
+//! count as busy and in flight, and settle exactly as in-process
+//! instances do; only the delivery step differs: it forwards the
+//! message over the connection and waits for the worker's settle
+//! (`Conn::deliver`). Every recovery mechanism — the lease reaper,
 //! redelivery backoff, dead-letter quarantine, `hold_until` parking —
-//! covers real process death with no parallel code path: `kill -9` on
-//! a worker surfaces as a dead connection, which marks its proxies
-//! dead, which expires their leases.
+//! therefore covers real process death with no code of its own:
+//! `kill -9` on a worker surfaces as a dead connection, which marks its
+//! slots dead, which expires their leases.
 //!
 //! Exactly-once discipline (at-least-once delivery + single effect):
 //!
-//! * Each forwarded delivery carries a broker-unique **delivery id**
-//!   (not the message id). A settle must echo it. A worker that
+//! * Each forwarded delivery carries a connection-unique **delivery
+//!   id** (not the message id). A settle must echo it. A worker that
 //!   finishes *after* the reaper reclaimed its message can therefore
 //!   never settle the message's next delivery — the stale id no longer
 //!   maps to anything and is counted as a duplicate settle.
-//! * A proxy applies a settle only if it still owns the lease
-//!   ([`Cluster::take_lease`]); a reclaim between settle arrival and
-//!   application is caught there.
+//! * A slot applies a settle only if it still holds the lease (the
+//!   settle rule every instance follows); a reclaim between settle
+//!   arrival and application is caught there.
 //! * A connection that dies mid-delivery (torn frame, `kill -9`,
-//!   half-written settle) causes the proxy to *abandon* the message:
-//!   no settle, no requeue. The lease expires and the reaper
-//!   redelivers — exactly the contract in-process crashes follow.
+//!   half-written settle) makes the slot *abandon* the message and
+//!   die holding its lease: no settle, no requeue. The reaper
+//!   redelivers — exactly what an in-process crash leads to.
+//!
+//! Each end writes through one `Link` (encode, write, flush, die on
+//! error, under one lock) and reads through one [`FrameReader`].
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -40,12 +45,10 @@ use crossbeam::channel::{bounded, RecvTimeoutError};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
-use crate::cluster::{Cluster, InstanceControl, ReplySlot};
+use crate::cluster::{Cluster, InstanceControl, ReplySlot, ServiceCtx, Slot};
 use crate::message::{Fault, Message};
 use crate::metrics::TransportMetrics;
-use crate::wire::{
-    encode_frame, FrameError, FrameReader, SettleBody, WireMsg, WirePayload,
-};
+use crate::wire::{encode_frame, FrameError, FrameReader, SettleBody, WireMsg, WirePayload};
 
 // ---- shared helpers ---------------------------------------------------
 
@@ -131,43 +134,92 @@ impl Default for TcpBrokerConfig {
     }
 }
 
-/// One accepted worker connection, shared between its reader thread
-/// and the proxy instances it registered.
-struct Conn {
-    worker: String,
-    node: u32,
-    /// Writer half; a [`Mutex`] so Delivery frames from concurrent
-    /// proxies never interleave mid-frame.
+/// The write half of a connection, shared by every thread that sends
+/// on it: a frame is encoded, written and flushed under one lock, so
+/// frames of concurrent writers never interleave, and the first failed
+/// write kills the link. Both ends use it: the broker's `Conn` and a
+/// worker's session.
+struct Link {
     stream: Mutex<TcpStream>,
     dead: AtomicBool,
-    /// Outstanding forwarded deliveries by delivery id; the reader
-    /// routes Settle frames here. Entries removed on settle, conn
-    /// death, reclaim, or proxy exit — a lookup miss is a stale settle.
-    pending: Mutex<FxHashMap<u64, ReplySlot>>,
-    /// Controls of the proxy instances registered on this connection.
-    instances: Mutex<Vec<Arc<InstanceControl>>>,
-    tm: Arc<TransportMetrics>,
 }
 
-impl Conn {
-    fn write(&self, msg: &WireMsg) -> bool {
-        if self.dead.load(Ordering::Relaxed) {
-            return false;
+impl Link {
+    fn new(stream: TcpStream) -> Link {
+        Link {
+            stream: Mutex::new(stream),
+            dead: AtomicBool::new(false),
+        }
+    }
+
+    /// Write one frame; its size in bytes. Fails at once on a dead link.
+    fn write(&self, msg: &WireMsg) -> std::io::Result<usize> {
+        if self.is_dead() {
+            return Err(std::io::ErrorKind::NotConnected.into());
         }
         let frame = encode_frame(msg);
-        // The guard must be dropped before `mark_dead`, which re-locks
-        // `self.stream` to shut the socket down — holding it across the
-        // error arm would self-deadlock on the first failed write.
+        // The guard must be dropped before `kill`, which re-locks the
+        // stream to shut it down — holding it across the error arm
+        // would self-deadlock on the first failed write.
         let res = {
             let mut stream = self.stream.lock();
             stream.write_all(&frame).and_then(|_| stream.flush())
         };
         match res {
-            Ok(()) => {
+            Ok(()) => Ok(frame.len()),
+            Err(e) => {
+                self.kill();
+                Err(e)
+            }
+        }
+    }
+
+    /// Declare the link dead (idempotent) and close the socket.
+    fn kill(&self) {
+        self.dead.store(true, Ordering::SeqCst);
+        let _ = self.stream.lock().shutdown(Shutdown::Both);
+    }
+
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::Relaxed)
+    }
+}
+
+/// One accepted worker connection, shared between its reader thread
+/// and the instances whose slot it is.
+pub(crate) struct Conn {
+    link: Link,
+    worker: String,
+    /// Delivery ids, unique on this connection.
+    next_delivery: AtomicU64,
+    /// Outstanding forwarded deliveries by delivery id; the reader
+    /// routes Settle frames here. Entries removed on settle, conn
+    /// death, reclaim, or slot exit — a lookup miss is a stale settle.
+    pending: Mutex<FxHashMap<u64, ReplySlot>>,
+    /// Controls of the instances registered on this connection.
+    pub(crate) instances: Mutex<Vec<Arc<InstanceControl>>>,
+    tm: Arc<TransportMetrics>,
+}
+
+impl Conn {
+    fn new(worker: String, stream: TcpStream, tm: Arc<TransportMetrics>) -> Conn {
+        Conn {
+            link: Link::new(stream),
+            worker,
+            next_delivery: AtomicU64::new(1),
+            pending: Mutex::new(FxHashMap::default()),
+            instances: Mutex::new(Vec::new()),
+            tm,
+        }
+    }
+
+    fn write(&self, msg: &WireMsg) -> bool {
+        match self.link.write(msg) {
+            Ok(bytes) => {
                 self.tm.frames_sent.fetch_add(1, Ordering::Relaxed);
                 self.tm
                     .bytes_sent
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
+                    .fetch_add(bytes as u64, Ordering::Relaxed);
                 true
             }
             Err(_) => {
@@ -177,19 +229,74 @@ impl Conn {
         }
     }
 
-    /// Declare the connection dead (idempotent): wake every waiting
-    /// proxy (dropping their settle senders), mark every registered
-    /// instance not-alive so the reaper expires their leases, and
-    /// close the socket.
+    /// Declare the connection dead (idempotent): close the socket,
+    /// wake every waiting slot (dropping their settle senders) and mark
+    /// every registered instance not-alive so the reaper expires their
+    /// leases.
     fn mark_dead(&self) {
-        if !self.dead.swap(true, Ordering::SeqCst) {
-            self.tm.worker_disconnects.fetch_add(1, Ordering::Relaxed);
-        }
+        self.link.kill();
         self.pending.lock().clear();
         for control in self.instances.lock().iter() {
             control.alive.store(false, Ordering::Relaxed);
         }
-        let _ = self.stream.lock().shutdown(Shutdown::Both);
+    }
+
+    pub(crate) fn is_dead(&self) -> bool {
+        self.link.is_dead()
+    }
+
+    /// The remote slot's delivery step: forward `msg` to the worker and
+    /// wait for its settle. `None` abandons the message — the worker is
+    /// gone, the slot is stopping, or the reaper reclaimed the lease
+    /// from under a slow worker (whose late settle then resolves
+    /// nothing and counts as a duplicate).
+    pub(crate) fn deliver(
+        &self,
+        ctx: &ServiceCtx,
+        msg: &Message,
+        control: &InstanceControl,
+    ) -> Option<Result<Vec<u8>, Fault>> {
+        let cluster = &ctx.cluster;
+        let delivery = self.next_delivery.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = bounded(1);
+        self.pending.lock().insert(delivery, tx);
+        let forwarded = self.write(&WireMsg::Delivery {
+            lease: delivery,
+            redeliveries: msg.redeliveries,
+            payload: wire_payload_of(msg),
+        });
+        let mut outcome = None;
+        if forwarded {
+            self.tm.remote_deliveries.fetch_add(1, Ordering::Relaxed);
+            outcome = loop {
+                match rx.recv_timeout(Duration::from_millis(25)) {
+                    Ok(result) => break Some(result),
+                    Err(RecvTimeoutError::Disconnected) => break None,
+                    Err(RecvTimeoutError::Timeout) => {
+                        if self.is_dead()
+                            || control.stop.load(Ordering::Relaxed)
+                            || cluster.is_shutdown()
+                            || !cluster.lease_held(msg.id, ctx.instance_id)
+                        {
+                            break None;
+                        }
+                    }
+                }
+            };
+        }
+        self.pending.lock().remove(&delivery);
+        outcome
+    }
+
+    /// Count a worker's result: applied (its slot still held the
+    /// lease) or dropped as a duplicate.
+    pub(crate) fn note_settle(&self, applied: bool) {
+        let counter = if applied {
+            &self.tm.remote_settles
+        } else {
+            &self.tm.duplicate_settles
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -205,18 +312,26 @@ pub struct TcpBroker {
     accept_thread: Mutex<Option<JoinHandle<()>>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
     conns: Mutex<Vec<Arc<Conn>>>,
-    next_delivery: AtomicU64,
     tmetrics: Arc<TransportMetrics>,
 }
 
 impl TcpBroker {
     /// Bind `addr` (use port 0 for an ephemeral port), start accepting
     /// workers, and hand the broker to `cluster` to shut down with it.
+    /// A cluster has at most one broker: a second start fails with
+    /// [`std::io::ErrorKind::AlreadyExists`].
     pub fn start(
         cluster: &Arc<Cluster>,
         addr: &str,
         cfg: TcpBrokerConfig,
     ) -> std::io::Result<Arc<TcpBroker>> {
+        let mut installed = cluster.tcp.lock();
+        if installed.is_some() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::AlreadyExists,
+                "the cluster already has a TCP broker",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let broker = Arc::new(TcpBroker {
@@ -227,11 +342,10 @@ impl TcpBroker {
             accept_thread: Mutex::new(None),
             conn_threads: Mutex::new(Vec::new()),
             conns: Mutex::new(Vec::new()),
-            next_delivery: AtomicU64::new(1),
             tmetrics: Arc::new(TransportMetrics::default()),
         });
         broker.tmetrics.register(&cluster.obs().registry);
-        *cluster.tcp.lock() = Some(broker.clone());
+        *installed = Some(broker.clone());
         let accept_broker = broker.clone();
         let thread = std::thread::Builder::new()
             .name("bb-tcp-accept".into())
@@ -253,11 +367,7 @@ impl TcpBroker {
 
     /// Worker connections currently alive.
     pub fn live_connections(&self) -> usize {
-        self.conns
-            .lock()
-            .iter()
-            .filter(|c| !c.dead.load(Ordering::Relaxed))
-            .count()
+        self.conns.lock().iter().filter(|c| !c.is_dead()).count()
     }
 
     /// Names of the workers currently connected (health reporting).
@@ -265,7 +375,7 @@ impl TcpBroker {
         self.conns
             .lock()
             .iter()
-            .filter(|c| !c.dead.load(Ordering::Relaxed))
+            .filter(|c| !c.is_dead())
             .map(|c| c.worker.clone())
             .collect()
     }
@@ -291,7 +401,7 @@ impl TcpBroker {
         if let Some(t) = self.accept_thread.lock().take() {
             let _ = t.join();
         }
-        // Kill every connection (wakes readers and waiting proxies).
+        // Kill every connection (wakes readers and waiting slots).
         for conn in self.conns.lock().iter() {
             conn.mark_dead();
         }
@@ -363,15 +473,7 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let conn = Arc::new(Conn {
-        worker,
-        node,
-        stream: Mutex::new(writer),
-        dead: AtomicBool::new(false),
-        pending: Mutex::new(FxHashMap::default()),
-        instances: Mutex::new(Vec::new()),
-        tm: tm.clone(),
-    });
+    let conn = Arc::new(Conn::new(worker, writer, tm.clone()));
     if !conn.write(&WireMsg::HelloAck {
         heartbeat_ms: broker.cfg.heartbeat.as_millis() as u64,
     }) {
@@ -381,7 +483,7 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
     broker.conns.lock().push(conn.clone());
     // Dispatch until death.
     loop {
-        if broker.closing() || conn.dead.load(Ordering::Relaxed) {
+        if broker.closing() || conn.is_dead() {
             break;
         }
         let msg = match reader.read_frame(&mut stream) {
@@ -406,35 +508,9 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
         match msg {
             WireMsg::Register { service, instances } => {
                 let Some(cluster) = broker.cluster.upgrade() else { break };
-                let n = instances.min(256) as usize;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let proxy_broker = broker.clone();
-                    let proxy_conn = conn.clone();
-                    let proxy_cluster = cluster.clone();
-                    let proxy_service = service.clone();
-                    let id = cluster.register_remote_instance(
-                        &service,
-                        node,
-                        |id, control| {
-                            conn.instances.lock().push(control.clone());
-                            std::thread::Builder::new()
-                                .name(format!("bb-proxy-{proxy_service}-{id}"))
-                                .spawn(move || {
-                                    remote_instance_loop(
-                                        proxy_cluster,
-                                        proxy_broker,
-                                        proxy_conn,
-                                        proxy_service,
-                                        id,
-                                        control,
-                                    )
-                                })
-                                .expect("spawn remote proxy thread")
-                        },
-                    );
-                    ids.push(id);
-                }
+                let ids = (0..instances.min(256))
+                    .map(|_| cluster.spawn_instance(&service, node, Slot::Remote(conn.clone())))
+                    .collect();
                 if !conn.write(&WireMsg::Registered { service, ids }) {
                     break;
                 }
@@ -448,7 +524,7 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
                     None => {
                         // Stale: the lease was reclaimed (and possibly
                         // redelivered under a fresh delivery id) or the
-                        // proxy gave up. Dropping it here is what keeps
+                        // slot gave up. Dropping it here is what keeps
                         // one delivery from taking effect twice.
                         tm.duplicate_settles.fetch_add(1, Ordering::Relaxed);
                     }
@@ -483,120 +559,10 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
             }
         }
     }
+    // Every connection that completed its handshake ends here once.
+    tm.worker_disconnects.fetch_add(1, Ordering::Relaxed);
     conn.mark_dead();
     broker.conns.lock().retain(|c| !Arc::ptr_eq(c, &conn));
-}
-
-/// A proxy instance: competes on the service queue on behalf of one
-/// remote worker slot, forwarding deliveries and applying settles.
-fn remote_instance_loop(
-    cluster: Arc<Cluster>,
-    broker: Arc<TcpBroker>,
-    conn: Arc<Conn>,
-    service: String,
-    instance_id: u64,
-    control: Arc<InstanceControl>,
-) {
-    let service: Arc<str> = service.into();
-    let queue = cluster.service_queue(&service);
-    let node_id = conn.node;
-    queue.register_consumer(node_id);
-    loop {
-        if control.stop.load(Ordering::Relaxed)
-            || conn.dead.load(Ordering::Relaxed)
-            || cluster.is_shutdown()
-        {
-            break;
-        }
-        let Some(msg) = queue.pop_for(node_id, Duration::from_millis(50)) else {
-            continue;
-        };
-        // Leased from here. Every exit path either settles exactly once
-        // (lease taken first) or abandons the message with the lease
-        // registered for the reaper — never both.
-        let msg = Arc::new(msg);
-        cluster.insert_lease(&msg, &service, instance_id);
-        cluster.note_delivered(&msg, node_id, instance_id);
-        let delivery_id = broker.next_delivery.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        conn.pending.lock().insert(delivery_id, tx);
-        control.busy.store(true, Ordering::Relaxed);
-        let forwarded = conn.write(&WireMsg::Delivery {
-            lease: delivery_id,
-            redeliveries: msg.redeliveries,
-            payload: wire_payload_of(&msg),
-        });
-        if forwarded {
-            broker
-                .tmetrics
-                .remote_deliveries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let outcome = if !forwarded {
-            None
-        } else {
-            loop {
-                match rx.recv_timeout(Duration::from_millis(25)) {
-                    Ok(result) => break Some(result),
-                    Err(RecvTimeoutError::Disconnected) => break None,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if conn.dead.load(Ordering::Relaxed)
-                            || control.stop.load(Ordering::Relaxed)
-                            || cluster.is_shutdown()
-                        {
-                            break None;
-                        }
-                        if !cluster.lease_held(msg.id) {
-                            // The reaper reclaimed the message out from
-                            // under the (slow) worker; the redelivery
-                            // is someone else's now.
-                            break None;
-                        }
-                    }
-                }
-            }
-        };
-        control.busy.store(false, Ordering::Relaxed);
-        conn.pending.lock().remove(&delivery_id);
-        match outcome {
-            Some(result) => {
-                if cluster.take_lease(msg.id) {
-                    broker
-                        .tmetrics
-                        .remote_settles
-                        .fetch_add(1, Ordering::Relaxed);
-                    cluster.route_reply(&msg, result);
-                    cluster.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    queue.settle();
-                } else {
-                    // Settled after reclaim: result discarded, the
-                    // reaper already returned the queue lease.
-                    broker
-                        .tmetrics
-                        .duplicate_settles
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => {
-                if conn.dead.load(Ordering::Relaxed)
-                    || control.stop.load(Ordering::Relaxed)
-                    || cluster.is_shutdown()
-                {
-                    // Worker gone mid-delivery (torn frame, kill -9):
-                    // abandon. The registered lease expires and the
-                    // reaper redelivers or quarantines — a crashed
-                    // process cannot return its own work.
-                    control.alive.store(false, Ordering::Relaxed);
-                    break;
-                }
-                // Lease reclaimed but the connection is healthy: keep
-                // serving. A late settle for `delivery_id` no longer
-                // resolves and is counted as a duplicate.
-                continue;
-            }
-        }
-    }
-    queue.deregister_consumer(node_id);
 }
 
 // ---- worker side ------------------------------------------------------
@@ -631,46 +597,17 @@ where
     }
 }
 
-struct WorkerSession {
-    stream: Mutex<TcpStream>,
-    dead: AtomicBool,
-}
-
-impl WorkerSession {
-    fn write(&self, msg: &WireMsg) -> bool {
-        if self.dead.load(Ordering::Relaxed) {
-            return false;
-        }
-        let frame = encode_frame(msg);
-        // Guard dropped before `kill`, which re-locks `self.stream`.
-        let res = {
-            let mut stream = self.stream.lock();
-            stream.write_all(&frame).and_then(|_| stream.flush())
-        };
-        if res.is_err() {
-            self.kill();
-            return false;
-        }
-        true
-    }
-
-    fn kill(&self) {
-        self.dead.store(true, Ordering::Relaxed);
-        let _ = self.stream.lock().shutdown(Shutdown::Both);
-    }
-}
-
 /// Handler context on the worker side: fire-and-forget sends back into
 /// the broker, plus fault-injection hooks the chaos harnesses use to
 /// produce *real* torn frames and connection drops.
 pub struct WorkerCtx {
-    session: Arc<WorkerSession>,
+    session: Arc<Link>,
 }
 
 impl WorkerCtx {
     /// Inject a fire-and-forget message into the broker's queues.
     pub fn send(&self, service: &str, operation: &str, body: Vec<u8>) {
-        self.session.write(&WireMsg::Send {
+        let _ = self.session.write(&WireMsg::Send {
             payload: WirePayload {
                 service: service.to_string(),
                 operation: operation.to_string(),
@@ -871,17 +808,14 @@ fn run_session(
     stats: &Arc<WorkerStats>,
     is_reconnect: bool,
 ) -> Result<SessionEnd, FrameError> {
-    let mut stream = TcpStream::connect(&config.broker).map_err(FrameError::from)?;
+    let mut stream = TcpStream::connect(&config.broker)?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut writer_stream = stream.try_clone().map_err(FrameError::from)?;
-    write_frame(
-        &mut writer_stream,
-        &WireMsg::Hello {
-            worker: config.name.clone(),
-            node: config.node,
-        },
-    )?;
+    let session = Arc::new(Link::new(stream.try_clone()?));
+    session.write(&WireMsg::Hello {
+        worker: config.name.clone(),
+        node: config.node,
+    })?;
     // Timeout-safe framing: the 100ms read timeout routinely fires
     // mid-frame under load; partial bytes must be preserved across
     // ticks or the stream desynchronises.
@@ -903,15 +837,12 @@ fn run_session(
     if is_reconnect {
         stats.reconnects.fetch_add(1, Ordering::Relaxed);
     }
-    let session = Arc::new(WorkerSession {
-        stream: Mutex::new(writer_stream),
-        dead: AtomicBool::new(false),
-    });
     for (service, instances) in &config.services {
-        if !session.write(&WireMsg::Register {
+        let register = WireMsg::Register {
             service: service.clone(),
             instances: *instances,
-        }) {
+        };
+        if session.write(&register).is_err() {
             return Ok(SessionEnd::Lost);
         }
     }
@@ -924,11 +855,10 @@ fn run_session(
         .name("bb-worker-hb".into())
         .spawn(move || {
             let mut seq = 0u64;
-            while !hb_session.dead.load(Ordering::Relaxed) && !hb_stop.load(Ordering::Relaxed)
-            {
+            while !hb_session.is_dead() && !hb_stop.load(Ordering::Relaxed) {
                 std::thread::sleep(hb_interval);
                 seq += 1;
-                if !hb_session.write(&WireMsg::Heartbeat { seq }) {
+                if hb_session.write(&WireMsg::Heartbeat { seq }).is_err() {
                     return;
                 }
             }
@@ -937,10 +867,10 @@ fn run_session(
     // Dispatch deliveries until the connection ends.
     let end = loop {
         if stop.load(Ordering::Relaxed) {
-            session.write(&WireMsg::Bye);
+            let _ = session.write(&WireMsg::Bye);
             break SessionEnd::Finished;
         }
-        if session.dead.load(Ordering::Relaxed) {
+        if session.is_dead() {
             break SessionEnd::Lost;
         }
         match reader.read_frame(&mut stream) {
@@ -962,7 +892,7 @@ fn run_session(
                 let task_stats = stats.clone();
                 // One thread per in-flight delivery; concurrency is
                 // bounded broker-side by the registered instance count
-                // (each proxy forwards one delivery at a time).
+                // (each slot forwards one delivery at a time).
                 let _ = std::thread::Builder::new()
                     .name("bb-worker-task".into())
                     .spawn(move || {
@@ -974,7 +904,7 @@ fn run_session(
                             Ok(bytes) => SettleBody::Ok(bytes),
                             Err(fault) => SettleBody::Fault(fault.code, fault.message),
                         };
-                        if task_session.write(&WireMsg::Settle { lease, body }) {
+                        if task_session.write(&WireMsg::Settle { lease, body }).is_ok() {
                             task_stats.settles.fetch_add(1, Ordering::Relaxed);
                         }
                     });
@@ -989,10 +919,6 @@ fn run_session(
     session.kill();
     let _ = heartbeat_thread.join();
     Ok(end)
-}
-
-fn write_frame(stream: &mut TcpStream, msg: &WireMsg) -> Result<(), FrameError> {
-    crate::wire::write_frame(stream, msg)
 }
 
 /// Resolve `addr` to a [`SocketAddr`] (first match).
@@ -1135,22 +1061,14 @@ mod tests {
     /// A write can only fail with the stream mutex held; `mark_dead`
     /// re-locks that mutex to shut the socket down. Regression test for
     /// the recursive-lock deadlock: the first broker-side write failure
-    /// after a worker `kill -9` must return, not wedge the proxy.
+    /// after a worker `kill -9` must return, not wedge the slot.
     #[test]
     fn broker_write_failure_marks_dead_without_deadlock() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
         drop(accepted); // peer dies: writes will eventually fail
-        let conn = Arc::new(Conn {
-            worker: "t".into(),
-            node: 0,
-            stream: Mutex::new(client),
-            dead: AtomicBool::new(false),
-            pending: Mutex::new(FxHashMap::default()),
-            instances: Mutex::new(Vec::new()),
-            tm: Arc::new(TransportMetrics::default()),
-        });
+        let conn = Arc::new(Conn::new("t".into(), client, Arc::default()));
         let write_conn = conn.clone();
         assert_finishes_within(Duration::from_secs(10), move || {
             // Large frames defeat socket buffering so the dead peer
@@ -1166,21 +1084,19 @@ mod tests {
             }
             panic!("writes to a dead peer never failed");
         });
-        assert!(conn.dead.load(Ordering::Relaxed));
+        assert!(conn.is_dead());
     }
 
     /// Same recursive-lock shape on the worker side: a failed
-    /// settle/heartbeat write calls `kill`, which re-locks the stream.
+    /// settle/heartbeat write kills the session, which re-locks the
+    /// stream.
     #[test]
     fn worker_write_failure_kills_session_without_deadlock() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
         drop(accepted);
-        let session = Arc::new(WorkerSession {
-            stream: Mutex::new(client),
-            dead: AtomicBool::new(false),
-        });
+        let session = Arc::new(Link::new(client));
         let write_session = session.clone();
         assert_finishes_within(Duration::from_secs(10), move || {
             let big = WireMsg::Settle {
@@ -1188,13 +1104,31 @@ mod tests {
                 body: SettleBody::Ok(vec![0u8; 1 << 20]),
             };
             for _ in 0..64 {
-                if !write_session.write(&big) {
+                if write_session.write(&big).is_err() {
                     return;
                 }
             }
             panic!("writes to a dead peer never failed");
         });
-        assert!(session.dead.load(Ordering::Relaxed));
+        assert!(session.is_dead());
+    }
+
+    /// A cluster has one broker: a second start must fail, not replace
+    /// the first (whose listener and slots shutdown would then miss).
+    #[test]
+    fn second_broker_on_a_cluster_is_refused() {
+        let cluster = Cluster::new();
+        let first = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let err = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default())
+            .err()
+            .expect("second start must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+        let installed = cluster
+            .tcp_broker()
+            .expect("the first broker stays installed");
+        assert!(Arc::ptr_eq(&installed, &first));
+        cluster.shutdown();
+        assert!(!first.alive(), "cluster shutdown stops the first listener");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   oversized reservation.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Read;
 
 use gozer_compress::crc32;
 
@@ -523,17 +523,18 @@ pub fn decode_frame(buf: &[u8]) -> Result<(WireMsg, usize), FrameError> {
 
 // ---- blocking stream IO -----------------------------------------------
 
-/// An incremental frame reader that survives read timeouts.
+/// The incremental frame reader, the one way frames are read off a
+/// stream. Frames are written by encoding them with [`encode_frame`].
 ///
 /// A socket read timeout can fire *mid-frame* (a large Delivery, a
-/// stalled peer). The free-standing [`read_frame`] would discard the
-/// partially-read bytes in that case, desynchronising the stream: the
-/// next read starts in the middle of the old frame and everything after
-/// decodes as garbage. `FrameReader` instead accumulates bytes in a
-/// buffer and decodes with [`decode_frame`], so a
-/// `WouldBlock`/`TimedOut` error leaves the partial frame intact — the
-/// caller can treat the timeout as benign and simply call
-/// [`FrameReader::read_frame`] again to resume where it left off.
+/// stalled peer). A reader that discarded the partially-read bytes then
+/// would desynchronise the stream: the next read starts in the middle
+/// of the old frame and everything after decodes as garbage.
+/// `FrameReader` instead accumulates bytes in a buffer and decodes with
+/// [`decode_frame`], so a `WouldBlock`/`TimedOut` error leaves the
+/// partial frame intact — the caller can treat the timeout as benign
+/// and simply call [`FrameReader::read_frame`] again to resume where it
+/// left off.
 #[derive(Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -547,9 +548,11 @@ impl FrameReader {
 
     /// Read one frame, resuming any partially-buffered frame first.
     ///
-    /// `Io(WouldBlock)`/`Io(TimedOut)` are resumable: buffered bytes
-    /// are kept and the next call continues the same frame. Every other
-    /// error is connection-fatal, exactly as with [`read_frame`].
+    /// `Eof` on clean close between frames; a close *inside* a frame is
+    /// `Truncated` — the torn-frame case the connection layer treats as
+    /// peer death. `Io(WouldBlock)`/`Io(TimedOut)` are resumable:
+    /// buffered bytes are kept and the next call continues the same
+    /// frame. Every other error is connection-fatal.
     pub fn read_frame(&mut self, stream: &mut impl Read) -> Result<WireMsg, FrameError> {
         loop {
             let (need, have) = match decode_frame(&self.buf) {
@@ -571,52 +574,6 @@ impl FrameReader {
             }
         }
     }
-}
-
-/// Read one frame from a blocking stream. `Eof` on clean close between
-/// frames; a close *inside* a frame surfaces as `Eof`/`Io` too — the
-/// torn-frame case the connection layer treats as peer death.
-///
-/// Not timeout-safe: a read timeout mid-frame loses the partial bytes.
-/// Connection loops that tolerate timeouts must use [`FrameReader`].
-pub fn read_frame(stream: &mut impl Read) -> Result<WireMsg, FrameError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    // Distinguish clean EOF (no bytes at all) from a torn header.
-    let mut filled = 0;
-    while filled < header.len() {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Err(FrameError::Eof),
-            Ok(0) => {
-                return Err(FrameError::Truncated {
-                    need: FRAME_HEADER_LEN,
-                    have: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge { len });
-    }
-    let expect = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    let got = crc32(&payload);
-    if got != expect {
-        return Err(FrameError::BadCrc { expect, got });
-    }
-    decode_msg(&payload)
-}
-
-/// Write one frame to a blocking stream.
-pub fn write_frame(stream: &mut impl Write, msg: &WireMsg) -> Result<(), FrameError> {
-    let frame = encode_frame(msg);
-    stream.write_all(&frame)?;
-    stream.flush()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -779,13 +736,14 @@ mod tests {
     fn stream_read_write_round_trip() {
         let mut buf = Vec::new();
         for msg in sample_msgs() {
-            write_frame(&mut buf, &msg).unwrap();
+            buf.extend_from_slice(&encode_frame(&msg));
         }
         let mut cursor = std::io::Cursor::new(buf);
+        let mut reader = FrameReader::new();
         for msg in sample_msgs() {
-            assert_eq!(read_frame(&mut cursor).unwrap(), msg);
+            assert_eq!(reader.read_frame(&mut cursor).unwrap(), msg);
         }
-        assert_eq!(read_frame(&mut cursor), Err(FrameError::Eof));
+        assert_eq!(reader.read_frame(&mut cursor), Err(FrameError::Eof));
     }
 
     /// Yields one byte per read and a timeout error between every
@@ -867,7 +825,7 @@ mod tests {
         let frame = encode_frame(&WireMsg::Heartbeat { seq: 1 });
         for cut in 1..frame.len() {
             let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
-            match read_frame(&mut cursor) {
+            match FrameReader::new().read_frame(&mut cursor) {
                 Err(FrameError::Truncated { .. }) | Err(FrameError::Eof) => {}
                 other => panic!("cut {cut}: expected torn-frame error, got {other:?}"),
             }

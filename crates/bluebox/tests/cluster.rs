@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bluebox::{CallError, Cluster, FaultPoint, Fault, Message, ServiceCtx};
+use bluebox::{CallError, Cluster, Fault, FaultPoint, Message, ReplyTo, ServiceCtx};
 use parking_lot::Mutex;
 
 #[test]
@@ -111,11 +111,14 @@ fn service_routed_reply_reaches_other_service() {
     );
     cluster.spawn_instances("a", 0, 1);
     cluster.spawn_instances("b", 0, 1);
-    let corr = cluster.send_with_service_reply(
-        Message::new("b", "Shout", b"hey".to_vec()),
-        "a",
-        "Resume",
-    );
+    let corr = cluster.allocate_correlation();
+    let mut request = Message::new("b", "Shout", b"hey".to_vec());
+    request.reply_to = ReplyTo::Service {
+        service: "a".into(),
+        operation: "Resume".into(),
+        correlation: corr,
+    };
+    cluster.send(request);
     assert!(cluster.drain("b", Duration::from_secs(5)));
     assert!(cluster.drain("a", Duration::from_secs(5)));
     let got = resumed.lock();

@@ -7,7 +7,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bluebox::{ChaosConfig, ChaosPlan, Cluster, FaultPoint, Message, RecoveryConfig, ServiceCtx};
+use bluebox::{
+    ChaosConfig, ChaosPlan, Cluster, Fault, FaultPoint, Message, RecoveryConfig, RemoteDelivery,
+    ReplyTo, ServiceCtx, TcpBroker, TcpBrokerConfig, TcpWorker, WorkerConfig, WorkerCtx,
+};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 #[test]
 fn reaper_reclaims_lease_without_any_survivor_present() {
@@ -194,5 +198,171 @@ fn reclaimed_message_keeps_id_and_bumps_redeliveries() {
     assert_eq!(got[0].0, got[1].0, "broker id (the idempotency key) survives reclaim");
     assert_eq!(got[0].1, 0);
     assert!(got[1].1 >= 1, "redelivery mark set on the reclaimed copy");
+    cluster.shutdown();
+}
+
+/// The two kinds of instance slot a service can be served by.
+#[derive(Debug, Clone, Copy)]
+enum SlotKind {
+    Local,
+    TcpWorker,
+}
+
+/// What the "slow" service's handler does with one delivery, whichever
+/// slot runs it. The first delivery waits (past its lease TTL) until
+/// the test opens `first`; a redelivery announces itself and waits
+/// until the test opens `redelivery`; a `Probe` just counts.
+struct SlowService {
+    first: Receiver<()>,
+    redelivery: Receiver<()>,
+    redelivered: Sender<()>,
+    probed: Sender<()>,
+}
+
+impl SlowService {
+    fn handle(&self, operation: &str, redeliveries: u32) -> Result<Vec<u8>, Fault> {
+        let gate_limit = Duration::from_secs(20);
+        if operation == "Probe" {
+            let _ = self.probed.send(());
+        } else if redeliveries == 0 {
+            // Opened by dropping the sender: every waiter passes.
+            assert_eq!(
+                self.first.recv_timeout(gate_limit),
+                Err(RecvTimeoutError::Disconnected)
+            );
+        } else {
+            let _ = self.redelivered.send(());
+            assert_eq!(
+                self.redelivery.recv_timeout(gate_limit),
+                Err(RecvTimeoutError::Disconnected)
+            );
+        }
+        Ok(b"done".to_vec())
+    }
+}
+
+/// The settle rule: only the instance that still holds a message's
+/// lease may route its reply and settle the queue. A first delivery
+/// that outlives its lease comes back after the message was reclaimed
+/// and redelivered; its result must be dropped. Otherwise the reply
+/// goes out twice and the extra queue settle lets `drain` report idle
+/// while the redelivery is still in flight. One row per slot kind.
+#[test]
+fn late_result_after_reclaim_is_dropped_for_every_slot_kind() {
+    for kind in [SlotKind::Local, SlotKind::TcpWorker] {
+        late_result_is_dropped(kind);
+    }
+}
+
+fn late_result_is_dropped(kind: SlotKind) {
+    let cluster = Cluster::new();
+    cluster.set_recovery(RecoveryConfig {
+        lease_ttl: Duration::from_millis(300),
+        scan_interval: Duration::from_millis(5),
+        redelivery_budget: 8,
+        backoff_base: Duration::from_millis(1),
+        backoff_max: Duration::from_millis(5),
+    });
+    let replies = Arc::new(AtomicU64::new(0));
+    let sink_replies = replies.clone();
+    cluster.register_service(
+        "sink",
+        None,
+        Arc::new(move |_: &ServiceCtx, _: &Message| {
+            sink_replies.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![])
+        }),
+    );
+    cluster.spawn_instances("sink", 0, 1);
+
+    let (open_first, first) = unbounded::<()>();
+    let (open_redelivery, redelivery) = unbounded::<()>();
+    let (redelivered, redelivery_started) = unbounded();
+    let (probed, probe_done) = unbounded();
+    let slow = Arc::new(SlowService {
+        first,
+        redelivery,
+        redelivered,
+        probed,
+    });
+    let mut worker = None;
+    match kind {
+        SlotKind::Local => {
+            let slow = slow.clone();
+            cluster.register_service(
+                "slow",
+                None,
+                Arc::new(move |_: &ServiceCtx, msg: &Message| {
+                    slow.handle(&msg.operation, msg.redeliveries)
+                }),
+            );
+            cluster.spawn_instances("slow", 0, 2);
+        }
+        SlotKind::TcpWorker => {
+            // Idle remote slots are vouched for by heartbeat frames;
+            // beat well inside the lease TTL so only the busy slot's
+            // lease goes stale.
+            let cfg = TcpBrokerConfig {
+                heartbeat: Duration::from_millis(20),
+                ..TcpBrokerConfig::default()
+            };
+            let broker = TcpBroker::start(&cluster, "127.0.0.1:0", cfg).unwrap();
+            let slow = slow.clone();
+            let handler = Arc::new(move |_: &WorkerCtx, d: &RemoteDelivery| {
+                slow.handle(&d.operation, d.redeliveries)
+            });
+            worker = Some(TcpWorker::spawn(
+                WorkerConfig::new(broker.addr().to_string(), "slow", 2),
+                handler,
+            ));
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while cluster.live_instances("slow") < 2 {
+        assert!(Instant::now() < deadline, "{kind:?}: slots never came up");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let mut request = Message::new("slow", "Work", vec![]);
+    request.reply_to = ReplyTo::Service {
+        service: "sink".into(),
+        operation: "Reply".into(),
+        correlation: cluster.allocate_correlation(),
+    };
+    cluster.send(request);
+    // The first delivery outlives its lease: the reaper reclaims the
+    // message and the other slot takes the redelivery.
+    redelivery_started
+        .recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|e| panic!("{kind:?}: the message was never redelivered: {e:?}"));
+    // Let the first delivery return. Once the probe behind it is
+    // handled, its slot has finished with that late result.
+    drop(open_first);
+    cluster.send(Message::new("slow", "Probe", vec![]));
+    probe_done
+        .recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|e| panic!("{kind:?}: the probe was never handled: {e:?}"));
+    let idle_with_redelivery_in_flight = cluster.drain("slow", Duration::ZERO);
+    drop(open_redelivery);
+    assert!(
+        cluster.drain("slow", Duration::from_secs(20)),
+        "{kind:?}: slow never drained"
+    );
+    assert!(
+        cluster.drain("sink", Duration::from_secs(20)),
+        "{kind:?}: sink never drained"
+    );
+    assert!(
+        !idle_with_redelivery_in_flight,
+        "{kind:?}: drain returned while the redelivery was still in flight"
+    );
+    assert_eq!(
+        replies.load(Ordering::SeqCst),
+        1,
+        "{kind:?}: exactly one reply"
+    );
+    if let Some(worker) = worker {
+        worker.stop();
+    }
     cluster.shutdown();
 }

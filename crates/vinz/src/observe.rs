@@ -328,7 +328,7 @@ impl IntrospectSource for VinzIntrospect {
         let reaper = inner.cluster.reaper_alive();
         let (alive, total) = inner.cluster.instance_counts();
         let shutdown = inner.cluster.is_shutdown();
-        let tcp = inner.tcp.lock().clone();
+        let tcp = inner.cluster.tcp_broker();
         let (transport, transport_up) = match &tcp {
             Some(broker) => ("tcp", broker.alive()),
             None => ("in-process", true),

@@ -259,10 +259,6 @@ pub(crate) struct Inner {
     /// ([`WorkflowServiceBuilder::introspect`]). Held so its accept loop
     /// lives exactly as long as the deployment.
     introspect: Mutex<Option<IntrospectServer>>,
-    /// The TCP transport listener, when the deployment asked for one
-    /// ([`WorkflowServiceBuilder::tcp_listen`]): remote worker
-    /// processes connect here to register compute capacity.
-    pub tcp: Mutex<Option<Arc<TcpBroker>>>,
     pub nodes: RwLock<FxHashMap<u32, Arc<NodeRuntime>>>,
     pub hot: RwLock<FxHashMap<String, FiberHot>>,
     pub next_task: AtomicU64,
@@ -339,7 +335,8 @@ impl WorkflowServiceBuilder {
     /// Listen for remote worker processes on `addr` (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port). The deployment starts a
     /// [`TcpBroker`] during [`WorkflowServiceBuilder::deploy`] — a bind
-    /// failure fails the deploy — and the bound address is available
+    /// failure, or a cluster that already has a broker, fails the
+    /// deploy — and the bound address is available
     /// from [`WorkflowService::tcp_addr`] to hand to `gozer-worker`
     /// processes. The workflow service's own instances stay in-process;
     /// only capacity registered by connecting workers is remote.
@@ -369,7 +366,6 @@ impl WorkflowServiceBuilder {
             task_latency: Arc::default(),
             phase_hists: Default::default(),
             introspect: Mutex::new(None),
-            tcp: Mutex::new(None),
             nodes: RwLock::new(FxHashMap::default()),
             hot: RwLock::new(FxHashMap::default()),
             next_task: AtomicU64::new(1),
@@ -433,9 +429,8 @@ impl WorkflowServiceBuilder {
         let service = WorkflowService { inner };
         // Workers may connect the moment the address is visible.
         if let Some(addr) = &self.tcp_listen_addr {
-            let broker = TcpBroker::start(&service.inner.cluster, addr, TcpBrokerConfig::default())
+            TcpBroker::start(&service.inner.cluster, addr, TcpBrokerConfig::default())
                 .map_err(|e| VinzError(format!("tcp listen {addr}: {e}")))?;
-            *service.inner.tcp.lock() = Some(broker);
         }
         for (node_id, count) in self.instances {
             service.spawn_instances(node_id, count);
@@ -626,15 +621,16 @@ impl WorkflowService {
         self.inner.introspect.lock().as_ref().map(|s| s.addr())
     }
 
-    /// Where the TCP transport listens for worker processes, when the
-    /// deployment enabled one ([`WorkflowServiceBuilder::tcp_listen`]).
+    /// Where the TCP transport of the deployment's cluster listens for
+    /// worker processes, if one does ([`WorkflowServiceBuilder::tcp_listen`]).
     pub fn tcp_addr(&self) -> Option<std::net::SocketAddr> {
-        self.inner.tcp.lock().as_ref().map(|b| b.addr())
+        self.tcp_broker().map(|b| b.addr())
     }
 
-    /// The deployment's TCP transport broker, if one is listening.
+    /// The TCP transport broker of the deployment's cluster, if one is
+    /// listening ([`bluebox::Cluster::tcp_broker`]).
     pub fn tcp_broker(&self) -> Option<Arc<TcpBroker>> {
-        self.inner.tcp.lock().clone()
+        self.inner.cluster.tcp_broker()
     }
 }
 

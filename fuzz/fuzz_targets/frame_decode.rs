@@ -15,7 +15,7 @@ fn arbitrary_msg(rng: &mut TestRng) -> WireMsg {
     let string = |rng: &mut TestRng, max: u64| -> String {
         let len = rng.below(max);
         (0..len)
-            .map(|_| char::from((b'a' + (rng.next_u64() % 26) as u8) as char))
+            .map(|_| (b'a' + (rng.next_u64() % 26) as u8) as char)
             .collect()
     };
     let payload = |rng: &mut TestRng| -> WirePayload {

@@ -10,8 +10,10 @@ use gozer::{Event, EventKind, GozerSystem, TaskStatus, Value, VinzConfig};
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 fn run_with_limit(limit: usize, items: i64) -> (Vec<Event>, TaskStatus) {
-    let mut config = VinzConfig::default();
-    config.spawn_limit = limit;
+    let config = VinzConfig {
+        spawn_limit: limit,
+        ..VinzConfig::default()
+    };
     let sys = GozerSystem::builder()
         .nodes(2)
         .instances_per_node(2)

@@ -136,9 +136,11 @@ fn awake_lock_contention_requeues_rather_than_blocking() {
     // §5: concurrent AwakeFibers for the same parent serialize on the
     // fiber lock; those that cannot get it within the wait limit re-queue
     // themselves instead of holding their instance hostage.
-    let mut config = VinzConfig::default();
-    config.awake_wait_limit = Duration::from_millis(1);
-    config.spawn_limit = 64;
+    let config = VinzConfig {
+        awake_wait_limit: Duration::from_millis(1),
+        spawn_limit: 64,
+        ..VinzConfig::default()
+    };
     let sys = GozerSystem::builder()
         .nodes(2)
         .instances_per_node(4)
