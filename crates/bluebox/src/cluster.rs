@@ -83,8 +83,8 @@ pub(crate) struct InstanceControl {
     pub(crate) alive: AtomicBool,
     /// Last queue interaction (or, for a remote slot, last heartbeat
     /// frame from its worker process while the slot was idle); the
-    /// reaper treats a holder whose heartbeat is older than the lease
-    /// TTL as failed.
+    /// reaper expires a lease once both this and the lease's own start
+    /// are older than the lease TTL.
     pub(crate) heartbeat: Mutex<Instant>,
 }
 
@@ -508,6 +508,7 @@ impl Cluster {
                 msg: msg.clone(),
                 service: service.clone(),
                 instance,
+                taken: Instant::now(),
             },
         );
     }
@@ -896,8 +897,10 @@ impl Cluster {
         let now = Instant::now();
         // 1. Expire leases. A dead holder (crashed thread, `alive`
         //    false, or no longer registered) expires immediately; a live
-        //    one only after its heartbeat goes stale past the TTL.
-        //    A scan that expires nothing allocates nothing.
+        //    one only once both its heartbeat and the lease itself are
+        //    older than the TTL: a heartbeat vouches for the process, a
+        //    lease for its own delivery. A scan that expires nothing
+        //    allocates nothing.
         let expired: Vec<Lease> = {
             let instances = self.instances.lock();
             let mut leases = self.leases.lock();
@@ -905,9 +908,9 @@ impl Cluster {
                 .extract_if(|_, lease| match instances.iter().find(|h| h.id == lease.instance) {
                     None => true,
                     Some(h) => {
+                        let vouched = (*h.control.heartbeat.lock()).max(lease.taken);
                         !h.control.alive.load(Ordering::Relaxed)
-                            || now.saturating_duration_since(*h.control.heartbeat.lock())
-                                > cfg.lease_ttl
+                            || now.saturating_duration_since(vouched) > cfg.lease_ttl
                     }
                 })
                 .map(|(_, lease)| lease)

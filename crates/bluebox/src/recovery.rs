@@ -80,6 +80,9 @@ pub(crate) struct Lease {
     pub service: Arc<str>,
     /// Holding instance.
     pub instance: u64,
+    /// When the holder took the message: the lease's own TTL runs from
+    /// here, whatever its holder's heartbeat says.
+    pub taken: Instant,
 }
 
 /// A reclaimed message sitting out its backoff before re-queueing. The

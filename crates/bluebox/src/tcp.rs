@@ -36,12 +36,12 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
@@ -114,6 +114,10 @@ pub fn backoff_with_jitter(
 }
 
 // ---- broker side ------------------------------------------------------
+
+/// How many slots one connection may register, over all its
+/// `Register` frames.
+const SLOT_BUDGET: u32 = 256;
 
 /// Tunables of the broker's listener side.
 #[derive(Debug, Clone)]
@@ -481,6 +485,7 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
     }
     tm.worker_connects.fetch_add(1, Ordering::Relaxed);
     broker.conns.lock().push(conn.clone());
+    let mut slots = 0u32;
     // Dispatch until death.
     loop {
         if broker.closing() || conn.is_dead() {
@@ -507,8 +512,15 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
         };
         match msg {
             WireMsg::Register { service, instances } => {
+                // Every slot is an instance thread here: a peer that
+                // asks for more than the budget is not a worker.
+                if instances > SLOT_BUDGET - slots {
+                    tm.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
+                slots += instances;
                 let Some(cluster) = broker.cluster.upgrade() else { break };
-                let ids = (0..instances.min(256))
+                let ids = (0..instances)
                     .map(|_| cluster.spawn_instance(&service, node, Slot::Remote(conn.clone())))
                     .collect();
                 if !conn.write(&WireMsg::Registered { service, ids }) {
@@ -538,8 +550,8 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
                 tm.heartbeats.fetch_add(1, Ordering::Relaxed);
                 // A heartbeat vouches for the *process*, not for
                 // progress on any one delivery: only idle instances get
-                // their lease clocks re-armed, so a wedged handler
-                // still expires on TTL.
+                // their clocks re-armed, so a wedged handler still
+                // expires at the TTL counted from its lease's start.
                 let now = Instant::now();
                 for control in conn.instances.lock().iter() {
                     if !control.busy.load(Ordering::Relaxed) {
@@ -801,6 +813,39 @@ fn worker_loop(
     }
 }
 
+/// One delivery thread of a session: serve `first`, then every
+/// delivery the reader hands over through `queue`, until the session
+/// drops the sender. The reader hands a delivery to an idle thread and
+/// starts a new one only when none is, so a slow or wedged handler
+/// never holds up the next delivery: a slot whose lease was reclaimed
+/// keeps serving, so a one-slot worker can get a second delivery while
+/// its first handler still runs, where a fixed pool would deadlock. The
+/// broker bounds demand by the registered slot count, so the threads
+/// need no limit of their own. A handler that panics ends its own
+/// thread only; its unsettled delivery expires at the lease TTL.
+fn serve_deliveries(
+    first: (u64, RemoteDelivery),
+    queue: Receiver<(u64, RemoteDelivery)>,
+    idle: Arc<AtomicUsize>,
+    ctx: WorkerCtx,
+    handler: Arc<dyn RemoteHandler>,
+    stats: Arc<WorkerStats>,
+) {
+    let mut job = Some(first);
+    while let Some((lease, delivery)) = job.take().or_else(|| queue.recv().ok()) {
+        let body = match handler.handle(&ctx, &delivery) {
+            Ok(bytes) => SettleBody::Ok(bytes),
+            Err(fault) => SettleBody::Fault(fault.code, fault.message),
+        };
+        // Idle before the settle goes out, so the next delivery of
+        // this slot always finds this thread.
+        idle.fetch_add(1, Ordering::AcqRel);
+        if ctx.session.write(&WireMsg::Settle { lease, body }).is_ok() {
+            stats.settles.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 fn run_session(
     config: &WorkerConfig,
     handler: &Arc<dyn RemoteHandler>,
@@ -864,6 +909,11 @@ fn run_session(
             }
         })
         .expect("spawn worker heartbeat thread");
+    // The delivery threads' hand-off, and how many of them are idle.
+    // The channel carries the deliveries; the count only decides
+    // whether a new thread is needed.
+    let (jobs, queue) = unbounded();
+    let idle = Arc::new(AtomicUsize::new(0));
     // Dispatch deliveries until the connection ends.
     let end = loop {
         if stop.load(Ordering::Relaxed) {
@@ -887,27 +937,28 @@ fn run_session(
                     body: payload.body,
                     redeliveries,
                 };
-                let task_session = session.clone();
-                let task_handler = handler.clone();
-                let task_stats = stats.clone();
-                // One thread per in-flight delivery; concurrency is
-                // bounded broker-side by the registered instance count
-                // (each slot forwards one delivery at a time).
-                let _ = std::thread::Builder::new()
-                    .name("bb-worker-task".into())
-                    .spawn(move || {
-                        let ctx = WorkerCtx {
-                            session: task_session.clone(),
-                        };
-                        let result = task_handler.handle(&ctx, &delivery);
-                        let body = match result {
-                            Ok(bytes) => SettleBody::Ok(bytes),
-                            Err(fault) => SettleBody::Fault(fault.code, fault.message),
-                        };
-                        if task_session.write(&WireMsg::Settle { lease, body }).is_ok() {
-                            task_stats.settles.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
+                let claimed = idle
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                    .is_ok();
+                if claimed {
+                    let _ = jobs.send((lease, delivery));
+                } else {
+                    let (queue, idle) = (queue.clone(), idle.clone());
+                    let ctx = WorkerCtx {
+                        session: session.clone(),
+                    };
+                    let (handler, stats) = (handler.clone(), stats.clone());
+                    // Detached: a wedged handler must not keep the
+                    // session from ending and the worker from
+                    // reconnecting. A failed spawn leaves the delivery
+                    // unsettled: its lease expires and the broker
+                    // redelivers it.
+                    let _ = std::thread::Builder::new()
+                        .name("bb-worker-task".into())
+                        .spawn(move || {
+                            serve_deliveries((lease, delivery), queue, idle, ctx, handler, stats)
+                        });
+                }
             }
             Ok(WireMsg::Registered { .. }) | Ok(WireMsg::Heartbeat { .. }) => {}
             Ok(WireMsg::Bye) => break SessionEnd::Finished,
@@ -1037,6 +1088,178 @@ mod tests {
         let tm = broker.transport_metrics().snapshot();
         assert!(tm.worker_disconnects >= 1);
         worker.stop();
+        cluster.shutdown();
+    }
+
+    /// Spawn a worker serving `slots` slots of `service` with `handler`
+    /// and wait until the broker runs them.
+    fn worker_on(
+        cluster: &Arc<Cluster>,
+        broker: &TcpBroker,
+        service: &str,
+        slots: u32,
+        handler: Arc<dyn RemoteHandler>,
+    ) -> TcpWorker {
+        let worker = TcpWorker::spawn(
+            WorkerConfig::new(broker.addr().to_string(), service, slots),
+            handler,
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.live_instances(service) < slots as usize {
+            assert!(Instant::now() < deadline, "the worker's slots never came up");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        worker
+    }
+
+    /// A worker reuses its delivery threads: 200 sequential deliveries
+    /// to a 2-slot worker run on no more threads than it has slots, not
+    /// on a fresh thread each.
+    #[test]
+    fn delivery_threads_are_reused() {
+        let cluster = Cluster::new();
+        let broker =
+            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let threads = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let seen = threads.clone();
+        let handler = Arc::new(
+            move |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
+                seen.lock().insert(std::thread::current().id());
+                Ok(d.body.clone())
+            },
+        );
+        let worker = worker_on(&cluster, &broker, "echo", 2, handler);
+        for i in 0..200u32 {
+            let body = i.to_le_bytes().to_vec();
+            let reply = cluster
+                .call(Message::new("echo", "Echo", body.clone()), Duration::from_secs(5))
+                .unwrap();
+            assert_eq!(reply, body);
+        }
+        let distinct = threads.lock().len();
+        assert!(distinct <= 2, "200 deliveries ran on {distinct} threads");
+        worker.stop();
+        cluster.shutdown();
+    }
+
+    /// A handler that blocks never holds up the next delivery, even on
+    /// a one-slot worker: the first delivery outlives its lease and
+    /// waits until its redelivery, which the slot forwards over the
+    /// same connection, has been handled. A fixed pool of one thread
+    /// would deadlock here.
+    #[test]
+    fn a_blocked_handler_does_not_hold_up_the_next_delivery() {
+        let cluster = Cluster::new();
+        cluster.set_recovery(RecoveryConfig {
+            lease_ttl: Duration::from_millis(300),
+            ..fast_recovery()
+        });
+        let broker =
+            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let (open, gate) = bounded::<()>(1);
+        let (finished, first_done) = bounded::<bool>(1);
+        let handler = Arc::new(
+            move |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
+                if d.redeliveries == 0 {
+                    let opened = gate.recv_timeout(Duration::from_secs(20)).is_ok();
+                    let _ = finished.send(opened);
+                } else {
+                    let _ = open.send(());
+                }
+                Ok(d.body.clone())
+            },
+        );
+        let worker = worker_on(&cluster, &broker, "wedge", 1, handler);
+        let reply = cluster
+            .call(Message::new("wedge", "Go", b"x".to_vec()), Duration::from_secs(20))
+            .unwrap();
+        assert_eq!(reply, b"x");
+        assert_eq!(
+            first_done.recv_timeout(Duration::from_secs(20)),
+            Ok(true),
+            "the first delivery was released by the second"
+        );
+        worker.stop();
+        cluster.shutdown();
+    }
+
+    /// A handler that panics ends its own thread only: later
+    /// deliveries are served, and the panicked one is redelivered after
+    /// the lease TTL and settles once.
+    #[test]
+    fn a_panicking_handler_costs_only_its_own_delivery() {
+        let cluster = Cluster::new();
+        cluster.set_recovery(RecoveryConfig {
+            lease_ttl: Duration::from_millis(300),
+            ..fast_recovery()
+        });
+        let broker =
+            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let booms = Arc::new(AtomicU64::new(0));
+        let handler_booms = booms.clone();
+        let handler = Arc::new(
+            move |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
+                if d.body == b"boom" && handler_booms.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("handler panics on its first boom");
+                }
+                Ok(d.body.clone())
+            },
+        );
+        let worker = worker_on(&cluster, &broker, "fragile", 2, handler);
+        let boom_cluster = cluster.clone();
+        let boom = std::thread::spawn(move || {
+            let boom = Message::new("fragile", "Go", b"boom".to_vec());
+            boom_cluster.call(boom, Duration::from_secs(20))
+        });
+        while booms.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 0..20u8 {
+            let reply = cluster
+                .call(Message::new("fragile", "Go", vec![i]), Duration::from_secs(5))
+                .unwrap();
+            assert_eq!(reply, vec![i]);
+        }
+        assert_eq!(boom.join().unwrap().unwrap(), b"boom");
+        assert_eq!(booms.load(Ordering::SeqCst), 2, "the panicked delivery came back once");
+        assert!(cluster.drain("fragile", Duration::from_secs(5)));
+        let tm = broker.transport_metrics().snapshot();
+        assert_eq!(tm.remote_settles, 21, "one applied settle per call");
+        assert_eq!(tm.duplicate_settles, 0);
+        assert!(cluster.recovery_stats().reclaims >= 1, "the lease expired");
+        worker.stop();
+        cluster.shutdown();
+    }
+
+    /// One connection's slots share a budget: a peer that registers the
+    /// whole budget and then one slot more is cut off, with no instance
+    /// started beyond the budget.
+    #[test]
+    fn a_connection_registers_at_most_the_slot_budget() {
+        let cluster = Cluster::new();
+        let broker =
+            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let mut peer = TcpStream::connect(broker.addr()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = FrameReader::new();
+        let send =
+            |peer: &mut TcpStream, msg: WireMsg| peer.write_all(&encode_frame(&msg)).unwrap();
+        send(&mut peer, WireMsg::Hello { worker: "greedy".into(), node: 1 });
+        assert!(matches!(reader.read_frame(&mut peer), Ok(WireMsg::HelloAck { .. })));
+        let register = |instances| WireMsg::Register { service: "greedy".into(), instances };
+        send(&mut peer, register(SLOT_BUDGET));
+        match reader.read_frame(&mut peer) {
+            Ok(WireMsg::Registered { ids, .. }) => assert_eq!(ids.len(), SLOT_BUDGET as usize),
+            other => panic!("expected Registered, got {other:?}"),
+        }
+        assert_eq!(cluster.live_instances("greedy"), SLOT_BUDGET as usize);
+        send(&mut peer, register(1));
+        match reader.read_frame(&mut peer) {
+            Err(FrameError::Eof) | Err(FrameError::Io(std::io::ErrorKind::ConnectionReset)) => {}
+            other => panic!("expected the broker to close the connection, got {other:?}"),
+        }
+        assert_eq!(broker.transport_metrics().snapshot().decode_errors, 1);
+        assert_eq!(cluster.instance_counts().1, SLOT_BUDGET as usize);
         cluster.shutdown();
     }
 

@@ -366,3 +366,54 @@ fn late_result_is_dropped(kind: SlotKind) {
     }
     cluster.shutdown();
 }
+
+/// A heartbeat vouches for the worker process and a lease for its own
+/// delivery. A one-slot worker serves nine queued deliveries back to
+/// back, each about a third of the lease TTL, so the slot is busy for
+/// three TTLs and is never idle when a heartbeat could re-arm it (the
+/// broker asks for heartbeats far apart). Every lease must be kept:
+/// nothing reclaimed, nothing redelivered, no duplicate settle.
+#[test]
+fn busy_remote_slot_keeps_every_lease() {
+    let ttl = Duration::from_millis(300);
+    let cluster = Cluster::new();
+    cluster.set_recovery(RecoveryConfig {
+        lease_ttl: ttl,
+        scan_interval: Duration::from_millis(5),
+        redelivery_budget: 8,
+        backoff_base: Duration::from_millis(1),
+        backoff_max: Duration::from_millis(5),
+    });
+    let cfg = TcpBrokerConfig {
+        heartbeat: Duration::from_secs(2),
+        liveness_timeout: Duration::from_secs(10),
+    };
+    let broker = TcpBroker::start(&cluster, "127.0.0.1:0", cfg).unwrap();
+    for i in 0..9u8 {
+        cluster.send(Message::new("busy", "Work", vec![i]));
+    }
+    let handled = Arc::new(AtomicU64::new(0));
+    let redelivered = Arc::new(AtomicU64::new(0));
+    let (seen, seen_redelivered) = (handled.clone(), redelivered.clone());
+    let handler = Arc::new(move |_: &WorkerCtx, d: &RemoteDelivery| {
+        std::thread::sleep(ttl / 3);
+        seen.fetch_add(1, Ordering::SeqCst);
+        if d.redeliveries > 0 {
+            seen_redelivered.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(Vec::new())
+    });
+    let worker = TcpWorker::spawn(
+        WorkerConfig::new(broker.addr().to_string(), "busy", 1),
+        handler,
+    );
+    assert!(cluster.drain("busy", Duration::from_secs(20)), "busy never drained");
+    let tm = broker.transport_metrics().snapshot();
+    assert_eq!(redelivered.load(Ordering::SeqCst), 0, "a busy slot's lease was reclaimed");
+    assert_eq!(handled.load(Ordering::SeqCst), 9);
+    assert_eq!(tm.remote_settles, 9, "one applied settle per delivery");
+    assert_eq!(tm.duplicate_settles, 0, "no settle dropped as a duplicate");
+    assert_eq!(cluster.recovery_stats().reclaims, 0);
+    worker.stop();
+    cluster.shutdown();
+}
