@@ -4,7 +4,7 @@
 CARGO ?= cargo
 CHAOS_SEEDS ?= 16
 
-.PHONY: build test test-chaos test-repeat fuzz-smoke experiments-smoke taskbench-smoke ci
+.PHONY: build test test-chaos test-repeat fuzz-smoke taskbench-smoke ci
 
 build:
 	$(CARGO) build --release
@@ -31,14 +31,6 @@ test-repeat:
 # FUZZ_VERBOSE=1).
 fuzz-smoke:
 	sh scripts/fuzz_smoke.sh
-
-# Every paper experiment (the `experiments` binary's `all`) at smoke
-# size with its shape assertions on, then each report's key set checked
-# against the committed BENCH_*.json of the same name. A baseline is
-# regenerated with `cargo run --release -p gozer-bench -- <experiment>
-# --out .` (`scale` takes minutes at full size).
-experiments-smoke:
-	sh scripts/experiments_smoke.sh
 
 # The task-level benchmark (BENCHMARK.json) on all six workloads in
 # under 10 s, with a shape check of its report. No perf gating: a

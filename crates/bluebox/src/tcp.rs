@@ -108,9 +108,9 @@ pub fn backoff_with_jitter(
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    let jitter_nanos = (raw.as_nanos() as u64 / 2).checked_rem(u64::MAX).unwrap_or(0);
-    let jitter = if jitter_nanos == 0 { 0 } else { z % jitter_nanos.max(1) };
-    raw + Duration::from_nanos(jitter.min(raw.as_nanos() as u64 / 2))
+    let jitter_nanos = raw.as_nanos() as u64 / 2;
+    let jitter = if jitter_nanos == 0 { 0 } else { z % jitter_nanos };
+    raw + Duration::from_nanos(jitter)
 }
 
 // ---- broker side ------------------------------------------------------
@@ -891,24 +891,12 @@ fn run_session(
             return Ok(SessionEnd::Lost);
         }
     }
-    // Heartbeat thread: vouches for this process at the cadence the
-    // broker asked for.
-    let hb_session = session.clone();
-    let hb_stop = stop.clone();
+    // Heartbeats vouch for this process at the cadence the broker asked
+    // for. The reader loop sends them, so it wakes at least that often.
     let hb_interval = Duration::from_millis(heartbeat_ms.clamp(20, 10_000));
-    let heartbeat_thread = std::thread::Builder::new()
-        .name("bb-worker-hb".into())
-        .spawn(move || {
-            let mut seq = 0u64;
-            while !hb_session.is_dead() && !hb_stop.load(Ordering::Relaxed) {
-                std::thread::sleep(hb_interval);
-                seq += 1;
-                if hb_session.write(&WireMsg::Heartbeat { seq }).is_err() {
-                    return;
-                }
-            }
-        })
-        .expect("spawn worker heartbeat thread");
+    let _ = stream.set_read_timeout(Some(hb_interval.min(Duration::from_millis(100))));
+    let mut hb_seq = 0u64;
+    let mut hb_last = Instant::now();
     // The delivery threads' hand-off, and how many of them are idle.
     // The channel carries the deliveries; the count only decides
     // whether a new thread is needed.
@@ -922,6 +910,13 @@ fn run_session(
         }
         if session.is_dead() {
             break SessionEnd::Lost;
+        }
+        if hb_last.elapsed() >= hb_interval {
+            hb_seq += 1;
+            hb_last = Instant::now();
+            if session.write(&WireMsg::Heartbeat { seq: hb_seq }).is_err() {
+                break SessionEnd::Lost;
+            }
         }
         match reader.read_frame(&mut stream) {
             Ok(WireMsg::Delivery {
@@ -968,7 +963,6 @@ fn run_session(
         }
     };
     session.kill();
-    let _ = heartbeat_thread.join();
     Ok(end)
 }
 
@@ -1352,6 +1346,53 @@ mod tests {
         assert!(Arc::ptr_eq(&installed, &first));
         cluster.shutdown();
         assert!(!first.alive(), "cluster shutdown stops the first listener");
+    }
+
+    /// `stop` ends the session at the worker's next read timeout, not
+    /// at its next heartbeat: with a 2 s cadence it still returns well
+    /// inside one interval.
+    #[test]
+    fn stop_does_not_wait_out_a_heartbeat_interval() {
+        let cluster = Cluster::new();
+        let config = TcpBrokerConfig {
+            heartbeat: Duration::from_secs(2),
+            ..TcpBrokerConfig::default()
+        };
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", config).unwrap();
+        let handler = Arc::new(
+            |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
+                Ok(d.body.clone())
+            },
+        );
+        let worker = worker_on(&cluster, &broker, "echo", 1, handler);
+        let t0 = Instant::now();
+        worker.stop();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(300), "stop took {took:?}");
+        cluster.shutdown();
+    }
+
+    /// The reader loop sends the heartbeats, and a cadence shorter
+    /// than its usual read timeout still holds.
+    #[test]
+    fn heartbeats_keep_a_short_cadence() {
+        let cluster = Cluster::new();
+        let config = TcpBrokerConfig {
+            heartbeat: Duration::from_millis(20),
+            ..TcpBrokerConfig::default()
+        };
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", config).unwrap();
+        let handler = Arc::new(
+            |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
+                Ok(d.body.clone())
+            },
+        );
+        let worker = worker_on(&cluster, &broker, "echo", 1, handler);
+        std::thread::sleep(Duration::from_millis(500));
+        let heartbeats = broker.transport_metrics().snapshot().heartbeats;
+        assert!(heartbeats >= 10, "{heartbeats} heartbeats in 500 ms at a 20 ms cadence");
+        worker.stop();
+        cluster.shutdown();
     }
 
     #[test]

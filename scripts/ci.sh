@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: release build, every test of every workspace member but
-# `fuzz` with the chaos sweeps at 16 seeds, clippy, and the three smokes
-# that run release binaries.
+# `fuzz` with the chaos sweeps at 16 seeds (the paper's experiments at
+# smoke size among them), clippy, and the two smokes that run release
+# binaries.
 #
 # Offline-friendly: the workspace uses only in-tree path dependencies,
 # so --offline always works; we pass it when the network is known-bad
@@ -22,7 +23,9 @@ run "$CARGO" build --release $OFFLINE
 
 # Tier-1 at CI's sweep width: the root's default members are every crate
 # but `fuzz`, so this is every suite — chaos, recovery, kill -9,
-# full-vs-delta, profiler determinism, phases, obs, logstore, the GVM's.
+# full-vs-delta, profiler determinism, phases, obs, logstore, the GVM's,
+# and every paper experiment downscaled with its shape assertions on and
+# its report's key set checked against the committed BENCH_*.json.
 # A failing seed prints its own replay command (CHAOS_SEEDS to widen).
 CHAOS_SEEDS="${CHAOS_SEEDS:-16}"
 export CHAOS_SEEDS
@@ -34,12 +37,6 @@ run "$CARGO" clippy $OFFLINE --workspace --all-targets --no-deps -- -D warnings
 # Adversarial-input gate: bounded-iteration run of every fuzz target —
 # any panic, abort, or hang is a finding (FUZZ_ITERS to widen).
 run make fuzz-smoke
-
-# Experiments gate: every paper experiment downscaled with its shape
-# assertions on (including the GVM fast-path floor and the LogStore
-# fsync/write counts), and every report's key set equal to its
-# committed BENCH_*.json baseline. No timing thresholds.
-run make experiments-smoke
 
 # Task-level benchmark gate: all six BENCHMARK.json workloads in smoke
 # mode. Its watchdog turns a wedged deployment into a failure, and the
