@@ -65,7 +65,7 @@ fn scale_config() -> VinzConfig {
         cache_capacity: 1024,
         // Supervision off: the orphan scan would treat a million
         // deliberately parked fibers as stalled work and resume them.
-        supervision: SupervisorConfig { enabled: false, ..SupervisorConfig::default() },
+        supervision: SupervisorConfig { enabled: false },
         ..VinzConfig::default()
     }
 }

@@ -1,7 +1,7 @@
 //! The cluster: broker, service registry, instances, failure injection.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -12,10 +12,14 @@ use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
 
 use crate::chaos::{ChaosPlan, FaultAction};
+use crate::clock::Clock;
 use crate::message::{Fault, Message, ReplyTo};
 use crate::metrics::Metrics;
 use crate::queue::{AffinityCounts, Policy, ServiceQueue};
-use crate::recovery::{DeadLetter, Lease, PendingReclaim, RecoveryConfig, RecoveryStats, RecoveryStatsSnapshot};
+use crate::recovery::{
+    backoff_for, DeadLetter, Lease, PendingReclaim, RecoveryStats, RecoveryStatsSnapshot, LEASE_TTL,
+    REDELIVERY_BUDGET, SCAN_INTERVAL,
+};
 use crate::tcp::{Conn, TcpBroker};
 
 pub use crate::chaos::FaultPoint;
@@ -82,20 +86,20 @@ pub(crate) struct InstanceControl {
     pub(crate) busy: AtomicBool,
     pub(crate) alive: AtomicBool,
     /// Last queue interaction (or, for a remote slot, last heartbeat
-    /// frame from its worker process while the slot was idle); the
-    /// reaper expires a lease once both this and the lease's own start
-    /// are older than the lease TTL.
+    /// frame from its worker process while the slot was idle), on the
+    /// cluster's clock; the reaper expires a lease once both this and
+    /// the lease's own start are older than the lease TTL.
     pub(crate) heartbeat: Mutex<Instant>,
 }
 
 impl InstanceControl {
-    pub(crate) fn new() -> InstanceControl {
+    pub(crate) fn new(now: Instant) -> InstanceControl {
         InstanceControl {
             stop: AtomicBool::new(false),
             fault: Mutex::new(None),
             busy: AtomicBool::new(false),
             alive: AtomicBool::new(true),
-            heartbeat: Mutex::new(Instant::now()),
+            heartbeat: Mutex::new(now),
         }
     }
 }
@@ -158,17 +162,21 @@ pub struct Cluster {
     /// (Vinz); the broker calls it when it parks, releases, reclaims,
     /// or re-queues a task-correlated message.
     phase_observer: Hook<PhaseObserver>,
+    /// The workflow deployment that installed the hooks above, once
+    /// one has ([`Cluster::claim_deployment`]).
+    deployment: OnceLock<String>,
     chaos: RwLock<Option<Arc<ChaosPlan>>>,
     /// Broker metrics.
     pub metrics: Metrics,
     obs: Arc<Obs>,
+    /// What every timeout decision reads (see [`Clock`]).
+    clock: Clock,
     // --- recovery layer ---------------------------------------------------
-    recovery_cfg: RwLock<RecoveryConfig>,
     /// Outstanding leases by broker message id.
     leases: Mutex<FxHashMap<u64, Lease>>,
     /// Reclaimed messages waiting out their backoff (queue lease held).
     reclaims_pending: Mutex<Vec<PendingReclaim>>,
-    /// Delayed sends ([`Cluster::send_after`]).
+    /// Delayed sends ([`Cluster::send_after`]) by due time.
     delayed: Mutex<Vec<(Instant, Message)>>,
     /// Per-queue dead-letter stores.
     dead: Mutex<FxHashMap<String, Vec<DeadLetter>>>,
@@ -199,6 +207,16 @@ impl Cluster {
 
     /// New cluster with the given queue scheduling policy.
     pub fn with_policy(policy: Policy) -> Arc<Cluster> {
+        Cluster::build(policy, Clock::real())
+    }
+
+    /// New FCFS cluster whose timeouts read `clock`: tests hand it a
+    /// [`Clock::manual`] and move time with [`Clock::advance`].
+    pub fn with_clock(clock: Clock) -> Arc<Cluster> {
+        Cluster::build(Policy::Fcfs, clock)
+    }
+
+    fn build(policy: Policy, clock: Clock) -> Arc<Cluster> {
         let obs = Arc::new(Obs::new());
         let cluster = Arc::new(Cluster {
             queues: RwLock::new(FxHashMap::default()),
@@ -213,10 +231,11 @@ impl Cluster {
             affinity: AffinityCounts::default(),
             affinity_resolver: RwLock::new(None),
             phase_observer: RwLock::new(None),
+            deployment: OnceLock::new(),
             chaos: RwLock::new(None),
             metrics: Metrics::default(),
             obs,
-            recovery_cfg: RwLock::new(RecoveryConfig::default()),
+            clock,
             leases: Mutex::new(FxHashMap::default()),
             reclaims_pending: Mutex::new(Vec::new()),
             delayed: Mutex::new(Vec::new()),
@@ -244,6 +263,16 @@ impl Cluster {
     /// (0 disables affinity preference). Call before deploying services.
     pub fn set_affinity_slack(&self, slack: usize) {
         *self.affinity_slack.write() = slack;
+    }
+
+    /// Claim this cluster for the workflow deployment `name`. A cluster
+    /// serves one: the affinity resolver, phase observer and durability
+    /// probe a deployment installs are cluster-wide, and a second
+    /// deployment's would replace the first's. Fails with the holder's
+    /// name if the cluster is claimed already.
+    pub fn claim_deployment(&self, name: &str) -> Result<(), String> {
+        let claimed = self.deployment.set(name.to_string());
+        claimed.map_err(|_| self.deployment.get().expect("claimed already").clone())
     }
 
     /// Install the fiber-id → affine-node resolver used to stamp service
@@ -383,6 +412,12 @@ impl Cluster {
         );
     }
 
+    /// The clock every timeout decision of this cluster, and of the
+    /// workflow deployment on it, reads.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
     /// The cluster's observability handle: the shared event bus and
     /// metrics registry every layer (broker, Vinz, VM hooks) emits into.
     pub fn obs(&self) -> Arc<Obs> {
@@ -469,7 +504,7 @@ impl Cluster {
         slot: Slot,
     ) -> u64 {
         let id = self.next_instance.fetch_add(1, Ordering::Relaxed);
-        let control = Arc::new(InstanceControl::new());
+        let control = Arc::new(InstanceControl::new(self.clock.now()));
         if let Slot::Remote(conn) = &slot {
             conn.instances.lock().push(control.clone());
         }
@@ -508,7 +543,7 @@ impl Cluster {
                 msg: msg.clone(),
                 service: service.clone(),
                 instance,
-                taken: Instant::now(),
+                taken: self.clock.now(),
             },
         );
     }
@@ -803,17 +838,6 @@ impl Cluster {
         self.queue(service).wait_idle(Instant::now() + timeout)
     }
 
-    /// Replace the recovery tunables (lease TTL, redelivery budget,
-    /// backoff). Takes effect from the reaper's next scan.
-    pub fn set_recovery(&self, cfg: RecoveryConfig) {
-        *self.recovery_cfg.write() = cfg;
-    }
-
-    /// The current recovery tunables.
-    pub fn recovery(&self) -> RecoveryConfig {
-        self.recovery_cfg.read().clone()
-    }
-
     /// Recovery counters: leases reclaimed, messages dead-lettered.
     pub fn recovery_stats(&self) -> RecoveryStatsSnapshot {
         self.recovery_stats.snapshot()
@@ -837,13 +861,14 @@ impl Cluster {
         self.dead_observers.lock().push(Box::new(f));
     }
 
-    /// Enqueue `msg` after `delay` (delivered by the reaper thread's
-    /// next scan past the due time). Zero delay sends immediately.
+    /// Enqueue `msg` once `delay` has passed on the cluster's clock
+    /// (delivered by the reaper thread's next scan past the due time).
+    /// Zero delay sends immediately.
     pub fn send_after(&self, msg: Message, delay: Duration) {
         if delay.is_zero() {
             self.send(msg);
         } else {
-            self.delayed.lock().push((Instant::now() + delay, msg));
+            self.delayed.lock().push((self.clock.now() + delay, msg));
         }
     }
 
@@ -889,12 +914,11 @@ impl Cluster {
         (alive, instances.len())
     }
 
-    /// One reaper scan: expire leases whose holder is dead or stale,
-    /// re-queue reclaims past their backoff (or quarantine them over
-    /// budget), and release due delayed sends.
-    fn recovery_tick(self: &Arc<Cluster>) {
-        let cfg = self.recovery_cfg.read().clone();
-        let now = Instant::now();
+    /// One reaper scan at `now` (on the cluster's clock): expire leases
+    /// whose holder is dead or stale, re-queue reclaims past their
+    /// backoff (or quarantine them over budget), and release due
+    /// delayed sends.
+    fn recovery_tick(self: &Arc<Cluster>, now: Instant) {
         // 1. Expire leases. A dead holder (crashed thread, `alive`
         //    false, or no longer registered) expires immediately; a live
         //    one only once both its heartbeat and the lease itself are
@@ -910,7 +934,7 @@ impl Cluster {
                     Some(h) => {
                         let vouched = (*h.control.heartbeat.lock()).max(lease.taken);
                         !h.control.alive.load(Ordering::Relaxed)
-                            || now.saturating_duration_since(vouched) > cfg.lease_ttl
+                            || now.saturating_duration_since(vouched) > LEASE_TTL
                     }
                 })
                 .map(|(_, lease)| lease)
@@ -920,13 +944,13 @@ impl Cluster {
             // A dead holder dropped its share of the message; a stale
             // one that still runs keeps its own copy.
             let msg = Arc::unwrap_or_clone(lease.msg);
-            if msg.redeliveries >= cfg.redelivery_budget {
-                self.quarantine(&lease.service, msg, "redelivery-budget");
+            if msg.redeliveries >= REDELIVERY_BUDGET {
+                self.quarantine(&lease.service, msg, "redelivery-budget", true);
             } else {
                 // The task is now waiting on the redelivery machinery,
                 // not on a queue or a handler.
                 self.note_phase(&msg, Phase::LeaseRedelivery);
-                let due = now + cfg.backoff_for(msg.redeliveries);
+                let due = now + backoff_for(msg.redeliveries);
                 self.reclaims_pending.lock().push(PendingReclaim {
                     due,
                     service: lease.service,
@@ -994,9 +1018,8 @@ impl Cluster {
     /// persisted continuation) into a dead letter instead of a silently
     /// dropped message that wedges its task forever.
     pub fn requeue_or_quarantine(&self, service: &str, msg: Message, reason: &str) {
-        let budget = self.recovery_cfg.read().redelivery_budget;
-        if msg.redeliveries >= budget {
-            self.quarantine_inner(service, msg, reason, false);
+        if msg.redeliveries >= REDELIVERY_BUDGET {
+            self.quarantine(service, msg, reason, false);
         } else {
             self.metrics.redelivered.fetch_add(1, Ordering::Relaxed);
             self.emit_redelivered(&msg);
@@ -1007,16 +1030,11 @@ impl Cluster {
         }
     }
 
-    /// Move a message to the dead-letter store, settle its queue lease,
-    /// and notify observers.
-    fn quarantine(&self, service: &str, msg: Message, reason: &str) {
-        self.quarantine_inner(service, msg, reason, true);
-    }
-
-    /// [`quarantine`](Self::quarantine) with the lease settle optional:
-    /// the reaper path owns the abandoned lease and must settle it; the
-    /// handler path's lease is settled by the instance loop.
-    fn quarantine_inner(&self, service: &str, msg: Message, reason: &str, settle: bool) {
+    /// Move a message to the dead-letter store, settle its queue lease
+    /// if `settle`, and notify observers. The reaper path owns the
+    /// abandoned lease and must settle it; the handler path's lease is
+    /// settled by the instance loop.
+    fn quarantine(&self, service: &str, msg: Message, reason: &str, settle: bool) {
         self.recovery_stats.dead_letters.fetch_add(1, Ordering::Relaxed);
         self.obs.bus.emit(|| {
             msg_event(&msg, |_, operation| EventKind::MessageDeadLettered {
@@ -1095,7 +1113,7 @@ fn instance_loop(
         // interaction. A remote slot is vouched for only by its
         // worker's heartbeat frames: this thread is not the process.
         if let Slot::Local(_) = slot {
-            *control.heartbeat.lock() = Instant::now();
+            *control.heartbeat.lock() = cluster.clock.now();
         }
         if control.stop.load(Ordering::Relaxed) {
             break;
@@ -1262,21 +1280,20 @@ fn crash_with(
 }
 
 /// The lease reaper: one background thread per cluster, scanning the
-/// lease table, the reclaim backlog, and the delayed-send list. Holds
+/// lease table, the reclaim backlog, and the delayed-send list every
+/// [`SCAN_INTERVAL`] of real time, at the cluster clock's `now`. Holds
 /// only a [`Weak`] cluster reference so dropping the last external
 /// `Arc` (or [`Cluster::shutdown`]) terminates it.
 fn reaper_loop(weak: Weak<Cluster>) {
     loop {
-        let interval = {
+        {
             let Some(cluster) = weak.upgrade() else { return };
             if cluster.closed.load(Ordering::Relaxed) {
                 return;
             }
-            cluster.recovery_tick();
-            let interval = cluster.recovery_cfg.read().scan_interval;
-            interval
-        };
-        std::thread::sleep(interval);
+            cluster.recovery_tick(cluster.clock.now());
+        }
+        std::thread::sleep(SCAN_INTERVAL);
     }
 }
 
@@ -1302,4 +1319,41 @@ fn task_of(msg: &Message) -> Option<&str> {
     let fiber = msg.get_header("fiber-id")?;
     let task = fiber.split('/').next()?;
     (!task.is_empty() && task != fiber).then_some(task)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::unbounded;
+
+    /// A live holder's lease expires exactly when the cluster's clock
+    /// passes its TTL: one reaper scan 1 ms short keeps it, one 1 ms
+    /// past reclaims it.
+    #[test]
+    fn a_live_holders_lease_expires_only_past_the_ttl() {
+        let clock = Clock::manual();
+        let cluster = Cluster::with_clock(clock.clone());
+        let (taken_tx, taken) = unbounded();
+        let (release, gate) = unbounded::<()>();
+        cluster.register_service(
+            "hold",
+            None,
+            Arc::new(move |ctx: &ServiceCtx, msg: &Message| {
+                let _ = taken_tx.send((msg.id, ctx.instance_id));
+                let _ = gate.recv_timeout(Duration::from_secs(10));
+                Ok(Vec::new())
+            }),
+        );
+        cluster.spawn_instances("hold", 0, 1);
+        cluster.send(Message::new("hold", "Op", Vec::new()));
+        let (id, instance) = taken.recv_timeout(Duration::from_secs(10)).unwrap();
+        clock.advance(LEASE_TTL - Duration::from_millis(1));
+        cluster.recovery_tick(clock.now());
+        assert!(cluster.lease_held(id, instance), "reclaimed before the TTL ran out");
+        clock.advance(Duration::from_millis(2));
+        cluster.recovery_tick(clock.now());
+        assert!(!cluster.lease_held(id, instance), "kept past the TTL");
+        drop(release);
+        cluster.shutdown();
+    }
 }

@@ -45,6 +45,7 @@
 //! ```
 
 pub mod chaos;
+pub mod clock;
 pub mod cluster;
 pub mod message;
 pub mod metrics;
@@ -56,11 +57,12 @@ pub mod wire;
 pub use chaos::{
     ChaosConfig, ChaosPlan, ChaosRng, ChaosStats, ChaosStatsSnapshot, FaultAction, FaultPoint,
 };
+pub use clock::Clock;
 pub use cluster::{CallError, Cluster, Handler, ServiceCtx};
 pub use message::{Fault, Headers, Message, ReplyTo};
 pub use metrics::{Metrics, MetricsSnapshot, TransportMetrics, TransportMetricsSnapshot};
 pub use queue::{Policy, ServiceQueue};
-pub use recovery::{DeadLetter, RecoveryConfig, RecoveryStats, RecoveryStatsSnapshot};
+pub use recovery::{DeadLetter, RecoveryStats, RecoveryStatsSnapshot};
 pub use tcp::{
     RemoteDelivery, RemoteHandler, TcpBroker, TcpBrokerConfig, TcpWorker, WorkerConfig,
     WorkerCtx, WorkerStats,

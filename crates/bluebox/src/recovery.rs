@@ -1,7 +1,9 @@
 //! Lease-based failure detection and dead-letter quarantine.
 //!
 //! Every message an instance pops is recorded in a cluster-wide lease
-//! table; instances heartbeat on every queue interaction. A background
+//! table; instances heartbeat on every queue interaction. Lease starts,
+//! heartbeats and due times are read from the cluster's
+//! [`Clock`](crate::Clock), and the timings are the constants below. A background
 //! reaper thread (one per cluster) watches the table: when a lease's
 //! holder dies — or stops heartbeating for longer than the lease TTL —
 //! the message is *reclaimed*: re-queued at the front with its
@@ -24,48 +26,31 @@ use std::time::{Duration, Instant};
 
 use crate::message::Message;
 
-/// Tunables for the lease reaper. Installed per cluster via
-/// [`crate::Cluster::set_recovery`]; the defaults suit the test suites
-/// (sub-second detection, generous budget).
-#[derive(Debug, Clone)]
-pub struct RecoveryConfig {
-    /// How long a live instance may go without heartbeating before its
-    /// leases are considered expired. Dead instances (crashed threads)
-    /// are detected immediately, independent of this bound; the TTL
-    /// only catches wedged-but-alive holders, so it defaults high.
-    pub lease_ttl: Duration,
-    /// Reaper scan cadence: the detection latency floor.
-    pub scan_interval: Duration,
-    /// Redeliveries allowed before a message is dead-lettered.
-    pub redelivery_budget: u32,
-    /// Base of the exponential reclaim backoff (doubled per
-    /// redelivery already on the message).
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-}
+/// How long a live holder may go unvouched before its lease expires:
+/// the lease expires once both its holder's heartbeat and the lease's
+/// own start are older than this. A dead holder (crashed thread, dead
+/// connection) is detected at the next scan, whatever the TTL; the TTL
+/// only catches wedged-but-alive holders, so it is long.
+pub const LEASE_TTL: Duration = Duration::from_secs(30);
 
-impl Default for RecoveryConfig {
-    fn default() -> RecoveryConfig {
-        RecoveryConfig {
-            lease_ttl: Duration::from_secs(30),
-            scan_interval: Duration::from_millis(5),
-            redelivery_budget: 16,
-            backoff_base: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(250),
-        }
-    }
-}
+/// The reaper's scan cadence: the detection latency floor.
+pub const SCAN_INTERVAL: Duration = Duration::from_millis(5);
 
-impl RecoveryConfig {
-    /// Exponential backoff before the `n`-th redelivery, capped at
-    /// [`backoff_max`](RecoveryConfig::backoff_max).
-    pub fn backoff_for(&self, redeliveries: u32) -> Duration {
-        let factor = 1u32.checked_shl(redeliveries.min(16)).unwrap_or(u32::MAX);
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_max)
-    }
+/// Redeliveries allowed before a message is dead-lettered.
+pub const REDELIVERY_BUDGET: u32 = 16;
+
+/// Base of the exponential reclaim backoff (doubled per redelivery
+/// already on the message).
+pub const BACKOFF_BASE: Duration = Duration::from_millis(2);
+
+/// Reclaim backoff ceiling.
+pub const BACKOFF_MAX: Duration = Duration::from_millis(250);
+
+/// Exponential backoff before a message's next redelivery, given the
+/// redeliveries already on it, capped at [`BACKOFF_MAX`].
+pub fn backoff_for(redeliveries: u32) -> Duration {
+    let factor = 1u32.checked_shl(redeliveries.min(16)).unwrap_or(u32::MAX);
+    BACKOFF_BASE.saturating_mul(factor).min(BACKOFF_MAX)
 }
 
 /// One outstanding lease: a message popped by an instance and not yet
@@ -140,16 +125,11 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let cfg = RecoveryConfig {
-            backoff_base: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(100),
-            ..RecoveryConfig::default()
-        };
-        assert_eq!(cfg.backoff_for(0), Duration::from_millis(2));
-        assert_eq!(cfg.backoff_for(1), Duration::from_millis(4));
-        assert_eq!(cfg.backoff_for(3), Duration::from_millis(16));
-        assert_eq!(cfg.backoff_for(10), Duration::from_millis(100));
+        assert_eq!(backoff_for(0), Duration::from_millis(2));
+        assert_eq!(backoff_for(1), Duration::from_millis(4));
+        assert_eq!(backoff_for(3), Duration::from_millis(16));
+        assert_eq!(backoff_for(7), BACKOFF_MAX);
         // No overflow at absurd counts.
-        assert_eq!(cfg.backoff_for(u32::MAX), Duration::from_millis(100));
+        assert_eq!(backoff_for(u32::MAX), BACKOFF_MAX);
     }
 }

@@ -45,6 +45,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
+use crate::clock::Clock;
 use crate::cluster::{Cluster, InstanceControl, ReplySlot, ServiceCtx, Slot};
 use crate::message::{Fault, Message};
 use crate::metrics::TransportMetrics;
@@ -63,12 +64,11 @@ fn wire_payload_of(msg: &Message) -> WirePayload {
     }
 }
 
+/// The message a worker's `Send` asks for. Its `hold_until` is not
+/// carried over: a worker holds no ticket of the broker's store (the
+/// connection refuses a `Send` that names one).
 fn message_from(p: WirePayload) -> Message {
-    let mut msg = Message::new(&p.service, &p.operation, p.body)
-        .with_priority(p.priority);
-    if p.hold_until > 0 {
-        msg = msg.with_hold_until(p.hold_until);
-    }
+    let mut msg = Message::new(&p.service, &p.operation, p.body).with_priority(p.priority);
     msg.headers = p.headers.into_iter().collect();
     msg
 }
@@ -312,6 +312,8 @@ pub struct TcpBroker {
     cluster: Weak<Cluster>,
     addr: SocketAddr,
     cfg: TcpBrokerConfig,
+    /// The cluster's clock: heartbeat frames stamp their slots with it.
+    clock: Clock,
     stop: AtomicBool,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -342,6 +344,7 @@ impl TcpBroker {
             cluster: Arc::downgrade(cluster),
             addr,
             cfg,
+            clock: cluster.clock().clone(),
             stop: AtomicBool::new(false),
             accept_thread: Mutex::new(None),
             conn_threads: Mutex::new(Vec::new()),
@@ -543,6 +546,13 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
                 }
             }
             WireMsg::Send { payload } => {
+                // A durability ticket names a save in the broker's own
+                // store, which a worker never made: a message held on
+                // one could park forever. Not a worker.
+                if payload.hold_until != 0 {
+                    tm.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
                 let Some(cluster) = broker.cluster.upgrade() else { break };
                 cluster.send(message_from(payload));
             }
@@ -552,7 +562,7 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
                 // progress on any one delivery: only idle instances get
                 // their clocks re-armed, so a wedged handler still
                 // expires at the TTL counted from its lease's start.
-                let now = Instant::now();
+                let now = broker.clock.now();
                 for control in conn.instances.lock().iter() {
                     if !control.busy.load(Ordering::Relaxed) {
                         *control.heartbeat.lock() = now;
@@ -976,22 +986,22 @@ pub fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::RecoveryConfig;
+    use crate::recovery::{BACKOFF_BASE, LEASE_TTL, SCAN_INTERVAL};
 
-    fn fast_recovery() -> RecoveryConfig {
-        RecoveryConfig {
-            lease_ttl: Duration::from_millis(400),
-            scan_interval: Duration::from_millis(5),
-            redelivery_budget: 8,
-            backoff_base: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(20),
+    /// Advance `clock` one reclaim backoff step per reaper scan until
+    /// `done` holds; panic after ten seconds of real time.
+    fn advance_until(clock: &Clock, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "not done after 10 s of real time");
+            clock.advance(BACKOFF_BASE);
+            std::thread::sleep(SCAN_INTERVAL);
         }
     }
 
     #[test]
     fn remote_worker_round_trip() {
         let cluster = Cluster::new();
-        cluster.set_recovery(fast_recovery());
         let broker =
             TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         assert!(broker.alive());
@@ -1026,7 +1036,6 @@ mod tests {
     #[test]
     fn worker_fault_routes_back() {
         let cluster = Cluster::new();
-        cluster.set_recovery(fast_recovery());
         let broker =
             TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let handler = Arc::new(
@@ -1052,7 +1061,6 @@ mod tests {
     #[test]
     fn dead_connection_surfaces_as_lease_expiry() {
         let cluster = Cluster::new();
-        cluster.set_recovery(fast_recovery());
         let broker =
             TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         // First delivery tears the connection mid-write; the reconnected
@@ -1143,11 +1151,8 @@ mod tests {
     /// would deadlock here.
     #[test]
     fn a_blocked_handler_does_not_hold_up_the_next_delivery() {
-        let cluster = Cluster::new();
-        cluster.set_recovery(RecoveryConfig {
-            lease_ttl: Duration::from_millis(300),
-            ..fast_recovery()
-        });
+        let clock = Clock::manual();
+        let cluster = Cluster::with_clock(clock.clone());
         let broker =
             TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let (open, gate) = bounded::<()>(1);
@@ -1164,10 +1169,18 @@ mod tests {
             },
         );
         let worker = worker_on(&cluster, &broker, "wedge", 1, handler);
-        let reply = cluster
-            .call(Message::new("wedge", "Go", b"x".to_vec()), Duration::from_secs(20))
-            .unwrap();
-        assert_eq!(reply, b"x");
+        let caller = cluster.clone();
+        let call = std::thread::spawn(move || {
+            caller.call(Message::new("wedge", "Go", b"x".to_vec()), Duration::from_secs(20))
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.busy_instances("wedge") == 0 {
+            assert!(Instant::now() < deadline, "the first delivery never went out");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        clock.advance(LEASE_TTL + Duration::from_millis(1));
+        advance_until(&clock, || call.is_finished());
+        assert_eq!(call.join().unwrap().unwrap(), b"x");
         assert_eq!(
             first_done.recv_timeout(Duration::from_secs(20)),
             Ok(true),
@@ -1182,11 +1195,8 @@ mod tests {
     /// the lease TTL and settles once.
     #[test]
     fn a_panicking_handler_costs_only_its_own_delivery() {
-        let cluster = Cluster::new();
-        cluster.set_recovery(RecoveryConfig {
-            lease_ttl: Duration::from_millis(300),
-            ..fast_recovery()
-        });
+        let clock = Clock::manual();
+        let cluster = Cluster::with_clock(clock.clone());
         let broker =
             TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let booms = Arc::new(AtomicU64::new(0));
@@ -1214,6 +1224,8 @@ mod tests {
                 .unwrap();
             assert_eq!(reply, vec![i]);
         }
+        clock.advance(LEASE_TTL + Duration::from_millis(1));
+        advance_until(&clock, || boom.is_finished());
         assert_eq!(boom.join().unwrap().unwrap(), b"boom");
         assert_eq!(booms.load(Ordering::SeqCst), 2, "the panicked delivery came back once");
         assert!(cluster.drain("fragile", Duration::from_secs(5)));
@@ -1254,6 +1266,40 @@ mod tests {
         }
         assert_eq!(broker.transport_metrics().snapshot().decode_errors, 1);
         assert_eq!(cluster.instance_counts().1, SLOT_BUDGET as usize);
+        cluster.shutdown();
+    }
+
+    /// A worker holds no ticket of the broker's store, so a `Send`
+    /// held on one (which no commit would ever release) ends the
+    /// connection as a protocol error; nothing is parked.
+    #[test]
+    fn a_worker_send_cannot_name_a_durability_ticket() {
+        let cluster = Cluster::new();
+        cluster.set_durability_probe(|_| false);
+        let broker =
+            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let mut peer = TcpStream::connect(broker.addr()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = FrameReader::new();
+        let send =
+            |peer: &mut TcpStream, msg: WireMsg| peer.write_all(&encode_frame(&msg)).unwrap();
+        send(&mut peer, WireMsg::Hello { worker: "forger".into(), node: 1 });
+        assert!(matches!(reader.read_frame(&mut peer), Ok(WireMsg::HelloAck { .. })));
+        let payload = WirePayload {
+            service: "anything".into(),
+            operation: "Op".into(),
+            headers: BTreeMap::new(),
+            body: Vec::new(),
+            priority: 0,
+            hold_until: u64::MAX,
+        };
+        send(&mut peer, WireMsg::Send { payload });
+        match reader.read_frame(&mut peer) {
+            Err(FrameError::Eof) | Err(FrameError::Io(std::io::ErrorKind::ConnectionReset)) => {}
+            other => panic!("expected the broker to close the connection, got {other:?}"),
+        }
+        assert_eq!(cluster.held_count(), 0, "nothing is parked on a worker's ticket");
+        assert_eq!(broker.transport_metrics().snapshot().decode_errors, 1);
         cluster.shutdown();
     }
 

@@ -2,23 +2,67 @@
 //! instance abandons its message; the reaper notices the dead holder,
 //! reclaims the lease, and re-queues the message for survivors — or
 //! quarantines it once the redelivery budget runs out.
+//!
+//! Every cluster here runs on a manual clock: a test reaches a lease
+//! expiry or a backoff by advancing the clock, never by sleeping.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bluebox::recovery::{BACKOFF_BASE, BACKOFF_MAX, LEASE_TTL, REDELIVERY_BUDGET, SCAN_INTERVAL};
 use bluebox::{
-    ChaosConfig, ChaosPlan, Cluster, Fault, FaultPoint, Message, RecoveryConfig, RemoteDelivery,
-    ReplyTo, ServiceCtx, TcpBroker, TcpBrokerConfig, TcpWorker, WorkerConfig, WorkerCtx,
+    ChaosConfig, ChaosPlan, Clock, Cluster, Fault, FaultPoint, Message, RemoteDelivery, ReplyTo,
+    ServiceCtx, TcpBroker, TcpBrokerConfig, TcpWorker, WorkerConfig, WorkerCtx,
 };
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+
+/// A cluster on a manual clock, and the clock.
+fn manual_cluster() -> (Arc<Cluster>, Clock) {
+    let clock = Clock::manual();
+    (Cluster::with_clock(clock.clone()), clock)
+}
+
+/// Advance `clock` by `step` once per reaper scan until `done` holds;
+/// panic after 20 s of real time.
+fn advance_until(clock: &Clock, step: Duration, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !done() {
+        assert!(Instant::now() < deadline, "not done after 20 s of real time");
+        clock.advance(step);
+        std::thread::sleep(SCAN_INTERVAL);
+    }
+}
+
+/// Poll for a cross-thread effect; panic with `what` after 10 s.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Keep `service` staffed with two fresh instances per node while
+/// poison eats them, advancing the clock one maximal backoff per scan,
+/// until a message of it is dead-lettered.
+fn staff_until_dead_lettered(cluster: &Arc<Cluster>, clock: &Clock, service: &str) {
+    let mut next_node = 1u32;
+    advance_until(clock, BACKOFF_MAX, || {
+        if cluster.live_instances(service) == 0 {
+            cluster.spawn_instances(service, next_node, 2);
+            next_node += 1;
+        }
+        cluster.dead_letter_total() > 0
+    });
+}
 
 #[test]
 fn reaper_reclaims_lease_without_any_survivor_present() {
     // The old crash path had the dying instance push its message back
     // itself. Now the *broker* must notice: kill the only instance,
     // then spawn the survivor and watch the reclaim counter.
-    let cluster = Cluster::new();
+    let (cluster, clock) = manual_cluster();
     let processed = Arc::new(AtomicU64::new(0));
     let p2 = processed.clone();
     cluster.register_service(
@@ -32,13 +76,10 @@ fn reaper_reclaims_lease_without_any_survivor_present() {
     let ids = cluster.spawn_instances("leased", 0, 1);
     cluster.kill_instance(ids[0], FaultPoint::BeforeProcess);
     cluster.send(Message::new("leased", "Op", vec![]));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while cluster.live_instances("leased") > 0 {
-        assert!(Instant::now() < deadline, "doomed instance never crashed");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for("doomed instance never crashed", || cluster.live_instances("leased") == 0);
     // No survivor yet: the message sits leased (not lost, not settled).
     cluster.spawn_instances("leased", 1, 1);
+    advance_until(&clock, BACKOFF_BASE, || processed.load(Ordering::SeqCst) == 1);
     assert!(cluster.drain("leased", Duration::from_secs(10)));
     assert_eq!(processed.load(Ordering::SeqCst), 1);
     let stats = cluster.recovery_stats();
@@ -49,13 +90,7 @@ fn reaper_reclaims_lease_without_any_survivor_present() {
 
 #[test]
 fn poison_message_dead_letters_after_redelivery_budget() {
-    let cluster = Cluster::new();
-    cluster.set_recovery(RecoveryConfig {
-        redelivery_budget: 3,
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(5),
-        ..RecoveryConfig::default()
-    });
+    let (cluster, clock) = manual_cluster();
     // Every delivery of "Poison" crashes its instance before the
     // handler runs; other operations are untouched.
     cluster.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, "Poison")));
@@ -70,27 +105,21 @@ fn poison_message_dead_letters_after_redelivery_budget() {
         }),
     );
     cluster.spawn_instances("victim", 0, 2);
-    cluster.send(Message::new("victim", "Poison", vec![]));
+    // The healthy message is served before the clock starts moving,
+    // so no advance below can outrun its lease.
     cluster.send(Message::new("victim", "Fine", vec![]));
+    wait_for("the healthy message was never served", || healthy.load(Ordering::SeqCst) == 1);
+    cluster.send(Message::new("victim", "Poison", vec![]));
 
     // Keep the service staffed while chaos eats instances, until the
     // poison message lands in quarantine.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut next_node = 1u32;
-    while cluster.dead_letter_total() == 0 {
-        assert!(Instant::now() < deadline, "message never dead-lettered");
-        if cluster.live_instances("victim") == 0 {
-            cluster.spawn_instances("victim", next_node, 2);
-            next_node += 1;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    staff_until_dead_lettered(&cluster, &clock, "victim");
     assert!(cluster.drain("victim", Duration::from_secs(10)));
     let dead = cluster.dead_letters("victim");
     assert_eq!(dead.len(), 1);
     assert_eq!(dead[0].msg.operation, "Poison");
     assert_eq!(dead[0].reason, "redelivery-budget");
-    assert!(dead[0].msg.redeliveries >= 3, "budget was spent first");
+    assert_eq!(dead[0].msg.redeliveries, REDELIVERY_BUDGET, "budget was spent first");
     assert_eq!(healthy.load(Ordering::SeqCst), 1, "the healthy message got through");
     // The registry adopts the counter under the
     // paper-facing name.
@@ -104,13 +133,8 @@ fn poison_message_dead_letters_after_redelivery_budget() {
 
 #[test]
 fn dead_letter_observers_fire_on_quarantine() {
-    let cluster = Cluster::new();
-    cluster.set_recovery(RecoveryConfig {
-        redelivery_budget: 0,
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(2),
-        ..RecoveryConfig::default()
-    });
+    let (cluster, clock) = manual_cluster();
+    cluster.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, "Doomed")));
     let seen: Arc<parking_lot::Mutex<Vec<(String, String)>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let s2 = seen.clone();
     cluster.on_dead_letter(move |dl| {
@@ -121,58 +145,51 @@ fn dead_letter_observers_fire_on_quarantine() {
         None,
         Arc::new(|_: &ServiceCtx, _: &Message| Ok(vec![])),
     );
-    // Budget zero: the very first reclaim quarantines instead.
-    let ids = cluster.spawn_instances("oneshot", 0, 1);
-    cluster.kill_instance(ids[0], FaultPoint::BeforeProcess);
+    // Every delivery crashes its instance, so the reclaim after the
+    // last redelivery the budget allows quarantines instead.
     cluster.send(Message::new("oneshot", "Doomed", vec![]));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while cluster.dead_letter_total() == 0 {
-        assert!(Instant::now() < deadline, "never quarantined");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    staff_until_dead_lettered(&cluster, &clock, "oneshot");
     assert!(cluster.drain("oneshot", Duration::from_secs(5)), "quarantine settles the lease");
     // Observers run after the settle, so the drain can return first.
-    while seen.lock().is_empty() {
-        assert!(Instant::now() < deadline, "observer never ran");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_for("observer never ran", || !seen.lock().is_empty());
     assert_eq!(seen.lock().as_slice(), &[("oneshot".to_string(), "Doomed".to_string())]);
     cluster.shutdown();
 }
 
+/// A delayed send is released by the first scan at or past its due
+/// time on the cluster's clock, not before: a marker due 1 ms earlier
+/// arrives alone (a scan that released both would deliver the earlier
+/// `send_after` first), and the delayed send follows once the clock
+/// reaches its due time.
 #[test]
 fn send_after_delays_delivery() {
-    let cluster = Cluster::new();
-    let delivered_at: Arc<parking_lot::Mutex<Option<Instant>>> = Arc::new(parking_lot::Mutex::new(None));
-    let d2 = delivered_at.clone();
+    let (cluster, clock) = manual_cluster();
+    let delivered: Arc<parking_lot::Mutex<Vec<String>>> = Arc::default();
+    let d2 = delivered.clone();
     cluster.register_service(
         "later",
         None,
-        Arc::new(move |_: &ServiceCtx, _: &Message| {
-            *d2.lock() = Some(Instant::now());
+        Arc::new(move |_: &ServiceCtx, msg: &Message| {
+            d2.lock().push(msg.operation.clone());
             Ok(vec![])
         }),
     );
     cluster.spawn_instances("later", 0, 1);
-    let start = Instant::now();
-    cluster.send_after(Message::new("later", "Op", vec![]), Duration::from_millis(50));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while delivered_at.lock().is_none() {
-        assert!(Instant::now() < deadline, "delayed send never arrived");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let at = delivered_at.lock().unwrap();
-    assert!(
-        at.duration_since(start) >= Duration::from_millis(45),
-        "delivery should respect the delay, got {:?}",
-        at.duration_since(start)
-    );
+    cluster.send_after(Message::new("later", "Delayed", vec![]), Duration::from_millis(50));
+    clock.advance(Duration::from_millis(40));
+    cluster.send_after(Message::new("later", "Marker", vec![]), Duration::from_millis(9));
+    clock.advance(Duration::from_millis(9));
+    wait_for("the marker never arrived", || !delivered.lock().is_empty());
+    assert_eq!(*delivered.lock(), ["Marker"], "released before its due time");
+    clock.advance(Duration::from_millis(1));
+    wait_for("the delayed send never arrived", || delivered.lock().len() == 2);
+    assert_eq!(*delivered.lock(), ["Marker", "Delayed"]);
     cluster.shutdown();
 }
 
 #[test]
 fn reclaimed_message_keeps_id_and_bumps_redeliveries() {
-    let cluster = Cluster::new();
+    let (cluster, clock) = manual_cluster();
     let seen: Arc<parking_lot::Mutex<Vec<(u64, u32)>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let s2 = seen.clone();
     cluster.register_service(
@@ -186,12 +203,9 @@ fn reclaimed_message_keeps_id_and_bumps_redeliveries() {
     let ids = cluster.spawn_instances("idem", 0, 1);
     cluster.kill_instance(ids[0], FaultPoint::AfterProcess);
     cluster.send(Message::new("idem", "Op", vec![]));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while cluster.live_instances("idem") > 0 {
-        assert!(Instant::now() < deadline, "instance never crashed");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for("instance never crashed", || cluster.live_instances("idem") == 0);
     cluster.spawn_instances("idem", 1, 1);
+    advance_until(&clock, BACKOFF_BASE, || seen.lock().len() == 2);
     assert!(cluster.drain("idem", Duration::from_secs(10)));
     let got = seen.lock();
     assert_eq!(got.len(), 2, "at-least-once: processed, crashed on ack, reclaimed");
@@ -209,8 +223,8 @@ enum SlotKind {
 }
 
 /// What the "slow" service's handler does with one delivery, whichever
-/// slot runs it. The first delivery waits (past its lease TTL) until
-/// the test opens `first`; a redelivery announces itself and waits
+/// slot runs it. The first delivery waits (while the test moves the
+/// clock past its lease TTL) until the test opens `first`; a redelivery announces itself and waits
 /// until the test opens `redelivery`; a `Probe` just counts.
 struct SlowService {
     first: Receiver<()>,
@@ -255,14 +269,7 @@ fn late_result_after_reclaim_is_dropped_for_every_slot_kind() {
 }
 
 fn late_result_is_dropped(kind: SlotKind) {
-    let cluster = Cluster::new();
-    cluster.set_recovery(RecoveryConfig {
-        lease_ttl: Duration::from_millis(300),
-        scan_interval: Duration::from_millis(5),
-        redelivery_budget: 8,
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(5),
-    });
+    let (cluster, clock) = manual_cluster();
     let replies = Arc::new(AtomicU64::new(0));
     let sink_replies = replies.clone();
     cluster.register_service(
@@ -299,14 +306,8 @@ fn late_result_is_dropped(kind: SlotKind) {
             cluster.spawn_instances("slow", 0, 2);
         }
         SlotKind::TcpWorker => {
-            // Idle remote slots are vouched for by heartbeat frames;
-            // beat well inside the lease TTL so only the busy slot's
-            // lease goes stale.
-            let cfg = TcpBrokerConfig {
-                heartbeat: Duration::from_millis(20),
-                ..TcpBrokerConfig::default()
-            };
-            let broker = TcpBroker::start(&cluster, "127.0.0.1:0", cfg).unwrap();
+            let broker =
+                TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
             let slow = slow.clone();
             let handler = Arc::new(move |_: &WorkerCtx, d: &RemoteDelivery| {
                 slow.handle(&d.operation, d.redeliveries)
@@ -317,11 +318,7 @@ fn late_result_is_dropped(kind: SlotKind) {
             ));
         }
     }
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while cluster.live_instances("slow") < 2 {
-        assert!(Instant::now() < deadline, "{kind:?}: slots never came up");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for(&format!("{kind:?}: slots never came up"), || cluster.live_instances("slow") == 2);
 
     let mut request = Message::new("slow", "Work", vec![]);
     request.reply_to = ReplyTo::Service {
@@ -331,10 +328,12 @@ fn late_result_is_dropped(kind: SlotKind) {
     };
     cluster.send(request);
     // The first delivery outlives its lease: the reaper reclaims the
-    // message and the other slot takes the redelivery.
-    redelivery_started
-        .recv_timeout(Duration::from_secs(20))
-        .unwrap_or_else(|e| panic!("{kind:?}: the message was never redelivered: {e:?}"));
+    // message and a slot takes the redelivery after its backoff.
+    wait_for(&format!("{kind:?}: the first delivery never went out"), || {
+        cluster.busy_instances("slow") == 1
+    });
+    clock.advance(LEASE_TTL + Duration::from_millis(1));
+    advance_until(&clock, BACKOFF_BASE, || redelivery_started.try_recv().is_ok());
     // Let the first delivery return. Once the probe behind it is
     // handled, its slot has finished with that late result.
     drop(open_first);
@@ -369,21 +368,13 @@ fn late_result_is_dropped(kind: SlotKind) {
 
 /// A heartbeat vouches for the worker process and a lease for its own
 /// delivery. A one-slot worker serves nine queued deliveries back to
-/// back, each about a third of the lease TTL, so the slot is busy for
-/// three TTLs and is never idle when a heartbeat could re-arm it (the
-/// broker asks for heartbeats far apart). Every lease must be kept:
-/// nothing reclaimed, nothing redelivered, no duplicate settle.
+/// back, each moving the clock a third of the lease TTL, so the slot is
+/// busy for three TTLs and is never idle when a heartbeat could re-arm
+/// it (the broker asks for heartbeats far apart). Every lease must be
+/// kept: nothing reclaimed, nothing redelivered, no duplicate settle.
 #[test]
 fn busy_remote_slot_keeps_every_lease() {
-    let ttl = Duration::from_millis(300);
-    let cluster = Cluster::new();
-    cluster.set_recovery(RecoveryConfig {
-        lease_ttl: ttl,
-        scan_interval: Duration::from_millis(5),
-        redelivery_budget: 8,
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(5),
-    });
+    let (cluster, clock) = manual_cluster();
     let cfg = TcpBrokerConfig {
         heartbeat: Duration::from_secs(2),
         liveness_timeout: Duration::from_secs(10),
@@ -396,7 +387,7 @@ fn busy_remote_slot_keeps_every_lease() {
     let redelivered = Arc::new(AtomicU64::new(0));
     let (seen, seen_redelivered) = (handled.clone(), redelivered.clone());
     let handler = Arc::new(move |_: &WorkerCtx, d: &RemoteDelivery| {
-        std::thread::sleep(ttl / 3);
+        clock.advance(LEASE_TTL / 3);
         seen.fetch_add(1, Ordering::SeqCst);
         if d.redeliveries > 0 {
             seen_redelivered.fetch_add(1, Ordering::SeqCst);

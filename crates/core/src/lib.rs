@@ -53,9 +53,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use bluebox::{
-    CallError, ChaosConfig, ChaosPlan, ChaosRng, ChaosStatsSnapshot, Cluster, DeadLetter, Fault,
-    FaultAction, FaultPoint, Message, MetricsSnapshot, Policy, RecoveryConfig,
-    RecoveryStatsSnapshot, ServiceCtx,
+    CallError, ChaosConfig, ChaosPlan, ChaosRng, ChaosStatsSnapshot, Clock, Cluster, DeadLetter,
+    Fault, FaultAction, FaultPoint, Message, MetricsSnapshot, Policy, RecoveryStatsSnapshot,
+    ServiceCtx,
 };
 pub use gozer_compress::Codec;
 pub use gozer_lang::{Reader, Symbol, Value};
@@ -71,9 +71,9 @@ pub use gozer_obs::{
     PhaseBreakdown, Snapshot, TaskSummary, TaskTimeline, TimelineSet, PHASE_COUNT,
 };
 pub use vinz::{
-    DurabilityTicket, LogStats, LogStore, LogStoreBuilder, MemStore, RetryPolicy,
-    StateStore, StoreError, SupervisorConfig, TaskRecord, TaskStatus, VinzConfig, VinzError,
-    Watermark, WorkflowObs, WorkflowService, WorkflowServiceBuilder,
+    DurabilityTicket, LogStats, LogStore, LogStoreBuilder, MemStore, StateStore, StoreError,
+    SupervisorConfig, TaskRecord, TaskStatus, VinzConfig, VinzError, Watermark, WorkflowObs,
+    WorkflowService, WorkflowServiceBuilder,
 };
 
 /// Re-export of the test-service and chaos-harness helpers (used by

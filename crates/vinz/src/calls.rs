@@ -12,14 +12,12 @@
 //! * [`redispatch`] re-sends the request after the backoff, one attempt
 //!   further along;
 //! * [`scan`] (the supervisor's, once a tick) re-dispatches calls left
-//!   unanswered past [`RetryPolicy::call_timeout`], and once attempts run
-//!   out synthesizes a `{vinz}CallTimeout` reply that [`take_reply`]
-//!   surfaces to the fiber.
+//!   unanswered past [`CALL_TIMEOUT`] on the cluster's clock, and once
+//!   [`MAX_ATTEMPTS`] run out synthesizes a `{vinz}CallTimeout` reply
+//!   that [`take_reply`] surfaces to the fiber.
 //!
 //! A reply whose record is gone — a late original after a re-send was
 //! answered, a duplicate, a repeated timeout — is dropped.
-//!
-//! [`RetryPolicy::call_timeout`]: crate::RetryPolicy::call_timeout
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -35,6 +33,7 @@ use rustc_hash::FxHashMap;
 use crate::host::{Entry, FiberPhase, Resume, TurnedAway};
 use crate::locks::LOCK_WAIT;
 use crate::service::{required_header, Inner, VinzError};
+use crate::supervisor::{delay_for, CALL_TIMEOUT, MAX_ATTEMPTS};
 
 const PREFIX: &str = "call-req/";
 const FIELD_SEP: &str = "\x1f";
@@ -148,7 +147,7 @@ pub(crate) fn take_reply(
                 // already have spent an attempt.
                 let req = inner.store.get(&key).ok().flatten();
                 if let Some(req) = req.as_deref().and_then(CallReq::decode) {
-                    if req.attempts < inner.config.retry.max_attempts {
+                    if req.attempts < MAX_ATTEMPTS {
                         redispatch(inner, correlation, req)?;
                         return Ok(None);
                     }
@@ -187,7 +186,7 @@ pub(crate) fn response(
 /// its record, count it, and send the same request under the same
 /// correlation.
 pub(crate) fn redispatch(inner: &Inner, correlation: u64, mut req: CallReq) -> Result<(), VinzError> {
-    let delay = inner.config.retry.delay_for(req.attempts, correlation);
+    let delay = delay_for(req.attempts, correlation);
     req.attempts += 1;
     inner.store.put(&format!("{PREFIX}{correlation}"), &req.encode())?;
     inner.metrics.calls_retried.fetch_add(1, Ordering::Relaxed);
@@ -200,19 +199,18 @@ pub(crate) fn redispatch(inner: &Inner, correlation: u64, mut req: CallReq) -> R
     Ok(())
 }
 
-/// The supervisor's timeout scan over in-flight calls. `seen` holds
-/// when each record was first seen (or last acted on): a record older
-/// than the call timeout is re-dispatched, or, out of attempts, answered
-/// with a synthesized `{vinz}CallTimeout` fault. That reply leaves the
-/// record for [`take_reply`] to consume, so a lost one is sent again a
-/// call timeout later.
-pub(crate) fn scan(inner: &Inner, seen: &mut FxHashMap<String, Instant>) {
-    let retry = &inner.config.retry;
+/// The supervisor's timeout scan over in-flight calls at `now`. `seen`
+/// holds when each record was first seen (or last acted on): a record
+/// older than [`CALL_TIMEOUT`] is re-dispatched, or, out of attempts,
+/// answered with a synthesized `{vinz}CallTimeout` fault. That reply
+/// leaves the record for [`take_reply`] to consume, so a lost one is
+/// sent again a call timeout later.
+pub(crate) fn scan(inner: &Inner, seen: &mut FxHashMap<String, Instant>, now: Instant) {
     let Ok(keys) = inner.store.list(PREFIX) else { return };
     seen.retain(|k, _| keys.contains(k));
     for key in keys {
-        let first = *seen.entry(key.clone()).or_insert_with(Instant::now);
-        if first.elapsed() < retry.call_timeout {
+        let first = *seen.entry(key.clone()).or_insert(now);
+        if now.saturating_duration_since(first) < CALL_TIMEOUT {
             continue;
         }
         let Some(correlation) = key.strip_prefix(PREFIX).and_then(|c| c.parse::<u64>().ok()) else {
@@ -220,8 +218,8 @@ pub(crate) fn scan(inner: &Inner, seen: &mut FxHashMap<String, Instant>) {
         };
         let Ok(Some(bytes)) = inner.store.get(&key) else { continue };
         let Some(req) = CallReq::decode(&bytes) else { continue };
-        seen.insert(key, Instant::now());
-        if req.attempts < retry.max_attempts {
+        seen.insert(key, now);
+        if req.attempts < MAX_ATTEMPTS {
             let _ = redispatch(inner, correlation, req);
             continue;
         }

@@ -563,7 +563,7 @@ impl Inner {
                 self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
                     outcome: "terminated".into(),
                 });
-                self.finish_task(task_id, TaskStatus::Terminated(cond));
+                self.tracker.finish(task_id, TaskStatus::Terminated(cond));
             }
             Err(e) => {
                 // Unhandled condition: the fiber dies and, with it, the
@@ -621,7 +621,7 @@ impl Inner {
             self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
                 outcome: "completed".into(),
             });
-            self.finish_task(task_id, TaskStatus::Completed(value));
+            self.tracker.finish(task_id, TaskStatus::Completed(value));
         }
         Ok(())
     }

@@ -75,7 +75,7 @@ pub use store::{
     CommitHook, DurabilityTicket, LogStats, LogStore, LogStoreBuilder, MemStore, StateStore,
     StoreError, Watermark,
 };
-pub use supervisor::{RetryPolicy, SupervisorConfig};
+pub use supervisor::SupervisorConfig;
 pub use gozer_obs::{FlightDump, FlightRecorder};
 pub use gozer_vm::{FnProfile, ProfileReport, SerialCostSnapshot};
 pub use tracker::{TaskRecord, TaskStatus, TaskTracker};

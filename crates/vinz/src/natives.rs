@@ -4,7 +4,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bluebox::{CallError, Message};
 use gozer_lang::{AssocMap, Symbol, Value};
@@ -174,13 +174,15 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
             });
         }
         // Background thread: only this thread blocks, the fiber is
-        // unaffected (§3.4).
-        let deadline = Instant::now() + JOIN_DEADLINE;
+        // unaffected (§3.4). The deadline is on the cluster's clock, and
+        // a shutdown ends the wait too: the instance that touches this
+        // future is one that shutdown joins.
+        let deadline = inner.cluster.clock().now() + JOIN_DEADLINE;
         loop {
             if let Some(bytes) = inner.result_bytes(target)? {
                 return NativeOutcome::ok(deserialize_value(&bytes, ctx.gvm)?);
             }
-            if Instant::now() > deadline {
+            if inner.cluster.clock().now() > deadline || inner.cluster.is_shutdown() {
                 return Err(VmError::msg(format!("join-process: {target} never finished")));
             }
             std::thread::sleep(Duration::from_millis(2));

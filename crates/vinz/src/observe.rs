@@ -289,9 +289,9 @@ impl Inner {
             "gozer_task_latency_seconds",
             "Start→complete task latency.",
             &labels,
-            &self.task_latency,
+            &self.tracker.latency,
         );
-        for (p, hist) in Phase::ALL.iter().zip(&self.phase_hists) {
+        for (p, hist) in Phase::ALL.iter().zip(&self.tracker.phase_hists) {
             reg.histogram(
                 "gozer_task_phase_seconds",
                 "Per-phase share of task wall-clock (latency attribution).",

@@ -18,7 +18,7 @@ use bluebox::tcp::{TcpBroker, TcpBrokerConfig};
 use bluebox::{Cluster, Fault, Message, ServiceCtx};
 use gozer_compress::Codec;
 use gozer_lang::Value;
-use gozer_obs::{Event, EventKind, Histogram, IntrospectServer, Obs, Phase, PHASE_COUNT};
+use gozer_obs::{Event, EventKind, IntrospectServer, Obs, Phase};
 use gozer_serial::SerError;
 use gozer_vm::{FiberObsEvent, FiberObsKind, Gvm};
 use parking_lot::{Mutex, RwLock};
@@ -29,7 +29,7 @@ use crate::host::FiberHot;
 use crate::locks::InProcessLocks;
 use crate::observe::VinzIntrospect;
 use crate::store::{MemStore, StateStore, StoreError, Watermark};
-use crate::supervisor::{self, RetryPolicy, SupervisorConfig};
+use crate::supervisor::{self, SupervisorConfig};
 use crate::tracker::{TaskRecord, TaskStatus, TaskTracker};
 
 pub use crate::observe::WorkflowObs;
@@ -58,9 +58,8 @@ pub struct VinzConfig {
     /// costs are tracked regardless because they are a handful of
     /// atomic adds per persist.
     pub profiling: bool,
-    /// Engine-level retry policy for async service calls.
-    pub retry: RetryPolicy,
-    /// Deployment supervisor tunables (on/off, scan cadence, orphan resume).
+    /// Whether the deployment supervisor runs (respawn, orphan resume,
+    /// call timeouts).
     pub supervision: SupervisorConfig,
     /// Persist suspended fibers as *delta snapshots* (changed frames +
     /// dynamic state against the previous snapshot) whenever the VM
@@ -95,7 +94,6 @@ impl Default for VinzConfig {
             awake_wait_limit: Duration::from_millis(50),
             future_pool_size: 2,
             profiling: false,
-            retry: RetryPolicy::default(),
             supervision: SupervisorConfig::default(),
             delta_snapshots: true,
             compact_every: 8,
@@ -246,15 +244,6 @@ pub(crate) struct Inner {
     pub tracker: TaskTracker,
     pub obs: Arc<Obs>,
     pub metrics: VinzMetrics,
-    /// Start→complete latency histogram (`gozer_task_latency_seconds`),
-    /// fed by [`Inner::finish_task`] on each first final transition.
-    pub task_latency: Arc<Histogram>,
-    /// One histogram per [`Phase`] (`gozer_task_phase_seconds`), indexed
-    /// by `Phase::index()`. The closed enum *is* the cardinality guard:
-    /// the label space is exactly `PHASE_COUNT` phases × deployed
-    /// services, fixed at deploy time. Fed by [`Inner::finish_task`]
-    /// with each finished task's nonzero phase totals.
-    pub phase_hists: [Arc<Histogram>; PHASE_COUNT],
     /// The live introspection server, when the deployment asked for one
     /// ([`WorkflowServiceBuilder::introspect`]). Held so its accept loop
     /// lives exactly as long as the deployment.
@@ -352,6 +341,10 @@ impl WorkflowServiceBuilder {
     /// fails fast on compile errors; each node instance re-loads the same
     /// source lazily, which is what lets migrated continuations re-link
     /// (program ids are content-derived).
+    ///
+    /// A cluster serves one workflow deployment: the broker hooks a
+    /// deployment installs are cluster-wide, so deploying on a cluster
+    /// that already has one fails before anything is installed.
     pub fn deploy(self) -> Result<WorkflowService, VinzError> {
         let inner = Arc::new(Inner {
             name: self.name.clone(),
@@ -363,17 +356,21 @@ impl WorkflowServiceBuilder {
             tracker: TaskTracker::new(),
             obs: self.cluster.obs(),
             metrics: VinzMetrics::default(),
-            task_latency: Arc::default(),
-            phase_hists: Default::default(),
             introspect: Mutex::new(None),
             nodes: RwLock::new(FxHashMap::default()),
             hot: RwLock::new(FxHashMap::default()),
             next_task: AtomicU64::new(1),
             next_fiber: AtomicU64::new(1),
         });
-        inner.register_metrics();
         // Fail fast on compile errors.
         inner.node_runtime(ADMIN_NODE)?;
+        self.cluster.claim_deployment(&self.name).map_err(|first| {
+            VinzError(format!(
+                "cluster already serves workflow deployment `{first}`; deploy `{}` on its own cluster",
+                self.name
+            ))
+        })?;
+        inner.register_metrics();
         // Service replies (ResumeFromCall) are built by the broker, not
         // by Vinz: give it the fiber-id → last-saved-node map so those
         // replies chase the fiber's cache too.
@@ -514,7 +511,7 @@ impl WorkflowService {
         // window (no task exists yet), so it feeds the histogram
         // directly and is excluded from per-task phase sums.
         let gate_opened = Instant::now();
-        let admission_hist = &self.inner.phase_hists[Phase::Admission.index()];
+        let admission_hist = &self.inner.tracker.phase_hists[Phase::Admission.index()];
         let mut waits = 0u32;
         while let Some(reason) = self.admission_pressure() {
             if waits >= self.inner.config.admission_retries {

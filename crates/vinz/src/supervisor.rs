@@ -17,10 +17,14 @@
 //!    (phase checks and consumed-sets), so re-sending is always safe.
 //! 3. **In-flight service calls** — each tick runs the timeout scan of
 //!    [`crate::calls`] over the `call-req/` records: a call with no reply
-//!    after [`RetryPolicy::call_timeout`] is re-sent (same correlation)
-//!    until [`RetryPolicy::max_attempts`], then surfaced to the fiber as
-//!    a `{vinz}CallTimeout` fault, where `retry`/`give-up` restarts take
+//!    after [`CALL_TIMEOUT`] is re-sent (same correlation) until
+//!    [`MAX_ATTEMPTS`], then surfaced to the fiber as a
+//!    `{vinz}CallTimeout` fault, where `retry`/`give-up` restarts take
 //!    over. The supervisor only keeps when it first saw each record.
+//!
+//! Every one of these decisions takes `now` from the cluster's
+//! [`bluebox::Clock`]; the thread only reads the clock and calls
+//! `tick`, once per `INTERVAL` (25 ms) of real time.
 //!
 //! Separately, a dead-letter observer registered with the broker finds
 //! a quarantined message's task from its `task-id` / `fiber-id` headers
@@ -49,56 +53,40 @@ const JITTER: Duration = Duration::from_millis(10);
 /// Instances spawned when a running task's service has none left.
 const RESPAWN_INSTANCES: usize = 2;
 
-/// Engine-level retry policy for asynchronous service calls.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total send attempts per call (the original send counts as one).
-    pub max_attempts: u32,
-    /// How long a call may stay unanswered before the supervisor
-    /// re-sends it (or, out of attempts, synthesizes a
-    /// `{vinz}CallTimeout` fault).
-    pub call_timeout: Duration,
+/// Total send attempts per async service call (the original send
+/// counts as one).
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// How long a call may stay unanswered before the supervisor re-sends
+/// it (or, out of attempts, synthesizes a `{vinz}CallTimeout` fault).
+pub const CALL_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The supervisor's scan cadence, in real time.
+const INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long the deployment must be quiescent (empty queue, nothing
+/// leased, tasks still running) before the orphan scan re-sends resume
+/// messages; also the cooldown before one is re-sent again.
+pub const STALL_AFTER: Duration = Duration::from_secs(1);
+
+/// Delay before a call's `attempt`-th re-send (1-based), with the
+/// correlation-derived jitter mixed in.
+pub(crate) fn delay_for(attempt: u32, correlation: u64) -> Duration {
+    let jitter = Duration::from_millis((correlation ^ attempt as u64) % JITTER.as_millis() as u64);
+    BACKOFF.saturating_mul(attempt.max(1)) + jitter
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            call_timeout: Duration::from_secs(10),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Delay before the `attempt`-th re-send (1-based), with the
-    /// correlation-derived jitter mixed in.
-    pub fn delay_for(&self, attempt: u32, correlation: u64) -> Duration {
-        let jitter = Duration::from_millis((correlation ^ attempt as u64) % JITTER.as_millis() as u64);
-        BACKOFF.saturating_mul(attempt.max(1)) + jitter
-    }
-}
-
-/// Tunables for the deployment supervisor thread.
+/// Whether a deployment runs its supervisor thread.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Run the supervisor at all (tests of raw engine behaviour turn it
-    /// off).
+    /// Run the supervisor at all (tests of raw engine behaviour and the
+    /// benchmarks turn it off).
     pub enabled: bool,
-    /// Scan cadence.
-    pub interval: Duration,
-    /// How long the deployment must be quiescent (empty queue, nothing
-    /// leased, tasks still running) before the orphan scan re-sends
-    /// resume messages.
-    pub stall_after: Duration,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            enabled: true,
-            interval: Duration::from_millis(25),
-            stall_after: Duration::from_secs(1),
-        }
+        SupervisorConfig { enabled: true }
     }
 }
 
@@ -139,20 +127,20 @@ fn supervise(weak: Weak<Inner>) {
         call_seen: FxHashMap::default(),
     };
     loop {
-        let interval = {
+        {
             let Some(inner) = weak.upgrade() else { return };
             if inner.cluster.is_shutdown() {
                 return;
             }
-            tick(&inner, &mut st);
-            inner.config.supervision.interval
-        };
-        std::thread::sleep(interval);
+            let now = inner.cluster.clock().now();
+            tick(&inner, &mut st, now);
+        }
+        std::thread::sleep(INTERVAL);
     }
 }
 
-fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
-    let cfg = &inner.config.supervision;
+/// One supervisor scan at `now` (on the cluster's clock).
+fn tick(inner: &Arc<Inner>, st: &mut ScanState, now: Instant) {
     let running: Vec<String> = inner
         .tracker
         .all()
@@ -160,7 +148,7 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
         .filter(|r| !r.status.is_final())
         .map(|r| r.id)
         .collect();
-    crate::calls::scan(inner, &mut st.call_seen);
+    crate::calls::scan(inner, &mut st.call_seen, now);
     if running.is_empty() {
         st.stalled_since = None;
         return;
@@ -187,7 +175,7 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
     }
 
     // 2. Orphan scan, only once the deployment has been quiescent for
-    // stall_after: messages still queued or leased will move things
+    // STALL_AFTER: messages still queued or leased will move things
     // forward on their own (the broker's reaper guarantees leased
     // messages come back).
     let quiescent = inner.cluster.queue_depth(&inner.name) == 0
@@ -196,24 +184,23 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState) {
         st.stalled_since = None;
         return;
     }
-    let since = *st.stalled_since.get_or_insert_with(Instant::now);
-    if since.elapsed() < cfg.stall_after {
+    let since = *st.stalled_since.get_or_insert(now);
+    if now.saturating_duration_since(since) < STALL_AFTER {
         return;
     }
     for task in &running {
         // Store trouble: move on; the next tick retries.
-        let _ = resume_orphans(inner, st, task);
+        let _ = resume_orphans(inner, st, task, now);
     }
 }
 
 /// Re-send whatever moves each unfinished fiber of `task` forward.
-fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<(), VinzError> {
-    let cooldown = inner.config.supervision.stall_after;
+fn resume_orphans(inner: &Inner, st: &mut ScanState, task: &str, now: Instant) -> Result<(), VinzError> {
     for fiber_id in &inner.fibers_of(task)? {
         match inner.fiber_phase(fiber_id)?.0 {
             FiberPhase::Initial => {
                 // The RunFiber that would start this fiber is gone.
-                if mark_resent(st, &format!("run:{fiber_id}"), cooldown) {
+                if mark_resent(st, &format!("run:{fiber_id}"), now) {
                     // Counted before the send: the fiber may finish first.
                     note_orphan(inner, fiber_id, "run-fiber");
                     inner.send_run_fiber(fiber_id, inner.tracker.deadline(task));
@@ -222,7 +209,7 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
             FiberPhase::Suspended => match inner.wait_of(fiber_id)? {
                 Some(Wait::Join(target))
                     if inner.fiber_done(&target)?
-                        && mark_resent(st, &format!("join:{fiber_id}:{target}"), cooldown) =>
+                        && mark_resent(st, &format!("join:{fiber_id}:{target}"), now) =>
                 {
                     note_orphan(inner, fiber_id, "join");
                     inner.send_join(fiber_id, &target);
@@ -233,7 +220,7 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
                     // ones the parent already saw.
                     for child in inner.children_of(fiber_id)? {
                         if inner.fiber_done(&child)?
-                            && mark_resent(st, &format!("awake:{fiber_id}:{child}"), cooldown)
+                            && mark_resent(st, &format!("awake:{fiber_id}:{child}"), now)
                         {
                             note_orphan(inner, fiber_id, "awake");
                             inner.send_awake(fiber_id, &child);
@@ -250,10 +237,11 @@ fn resume_orphans(inner: &Arc<Inner>, st: &mut ScanState, task: &str) -> Result<
     Ok(())
 }
 
-fn mark_resent(st: &mut ScanState, key: &str, cooldown: Duration) -> bool {
-    let now = Instant::now();
+/// Whether `key`'s resume may be re-sent at `now`: not within
+/// [`STALL_AFTER`] of its last re-send. Marks it re-sent if so.
+fn mark_resent(st: &mut ScanState, key: &str, now: Instant) -> bool {
     match st.resent.get(key) {
-        Some(at) if now.duration_since(*at) < cooldown => false,
+        Some(at) if now.saturating_duration_since(*at) < STALL_AFTER => false,
         _ => {
             st.resent.insert(key.to_string(), now);
             true
@@ -261,7 +249,7 @@ fn mark_resent(st: &mut ScanState, key: &str, cooldown: Duration) -> bool {
     }
 }
 
-fn note_orphan(inner: &Arc<Inner>, fiber_id: &str, via: &str) {
+fn note_orphan(inner: &Inner, fiber_id: &str, via: &str) {
     inner.metrics.orphans_resumed.fetch_add(1, Ordering::Relaxed);
     inner
         .obs
@@ -297,11 +285,10 @@ mod tests {
 
     #[test]
     fn retry_delay_scales_and_is_deterministic() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.delay_for(1, 42), p.delay_for(1, 42));
+        assert_eq!(delay_for(1, 42), delay_for(1, 42));
         // BACKOFF × attempt + (correlation ^ attempt) mod JITTER.
-        assert_eq!(p.delay_for(1, 42), BACKOFF + Duration::from_millis(43 % 10));
-        assert_eq!(p.delay_for(3, 42), BACKOFF * 3 + Duration::from_millis(41 % 10));
-        assert!(p.delay_for(1, 42) < BACKOFF + JITTER);
+        assert_eq!(delay_for(1, 42), BACKOFF + Duration::from_millis(43 % 10));
+        assert_eq!(delay_for(3, 42), BACKOFF * 3 + Duration::from_millis(41 % 10));
+        assert!(delay_for(1, 42) < BACKOFF + JITTER);
     }
 }

@@ -4,8 +4,9 @@
 //! A task is one running workflow (§3.1). `Start` names it `task-N`
 //! (one counter per deployment), writes its definition and births its
 //! main fiber `{task}/f0`; from then on the fibers move it forward
-//! through the host, and [`Inner::finish_task`] / [`Inner::fail_task`]
-//! are the only ways it ends.
+//! through the host, and the tracker's
+//! [`finish`](crate::TaskTracker::finish) and [`Inner::fail_task`] are
+//! the only ways it ends.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -197,28 +198,11 @@ impl Inner {
         let task_id = msg
             .get_header("task-id")
             .ok_or_else(|| VinzError("Terminate requires task-id".into()))?;
-        self.finish_task(
+        self.tracker.finish(
             task_id,
             TaskStatus::Terminated(Condition::new("terminated", "terminated by management request")),
         );
         Ok(Vec::new())
-    }
-
-    /// Move a task to a final state and, when *this* call performed the
-    /// transition, feed the start→complete latency histogram plus the
-    /// per-phase family with the task's (now closed) ledger. Only
-    /// nonzero phases observe, so e.g. `durability_hold` stays an empty
-    /// histogram under synchronous stores instead of a wall of zeros.
-    pub(crate) fn finish_task(&self, task_id: &str, status: TaskStatus) {
-        if let Some((d, phases)) = self.tracker.finish(task_id, status) {
-            self.task_latency.observe_duration(d);
-            for phase in Phase::ALL {
-                let spent = phases.get(phase);
-                if !spent.is_zero() {
-                    self.phase_hists[phase.index()].observe_duration(spent);
-                }
-            }
-        }
     }
 
     /// End `fiber_id`'s task `Failed` with `cond`: the fiber died of an
@@ -236,6 +220,6 @@ impl Inner {
             let dump = self.flight_dump(&format!("task {task_id} failed at {fiber_id}: {cond}"));
             let _ = self.obs.flight.record(&format!("{task_id}-{why}"), &dump);
         }
-        self.finish_task(task_id, TaskStatus::Failed(cond));
+        self.tracker.finish(task_id, TaskStatus::Failed(cond));
     }
 }

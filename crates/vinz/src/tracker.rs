@@ -2,10 +2,11 @@
 //! one): task status, results, fiber accounting, and blocking waits.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gozer_lang::Value;
-use gozer_obs::{Phase, PhaseBreakdown};
+use gozer_obs::{Histogram, Phase, PhaseBreakdown, PHASE_COUNT};
 use gozer_vm::Condition;
 use parking_lot::{Condvar, Mutex};
 use rustc_hash::FxHashMap;
@@ -100,6 +101,16 @@ pub struct TaskTracker {
     /// Tasks started but not yet final — kept as an atomic beside the
     /// map so the admission gate can read it without taking the lock.
     running: AtomicU64,
+    /// Start→complete latency (`gozer_task_latency_seconds`), observed
+    /// once per task by the [`finish`](Self::finish) that ends it.
+    pub(crate) latency: Arc<Histogram>,
+    /// One histogram per [`Phase`] (`gozer_task_phase_seconds`), indexed
+    /// by `Phase::index()`: each finished task's nonzero phase totals,
+    /// observed with its latency. The closed enum *is* the cardinality
+    /// guard: the label space is exactly `PHASE_COUNT` phases × deployed
+    /// services. (Admission, which happens before a task exists, is
+    /// observed by the admission gate.)
+    pub(crate) phase_hists: [Arc<Histogram>; PHASE_COUNT],
 }
 
 impl TaskTracker {
@@ -180,10 +191,12 @@ impl TaskTracker {
     }
 
     /// Move a task to a final state (first writer wins; later attempts —
-    /// e.g. a fiber noticing termination — are ignored). Returns the
-    /// task's start→complete duration and its closed phase ledger when
-    /// *this* call performed the transition (the histogram samples),
-    /// `None` on duplicates and unknown tasks.
+    /// e.g. a fiber noticing termination — are ignored). The call that
+    /// performs the transition observes the task's latency and its
+    /// nonzero phase totals before it releases the lock, so a waiter
+    /// that sees the task final also sees it counted; it returns that
+    /// duration and closed phase ledger. `None` on duplicates and
+    /// unknown tasks.
     pub fn finish(&self, task_id: &str, status: TaskStatus) -> Option<(Duration, PhaseBreakdown)> {
         debug_assert!(status.is_final());
         let mut closed = None;
@@ -197,7 +210,14 @@ impl TaskTracker {
                 rec.roll_phase(None, now);
                 rec.status = status;
                 rec.finished_at = Some(now);
-                closed = Some((now.duration_since(rec.started_at), rec.phases));
+                let latency = now.duration_since(rec.started_at);
+                self.latency.observe_duration(latency);
+                for (hist, spent) in self.phase_hists.iter().zip(rec.phases.phases) {
+                    if !spent.is_zero() {
+                        hist.observe_duration(spent);
+                    }
+                }
+                closed = Some((latency, rec.phases));
                 self.running.fetch_sub(1, Ordering::Relaxed);
             }
         }

@@ -33,10 +33,7 @@ fn hold_config(max_inflight: usize, retries: u32) -> VinzConfig {
         max_inflight_tasks: max_inflight,
         admission_retries: retries,
         admission_backoff: Duration::from_millis(2),
-        supervision: SupervisorConfig {
-            enabled: false,
-            ..SupervisorConfig::default()
-        },
+        supervision: SupervisorConfig { enabled: false },
         ..VinzConfig::default()
     }
 }

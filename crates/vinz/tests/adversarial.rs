@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bluebox::{Cluster, Message, RecoveryConfig};
+use bluebox::{Cluster, Message};
 use gozer_lang::Value;
 use vinz::{MemStore, StateStore, SupervisorConfig, TaskStatus, VinzConfig, WorkflowService};
 
@@ -17,10 +17,7 @@ fn quiet_config() -> VinzConfig {
         // Supervision off: the orphan scan would otherwise keep
         // re-sending resumes on its own schedule and blur the assertions
         // (the dead-letter observer installs regardless).
-        supervision: SupervisorConfig {
-            enabled: false,
-            ..SupervisorConfig::default()
-        },
+        supervision: SupervisorConfig { enabled: false },
         ..VinzConfig::default()
     }
 }
@@ -52,12 +49,6 @@ fn awake(cluster: &Arc<Cluster>, task: &str) {
 #[test]
 fn corrupt_fiber_chain_dead_letters_the_task() {
     let cluster = Cluster::new();
-    cluster.set_recovery(RecoveryConfig {
-        redelivery_budget: 3,
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(5),
-        ..RecoveryConfig::default()
-    });
     let store = Arc::new(MemStore::new());
     let wf = WorkflowService::builder(&cluster, "wf")
         .source(HOLD_WF)
@@ -100,12 +91,6 @@ fn corrupt_fiber_chain_dead_letters_the_task() {
 #[test]
 fn mutated_snapshot_dead_letters_the_task() {
     let cluster = Cluster::new();
-    cluster.set_recovery(RecoveryConfig {
-        redelivery_budget: 3,
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(5),
-        ..RecoveryConfig::default()
-    });
     let store = Arc::new(MemStore::new());
     let wf = WorkflowService::builder(&cluster, "wf")
         .source(HOLD_WF)

@@ -74,10 +74,7 @@ fn a_quick_task_stays_within_its_allocation_budget() {
         .store(Arc::new(MemStore::new()))
         .config(VinzConfig {
             codec: Codec::None,
-            supervision: SupervisorConfig {
-                enabled: false,
-                ..SupervisorConfig::default()
-            },
+            supervision: SupervisorConfig { enabled: false },
             ..VinzConfig::default()
         })
         .instances(0, 2)

@@ -18,7 +18,8 @@ use gozer_lang::Value;
 use gozer_serial::{deserialize_state, deserialize_state_delta};
 use gozer_vm::Gvm;
 use vinz::testing::{
-    chaos_seeds, repro_command, run_workflow_under_chaos_store, ChaosConfig, ChaosPlan, ChaosRun,
+    chaos_seeds, register_square_service, repro_command, run_workflow_under_chaos_store,
+    ChaosConfig, ChaosPlan, ChaosRun,
 };
 use vinz::{LogStore, StateStore, StoreError, TaskStatus, VinzConfig, WorkflowService};
 
@@ -31,6 +32,37 @@ fn temp_dir(tag: &str) -> PathBuf {
             .unwrap()
             .as_nanos()
     ))
+}
+
+/// A cluster serves one workflow deployment. A second deployment's
+/// broker hooks would replace the first's: its durability probe would
+/// answer for the first's call requests from another store. So the
+/// second deploy is refused, and the first, on its log, still completes
+/// an async service call.
+#[test]
+fn a_second_deployment_on_a_cluster_is_refused() {
+    let dir = temp_dir("second-deployment");
+    let cluster = Cluster::new();
+    register_square_service(&cluster, "Square", 1, 1, Duration::ZERO);
+    let source = "(deflink S :wsdl \"urn:square\" :port \"Square\")
+                  (defun main (n) (S-Square-Method :n n))";
+    let first = WorkflowService::builder(&cluster, "first")
+        .source(source)
+        .store(Arc::new(LogStore::builder(&dir).build().unwrap()))
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    let refused = WorkflowService::builder(&cluster, "second")
+        .source(source)
+        .instances(1, 2)
+        .deploy()
+        .err()
+        .expect("a second deployment on one cluster must be refused");
+    assert!(refused.0.contains("`first`"), "{refused}");
+    let v = first.call("main", vec![Value::Int(7)], Duration::from_secs(30)).unwrap();
+    assert_eq!(v, Value::Int(49));
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Path of the log's segment `seg` (mirrors the store's layout).

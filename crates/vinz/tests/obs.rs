@@ -17,7 +17,7 @@ use gozer_xml::ServiceDescription;
 use vinz::testing::{
     chaos_seeds, register_remote_service_desc, repro_command, ChaosConfig, ChaosPlan,
 };
-use vinz::{LogStore, TaskStatus, WorkflowService};
+use vinz::{LogStore, TaskStatus, VinzConfig, WorkflowService};
 
 const FOR_EACH_WF: &str = "
 (defun main (n)
@@ -431,3 +431,34 @@ const FAMILY_SHAPES: &[&str] = &[
     "vinz_taskvar_cache_hits_total counter [service] Task-variable reads served by the node cache.",
     "vinz_taskvar_cache_misses_total counter [service] Task-variable reads served by the store.",
 ];
+
+/// A task is counted before anyone waiting on it wakes: the latency
+/// histogram, read right after each `wait` returns, has seen every task
+/// waited for so far.
+#[test]
+fn a_waited_task_is_already_in_the_latency_histogram() {
+    let cluster = Cluster::new();
+    // Uncompressed saves: the test is about the tracker, and 2 000
+    // deflates dominate its time in a debug build.
+    let config = VinzConfig { codec: Codec::None, ..VinzConfig::default() };
+    let workflow = WorkflowService::builder(&cluster, "wf")
+        .source("(defun main (n) (* n n))")
+        .config(config)
+        .instances(0, 2)
+        .deploy()
+        .expect("deploy");
+    let obs = workflow.obs();
+    let key = "gozer_task_latency_seconds{service=\"wf\"}";
+    let mut late = Vec::new();
+    for waited in 1..=2000u64 {
+        let task = workflow.start("main", vec![Value::Int(3)], None).expect("start");
+        let rec = workflow.wait(&task, Duration::from_secs(30)).expect("task finishes");
+        assert_eq!(rec.status, TaskStatus::Completed(Value::Int(9)));
+        let count = obs.snapshot().histogram(key).map_or(0, |h| h.count);
+        if count < waited {
+            late.push((waited, count));
+        }
+    }
+    assert!(late.is_empty(), "(waited, counted) after a wait returned: {late:?}");
+    cluster.shutdown();
+}

@@ -5,21 +5,37 @@
 //! `Failed` task state.
 //!
 //! Chaos stays armed for every run in this file — there is no harness
-//! respawn loop anywhere. Survival is the recovery layer's job.
+//! respawn loop anywhere. Survival is the recovery layer's job. A test
+//! that waits out a backoff or a timeout runs its cluster on a manual
+//! clock and advances it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bluebox::{ChaosConfig, ChaosPlan, Cluster, Fault, FaultPoint, RecoveryConfig};
+use bluebox::recovery::{BACKOFF_MAX, REDELIVERY_BUDGET, SCAN_INTERVAL};
+use bluebox::{ChaosConfig, ChaosPlan, Clock, Cluster, Fault, FaultPoint};
 use gozer_lang::Value;
 use gozer_obs::EventKind;
 use gozer_xml::ServiceDescription;
+use vinz::supervisor::{CALL_TIMEOUT, MAX_ATTEMPTS, STALL_AFTER};
 use vinz::testing::{chaos_seeds, register_value_service, repro_command, run_workflow_under_chaos};
-use vinz::{MemStore, RetryPolicy, StateStore, TaskStatus, VinzConfig, WorkflowService};
+use vinz::{MemStore, StateStore, TaskStatus, VinzConfig, WorkflowService};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Advance `clock` by `step` once per reaper scan until `done` holds:
+/// how a test moves a cluster on a manual clock through its backoffs
+/// and timeouts. Panics after 30 s of real time.
+fn advance_until(clock: &Clock, step: Duration, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "not done after 30 s of real time");
+        clock.advance(step);
+        std::thread::sleep(SCAN_INTERVAL);
+    }
+}
 
 const FOR_EACH_WF: &str = "
 (defun main (n)
@@ -171,7 +187,8 @@ fn poisoned_resume_from_call_dead_letters_and_fails_the_task() {
 }
 
 fn poisoned_operation_fails_the_task(operation: &str) {
-    let cluster = Cluster::new();
+    let clock = Clock::manual();
+    let cluster = Cluster::with_clock(clock.clone());
     register_value_service(
         &cluster,
         "Answer",
@@ -179,12 +196,6 @@ fn poisoned_operation_fails_the_task(operation: &str) {
         |_op, _req| Ok(Value::Int(42)),
     );
     cluster.spawn_instances("Answer", 5, 1);
-    cluster.set_recovery(RecoveryConfig {
-        redelivery_budget: 3,
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(5),
-        ..RecoveryConfig::default()
-    });
     cluster.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, operation)));
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source(
@@ -195,9 +206,11 @@ fn poisoned_operation_fails_the_task(operation: &str) {
         .deploy()
         .unwrap();
     // The supervisor keeps restaffing the deployment as poison kills it,
-    // so the budget is spent by real redeliveries, not starvation.
+    // so the budget is spent by real redeliveries, not starvation; the
+    // clock moves through each redelivery's backoff.
     let task = wf.start("main", vec![], None).unwrap();
-    let rec = wf.wait(&task, Duration::from_secs(30)).expect(
+    advance_until(&clock, BACKOFF_MAX, || wf.status(&task).is_some_and(|s| s.is_final()));
+    let rec = wf.wait(&task, Duration::ZERO).expect(
         "dead-lettering must resolve the task instead of hanging it",
     );
     match rec.status {
@@ -207,8 +220,8 @@ fn poisoned_operation_fails_the_task(operation: &str) {
     assert!(cluster.dead_letter_total() > 0, "quarantine counter moved");
     let dead = cluster.dead_letters("workflow");
     assert!(
-        dead.iter().any(|d| d.msg.operation == operation),
-        "the poisoned operation is what got quarantined: {dead:?}"
+        dead.iter().any(|d| d.msg.operation == operation && d.msg.redeliveries == REDELIVERY_BUDGET),
+        "the poisoned operation is what got quarantined, its budget spent: {dead:?}"
     );
     let obs = wf.obs();
     assert_eq!(
@@ -289,20 +302,20 @@ fn orphan_scan_finishes(poisoned: &str, source: &str, n: i64, expected: i64) -> 
     drop(wf);
     let left = store.list("").unwrap();
 
-    let cluster = Cluster::new();
-    let mut config = VinzConfig::default();
-    config.supervision.interval = Duration::from_millis(5);
-    config.supervision.stall_after = Duration::from_millis(50);
+    // Nothing moves the task on until the deployment has stood still
+    // for STALL_AFTER on the clock.
+    let clock = Clock::manual();
+    let cluster = Cluster::with_clock(clock.clone());
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source(source)
         .store(store.clone())
-        .config(config)
         .instances(0, 2)
         .deploy()
         .unwrap();
     assert_eq!(wf.start("main", vec![Value::Int(n)], None).unwrap(), task);
+    advance_until(&clock, STALL_AFTER / 4, || wf.status(&task).is_some_and(|s| s.is_final()));
     let rec = wf
-        .wait(&task, TIMEOUT)
+        .wait(&task, Duration::ZERO)
         .unwrap_or_else(|| panic!("the orphan scan finishes the task ({poisoned} lost)"));
     assert_eq!(rec.status, TaskStatus::Completed(Value::Int(expected)));
     let obs = wf.obs();
@@ -357,12 +370,14 @@ fn engine_retries_faulted_async_calls_transparently() {
 }
 
 /// A call to a registered-but-unstaffed service never gets a reply; the
-/// supervisor's call-request scan synthesizes a `{vinz}CallTimeout`
-/// fault once the retry policy is out of attempts, and the workflow's
-/// `with-retries` give-up fallback supplies the value.
+/// supervisor's call-request scan re-sends it every call timeout until
+/// the attempts run out, then synthesizes a `{vinz}CallTimeout` fault,
+/// and the workflow's `with-retries` give-up fallback supplies the
+/// value.
 #[test]
 fn call_timeout_synthesizes_fault_and_gives_up() {
-    let cluster = Cluster::new();
+    let clock = Clock::manual();
+    let cluster = Cluster::with_clock(clock.clone());
     register_value_service(
         &cluster,
         "Ghost",
@@ -377,20 +392,17 @@ fn call_timeout_synthesizes_fault_and_gives_up() {
                (with-retries (:count 0 :fallback :gave-up) (GH-Get-Method)))",
         )
         .instances(0, 2)
-        .config(VinzConfig {
-            retry: RetryPolicy {
-                max_attempts: 1,
-                call_timeout: Duration::from_millis(100),
-            },
-            ..VinzConfig::default()
-        })
         .deploy()
         .unwrap();
     let obs = wf.obs();
     obs.set_tracing(true);
     let task = wf.start("main", vec![], None).unwrap();
-    let rec = wf.wait(&task, Duration::from_secs(30)).expect("task finishes");
+    advance_until(&clock, CALL_TIMEOUT / 40, || wf.status(&task).is_some_and(|s| s.is_final()));
+    let rec = wf.wait(&task, Duration::ZERO).expect("task finishes");
     assert_eq!(rec.status, TaskStatus::Completed(Value::keyword("gave-up")));
+    // Every attempt went out, and none was answered.
+    assert_eq!(cluster.queue_depth("Ghost"), MAX_ATTEMPTS as usize);
+    assert_eq!(obs.counters().calls_retried.load(Ordering::Relaxed), u64::from(MAX_ATTEMPTS - 1));
     // The synthesized reply, like a real one, correlates to the caller.
     let fiber = format!("{task}/f0");
     let replies: Vec<_> = obs
@@ -402,6 +414,31 @@ fn call_timeout_synthesizes_fault_and_gives_up() {
     for e in &replies {
         assert_eq!(e.task.as_deref(), Some(task.as_str()), "{e:?}");
         assert_eq!(e.fiber.as_deref(), Some(fiber.as_str()), "{e:?}");
+    }
+    cluster.shutdown();
+}
+
+/// A `join-process` that cannot suspend (it runs in a future) polls for
+/// its target's result until the cluster's clock is `JOIN_DEADLINE`
+/// (600 s) past its start, then fails; the task fails with it.
+#[test]
+fn a_background_join_gives_up_once_the_clock_passes_its_deadline() {
+    let clock = Clock::manual();
+    let cluster = Cluster::with_clock(clock.clone());
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source("(defun main () (touch (future (join-process \"nowhere/f0\"))))")
+        .instances(0, 2)
+        .deploy()
+        .unwrap();
+    let task = wf.start("main", vec![], None).unwrap();
+    advance_until(&clock, Duration::from_secs(60), || {
+        wf.status(&task).is_some_and(|s| s.is_final())
+    });
+    match wf.status(&task) {
+        Some(TaskStatus::Failed(c)) => {
+            assert!(c.to_string().contains("join-process: nowhere/f0 never finished"), "{c}")
+        }
+        other => panic!("expected the join to fail the task, got {other:?}"),
     }
     cluster.shutdown();
 }

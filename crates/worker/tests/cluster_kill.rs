@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bluebox::{Cluster, RecoveryConfig, TcpBroker};
+use bluebox::{Cluster, TcpBroker};
 use gozer_lang::Value;
 use gozer_worker::{KillPlan, ProcessSupervisor, WorkerSpec};
 use gozer_xml::ServiceDescription;
@@ -38,19 +38,6 @@ fn compute_desc() -> ServiceDescription {
             "Busy-works for spin_ms milliseconds, then squares n.",
             &[("n", "int"), ("spin_ms", "int")],
         )
-}
-
-/// Sub-second kill detection: `kill -9` closes the socket, which marks
-/// the proxy instances dead immediately; the TTL here only bounds the
-/// torn/wedged cases.
-fn fast_recovery() -> RecoveryConfig {
-    RecoveryConfig {
-        lease_ttl: Duration::from_millis(600),
-        scan_interval: Duration::from_millis(5),
-        redelivery_budget: 32,
-        backoff_base: Duration::from_millis(2),
-        backoff_max: Duration::from_millis(25),
-    }
 }
 
 fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
@@ -80,7 +67,6 @@ struct SeedOutcome {
 fn run_seed(seed: u64, tasks: i64, store: bool) -> Result<SeedOutcome, String> {
     let fail = |msg: String| format!("seed {seed}: {msg}");
     let cluster = Cluster::new();
-    cluster.set_recovery(fast_recovery());
     register_remote_service_desc(&cluster, "Compute", compute_desc());
 
     let mut builder = WorkflowService::builder(&cluster, "workflow")
@@ -272,7 +258,6 @@ fn kill9_with_logstore_hold_until_parking() {
 #[test]
 fn worker_processes_serve_a_clean_run() {
     let cluster = Cluster::new();
-    cluster.set_recovery(fast_recovery());
     register_remote_service_desc(&cluster, "Compute", compute_desc());
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source(WF)

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bluebox::{Cluster, RecoveryConfig, TcpWorker, WorkerConfig};
+use bluebox::{Cluster, TcpWorker, WorkerConfig};
 use gozer_lang::Value;
 use gozer_vm::Gvm;
 use gozer_worker::compute_reply;
@@ -35,16 +35,6 @@ fn compute_desc() -> ServiceDescription {
     )
 }
 
-fn fast_recovery() -> RecoveryConfig {
-    RecoveryConfig {
-        lease_ttl: Duration::from_millis(500),
-        scan_interval: Duration::from_millis(5),
-        redelivery_budget: 32,
-        backoff_base: Duration::from_millis(2),
-        backoff_max: Duration::from_millis(25),
-    }
-}
-
 /// Deploy the workflow with a TCP listener, run `tasks` tasks against
 /// one in-thread worker whose handler injects `chaos` once mid-load,
 /// and assert exactly-once completion plus a real reconnect.
@@ -53,7 +43,6 @@ fn run_with_chaos(
     chaos: impl Fn(&bluebox::WorkerCtx) + Send + Sync + 'static,
 ) -> (bluebox::TransportMetricsSnapshot, u64, u64, u64) {
     let cluster = Cluster::new();
-    cluster.set_recovery(fast_recovery());
     register_remote_service_desc(&cluster, "Compute", compute_desc());
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source(WF)

@@ -7,7 +7,9 @@
 #   sh scripts/test_repeat.sh <filter> [N]
 #
 # The filter is cargo's test-name substring filter, applied to every
-# workspace test binary. Exits non-zero unless every run passed.
+# workspace test binary. Run i's output is kept in
+# target/test-repeat/<i>.log; a failed run prints that path and the
+# log's last 20 lines. Exits non-zero unless every run passed.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,14 +27,19 @@ sh -c 'while :; do :; done' &
 HOG2=$!
 trap 'kill $HOG1 $HOG2 2>/dev/null' EXIT INT TERM
 
+LOGS=target/test-repeat
+rm -rf "$LOGS"
+mkdir -p "$LOGS"
 passes=0
 i=0
 while [ "$i" -lt "$N" ]; do
     i=$((i + 1))
-    if "$CARGO" test -q $OFFLINE -- "$TEST" >/dev/null 2>&1; then
+    log="$LOGS/$i.log"
+    if "$CARGO" test -q $OFFLINE -- "$TEST" >"$log" 2>&1; then
         passes=$((passes + 1))
     else
-        echo "run $i failed"
+        echo "run $i failed: $log"
+        tail -n 20 "$log"
     fi
 done
 echo "$TEST: $passes/$N passed beside two CPU hogs"
