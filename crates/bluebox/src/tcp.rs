@@ -331,6 +331,16 @@ impl TcpBroker {
         addr: &str,
         cfg: TcpBrokerConfig,
     ) -> std::io::Result<Arc<TcpBroker>> {
+        TcpBroker::serve(cluster, TcpListener::bind(addr)?, cfg)
+    }
+
+    /// [`start`](TcpBroker::start) on a `listener` bound already, so a
+    /// caller can bind, and fail, before it commits anything else.
+    pub fn serve(
+        cluster: &Arc<Cluster>,
+        listener: TcpListener,
+        cfg: TcpBrokerConfig,
+    ) -> std::io::Result<Arc<TcpBroker>> {
         let mut installed = cluster.tcp.lock();
         if installed.is_some() {
             return Err(std::io::Error::new(
@@ -338,7 +348,6 @@ impl TcpBroker {
                 "the cluster already has a TCP broker",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let broker = Arc::new(TcpBroker {
             cluster: Arc::downgrade(cluster),

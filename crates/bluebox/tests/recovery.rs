@@ -105,11 +105,8 @@ fn poison_message_dead_letters_after_redelivery_budget() {
         }),
     );
     cluster.spawn_instances("victim", 0, 2);
-    // The healthy message is served before the clock starts moving,
-    // so no advance below can outrun its lease.
-    cluster.send(Message::new("victim", "Fine", vec![]));
-    wait_for("the healthy message was never served", || healthy.load(Ordering::SeqCst) == 1);
     cluster.send(Message::new("victim", "Poison", vec![]));
+    cluster.send(Message::new("victim", "Fine", vec![]));
 
     // Keep the service staffed while chaos eats instances, until the
     // poison message lands in quarantine.
@@ -370,8 +367,10 @@ fn late_result_is_dropped(kind: SlotKind) {
 /// delivery. A one-slot worker serves nine queued deliveries back to
 /// back, each moving the clock a third of the lease TTL, so the slot is
 /// busy for three TTLs and is never idle when a heartbeat could re-arm
-/// it (the broker asks for heartbeats far apart). Every lease must be
-/// kept: nothing reclaimed, nothing redelivered, no duplicate settle.
+/// it (the broker asks for heartbeats far apart). Each delivery then
+/// holds its lease for a few reaper scans at the advanced time. Every
+/// lease must be kept: nothing reclaimed, nothing redelivered, no
+/// duplicate settle.
 #[test]
 fn busy_remote_slot_keeps_every_lease() {
     let (cluster, clock) = manual_cluster();
@@ -388,6 +387,7 @@ fn busy_remote_slot_keeps_every_lease() {
     let (seen, seen_redelivered) = (handled.clone(), redelivered.clone());
     let handler = Arc::new(move |_: &WorkerCtx, d: &RemoteDelivery| {
         clock.advance(LEASE_TTL / 3);
+        std::thread::sleep(SCAN_INTERVAL * 4);
         seen.fetch_add(1, Ordering::SeqCst);
         if d.redeliveries > 0 {
             seen_redelivered.fetch_add(1, Ordering::SeqCst);

@@ -10,6 +10,7 @@
 //! it — usually on a different instance, because the message queue load
 //! balances freely.
 
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -344,7 +345,9 @@ impl WorkflowServiceBuilder {
     ///
     /// A cluster serves one workflow deployment: the broker hooks a
     /// deployment installs are cluster-wide, so deploying on a cluster
-    /// that already has one fails before anything is installed.
+    /// that already has one fails before anything is installed. The
+    /// listen and introspection addresses are bound before the cluster
+    /// is claimed, so a deploy that fails on either leaves it unclaimed.
     pub fn deploy(self) -> Result<WorkflowService, VinzError> {
         let inner = Arc::new(Inner {
             name: self.name.clone(),
@@ -362,8 +365,18 @@ impl WorkflowServiceBuilder {
             next_task: AtomicU64::new(1),
             next_fiber: AtomicU64::new(1),
         });
-        // Fail fast on compile errors.
+        // Fail fast on compile errors and on addresses that cannot be
+        // bound, before the cluster is claimed.
         inner.node_runtime(ADMIN_NODE)?;
+        let introspect = self.introspect_addr.as_deref().map(|addr| {
+            let source = Arc::new(VinzIntrospect { inner: Arc::downgrade(&inner) });
+            IntrospectServer::start(addr, source).map_err(|e| VinzError(format!("introspect bind {addr}: {e}")))
+        });
+        let listener = self.tcp_listen_addr.as_deref().map(|addr| match self.cluster.tcp_broker() {
+            Some(_) => Err(VinzError(format!("tcp listen {addr}: the cluster already has a TCP broker"))),
+            None => TcpListener::bind(addr).map_err(|e| VinzError(format!("tcp listen {addr}: {e}"))),
+        });
+        let (introspect, listener) = (introspect.transpose()?, listener.transpose()?);
         self.cluster.claim_deployment(&self.name).map_err(|first| {
             VinzError(format!(
                 "cluster already serves workflow deployment `{first}`; deploy `{}` on its own cluster",
@@ -375,10 +388,7 @@ impl WorkflowServiceBuilder {
         // by Vinz: give it the fiber-id → last-saved-node map so those
         // replies chase the fiber's cache too.
         let weak = Arc::downgrade(&inner);
-        self.cluster.set_affinity_resolver(move |fiber_id| {
-            weak.upgrade()
-                .and_then(|i| i.last_node(fiber_id))
-        });
+        self.cluster.set_affinity_resolver(move |fiber_id| weak.upgrade().and_then(|i| i.last_node(fiber_id)));
         // The broker's leg of phase attribution: durability parks,
         // hold releases, lease reclaims and requeues flip the owning
         // task's ledger without the broker knowing about trackers.
@@ -401,11 +411,8 @@ impl WorkflowServiceBuilder {
         // group-commit fsync lands. Synchronous stores answer "always
         // durable", so both are no-ops for them.
         inner.store.attach_obs(&inner.obs);
-        {
-            let store = inner.store.clone();
-            self.cluster
-                .set_durability_probe(move |w| store.durable(Watermark(w)));
-        }
+        let store = inner.store.clone();
+        self.cluster.set_durability_probe(move |w| store.durable(Watermark(w)));
         {
             let cluster = Arc::downgrade(&self.cluster);
             inner.store.set_commit_hook(Arc::new(move |w: Watermark| {
@@ -424,22 +431,15 @@ impl WorkflowServiceBuilder {
         // message was quarantined will never finish on its own.
         supervisor::install_dead_letter_observer(&inner);
         let service = WorkflowService { inner };
-        // Workers may connect the moment the address is visible.
-        if let Some(addr) = &self.tcp_listen_addr {
-            TcpBroker::start(&service.inner.cluster, addr, TcpBrokerConfig::default())
-                .map_err(|e| VinzError(format!("tcp listen {addr}: {e}")))?;
+        // Workers may connect the moment the broker accepts.
+        if let Some(listener) = listener {
+            TcpBroker::serve(&service.inner.cluster, listener, TcpBrokerConfig::default())
+                .map_err(|e| VinzError(format!("tcp listen: {e}")))?;
         }
         for (node_id, count) in self.instances {
             service.spawn_instances(node_id, count);
         }
-        if let Some(addr) = &self.introspect_addr {
-            let source = Arc::new(VinzIntrospect {
-                inner: Arc::downgrade(&service.inner),
-            });
-            let server = IntrospectServer::start(addr, source)
-                .map_err(|e| VinzError(format!("introspect bind {addr}: {e}")))?;
-            *service.inner.introspect.lock() = Some(server);
-        }
+        *service.inner.introspect.lock() = introspect;
         Ok(service)
     }
 }

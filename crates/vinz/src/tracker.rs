@@ -194,36 +194,32 @@ impl TaskTracker {
     /// e.g. a fiber noticing termination — are ignored). The call that
     /// performs the transition observes the task's latency and its
     /// nonzero phase totals before it releases the lock, so a waiter
-    /// that sees the task final also sees it counted; it returns that
-    /// duration and closed phase ledger. `None` on duplicates and
-    /// unknown tasks.
-    pub fn finish(&self, task_id: &str, status: TaskStatus) -> Option<(Duration, PhaseBreakdown)> {
+    /// that sees the task final also sees it counted. Returns whether
+    /// this call made the transition: `false` on duplicates and unknown
+    /// tasks.
+    pub fn finish(&self, task_id: &str, status: TaskStatus) -> bool {
         debug_assert!(status.is_final());
-        let mut closed = None;
         let mut st = self.state.lock();
-        if let Some(rec) = st.get_mut(task_id) {
-            if !rec.status.is_final() {
-                let now = Instant::now();
-                // Close the ledger with the same instant the duration
-                // uses: the phase durations telescope to exactly the
-                // latency observation.
-                rec.roll_phase(None, now);
-                rec.status = status;
-                rec.finished_at = Some(now);
-                let latency = now.duration_since(rec.started_at);
-                self.latency.observe_duration(latency);
-                for (hist, spent) in self.phase_hists.iter().zip(rec.phases.phases) {
-                    if !spent.is_zero() {
-                        hist.observe_duration(spent);
-                    }
-                }
-                closed = Some((latency, rec.phases));
-                self.running.fetch_sub(1, Ordering::Relaxed);
+        let Some(rec) = st.get_mut(task_id).filter(|r| !r.status.is_final()) else {
+            return false;
+        };
+        let now = Instant::now();
+        // Close the ledger with the same instant the duration uses: the
+        // phase durations telescope to exactly the latency observation.
+        rec.roll_phase(None, now);
+        rec.status = status;
+        rec.finished_at = Some(now);
+        let latency = now.duration_since(rec.started_at);
+        self.latency.observe_duration(latency);
+        for (hist, spent) in self.phase_hists.iter().zip(rec.phases.phases) {
+            if !spent.is_zero() {
+                hist.observe_duration(spent);
             }
         }
+        self.running.fetch_sub(1, Ordering::Relaxed);
         drop(st);
         self.cond.notify_all();
-        closed
+        true
     }
 
     /// Tasks started but not yet final (the admission gate's in-flight
@@ -338,14 +334,12 @@ mod tests {
         // Registering a known task again changes nothing.
         t.task_started("b", None);
         assert_eq!(t.running_count(), 2);
-        assert!(t.finish("a", TaskStatus::Completed(Value::Nil)).is_some());
+        assert!(t.finish("a", TaskStatus::Completed(Value::Nil)));
         assert_eq!(t.running_count(), 1);
         // A duplicate finish yields no sample and no double decrement.
-        assert!(t
-            .finish("a", TaskStatus::Failed(Condition::error("late")))
-            .is_none());
+        assert!(!t.finish("a", TaskStatus::Failed(Condition::error("late"))));
         assert_eq!(t.running_count(), 1);
-        assert!(t.finish("unknown", TaskStatus::Completed(Value::Nil)).is_none());
+        assert!(!t.finish("unknown", TaskStatus::Completed(Value::Nil)));
         assert_eq!(t.running_count(), 1);
     }
 
@@ -361,10 +355,15 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         t.note_phase("t1", Phase::ServiceWait);
         t.note_phase("t1", Phase::VmExec);
-        let (d, phases) = t.finish("t1", TaskStatus::Completed(Value::Nil)).unwrap();
+        assert!(t.finish("t1", TaskStatus::Completed(Value::Nil)));
         let rec = t.get("t1").unwrap();
+        let d = rec.duration();
         assert_eq!(rec.phases.total(), d);
-        assert_eq!(phases, rec.phases);
+        // The finish observed that same latency and every banked phase.
+        let latency = t.latency.snapshot();
+        assert_eq!((latency.count, latency.sum_nanos), (1, d.as_nanos() as u64));
+        let vm = t.phase_hists[Phase::VmExec.index()].snapshot();
+        assert_eq!(vm.sum_nanos, rec.phases.get(Phase::VmExec).as_nanos() as u64);
         assert_eq!(rec.current_phase, None);
         assert!(rec.phases.get(Phase::VmExec) >= Duration::from_millis(2));
         // Every banked phase was visited; admission never is (it lives
@@ -384,9 +383,9 @@ mod tests {
         assert_eq!(rec.phase_since, rec.started_at);
         // A task that never left the queue attributes everything there.
         std::thread::sleep(Duration::from_millis(1));
-        let (d, _) = t.finish("t1", TaskStatus::Failed(Condition::error("x"))).unwrap();
+        assert!(t.finish("t1", TaskStatus::Failed(Condition::error("x"))));
         let rec = t.get("t1").unwrap();
-        assert_eq!(rec.phases.get(Phase::QueueWait), d);
+        assert_eq!(rec.phases.get(Phase::QueueWait), rec.duration());
     }
 
     #[test]

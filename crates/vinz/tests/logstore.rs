@@ -65,6 +65,45 @@ fn a_second_deployment_on_a_cluster_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A deploy that fails to bind its listen or introspection address
+/// leaves the cluster unclaimed: a retry on free addresses deploys and
+/// serves.
+#[test]
+fn a_deploy_that_fails_to_bind_leaves_the_cluster_unclaimed() {
+    let cluster = Cluster::new();
+    register_square_service(&cluster, "Square", 1, 1, Duration::ZERO);
+    let source = "(deflink S :wsdl \"urn:square\" :port \"Square\")
+                  (defun main (n) (S-Square-Method :n n))";
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let taken_addr = taken.local_addr().unwrap().to_string();
+    let failed = WorkflowService::builder(&cluster, "first")
+        .source(source)
+        .tcp_listen(&taken_addr)
+        .deploy()
+        .err()
+        .expect("a listen address in use must fail the deploy");
+    assert!(failed.0.contains("tcp listen"), "{failed}");
+    let failed = WorkflowService::builder(&cluster, "second")
+        .source(source)
+        .introspect(&taken_addr)
+        .deploy()
+        .err()
+        .expect("an introspection address in use must fail the deploy");
+    assert!(failed.0.contains("introspect bind"), "{failed}");
+    let svc = WorkflowService::builder(&cluster, "third")
+        .source(source)
+        .tcp_listen("127.0.0.1:0")
+        .introspect("127.0.0.1:0")
+        .instances(0, 2)
+        .deploy()
+        .expect("the failed deploys must leave the cluster unclaimed");
+    assert!(cluster.tcp_broker().is_some(), "the retry's broker is up");
+    let v = svc.call("main", vec![Value::Int(7)], Duration::from_secs(30)).unwrap();
+    assert_eq!(v, Value::Int(49));
+    drop(taken);
+    cluster.shutdown();
+}
+
 /// Path of the log's segment `seg` (mirrors the store's layout).
 fn seg_path(dir: &std::path::Path, seg: u64) -> PathBuf {
     dir.join(format!("seg-{seg:010}.log"))
