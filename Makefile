@@ -19,8 +19,10 @@ test-chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(CARGO) test -p vinz --test chaos -- --nocapture
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(CARGO) test --test survivability
 
-# Repeat the tests matching TEST (a cargo test-name filter) N times
-# beside two busy CPU hogs and print passes/N; fails unless all pass.
+# Repeat the tests TEST selects N times beside two busy CPU hogs and
+# print passes/N; fails unless all pass. TEST is a suite file
+# (crates/<crate>/tests/<suite>.rs, that binary alone) or a cargo
+# test-name filter.
 N ?= 20
 test-repeat:
 	sh scripts/test_repeat.sh "$(TEST)" $(N)

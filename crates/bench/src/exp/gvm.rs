@@ -4,18 +4,20 @@
 //! else is built from (future spawn+touch, continuation capture +
 //! resume at depth 1 and 50, compiling a small `defun`).
 //!
-//! Every workload runs on two VMs, one at full optimization and one at
-//! [`OptConfig::off`] (the semantics-preserving de-optimization
-//! `GVM_OPT=off` selects), and the interpreter-bound ones must come out
-//! at least [`MIN_SPEEDUP`] faster at full: the gate that catches fast
-//! paths wired off.
+//! Every workload runs on two VMs, one whose code is compiled with
+//! superinstruction fusion and one without (fusion is the VM's only
+//! switch), and the report gives the fused-vs-unfused speedup. No ratio
+//! is asserted: a timing depends on the host. The gate on the
+//! interpreter's fast paths is an allocation count
+//! (`crates/vm/tests/alloc_budget.rs`); each workload here checks its
+//! own result.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use gozer::{Gvm, RunOutcome, Value};
 use gozer_bench::{Json, Table};
-use gozer_vm::{set_fuse_override, OptConfig};
+use gozer_vm::set_fuse_override;
 
 use super::{median, timed};
 
@@ -35,27 +37,16 @@ const SRC: &str = "
                collect (future (* number number)))))
 ";
 
-/// The floor on full-vs-off speedup for [`GATED`] workloads. Far below
-/// the committed speedups: it catches "fast paths wired off" (a ~1.0x
-/// reading), not machine-to-machine variance.
-const MIN_SPEEDUP: f64 = 1.3;
-
-/// The workloads bound by instruction dispatch. The others are
-/// dominated by continuation capture, the future pool or the compiler.
-const GATED: &[&str] = &["fib", "loop_sum", "loc_sum_squares_256"];
-
-/// A VM at one optimization level. Fusion is decided when code is
-/// compiled, so everything this VM compiles goes through [`Vm::load`].
+/// A VM compiling with or without fusion. Fusion is decided when code
+/// is compiled, so everything this VM compiles goes through [`Vm::load`].
 struct Vm {
     gvm: Arc<Gvm>,
     fuse: bool,
 }
 
 impl Vm {
-    fn new(opt: OptConfig) -> Vm {
-        let gvm = Gvm::with_pool_size(2);
-        gvm.set_opt(opt);
-        let vm = Vm { gvm, fuse: opt.fuse };
+    fn new(fuse: bool) -> Vm {
+        let vm = Vm { gvm: Gvm::with_pool_size(2), fuse };
         vm.load(SRC, "gvm");
         vm
     }
@@ -142,28 +133,24 @@ fn rows_json(rows: &[(&str, Duration)]) -> Json {
 
 pub fn run(smoke: bool) -> Json {
     let (samples, fib_n, sum_n) = if smoke { (7, 16, 4000) } else { (15, 20, 100_000) };
-    let (full_vm, off_vm) = (Vm::new(OptConfig::full()), Vm::new(OptConfig::off()));
-    let (mut full, mut off) = (Vec::new(), Vec::new());
-    for ((name, a), (_, b)) in workloads(&full_vm, fib_n, sum_n)
+    let (fused_vm, unfused_vm) = (Vm::new(true), Vm::new(false));
+    let (mut fused, mut unfused) = (Vec::new(), Vec::new());
+    for ((name, a), (_, b)) in workloads(&fused_vm, fib_n, sum_n)
         .into_iter()
-        .zip(workloads(&off_vm, fib_n, sum_n))
+        .zip(workloads(&unfused_vm, fib_n, sum_n))
     {
         let (ta, tb) = time_pair(samples, a, b);
-        full.push((name, ta));
-        off.push((name, tb));
+        fused.push((name, ta));
+        unfused.push((name, tb));
     }
 
     let mut table = Table::new(
-        "GVM wall clock (median ns per call), full vs GVM_OPT=off",
-        &["workload", "full", "off", "speedup"],
+        "GVM wall clock (median ns per call), fused vs unfused",
+        &["workload", "fused", "unfused", "speedup"],
     );
     let mut speedups = Json::obj();
-    let mut worst = f64::INFINITY;
-    for ((name, a), (_, b)) in full.iter().zip(&off) {
+    for ((name, a), (_, b)) in fused.iter().zip(&unfused) {
         let s = b.as_nanos() as f64 / a.as_nanos().max(1) as f64;
-        if GATED.contains(name) {
-            worst = worst.min(s);
-        }
         speedups = speedups.field(name, (s * 100.0).round() / 100.0);
         table.row(&[
             name.to_string(),
@@ -173,18 +160,12 @@ pub fn run(smoke: bool) -> Json {
         ]);
     }
     table.print();
-    println!("shape check: worst interpreter-bound speedup {worst:.2}x (floor {MIN_SPEEDUP}x)");
-    assert!(
-        worst >= MIN_SPEEDUP,
-        "worst interpreter-bound speedup {worst:.2}x < {MIN_SPEEDUP}x: are the fast paths off?"
-    );
 
     Json::obj()
         .field("samples", samples)
         .field("fib_n", fib_n)
         .field("sum_n", sum_n)
-        .field("full", rows_json(&full))
-        .field("off", rows_json(&off))
-        .field("speedup_full_vs_off", speedups)
-        .field("min_speedup_required", MIN_SPEEDUP)
+        .field("fused", rows_json(&fused))
+        .field("unfused", rows_json(&unfused))
+        .field("speedup_fused_vs_unfused", speedups)
 }

@@ -2,11 +2,12 @@
 //! `experiments` binary runs at smoke size, one after another in one
 //! child process, and asserts its own shape: fig1's >= 2x delta saving,
 //! sec5-scheduling's EDF < FCFS, sec5-day's fsync and write counts,
-//! sec31's full completion, gvm's 1.3x floor. gvm's floor is a timing
-//! ratio, so nothing else runs beside them. Then each report must carry
-//! exactly the `"key":` names of the committed `BENCH_*.json` of the same
-//! name, and every committed file must have been written. The key check
-//! reads no number.
+//! sec31's full completion, gvm's workload results. gvm asserts no
+//! timing ratio: the interpreter's fast paths are gated by an allocation
+//! count, in `crates/vm/tests/alloc_budget.rs`. Then each report must
+//! carry exactly the `"key":` names of the committed `BENCH_*.json` of
+//! the same name, and every committed file must have been written. The
+//! key check reads no number.
 //!
 //! A baseline is regenerated with `cargo run --release -p gozer-bench --
 //! <experiment> --out .` from the repository root.

@@ -201,17 +201,11 @@ pub struct Gvm {
     pub log_to_stdout: AtomicBool,
     /// Deterministic PRNG state for the `random` builtin.
     rng: Mutex<u64>,
-    /// When false, `future` runs eagerly on the calling thread (used by
-    /// benches to isolate distribution effects from local parallelism).
-    pub futures_enabled: AtomicBool,
     /// Optional fiber suspend/resume observer (the VM leg of the
     /// observability layer).
     fiber_observer: RwLock<Option<FiberObserver>>,
     /// The execution profiler (always present, disabled by default).
     profiler: Arc<crate::profile::VmProfiler>,
-    /// Interpreter optimization switches (read from `GVM_OPT` at
-    /// construction).
-    opt: RwLock<crate::opt::OptConfig>,
 }
 
 impl Gvm {
@@ -239,10 +233,8 @@ impl Gvm {
             log: Mutex::new(Vec::new()),
             log_to_stdout: AtomicBool::new(false),
             rng: Mutex::new(0x9E3779B97F4A7C15),
-            futures_enabled: AtomicBool::new(true),
             fiber_observer: RwLock::new(None),
             profiler: Arc::new(crate::profile::VmProfiler::default()),
-            opt: RwLock::new(crate::opt::OptConfig::from_env()),
         });
         crate::natives::install(&gvm);
         gvm.load_str(crate::natives::PRELUDE, "prelude")
@@ -315,17 +307,6 @@ impl Gvm {
     /// Activation-local value caches are valid while this is unchanged.
     pub(crate) fn global_epoch(&self) -> u64 {
         self.globals.epoch.load(Ordering::Acquire)
-    }
-
-    /// The VM's optimization configuration.
-    pub fn opt(&self) -> crate::opt::OptConfig {
-        *self.opt.read()
-    }
-
-    /// Replace the optimization configuration (tests; takes effect at
-    /// the next interpreter activation).
-    pub fn set_opt(&self, opt: crate::opt::OptConfig) {
-        *self.opt.write() = opt;
     }
 
     /// Register a macro function under `name`.

@@ -17,10 +17,14 @@
 //!
 //! # Fast paths
 //!
-//! The dispatch loop carries several semantics-preserving optimizations,
-//! all gated by [`crate::opt::OptConfig`] (env `GVM_OPT`) and all required
-//! to keep the profiler's opcode/pair counts and every observable pc
-//! bit-identical with the de-optimized interpreter:
+//! The dispatch loop carries several semantics-preserving optimizations.
+//! All of them are unconditional except fusion, a compile-time switch
+//! ([`crate::opt`]) that must keep the profiler's opcode/pair counts and
+//! every observable pc bit-identical with unfused code
+//! (`tests/fusion.rs`). The fast paths are held by what they save, not by
+//! a timing: `tests/alloc_budget.rs` counts a warm VM's allocations per
+//! call and fails when the frame pool or a fast path stops taking its
+//! share:
 //!
 //! * **Inline caches** for `LoadGlobal`/`GlobalLocal`: each site caches
 //!   `(global-table generation, slot)` in its chunk's per-pc cache word
@@ -61,7 +65,6 @@ use crate::conditions::Condition;
 use crate::error::{Unwind, VmError, VmResult};
 use crate::fiber::{DynState, FiberExt, FiberState, Frame, HandlerEntry, RestartEntry};
 use crate::gvm::{Gvm, NativeCtx};
-use crate::opt::OptConfig;
 use crate::profile::{
     ProfScope, IDX_CALL, IDX_CONST, IDX_JUMP, IDX_JUMP_IF_FALSE, IDX_LOAD_LOCAL,
     IDX_STORE_LOCAL,
@@ -104,23 +107,16 @@ enum AfterCall {
 /// recycling is invisible to the delta-snapshot machinery. Recycled
 /// frames are scrubbed (locals/stack cleared) on entry so pooled
 /// capacity, not values, is what gets reused.
+#[derive(Default)]
 struct FramePool {
-    enabled: bool,
     free: Vec<Frame>,
 }
 
 const FRAME_POOL_CAP: usize = 64;
 
 impl FramePool {
-    fn new(enabled: bool) -> FramePool {
-        FramePool {
-            enabled,
-            free: Vec::new(),
-        }
-    }
-
     fn recycle(&mut self, mut f: Frame) {
-        if !self.enabled || self.free.len() >= FRAME_POOL_CAP {
+        if self.free.len() >= FRAME_POOL_CAP {
             return;
         }
         f.locals.clear();
@@ -139,17 +135,15 @@ impl FramePool {
 /// cross-thread writes race exactly as they do against the locked read
 /// path.
 struct GlobalCache {
-    enabled: bool,
     epoch: u64,
     slots: Vec<Option<Value>>,
 }
 
 impl GlobalCache {
-    fn new(enabled: bool) -> GlobalCache {
+    fn new() -> GlobalCache {
         // Epoch 0 never matches the table (it starts at 1), so the first
         // read always misses into the table.
         GlobalCache {
-            enabled,
             epoch: 0,
             slots: Vec::new(),
         }
@@ -157,9 +151,6 @@ impl GlobalCache {
 
     #[inline]
     fn get(&mut self, gvm: &Gvm, slot: u32) -> Value {
-        if !self.enabled {
-            return gvm.global_slot_value(slot);
-        }
         if self.epoch == gvm.global_epoch() {
             if let Some(Some(v)) = self.slots.get(slot as usize) {
                 return v.clone();
@@ -223,17 +214,15 @@ pub(crate) fn interp(
             .ok_or_else(|| VmError::msg("cannot resume a finished fiber"))?;
         f.stack.push(v);
     }
-    // Optimization switches are sampled once per activation.
-    let opt = gvm.opt();
-    let mut pool = FramePool::new(opt.frame_pool);
-    let mut gcache = GlobalCache::new(opt.inline_caches);
+    let mut pool = FramePool::default();
+    let mut gcache = GlobalCache::new();
     // One enabled check per activation; a disabled profiler costs an
     // `Option` test per step from here on. Dropping the scope (any exit
     // path) attributes whatever is still open.
     let mut prof = gvm.profiler().scope(frames);
     loop {
         match run_loop(
-            gvm, frames, ds, ids, ext, nested, &mut prof, low, &mut pool, &opt, &mut gcache,
+            gvm, frames, ds, ids, ext, nested, &mut prof, low, &mut pool, &mut gcache,
         ) {
             Ok(Flow::Continue) => unreachable!("run_loop never yields Continue"),
             Ok(Flow::Done(v)) => return Ok(InterpOutcome::Done(v)),
@@ -329,7 +318,6 @@ fn run_loop(
     prof: &mut Option<ProfScope<'_>>,
     low: &mut usize,
     pool: &mut FramePool,
-    opt: &OptConfig,
     gcache: &mut GlobalCache,
 ) -> VmResult<Flow> {
     loop {
@@ -407,7 +395,7 @@ fn run_loop(
                 }
                 Op::LoadGlobal(c) => {
                     let ic_pc = (*pc - 1) as usize;
-                    match load_global(gvm, program, chunk, c, ic_pc, opt.inline_caches, gcache)? {
+                    match load_global(gvm, program, chunk, c, ic_pc, gcache)? {
                         Some(v) => stack.push(v),
                         None => return Err(unbound_global(gvm, program, ds, ids, ext, c)),
                     }
@@ -448,7 +436,7 @@ fn run_loop(
                 Op::Call(n) => {
                     // Two-int native arithmetic completes without leaving
                     // the inner loop; everything else is a Pending::Call.
-                    if opt.fast_paths && n == 2 {
+                    if n == 2 {
                         if let Some(v) = try_fast2(stack) {
                             stack.push(v);
                             continue;
@@ -460,7 +448,7 @@ fn run_loop(
                     // A native in tail position pushes its value like the
                     // generic path does (the following Return pops the
                     // frame), so fast2 applies here too.
-                    if opt.fast_paths && n == 2 {
+                    if n == 2 {
                         if let Some(v) = try_fast2(stack) {
                             stack.push(v);
                             continue;
@@ -578,7 +566,7 @@ fn run_loop(
                     // error surfaces at the fused slot's pc, exactly like the
                     // unfused LoadGlobal.
                     let ic_pc = (*pc - 1) as usize;
-                    match load_global(gvm, program, chunk, g, ic_pc, opt.inline_caches, gcache)? {
+                    match load_global(gvm, program, chunk, g, ic_pc, gcache)? {
                         Some(v) => stack.push(v),
                         None => return Err(unbound_global(gvm, program, ds, ids, ext, g)),
                     }
@@ -598,7 +586,7 @@ fn run_loop(
                     // Advance past the retained Call before the call logic
                     // runs, so suspensions and errors observe the unfused pc.
                     *pc += 1;
-                    if opt.fast_paths && n == 2 {
+                    if n == 2 {
                         if let Some(v) = try_fast2(stack) {
                             stack.push(v);
                             continue;
@@ -613,7 +601,7 @@ fn run_loop(
                         p.count_idx(IDX_CALL);
                     }
                     *pc += 1;
-                    if opt.fast_paths && n == 2 {
+                    if n == 2 {
                         if let Some(v) = try_fast2(stack) {
                             stack.push(v);
                             continue;
@@ -627,7 +615,7 @@ fn run_loop(
                     // immediate-value path consumes it — including the inline
                     // fast2 hit, which performs the retained branch exactly
                     // like `finish_call_value`.
-                    if opt.fast_paths && n == 2 {
+                    if n == 2 {
                         if let Some(v) = try_fast2(stack) {
                             if let Some(p) = prof.as_mut() {
                                 p.count_idx(IDX_JUMP_IF_FALSE);
@@ -675,7 +663,7 @@ fn run_loop(
                     // stack shape and takes the generic call path.
                     let ic_pc = (*pc - 1) as usize;
                     let callee =
-                        match load_global(gvm, program, chunk, g, ic_pc, opt.inline_caches, gcache)? {
+                        match load_global(gvm, program, chunk, g, ic_pc, gcache)? {
                             Some(v) => v,
                             None => return Err(unbound_global(gvm, program, ds, ids, ext, g)),
                         };
@@ -685,16 +673,13 @@ fn run_loop(
                         p.count_idx(IDX_CALL);
                     }
                     *pc += 3;
-                    if opt.fast_paths {
-                        if let (Value::Int(x), Value::Int(y)) =
-                            (&locals[a as usize], &locals[b as usize])
+                    if let (Value::Int(x), Value::Int(y)) =
+                        (&locals[a as usize], &locals[b as usize])
+                    {
+                        if let Some(v) = fast2_of(&callee).and_then(|op2| fast2_apply(op2, *x, *y))
                         {
-                            if let Some(v) =
-                                fast2_of(&callee).and_then(|op2| fast2_apply(op2, *x, *y))
-                            {
-                                stack.push(v);
-                                continue;
-                            }
+                            stack.push(v);
+                            continue;
                         }
                     }
                     stack.push(callee);
@@ -705,7 +690,7 @@ fn run_loop(
                 Op::GlobalLocalConstCall(g, s, c) => {
                     let ic_pc = (*pc - 1) as usize;
                     let callee =
-                        match load_global(gvm, program, chunk, g, ic_pc, opt.inline_caches, gcache)? {
+                        match load_global(gvm, program, chunk, g, ic_pc, gcache)? {
                             Some(v) => v,
                             None => return Err(unbound_global(gvm, program, ds, ids, ext, g)),
                         };
@@ -715,16 +700,13 @@ fn run_loop(
                         p.count_idx(IDX_CALL);
                     }
                     *pc += 3;
-                    if opt.fast_paths {
-                        if let (Value::Int(x), Value::Int(y)) =
-                            (&locals[s as usize], &program.consts[c as usize])
+                    if let (Value::Int(x), Value::Int(y)) =
+                        (&locals[s as usize], &program.consts[c as usize])
+                    {
+                        if let Some(v) = fast2_of(&callee).and_then(|op2| fast2_apply(op2, *x, *y))
                         {
-                            if let Some(v) =
-                                fast2_of(&callee).and_then(|op2| fast2_apply(op2, *x, *y))
-                            {
-                                stack.push(v);
-                                continue;
-                            }
+                            stack.push(v);
+                            continue;
                         }
                     }
                     stack.push(callee);
@@ -737,7 +719,7 @@ fn run_loop(
         match pending {
             Pending::Call { n, tail, after } => {
                 match do_call(
-                    gvm, frames, ds, ids, ext, nested, prof, low, pool, opt, n, tail, after,
+                    gvm, frames, ds, ids, ext, nested, prof, low, pool, n, tail, after,
                 )? {
                     Flow::Continue => {}
                     other => return Ok(other),
@@ -807,16 +789,15 @@ fn do_call(
     prof: &mut Option<ProfScope<'_>>,
     low: &mut usize,
     pool: &mut FramePool,
-    opt: &OptConfig,
     n: u16,
     tail: bool,
     after: AfterCall,
 ) -> VmResult<Flow> {
-    if opt.fast_paths && try_simple_call(frames, prof, pool, n, tail) {
+    if try_simple_call(frames, prof, pool, n, tail) {
         return Ok(Flow::Continue);
     }
     do_call_generic(
-        gvm, frames, ds, ids, ext, nested, prof, low, pool, opt, n, tail, after,
+        gvm, frames, ds, ids, ext, nested, prof, low, pool, n, tail, after,
     )
 }
 
@@ -928,7 +909,6 @@ fn do_call_generic(
     prof: &mut Option<ProfScope<'_>>,
     low: &mut usize,
     pool: &mut FramePool,
-    opt: &OptConfig,
     n: u16,
     tail: bool,
     after: AfterCall,
@@ -940,7 +920,7 @@ fn do_call_generic(
     // full machinery. For a TailCall the value lands on the current
     // frame's stack and the following Return pops the frame, exactly
     // like the generic native path below.
-    if opt.fast_paths && n == 2 {
+    if n == 2 {
         if let Some(v) = try_fast2(&mut top(frames).stack) {
             return finish_call_value(frames, prof, after, v);
         }
@@ -1121,18 +1101,15 @@ fn load_global(
     chunk: &Chunk,
     c: u32,
     ic_pc: usize,
-    use_ic: bool,
     gcache: &mut GlobalCache,
 ) -> VmResult<Option<Value>> {
-    if use_ic {
-        if let Some(cell) = chunk.ic.get(ic_pc) {
-            let packed = cell.load(Ordering::Acquire);
-            let cached_gen = (packed >> 32) as u32;
-            if cached_gen != 0 && cached_gen == gvm.global_generation() {
-                return Ok(Some(gcache.get(gvm, packed as u32)));
-            }
-            return load_global_miss(gvm, program, c, cell, gcache);
+    if let Some(cell) = chunk.ic.get(ic_pc) {
+        let packed = cell.load(Ordering::Acquire);
+        let cached_gen = (packed >> 32) as u32;
+        if cached_gen != 0 && cached_gen == gvm.global_generation() {
+            return Ok(Some(gcache.get(gvm, packed as u32)));
         }
+        return load_global_miss(gvm, program, c, cell, gcache);
     }
     let sym = const_symbol(program, c)?;
     Ok(gvm.get_global(sym))

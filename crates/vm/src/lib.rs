@@ -59,7 +59,7 @@ pub use error::{Unwind, VmError, VmResult};
 pub use fiber::{DynState, FiberExt, FiberState, Frame, RunOutcome, SeedCache, Suspension};
 pub use gvm::{FiberObsEvent, FiberObsKind, FiberObserver, Gvm, GvmHost, NativeCtx};
 pub use natives::ObjectVal;
-pub use opt::{set_fuse_override, OptConfig};
+pub use opt::set_fuse_override;
 pub use pool::ThreadPool;
 pub use verify::verify_program;
 pub use profile::{

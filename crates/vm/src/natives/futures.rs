@@ -1,7 +1,6 @@
 //! Future natives (§2): `%make-future` (the target of the `future`
 //! macro), `touch`, `pcall`, and `future-done?`.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gozer_lang::Value;
@@ -21,11 +20,6 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     reg_raw(gvm, "%make-future", |ctx, args| {
         arity("%make-future", &args, 1, Some(1))?;
         let thunk = args[0].clone();
-        if !ctx.gvm.futures_enabled.load(Ordering::Relaxed) {
-            // Eager mode: compute on the calling thread. Futures are
-            // transparent, so returning the plain value is equivalent.
-            return ctx.call(&thunk, vec![]).map(NativeOutcome::Value);
-        }
         let fut = FutureVal::new();
         let job_fut = fut.clone();
         let job_gvm = ctx.gvm.clone();

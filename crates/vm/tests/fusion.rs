@@ -1,9 +1,12 @@
-//! Differential tests for the PR-10 interpreter optimizations:
-//! superinstruction fusion, inline-cached globals, frame pooling, and
-//! the arithmetic fast paths are all *semantics-preserving*, and the
-//! profiler must report **bit-identical opcode and pair counts** fused
-//! vs unfused (constituent crediting) — that is the determinism
-//! contract serialized continuations ride on.
+//! Differential tests for superinstruction fusion, the interpreter's
+//! one switch: a program must produce the same value fused and unfused,
+//! and the profiler must report **bit-identical opcode and pair counts**
+//! (constituent crediting) — that is the determinism contract serialized
+//! continuations ride on. Both sides run the always-on inline caches,
+//! frame pool and fast paths, so these tests also pin their semantics
+//! (`inline_cache_sees_redefinition`,
+//! `global_writes_visible_within_one_activation`); what those fast
+//! paths save is gated in `alloc_budget.rs`.
 
 use gozer_lang::Value;
 use gozer_vm::{set_fuse_override, Gvm, RunOutcome};

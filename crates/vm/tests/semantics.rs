@@ -268,17 +268,6 @@ fn future_errors_surface_at_touch() {
     assert!(err.to_string().contains("boom"), "{err}");
 }
 
-#[test]
-fn futures_eager_mode() {
-    let gvm = Gvm::with_pool_size(2);
-    gvm.futures_enabled
-        .store(false, std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(
-        gvm.eval_str("(touch (future (* 6 7)))").unwrap(),
-        Value::Int(42)
-    );
-}
-
 // ---- conditions and restarts (§3.7) -------------------------------------
 
 #[test]
