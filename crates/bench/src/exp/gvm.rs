@@ -4,6 +4,13 @@
 //! else is built from (future spawn+touch, continuation capture +
 //! resume at depth 1 and 50, compiling a small `defun`).
 //!
+//! `shared_gvm` records what running on one VM from two threads costs,
+//! as service instances do: calls per second of `loop_sum` and of the
+//! taskbench `compute` loop (`sum_squares`) from one thread and from two
+//! threads at once on one fused `Gvm`. Anything both threads write —
+//! a refcount of a global they both call — shows as a `scaling` below
+//! the thread count.
+//!
 //! Every workload runs on two VMs, one whose code is compiled with
 //! superinstruction fusion and one without (fusion is the VM's only
 //! switch), and the report gives the fused-vs-unfused speedup. No ratio
@@ -13,7 +20,7 @@
 //! own result.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gozer::{Gvm, RunOutcome, Value};
 use gozer_bench::{Json, Table};
@@ -24,6 +31,7 @@ use super::{median, timed};
 const SRC: &str = "
 (defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))
 (defun sum-to (n) (loop for i from 1 to n sum i))
+(defun sum-squares (n) (loop for i from 1 to n sum (* i i)))
 (defun spawn-touch () (touch (future (* 6 7))))
 (defun yielder () (yield :pause) :done)
 (defun deep (n) (if (= n 0) (yield :deep) (+ 0 (deep (- n 1)))))
@@ -131,6 +139,65 @@ fn rows_json(rows: &[(&str, Duration)]) -> Json {
         .fold(Json::obj(), |obj, (name, t)| obj.field(name, t.as_nanos() as u64))
 }
 
+/// Threads of the `shared_gvm` rows' concurrent side.
+const SHARED_THREADS: usize = 2;
+
+/// Calls per second of `name` on `n` when `threads` threads call it at
+/// once on `vm`, `calls` calls each.
+fn calls_per_s(vm: &Vm, name: &str, n: i64, expected: i64, threads: usize, calls: usize) -> f64 {
+    let f = vm.gvm.function(name).unwrap();
+    let t = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                for _ in 0..calls {
+                    let v = vm.gvm.call_sync(&f, vec![Value::Int(n)]).unwrap();
+                    assert_eq!(v, Value::Int(expected));
+                }
+            });
+        }
+    });
+    (threads * calls) as f64 / t.elapsed().as_secs_f64()
+}
+
+/// One and [`SHARED_THREADS`] threads on one shared `Gvm`, sampled alternately: median
+/// calls per second of each, and their ratio.
+fn shared_gvm(vm: &Vm, samples: usize, sum_n: i64, calls: usize) -> Json {
+    let mut table = Table::new(
+        "One Gvm shared by two threads (median calls/s, all threads)",
+        &["workload", "1 thread", "2 threads", "scaling"],
+    );
+    let mut json = Json::obj().field("threads", SHARED_THREADS);
+    let shapes = [
+        ("loop_sum", "sum-to", sum_n * (sum_n + 1) / 2),
+        ("sum_squares", "sum-squares", sum_n * (sum_n + 1) * (2 * sum_n + 1) / 6),
+    ];
+    for (row, name, expected) in shapes {
+        let (mut one, mut two) = (Vec::new(), Vec::new());
+        for _ in 0..samples {
+            one.push(calls_per_s(vm, name, sum_n, expected, 1, calls));
+            two.push(calls_per_s(vm, name, sum_n, expected, SHARED_THREADS, calls));
+        }
+        let (one, two) = (median_f64(one), median_f64(two));
+        let scaling = (two / one * 100.0).round() / 100.0;
+        table.row(&[row.to_string(), format!("{one:.0}"), format!("{two:.0}"), format!("{scaling:.2}x")]);
+        json = json.field(
+            row,
+            Json::obj()
+                .field("one_thread_calls_per_s", one.round() as u64)
+                .field("two_threads_calls_per_s", two.round() as u64)
+                .field("scaling", scaling),
+        );
+    }
+    table.print();
+    json
+}
+
+fn median_f64(mut xs: Vec<f64>) -> f64 {
+    xs.sort_unstable_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 pub fn run(smoke: bool) -> Json {
     let (samples, fib_n, sum_n) = if smoke { (7, 16, 4000) } else { (15, 20, 100_000) };
     let (fused_vm, unfused_vm) = (Vm::new(true), Vm::new(false));
@@ -160,6 +227,7 @@ pub fn run(smoke: bool) -> Json {
         ]);
     }
     table.print();
+    let shared = shared_gvm(&fused_vm, samples, sum_n, if smoke { 2 } else { 5 });
 
     Json::obj()
         .field("samples", samples)
@@ -168,4 +236,5 @@ pub fn run(smoke: bool) -> Json {
         .field("fused", rows_json(&fused))
         .field("unfused", rows_json(&unfused))
         .field("speedup_fused_vs_unfused", speedups)
+        .field("shared_gvm", shared)
 }

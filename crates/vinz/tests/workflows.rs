@@ -194,6 +194,37 @@ fn unhandled_error_fails_the_task() {
 }
 
 #[test]
+fn runaway_recursion_fails_only_its_own_task() {
+    // Unbounded recursion on the frame stack and on the Rust stack
+    // (through `mapcar`), beside 100 healthy tasks on two nodes: the two
+    // runaways fail with `stack-exhausted`, the rest complete, and the
+    // process that hosts every node lives.
+    let cluster = Cluster::new();
+    let wf = deploy(
+        &cluster,
+        "(defun runaway (n) (+ 1 (runaway (+ n 1))))
+         (defun runaway-nested (n) (+ 1 (car (mapcar (lambda (x) (runaway-nested x)) (list (+ n 1))))))
+         (defun healthy (n) (loop for i from 1 to n sum (* i i)))",
+    );
+    let runaways = ["runaway", "runaway-nested"].map(|f| wf.start(f, vec![Value::Int(0)], None).unwrap());
+    let healthy: Vec<String> = (0..100i64)
+        .map(|n| wf.start("healthy", vec![Value::Int(n)], None).unwrap())
+        .collect();
+    for (n, task) in healthy.iter().enumerate() {
+        let n = n as i64;
+        let rec = wf.wait(task, TIMEOUT).expect("a healthy task completes");
+        assert_eq!(rec.status, TaskStatus::Completed(Value::Int(n * (n + 1) * (2 * n + 1) / 6)));
+    }
+    for task in &runaways {
+        match wf.wait(task, TIMEOUT).expect("a runaway task ends").status {
+            TaskStatus::Failed(c) => assert!(c.matches("stack-exhausted"), "{c}"),
+            other => panic!("expected Failed with stack-exhausted, got {other:?}"),
+        }
+    }
+    cluster.shutdown();
+}
+
+#[test]
 fn break_action_terminates_only_the_fiber() {
     // break: the fiber returns nil to its parent; other fibers are
     // unaffected (§3.7).

@@ -70,6 +70,15 @@ impl Condition {
         )
     }
 
+    /// A fiber outgrew a stack bound ([`crate::limits`]).
+    pub fn stack_exhausted(message: impl Into<String>) -> Condition {
+        Condition::with_types(
+            vec!["stack-exhausted".to_string(), "error".to_string()],
+            message,
+            Value::Nil,
+        )
+    }
+
     /// Wrap an arbitrary value signaled from Gozer code. Maps pass through
     /// unchanged; any other value becomes the `:data` of a generic error.
     pub fn from_value(v: Value) -> Condition {

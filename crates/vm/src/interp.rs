@@ -65,6 +65,7 @@ use crate::conditions::Condition;
 use crate::error::{Unwind, VmError, VmResult};
 use crate::fiber::{DynState, FiberExt, FiberState, Frame, HandlerEntry, RestartEntry};
 use crate::gvm::{Gvm, NativeCtx};
+use crate::limits::{in_handler_reserve, Activation, MAX_ACTIVATIONS, MAX_FRAMES};
 use crate::profile::{
     ProfScope, IDX_CALL, IDX_CONST, IDX_JUMP, IDX_JUMP_IF_FALSE, IDX_LOAD_LOCAL,
     IDX_STORE_LOCAL,
@@ -134,9 +135,21 @@ impl FramePool {
 /// bump is sequenced before the next read in program order);
 /// cross-thread writes race exactly as they do against the locked read
 /// path.
+///
+/// Reads hand out a *reference* to the cached slot: a caller that only
+/// inspects the value (the fused global calls' two-int path) touches no
+/// refcount, and only one that keeps the value clones it.
 struct GlobalCache {
     epoch: u64,
-    slots: Vec<Option<Value>>,
+    slots: Vec<Option<CachedGlobal>>,
+}
+
+/// One cached global: its value and, when that value is a native with a
+/// two-int fast path, the path's [`Fast2`] discriminant, read once at
+/// refill so a hit needs no downcast.
+struct CachedGlobal {
+    value: Value,
+    fast2: Option<Fast2>,
 }
 
 impl GlobalCache {
@@ -150,34 +163,33 @@ impl GlobalCache {
     }
 
     #[inline]
-    fn get(&mut self, gvm: &Gvm, slot: u32) -> Value {
-        if self.epoch == gvm.global_epoch() {
-            if let Some(Some(v)) = self.slots.get(slot as usize) {
-                return v.clone();
-            }
+    fn get(&mut self, gvm: &Gvm, slot: u32) -> &CachedGlobal {
+        let i = slot as usize;
+        if self.epoch != gvm.global_epoch() || !matches!(self.slots.get(i), Some(Some(_))) {
+            self.refill(gvm, slot);
         }
-        self.refill(gvm, slot)
+        self.slots[i].as_ref().expect("refill fills the slot")
     }
 
     /// Epoch rollover or first read of a slot: (re)validate the cache and
-    /// fill from the table. Out of line so the hit path stays small.
+    /// fill the slot from the table. Out of line so the hit path stays
+    /// small.
     #[inline(never)]
-    fn refill(&mut self, gvm: &Gvm, slot: u32) -> Value {
+    fn refill(&mut self, gvm: &Gvm, slot: u32) {
         let cur = gvm.global_epoch();
         if cur != self.epoch {
             self.slots.clear();
             self.epoch = cur;
         }
         let i = slot as usize;
-        if let Some(Some(v)) = self.slots.get(i) {
-            return v.clone();
-        }
-        let v = gvm.global_slot_value(slot);
         if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
+            self.slots.resize_with(i + 1, || None);
         }
-        self.slots[i] = Some(v.clone());
-        v
+        if self.slots[i].is_none() {
+            let value = gvm.global_slot_value(slot);
+            let fast2 = fast2_of(&value);
+            self.slots[i] = Some(CachedGlobal { value, fast2 });
+        }
     }
 }
 
@@ -208,12 +220,20 @@ pub(crate) fn interp(
     resume: Option<Value>,
     low: &mut usize,
 ) -> VmResult<InterpOutcome> {
+    let Some(_activation) = Activation::enter() else {
+        return Err(activations_exhausted(gvm, ds, ids, ext));
+    };
     if let Some(v) = resume {
         let f = frames
             .last_mut()
             .ok_or_else(|| VmError::msg("cannot resume a finished fiber"))?;
         f.stack.push(v);
     }
+    // A nested activation shares its caller's dynamic state, so the
+    // restarts below this mark were established by outer activations and
+    // their frame indices are not this activation's to unwind. A fiber's
+    // top activation owns every restart its state holds.
+    let restart_base = if nested { ds.restarts.len() } else { 0 };
     let mut pool = FramePool::default();
     let mut gcache = GlobalCache::new();
     // One enabled check per activation; a disabled profiler costs an
@@ -241,7 +261,7 @@ pub(crate) fn interp(
                 return Ok(InterpOutcome::Suspended(payload));
             }
             Err(e) => {
-                if !try_restart_transfer(&e, frames, ds)? {
+                if !try_restart_transfer(&e, frames, ds, restart_base)? {
                     return Err(e);
                 }
                 *low = (*low).min(frames.len());
@@ -257,12 +277,14 @@ pub(crate) fn interp(
 /// unwind the frame stack to the establishing frame, reset its operand
 /// stack and pc, restore the dynamic stacks, and deliver the restart
 /// arguments as a single list value. Returns true when the transfer was
-/// performed; foreign restarts (owned by an outer activation) are left
-/// for their owner.
+/// performed; restarts owned by an outer activation (below
+/// `restart_base`, or foreign in a handler's view) are left for their
+/// owner.
 fn try_restart_transfer(
     e: &VmError,
     frames: &mut Vec<Frame>,
     ds: &mut DynState,
+    restart_base: usize,
 ) -> VmResult<bool> {
     let VmError::Unwind(Unwind::Restart { id, args }) = e else {
         return Ok(false);
@@ -271,6 +293,7 @@ fn try_restart_transfer(
         .restarts
         .iter()
         .rposition(|r| r.id == *id && !r.foreign)
+        .filter(|&pos| pos >= restart_base)
     else {
         return Ok(false);
     };
@@ -396,7 +419,7 @@ fn run_loop(
                 Op::LoadGlobal(c) => {
                     let ic_pc = (*pc - 1) as usize;
                     match load_global(gvm, program, chunk, c, ic_pc, gcache)? {
-                        Some(v) => stack.push(v),
+                        Some(global) => stack.push(global.value.clone()),
                         None => return Err(unbound_global(gvm, program, ds, ids, ext, c)),
                     }
                 }
@@ -567,7 +590,7 @@ fn run_loop(
                     // unfused LoadGlobal.
                     let ic_pc = (*pc - 1) as usize;
                     match load_global(gvm, program, chunk, g, ic_pc, gcache)? {
-                        Some(v) => stack.push(v),
+                        Some(global) => stack.push(global.value.clone()),
                         None => return Err(unbound_global(gvm, program, ds, ids, ext, g)),
                     }
                     if let Some(p) = prof.as_mut() {
@@ -658,9 +681,12 @@ fn run_loop(
                 Op::GlobalLocal2Call(g, a, b) => {
                     // The whole `(op local local)` call: on the two-int
                     // native fast path only the *result* touches the
-                    // operand stack — no callee clone, no argument
-                    // pushes. Anything else reconstructs the unfused
-                    // stack shape and takes the generic call path.
+                    // operand stack. The callee is borrowed from the
+                    // global cache with its `Fast2` read at refill, so
+                    // the hit path writes no refcount and does no
+                    // downcast. Anything else clones the callee,
+                    // reconstructs the unfused stack shape and takes the
+                    // generic call path.
                     let ic_pc = (*pc - 1) as usize;
                     let callee =
                         match load_global(gvm, program, chunk, g, ic_pc, gcache)? {
@@ -676,13 +702,12 @@ fn run_loop(
                     if let (Value::Int(x), Value::Int(y)) =
                         (&locals[a as usize], &locals[b as usize])
                     {
-                        if let Some(v) = fast2_of(&callee).and_then(|op2| fast2_apply(op2, *x, *y))
-                        {
+                        if let Some(v) = callee.fast2.and_then(|op2| fast2_apply(op2, *x, *y)) {
                             stack.push(v);
                             continue;
                         }
                     }
-                    stack.push(callee);
+                    stack.push(callee.value.clone());
                     stack.push(locals[a as usize].clone());
                     stack.push(locals[b as usize].clone());
                     break Pending::Call { n: 2, tail: false, after: AfterCall::Push };
@@ -703,13 +728,12 @@ fn run_loop(
                     if let (Value::Int(x), Value::Int(y)) =
                         (&locals[s as usize], &program.consts[c as usize])
                     {
-                        if let Some(v) = fast2_of(&callee).and_then(|op2| fast2_apply(op2, *x, *y))
-                        {
+                        if let Some(v) = callee.fast2.and_then(|op2| fast2_apply(op2, *x, *y)) {
                             stack.push(v);
                             continue;
                         }
                     }
-                    stack.push(callee);
+                    stack.push(callee.value.clone());
                     stack.push(locals[s as usize].clone());
                     stack.push(program.consts[c as usize].clone());
                     break Pending::Call { n: 2, tail: false, after: AfterCall::Push };
@@ -816,6 +840,10 @@ fn try_simple_call(
     n: u16,
     tail: bool,
 ) -> bool {
+    if !tail && frames.len() >= MAX_FRAMES {
+        // The generic path raises `stack-exhausted`.
+        return false;
+    }
     let f = top(frames);
     let simple = {
         let len = f.stack.len();
@@ -941,6 +969,9 @@ fn do_call_generic(
     let mut callee = force(callee)?;
     loop {
         if callee.as_callable::<Closure>().is_some() {
+            if !tail && frames.len() >= MAX_FRAMES {
+                return Err(frames_exhausted(gvm, ds, ids, ext));
+            }
             let frame = frame_for_closure(gvm, ds, ids, ext, &callee, args)?;
             if let Some(p) = prof.as_mut() {
                 if tail {
@@ -1012,6 +1043,43 @@ fn do_call_generic(
             Condition::type_error("function", &callee),
         ));
     }
+}
+
+/// A call would push a frame past [`MAX_FRAMES`]: raise
+/// `stack-exhausted`. The handlers run in nested activations of their
+/// own, so the full frame stack costs them nothing.
+#[cold]
+#[inline(never)]
+fn frames_exhausted(
+    gvm: &Arc<Gvm>,
+    ds: &mut DynState,
+    ids: &mut u64,
+    ext: &mut FiberExt,
+) -> VmError {
+    let cond = Condition::stack_exhausted(format!(
+        "stack exhausted: more than {MAX_FRAMES} frames"
+    ));
+    raise(gvm, ds, ids, ext, cond)
+}
+
+/// An activation would nest past [`MAX_ACTIVATIONS`] on this thread:
+/// raise `stack-exhausted` with the handlers in the reserve above the
+/// bound, or, when a handler in that reserve ran out again, fail with
+/// the condition unhandled.
+#[cold]
+#[inline(never)]
+fn activations_exhausted(
+    gvm: &Arc<Gvm>,
+    ds: &mut DynState,
+    ids: &mut u64,
+    ext: &mut FiberExt,
+) -> VmError {
+    let cond = Condition::stack_exhausted(format!(
+        "stack exhausted: more than {MAX_ACTIVATIONS} nested activations"
+    ));
+    let unhandled = cond.clone();
+    in_handler_reserve(|| raise(gvm, ds, ids, ext, cond))
+        .unwrap_or(VmError::Signal(unhandled))
 }
 
 /// Deliver a call's immediate result per `after`. For `BranchFalse`
@@ -1090,48 +1158,49 @@ fn fast2_apply(op: Fast2, a: i64, b: i64) -> Option<Value> {
 }
 
 /// Resolve the global named by constant `c`, consulting (and refilling)
-/// the chunk's per-pc inline cache and the activation-local value cache.
-/// `None` means unbound — the caller raises; unbound names are never
-/// cached. Only the cache-hit check stays in the caller's code path; the
-/// resolve-and-stamp path is kept out of line so it doesn't bloat the
-/// dispatch loop.
-fn load_global(
+/// the chunk's per-pc inline cache and the activation-local value cache,
+/// and borrow its cached slot. `None` means unbound — the caller raises;
+/// unbound names are never cached. Only the cache-hit check stays in the
+/// caller's code path; the resolve-and-stamp path is kept out of line so
+/// it doesn't bloat the dispatch loop.
+fn load_global<'c>(
     gvm: &Gvm,
     program: &Program,
     chunk: &Chunk,
     c: u32,
     ic_pc: usize,
-    gcache: &mut GlobalCache,
-) -> VmResult<Option<Value>> {
+    gcache: &'c mut GlobalCache,
+) -> VmResult<Option<&'c CachedGlobal>> {
     if let Some(cell) = chunk.ic.get(ic_pc) {
         let packed = cell.load(Ordering::Acquire);
         let cached_gen = (packed >> 32) as u32;
         if cached_gen != 0 && cached_gen == gvm.global_generation() {
             return Ok(Some(gcache.get(gvm, packed as u32)));
         }
-        return load_global_miss(gvm, program, c, cell, gcache);
+        return load_global_miss(gvm, program, c, Some(cell), gcache);
     }
-    let sym = const_symbol(program, c)?;
-    Ok(gvm.get_global(sym))
+    load_global_miss(gvm, program, c, None, gcache)
 }
 
-/// The inline-cache miss path: resolve, then stamp with the generation
-/// read *before* the lookup — a racing new definition leaves a stale
-/// stamp, which just re-resolves next time.
+/// The inline-cache miss path: resolve, then stamp `cell` (when the chunk
+/// has one) with the generation read *before* the lookup — a racing new
+/// definition leaves a stale stamp, which just re-resolves next time.
 #[inline(never)]
-fn load_global_miss(
+fn load_global_miss<'c>(
     gvm: &Gvm,
     program: &Program,
     c: u32,
-    cell: &std::sync::atomic::AtomicU64,
-    gcache: &mut GlobalCache,
-) -> VmResult<Option<Value>> {
+    cell: Option<&std::sync::atomic::AtomicU64>,
+    gcache: &'c mut GlobalCache,
+) -> VmResult<Option<&'c CachedGlobal>> {
     let gen = gvm.global_generation();
     let sym = const_symbol(program, c)?;
     let Some(slot) = gvm.lookup_global_slot(sym) else {
         return Ok(None);
     };
-    cell.store(((gen as u64) << 32) | slot as u64, Ordering::Release);
+    if let Some(cell) = cell {
+        cell.store(((gen as u64) << 32) | slot as u64, Ordering::Release);
+    }
     Ok(Some(gcache.get(gvm, slot)))
 }
 

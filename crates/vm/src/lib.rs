@@ -45,6 +45,7 @@ pub mod fiber;
 pub(crate) mod fuse;
 pub mod gvm;
 pub mod interp;
+pub mod limits;
 pub mod natives;
 pub mod opt;
 pub mod pool;

@@ -176,6 +176,72 @@ fn inline_cache_sees_redefinition() {
 }
 
 #[test]
+fn cached_fast2_follows_the_global_epoch() {
+    // The fused global calls read their callee's `Fast2` from the
+    // activation's global cache. Rebinding the global in the same
+    // activation — to another native, to a closure, to a non-function —
+    // must be seen by the very next call, fused exactly as unfused.
+    let src = "(defvar *op* nil)
+         (defun run-op (acc n)
+           (loop for i from 1 to n do
+             (setq acc (*op* acc i))
+             (setq acc (*op* acc 1)))
+           acc)
+         (defun phases (n)
+           (let ((acc 0) (trace nil))
+             (setq *op* +)
+             (setq acc (run-op acc n))
+             (push acc trace)
+             (loop for i from 1 to n do (setq acc (*op* acc i)) (setq acc (*op* acc 1)))
+             (push acc trace)
+             (setq *op* -)
+             (loop for i from 1 to n do (setq acc (*op* acc i)) (setq acc (*op* acc 1)))
+             (push acc trace)
+             (setq *op* (lambda (a b) (+ a (* 2 b))))
+             (loop for i from 1 to n do (setq acc (*op* acc i)) (setq acc (*op* acc 1)))
+             (push acc trace)
+             (setq *op* 42)
+             (push (restart-case
+                     (handler-bind (lambda (c) (invoke-restart 'out (condition-types c)))
+                       (loop for i from 1 to n do (setq acc (*op* acc i)))
+                       acc)
+                     (out (types) types))
+                   trace)
+             (setq *op* -)
+             (push (restart-case
+                     (handler-bind (lambda (c) (invoke-restart 'out (condition-types c)))
+                       (loop for i from 1 to n do (setq acc (*op* acc 1))))
+                     (out (types) types))
+                   trace)
+             (push acc trace)
+             (reverse trace)))";
+    let fused = gvm_with_fuse(true, src);
+    let f = fused.function("phases").unwrap();
+    let cl = f.as_callable::<gozer_vm::Closure>().unwrap();
+    let asm = gozer_vm::disassemble(&cl.program, cl.chunk);
+    assert!(asm.contains("GlobalLocal2Call"), "{asm}");
+    assert!(asm.contains("GlobalLocalConstCall"), "{asm}");
+
+    let n = 20i64;
+    let v = differential(src, "phases", vec![Value::Int(n)]);
+    let mut acc = 0i64;
+    let mut expected = Vec::new();
+    for step in [|a: i64, b: i64| a + b, |a, b| a + b, |a, b| a - b, |a, b| a + 2 * b] {
+        for i in 1..=n {
+            acc = step(step(acc, i), 1);
+        }
+        expected.push(Value::Int(acc));
+    }
+    let type_error = Value::list(
+        ["type-error", "error", "condition"].into_iter().map(Value::from).collect(),
+    );
+    expected.push(type_error);
+    expected.push(Value::Nil);
+    expected.push(Value::Int(acc - n));
+    assert_eq!(v, Value::list(expected));
+}
+
+#[test]
 fn global_writes_visible_within_one_activation() {
     // A setq in the middle of a hot loop must be visible to the
     // inline-cached read in the same activation (epoch bump ordering).

@@ -291,6 +291,23 @@ fn handler_bind_with_restart_case() {
 }
 
 #[test]
+fn restart_outside_a_native_callback_unwinds_its_own_activation() {
+    // The error is signaled inside `mapcar`'s callback, a nested
+    // activation sharing the caller's restarts. The transfer belongs to
+    // the activation that established the restart; the callback's must
+    // not cut its own frames to the outer frame depth.
+    assert_eq!(
+        eval(
+            "(+ 1 (restart-case
+                    (handler-bind (lambda (c) (invoke-restart 'out 5))
+                      (car (mapcar (lambda (x) (list 1 2 3 (error \"boom\"))) (list 1))))
+                    (out (v) v)))"
+        ),
+        Value::Int(6)
+    );
+}
+
+#[test]
 fn declined_conditions_continue_to_outer_handler() {
     assert_eq!(
         eval(

@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: release build, every test of every workspace member but
 # `fuzz` with the chaos sweeps at 16 seeds (the paper's experiments at
-# smoke size among them), clippy, and the two smokes that run release
-# binaries.
+# smoke size among them), the GVM's tests unfused, clippy, and the two
+# smokes that run release binaries.
 #
 # Offline-friendly: the workspace uses only in-tree path dependencies,
 # so --offline always works; we pass it when the network is known-bad
@@ -30,6 +30,10 @@ run "$CARGO" build --release $OFFLINE
 CHAOS_SEEDS="${CHAOS_SEEDS:-16}"
 export CHAOS_SEEDS
 run "$CARGO" test -q $OFFLINE
+
+# The GVM's suites once more with fusion off (read at run time, so no
+# rebuild): every fast path must hold on unfused bytecode too.
+run env GVM_OPT=nofuse "$CARGO" test -q $OFFLINE -p gozer-vm
 
 # Lint gate: clippy over every crate and target, held to zero warnings.
 run "$CARGO" clippy $OFFLINE --workspace --all-targets --no-deps -- -D warnings
