@@ -160,11 +160,15 @@ fn calls_per_s(vm: &Vm, name: &str, n: i64, expected: i64, threads: usize, calls
     (threads * calls) as f64 / t.elapsed().as_secs_f64()
 }
 
-/// One and [`SHARED_THREADS`] threads on one shared `Gvm`, sampled alternately: median
-/// calls per second of each, and their ratio.
+/// One and [`SHARED_THREADS`] threads on one shared `Gvm`, sampled
+/// alternately: the best calls per second of each, and their ratio. The
+/// concurrent side needs a second free core, which a shared host takes
+/// away for seconds at a time; the best sample of each side reads the
+/// program and the median would read the host. Contention on a cache
+/// line both threads write slows every sample, the best one too.
 fn shared_gvm(vm: &Vm, samples: usize, sum_n: i64, calls: usize) -> Json {
     let mut table = Table::new(
-        "One Gvm shared by two threads (median calls/s, all threads)",
+        "One Gvm shared by two threads (best calls/s, all threads)",
         &["workload", "1 thread", "2 threads", "scaling"],
     );
     let mut json = Json::obj().field("threads", SHARED_THREADS);
@@ -178,7 +182,7 @@ fn shared_gvm(vm: &Vm, samples: usize, sum_n: i64, calls: usize) -> Json {
             one.push(calls_per_s(vm, name, sum_n, expected, 1, calls));
             two.push(calls_per_s(vm, name, sum_n, expected, SHARED_THREADS, calls));
         }
-        let (one, two) = (median_f64(one), median_f64(two));
+        let (one, two) = (best(one), best(two));
         let scaling = (two / one * 100.0).round() / 100.0;
         table.row(&[row.to_string(), format!("{one:.0}"), format!("{two:.0}"), format!("{scaling:.2}x")]);
         json = json.field(
@@ -193,9 +197,8 @@ fn shared_gvm(vm: &Vm, samples: usize, sum_n: i64, calls: usize) -> Json {
     json
 }
 
-fn median_f64(mut xs: Vec<f64>) -> f64 {
-    xs.sort_unstable_by(f64::total_cmp);
-    xs[xs.len() / 2]
+fn best(xs: Vec<f64>) -> f64 {
+    xs.into_iter().fold(0.0, f64::max)
 }
 
 pub fn run(smoke: bool) -> Json {

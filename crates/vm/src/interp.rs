@@ -13,7 +13,13 @@
 //!
 //! Non-local control (restart transfers, Vinz `break`/`terminate`) crosses
 //! activations as [`Unwind`] errors caught by the activation that owns the
-//! target restart.
+//! target restart: the one that established it.
+//!
+//! Both stacks are bounded ([`crate::limits`]): a call that would push a
+//! frame past [`MAX_FRAMES`], or an activation that would nest past
+//! [`MAX_ACTIVATIONS`] on its thread, raises `stack-exhausted` instead.
+//! The checks sit at the frame push and the activation entry, with their
+//! failure paths out of line.
 //!
 //! # Fast paths
 //!
@@ -32,7 +38,11 @@
 //!   only bumps the generation when a *new* name is defined). A second,
 //!   activation-local layer ([`GlobalCache`]) caches slot *values* keyed
 //!   on the table's write epoch, so a cache hit costs one atomic load
-//!   and a vector index instead of a read-lock acquisition.
+//!   and a vector index instead of a read-lock acquisition. A hit lends
+//!   the slot by reference: `LoadGlobal`/`GlobalLocal` clone it onto the
+//!   operand stack (an `Arc` increment for a heap value such as `+`),
+//!   while the fused global calls read it in place. Each slot also keeps
+//!   the [`Fast2`] discriminant of a native value, read once at refill.
 //! * **Superinstructions**: fused ops execute both constituents and skip
 //!   the pc past both; the second constituent is still present in the
 //!   next slot for jumps and resumed continuations to land on.
@@ -45,7 +55,13 @@
 //!   in place (falling back to the generic native on overflow or other
 //!   types), and calls to closures with only required parameters move
 //!   their arguments straight off the caller's stack into the callee
-//!   frame with no intermediate argument vector.
+//!   frame with no intermediate argument vector. The fused
+//!   `(op local local)` / `(op local const)` calls take the cached
+//!   `Fast2` of their borrowed callee, so their two-int hit writes no
+//!   refcount and does no downcast: threads sharing one [`Gvm`] no
+//!   longer contend on the refcount of `+`. A callee that is already on
+//!   the operand stack (`Call` after `LoadGlobal`) still pays its clone
+//!   and drop, and its downcast in `try_fast2`.
 //!
 //! The loop itself is structured for speed: `run_loop` owns
 //! fetch/dispatch, so hot opcodes execute without a per-instruction
