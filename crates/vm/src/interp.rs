@@ -58,8 +58,8 @@
 //!   frame with no intermediate argument vector. The fused
 //!   `(op local local)` / `(op local const)` calls take the cached
 //!   `Fast2` of their borrowed callee, so their two-int hit writes no
-//!   refcount and does no downcast: threads sharing one [`Gvm`] no
-//!   longer contend on the refcount of `+`. A callee that is already on
+//!   refcount and does no downcast, and threads sharing one [`Gvm`] do
+//!   not contend there on the refcount of `+`. A callee that is already on
 //!   the operand stack (`Call` after `LoadGlobal`) still pays its clone
 //!   and drop, and its downcast in `try_fast2`.
 //!
