@@ -184,7 +184,12 @@ fn shared_gvm(vm: &Vm, samples: usize, sum_n: i64, calls: usize) -> Json {
         }
         let (one, two) = (best(one), best(two));
         let scaling = (two / one * 100.0).round() / 100.0;
-        table.row(&[row.to_string(), format!("{one:.0}"), format!("{two:.0}"), format!("{scaling:.2}x")]);
+        table.row(&[
+            row.to_string(),
+            format!("{one:.0}"),
+            format!("{two:.0}"),
+            format!("{scaling:.2}x"),
+        ]);
         json = json.field(
             row,
             Json::obj()

@@ -203,10 +203,12 @@ fn runaway_recursion_fails_only_its_own_task() {
     let wf = deploy(
         &cluster,
         "(defun runaway (n) (+ 1 (runaway (+ n 1))))
-         (defun runaway-nested (n) (+ 1 (car (mapcar (lambda (x) (runaway-nested x)) (list (+ n 1))))))
+         (defun runaway-nested (n)
+           (+ 1 (car (mapcar (lambda (x) (runaway-nested x)) (list (+ n 1))))))
          (defun healthy (n) (loop for i from 1 to n sum (* i i)))",
     );
-    let runaways = ["runaway", "runaway-nested"].map(|f| wf.start(f, vec![Value::Int(0)], None).unwrap());
+    let runaways =
+        ["runaway", "runaway-nested"].map(|f| wf.start(f, vec![Value::Int(0)], None).unwrap());
     let healthy: Vec<String> = (0..100i64)
         .map(|n| wf.start("healthy", vec![Value::Int(n)], None).unwrap())
         .collect();
