@@ -197,18 +197,27 @@ fn unhandled_error_fails_the_task() {
 fn runaway_recursion_fails_only_its_own_task() {
     // Unbounded recursion on the frame stack and on the Rust stack
     // (through `mapcar`), beside 100 healthy tasks on two nodes: the two
-    // runaways fail with `stack-exhausted`, the rest complete, and the
-    // process that hosts every node lives.
+    // runaways fail with `stack-exhausted`, a third that handles the
+    // condition completes, the rest complete, and the process that hosts
+    // every node lives.
     let cluster = Cluster::new();
     let wf = deploy(
         &cluster,
         "(defun runaway (n) (+ 1 (runaway (+ n 1))))
          (defun runaway-nested (n)
            (+ 1 (car (mapcar (lambda (x) (runaway-nested x)) (list (+ n 1))))))
+         (defun runaway-caught (n)
+           (restart-case
+             (handler-bind (lambda (c)
+                             (if (condition-matches? c \"stack-exhausted\")
+                                 (invoke-restart 'out :caught)))
+               (runaway-nested n))
+             (out (v) v)))
          (defun healthy (n) (loop for i from 1 to n sum (* i i)))",
     );
     let runaways =
         ["runaway", "runaway-nested"].map(|f| wf.start(f, vec![Value::Int(0)], None).unwrap());
+    let caught = wf.start("runaway-caught", vec![Value::Int(0)], None).unwrap();
     let healthy: Vec<String> = (0..100i64)
         .map(|n| wf.start("healthy", vec![Value::Int(n)], None).unwrap())
         .collect();
@@ -223,6 +232,8 @@ fn runaway_recursion_fails_only_its_own_task() {
             other => panic!("expected Failed with stack-exhausted, got {other:?}"),
         }
     }
+    let rec = wf.wait(&caught, TIMEOUT).expect("the handling task ends");
+    assert_eq!(rec.status, TaskStatus::Completed(Value::keyword("caught")));
     cluster.shutdown();
 }
 
