@@ -31,7 +31,10 @@
 //!   redelivers — exactly what an in-process crash leads to.
 //!
 //! Each end writes through one `Link` (encode, write, flush, die on
-//! error, under one lock) and reads through one [`FrameReader`].
+//! error, under one lock) and reads through one [`FrameReader`]. A
+//! frame over [`MAX_FRAME_LEN`] is refused at its sender, and the call
+//! it belongs to fails once with a `payload-too-large` fault; the
+//! receiver would otherwise drop the whole connection on it.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -49,7 +52,10 @@ use crate::clock::Clock;
 use crate::cluster::{Cluster, InstanceControl, ReplySlot, ServiceCtx, Slot};
 use crate::message::{Fault, Message};
 use crate::metrics::TransportMetrics;
-use crate::wire::{encode_frame, FrameError, FrameReader, SettleBody, WireMsg, WirePayload};
+use crate::wire::{
+    encode_frame, encode_frame_within, FrameError, FrameReader, SettleBody, WireMsg, WirePayload,
+    MAX_FRAME_LEN,
+};
 
 // ---- shared helpers ---------------------------------------------------
 
@@ -71,6 +77,16 @@ fn message_from(p: WirePayload) -> Message {
     let mut msg = Message::new(&p.service, &p.operation, p.body).with_priority(p.priority);
     msg.headers = p.headers.into_iter().collect();
     msg
+}
+
+/// The fault code of a call whose request or reply is over
+/// [`MAX_FRAME_LEN`].
+const PAYLOAD_TOO_LARGE: &str = "payload-too-large";
+
+/// Whether a write failed because its frame is over the bound (the
+/// link is still up).
+fn too_large(e: &std::io::Error) -> bool {
+    e.kind() == std::io::ErrorKind::InvalidInput
 }
 
 fn settle_result(body: SettleBody) -> Result<Vec<u8>, Fault> {
@@ -141,8 +157,9 @@ impl Default for TcpBrokerConfig {
 /// The write half of a connection, shared by every thread that sends
 /// on it: a frame is encoded, written and flushed under one lock, so
 /// frames of concurrent writers never interleave, and the first failed
-/// write kills the link. Both ends use it: the broker's `Conn` and a
-/// worker's session.
+/// write kills the link. A frame over [`MAX_FRAME_LEN`] is never
+/// written: it fails with `InvalidInput` and the link stays up. Both
+/// ends use it: the broker's `Conn` and a worker's session.
 struct Link {
     stream: Mutex<TcpStream>,
     dead: AtomicBool,
@@ -156,12 +173,14 @@ impl Link {
         }
     }
 
-    /// Write one frame; its size in bytes. Fails at once on a dead link.
+    /// Write one frame; its size in bytes. Fails at once on a dead link,
+    /// and with `InvalidInput` on a frame over the bound.
     fn write(&self, msg: &WireMsg) -> std::io::Result<usize> {
         if self.is_dead() {
             return Err(std::io::ErrorKind::NotConnected.into());
         }
-        let frame = encode_frame(msg);
+        let frame = encode_frame_within(msg, MAX_FRAME_LEN)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         // The guard must be dropped before `kill`, which re-locks the
         // stream to shut it down — holding it across the error arm
         // would self-deadlock on the first failed write.
@@ -217,6 +236,8 @@ impl Conn {
         }
     }
 
+    /// Write one frame; whether it went out. Any failure but an
+    /// over-bound frame kills the connection.
     fn write(&self, msg: &WireMsg) -> bool {
         match self.link.write(msg) {
             Ok(bytes) => {
@@ -226,8 +247,10 @@ impl Conn {
                     .fetch_add(bytes as u64, Ordering::Relaxed);
                 true
             }
-            Err(_) => {
-                self.mark_dead();
+            Err(e) => {
+                if !too_large(&e) {
+                    self.mark_dead();
+                }
                 false
             }
         }
@@ -269,10 +292,9 @@ impl Conn {
             redeliveries: msg.redeliveries,
             payload: wire_payload_of(msg),
         });
-        let mut outcome = None;
-        if forwarded {
+        let outcome = if forwarded {
             self.tm.remote_deliveries.fetch_add(1, Ordering::Relaxed);
-            outcome = loop {
+            loop {
                 match rx.recv_timeout(Duration::from_millis(25)) {
                     Ok(result) => break Some(result),
                     Err(RecvTimeoutError::Disconnected) => break None,
@@ -286,8 +308,14 @@ impl Conn {
                         }
                     }
                 }
-            };
-        }
+            }
+        } else if self.is_dead() {
+            None
+        } else {
+            // Refused with the link up: the request is over the bound.
+            let why = format!("request over the {MAX_FRAME_LEN}-byte frame bound");
+            Some(Err(Fault::new(PAYLOAD_TOO_LARGE, why)))
+        };
         self.pending.lock().remove(&delivery);
         outcome
     }
@@ -859,7 +887,15 @@ fn serve_deliveries(
         // Idle before the settle goes out, so the next delivery of
         // this slot always finds this thread.
         idle.fetch_add(1, Ordering::AcqRel);
-        if ctx.session.write(&WireMsg::Settle { lease, body }).is_ok() {
+        let settled = match ctx.session.write(&WireMsg::Settle { lease, body }) {
+            // A reply over the bound settles its lease once, as a fault.
+            Err(e) if too_large(&e) => ctx.session.write(&WireMsg::Settle {
+                lease,
+                body: SettleBody::Fault(PAYLOAD_TOO_LARGE.into(), e.to_string()),
+            }),
+            settled => settled,
+        };
+        if settled.is_ok() {
             stats.settles.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1242,6 +1278,54 @@ mod tests {
         assert_eq!(tm.remote_settles, 21, "one applied settle per call");
         assert_eq!(tm.duplicate_settles, 0);
         assert!(cluster.recovery_stats().reclaims >= 1, "the lease expired");
+        worker.stop();
+        cluster.shutdown();
+    }
+
+    /// A frame over the bound is refused at its sender and fails its
+    /// call once, as a `payload-too-large` fault: a reply (the worker's
+    /// settle) and a request (the broker's delivery) alike. The link
+    /// stays up, so nothing is reclaimed or redelivered, and the next
+    /// call on the same worker succeeds.
+    #[test]
+    fn an_oversized_frame_fails_its_call_once_and_keeps_the_link() {
+        let cluster = Cluster::new();
+        let broker =
+            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let handled = Arc::new(AtomicU64::new(0));
+        let count = handled.clone();
+        let handler = Arc::new(
+            move |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
+                count.fetch_add(1, Ordering::SeqCst);
+                match d.body.as_slice() {
+                    b"big" => Ok(vec![0; MAX_FRAME_LEN as usize + 1]),
+                    body => Ok(body.to_vec()),
+                }
+            },
+        );
+        let worker = worker_on(&cluster, &broker, "echo", 1, handler);
+        let call = |body: Vec<u8>| {
+            cluster.call(Message::new("echo", "Echo", body), Duration::from_secs(10))
+        };
+        for body in [b"big".to_vec(), vec![1; MAX_FRAME_LEN as usize + 1]] {
+            match call(body).map(|reply| reply.len()) {
+                Err(crate::CallError::Fault(f)) => assert_eq!(f.code, PAYLOAD_TOO_LARGE, "{f}"),
+                other => panic!("expected a payload-too-large fault, got {other:?}"),
+            }
+        }
+        assert_eq!(call(b"small".to_vec()).unwrap(), b"small");
+        assert_eq!(
+            handled.load(Ordering::SeqCst),
+            2,
+            "the big reply was handled once, the big request never went out"
+        );
+        let tm = broker.transport_metrics().snapshot();
+        assert_eq!((tm.decode_errors, tm.worker_disconnects), (0, 0));
+        // One applied settle per call; the refused request is settled by
+        // its slot without a delivery.
+        assert_eq!((tm.remote_deliveries, tm.remote_settles), (2, 3));
+        assert_eq!(tm.duplicate_settles, 0);
+        assert_eq!(cluster.recovery_stats().reclaims, 0);
         worker.stop();
         cluster.shutdown();
     }

@@ -1,9 +1,6 @@
-//! The TCP transport's wire format: length-prefixed, CRC-framed
-//! messages over a byte stream.
-//!
-//! Every frame is `[len: u32 LE][crc: u32 LE][payload: len bytes]`,
-//! where `crc` is the IEEE CRC-32 of the payload. The payload is one
-//! [`WireMsg`], encoded with a small hand-rolled tag-length-value
+//! The TCP transport's wire format: one [`WireMsg`] per frame of
+//! [`gozer_compress::frame`], the frame log records are written in too.
+//! The payload is encoded with a small hand-rolled tag-length-value
 //! scheme (message *bodies* stay opaque byte blobs — they are already
 //! `gozer-serial` output on the workflow path and are passed through
 //! untouched).
@@ -12,8 +9,8 @@
 //! separate OS process that can die mid-write (`kill -9` leaves torn
 //! frames) and the fuzz harness feeds the decoder arbitrary bytes:
 //!
-//! * the frame length is validated against [`MAX_FRAME_LEN`] *before*
-//!   any allocation;
+//! * the frame's length bound and CRC are checked by the frame module
+//!   before the payload is parsed;
 //! * every inner length/count is validated against the bytes actually
 //!   present before any allocation;
 //! * all failures are typed [`FrameError`]s — never a panic, never an
@@ -22,103 +19,22 @@
 use std::collections::BTreeMap;
 use std::io::Read;
 
-use gozer_compress::crc32;
-
-/// Hard upper bound on a frame's payload length. Larger claims are
-/// rejected from the 4-byte prefix alone, so a corrupt or hostile
-/// length can never drive an allocation.
-pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
+pub use gozer_compress::frame::MAX_FRAME_LEN;
+use gozer_compress::frame::{self, Cursor};
 
 /// Upper bound on counted collections inside a payload (headers,
 /// registered services, instance ids). Far above anything the protocol
 /// produces; exists so a bit-flipped count cannot demand a huge table.
 pub const MAX_WIRE_COUNT: u32 = 4096;
 
-const FRAME_HEADER_LEN: usize = 8;
-
 // ---- errors -----------------------------------------------------------
 
-/// Typed decode/IO failures of the wire layer. Every variant is a
-/// *connection-fatal* condition: the reader cannot resynchronise inside
-/// a byte stream whose framing it no longer trusts, so the connection
-/// is torn down and the broker-side lease machinery takes over.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameError {
-    /// The buffer ends before the announced frame/field does.
-    Truncated {
-        /// Bytes the decoder needed.
-        need: usize,
-        /// Bytes it had.
-        have: usize,
-    },
-    /// The length prefix exceeds [`MAX_FRAME_LEN`].
-    TooLarge {
-        /// The claimed payload length.
-        len: u32,
-    },
-    /// Payload checksum mismatch (bit flip or torn write).
-    BadCrc {
-        /// CRC announced in the header.
-        expect: u32,
-        /// CRC computed over the received payload.
-        got: u32,
-    },
-    /// Unknown message tag byte.
-    BadTag(u8),
-    /// A string field is not UTF-8.
-    BadUtf8,
-    /// A collection count exceeds [`MAX_WIRE_COUNT`].
-    BadCount {
-        /// The claimed element count.
-        count: u32,
-    },
-    /// Payload bytes left over after a complete message.
-    TrailingBytes {
-        /// Number of undecoded bytes.
-        extra: usize,
-    },
-    /// The stream ended cleanly between frames (peer closed).
-    Eof,
-    /// Socket-level failure (reset, timeout, ...).
-    Io(std::io::ErrorKind),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Truncated { need, have } => {
-                write!(f, "truncated frame: need {need} bytes, have {have}")
-            }
-            FrameError::TooLarge { len } => {
-                write!(f, "frame length {len} exceeds max {MAX_FRAME_LEN}")
-            }
-            FrameError::BadCrc { expect, got } => {
-                write!(f, "frame crc mismatch: header {expect:#010x}, payload {got:#010x}")
-            }
-            FrameError::BadTag(tag) => write!(f, "unknown wire message tag {tag:#04x}"),
-            FrameError::BadUtf8 => write!(f, "wire string is not utf-8"),
-            FrameError::BadCount { count } => {
-                write!(f, "wire count {count} exceeds max {MAX_WIRE_COUNT}")
-            }
-            FrameError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after wire message")
-            }
-            FrameError::Eof => write!(f, "connection closed"),
-            FrameError::Io(kind) => write!(f, "io error: {kind:?}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<std::io::Error> for FrameError {
-    fn from(e: std::io::Error) -> FrameError {
-        match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => FrameError::Eof,
-            kind => FrameError::Io(kind),
-        }
-    }
-}
+/// Typed decode/IO failures of the wire layer: the frame module's one
+/// error type. Every variant is a *connection-fatal* condition: the
+/// reader cannot resynchronise inside a byte stream whose framing it no
+/// longer trusts, so the connection is torn down and the broker-side
+/// lease machinery takes over.
+pub use gozer_compress::frame::Error as FrameError;
 
 // ---- wire messages ----------------------------------------------------
 
@@ -228,10 +144,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
@@ -251,34 +163,32 @@ fn put_payload(out: &mut Vec<u8>, p: &WirePayload) {
         put_str(out, v);
     }
     put_bytes(out, &p.body);
-    put_i32(out, p.priority);
+    put_u32(out, p.priority as u32);
     put_u64(out, p.hold_until);
 }
 
-/// Encode `msg` as a frame payload (no frame header).
-pub fn encode_msg(msg: &WireMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+fn put_msg(out: &mut Vec<u8>, msg: &WireMsg) {
     match msg {
         WireMsg::Hello { worker, node } => {
             out.push(1);
-            put_str(&mut out, worker);
-            put_u32(&mut out, *node);
+            put_str(out, worker);
+            put_u32(out, *node);
         }
         WireMsg::HelloAck { heartbeat_ms } => {
             out.push(2);
-            put_u64(&mut out, *heartbeat_ms);
+            put_u64(out, *heartbeat_ms);
         }
         WireMsg::Register { service, instances } => {
             out.push(3);
-            put_str(&mut out, service);
-            put_u32(&mut out, *instances);
+            put_str(out, service);
+            put_u32(out, *instances);
         }
         WireMsg::Registered { service, ids } => {
             out.push(4);
-            put_str(&mut out, service);
-            put_u32(&mut out, ids.len() as u32);
+            put_str(out, service);
+            put_u32(out, ids.len() as u32);
             for id in ids {
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
         }
         WireMsg::Delivery {
@@ -287,164 +197,121 @@ pub fn encode_msg(msg: &WireMsg) -> Vec<u8> {
             payload,
         } => {
             out.push(5);
-            put_u64(&mut out, *lease);
-            put_u32(&mut out, *redeliveries);
-            put_payload(&mut out, payload);
+            put_u64(out, *lease);
+            put_u32(out, *redeliveries);
+            put_payload(out, payload);
         }
         WireMsg::Settle { lease, body } => {
             out.push(6);
-            put_u64(&mut out, *lease);
+            put_u64(out, *lease);
             match body {
                 SettleBody::Ok(bytes) => {
                     out.push(0);
-                    put_bytes(&mut out, bytes);
+                    put_bytes(out, bytes);
                 }
                 SettleBody::Fault(code, message) => {
                     out.push(1);
-                    put_str(&mut out, code);
-                    put_str(&mut out, message);
+                    put_str(out, code);
+                    put_str(out, message);
                 }
             }
         }
         WireMsg::Send { payload } => {
             out.push(7);
-            put_payload(&mut out, payload);
+            put_payload(out, payload);
         }
         WireMsg::Heartbeat { seq } => {
             out.push(8);
-            put_u64(&mut out, *seq);
+            put_u64(out, *seq);
         }
         WireMsg::Bye => out.push(9),
     }
-    out
 }
 
-/// Encode `msg` as a complete frame: header plus payload.
+/// Encode `msg` as one frame, refusing a payload over `max`. An inner
+/// length cast to `u32` can be cut short only inside a payload too
+/// long for any bound, so no mis-framed message leaves here.
+pub(crate) fn encode_frame_within(msg: &WireMsg, max: u32) -> Result<Vec<u8>, FrameError> {
+    let mut out = Vec::with_capacity(64);
+    frame::encode(&mut out, max, |out| put_msg(out, msg))?;
+    Ok(out)
+}
+
+/// Encode `msg` as a complete frame: header plus payload. A message
+/// over [`MAX_FRAME_LEN`] is encoded too, and every decoder refuses it;
+/// the transport encodes with that bound and does not send it.
+///
+/// # Panics
+///
+/// If the payload is 4 GiB or more, which no `u32` length can frame.
 pub fn encode_frame(msg: &WireMsg) -> Vec<u8> {
-    let payload = encode_msg(msg);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    out
+    encode_frame_within(msg, u32::MAX).expect("a wire payload fits a u32 length")
 }
 
 // ---- decoding ---------------------------------------------------------
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A length/count that must have at least `min_elem` bytes per element
+/// still present — the pre-allocation bound.
+fn get_count(c: &mut Cursor, min_elem: usize) -> Result<u32, FrameError> {
+    let n = c.u32()?;
+    if n > MAX_WIRE_COUNT {
+        return Err(FrameError::BadCount { count: n });
+    }
+    c.need((n as usize).saturating_mul(min_elem))?;
+    Ok(n)
 }
 
-impl<'a> Cursor<'a> {
-    fn need(&self, n: usize) -> Result<(), FrameError> {
-        let have = self.buf.len() - self.pos;
-        if have < n {
-            return Err(FrameError::Truncated {
-                need: n,
-                have,
-            });
-        }
-        Ok(())
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        self.need(n)?;
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn i32(&mut self) -> Result<i32, FrameError> {
-        let b = self.take(4)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// A length/count that must have at least `min_elem` bytes per
-    /// element still present — the pre-allocation bound.
-    fn count(&mut self, min_elem: usize) -> Result<u32, FrameError> {
-        let n = self.u32()?;
-        if n > MAX_WIRE_COUNT {
-            return Err(FrameError::BadCount { count: n });
-        }
-        self.need((n as usize).saturating_mul(min_elem))?;
-        Ok(n)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let n = self.u32()? as usize;
-        // `need` runs before the allocation: a hostile length can make
-        // the decode fail, never make it reserve.
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn str(&mut self) -> Result<String, FrameError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw).map_err(|_| FrameError::BadUtf8)
-    }
-
-    fn payload(&mut self) -> Result<WirePayload, FrameError> {
-        let service = self.str()?;
-        let operation = self.str()?;
-        let n = self.count(8)?; // each header ≥ two 4-byte lengths
-        let mut headers = BTreeMap::new();
-        for _ in 0..n {
-            let k = self.str()?;
-            let v = self.str()?;
-            headers.insert(k, v);
-        }
-        let body = self.bytes()?;
-        let priority = self.i32()?;
-        let hold_until = self.u64()?;
-        Ok(WirePayload {
-            service,
-            operation,
-            headers,
-            body,
-            priority,
-            hold_until,
-        })
-    }
+fn get_bytes(c: &mut Cursor) -> Result<Vec<u8>, FrameError> {
+    let n = c.u32()? as usize;
+    // `take` checks before the allocation: a hostile length can make
+    // the decode fail, never make it reserve.
+    Ok(c.take(n)?.to_vec())
 }
 
-/// Decode one frame *payload* (the bytes after the 8-byte header) into
-/// a [`WireMsg`]. The whole payload must be consumed.
-pub fn decode_msg(payload: &[u8]) -> Result<WireMsg, FrameError> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
+fn get_str(c: &mut Cursor) -> Result<String, FrameError> {
+    let n = c.u32()? as usize;
+    c.utf8(n)
+}
+
+fn get_payload(c: &mut Cursor) -> Result<WirePayload, FrameError> {
+    let service = get_str(c)?;
+    let operation = get_str(c)?;
+    let n = get_count(c, 8)?; // each header ≥ two 4-byte lengths
+    let mut headers = BTreeMap::new();
+    for _ in 0..n {
+        let k = get_str(c)?;
+        let v = get_str(c)?;
+        headers.insert(k, v);
+    }
+    Ok(WirePayload {
+        service,
+        operation,
+        headers,
+        body: get_bytes(c)?,
+        priority: c.u32()? as i32,
+        hold_until: c.u64()?,
+    })
+}
+
+/// Decode one frame *payload* into a [`WireMsg`]. The whole payload
+/// must be consumed.
+fn decode_msg(payload: &[u8]) -> Result<WireMsg, FrameError> {
+    let c = &mut Cursor::new(payload);
     let msg = match c.u8()? {
         1 => WireMsg::Hello {
-            worker: c.str()?,
+            worker: get_str(c)?,
             node: c.u32()?,
         },
         2 => WireMsg::HelloAck {
             heartbeat_ms: c.u64()?,
         },
         3 => WireMsg::Register {
-            service: c.str()?,
+            service: get_str(c)?,
             instances: c.u32()?,
         },
         4 => {
-            let service = c.str()?;
-            let n = c.count(8)?;
+            let service = get_str(c)?;
+            let n = get_count(c, 8)?;
             let mut ids = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 ids.push(c.u64()?);
@@ -454,29 +321,25 @@ pub fn decode_msg(payload: &[u8]) -> Result<WireMsg, FrameError> {
         5 => WireMsg::Delivery {
             lease: c.u64()?,
             redeliveries: c.u32()?,
-            payload: c.payload()?,
+            payload: get_payload(c)?,
         },
         6 => {
             let lease = c.u64()?;
             let body = match c.u8()? {
-                0 => SettleBody::Ok(c.bytes()?),
-                1 => SettleBody::Fault(c.str()?, c.str()?),
+                0 => SettleBody::Ok(get_bytes(c)?),
+                1 => SettleBody::Fault(get_str(c)?, get_str(c)?),
                 other => return Err(FrameError::BadTag(other)),
             };
             WireMsg::Settle { lease, body }
         }
         7 => WireMsg::Send {
-            payload: c.payload()?,
+            payload: get_payload(c)?,
         },
         8 => WireMsg::Heartbeat { seq: c.u64()? },
         9 => WireMsg::Bye,
         other => return Err(FrameError::BadTag(other)),
     };
-    if c.pos != payload.len() {
-        return Err(FrameError::TrailingBytes {
-            extra: payload.len() - c.pos,
-        });
-    }
+    c.end()?;
     Ok(msg)
 }
 
@@ -488,56 +351,21 @@ pub fn decode_msg(payload: &[u8]) -> Result<WireMsg, FrameError> {
 /// length bound is checked from the first 4 bytes alone, so an
 /// oversized claim fails before any payload is awaited or allocated.
 pub fn decode_frame(buf: &[u8]) -> Result<(WireMsg, usize), FrameError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        // The length prefix itself may already convict the frame.
-        if buf.len() >= 4 {
-            let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-            if len > MAX_FRAME_LEN {
-                return Err(FrameError::TooLarge { len });
-            }
-        }
-        return Err(FrameError::Truncated {
-            need: FRAME_HEADER_LEN,
-            have: buf.len(),
-        });
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge { len });
-    }
-    let expect = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    let total = FRAME_HEADER_LEN + len as usize;
-    if buf.len() < total {
-        return Err(FrameError::Truncated {
-            need: total,
-            have: buf.len(),
-        });
-    }
-    let payload = &buf[FRAME_HEADER_LEN..total];
-    let got = crc32(payload);
-    if got != expect {
-        return Err(FrameError::BadCrc { expect, got });
-    }
-    Ok((decode_msg(payload)?, total))
+    let (payload, used) = frame::decode(buf, MAX_FRAME_LEN)?;
+    Ok((decode_msg(payload)?, used))
 }
 
 // ---- blocking stream IO -----------------------------------------------
 
 /// The incremental frame reader, the one way frames are read off a
-/// stream. Frames are written by encoding them with [`encode_frame`].
-///
-/// A socket read timeout can fire *mid-frame* (a large Delivery, a
-/// stalled peer). A reader that discarded the partially-read bytes then
-/// would desynchronise the stream: the next read starts in the middle
-/// of the old frame and everything after decodes as garbage.
-/// `FrameReader` instead accumulates bytes in a buffer and decodes with
-/// [`decode_frame`], so a `WouldBlock`/`TimedOut` error leaves the
-/// partial frame intact — the caller can treat the timeout as benign
-/// and simply call [`FrameReader::read_frame`] again to resume where it
-/// left off.
+/// stream: [`frame::FrameReader`] with the wire's bound and decoder.
+/// Frames are written by encoding them with [`encode_frame`]. A read
+/// timeout mid-frame keeps the partial frame, so the caller can treat
+/// the timeout as benign and call [`FrameReader::read_frame`] again to
+/// resume where it left off.
 #[derive(Default)]
 pub struct FrameReader {
-    buf: Vec<u8>,
+    frames: frame::FrameReader,
 }
 
 impl FrameReader {
@@ -554,31 +382,21 @@ impl FrameReader {
     /// buffered bytes are kept and the next call continues the same
     /// frame. Every other error is connection-fatal.
     pub fn read_frame(&mut self, stream: &mut impl Read) -> Result<WireMsg, FrameError> {
-        loop {
-            let (need, have) = match decode_frame(&self.buf) {
-                Ok((msg, used)) => {
-                    self.buf.drain(..used);
-                    return Ok(msg);
-                }
-                Err(FrameError::Truncated { need, have }) => (need, have),
-                Err(e) => return Err(e),
-            };
-            let mut chunk = [0u8; 8192];
-            match stream.read(&mut chunk) {
-                Ok(0) if self.buf.is_empty() => return Err(FrameError::Eof),
-                // Peer closed inside a frame: torn frame.
-                Ok(0) => return Err(FrameError::Truncated { need, have }),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.frames.read(stream, MAX_FRAME_LEN, decode_msg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gozer_compress::crc32;
+
+    /// A message's frame payload, without the header.
+    fn encode_msg(msg: &WireMsg) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_msg(&mut out, msg);
+        out
+    }
 
     fn sample_msgs() -> Vec<WireMsg> {
         let payload = WirePayload {

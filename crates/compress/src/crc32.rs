@@ -1,9 +1,9 @@
 //! CRC-32 (IEEE 802.3 polynomial), slicing-by-8: eight table lookups
 //! fold eight input bytes into the state at once, where the classic
 //! table walk spends a dependent lookup per byte. Used by the gzip-like
-//! framing, the log store's record frames, the delta snapshot's base
-//! checksum and the TCP wire frames — one implementation, so a checksum
-//! written by one layer is the number another layer computes.
+//! framing, the delta snapshot's base checksum and [`crate::frame`] (the
+//! TCP wire frames and the log store's records) — one implementation, so
+//! a checksum written by one layer is the number another layer computes.
 
 /// `TABLES[0]` is the classic byte table; `TABLES[k][b]` is the CRC of
 /// byte `b` followed by `k` zero bytes.

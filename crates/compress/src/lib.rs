@@ -15,6 +15,10 @@
 //!   (header, CRC-32, length trailer).
 //! * [`Codec::None`] — identity, the "don't compress" baseline.
 //!
+//! Beside them sit the CRC-32 every layer checksums with and [`frame`],
+//! the one `[len][crc]` frame that TCP wire messages and log records
+//! are written in.
+//!
 //! ```
 //! use gozer_compress::Codec;
 //! let data = b"fiber state fiber state fiber state".repeat(10);
@@ -26,6 +30,7 @@
 pub mod bitio;
 pub mod crc32;
 pub mod deflate;
+pub mod frame;
 pub mod gzip;
 pub mod huffman;
 pub mod lz77;

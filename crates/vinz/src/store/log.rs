@@ -10,22 +10,26 @@
 //!   ...
 //! ```
 //!
-//! Every segment starts with an 8-byte magic and then holds framed
-//! *batch records*:
+//! Every segment starts with an 8-byte magic and then holds *batch
+//! records*, each one frame of [`gozer_compress::frame`] (the frame a
+//! TCP wire message travels in, under the same [`MAX_FRAME_LEN`]) whose
+//! payload is
 //!
 //! ```text
-//! [u32 len][u32 crc32(payload)] payload
-//! payload = [u64 seq][u32 count] count × ([u8 op][u16 klen][key][u32 vlen][value])
+//! [u64 seq][u32 count] count × ([u8 op][u16 klen][key][u32 vlen][value])
 //! ```
 //!
 //! One `put_batch` is one record — the frame's CRC covers the whole
 //! batch, so crash recovery observes all of its entries or none
-//! (torn-tail truncation drops the record wholesale). There is one
-//! append stream and one writer, so file order is commit order: replay
-//! walks the segments in order, requires each new record's `seq` to be
-//! exactly one past the last, and cuts the tail segment at the first
-//! frame that is torn, malformed or out of sequence. What survives a
-//! crash is therefore always a prefix of history. (Compaction rewrites
+//! (torn-tail truncation drops the record wholesale). A batch the frame
+//! cannot hold (a key over `u16::MAX` bytes, a record over the bound) is
+//! refused before it is queued. There is one append stream and one
+//! writer, so file order is commit order: replay walks the segments in
+//! order, requires each new record's `seq` to be exactly one past the
+//! last, and applies the frame module's torn-tail rule: the tail segment
+//! is cut at the first frame that is torn, malformed or out of
+//! sequence, and such a frame anywhere else is corruption. What survives
+//! a crash is therefore always a prefix of history. (Compaction rewrites
 //! keep their original `seq`; replay recognises them by it.)
 //!
 //! The group-commit writer thread takes everything enqueued so far,
@@ -80,6 +84,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gozer_compress::frame::{self, Cursor, MAX_FRAME_LEN};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rustc_hash::FxHashMap;
 
@@ -412,6 +417,27 @@ impl LogStore {
     }
 
     fn enqueue(&self, ops: Vec<PendingOp>) -> Result<Watermark, StoreError> {
+        // A batch is one frame with a u16 length per key: what the frame
+        // cannot hold is refused here, before replay would cut the log
+        // at it.
+        if let Some(op) = ops.iter().find(|op| op.key.len() > u16::MAX as usize) {
+            return Err(StoreError::backend(format!(
+                "key of {} bytes exceeds the log's limit of {} bytes",
+                op.key.len(),
+                u16::MAX
+            )));
+        }
+        let len = record_len(&ops) - frame::HEADER_LEN;
+        if len > MAX_FRAME_LEN as usize {
+            return Err(StoreError::backend(format!(
+                "record of {len} bytes exceeds the log's limit of {MAX_FRAME_LEN} bytes"
+            )));
+        }
+        let bytes: usize = ops
+            .iter()
+            .filter_map(|op| op.val.as_ref())
+            .map(|v| v.len())
+            .sum();
         if let Some(err) = self.inner.commit.lock().failed.clone() {
             return Err(err);
         }
@@ -451,6 +477,9 @@ impl LogStore {
         if first {
             self.inner.work_cv.notify_one();
         }
+        self.inner
+            .written
+            .fetch_add(bytes as u64, Ordering::Relaxed);
         Ok(Watermark(seq))
     }
 }
@@ -506,9 +535,6 @@ impl Drop for LogStore {
 
 impl StateStore for LogStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), StoreError> {
-        self.inner
-            .written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.enqueue(vec![PendingOp {
             key: key.to_string(),
             val: Some(Arc::new(data.to_vec())),
@@ -598,18 +624,13 @@ impl StateStore for LogStore {
         if entries.is_empty() {
             return Ok(Watermark(self.inner.durable_seq.load(Ordering::SeqCst)));
         }
-        let mut total = 0u64;
         let ops = entries
             .iter()
-            .map(|(k, v)| {
-                total += v.len() as u64;
-                PendingOp {
-                    key: (*k).to_string(),
-                    val: Some(Arc::new(v.to_vec())),
-                }
+            .map(|(k, v)| PendingOp {
+                key: (*k).to_string(),
+                val: Some(Arc::new(v.to_vec())),
             })
             .collect();
-        self.inner.written.fetch_add(total, Ordering::Relaxed);
         self.enqueue(ops)
     }
 
@@ -731,38 +752,35 @@ fn record_len(ops: &[PendingOp]) -> usize {
 }
 
 /// Frame one batch as a record at the tail of the group buffer: the
-/// payload is laid down once, checksummed where it lies, and its header
-/// patched. `placed` gets each key with where its value will sit in the
-/// segment (`None` for a delete).
+/// payload is laid down once and checksummed where it lies. `placed`
+/// gets each key with where its value will sit in the segment (`None`
+/// for a delete).
 fn encode_record<'a>(
     tail: &mut Tail,
     seq: u64,
     ops: &'a [PendingOp],
     placed: &mut Vec<(&'a str, Option<Loc>)>,
-) {
+) -> Result<(), StoreError> {
     let (seg, base, buf) = (tail.seg_id, tail.seg_bytes, &mut tail.group);
-    let start = buf.len();
     buf.reserve(record_len(ops));
-    // [len][crc] are patched in once the payload behind them is known.
-    buf.extend_from_slice(&[0u8; 8]);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        let val = op.val.as_ref().map(|v| v.as_slice());
-        buf.push(if val.is_some() { OP_PUT } else { OP_DELETE });
-        buf.extend_from_slice(&(op.key.len() as u16).to_le_bytes());
-        buf.extend_from_slice(op.key.as_bytes());
-        let len = val.map_or(0, |v| v.len() as u32);
-        buf.extend_from_slice(&len.to_le_bytes());
-        let off = base + buf.len() as u64;
-        placed.push((&op.key, val.map(|_| Loc { seq, seg, off, len })));
-        buf.extend_from_slice(val.unwrap_or_default());
-    }
-    let payload = start + 8;
-    let len = (buf.len() - payload) as u32;
-    let crc = gozer_compress::crc32(&buf[payload..]);
-    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    buf[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    // `enqueue` has refused every batch over the bound and every long
+    // key, so the lengths below fit their fields.
+    frame::encode(buf, MAX_FRAME_LEN, |buf| {
+        buf.extend_from_slice(&seq.to_le_bytes());
+        buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+        for op in ops {
+            let val = op.val.as_ref().map(|v| v.as_slice());
+            buf.push(if val.is_some() { OP_PUT } else { OP_DELETE });
+            buf.extend_from_slice(&(op.key.len() as u16).to_le_bytes());
+            buf.extend_from_slice(op.key.as_bytes());
+            let len = val.map_or(0, |v| v.len() as u32);
+            buf.extend_from_slice(&len.to_le_bytes());
+            let off = base + buf.len() as u64;
+            placed.push((&op.key, val.map(|_| Loc { seq, seg, off, len })));
+            buf.extend_from_slice(val.unwrap_or_default());
+        }
+    })
+    .map_err(|e| StoreError::backend(format!("log record {seq}: {e}")))
 }
 
 fn writer_loop(inner: &LogInner, mut tail: Tail) {
@@ -820,7 +838,7 @@ fn commit_group(inner: &LogInner, tail: &mut Tail, batch: &[QueueEntry]) -> Resu
         {
             rotate(inner, tail)?;
         }
-        encode_record(tail, entry.seq, &entry.ops, &mut updates);
+        encode_record(tail, entry.seq, &entry.ops, &mut updates)?;
     }
     // The durability point for every save in the group: one write and
     // one fsync, however many batches piled up. (A rotation above has
@@ -940,7 +958,7 @@ fn compact(inner: &LogInner, tail: &mut Tail) -> Result<(), StoreError> {
     for (key, loc) in live {
         let val = Some(Arc::new(inner.read_loc(&key, loc)?));
         let (ops, mut placed) = ([PendingOp { key, val }], Vec::new());
-        encode_record(tail, loc.seq, &ops, &mut placed);
+        encode_record(tail, loc.seq, &ops, &mut placed)?;
         write_out(inner, tail)?;
         let new = placed[0].1.expect("compaction writes puts");
         live_bytes += new.len as u64;
@@ -982,30 +1000,31 @@ fn compact(inner: &LogInner, tail: &mut Tail) -> Result<(), StoreError> {
 /// starts at segment `replay_from`.
 fn write_checkpoint(inner: &LogInner, replay_from: u64) -> Result<(), StoreError> {
     let ckpt_seq = inner.durable_seq.load(Ordering::SeqCst);
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&ckpt_seq.to_le_bytes());
-    payload.extend_from_slice(&replay_from.to_le_bytes());
+    let mut file = CKPT_MAGIC.to_vec();
     {
         let idx = inner.index.read();
-        payload.extend_from_slice(&(idx.len() as u64).to_le_bytes());
-        for (key, loc) in idx.iter() {
-            payload.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            payload.extend_from_slice(key.as_bytes());
-            payload.extend_from_slice(&loc.seq.to_le_bytes());
-            payload.extend_from_slice(&loc.seg.to_le_bytes());
-            payload.extend_from_slice(&loc.off.to_le_bytes());
-            payload.extend_from_slice(&loc.len.to_le_bytes());
-        }
+        // The checkpoint is read whole, from a file this store wrote,
+        // so it is bound only by its u32 length: a larger index is
+        // refused, never truncated. Its keys came through `enqueue`.
+        frame::encode(&mut file, u32::MAX, |p| {
+            p.extend_from_slice(&ckpt_seq.to_le_bytes());
+            p.extend_from_slice(&replay_from.to_le_bytes());
+            p.extend_from_slice(&(idx.len() as u64).to_le_bytes());
+            for (key, loc) in idx.iter() {
+                p.extend_from_slice(&(key.len() as u16).to_le_bytes());
+                p.extend_from_slice(key.as_bytes());
+                p.extend_from_slice(&loc.seq.to_le_bytes());
+                p.extend_from_slice(&loc.seg.to_le_bytes());
+                p.extend_from_slice(&loc.off.to_le_bytes());
+                p.extend_from_slice(&loc.len.to_le_bytes());
+            }
+        })
+        .map_err(|e| StoreError::backend(format!("checkpoint: {e}")))?;
     }
     let tmp = inner.dir.join("checkpoint.tmp");
     let path = inner.dir.join("checkpoint");
     let mut f = File::create(&tmp).map_err(StoreError::io)?;
-    f.write_all(CKPT_MAGIC).map_err(StoreError::io)?;
-    f.write_all(&(payload.len() as u32).to_le_bytes())
-        .map_err(StoreError::io)?;
-    f.write_all(&gozer_compress::crc32(&payload).to_le_bytes())
-        .map_err(StoreError::io)?;
-    f.write_all(&payload).map_err(StoreError::io)?;
+    f.write_all(&file).map_err(StoreError::io)?;
     f.sync_all().map_err(StoreError::io)?;
     fs::rename(&tmp, &path).map_err(StoreError::io)?;
     if let Ok(d) = File::open(&inner.dir) {
@@ -1081,11 +1100,11 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>, StoreError> {
     Ok(segs)
 }
 
-/// Replay one segment into `replay`. A damaged frame in the tail
-/// segment is a torn write: the file is truncated at the last valid
-/// record and the scan stops — with one append stream, what precedes
-/// the tear *is* the durable prefix. Damage anywhere else is real
-/// corruption and fails recovery.
+/// Replay one segment into `replay`, under the frame module's torn-tail
+/// rule. A damaged frame in the tail segment is a torn write: the file
+/// is truncated at the last valid record and the scan stops — with one
+/// append stream, what precedes the tear *is* the durable prefix.
+/// Damage anywhere else is real corruption and fails recovery.
 fn scan_segment(
     dir: &Path,
     seg: u64,
@@ -1136,7 +1155,7 @@ fn scan_segment(
                 off = rec.next;
                 continue;
             }
-            Err(why) => why,
+            Err(why) => why.to_string(),
         };
         if !is_tail {
             return Err(StoreError::corrupt(
@@ -1167,145 +1186,76 @@ struct ReplayRec {
 
 /// Parse the record at `off`, with the location of each value in it.
 /// The error says what is wrong with the frame: it runs past the end of
-/// the file, fails its CRC (both a torn write), or passes the CRC but
-/// does not parse (fuzzer food).
-fn parse_record(data: &[u8], off: usize, seg: u64) -> Result<ReplayRec, String> {
-    let header = data.get(off..off + 8).ok_or("frame header past end")?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    let payload = data
-        .get(off + 8..off + 8 + len)
-        .ok_or("frame payload past end")?;
-    if gozer_compress::crc32(payload) != crc {
-        return Err("checksum mismatch".into());
-    }
-
-    let seq = u64::from_le_bytes(
-        payload
-            .get(..8)
-            .ok_or("payload shorter than seq")?
-            .try_into()
-            .unwrap(),
-    );
-    let count = u32::from_le_bytes(
-        payload
-            .get(8..12)
-            .ok_or("payload shorter than count")?
-            .try_into()
-            .unwrap(),
-    );
-    let mut ops: Vec<(String, Option<Loc>)> = Vec::new();
-    let mut cursor = 12usize;
+/// the file, claims more than the bound, fails its CRC (a torn write
+/// all three, in the tail), or passes the CRC but does not parse
+/// (fuzzer food).
+fn parse_record(data: &[u8], off: usize, seg: u64) -> Result<ReplayRec, frame::Error> {
+    let (payload, used) = frame::decode(&data[off..], MAX_FRAME_LEN)?;
+    let base = off + frame::HEADER_LEN;
+    let c = &mut Cursor::new(payload);
+    let seq = c.u64()?;
+    let count = c.u32()?;
+    let mut ops = Vec::new();
     for _ in 0..count {
-        let op = *payload.get(cursor).ok_or("op byte past end")?;
-        cursor += 1;
-        let klen = u16::from_le_bytes(
-            payload
-                .get(cursor..cursor + 2)
-                .ok_or("klen past end")?
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        cursor += 2;
-        let key_bytes = payload.get(cursor..cursor + klen).ok_or("key past end")?;
-        let key = std::str::from_utf8(key_bytes)
-            .map_err(|_| "key not utf-8")?
-            .to_string();
-        cursor += klen;
-        let vlen = u32::from_le_bytes(
-            payload
-                .get(cursor..cursor + 4)
-                .ok_or("vlen past end")?
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        cursor += 4;
-        if payload.get(cursor..cursor + vlen).is_none() {
-            return Err("value past end".into());
-        }
-        let val_off = (off + 8 + cursor) as u64;
-        cursor += vlen;
-        match op {
-            OP_PUT => ops.push((
-                key,
-                Some(Loc {
-                    seq,
-                    seg,
-                    off: val_off,
-                    len: vlen as u32,
-                }),
-            )),
-            OP_DELETE => ops.push((key, None)),
-            other => return Err(format!("unknown op byte {other}")),
-        }
+        let op = c.u8()?;
+        let klen = c.u16()?;
+        let key = c.utf8(klen.into())?;
+        let len = c.u32()?;
+        let off = (base + c.pos()) as u64;
+        c.take(len as usize)?;
+        ops.push(match op {
+            OP_PUT => (key, Some(Loc { seq, seg, off, len })),
+            OP_DELETE => (key, None),
+            other => return Err(frame::Error::BadTag(other)),
+        });
     }
-    if cursor != payload.len() {
-        return Err("trailing bytes after ops".into());
-    }
+    c.end()?;
     Ok(ReplayRec {
         seq,
         ops,
-        next: off + 8 + len,
+        next: off + used,
     })
 }
 
 fn load_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, StoreError> {
-    let path = dir.join("checkpoint");
-    let data = match fs::read(&path) {
+    let data = match fs::read(dir.join("checkpoint")) {
         Ok(d) => d,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(StoreError::io(e)),
     };
-    let label = "checkpoint";
-    let corrupt = |why: &str| StoreError::corrupt(label, format!("{why} in {label}"));
-    if data.len() < 12 || &data[..4] != CKPT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let len = u32::from_le_bytes(data[4..8].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(data[8..12].try_into().unwrap());
-    let payload = data
-        .get(12..12 + len)
-        .ok_or_else(|| corrupt("short payload"))?;
-    if gozer_compress::crc32(payload) != crc {
-        return Err(corrupt("checksum mismatch"));
-    }
-
-    let take = |cursor: &mut usize, n: usize| -> Result<&[u8], StoreError> {
-        let s = payload
-            .get(*cursor..*cursor + n)
-            .ok_or_else(|| corrupt("truncated field"))?;
-        *cursor += n;
-        Ok(s)
+    let why = match data.strip_prefix(CKPT_MAGIC).map(parse_checkpoint) {
+        Some(Ok(checkpoint)) => return Ok(Some(checkpoint)),
+        Some(Err(e)) => e.to_string(),
+        None => "bad magic".to_string(),
     };
-    let mut cur = 0usize;
-    let seq = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-    let replay_from = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-    let nkeys = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
+    Err(StoreError::corrupt("checkpoint", format!("{why} in checkpoint")))
+}
+
+/// The checkpoint after its magic: one frame, bound only by its `u32`
+/// length.
+fn parse_checkpoint(framed: &[u8]) -> Result<Checkpoint, frame::Error> {
+    let (payload, _) = frame::decode(framed, u32::MAX)?;
+    let c = &mut Cursor::new(payload);
+    let seq = c.u64()?;
+    let replay_from = c.u64()?;
+    let nkeys = c.u64()?;
     let mut index = FxHashMap::default();
     for _ in 0..nkeys {
-        let klen = u16::from_le_bytes(take(&mut cur, 2)?.try_into().unwrap()) as usize;
-        let key = std::str::from_utf8(take(&mut cur, klen)?)
-            .map_err(|_| corrupt("key not utf-8"))?
-            .to_string();
-        let kseq = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-        let seg = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-        let off = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-        let vlen = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
-        index.insert(
-            key,
-            Loc {
-                seq: kseq,
-                seg,
-                off,
-                len: vlen,
-            },
-        );
+        let klen = c.u16()?;
+        let key = c.utf8(klen.into())?;
+        let loc = Loc {
+            seq: c.u64()?,
+            seg: c.u64()?,
+            off: c.u64()?,
+            len: c.u32()?,
+        };
+        index.insert(key, loc);
     }
-    Ok(Some(Checkpoint {
+    Ok(Checkpoint {
         seq,
         replay_from,
         index,
-    }))
+    })
 }
 
 #[cfg(test)]

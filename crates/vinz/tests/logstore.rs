@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bluebox::Cluster;
+use gozer_compress::frame::MAX_FRAME_LEN;
 use gozer_lang::Value;
 use gozer_serial::{deserialize_state, deserialize_state_delta};
 use gozer_vm::Gvm;
@@ -327,6 +328,102 @@ fn hole_in_the_tail_rolls_back_to_the_prefix_before_it() {
         None,
         "rolled-back record resurrected by seq reuse"
     );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A key the log cannot frame is refused when it is put, and nothing
+/// after it is lost. A key's length is a u16 in the record: a longer
+/// key used to be written with its length cut short, `put` and `flush`
+/// returned Ok, and replay cut the log at the mis-framed record, taking
+/// every later acknowledged write with it.
+#[test]
+fn a_key_the_log_cannot_frame_is_refused_and_loses_nothing_after_it() {
+    let dir = temp_dir("long-key");
+    let long_key = "k".repeat(70_000);
+    let store = LogStore::builder(&dir).build().unwrap();
+    store.put("before", b"1").unwrap();
+    store.flush().unwrap();
+    let long = store.put(&long_key, b"2");
+    store.put("after", b"3").unwrap();
+    store.flush().unwrap();
+    drop(store);
+
+    let store = LogStore::builder(&dir).build().unwrap();
+    assert_eq!(
+        store.get("after").unwrap(),
+        Some(b"3".to_vec()),
+        "an acknowledged write after the long key was lost"
+    );
+    assert_eq!(store.get("before").unwrap(), Some(b"1".to_vec()));
+    assert_eq!(store.get(&long_key).unwrap(), None);
+    match long {
+        Err(StoreError::Backend(why)) => assert!(why.contains("65535"), "{why}"),
+        other => panic!("want a Backend error naming the key limit, got {other:?}"),
+    }
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A batch is one record and one frame, so a batch over the frame bound
+/// is refused before it is queued, and the store carries on.
+#[test]
+fn a_batch_over_the_frame_bound_is_refused() {
+    let dir = temp_dir("huge-batch");
+    let store = LogStore::builder(&dir).build().unwrap();
+    let half = vec![0u8; MAX_FRAME_LEN as usize / 2];
+    for refused in [
+        store.put("huge", &vec![0; MAX_FRAME_LEN as usize]).err(),
+        store.put_batch(&[("a", &half), ("b", &half)]).err(),
+    ] {
+        match refused {
+            Some(StoreError::Backend(why)) => assert!(why.contains("16777216"), "{why}"),
+            other => panic!("want a Backend error naming the frame bound, got {other:?}"),
+        }
+    }
+    store.put("small", b"fine").unwrap();
+    store.flush().unwrap();
+    assert_eq!(store.list("").unwrap(), vec!["small"]);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A record header that claims more than the frame bound is damage
+/// like any other, under the one torn-tail rule: in the tail segment
+/// the log is cut at it, and in a segment the log has rotated past,
+/// recovery fails as corrupt.
+#[test]
+fn a_record_claiming_more_than_the_bound_is_torn_in_the_tail_and_corrupt_elsewhere() {
+    let dir = temp_dir("hostile-len");
+    {
+        let store = LogStore::builder(&dir).build().unwrap();
+        store.put("kept", b"intact").unwrap();
+        store.flush().unwrap();
+    }
+    let seg = tail_segment(&dir);
+    let honest = std::fs::read(&seg).unwrap();
+    let mut hostile = honest.clone();
+    hostile.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+    hostile.extend_from_slice(&[0xAB; 12]);
+    std::fs::write(&seg, &hostile).unwrap();
+
+    let store = LogStore::builder(&dir).build().unwrap();
+    assert_eq!(store.get("kept").unwrap(), Some(b"intact".to_vec()));
+    drop(store);
+    assert_eq!(
+        std::fs::read(&seg).unwrap(),
+        honest,
+        "the tail is cut at the hostile record"
+    );
+
+    // That open started a fresh segment, so `seg` is no longer the tail.
+    std::fs::write(&seg, &hostile).unwrap();
+    match LogStore::builder(&dir).build() {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(detail.contains("exceeds its bound"), "{detail}")
+        }
+        Err(other) => panic!("want a Corrupt error, got {other:?}"),
+        Ok(_) => panic!("a hostile record before the tail must fail recovery"),
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

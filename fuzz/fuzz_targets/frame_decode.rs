@@ -5,8 +5,15 @@
 //! is not an exact encoding: never panic, never allocate from an
 //! unvalidated length, never read past the buffer. Round-trips of
 //! honest frames must be identity, including after re-encode.
+//!
+//! The frame itself is `gozer_compress::frame`, the decoder `log_replay`
+//! drives from the disk side: wherever it refuses a buffer,
+//! `decode_frame` must refuse it with the same error.
 
-use bluebox::wire::{decode_frame, encode_frame, FrameError, SettleBody, WireMsg, WirePayload};
+use bluebox::wire::{
+    decode_frame, encode_frame, FrameError, SettleBody, WireMsg, WirePayload, MAX_FRAME_LEN,
+};
+use gozer_compress::frame;
 use gozer_fuzz::{drive, mutate, random_bytes};
 use proptest::TestRng;
 
@@ -76,6 +83,8 @@ fn main() {
         // the frame; a re-encode is byte-identical.
         let (decoded, used) = decode_frame(&honest).expect("honest frame decodes");
         assert_eq!(used, honest.len(), "honest frame fully consumed");
+        let (payload, framed) = frame::decode(&honest, MAX_FRAME_LEN).expect("honest frame");
+        assert_eq!((payload.len() + frame::HEADER_LEN, framed), (used, used));
         assert_eq!(encode_frame(&decoded), honest, "re-encode is identity");
 
         // Every proper prefix is Truncated/Eof — never Ok, never panic.
@@ -103,7 +112,25 @@ fn main() {
         // Pure garbage, including hostile length prefixes: typed errors
         // only, and TooLarge before any allocation happens.
         let garbage = random_bytes(rng, 256);
-        let _ = decode_frame(&garbage);
+        if let Err(e) = frame::decode(&garbage, MAX_FRAME_LEN) {
+            assert_eq!(decode_frame(&garbage).err(), Some(e));
+        }
+        // Any payload round-trips through the frame under any bound it
+        // fits, and is refused, leaving the buffer as it was, under one
+        // it does not.
+        let payload = random_bytes(rng, 256);
+        let max = rng.below(300) as u32;
+        let mut buf = garbage.clone();
+        match frame::encode(&mut buf, max, |out| out.extend_from_slice(&payload)) {
+            Ok(()) => {
+                let (back, used) = frame::decode(&buf[garbage.len()..], max).unwrap();
+                assert_eq!(
+                    (back, used),
+                    (&payload[..], payload.len() + frame::HEADER_LEN)
+                );
+            }
+            Err(_) => assert!(payload.len() > max as usize && buf == garbage),
+        }
         let mut hostile = Vec::from(u32::MAX.to_le_bytes());
         hostile.extend(random_bytes(rng, 64));
         match decode_frame(&hostile) {

@@ -4,12 +4,20 @@
 //! either a working store (torn tails truncated) or a typed
 //! `StoreError`; never a panic, never an abort. The length and count
 //! fields inside log frames are attacker-controlled and must not drive
-//! allocation or indexing.
+//! allocation or indexing. Frames are decoded by
+//! `gozer_compress::frame`, the decoder `frame_decode` drives from the
+//! wire side.
+//!
+//! One case is exact: a record header that claims more than the frame
+//! bound, behind honest records. In the tail segment the log is cut at
+//! it; in a segment the log has rotated past, open fails as `Corrupt`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use gozer_compress::frame::MAX_FRAME_LEN;
 use gozer_fuzz::{drive, mutate, random_bytes};
-use vinz::{LogStore, StateStore};
+use proptest::TestRng;
+use vinz::{LogStore, StateStore, StoreError};
 
 const SEG_MAGIC: &[u8; 8] = b"GZLOG1\0\0";
 
@@ -49,17 +57,60 @@ fn fixture(dir: &PathBuf) -> (Vec<u8>, Vec<u8>) {
     (std::fs::read(seg).unwrap(), ckpt)
 }
 
+/// Honest records, then a header claiming `MAX_FRAME_LEN + 1..` bytes:
+/// cut off in the tail segment, `Corrupt` in an earlier one.
+fn hostile_length(rng: &mut TestRng, dir: &Path, honest: &[u8]) {
+    let mut hostile = honest.to_vec();
+    let claim = MAX_FRAME_LEN + 1 + rng.below(1 << 20) as u32;
+    hostile.extend(claim.to_le_bytes());
+    hostile.extend(random_bytes(rng, 64));
+    let seg = dir.join("seg-0000000001.log");
+    std::fs::write(&seg, &hostile).unwrap();
+    if rng.below(2) == 0 {
+        let store = LogStore::builder(dir).build().expect("a torn tail opens");
+        assert_eq!(store.get("fiber/2").unwrap(), Some(vec![2; 40]));
+        drop(store);
+        assert_eq!(
+            std::fs::read(&seg).unwrap(),
+            honest,
+            "tail cut at the hostile record"
+        );
+    } else {
+        std::fs::write(dir.join("seg-0000000002.log"), SEG_MAGIC).unwrap();
+        match LogStore::builder(dir).build() {
+            Err(StoreError::Corrupt { .. }) => {}
+            Err(other) => panic!("hostile record before the tail gave {other:?}"),
+            Ok(_) => panic!("hostile record before the tail opened"),
+        }
+    }
+}
+
 fn main() {
     let base = std::env::temp_dir().join(format!("gozer-fuzz-log-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let fixture_dir = base.join("fixture");
     let (valid_seg, valid_ckpt) = fixture(&fixture_dir);
+    // A log of three puts and nothing else, replayable from its first
+    // segment alone.
+    let plain_dir = base.join("plain");
+    let store = LogStore::builder(&plain_dir).build().unwrap();
+    for i in 0..3u8 {
+        store.put(&format!("fiber/{i}"), &[i; 40]).unwrap();
+    }
+    store.flush().unwrap();
+    drop(store);
+    let plain_seg = std::fs::read(plain_dir.join("seg-0000000001.log")).unwrap();
 
     let mut case = 0u64;
     drive("log_replay", |rng| {
         case += 1;
         let dir = base.join(format!("case-{case}"));
         std::fs::create_dir_all(&dir).unwrap();
+        if rng.below(8) == 0 {
+            hostile_length(rng, &dir, &plain_seg);
+            let _ = std::fs::remove_dir_all(&dir);
+            return;
+        }
 
         // The segment under attack.
         let seg_bytes = match rng.below(4) {
