@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use gozer::testing::register_square_service;
-use gozer::{Cluster, EventKind, GozerSystem, Value, VinzConfig};
+use gozer::{Cluster, EventKind, Value, VinzConfig, WorkflowService};
 use gozer_bench::{Json, Table};
 
 const WORKFLOW: &str = "
@@ -60,25 +60,22 @@ fn serialization_run(delta_snapshots: bool, tasks: usize) -> SerRun {
         delta_snapshots,
         ..VinzConfig::default()
     };
-    let sys = GozerSystem::builder()
-        .cluster(Cluster::new())
-        .nodes(2)
-        .instances_per_node(2)
-        .config(config)
-        .workflow(DEEP_WORKFLOW)
-        .profiling(true)
-        .build()
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(DEEP_WORKFLOW)
+        .config(VinzConfig { profiling: true, ..config })
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .expect("deploy");
     for _ in 0..tasks {
-        let v = sys
-            .call("main", vec![Value::Int(3)], Duration::from_secs(60))
-            .expect("workflow");
+        let v = wf.call("main", vec![Value::Int(3)], Duration::from_secs(60)).expect("workflow");
         assert_eq!(v, Value::Int(DEEP_EXPECTED));
     }
-    let obs = sys.workflow.obs();
+    let obs = wf.obs();
     let counters = obs.counters();
     let serial = obs.profile().serial;
-    let (affinity_hits, affinity_misses) = sys.cluster.affinity_stats();
+    let (affinity_hits, affinity_misses) = cluster.affinity_stats();
     let run = SerRun {
         persists: counters.persist_count.load(Ordering::Relaxed),
         persist_bytes: counters.persist_bytes.load(Ordering::Relaxed),
@@ -92,7 +89,7 @@ fn serialization_run(delta_snapshots: bool, tasks: usize) -> SerRun {
         affinity_hits,
         affinity_misses,
     };
-    sys.shutdown();
+    cluster.shutdown();
     run
 }
 
@@ -118,20 +115,17 @@ fn run_json(r: &SerRun) -> Json {
 pub fn run(smoke: bool) -> Json {
     let cluster = Cluster::new();
     register_square_service(&cluster, "Sq", 1, 1, Duration::from_millis(2));
-    let sys = GozerSystem::builder()
-        .cluster(cluster)
-        .nodes(2)
-        .instances_per_node(2)
-        .workflow(WORKFLOW)
-        .profiling(true)
-        .build()
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .config(VinzConfig { profiling: true, ..VinzConfig::default() })
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .expect("deploy");
-    let obs = sys.workflow.obs();
+    let obs = wf.obs();
     obs.set_tracing(true);
 
-    let v = sys
-        .call("main", vec![Value::Int(3)], Duration::from_secs(60))
-        .expect("workflow");
+    let v = wf.call("main", vec![Value::Int(3)], Duration::from_secs(60)).expect("workflow");
     assert_eq!(v, Value::Int(27)); // 9*1 + 9*2
 
     println!("Figure 1 — sample workflow lifetime (result {v:?}):\n");
@@ -150,7 +144,7 @@ pub fn run(smoke: bool) -> Json {
     );
     println!("\nhot functions:");
     print!("{}", obs.profile().top_functions(10));
-    sys.shutdown();
+    cluster.shutdown();
 
     // ---- §4.1 serialization cost: full vs. delta snapshots ---------------
     let tasks = if smoke { 2 } else { 8 };

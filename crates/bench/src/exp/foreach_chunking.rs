@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use gozer::{GozerSystem, TaskStatus, Value, VinzConfig};
+use gozer::{Cluster, TaskStatus, Value, VinzConfig, WorkflowService};
 use gozer_bench::Series;
 
 use super::time_it;
@@ -35,12 +35,13 @@ pub fn run(smoke: bool) {
         future_pool_size: 4,
         ..VinzConfig::default()
     };
-    let sys = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
         .config(config)
-        .workflow(WORKFLOW)
-        .build()
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .unwrap();
     let items = Value::list((0..32).map(Value::Int).collect());
     let expected = Value::list((0..32).map(|i| Value::Int(i * i)).collect());
@@ -53,13 +54,13 @@ pub fn run(smoke: bool) {
     for f in ["unchunked", "chunked-2", "chunked-8", "chunked-32"] {
         let mut fibers = 0;
         let median = time_it(samples, || {
-            let task = sys.workflow.start(f, vec![items.clone()], None).unwrap();
-            let rec = sys.wait(&task, Duration::from_secs(300)).unwrap();
+            let task = wf.start(f, vec![items.clone()], None).unwrap();
+            let rec = wf.wait(&task, Duration::from_secs(300)).unwrap();
             assert_eq!(rec.status, TaskStatus::Completed(expected.clone()));
             fibers = rec.fibers_created;
         });
         series.point(f, &[median.as_secs_f64() * 1000.0, fibers as f64]);
     }
     series.print();
-    sys.shutdown();
+    cluster.shutdown();
 }

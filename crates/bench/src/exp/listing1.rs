@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use gozer::{GozerSystem, Gvm, Value};
+use gozer::{Cluster, Gvm, Value, WorkflowService};
 use gozer_bench::Table;
 
 use super::time_it;
@@ -37,11 +37,12 @@ pub fn run(smoke: bool) {
     let samples = if smoke { 3 } else { 10 };
     let gvm = Gvm::new();
     gvm.load_str(LOCAL_SRC, "listing1").unwrap();
-    let system = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
-        .workflow(DIST_SRC)
-        .build()
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(DIST_SRC)
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .unwrap();
 
     let mut table = Table::new(
@@ -56,7 +57,7 @@ pub fn run(smoke: bool) {
             assert_eq!(gvm.call_sync(&f, vec![numbers.clone()]).unwrap(), expected, "{local}");
         }
         let median = time_it(samples, || {
-            let v = system
+            let v = wf
                 .call("dist-sum-squares", vec![numbers.clone()], Duration::from_secs(120))
                 .unwrap();
             assert_eq!(v, expected);
@@ -65,5 +66,5 @@ pub fn run(smoke: bool) {
     }
     table.print();
     println!("shape check: loc, par and dist return the same sum at every n.");
-    system.shutdown();
+    cluster.shutdown();
 }

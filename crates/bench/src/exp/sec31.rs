@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use gozer::{FaultPoint, GozerSystem, TaskStatus, Value, VinzConfig};
+use gozer::{Cluster, FaultPoint, TaskStatus, Value, VinzConfig, WorkflowService};
 use gozer_bench::Table;
 
 const WORKFLOW: &str = "
@@ -30,20 +30,19 @@ fn survivability_run(kill_nodes: &[u32]) -> (usize, Duration, u64) {
         spawn_limit: 4,
         ..VinzConfig::default()
     };
-    let sys = GozerSystem::builder()
-        .nodes(NODES)
-        .instances_per_node(2)
-        .config(config)
-        .workflow(WORKFLOW)
-        .build()
-        .unwrap();
+    let cluster = Cluster::new();
+    let mut builder = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .config(config);
+    for node in 0..NODES {
+        builder = builder.instances(node, 2);
+    }
+    let wf = builder.deploy().unwrap();
     let expected = Value::Int((0..FANOUT).map(|i| i * i).sum());
     let t0 = Instant::now();
     let tasks: Vec<String> = (0..TASKS)
         .map(|_| {
-            sys.workflow
-                .start("main", vec![Value::Int(FANOUT)], None)
-                .unwrap()
+            wf.start("main", vec![Value::Int(FANOUT)], None).unwrap()
         })
         .collect();
     // Crash early, while RunFiber messages are in flight, so the doomed
@@ -55,18 +54,18 @@ fn survivability_run(kill_nodes: &[u32]) -> (usize, Duration, u64) {
         } else {
             FaultPoint::AfterProcess
         };
-        sys.cluster.kill_node(node, point);
+        cluster.kill_node(node, point);
     }
     let mut completed = 0;
     for task in &tasks {
-        let rec = sys.wait(task, Duration::from_secs(300)).expect("finishes");
+        let rec = wf.wait(task, Duration::from_secs(300)).expect("finishes");
         if rec.status == TaskStatus::Completed(expected.clone()) {
             completed += 1;
         }
     }
     let wall = t0.elapsed();
-    let redelivered = sys.cluster.metrics.snapshot().redelivered;
-    sys.shutdown();
+    let redelivered = cluster.metrics.snapshot().redelivered;
+    cluster.shutdown();
     (completed, wall, redelivered)
 }
 

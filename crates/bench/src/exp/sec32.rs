@@ -18,7 +18,7 @@
 use std::time::{Duration, Instant};
 
 use gozer::testing::register_square_service;
-use gozer::{Cluster, GozerSystem, TaskStatus, Value};
+use gozer::{Cluster, TaskStatus, Value, WorkflowService};
 use gozer_bench::Table;
 
 const NONBLOCKING: &str = "
@@ -47,23 +47,19 @@ fn style_run(source: &str) -> (Duration, u64, u64) {
     // Plenty of service capacity; the workflow slots are the scarce
     // resource (2 instances on 1 node).
     register_square_service(&cluster, "Sq", 8, 1, SERVICE_LATENCY);
-    let sys = GozerSystem::builder()
-        .cluster(cluster.clone())
-        .nodes(1)
-        .instances_per_node(2)
-        .workflow(source)
-        .build()
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(source)
+        .instances(0, 2)
+        .deploy()
         .unwrap();
     let t0 = Instant::now();
     let tasks: Vec<String> = (0..TASKS)
         .map(|i| {
-            sys.workflow
-                .start("main", vec![Value::Int(i as i64)], None)
-                .unwrap()
+            wf.start("main", vec![Value::Int(i as i64)], None).unwrap()
         })
         .collect();
     for (i, task) in tasks.iter().enumerate() {
-        let rec = sys.wait(task, Duration::from_secs(300)).expect("finishes");
+        let rec = wf.wait(task, Duration::from_secs(300)).expect("finishes");
         match rec.status {
             TaskStatus::Completed(v) => assert_eq!(v, Value::Int((i * i) as i64)),
             other => panic!("task failed: {other:?}"),
@@ -71,7 +67,7 @@ fn style_run(source: &str) -> (Duration, u64, u64) {
     }
     let wall = t0.elapsed();
     let snap = cluster.metrics.snapshot();
-    sys.shutdown();
+    cluster.shutdown();
     (wall, snap.sync_block_nanos / 1_000_000, snap.max_in_flight)
 }
 

@@ -21,7 +21,7 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use gozer::{Cluster, GozerSystem, Value, VinzConfig};
+use gozer::{Cluster, Value, VinzConfig, WorkflowService};
 use gozer_bench::{Json, Table};
 
 const WORKFLOW: &str = "
@@ -54,33 +54,32 @@ fn cache_run(nodes: u32, affinity: bool, tasks: usize) -> CacheRun {
         // takes the queue head, as in the paper's measurement.
         cluster.set_affinity_slack(0);
     }
-    let sys = GozerSystem::builder()
-        .cluster(cluster)
-        .nodes(nodes)
-        .instances_per_node(2)
-        .config(config)
-        .workflow(WORKFLOW)
-        .build()
-        .unwrap();
+    let mut builder = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .config(config);
+    for node in 0..nodes {
+        builder = builder.instances(node, 2);
+    }
+    let wf = builder.deploy().unwrap();
     // Launch the whole population concurrently so the queue load-balances
     // steps of many fibers across all nodes (the regime the paper
     // measured, where "Vinz executes no control over where a fiber will
     // be asked to run").
     let tasks: Vec<String> = (0..tasks)
-        .map(|_| sys.workflow.start("main", vec![Value::Int(6)], None).unwrap())
+        .map(|_| wf.start("main", vec![Value::Int(6)], None).unwrap())
         .collect();
     for task in &tasks {
-        sys.wait(task, Duration::from_secs(300)).expect("completes");
+        wf.wait(task, Duration::from_secs(300)).expect("completes");
     }
     let (mut mh, mut mm, mut ih, mut im) = (0u64, 0u64, 0u64, 0u64);
-    for rt in sys.workflow.node_runtimes() {
+    for rt in wf.node_runtimes() {
         mh += rt.cache.mutable_stats.hits.load(Ordering::Relaxed);
         mm += rt.cache.mutable_stats.misses.load(Ordering::Relaxed);
         ih += rt.cache.immutable_stats.hits.load(Ordering::Relaxed);
         im += rt.cache.immutable_stats.misses.load(Ordering::Relaxed);
     }
-    let (affinity_hits, affinity_misses) = sys.cluster.affinity_stats();
-    sys.shutdown();
+    let (affinity_hits, affinity_misses) = cluster.affinity_stats();
+    cluster.shutdown();
     CacheRun {
         mutable: mh as f64 / (mh + mm).max(1) as f64,
         immutable: ih as f64 / (ih + im).max(1) as f64,

@@ -14,7 +14,9 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use gozer::{GozerSystem, LogStats, LogStore, StateStore, TaskStatus, Value, VinzConfig};
+use gozer::{
+    Cluster, LogStats, LogStore, StateStore, TaskStatus, Value, VinzConfig, WorkflowService,
+};
 use gozer_bench::{production_day, Json, Table};
 
 /// Replay simulated fiber saves into a fresh LogStore under `dir`, each
@@ -108,40 +110,40 @@ pub fn run(smoke: bool) -> Json {
         spawn_limit: 8,
         ..VinzConfig::default()
     };
-    let sys = GozerSystem::builder()
-        .nodes(4)
-        .instances_per_node(4)
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
         .config(config)
-        .workflow(WORKFLOW)
-        .build()
+        .instances(0, 4)
+        .instances(1, 4)
+        .instances(2, 4)
+        .instances(3, 4)
+        .deploy()
         .unwrap();
 
     // Baseline metrics snapshot: the slice's latency report below comes
     // from diffing against this, so it covers exactly the scaled run.
-    let obs = sys.workflow.obs();
+    let obs = wf.obs();
     let before = obs.snapshot();
 
     let t0 = Instant::now();
     let tasks: Vec<String> = specs
         .iter()
         .map(|spec| {
-            sys.workflow
-                .start(
-                    "main",
-                    vec![
-                        Value::Float(spec.duration.as_secs_f64() * 1000.0),
-                        Value::Int(spec.fibers as i64),
-                    ],
-                    None,
-                )
-                .unwrap()
+            wf.start(
+                "main",
+                vec![
+                    Value::Float(spec.duration.as_secs_f64() * 1000.0),
+                    Value::Int(spec.fibers as i64),
+                ],
+                None,
+            )
+            .unwrap()
         })
         .collect();
     let mut completed = 0;
     for task in &tasks {
-        let rec = sys
-            .wait(task, Duration::from_secs(600))
-            .expect("task finishes");
+        let rec = wf.wait(task, Duration::from_secs(600)).expect("task finishes");
         if matches!(rec.status, TaskStatus::Completed(_)) {
             completed += 1;
         }
@@ -200,7 +202,7 @@ pub fn run(smoke: bool) -> Json {
         s.deserialize_nanos as f64 / 1e6,
     );
     assert_eq!(completed, specs.len(), "every task must complete");
-    sys.shutdown();
+    cluster.shutdown();
 
     // ---- durable-store replay: flush per save vs group commit -----------
     // The §5 day persists ~45k continuations; replay that traffic shape

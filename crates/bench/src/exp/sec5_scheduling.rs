@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use gozer::{GozerSystem, Policy, Value, VinzConfig};
+use gozer::{Cluster, Policy, Value, VinzConfig, WorkflowService};
 use gozer_bench::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,13 +50,13 @@ fn policy_run(policy: Policy) -> (usize, usize, Duration) {
         spawn_limit: 4,
         ..VinzConfig::default()
     };
-    let sys = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
-        .policy(policy)
+    let cluster = Cluster::with_policy(policy);
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
         .config(config)
-        .workflow(WORKFLOW)
-        .build()
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .unwrap();
     let specs = burst(99);
     let t0 = Instant::now();
@@ -68,20 +68,18 @@ fn policy_run(policy: Policy) -> (usize, usize, Duration) {
     let tasks: Vec<String> = specs
         .iter()
         .map(|s| {
-            sys.workflow
-                .start("main", vec![Value::Float(s.busy_ms)], Some(s.deadline))
-                .unwrap()
+            wf.start("main", vec![Value::Float(s.busy_ms)], Some(s.deadline)).unwrap()
         })
         .collect();
     let mut missed = 0;
     for task in &tasks {
-        let rec = sys.wait(task, Duration::from_secs(300)).expect("finishes");
+        let rec = wf.wait(task, Duration::from_secs(300)).expect("finishes");
         if rec.missed_deadline() {
             missed += 1;
         }
     }
     let wall = t0.elapsed();
-    sys.shutdown();
+    cluster.shutdown();
     (missed, specs.len(), wall)
 }
 

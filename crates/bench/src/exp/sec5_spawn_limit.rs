@@ -17,7 +17,7 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use gozer::{GozerSystem, Value, VinzConfig};
+use gozer::{Cluster, Value, VinzConfig, WorkflowService};
 use gozer_bench::Series;
 
 use super::time_it;
@@ -43,20 +43,19 @@ pub fn run(smoke: bool) {
             awake_wait_limit: Duration::from_millis(2),
             ..VinzConfig::default()
         };
-        let sys = GozerSystem::builder()
-            .nodes(2)
-            .instances_per_node(2)
+        let cluster = Cluster::new();
+        let wf = WorkflowService::builder(&cluster, "workflow")
+            .source(WORKFLOW)
             .config(config)
-            .workflow(WORKFLOW)
-            .build()
+            .instances(0, 2)
+            .instances(1, 2)
+            .deploy()
             .unwrap();
         let median = time_it(samples, || {
-            let v = sys
-                .call("main", vec![Value::Int(CHILDREN)], Duration::from_secs(300))
-                .unwrap();
+            let v = wf.call("main", vec![Value::Int(CHILDREN)], Duration::from_secs(300)).unwrap();
             assert_eq!(v.as_list().unwrap().len(), CHILDREN as usize);
         });
-        let obs = sys.workflow.obs();
+        let obs = wf.obs();
         let m = obs.counters();
         // time_it's warm-up call counts too.
         let calls = (samples + 1) as f64;
@@ -68,7 +67,7 @@ pub fn run(smoke: bool) {
                 m.persist_count.load(Ordering::Relaxed) as f64 / calls,
             ],
         );
-        sys.shutdown();
+        cluster.shutdown();
     }
     series.print();
 }

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use gozer::{Cluster, GozerSystem, Value};
+use gozer::{Cluster, Value, WorkflowService};
 use gozer_bench::Table;
 
 use super::time_it;
@@ -36,25 +36,24 @@ pub fn run(smoke: bool) {
     let samples = if smoke { 5 } else { 20 };
     let cluster = Cluster::new();
     gozer::testing::register_square_service(&cluster, "Sq", 2, 1, Duration::ZERO);
-    let sys = GozerSystem::builder()
-        .cluster(cluster)
-        .nodes(2)
-        .instances_per_node(3)
-        .workflow(WORKFLOW)
-        .build()
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .instances(0, 3)
+        .instances(1, 3)
+        .deploy()
         .unwrap();
     let call = |f: &str, expected: Value| {
-        assert_eq!(sys.call(f, vec![], TIMEOUT).unwrap(), expected);
+        assert_eq!(wf.call(f, vec![], TIMEOUT).unwrap(), expected);
     };
 
     let rows = [
         // Async accept only (the task completes in the background; tasks
         // pile up harmlessly in the tracker).
         ("Start", time_it(samples, || {
-            sys.workflow.start("trivial", vec![], None).unwrap();
+            wf.start("trivial", vec![], None).unwrap();
         })),
         ("Run+RunFiber (trivial task)", time_it(samples, || {
-            assert!(sys.workflow.run("trivial", vec![], TIMEOUT).unwrap().status.is_final());
+            assert!(wf.run("trivial", vec![], TIMEOUT).unwrap().status.is_final());
         })),
         ("Call (trivial task)", time_it(samples, || call("trivial", Value::Int(42)))),
         ("JoinProcess (fork+join)", time_it(samples, || call("forker", Value::Int(7)))),
@@ -64,9 +63,9 @@ pub fn run(smoke: bool) {
         ("ResumeFromCall (service call)", time_it(samples, || call("remote-call", Value::Int(81)))),
         // Start a fan-out task, terminate it, wait for the final status.
         ("Terminate", time_it(samples, || {
-            let task = sys.workflow.start("fanout", vec![], None).unwrap();
-            sys.workflow.terminate(&task);
-            sys.wait(&task, TIMEOUT).unwrap();
+            let task = wf.start("fanout", vec![], None).unwrap();
+            wf.terminate(&task);
+            wf.wait(&task, TIMEOUT).unwrap();
         })),
     ];
     let mut table = Table::new(
@@ -77,5 +76,5 @@ pub fn run(smoke: bool) {
         table.row(&[op.to_string(), format!("{median:.2?}")]);
     }
     table.print();
-    sys.shutdown();
+    cluster.shutdown();
 }

@@ -6,7 +6,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender};
-use gozer_obs::{Event, EventKind, Obs, Phase};
+use gozer_obs::{task_of, Event, EventKind, Obs, Phase};
 use gozer_xml::ServiceDescription;
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
@@ -131,12 +131,38 @@ struct InstanceHandle {
 /// Where a synchronous call's reply is handed to its waiting caller.
 pub(crate) type ReplySlot = Sender<Result<Vec<u8>, Fault>>;
 
-/// An embedder hook, shared with the broker threads that call it.
-type Hook<F> = RwLock<Option<Arc<F>>>;
+/// The workflow deployment a cluster serves, as the broker sees it:
+/// one method per question the broker asks about the work it carries.
+/// A cluster serves one ([`Cluster::attach`]). Every method but `name`
+/// has the answer a cluster with no deployment gives, so an
+/// implementation states only what it knows.
+pub trait Deployment: Send + Sync {
+    /// The deployment's name (a second [`Cluster::attach`] is refused
+    /// with it).
+    fn name(&self) -> &str;
 
-type AffinityResolver = dyn Fn(&str) -> Option<u32> + Send + Sync;
-type PhaseObserver = dyn Fn(&str, Phase) + Send + Sync;
-type DeadLetterObserver = Box<dyn Fn(&DeadLetter) + Send + Sync>;
+    /// The node whose cache last held `fiber_id`: service replies
+    /// (`ResumeFromCall`) are stamped with it so they chase the fiber
+    /// they resume.
+    fn affine_node(&self, _fiber_id: &str) -> Option<u32> {
+        None
+    }
+
+    /// A broker transition changed what `task_id` waits on: parked on
+    /// durability, released to a queue, lease expired, re-queued.
+    fn note_phase(&self, _task_id: &str, _phase: Phase) {}
+
+    /// Whether the store has committed `watermark`. A message gated on
+    /// a watermark that is not durable yet is parked until
+    /// [`Cluster::note_durable`] (or the reaper's re-probe) passes it.
+    fn durable(&self, _watermark: u64) -> bool {
+        true
+    }
+
+    /// `dl` was just quarantined: by the reaper once its redelivery
+    /// budget ran out, or by [`Cluster::requeue_or_quarantine`].
+    fn dead_lettered(&self, _dl: &DeadLetter) {}
+}
 
 /// The simulated BlueBox cluster.
 pub struct Cluster {
@@ -153,18 +179,9 @@ pub struct Cluster {
     affinity_slack: RwLock<usize>,
     /// The affinity delivery counts every queue of this cluster adds to.
     affinity: AffinityCounts,
-    /// Maps a fiber id to its affine node, so service replies
-    /// (`ResumeFromCall`) inherit the placement hint of the fiber they
-    /// resume. Installed by the embedder (Vinz).
-    affinity_resolver: Hook<AffinityResolver>,
-    /// Latency-phase attribution hook: `f(task_id, phase)` flips the
-    /// task's tracker ledger into `phase`. Installed by the embedder
-    /// (Vinz); the broker calls it when it parks, releases, reclaims,
-    /// or re-queues a task-correlated message.
-    phase_observer: Hook<PhaseObserver>,
-    /// The workflow deployment that installed the hooks above, once
-    /// one has ([`Cluster::claim_deployment`]).
-    deployment: OnceLock<String>,
+    /// The workflow deployment this cluster serves, once one has
+    /// attached ([`Cluster::attach`]).
+    deployment: OnceLock<Arc<dyn Deployment>>,
     chaos: RwLock<Option<Arc<ChaosPlan>>>,
     /// Broker metrics.
     pub metrics: Metrics,
@@ -180,15 +197,10 @@ pub struct Cluster {
     delayed: Mutex<Vec<(Instant, Message)>>,
     /// Per-queue dead-letter stores.
     dead: Mutex<FxHashMap<String, Vec<DeadLetter>>>,
-    dead_observers: Mutex<Vec<DeadLetterObserver>>,
     recovery_stats: RecoveryStats,
     closed: AtomicBool,
     reaper: Mutex<Option<JoinHandle<()>>>,
     // --- speculative persistence (store watermark gating) -------------
-    /// Asks the store whether a commit watermark is durable yet.
-    /// Installed by the embedder (Vinz) when its store defers
-    /// durability; absent means nothing is ever held.
-    durability_probe: Hook<dyn Fn(u64) -> bool + Send + Sync>,
     /// Messages parked until the store's commit watermark passes their
     /// `hold_until` gate. Dropped on shutdown — exactly what a crash
     /// would do to effects whose save never became durable.
@@ -229,8 +241,6 @@ impl Cluster {
             policy,
             affinity_slack: RwLock::new(crate::queue::DEFAULT_AFFINITY_SLACK),
             affinity: AffinityCounts::default(),
-            affinity_resolver: RwLock::new(None),
-            phase_observer: RwLock::new(None),
             deployment: OnceLock::new(),
             chaos: RwLock::new(None),
             metrics: Metrics::default(),
@@ -240,11 +250,9 @@ impl Cluster {
             reclaims_pending: Mutex::new(Vec::new()),
             delayed: Mutex::new(Vec::new()),
             dead: Mutex::new(FxHashMap::default()),
-            dead_observers: Mutex::new(Vec::new()),
             recovery_stats: RecoveryStats::default(),
             closed: AtomicBool::new(false),
             reaper: Mutex::new(None),
-            durability_probe: RwLock::new(None),
             held: Mutex::new(Vec::new()),
             held_total: Arc::default(),
             tcp: Mutex::new(None),
@@ -265,51 +273,24 @@ impl Cluster {
         *self.affinity_slack.write() = slack;
     }
 
-    /// Claim this cluster for the workflow deployment `name`. A cluster
-    /// serves one: the affinity resolver, phase observer and durability
-    /// probe a deployment installs are cluster-wide, and a second
-    /// deployment's would replace the first's. Fails with the holder's
-    /// name if the cluster is claimed already.
-    pub fn claim_deployment(&self, name: &str) -> Result<(), String> {
-        let claimed = self.deployment.set(name.to_string());
-        claimed.map_err(|_| self.deployment.get().expect("claimed already").clone())
+    /// Attach the workflow deployment this cluster serves. A cluster
+    /// serves one: what the broker asks a deployment is cluster-wide.
+    /// Fails with the holder's name if one is attached already.
+    pub fn attach(&self, deployment: Arc<dyn Deployment>) -> Result<(), String> {
+        let attached = self.deployment.set(deployment);
+        attached.map_err(|_| self.deployment.get().expect("attached already").name().to_string())
     }
 
-    /// Install the fiber-id → affine-node resolver used to stamp service
-    /// replies (`ResumeFromCall`) with the placement hint of the fiber
-    /// they resume. Replaces any previous resolver.
-    pub fn set_affinity_resolver(
-        &self,
-        f: impl Fn(&str) -> Option<u32> + Send + Sync + 'static,
-    ) {
-        *self.affinity_resolver.write() = Some(Arc::new(f));
-    }
-
-    /// Install the latency-phase observer: `f(task_id, phase)` is
-    /// called whenever a broker transition changes what a task is
-    /// waiting on (parked on durability, released to a queue, lease
-    /// expired, re-queued). Installed by the embedder (Vinz) so the
-    /// task tracker's phase ledger follows broker-side time.
-    pub fn set_phase_observer(&self, f: impl Fn(&str, Phase) + Send + Sync + 'static) {
-        *self.phase_observer.write() = Some(Arc::new(f));
-    }
-
-    /// Flip `msg`'s task (if the message is task-correlated) into
-    /// `phase` via the installed observer.
+    /// Flip `msg`'s task (if the message is task-correlated: its
+    /// `task-id` header, else its `fiber-id`'s task) into `phase`.
     fn note_phase(&self, msg: &Message, phase: Phase) {
-        let observer = self.phase_observer.read().clone();
-        let Some(observer) = observer else { return };
-        if let Some(task) = task_of(msg) {
-            observer(task, phase);
+        let Some(deployment) = self.deployment.get() else { return };
+        let task = msg
+            .get_header("task-id")
+            .or_else(|| msg.get_header("fiber-id").and_then(task_of));
+        if let Some(task) = task {
+            deployment.note_phase(task, phase);
         }
-    }
-
-    /// Install the durability probe the speculative-send gate consults:
-    /// `f(watermark)` answers "has the store committed this watermark?".
-    /// Installed by the embedder (Vinz) alongside the store's commit
-    /// hook. Replaces any previous probe.
-    pub fn set_durability_probe(&self, f: impl Fn(u64) -> bool + Send + Sync + 'static) {
-        *self.durability_probe.write() = Some(Arc::new(f));
     }
 
     /// The store's commit watermark advanced to `watermark`: release
@@ -594,11 +575,10 @@ impl Cluster {
     /// Fire-and-forget send.
     ///
     /// A message carrying a `hold_until` watermark gate is parked (not
-    /// queued) while the installed durability probe reports the
-    /// watermark as not yet committed; [`Cluster::note_durable`] — fired
-    /// by the store's commit hook — releases it. With no probe
-    /// installed the gate is vacuous: synchronous stores are durable by
-    /// the time the send happens.
+    /// queued) while the attached deployment reports the watermark as
+    /// not yet durable ([`Deployment::durable`]);
+    /// [`Cluster::note_durable`] — fired by the store's commit hook —
+    /// releases it. With no deployment attached the gate is vacuous.
     pub fn send(&self, mut msg: Message) {
         msg.id = self.next_msg_id.fetch_add(1, Ordering::Relaxed);
         msg.enqueued_at = Instant::now();
@@ -607,8 +587,7 @@ impl Cluster {
             msg_event(&msg, |service, operation| EventKind::MessageSent { service, operation })
         });
         if msg.hold_until > 0 {
-            let probe = self.durability_probe.read().clone();
-            if let Some(probe) = probe {
+            if let Some(deployment) = self.deployment.get() {
                 // Probe and park under the held-list lock: note_durable
                 // drains that list under the same lock *after* the
                 // store's watermark advances, so a commit can't slip
@@ -616,7 +595,7 @@ impl Cluster {
                 // parks is guaranteed a later note_durable (or the
                 // reaper's re-probe) will see it.
                 let mut held = self.held.lock();
-                if !probe(msg.hold_until) {
+                if !deployment.durable(msg.hold_until) {
                     self.held_total.fetch_add(1, Ordering::Relaxed);
                     self.obs.bus.emit(|| {
                         msg_event(&msg, |service, operation| EventKind::MessageHeld {
@@ -642,11 +621,7 @@ impl Cluster {
         // list), nothing enters a queue above the durable watermark.
         debug_assert!(
             msg.hold_until == 0
-                || self
-                    .durability_probe
-                    .read()
-                    .as_ref()
-                    .is_none_or(|probe| probe(msg.hold_until)),
+                || self.deployment.get().is_none_or(|d| d.durable(msg.hold_until)),
             "{}/{} queued behind watermark {} before it was durable",
             msg.service,
             msg.operation,
@@ -757,9 +732,9 @@ impl Cluster {
                 }
                 // ResumeFromCall replies race back to the fiber's cache:
                 // stamp them with the node that last saved the fiber.
-                if let Some(resolver) = self.affinity_resolver.read().clone() {
+                if let Some(deployment) = self.deployment.get() {
                     if let Some(node) =
-                        request.get_header("fiber-id").and_then(|id| resolver(id))
+                        request.get_header("fiber-id").and_then(|id| deployment.affine_node(id))
                     {
                         reply = reply.with_affinity(node);
                     }
@@ -852,13 +827,6 @@ impl Cluster {
     /// `gozer_dead_letters_total` metric).
     pub fn dead_letter_total(&self) -> u64 {
         self.recovery_stats.dead_letters.load(Ordering::Relaxed)
-    }
-
-    /// Register a dead-letter observer, invoked from the reaper thread
-    /// for every quarantined message. Observers must not register
-    /// further observers re-entrantly.
-    pub fn on_dead_letter(&self, f: impl Fn(&DeadLetter) + Send + Sync + 'static) {
-        self.dead_observers.lock().push(Box::new(f));
     }
 
     /// Enqueue `msg` once `delay` has passed on the cluster's clock
@@ -992,14 +960,13 @@ impl Cluster {
         // 4. Safety net for the speculative-send gate: re-probe held
         //    messages directly, in case a commit-hook notification was
         //    lost (e.g. the hook was installed after a flush completed).
-        let probe = self.durability_probe.read().clone();
-        if let Some(probe) = probe {
+        if let Some(deployment) = self.deployment.get() {
             let ready: Vec<Message> = {
                 let mut held = self.held.lock();
                 if held.is_empty() {
                     return;
                 }
-                let (ready, rest) = held.drain(..).partition(|m| probe(m.hold_until));
+                let (ready, rest) = held.drain(..).partition(|m| deployment.durable(m.hold_until));
                 *held = rest;
                 ready
             };
@@ -1031,7 +998,7 @@ impl Cluster {
     }
 
     /// Move a message to the dead-letter store, settle its queue lease
-    /// if `settle`, and notify observers. The reaper path owns the
+    /// if `settle`, and tell the attached deployment. The reaper path owns the
     /// abandoned lease and must settle it; the handler path's lease is
     /// settled by the instance loop.
     fn quarantine(&self, service: &str, msg: Message, reason: &str, settle: bool) {
@@ -1056,9 +1023,8 @@ impl Cluster {
         if settle {
             self.queue(service).settle();
         }
-        let observers = self.dead_observers.lock();
-        for f in observers.iter() {
-            f(&dl);
+        if let Some(deployment) = self.deployment.get() {
+            deployment.dead_lettered(&dl);
         }
     }
 
@@ -1308,17 +1274,6 @@ fn msg_event(msg: &Message, kind: impl FnOnce(String, String) -> EventKind) -> E
         .message(msg.id)
         .task_opt(msg.get_header("task-id").map(str::to_string))
         .fiber_opt(msg.get_header("fiber-id").map(str::to_string))
-}
-
-/// The task a message belongs to: its `task-id` header, else the
-/// `task/fiber` prefix of its `fiber-id` header.
-fn task_of(msg: &Message) -> Option<&str> {
-    if let Some(t) = msg.get_header("task-id") {
-        return Some(t);
-    }
-    let fiber = msg.get_header("fiber-id")?;
-    let task = fiber.split('/').next()?;
-    (!task.is_empty() && task != fiber).then_some(task)
 }
 
 #[cfg(test)]

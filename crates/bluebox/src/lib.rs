@@ -58,7 +58,7 @@ pub use chaos::{
     ChaosConfig, ChaosPlan, ChaosRng, ChaosStats, ChaosStatsSnapshot, FaultAction, FaultPoint,
 };
 pub use clock::Clock;
-pub use cluster::{CallError, Cluster, Handler, ServiceCtx};
+pub use cluster::{CallError, Cluster, Deployment, Handler, ServiceCtx};
 pub use message::{Fault, Headers, Message, ReplyTo};
 pub use metrics::{Metrics, MetricsSnapshot, TransportMetrics, TransportMetricsSnapshot};
 pub use queue::{Policy, ServiceQueue};

@@ -130,7 +130,7 @@ pub struct Message {
     /// Speculative-persistence gate: the store watermark that must be
     /// durable before this message may be delivered (0 = no gate). Set
     /// by senders whose causally-preceding save got a deferred
-    /// [`DurabilityTicket`]; the cluster parks the message until the
+    /// durability ticket (Vinz's `DurabilityTicket`); the cluster parks the message until the
     /// commit watermark passes it.
     pub hold_until: u64,
     /// How long the message sat parked behind its `hold_until` gate, in

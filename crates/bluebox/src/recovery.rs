@@ -9,9 +9,11 @@
 //! the message is *reclaimed*: re-queued at the front with its
 //! redelivery count bumped, after an exponential backoff derived from
 //! that count. A message that exhausts its redelivery budget is not
-//! re-queued again; it moves to the per-queue dead-letter store, where
-//! registered observers (the Vinz supervisor) can translate it into a
-//! terminal task failure.
+//! re-queued again; it moves to the per-queue dead-letter store, and the
+//! attached deployment ([`Deployment::dead_lettered`]) can translate it
+//! into a terminal task failure.
+//!
+//! [`Deployment::dead_lettered`]: crate::Deployment::dead_lettered
 //!
 //! This replaces the old crash behaviour, where a dying instance pushed
 //! its message back itself: a real crashed process cannot do that, and

@@ -108,6 +108,12 @@ fn is_read_timeout(e: &FrameError) -> bool {
     )
 }
 
+/// A worker's first reconnect backoff, doubled per consecutive failure.
+const RECONNECT_BACKOFF_BASE: Duration = Duration::from_millis(10);
+
+/// The cap on a worker's reconnect backoff (before jitter).
+const RECONNECT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
 /// Deterministic reconnect backoff: exponential in `attempt` (1-based),
 /// capped, plus 0–50% jitter hashed from `(seed, attempt)` so a fleet
 /// of workers restarting together fans out instead of thundering.
@@ -730,10 +736,6 @@ pub struct WorkerConfig {
     /// Jitter seed for reconnect backoff (derive from the worker's
     /// identity so a restarted fleet spreads out deterministically).
     pub seed: u64,
-    /// Reconnect backoff floor.
-    pub backoff_base: Duration,
-    /// Reconnect backoff cap.
-    pub backoff_max: Duration,
     /// Give up after this many *consecutive* failed connect attempts;
     /// 0 retries forever.
     pub max_attempts: u32,
@@ -748,8 +750,6 @@ impl WorkerConfig {
             node: 100,
             services: vec![(service.to_string(), instances)],
             seed: 0,
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_secs(1),
             max_attempts: 0,
         }
     }
@@ -844,8 +844,8 @@ fn worker_loop(
         // Back off before the next attempt; sleep in slices so a stop
         // request is honored promptly.
         let mut left = backoff_with_jitter(
-            config.backoff_base,
-            config.backoff_max,
+            RECONNECT_BACKOFF_BASE,
+            RECONNECT_BACKOFF_MAX,
             config.seed,
             failures.max(1),
         );
@@ -1032,6 +1032,7 @@ pub fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
 mod tests {
     use super::*;
     use crate::recovery::{BACKOFF_BASE, LEASE_TTL, SCAN_INTERVAL};
+    use crate::Deployment;
 
     /// Advance `clock` one reclaim backoff step per reaper scan until
     /// `done` holds; panic after ten seconds of real time.
@@ -1367,8 +1368,17 @@ mod tests {
     /// connection as a protocol error; nothing is parked.
     #[test]
     fn a_worker_send_cannot_name_a_durability_ticket() {
+        struct NothingDurable;
+        impl Deployment for NothingDurable {
+            fn name(&self) -> &str {
+                "nothing-durable"
+            }
+            fn durable(&self, _: u64) -> bool {
+                false
+            }
+        }
         let cluster = Cluster::new();
-        cluster.set_durability_probe(|_| false);
+        cluster.attach(Arc::new(NothingDurable)).unwrap();
         let broker =
             TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let mut peer = TcpStream::connect(broker.addr()).unwrap();

@@ -6,8 +6,34 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bluebox::{CallError, Cluster, Fault, FaultPoint, Message, ReplyTo, ServiceCtx};
+use bluebox::{CallError, Cluster, Deployment, Fault, FaultPoint, Message, ReplyTo, ServiceCtx};
 use parking_lot::Mutex;
+
+/// A deployment whose store has committed every watermark up to
+/// `committed`, and no further.
+struct Committed {
+    name: &'static str,
+    committed: Arc<AtomicU64>,
+}
+
+impl Deployment for Committed {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn durable(&self, watermark: u64) -> bool {
+        self.committed.load(Ordering::SeqCst) >= watermark
+    }
+}
+
+/// Attach a [`Committed`] deployment to `cluster`; returns its commit
+/// point.
+fn attach_committed(cluster: &Cluster) -> Arc<AtomicU64> {
+    let committed = Arc::new(AtomicU64::new(0));
+    let deployment = Committed { name: "committed", committed: committed.clone() };
+    cluster.attach(Arc::new(deployment)).unwrap();
+    committed
+}
 
 #[test]
 fn sync_call_round_trips() {
@@ -337,9 +363,7 @@ fn hold_until_parks_messages_until_watermark_commits() {
     cluster.spawn_instances("gated", 0, 1);
 
     // Probe: only watermarks <= the advancing commit point are durable.
-    let committed = Arc::new(AtomicU64::new(0));
-    let probe_point = committed.clone();
-    cluster.set_durability_probe(move |w| probe_point.load(Ordering::SeqCst) >= w);
+    let committed = attach_committed(&cluster);
 
     // Ungated messages flow immediately.
     cluster.send(Message::new("gated", "Op", vec![]));
@@ -376,9 +400,7 @@ fn reaper_releases_held_messages_as_safety_net() {
         }),
     );
     cluster.spawn_instances("gated2", 0, 1);
-    let committed = Arc::new(AtomicU64::new(0));
-    let probe_point = committed.clone();
-    cluster.set_durability_probe(move |w| probe_point.load(Ordering::SeqCst) >= w);
+    let committed = attach_committed(&cluster);
 
     cluster.send(Message::new("gated2", "Op", vec![]).with_hold_until(1));
     assert_eq!(cluster.held_count(), 1);
@@ -390,5 +412,54 @@ fn reaper_releases_held_messages_as_safety_net() {
         assert!(std::time::Instant::now() < deadline, "reaper never released");
         std::thread::sleep(Duration::from_millis(20));
     }
+    cluster.shutdown();
+}
+
+/// A cluster serves one deployment: a second `attach` is refused with
+/// the first one's name, and the first stays attached (its answers
+/// still gate held messages).
+#[test]
+fn a_second_attach_is_refused_and_names_the_first() {
+    let cluster = Cluster::new();
+    let committed = Arc::new(AtomicU64::new(0));
+    cluster.attach(Arc::new(Committed { name: "first", committed: committed.clone() })).unwrap();
+    let second = Committed { name: "second", committed: Arc::new(AtomicU64::new(u64::MAX)) };
+    assert_eq!(cluster.attach(Arc::new(second)), Err("first".to_string()));
+    cluster.send(Message::new("gated3", "Op", vec![]).with_hold_until(1));
+    assert_eq!(cluster.held_count(), 1, "the first deployment still answers");
+    committed.store(1, Ordering::SeqCst);
+    cluster.note_durable(1);
+    assert_eq!(cluster.held_count(), 0);
+    cluster.shutdown();
+}
+
+/// The cluster holds its deployment: a message held on a watermark is
+/// still released by `note_durable` once every handle the embedder
+/// kept of the deployment is dropped.
+#[test]
+fn a_held_message_is_released_after_the_deployment_handle_is_dropped() {
+    let cluster = Cluster::new();
+    let delivered = Arc::new(AtomicU64::new(0));
+    let seen = delivered.clone();
+    cluster.register_service(
+        "gated4",
+        None,
+        Arc::new(move |_: &ServiceCtx, _: &Message| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![])
+        }),
+    );
+    cluster.spawn_instances("gated4", 0, 1);
+    let committed = Arc::new(AtomicU64::new(0));
+    let deployment = Arc::new(Committed { name: "dropped", committed: committed.clone() });
+    cluster.attach(deployment.clone()).unwrap();
+    cluster.send(Message::new("gated4", "Op", vec![]).with_hold_until(5));
+    assert_eq!(cluster.held_count(), 1);
+    drop(deployment);
+    committed.store(5, Ordering::SeqCst);
+    cluster.note_durable(5);
+    assert_eq!(cluster.held_count(), 0);
+    assert!(cluster.drain("gated4", Duration::from_secs(2)));
+    assert_eq!(delivered.load(Ordering::SeqCst), 1);
     cluster.shutdown();
 }

@@ -12,8 +12,9 @@ use std::time::{Duration, Instant};
 
 use bluebox::recovery::{BACKOFF_BASE, BACKOFF_MAX, LEASE_TTL, REDELIVERY_BUDGET, SCAN_INTERVAL};
 use bluebox::{
-    ChaosConfig, ChaosPlan, Clock, Cluster, Fault, FaultPoint, Message, RemoteDelivery, ReplyTo,
-    ServiceCtx, TcpBroker, TcpBrokerConfig, TcpWorker, WorkerConfig, WorkerCtx,
+    ChaosConfig, ChaosPlan, Clock, Cluster, DeadLetter, Deployment, Fault, FaultPoint, Message,
+    RemoteDelivery, ReplyTo, ServiceCtx, TcpBroker, TcpBrokerConfig, TcpWorker, WorkerConfig,
+    WorkerCtx,
 };
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
@@ -132,11 +133,18 @@ fn poison_message_dead_letters_after_redelivery_budget() {
 fn dead_letter_observers_fire_on_quarantine() {
     let (cluster, clock) = manual_cluster();
     cluster.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, "Doomed")));
+    /// A deployment that records every dead letter it is told of.
+    struct Recorder(Arc<parking_lot::Mutex<Vec<(String, String)>>>);
+    impl Deployment for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn dead_lettered(&self, dl: &DeadLetter) {
+            self.0.lock().push((dl.service.clone(), dl.msg.operation.clone()));
+        }
+    }
     let seen: Arc<parking_lot::Mutex<Vec<(String, String)>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let s2 = seen.clone();
-    cluster.on_dead_letter(move |dl| {
-        s2.lock().push((dl.service.clone(), dl.msg.operation.clone()));
-    });
+    cluster.attach(Arc::new(Recorder(seen.clone()))).unwrap();
     cluster.register_service(
         "oneshot",
         None,

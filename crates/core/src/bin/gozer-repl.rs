@@ -36,8 +36,10 @@
 //! source of the superinstruction fusion table.
 
 use std::io::{BufRead, Write};
+use std::sync::Arc;
+use std::time::Duration;
 
-use gozer::{GozerSystem, Gvm, Value};
+use gozer::{Cluster, Gvm, Value, VinzConfig, WorkflowService};
 
 fn paren_balance(src: &str) -> i32 {
     let mut depth = 0;
@@ -73,6 +75,36 @@ fn paren_balance(src: &str) -> i32 {
     depth
 }
 
+/// Deploy the workflow in `path` on a 2-node cluster, two instances
+/// per node.
+fn deploy(path: &str, profiling: bool) -> Result<(Arc<Cluster>, WorkflowService), String> {
+    let source =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(&source)
+        .config(VinzConfig { profiling, ..VinzConfig::default() })
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
+        .map_err(|e| format!("deploy failed: {e}"))?;
+    Ok((cluster, wf))
+}
+
+/// Call `function` with command-line arguments, each an integer or
+/// else a string, and print the result.
+fn call(wf: &WorkflowService, function: &str, args: &[String]) -> Result<(), String> {
+    let args = args
+        .iter()
+        .map(|a| a.parse::<i64>().map(Value::Int).unwrap_or_else(|_| Value::str(a)))
+        .collect();
+    let v = wf
+        .call(function, args, Duration::from_secs(300))
+        .map_err(|e| format!("workflow failed: {e}"))?;
+    println!("result: {v:?}\n");
+    Ok(())
+}
+
 /// `timeline <file> <function> [args...]`: run a workflow and print the
 /// per-task observability report.
 fn run_timeline(args: &[String]) -> Result<(), String> {
@@ -82,32 +114,14 @@ fn run_timeline(args: &[String]) -> Result<(), String> {
     let (function, rest) = rest
         .split_first()
         .ok_or("usage: gozer-repl timeline <file> <function> [args...]")?;
-    let source =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let sys = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
-        .workflow(&source)
-        .build()
-        .map_err(|e| format!("deploy failed: {e}"))?;
-    let obs = sys.workflow.obs();
+    let (cluster, wf) = deploy(path, false)?;
+    let obs = wf.obs();
     obs.set_tracing(true);
-    let call_args: Vec<Value> = rest
-        .iter()
-        .map(|a| {
-            a.parse::<i64>()
-                .map(Value::Int)
-                .unwrap_or_else(|_| Value::str(a))
-        })
-        .collect();
-    let v = sys
-        .call(function, call_args, std::time::Duration::from_secs(300))
-        .map_err(|e| format!("workflow failed: {e}"))?;
-    println!("result: {v:?}\n");
+    call(&wf, function, rest)?;
     print!("{}", obs.render());
     println!("\n# metrics");
     print!("{}", obs.export_text());
-    sys.shutdown();
+    cluster.shutdown();
     Ok(())
 }
 
@@ -126,28 +140,9 @@ fn run_profile(args: &[String]) -> Result<(), String> {
     }
     let (path, rest) = args.split_first().ok_or(USAGE)?;
     let (function, rest) = rest.split_first().ok_or(USAGE)?;
-    let source =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let sys = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
-        .workflow(&source)
-        .profiling(true)
-        .build()
-        .map_err(|e| format!("deploy failed: {e}"))?;
-    let call_args: Vec<Value> = rest
-        .iter()
-        .map(|a| {
-            a.parse::<i64>()
-                .map(Value::Int)
-                .unwrap_or_else(|_| Value::str(a))
-        })
-        .collect();
-    let v = sys
-        .call(function, call_args, std::time::Duration::from_secs(300))
-        .map_err(|e| format!("workflow failed: {e}"))?;
-    println!("result: {v:?}\n");
-    let profile = sys.workflow.obs().profile();
+    let (cluster, wf) = deploy(path, true)?;
+    call(&wf, function, rest)?;
+    let profile = wf.obs().profile();
     print!("{}", profile.render(20));
     if top_pairs {
         println!("\n== top opcode pairs (fusion candidates) ==");
@@ -157,7 +152,7 @@ fn run_profile(args: &[String]) -> Result<(), String> {
     std::fs::write(&folded_path, profile.folded_stacks())
         .map_err(|e| format!("cannot write {folded_path}: {e}"))?;
     println!("\nfolded stacks: {folded_path} (pipe through flamegraph.pl for an SVG)");
-    sys.shutdown();
+    cluster.shutdown();
     Ok(())
 }
 

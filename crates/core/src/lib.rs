@@ -12,9 +12,9 @@
 //! actions) and a simulated **BlueBox** message-passing cluster to run it
 //! all on.
 //!
-//! This crate is the facade: it re-exports every layer and provides
-//! [`GozerSystem`], a builder wiring a cluster, persistence and a deployed
-//! workflow together.
+//! This crate is the facade: it re-exports every layer, and holds the
+//! `gozer-repl` binary. A deployment is a [`Cluster`] and a
+//! [`WorkflowService`] built on it ([`WorkflowService::builder`]).
 //!
 //! ## Local evaluation
 //!
@@ -32,25 +32,24 @@
 //!
 //! ```
 //! use std::time::Duration;
-//! let system = gozer::GozerSystem::builder()
-//!     .nodes(2)
-//!     .instances_per_node(2)
-//!     .workflow(
+//! use gozer::{Cluster, Value, WorkflowService};
+//! let cluster = Cluster::new();
+//! let wf = WorkflowService::builder(&cluster, "workflow")
+//!     .source(
 //!         "(defun dist-sum-squares (numbers)
 //!            (apply #'+ (for-each (n in numbers) (* n n))))")
-//!     .build()
+//!     .instances(0, 2)
+//!     .instances(1, 2)
+//!     .deploy()
 //!     .unwrap();
-//! let result = system.call(
+//! let result = wf.call(
 //!     "dist-sum-squares",
-//!     vec![gozer::Value::list((1..=4).map(gozer::Value::Int).collect())],
+//!     vec![Value::list((1..=4).map(Value::Int).collect())],
 //!     Duration::from_secs(30),
 //! ).unwrap();
-//! assert_eq!(result, gozer::Value::Int(30));
-//! system.shutdown();
+//! assert_eq!(result, Value::Int(30));
+//! cluster.shutdown();
 //! ```
-
-use std::sync::Arc;
-use std::time::Duration;
 
 pub use bluebox::{
     CallError, ChaosConfig, ChaosPlan, ChaosRng, ChaosStatsSnapshot, Clock, Cluster, DeadLetter,
@@ -83,182 +82,4 @@ pub mod testing {
         chaos_seeds, install_flight_panic_hook, register_square_service, register_value_service,
         repro_command, run_workflow_under_chaos, run_workflow_under_chaos_store, ChaosRun,
     };
-}
-
-/// A fully wired deployment: cluster + store + workflow service.
-pub struct GozerSystem {
-    /// The simulated cluster.
-    pub cluster: Arc<Cluster>,
-    /// The deployed workflow service.
-    pub workflow: WorkflowService,
-}
-
-/// Builder for [`GozerSystem`].
-pub struct GozerSystemBuilder {
-    nodes: u32,
-    instances_per_node: usize,
-    source: String,
-    service_name: String,
-    config: VinzConfig,
-    policy: Policy,
-    store: Option<Arc<dyn StateStore>>,
-    cluster: Option<Arc<Cluster>>,
-    introspect_addr: Option<String>,
-}
-
-impl GozerSystem {
-    /// Start building a system.
-    pub fn builder() -> GozerSystemBuilder {
-        GozerSystemBuilder {
-            nodes: 2,
-            instances_per_node: 2,
-            source: String::new(),
-            service_name: "workflow".into(),
-            config: VinzConfig::default(),
-            policy: Policy::Fcfs,
-            store: None,
-            cluster: None,
-            introspect_addr: None,
-        }
-    }
-
-    /// Run a workflow function to completion and return its value.
-    pub fn call(
-        &self,
-        function: &str,
-        args: Vec<Value>,
-        timeout: Duration,
-    ) -> Result<Value, VinzError> {
-        self.workflow.call(function, args, timeout)
-    }
-
-    /// Start a workflow asynchronously (the `Start` operation).
-    pub fn start(&self, function: &str, args: Vec<Value>) -> Result<String, VinzError> {
-        self.workflow.start(function, args, None)
-    }
-
-    /// Wait for a started task.
-    pub fn wait(&self, task_id: &str, timeout: Duration) -> Option<TaskRecord> {
-        self.workflow.wait(task_id, timeout)
-    }
-
-    /// Stop all instances and close the cluster.
-    pub fn shutdown(&self) {
-        self.cluster.shutdown();
-    }
-}
-
-impl GozerSystemBuilder {
-    /// Number of simulated nodes (default 2).
-    pub fn nodes(mut self, n: u32) -> Self {
-        self.nodes = n.max(1);
-        self
-    }
-
-    /// Workflow service instances per node (default 2).
-    pub fn instances_per_node(mut self, n: usize) -> Self {
-        self.instances_per_node = n.max(1);
-        self
-    }
-
-    /// The workflow's Gozer source.
-    pub fn workflow(mut self, source: &str) -> Self {
-        self.source = source.to_string();
-        self
-    }
-
-    /// Service name (default `"workflow"`).
-    pub fn service_name(mut self, name: &str) -> Self {
-        self.service_name = name.to_string();
-        self
-    }
-
-    /// Vinz configuration.
-    pub fn config(mut self, config: VinzConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Enable the GVM execution profiler on every node runtime
-    /// (per-opcode counts, per-function time attribution, folded
-    /// stacks; read back through `workflow.obs().profile()`).
-    pub fn profiling(mut self, on: bool) -> Self {
-        self.config.profiling = on;
-        self
-    }
-
-    /// Message-queue scheduling policy (default FCFS, as in production —
-    /// §5).
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Persistence store (default [`MemStore`]).
-    pub fn store(mut self, store: Arc<dyn StateStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Use an existing cluster (e.g. with extra services registered).
-    pub fn cluster(mut self, cluster: Arc<Cluster>) -> Self {
-        self.cluster = Some(cluster);
-        self
-    }
-
-    /// Serve live introspection over HTTP on `addr` (`"127.0.0.1:0"`
-    /// for an ephemeral port); the bound address is available from
-    /// `workflow.introspect_addr()` after [`GozerSystemBuilder::build`].
-    pub fn introspect(mut self, addr: &str) -> Self {
-        self.introspect_addr = Some(addr.to_string());
-        self
-    }
-
-    /// Deploy everything.
-    pub fn build(self) -> Result<GozerSystem, VinzError> {
-        let cluster = self
-            .cluster
-            .unwrap_or_else(|| Cluster::with_policy(self.policy));
-        let store = self.store.unwrap_or_else(|| Arc::new(MemStore::new()));
-        let mut builder = WorkflowService::builder(&cluster, &self.service_name)
-            .source(&self.source)
-            .store(store)
-            .config(self.config);
-        if let Some(addr) = &self.introspect_addr {
-            builder = builder.introspect(addr);
-        }
-        for node in 0..self.nodes {
-            builder = builder.instances(node, self.instances_per_node);
-        }
-        let workflow = builder.deploy()?;
-        Ok(GozerSystem { cluster, workflow })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_deploys_and_runs() {
-        let system = GozerSystem::builder()
-            .nodes(1)
-            .instances_per_node(2)
-            .workflow("(defun main () (+ 20 22))")
-            .build()
-            .unwrap();
-        let v = system
-            .call("main", vec![], Duration::from_secs(30))
-            .unwrap();
-        assert_eq!(v, Value::Int(42));
-        system.shutdown();
-    }
-
-    #[test]
-    fn builder_rejects_bad_source() {
-        let err = GozerSystem::builder()
-            .workflow("(defun main (") // unterminated
-            .build();
-        assert!(err.is_err());
-    }
 }

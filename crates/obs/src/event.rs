@@ -275,11 +275,7 @@ impl Event {
     pub fn fiber(mut self, fiber: impl Into<String>) -> Event {
         let fiber = fiber.into();
         if self.task.is_none() {
-            if let Some(task) = fiber.split('/').next() {
-                if !task.is_empty() && task != fiber {
-                    self.task = Some(task.to_string());
-                }
-            }
+            self.task = task_of(&fiber).map(str::to_string);
         }
         self.fiber = Some(fiber);
         self
@@ -301,9 +297,27 @@ impl Event {
     }
 }
 
+/// The task a fiber id belongs to under the `task/fiber` naming
+/// convention: the non-empty part before the first `/`. `None` for an
+/// id with no such part (a bare task id, or one starting with `/`).
+pub fn task_of(fiber_id: &str) -> Option<&str> {
+    match fiber_id.split_once('/') {
+        Some((task, _)) if !task.is_empty() => Some(task),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn task_of_extracts_prefix() {
+        assert_eq!(task_of("task-3/f7"), Some("task-3"));
+        assert_eq!(task_of("task-3/f7/f9"), Some("task-3"));
+        assert_eq!(task_of("task-3"), None);
+        assert_eq!(task_of("/f7"), None);
+    }
 
     #[test]
     fn fiber_builder_derives_task() {

@@ -35,7 +35,7 @@ pub mod phase;
 pub mod span;
 
 pub use bus::EventBus;
-pub use event::{Event, EventKind};
+pub use event::{task_of, Event, EventKind};
 pub use flight::{FlightDump, FlightRecorder};
 pub use introspect::{HealthReport, IntrospectServer, IntrospectSource, TaskSummary};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, SampleSnapshot, Snapshot};

@@ -46,7 +46,7 @@ pub trait Rng: RngCore {
         unit_f64(self.next_u64()) < p
     }
 
-    /// Sample a value of a [`Standard`]-distributed type.
+    /// Sample a value of a [`StandardSample`] type.
     fn gen<T: StandardSample>(&mut self) -> T {
         T::standard_sample(self)
     }

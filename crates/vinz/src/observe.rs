@@ -80,11 +80,10 @@ impl WorkflowObs {
     /// exclusive totals and opcode counts from every node VM's
     /// profiler, folded stacks for flamegraphs, and the continuation
     /// serialize/deserialize costs. Function/opcode data is empty
-    /// unless the deployment enabled
-    /// [`WorkflowServiceBuilder::profiling`]; continuation costs are
-    /// tracked always.
+    /// unless the deployment enabled [`VinzConfig::profiling`];
+    /// continuation costs are tracked always.
     ///
-    /// [`WorkflowServiceBuilder::profiling`]: crate::WorkflowServiceBuilder::profiling
+    /// [`VinzConfig::profiling`]: crate::VinzConfig::profiling
     pub fn profile(&self) -> ProfileReport {
         self.inner.profile_report()
     }

@@ -16,12 +16,12 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bluebox::tcp::{TcpBroker, TcpBrokerConfig};
-use bluebox::{Cluster, Fault, Message, ServiceCtx};
+use bluebox::{Cluster, DeadLetter, Deployment, Fault, Message, ServiceCtx};
 use gozer_compress::Codec;
 use gozer_lang::Value;
 use gozer_obs::{Event, EventKind, IntrospectServer, Obs, Phase};
 use gozer_serial::SerError;
-use gozer_vm::{FiberObsEvent, FiberObsKind, Gvm};
+use gozer_vm::{Condition, FiberObsEvent, FiberObsKind, Gvm};
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
 
@@ -303,14 +303,6 @@ impl WorkflowServiceBuilder {
         self
     }
 
-    /// Enable (or disable) the GVM execution profiler on every node
-    /// runtime of this deployment. Shorthand for setting
-    /// [`VinzConfig::profiling`].
-    pub fn profiling(mut self, on: bool) -> Self {
-        self.config.profiling = on;
-        self
-    }
-
     /// Serve live introspection over HTTP on `addr` (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port). The deployment binds the
     /// listener during [`WorkflowServiceBuilder::deploy`] — a bind
@@ -343,11 +335,11 @@ impl WorkflowServiceBuilder {
     /// source lazily, which is what lets migrated continuations re-link
     /// (program ids are content-derived).
     ///
-    /// A cluster serves one workflow deployment: the broker hooks a
-    /// deployment installs are cluster-wide, so deploying on a cluster
-    /// that already has one fails before anything is installed. The
-    /// listen and introspection addresses are bound before the cluster
-    /// is claimed, so a deploy that fails on either leaves it unclaimed.
+    /// A cluster serves one workflow deployment ([`Cluster::attach`]),
+    /// so deploying on a cluster that already has one fails before
+    /// anything is installed. The listen and introspection addresses
+    /// are bound before the deployment attaches, so a deploy that fails
+    /// on either leaves the cluster free.
     pub fn deploy(self) -> Result<WorkflowService, VinzError> {
         let inner = Arc::new(Inner {
             name: self.name.clone(),
@@ -366,7 +358,7 @@ impl WorkflowServiceBuilder {
             next_fiber: AtomicU64::new(1),
         });
         // Fail fast on compile errors and on addresses that cannot be
-        // bound, before the cluster is claimed.
+        // bound, before the deployment attaches.
         inner.node_runtime(ADMIN_NODE)?;
         let introspect = self.introspect_addr.as_deref().map(|addr| {
             let source = Arc::new(VinzIntrospect { inner: Arc::downgrade(&inner) });
@@ -377,42 +369,21 @@ impl WorkflowServiceBuilder {
             None => TcpListener::bind(addr).map_err(|e| VinzError(format!("tcp listen {addr}: {e}"))),
         });
         let (introspect, listener) = (introspect.transpose()?, listener.transpose()?);
-        self.cluster.claim_deployment(&self.name).map_err(|first| {
+        let attached = Attached {
+            name: self.name.clone(),
+            store: inner.store.clone(),
+            inner: Arc::downgrade(&inner),
+        };
+        self.cluster.attach(Arc::new(attached)).map_err(|first| {
             VinzError(format!(
                 "cluster already serves workflow deployment `{first}`; deploy `{}` on its own cluster",
                 self.name
             ))
         })?;
         inner.register_metrics();
-        // Service replies (ResumeFromCall) are built by the broker, not
-        // by Vinz: give it the fiber-id → last-saved-node map so those
-        // replies chase the fiber's cache too.
-        let weak = Arc::downgrade(&inner);
-        self.cluster.set_affinity_resolver(move |fiber_id| weak.upgrade().and_then(|i| i.last_node(fiber_id)));
-        // The broker's leg of phase attribution: durability parks,
-        // hold releases, lease reclaims and requeues flip the owning
-        // task's ledger without the broker knowing about trackers.
-        {
-            let weak = Arc::downgrade(&inner);
-            self.cluster.set_phase_observer(move |task_id, phase| {
-                if let Some(i) = weak.upgrade() {
-                    i.tracker.note_phase(task_id, phase);
-                }
-            });
-        }
-        // Speculative persistence (LogStore): saves return a ticket
-        // before they are durable, and the one message that leaves the
-        // deployment — an async service-call request — carries that
-        // ticket in `hold_until`. The probe lets the broker ask "is this
-        // watermark committed yet?" — and a "no" is also how the store
-        // learns that a message is now parked behind that watermark, so
-        // it commits in its next group instead of lingering for more
-        // saves. The commit hook releases held messages the moment the
-        // group-commit fsync lands. Synchronous stores answer "always
-        // durable", so both are no-ops for them.
         inner.store.attach_obs(&inner.obs);
-        let store = inner.store.clone();
-        self.cluster.set_durability_probe(move |w| store.durable(Watermark(w)));
+        // The commit hook releases held messages (see
+        // `Attached::durable`) the moment the group-commit fsync lands.
         {
             let cluster = Arc::downgrade(&self.cluster);
             inner.store.set_commit_hook(Arc::new(move |w: Watermark| {
@@ -426,10 +397,6 @@ impl WorkflowServiceBuilder {
         };
         self.cluster.register_service(&self.name, None, Arc::new(handler));
         supervisor::start(&inner);
-        // Dead letters must reach the tracker even with supervision
-        // off: quarantine is a broker decision, and a task whose
-        // message was quarantined will never finish on its own.
-        supervisor::install_dead_letter_observer(&inner);
         let service = WorkflowService { inner };
         // Workers may connect the moment the broker accepts.
         if let Some(listener) = listener {
@@ -631,6 +598,69 @@ impl WorkflowService {
     }
 }
 
+/// What the broker asks of this deployment. It holds the store itself,
+/// so held messages are still answered for once every
+/// [`WorkflowService`] handle is gone; the rest reaches the deployment
+/// through a weak reference, as the handler does.
+struct Attached {
+    name: String,
+    store: Arc<dyn StateStore>,
+    inner: Weak<Inner>,
+}
+
+impl Deployment for Attached {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Service replies (ResumeFromCall) are built by the broker, not by
+    /// Vinz: they chase the cache of the node that last saved the fiber.
+    fn affine_node(&self, fiber_id: &str) -> Option<u32> {
+        self.inner.upgrade()?.last_node(fiber_id)
+    }
+
+    /// The broker's leg of phase attribution: durability parks, hold
+    /// releases, lease reclaims and requeues flip the owning task's
+    /// ledger.
+    fn note_phase(&self, task_id: &str, phase: Phase) {
+        if let Some(inner) = self.inner.upgrade() {
+            inner.tracker.note_phase(task_id, phase);
+        }
+    }
+
+    /// Speculative persistence (LogStore): saves return a ticket before
+    /// they are durable, and the one message that leaves the deployment
+    /// — an async service-call request — carries that ticket in
+    /// `hold_until`. A "no" here is also how the store learns that a
+    /// message is now parked behind that watermark, so it commits in
+    /// its next group instead of lingering for more saves. Synchronous
+    /// stores answer "always durable".
+    fn durable(&self, watermark: u64) -> bool {
+        self.store.durable(Watermark(watermark))
+    }
+
+    /// Quarantine is a broker decision, and a task whose message was
+    /// quarantined will never finish on its own: fail it, supervision
+    /// on or off. Every workflow message names its task through a
+    /// `fiber-id` or `task-id` header.
+    fn dead_lettered(&self, dl: &DeadLetter) {
+        let Some(inner) = self.inner.upgrade() else { return };
+        let Some(fiber) = dl.msg.get_header("fiber-id").or(dl.msg.get_header("task-id")) else {
+            return;
+        };
+        if dl.service != inner.name || inner.tracker.is_final(Inner::task_of(fiber)) {
+            return;
+        }
+        let cond = Condition::with_types(
+            vec!["dead-letter".into(), "error".into()],
+            format!("{} message {} dead-lettered: {}", dl.msg.operation, dl.msg.id, dl.reason),
+            Value::Nil,
+        );
+        inner.metrics.tasks_dead_lettered.fetch_add(1, Ordering::Relaxed);
+        inner.fail_task(u32::MAX, u64::MAX, fiber, "dead-letter", cond);
+    }
+}
+
 struct WorkflowHandler {
     inner: Weak<Inner>,
 }
@@ -736,8 +766,10 @@ impl Inner {
         )
     }
 
+    /// `fiber_id`'s task ([`gozer_obs::task_of`]), or the whole id when
+    /// it names a task rather than a fiber.
     pub(crate) fn task_of(fiber_id: &str) -> &str {
-        fiber_id.split('/').next().unwrap_or(fiber_id)
+        gozer_obs::task_of(fiber_id).unwrap_or(fiber_id)
     }
 
     /// Emit a workflow-lifecycle event about `fiber_id`. `kind` runs
@@ -764,15 +796,4 @@ impl Inner {
 pub(crate) fn required_header<'m>(msg: &'m Message, name: &str) -> Result<&'m str, VinzError> {
     msg.get_header(name)
         .ok_or_else(|| VinzError(format!("{} requires {name}", msg.operation)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn task_of_extracts_prefix() {
-        assert_eq!(Inner::task_of("task-3/f7"), "task-3");
-        assert_eq!(Inner::task_of("task-3"), "task-3");
-    }
 }

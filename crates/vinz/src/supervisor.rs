@@ -16,7 +16,7 @@
 //!    target completed. All of these are idempotent on the service side
 //!    (phase checks and consumed-sets), so re-sending is always safe.
 //! 3. **In-flight service calls** — each tick runs the timeout scan of
-//!    [`crate::calls`] over the `call-req/` records: a call with no reply
+//!    the `calls` module over the `call-req/` records: a call with no reply
 //!    after [`CALL_TIMEOUT`] is re-sent (same correlation) until
 //!    [`MAX_ATTEMPTS`], then surfaced to the fiber as a
 //!    `{vinz}CallTimeout` fault, where `retry`/`give-up` restarts take
@@ -26,18 +26,17 @@
 //! [`bluebox::Clock`]; the thread only reads the clock and calls
 //! `tick`, once per `INTERVAL` (25 ms) of real time.
 //!
-//! Separately, a dead-letter observer registered with the broker finds
-//! a quarantined message's task from its `task-id` / `fiber-id` headers
-//! (every workflow message carries one) and fails it through
-//! [`Inner::fail_task`] — the paper's survivability story needs a
-//! *defined* end state for poison messages, not an eternal hang.
+//! Dead letters are not the supervisor's: the broker tells the
+//! deployment it serves of each one ([`bluebox::Deployment::dead_lettered`],
+//! implemented in the `service` module), and that fails the message's
+//! task — the paper's survivability story needs a *defined* end state
+//! for poison messages, not an eternal hang.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use gozer_obs::{Event, EventKind};
-use gozer_vm::Condition;
 use rustc_hash::FxHashMap;
 
 use crate::host::{FiberPhase, Wait};
@@ -255,28 +254,6 @@ fn note_orphan(inner: &Inner, fiber_id: &str, via: &str) {
         .obs
         .bus
         .emit(|| Event::new(EventKind::OrphanResumed { via: via.to_string() }).fiber(fiber_id));
-}
-
-// ---- dead-letter handling ---------------------------------------------
-
-/// Register the broker dead-letter observer that maps a quarantined
-/// message back to its task and fails it terminally.
-pub(crate) fn install_dead_letter_observer(inner: &Arc<Inner>) {
-    let weak = Arc::downgrade(inner);
-    inner.cluster.on_dead_letter(move |dl| {
-        let Some(inner) = weak.upgrade() else { return };
-        let Some(fiber) = dl.msg.get_header("fiber-id").or(dl.msg.get_header("task-id")) else { return };
-        if dl.service != inner.name || inner.tracker.is_final(Inner::task_of(fiber)) {
-            return;
-        }
-        let cond = Condition::with_types(
-            vec!["dead-letter".into(), "error".into()],
-            format!("{} message {} dead-lettered: {}", dl.msg.operation, dl.msg.id, dl.reason),
-            gozer_lang::Value::Nil,
-        );
-        inner.metrics.tasks_dead_lettered.fetch_add(1, Ordering::Relaxed);
-        inner.fail_task(u32::MAX, u64::MAX, fiber, "dead-letter", cond);
-    });
 }
 
 #[cfg(test)]

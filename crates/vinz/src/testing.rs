@@ -212,10 +212,9 @@ pub fn run_workflow_under_chaos_store(
     cluster.set_chaos(plan.clone());
     let mut builder = WorkflowService::builder(&cluster, SERVICE)
         .source(source)
-        .config(vinz)
+        .config(VinzConfig { profiling: true, ..vinz })
         .instances(0, 2)
-        .instances(1, 2)
-        .profiling(true);
+        .instances(1, 2);
     if let Some(store) = store {
         builder = builder.store(store);
     }

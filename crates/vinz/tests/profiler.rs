@@ -265,8 +265,8 @@ fn panic_hook_records_flight_dump() {
     let cluster = Cluster::new();
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source("(defun main () 1)")
+        .config(VinzConfig { profiling: true, ..VinzConfig::default() })
         .instances(0, 1)
-        .profiling(true)
         .deploy()
         .unwrap();
     let obs = wf.obs();

@@ -32,6 +32,22 @@ fn deploy_cfg(cluster: &Arc<Cluster>, source: &str, config: VinzConfig) -> Workf
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
+/// A source that does not compile fails the deploy before it attaches:
+/// the cluster stays free for a deployment that does.
+#[test]
+fn builder_rejects_bad_source() {
+    let cluster = Cluster::new();
+    let err = WorkflowService::builder(&cluster, "wf")
+        .source("(defun main (") // unterminated
+        .deploy()
+        .err()
+        .expect("an unterminated source must fail the deploy");
+    assert!(err.0.contains("failed to load"), "{err}");
+    let wf = deploy(&cluster, "(defun main () (+ 20 22))");
+    assert_eq!(wf.call("main", vec![], TIMEOUT).unwrap(), Value::Int(42));
+    cluster.shutdown();
+}
+
 #[test]
 fn dist_sum_squares_matches_listing_1() {
     let cluster = Cluster::new();

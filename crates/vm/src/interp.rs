@@ -36,7 +36,7 @@
 //!   `(global-table generation, slot)` in its chunk's per-pc cache word
 //!   and skips the name lookup while the generation matches (the table
 //!   only bumps the generation when a *new* name is defined). A second,
-//!   activation-local layer ([`GlobalCache`]) caches slot *values* keyed
+//!   activation-local layer (`GlobalCache`) caches slot *values* keyed
 //!   on the table's write epoch, so a cache hit costs one atomic load
 //!   and a vector index instead of a read-lock acquisition. A hit lends
 //!   the slot by reference: `LoadGlobal`/`GlobalLocal` clone it onto the

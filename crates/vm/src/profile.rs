@@ -8,7 +8,7 @@
 //! loop only ever tests an `Option`.
 //!
 //! **Suspension is excluded by construction.** Timing is kept on a
-//! shadow stack (one [`TimingEntry`] per live frame) whose clocks exist
+//! shadow stack (one `TimingEntry` per live frame) whose clocks exist
 //! only while an activation is running: when a fiber suspends at
 //! `yield`, every open entry's elapsed segment is attributed and the
 //! scope is dropped; when the continuation is later resumed — possibly
@@ -45,7 +45,7 @@ use crate::fiber::Frame;
 /// Number of opcode kinds (the `Op` enum's variant count).
 pub const OPCODE_COUNT: usize = 28;
 
-/// Display names, indexed by [`opcode_index`].
+/// Display names, indexed by opcode (`opcode_index`).
 pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
     "const",
     "nil",

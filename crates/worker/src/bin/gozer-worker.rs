@@ -11,7 +11,6 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bluebox::{TcpWorker, WorkerConfig};
 use gozer_worker::ComputeHandler;
@@ -86,8 +85,6 @@ fn main() -> ExitCode {
         node,
         services,
         seed,
-        backoff_base: Duration::from_millis(10),
-        backoff_max: Duration::from_secs(1),
         max_attempts,
     };
     // Blocks until the broker says Bye or reconnection gives up.

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gozer::testing::register_value_service;
-use gozer::{Cluster, FaultPoint, Fault, GozerSystem, ServiceDescription, Value};
+use gozer::{Cluster, Fault, FaultPoint, ServiceDescription, Value, WorkflowService};
 
 const WORKFLOW: &str = r#"
 (deflink FEED :wsdl "urn:feed" :port "FeedService")
@@ -93,24 +93,22 @@ fn feed_service(cluster: &Arc<Cluster>) {
 fn main() {
     let cluster = Cluster::new();
     feed_service(&cluster);
-    let system = GozerSystem::builder()
-        .cluster(cluster.clone())
-        .nodes(3)
-        .instances_per_node(2)
-        .workflow(WORKFLOW)
-        .build()
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .instances(0, 2)
+        .instances(1, 2)
+        .instances(2, 2)
+        .deploy()
         .expect("deploy");
 
-    let task = system.start("etl", vec![Value::Int(8)]).expect("start");
+    let task = wf.start("etl", vec![Value::Int(8)], None).expect("start");
     println!("started {task}; crashing node 0 while it runs...");
     std::thread::sleep(Duration::from_millis(30));
     // Take out a whole node mid-run: persisted checkpoints + message
     // redelivery let the survivors finish the task.
     cluster.kill_node(0, FaultPoint::BeforeProcess);
 
-    let rec = system
-        .wait(&task, Duration::from_secs(120))
-        .expect("task finishes despite the crash");
+    let rec = wf.wait(&task, Duration::from_secs(120)).expect("task finishes despite the crash");
     println!("status: {:?}", rec.status);
     println!(
         "fibers created: {}, duration: {:?}",
@@ -139,5 +137,5 @@ fn main() {
         }
         other => panic!("unexpected status {other:?}"),
     }
-    system.shutdown();
+    cluster.shutdown();
 }

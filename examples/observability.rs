@@ -30,7 +30,7 @@
 
 use std::time::Duration;
 
-use gozer::{GozerSystem, Phase, Value};
+use gozer::{Cluster, Phase, Value, WorkflowService};
 
 const WORKFLOW: &str = r#"
 (defun main (n)
@@ -38,23 +38,22 @@ const WORKFLOW: &str = r#"
 "#;
 
 fn main() {
-    let system = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
-        .workflow(WORKFLOW)
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
         .introspect("127.0.0.1:0")
-        .build()
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .expect("deploy");
 
     // One handle to everything: the event bus, the task tracker, the
     // metrics registry, the timeline renderer.
-    let obs = system.workflow.obs();
+    let obs = wf.obs();
     obs.set_tracing(true);
     let before = obs.snapshot();
 
-    let v = system
-        .call("main", vec![Value::Int(6)], Duration::from_secs(60))
-        .expect("workflow");
+    let v = wf.call("main", vec![Value::Int(6)], Duration::from_secs(60)).expect("workflow");
     assert_eq!(v, Value::Int((0..6).map(|i| i * i).sum()));
 
     println!("== per-task timeline (with critical path) =====================\n");
@@ -90,7 +89,7 @@ fn main() {
         }
     }
 
-    let addr = system.workflow.introspect_addr().expect("introspect bound");
+    let addr = wf.introspect_addr().expect("introspect bound");
     println!("\n== live introspection ==========================================\n");
     println!("serving http://{addr}/metrics  /healthz  /tasks  /timeline/<task-id>");
     // Interactive exploration: GOZER_INTROSPECT_WAIT_SECS=30 keeps the
@@ -105,5 +104,5 @@ fn main() {
         println!("(scraping window: {wait}s — e.g. `curl http://{addr}/healthz`)");
         std::thread::sleep(Duration::from_secs(wait));
     }
-    system.shutdown();
+    cluster.shutdown();
 }

@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use gozer::{GozerSystem, Gvm, Value};
+use gozer::{Cluster, Gvm, Value, WorkflowService};
 
 const LISTING_1: &str = r#"
 (defun loc-sum-squares (numbers)
@@ -51,27 +51,25 @@ fn main() {
     }
 
     // -- the distributed variant runs on a simulated cluster -------------
-    let system = GozerSystem::builder()
-        .nodes(3)
-        .instances_per_node(2)
-        .workflow(LISTING_1)
-        .build()
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(LISTING_1)
+        .instances(0, 2)
+        .instances(1, 2)
+        .instances(2, 2)
+        .deploy()
         .expect("deploy");
     let t0 = Instant::now();
-    let v = system
-        .call(
-            "dist-sum-squares",
-            vec![Value::list(numbers)],
-            Duration::from_secs(60),
-        )
+    let v = wf
+        .call("dist-sum-squares", vec![Value::list(numbers)], Duration::from_secs(60))
         .expect("distributed run");
     println!("{:>18}: {v:?}  ({:?})", "dist-sum-squares", t0.elapsed());
     assert_eq!(v, Value::Int(expected));
 
-    let rec = system.workflow.obs().tracker().all().pop().unwrap();
+    let rec = wf.obs().tracker().all().pop().unwrap();
     println!(
         "\ntask {} used {} fibers across the cluster; every square ran in its own fiber.",
         rec.id, rec.fibers_created
     );
-    system.shutdown();
+    cluster.shutdown();
 }

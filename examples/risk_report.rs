@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gozer::testing::register_value_service;
-use gozer::{Cluster, Fault, GozerSystem, ServiceDescription, Value};
+use gozer::{Cluster, Fault, ServiceDescription, Value, WorkflowService};
 
 const WORKFLOW: &str = r#"
 (deflink PS :wsdl "urn:portfolio-service" :port "PortfolioService")
@@ -86,19 +86,15 @@ fn portfolio_service(cluster: &Arc<Cluster>, poison: bool) {
 fn run(portfolio: &str, poison: bool) {
     let cluster = Cluster::new();
     portfolio_service(&cluster, poison);
-    let system = GozerSystem::builder()
-        .cluster(cluster)
-        .nodes(3)
-        .instances_per_node(2)
-        .workflow(WORKFLOW)
-        .build()
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .instances(0, 2)
+        .instances(1, 2)
+        .instances(2, 2)
+        .deploy()
         .expect("deploy");
-    let report = system
-        .call(
-            "risk-report",
-            vec![Value::str(portfolio)],
-            Duration::from_secs(60),
-        )
+    let report = wf
+        .call("risk-report", vec![Value::str(portfolio)], Duration::from_secs(60))
         .expect("risk report");
     println!("report for {portfolio}: {report:?}");
     let status = report
@@ -110,7 +106,7 @@ fn run(portfolio: &str, poison: bool) {
     } else {
         assert_eq!(status, Value::keyword("ok"));
     }
-    system.shutdown();
+    cluster.shutdown();
 }
 
 fn main() {

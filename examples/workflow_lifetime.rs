@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use gozer::testing::register_value_service;
-use gozer::{Cluster, GozerSystem, ServiceDescription, Value};
+use gozer::{Cluster, ServiceDescription, Value, WorkflowService};
 
 const WORKFLOW: &str = r#"
 (deflink PRICER :wsdl "urn:pricer" :port "PricerService")
@@ -47,19 +47,16 @@ fn main() {
     );
     cluster.spawn_instances("PricerService", 0, 1);
 
-    let system = GozerSystem::builder()
-        .cluster(cluster)
-        .nodes(2)
-        .instances_per_node(2)
-        .workflow(WORKFLOW)
-        .build()
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .expect("deploy");
-    let obs = system.workflow.obs();
+    let obs = wf.obs();
     obs.set_tracing(true);
 
-    let v = system
-        .call("main", vec![Value::Int(7)], Duration::from_secs(60))
-        .expect("workflow");
+    let v = wf.call("main", vec![Value::Int(7)], Duration::from_secs(60)).expect("workflow");
     // base = 70; children: 70*1 + 70*2 = 210.
     assert_eq!(v, Value::Int(210));
 
@@ -80,5 +77,5 @@ fn main() {
          no thread ever blocked while waiting (§3.2).",
         nodes.len()
     );
-    system.shutdown();
+    cluster.shutdown();
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: release build, every test of every workspace member but
 # `fuzz` with the chaos sweeps at 16 seeds (the paper's experiments at
-# smoke size among them), the GVM's tests unfused, clippy, and the two
-# smokes that run release binaries.
+# smoke size among them), the GVM's tests unfused, clippy, rustdoc, and
+# the two smokes that run release binaries.
 #
 # Offline-friendly: the workspace uses only in-tree path dependencies,
 # so --offline always works; we pass it when the network is known-bad
@@ -37,6 +37,10 @@ run env GVM_OPT=nofuse "$CARGO" test -q $OFFLINE -p gozer-vm
 
 # Lint gate: clippy over every crate and target, held to zero warnings.
 run "$CARGO" clippy $OFFLINE --workspace --all-targets --no-deps -- -D warnings
+
+# Doc gate: every crate's rustdoc, held to zero warnings, so a doc link
+# to a deleted or private item fails here.
+run env RUSTDOCFLAGS="-D warnings" "$CARGO" doc $OFFLINE --no-deps --workspace
 
 # Adversarial-input gate: bounded-iteration run of every fuzz target —
 # any panic, abort, or hang is a finding (FUZZ_ITERS to widen).

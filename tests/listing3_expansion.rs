@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use gozer::{Event, EventKind, GozerSystem, TaskStatus, Value, VinzConfig};
+use gozer::{Cluster, Event, EventKind, TaskStatus, Value, VinzConfig, WorkflowService};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -14,24 +14,25 @@ fn run_with_limit(limit: usize, items: i64) -> (Vec<Event>, TaskStatus) {
         spawn_limit: limit,
         ..VinzConfig::default()
     };
-    let sys = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
-        .config(config)
-        .workflow(
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(
             "(defun main (numbers)
                (for-each (number in numbers)
                  (* number number)))",
         )
-        .build()
+        .config(config)
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .unwrap();
-    let obs = sys.workflow.obs();
+    let obs = wf.obs();
     obs.set_tracing(true);
     let numbers: Vec<Value> = (1..=items).map(Value::Int).collect();
-    let task = sys.workflow.start("main", vec![Value::list(numbers)], None).unwrap();
-    let rec = sys.wait(&task, TIMEOUT).unwrap();
+    let task = wf.start("main", vec![Value::list(numbers)], None).unwrap();
+    let rec = wf.wait(&task, TIMEOUT).unwrap();
     let events = obs.events();
-    sys.shutdown();
+    cluster.shutdown();
     (events, rec.status)
 }
 
@@ -116,19 +117,19 @@ fn high_limit_forks_everything_upfront() {
 #[test]
 fn dynamic_spawn_limit_adjustment() {
     // "The spawn limit may be dynamically adjusted by the workflow."
-    let sys = GozerSystem::builder()
-        .nodes(1)
-        .instances_per_node(2)
-        .workflow(
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(
             "(defun main ()
                (set-spawn-limit 1)
                (for-each (i in (list 1 2 3 4)) i))",
         )
-        .build()
+        .instances(0, 2)
+        .deploy()
         .unwrap();
-    let obs = sys.workflow.obs();
+    let obs = wf.obs();
     obs.set_tracing(true);
-    let v = sys.call("main", vec![], TIMEOUT).unwrap();
+    let v = wf.call("main", vec![], TIMEOUT).unwrap();
     assert_eq!(
         v,
         Value::list(vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)])
@@ -151,5 +152,5 @@ fn dynamic_spawn_limit_adjustment() {
         }
     }
     assert_eq!(max_outstanding, 1);
-    sys.shutdown();
+    cluster.shutdown();
 }

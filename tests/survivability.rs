@@ -5,7 +5,9 @@
 use std::time::Duration;
 
 use gozer::testing::{chaos_seeds, repro_command, run_workflow_under_chaos};
-use gozer::{ChaosConfig, ChaosPlan, FaultPoint, GozerSystem, TaskStatus, Value, VinzConfig};
+use gozer::{
+    ChaosConfig, ChaosPlan, Cluster, FaultPoint, TaskStatus, Value, VinzConfig, WorkflowService,
+};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -20,21 +22,24 @@ fn expected(n: i64) -> Value {
 
 #[test]
 fn survives_sequential_node_crashes() {
-    let sys = GozerSystem::builder()
-        .nodes(4)
-        .instances_per_node(2)
-        .workflow(WORKFLOW)
-        .build()
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .instances(0, 2)
+        .instances(1, 2)
+        .instances(2, 2)
+        .instances(3, 2)
+        .deploy()
         .unwrap();
-    let task = sys.workflow.start("main", vec![Value::Int(24)], None).unwrap();
+    let task = wf.start("main", vec![Value::Int(24)], None).unwrap();
     // Take out three of the four nodes while the task runs.
     for node in 0..3 {
         std::thread::sleep(Duration::from_millis(15));
-        sys.cluster.kill_node(node, FaultPoint::BeforeProcess);
+        cluster.kill_node(node, FaultPoint::BeforeProcess);
     }
-    let rec = sys.wait(&task, TIMEOUT).expect("survives");
+    let rec = wf.wait(&task, TIMEOUT).expect("survives");
     assert_eq!(rec.status, TaskStatus::Completed(expected(24)));
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
@@ -43,44 +48,49 @@ fn survives_crash_after_processing_before_ack() {
     // message is redelivered and the handler must be idempotent. The
     // fiber version counter + per-fiber lock make re-running from the
     // persisted state safe.
-    let sys = GozerSystem::builder()
-        .nodes(3)
-        .instances_per_node(2)
-        .workflow(WORKFLOW)
-        .build()
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .instances(0, 2)
+        .instances(1, 2)
+        .instances(2, 2)
+        .deploy()
         .unwrap();
-    let task = sys.workflow.start("main", vec![Value::Int(16)], None).unwrap();
+    let task = wf.start("main", vec![Value::Int(16)], None).unwrap();
     std::thread::sleep(Duration::from_millis(10));
-    sys.cluster.kill_node(0, FaultPoint::AfterProcess);
-    let rec = sys.wait(&task, TIMEOUT).expect("survives");
+    cluster.kill_node(0, FaultPoint::AfterProcess);
+    let rec = wf.wait(&task, TIMEOUT).expect("survives");
     assert_eq!(rec.status, TaskStatus::Completed(expected(16)));
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
 fn many_tasks_survive_rolling_failures() {
-    let sys = GozerSystem::builder()
-        .nodes(4)
-        .instances_per_node(2)
-        .workflow(WORKFLOW)
-        .build()
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .instances(0, 2)
+        .instances(1, 2)
+        .instances(2, 2)
+        .instances(3, 2)
+        .deploy()
         .unwrap();
     let tasks: Vec<String> = (0..6)
-        .map(|_| sys.workflow.start("main", vec![Value::Int(8)], None).unwrap())
+        .map(|_| wf.start("main", vec![Value::Int(8)], None).unwrap())
         .collect();
     std::thread::sleep(Duration::from_millis(10));
-    sys.cluster.kill_node(1, FaultPoint::BeforeProcess);
+    cluster.kill_node(1, FaultPoint::BeforeProcess);
     std::thread::sleep(Duration::from_millis(10));
-    sys.cluster.kill_node(2, FaultPoint::AfterProcess);
+    cluster.kill_node(2, FaultPoint::AfterProcess);
     for task in &tasks {
-        let rec = sys.wait(task, TIMEOUT).expect("each survives");
+        let rec = wf.wait(task, TIMEOUT).expect("each survives");
         assert_eq!(rec.status, TaskStatus::Completed(expected(8)));
     }
     // Redelivery only happens when a doomed instance was mid-message at
     // crash time, which is timing-dependent here; the deterministic
     // redelivery assertions live in the bluebox crate's tests. What must
     // hold unconditionally is completion, asserted above.
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
@@ -112,23 +122,24 @@ fn seeded_chaos_sweep_from_facade() {
 fn chaos_plan_attaches_to_a_built_system() {
     // Chaos is a cluster property, so it composes with the full builder
     // surface (stores, locks, policies) — not just the test harness.
-    let sys = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(2)
-        .workflow(WORKFLOW)
-        .build()
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .unwrap();
     let plan = ChaosPlan::new(ChaosConfig::turbulence(chaos_seeds(1)[0]));
-    sys.cluster.set_chaos(plan.clone());
-    let v = sys.call("main", vec![Value::Int(10)], TIMEOUT).unwrap();
+    cluster.set_chaos(plan.clone());
+    let v = wf.call("main", vec![Value::Int(10)], TIMEOUT).unwrap();
     assert_eq!(v, expected(10));
     // Detach and verify the plan stops influencing delivery.
-    sys.cluster.clear_chaos();
+    cluster.clear_chaos();
     let before = plan.snapshot().total();
-    let v = sys.call("main", vec![Value::Int(6)], TIMEOUT).unwrap();
+    let v = wf.call("main", vec![Value::Int(6)], TIMEOUT).unwrap();
     assert_eq!(v, expected(6));
     assert_eq!(plan.snapshot().total(), before, "detached plan kept firing");
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
@@ -141,17 +152,18 @@ fn awake_lock_contention_requeues_rather_than_blocking() {
         spawn_limit: 64,
         ..VinzConfig::default()
     };
-    let sys = GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(4)
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "workflow")
+        .source(WORKFLOW)
         .config(config)
-        .workflow(WORKFLOW)
-        .build()
+        .instances(0, 4)
+        .instances(1, 4)
+        .deploy()
         .unwrap();
-    let v = sys.call("main", vec![Value::Int(32)], TIMEOUT).unwrap();
+    let v = wf.call("main", vec![Value::Int(32)], TIMEOUT).unwrap();
     assert_eq!(v, expected(32));
     // Correctness despite (likely) retries; the retry count is workload
     // dependent so only the result is asserted. The §5 bench measures
     // the retry rate.
-    sys.shutdown();
+    cluster.shutdown();
 }

@@ -1,11 +1,12 @@
 //! E2 — Table 1: every Vinz service operation exercised end-to-end,
 //! including the service-level `Run`/`Call` message forms.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use gozer::{
-    deserialize_value, serialize_value, Cluster, Codec, EventKind, GozerSystem, Gvm, Message,
-    TaskStatus, Value,
+    deserialize_value, serialize_value, Cluster, Codec, EventKind, Gvm, Message, TaskStatus, Value,
+    WorkflowService,
 };
 
 const WORKFLOW: &str = r#"
@@ -24,13 +25,18 @@ const WORKFLOW: &str = r#"
     (join-process pid)))
 "#;
 
-fn system() -> GozerSystem {
-    GozerSystem::builder()
-        .nodes(2)
-        .instances_per_node(3)
-        .workflow(WORKFLOW)
-        .build()
-        .unwrap()
+/// The workflow service's name, for raw service-level messages.
+const SERVICE: &str = "workflow";
+
+fn system() -> (Arc<Cluster>, WorkflowService) {
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, SERVICE)
+        .source(WORKFLOW)
+        .instances(0, 3)
+        .instances(1, 3)
+        .deploy()
+        .unwrap();
+    (cluster, wf)
 }
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -42,70 +48,68 @@ fn start_msg(service: &str, function: &str, op: &str) -> Message {
 
 #[test]
 fn start_returns_task_id_immediately() {
-    let sys = system();
-    let task = sys.start("with-children", vec![Value::Int(4)]).unwrap();
+    let (cluster, wf) = system();
+    let task = wf.start("with-children", vec![Value::Int(4)], None).unwrap();
     assert!(task.starts_with("task-"));
     // It is genuinely asynchronous: the task is observable before/while
     // running and completes on its own.
-    let rec = sys.wait(&task, TIMEOUT).unwrap();
+    let rec = wf.wait(&task, TIMEOUT).unwrap();
     assert_eq!(rec.status, TaskStatus::Completed(Value::Int(14)));
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
 fn run_operation_waits_for_completion() {
-    let sys = system();
+    let (cluster, wf) = system();
     // The raw service-level Run (needs a second instance free, which the
     // 3-per-node deployment provides).
-    let reply = sys
-        .cluster
+    let reply = cluster
         .call(
-            start_msg(&service_name(&sys), "quick", "Run"),
+            start_msg(SERVICE, "quick", "Run"),
             Duration::from_secs(30),
         )
         .unwrap();
     let task = String::from_utf8_lossy(&reply).into_owned();
-    let rec = sys.wait(&task, TIMEOUT).unwrap();
+    let rec = wf.wait(&task, TIMEOUT).unwrap();
     assert_eq!(rec.status, TaskStatus::Completed(Value::keyword("quick-done")));
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
 fn call_operation_returns_last_result() {
-    let sys = system();
-    let reply = sys
-        .cluster
+    let (cluster, _wf) = system();
+    let reply = cluster
         .call(
-            start_msg(&service_name(&sys), "quick", "Call"),
+            start_msg(SERVICE, "quick", "Call"),
             Duration::from_secs(30),
         )
         .unwrap();
     let gvm = Gvm::with_pool_size(1);
     let v = deserialize_value(&reply, &gvm).unwrap();
     assert_eq!(v, Value::keyword("quick-done"));
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
 fn terminate_operation_stops_any_workflow() {
-    let sys = system();
-    let task = sys.start("forever", vec![]).unwrap();
+    let (cluster, wf) = system();
+    let task = wf.start("forever", vec![], None).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     // Raw management message, as a monitoring tool would send it.
-    sys.cluster.send(
-        Message::new(&service_name(&sys), "Terminate", Vec::new()).header("task-id", &task),
+    cluster.send(
+        Message::new(SERVICE, "Terminate", Vec::new()).header("task-id", &task),
     );
-    let rec = sys.wait(&task, TIMEOUT).unwrap();
+    let rec = wf.wait(&task, TIMEOUT).unwrap();
     assert!(matches!(rec.status, TaskStatus::Terminated(_)));
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
 fn runfiber_and_awakefiber_drive_children() {
-    let sys = system();
-    let obs = sys.workflow.obs();
+    let (cluster, wf) = system();
+    let obs = wf.obs();
     obs.set_tracing(true);
-    let v = sys.call("with-children", vec![Value::Int(6)], TIMEOUT).unwrap();
+    let v = wf.call("with-children", vec![Value::Int(6)], TIMEOUT).unwrap();
     assert_eq!(v, Value::Int((0..6).map(|i| i * i).sum()));
     let events = obs.events();
     let runs = events
@@ -119,15 +123,15 @@ fn runfiber_and_awakefiber_drive_children() {
         .filter(|e| matches!(&e.kind, EventKind::FiberResumed { via } if via == "awake"))
         .count();
     assert_eq!(awakes, 6, "one AwakeFiber resume per child");
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
 fn joinprocess_resumes_waiters() {
-    let sys = system();
-    let obs = sys.workflow.obs();
+    let (cluster, wf) = system();
+    let obs = wf.obs();
     obs.set_tracing(true);
-    let v = sys.call("forker", vec![], TIMEOUT).unwrap();
+    let v = wf.call("forker", vec![], TIMEOUT).unwrap();
     assert_eq!(v, Value::Int(42));
     let joins = obs
         .events()
@@ -135,28 +139,27 @@ fn joinprocess_resumes_waiters() {
         .filter(|e| matches!(&e.kind, EventKind::FiberResumed { via } if via == "join"))
         .count();
     assert_eq!(joins, 1);
-    sys.shutdown();
+    cluster.shutdown();
 }
 
 #[test]
 fn resumefromcall_resumes_service_callers() {
     let cluster = Cluster::new();
     gozer::testing::register_square_service(&cluster, "Sq", 1, 1, Duration::from_millis(1));
-    let sys = GozerSystem::builder()
-        .cluster(cluster)
-        .nodes(2)
-        .instances_per_node(2)
-        .workflow(
+    let wf = WorkflowService::builder(&cluster, SERVICE)
+        .source(
             "(deflink SQ :wsdl \"urn:sq\" :port \"Sq\")
              (defun main () (SQ-Square-Method :n 12))",
         )
-        .build()
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
         .unwrap();
-    let obs = sys.workflow.obs();
+    let obs = wf.obs();
     obs.set_tracing(true);
     // The Sq service has no WSDL registered under that name... use direct
     // call natives instead to focus on ResumeFromCall mechanics.
-    let v = sys.call("main", vec![], TIMEOUT);
+    let v = wf.call("main", vec![], TIMEOUT);
     // If the deflink path failed because register_square_service exposes
     // no WSDL, that's a deploy error, not a ResumeFromCall issue; assert
     // on the successful path below instead.
@@ -170,9 +173,5 @@ fn resumefromcall_resumes_service_callers() {
         }
         Err(e) => panic!("workflow failed: {e}"),
     }
-    sys.shutdown();
-}
-
-fn service_name(_sys: &GozerSystem) -> String {
-    "workflow".to_string()
+    cluster.shutdown();
 }
