@@ -63,13 +63,18 @@ fn serialization_run(delta_snapshots: bool, tasks: usize) -> SerRun {
     let cluster = Cluster::new();
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source(DEEP_WORKFLOW)
-        .config(VinzConfig { profiling: true, ..config })
+        .config(VinzConfig {
+            profiling: true,
+            ..config
+        })
         .instances(0, 2)
         .instances(1, 2)
         .deploy()
         .expect("deploy");
     for _ in 0..tasks {
-        let v = wf.call("main", vec![Value::Int(3)], Duration::from_secs(60)).expect("workflow");
+        let v = wf
+            .call("main", vec![Value::Int(3)], Duration::from_secs(60))
+            .expect("workflow");
         assert_eq!(v, Value::Int(DEEP_EXPECTED));
     }
     let obs = wf.obs();
@@ -104,8 +109,14 @@ fn run_json(r: &SerRun) -> Json {
         .field("delta_saves", r.delta_saves)
         .field("delta_bytes", r.delta_bytes)
         .field("full_bytes", r.full_bytes)
-        .field("bytes_per_save", per(r.delta_bytes + r.full_bytes, r.persists))
-        .field("serialize_ns_per_save", per(r.serialize_nanos, r.serialize_count))
+        .field(
+            "bytes_per_save",
+            per(r.delta_bytes + r.full_bytes, r.persists),
+        )
+        .field(
+            "serialize_ns_per_save",
+            per(r.serialize_nanos, r.serialize_count),
+        )
         .field("seed_frames_reused", r.seed_frames_reused)
         .field("seed_frames_walked", r.seed_frames_walked)
         .field("affinity_hits", r.affinity_hits)
@@ -117,7 +128,10 @@ pub fn run(smoke: bool) -> Json {
     register_square_service(&cluster, "Sq", 1, 1, Duration::from_millis(2));
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source(WORKFLOW)
-        .config(VinzConfig { profiling: true, ..VinzConfig::default() })
+        .config(VinzConfig {
+            profiling: true,
+            ..VinzConfig::default()
+        })
         .instances(0, 2)
         .instances(1, 2)
         .deploy()
@@ -125,7 +139,9 @@ pub fn run(smoke: bool) -> Json {
     let obs = wf.obs();
     obs.set_tracing(true);
 
-    let v = wf.call("main", vec![Value::Int(3)], Duration::from_secs(60)).expect("workflow");
+    let v = wf
+        .call("main", vec![Value::Int(3)], Duration::from_secs(60))
+        .expect("workflow");
     assert_eq!(v, Value::Int(27)); // 9*1 + 9*2
 
     println!("Figure 1 — sample workflow lifetime (result {v:?}):\n");
@@ -134,10 +150,22 @@ pub fn run(smoke: bool) -> Json {
     let events = obs.events();
     let count = |f: &dyn Fn(&EventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
     println!("\nsummary:");
-    println!("  RunFiber deliveries : {}", count(&|k| matches!(k, EventKind::FiberRun)));
-    println!("  suspensions         : {}", count(&|k| matches!(k, EventKind::FiberYield { .. })));
-    println!("  persists            : {}", count(&|k| matches!(k, EventKind::FiberPersisted { .. })));
-    println!("  forks               : {}", count(&|k| matches!(k, EventKind::FiberForked { .. })));
+    println!(
+        "  RunFiber deliveries : {}",
+        count(&|k| matches!(k, EventKind::FiberRun))
+    );
+    println!(
+        "  suspensions         : {}",
+        count(&|k| matches!(k, EventKind::FiberYield { .. }))
+    );
+    println!(
+        "  persists            : {}",
+        count(&|k| matches!(k, EventKind::FiberPersisted { .. }))
+    );
+    println!(
+        "  forks               : {}",
+        count(&|k| matches!(k, EventKind::FiberForked { .. }))
+    );
     println!(
         "  resumes             : {}",
         count(&|k| matches!(k, EventKind::FiberResumed { .. }))
@@ -150,7 +178,10 @@ pub fn run(smoke: bool) -> Json {
     let tasks = if smoke { 2 } else { 8 };
     let full = serialization_run(false, tasks);
     let delta = serialization_run(true, tasks);
-    assert_eq!(full.delta_saves, 0, "delta_snapshots=false must never write deltas");
+    assert_eq!(
+        full.delta_saves, 0,
+        "delta_snapshots=false must never write deltas"
+    );
 
     // Steady state: the cost of the saves that *can* be deltas. The full
     // deployment pays full price on every save; the delta deployment

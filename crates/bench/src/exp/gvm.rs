@@ -54,7 +54,10 @@ struct Vm {
 
 impl Vm {
     fn new(fuse: bool) -> Vm {
-        let vm = Vm { gvm: Gvm::with_pool_size(2), fuse };
+        let vm = Vm {
+            gvm: Gvm::with_pool_size(2),
+            fuse,
+        };
         vm.load(SRC, "gvm");
         vm
     }
@@ -98,10 +101,16 @@ fn workloads(vm: &Vm, fib_n: i64, sum_n: i64) -> Vec<Workload<'_>> {
     let mut compiled = 0u64;
     vec![
         workload("fib", move || {
-            assert_eq!(call(&fib, vec![Value::Int(fib_n)]), Value::Int(fib_expected));
+            assert_eq!(
+                call(&fib, vec![Value::Int(fib_n)]),
+                Value::Int(fib_expected)
+            );
         }),
         workload("loop_sum", move || {
-            assert_eq!(call(&sum_to, vec![Value::Int(sum_n)]), Value::Int(sum_n * (sum_n + 1) / 2));
+            assert_eq!(
+                call(&sum_to, vec![Value::Int(sum_n)]),
+                Value::Int(sum_n * (sum_n + 1) / 2)
+            );
         }),
         workload("loc_sum_squares_256", move || {
             assert_eq!(call(&loc, vec![loc_numbers.clone()]), loc_expected);
@@ -120,7 +129,10 @@ fn workloads(vm: &Vm, fib_n: i64, sum_n: i64) -> Vec<Workload<'_>> {
         }),
         workload("load_str_compile", move || {
             compiled += 1;
-            vm.load(&format!("(defun tmp{compiled} (x) (* x {compiled}))"), "compile");
+            vm.load(
+                &format!("(defun tmp{compiled} (x) (* x {compiled}))"),
+                "compile",
+            );
         }),
     ]
 }
@@ -135,8 +147,9 @@ fn time_pair(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (Durat
 }
 
 fn rows_json(rows: &[(&str, Duration)]) -> Json {
-    rows.iter()
-        .fold(Json::obj(), |obj, (name, t)| obj.field(name, t.as_nanos() as u64))
+    rows.iter().fold(Json::obj(), |obj, (name, t)| {
+        obj.field(name, t.as_nanos() as u64)
+    })
 }
 
 /// Threads of the `shared_gvm` rows' concurrent side.
@@ -174,13 +187,24 @@ fn shared_gvm(vm: &Vm, samples: usize, sum_n: i64, calls: usize) -> Json {
     let mut json = Json::obj().field("threads", SHARED_THREADS);
     let shapes = [
         ("loop_sum", "sum-to", sum_n * (sum_n + 1) / 2),
-        ("sum_squares", "sum-squares", sum_n * (sum_n + 1) * (2 * sum_n + 1) / 6),
+        (
+            "sum_squares",
+            "sum-squares",
+            sum_n * (sum_n + 1) * (2 * sum_n + 1) / 6,
+        ),
     ];
     for (row, name, expected) in shapes {
         let (mut one, mut two) = (Vec::new(), Vec::new());
         for _ in 0..samples {
             one.push(calls_per_s(vm, name, sum_n, expected, 1, calls));
-            two.push(calls_per_s(vm, name, sum_n, expected, SHARED_THREADS, calls));
+            two.push(calls_per_s(
+                vm,
+                name,
+                sum_n,
+                expected,
+                SHARED_THREADS,
+                calls,
+            ));
         }
         let (one, two) = (best(one), best(two));
         let scaling = (two / one * 100.0).round() / 100.0;
@@ -207,7 +231,11 @@ fn best(xs: Vec<f64>) -> f64 {
 }
 
 pub fn run(smoke: bool) -> Json {
-    let (samples, fib_n, sum_n) = if smoke { (7, 16, 4000) } else { (15, 20, 100_000) };
+    let (samples, fib_n, sum_n) = if smoke {
+        (7, 16, 4000)
+    } else {
+        (15, 20, 100_000)
+    };
     let (fused_vm, unfused_vm) = (Vm::new(true), Vm::new(false));
     let (mut fused, mut unfused) = (Vec::new(), Vec::new());
     for ((name, a), (_, b)) in workloads(&fused_vm, fib_n, sum_n)

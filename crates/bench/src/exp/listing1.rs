@@ -54,15 +54,27 @@ pub fn run(smoke: bool) {
         let expected = Value::Int((1..=n).map(|x| x * x).sum());
         for local in ["loc-sum-squares", "par-sum-squares"] {
             let f = gvm.function(local).unwrap();
-            assert_eq!(gvm.call_sync(&f, vec![numbers.clone()]).unwrap(), expected, "{local}");
+            assert_eq!(
+                gvm.call_sync(&f, vec![numbers.clone()]).unwrap(),
+                expected,
+                "{local}"
+            );
         }
         let median = time_it(samples, || {
             let v = wf
-                .call("dist-sum-squares", vec![numbers.clone()], Duration::from_secs(120))
+                .call(
+                    "dist-sum-squares",
+                    vec![numbers.clone()],
+                    Duration::from_secs(120),
+                )
                 .unwrap();
             assert_eq!(v, expected);
         });
-        table.row(&[n.to_string(), format!("{expected:?}"), format!("{median:.2?}")]);
+        table.row(&[
+            n.to_string(),
+            format!("{expected:?}"),
+            format!("{median:.2?}"),
+        ]);
     }
     table.print();
     println!("shape check: loc, par and dist return the same sum at every n.");

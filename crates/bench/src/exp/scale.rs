@@ -47,9 +47,17 @@ struct Params {
 
 fn params(smoke: bool) -> Params {
     if smoke {
-        Params { fill: 2_000, churn: 400, drain_sample: 200 }
+        Params {
+            fill: 2_000,
+            churn: 400,
+            drain_sample: 200,
+        }
     } else {
-        Params { fill: 1_000_000, churn: 20_000, drain_sample: 1_000 }
+        Params {
+            fill: 1_000_000,
+            churn: 20_000,
+            drain_sample: 1_000,
+        }
     }
 }
 
@@ -95,7 +103,11 @@ fn fill_phase(cluster: &Arc<Cluster>, wf: &WorkflowService, fill: u64) -> Durati
             send_hold_start(cluster);
             sent += 1;
         }
-        assert!(Instant::now() < deadline, "fill phase wedged at {} suspended", suspended(wf));
+        assert!(
+            Instant::now() < deadline,
+            "fill phase wedged at {} suspended",
+            suspended(wf)
+        );
         if last_report.elapsed() > Duration::from_secs(10) {
             println!(
                 "  fill: {} / {fill} suspended ({:.0}/s)",
@@ -121,7 +133,9 @@ fn churn_phase(wf: &Arc<WorkflowService>, churn: u64) -> Duration {
         handles.push(std::thread::spawn(move || {
             for k in 0..per_worker {
                 let n = (w * per_worker + k) as i64 % 1_000 + 2;
-                let task = wf.start("quick", vec![Value::Int(n)], None).expect("churn start");
+                let task = wf
+                    .start("quick", vec![Value::Int(n)], None)
+                    .expect("churn start");
                 let rec = wf.wait(&task, WAIT).expect("churn task finished");
                 assert_eq!(
                     rec.status,
@@ -211,7 +225,10 @@ pub fn run(smoke: bool) -> Json {
 
     // Phase 3: drain a sample.
     let (drained, drain_elapsed) = drain_phase(&cluster, &wf, p.drain_sample);
-    assert_eq!(drained, p.drain_sample, "every sampled fiber resumed to completion");
+    assert_eq!(
+        drained, p.drain_sample,
+        "every sampled fiber resumed to completion"
+    );
     println!(
         "  drain done: {drained}/{} sampled fibers resumed in {:.1}s",
         p.drain_sample,
@@ -236,7 +253,10 @@ pub fn run(smoke: bool) -> Json {
     table.row(&["churn p50 (ms)".into(), format!("{:.3}", ms(hist.p50()))]);
     table.row(&["churn p95 (ms)".into(), format!("{:.3}", ms(hist.p95()))]);
     table.row(&["churn p99 (ms)".into(), format!("{:.3}", ms(hist.p99()))]);
-    table.row(&["drained sample".into(), format!("{drained}/{}", p.drain_sample)]);
+    table.row(&[
+        "drained sample".into(),
+        format!("{drained}/{}", p.drain_sample),
+    ]);
     table.print();
 
     Json::obj()

@@ -41,9 +41,7 @@ fn survivability_run(kill_nodes: &[u32]) -> (usize, Duration, u64) {
     let expected = Value::Int((0..FANOUT).map(|i| i * i).sum());
     let t0 = Instant::now();
     let tasks: Vec<String> = (0..TASKS)
-        .map(|_| {
-            wf.start("main", vec![Value::Int(FANOUT)], None).unwrap()
-        })
+        .map(|_| wf.start("main", vec![Value::Int(FANOUT)], None).unwrap())
         .collect();
     // Crash early, while RunFiber messages are in flight, so the doomed
     // instances take (and lose) deliveries.
@@ -72,9 +70,7 @@ fn survivability_run(kill_nodes: &[u32]) -> (usize, Duration, u64) {
 /// The workload is the same at smoke size: it takes well under a second.
 pub fn run(_smoke: bool) {
     let mut t = Table::new(
-        &format!(
-            "sec3.1/3.2 — survivability: {TASKS} tasks of fan-out {FANOUT} on {NODES} nodes"
-        ),
+        &format!("sec3.1/3.2 — survivability: {TASKS} tasks of fan-out {FANOUT} on {NODES} nodes"),
         &["scenario", "completed", "wall", "redeliveries"],
     );
     let (ok_healthy, wall_healthy, re_healthy) = survivability_run(&[]);

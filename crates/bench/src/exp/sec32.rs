@@ -54,9 +54,7 @@ fn style_run(source: &str) -> (Duration, u64, u64) {
         .unwrap();
     let t0 = Instant::now();
     let tasks: Vec<String> = (0..TASKS)
-        .map(|i| {
-            wf.start("main", vec![Value::Int(i as i64)], None).unwrap()
-        })
+        .map(|i| wf.start("main", vec![Value::Int(i as i64)], None).unwrap())
         .collect();
     for (i, task) in tasks.iter().enumerate() {
         let rec = wf.wait(task, Duration::from_secs(300)).expect("finishes");
@@ -76,7 +74,12 @@ pub fn run(_smoke: bool) {
     let mut t = Table::new(
         "sec3.2 — blocking vs non-blocking service calls \
          (24 tasks, 25 ms service latency, 2 workflow slots, 8 service instances)",
-        &["style", "makespan", "slot time blocked (ms)", "max in-flight"],
+        &[
+            "style",
+            "makespan",
+            "slot time blocked (ms)",
+            "max in-flight",
+        ],
     );
     let (block_wall, block_ms, block_inflight) = style_run(BLOCKING);
     let (nb_wall, nb_ms, nb_inflight) = style_run(NONBLOCKING);

@@ -33,11 +33,21 @@ pub fn run(smoke: bool) {
 
     let mut sizes = Table::new(
         "sec4.2 — persisted fiber state size by codec",
-        &["state", "raw B", "deflate B", "gzip B", "deflate ratio", "gzip-vs-deflate"],
+        &[
+            "state",
+            "raw B",
+            "deflate B",
+            "gzip B",
+            "deflate ratio",
+            "gzip-vs-deflate",
+        ],
     );
     for (label, state) in &states {
         let [raw, defl, gz] = CODECS.map(|c| serialize_state(state, c).unwrap().len());
-        assert!(defl < raw && defl < gz, "{label}: deflate {defl} B vs raw {raw} B, gzip {gz} B");
+        assert!(
+            defl < raw && defl < gz,
+            "{label}: deflate {defl} B vs raw {raw} B, gzip {gz} B"
+        );
         sizes.row(&[
             label.to_string(),
             raw.to_string(),

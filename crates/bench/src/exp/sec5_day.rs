@@ -77,7 +77,11 @@ pub fn run(smoke: bool) -> Json {
         "sec5 — synthetic production day vs paper",
         &["metric", "paper", "generated"],
     );
-    t.row(&["top-level tasks".into(), "10,000".into(), stats.tasks.to_string()]);
+    t.row(&[
+        "top-level tasks".into(),
+        "10,000".into(),
+        stats.tasks.to_string(),
+    ]);
     t.row(&["fibers".into(), "~45,000".into(), stats.fibers.to_string()]);
     t.row(&[
         "shortest task".into(),
@@ -143,7 +147,9 @@ pub fn run(smoke: bool) -> Json {
         .collect();
     let mut completed = 0;
     for task in &tasks {
-        let rec = wf.wait(task, Duration::from_secs(600)).expect("task finishes");
+        let rec = wf
+            .wait(task, Duration::from_secs(600))
+            .expect("task finishes");
         if matches!(rec.status, TaskStatus::Completed(_)) {
             completed += 1;
         }
@@ -160,15 +166,13 @@ pub fn run(smoke: bool) -> Json {
             .unwrap_or_else(|| "n/a".into())
     };
 
-    let fibers_created: u64 = obs
-        .tracker()
-        .all()
-        .iter()
-        .map(|r| r.fibers_created)
-        .sum();
+    let fibers_created: u64 = obs.tracker().all().iter().map(|r| r.fibers_created).sum();
     let m = obs.counters();
     let persists = m.persist_count.load(Ordering::Relaxed);
-    let mut t = Table::new("sec5 — scaled slice executed on the cluster", &["metric", "value"]);
+    let mut t = Table::new(
+        "sec5 — scaled slice executed on the cluster",
+        &["metric", "value"],
+    );
     t.row(&["tasks run".into(), format!("{completed}/{}", specs.len())]);
     t.row(&["fibers (spec)".into(), slice_stats.fibers.to_string()]);
     t.row(&["fibers (created)".into(), fibers_created.to_string()]);

@@ -68,7 +68,8 @@ fn policy_run(policy: Policy) -> (usize, usize, Duration) {
     let tasks: Vec<String> = specs
         .iter()
         .map(|s| {
-            wf.start("main", vec![Value::Float(s.busy_ms)], Some(s.deadline)).unwrap()
+            wf.start("main", vec![Value::Float(s.busy_ms)], Some(s.deadline))
+                .unwrap()
         })
         .collect();
     let mut missed = 0;

@@ -52,7 +52,9 @@ pub fn run(smoke: bool) {
             .deploy()
             .unwrap();
         let median = time_it(samples, || {
-            let v = wf.call("main", vec![Value::Int(CHILDREN)], Duration::from_secs(300)).unwrap();
+            let v = wf
+                .call("main", vec![Value::Int(CHILDREN)], Duration::from_secs(300))
+                .unwrap();
             assert_eq!(v.as_list().unwrap().len(), CHILDREN as usize);
         });
         let obs = wf.obs();

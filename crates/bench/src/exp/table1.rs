@@ -49,24 +49,49 @@ pub fn run(smoke: bool) {
     let rows = [
         // Async accept only (the task completes in the background; tasks
         // pile up harmlessly in the tracker).
-        ("Start", time_it(samples, || {
-            wf.start("trivial", vec![], None).unwrap();
-        })),
-        ("Run+RunFiber (trivial task)", time_it(samples, || {
-            assert!(wf.run("trivial", vec![], TIMEOUT).unwrap().status.is_final());
-        })),
-        ("Call (trivial task)", time_it(samples, || call("trivial", Value::Int(42)))),
-        ("JoinProcess (fork+join)", time_it(samples, || call("forker", Value::Int(7)))),
-        ("AwakeFiber (for-each of 2)", time_it(samples, || {
-            call("fanout", Value::list(vec![Value::Int(1), Value::Int(2)]))
-        })),
-        ("ResumeFromCall (service call)", time_it(samples, || call("remote-call", Value::Int(81)))),
+        (
+            "Start",
+            time_it(samples, || {
+                wf.start("trivial", vec![], None).unwrap();
+            }),
+        ),
+        (
+            "Run+RunFiber (trivial task)",
+            time_it(samples, || {
+                assert!(wf
+                    .run("trivial", vec![], TIMEOUT)
+                    .unwrap()
+                    .status
+                    .is_final());
+            }),
+        ),
+        (
+            "Call (trivial task)",
+            time_it(samples, || call("trivial", Value::Int(42))),
+        ),
+        (
+            "JoinProcess (fork+join)",
+            time_it(samples, || call("forker", Value::Int(7))),
+        ),
+        (
+            "AwakeFiber (for-each of 2)",
+            time_it(samples, || {
+                call("fanout", Value::list(vec![Value::Int(1), Value::Int(2)]))
+            }),
+        ),
+        (
+            "ResumeFromCall (service call)",
+            time_it(samples, || call("remote-call", Value::Int(81))),
+        ),
         // Start a fan-out task, terminate it, wait for the final status.
-        ("Terminate", time_it(samples, || {
-            let task = wf.start("fanout", vec![], None).unwrap();
-            wf.terminate(&task);
-            wf.wait(&task, TIMEOUT).unwrap();
-        })),
+        (
+            "Terminate",
+            time_it(samples, || {
+                let task = wf.start("fanout", vec![], None).unwrap();
+                wf.terminate(&task);
+                wf.wait(&task, TIMEOUT).unwrap();
+            }),
+        ),
     ];
     let mut table = Table::new(
         "Table 1 — Vinz operations (2 nodes x 3 instances)",

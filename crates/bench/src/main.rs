@@ -33,18 +33,39 @@ enum Output {
 const EXPERIMENTS: &[(&str, Output)] = &[
     ("listing1", Output::Tables(exp::listing1::run)),
     ("table1", Output::Tables(exp::table1::run)),
-    ("fig1", Output::Report("BENCH_serialization.json", exp::fig1::run)),
+    (
+        "fig1",
+        Output::Report("BENCH_serialization.json", exp::fig1::run),
+    ),
     ("sec31", Output::Tables(exp::sec31::run)),
     ("sec32", Output::Tables(exp::sec32::run)),
-    ("sec42-compression", Output::Tables(exp::sec42_compression::run)),
-    ("sec42-cache", Output::Report("BENCH_cache.json", exp::sec42_cache::run)),
-    ("sec5-day", Output::Report("BENCH_store.json", exp::sec5_day::run)),
-    ("sec5-spawn-limit", Output::Tables(exp::sec5_spawn_limit::run)),
+    (
+        "sec42-compression",
+        Output::Tables(exp::sec42_compression::run),
+    ),
+    (
+        "sec42-cache",
+        Output::Report("BENCH_cache.json", exp::sec42_cache::run),
+    ),
+    (
+        "sec5-day",
+        Output::Report("BENCH_store.json", exp::sec5_day::run),
+    ),
+    (
+        "sec5-spawn-limit",
+        Output::Tables(exp::sec5_spawn_limit::run),
+    ),
     ("sec5-scheduling", Output::Tables(exp::sec5_scheduling::run)),
-    ("foreach-chunking", Output::Tables(exp::foreach_chunking::run)),
+    (
+        "foreach-chunking",
+        Output::Tables(exp::foreach_chunking::run),
+    ),
     ("gvm", Output::Report("BENCH_gvm.json", exp::gvm::run)),
     ("scale", Output::Report("BENCH_scale.json", exp::scale::run)),
-    ("cluster", Output::Report("BENCH_cluster.json", exp::cluster::run)),
+    (
+        "cluster",
+        Output::Report("BENCH_cluster.json", exp::cluster::run),
+    ),
 ];
 
 fn usage() -> ! {
@@ -63,7 +84,9 @@ fn with_header(name: &str, smoke: bool, body: Json) -> Json {
         panic!("{name}: a report is a JSON object");
     };
     let header = Json::obj().field("bench", name).field("smoke", smoke);
-    fields.into_iter().fold(header, |doc, (key, value)| doc.field(&key, value))
+    fields
+        .into_iter()
+        .fold(header, |doc, (key, value)| doc.field(&key, value))
 }
 
 fn main() {

@@ -56,7 +56,12 @@ mod tests {
         let gvm = workflow_gvm();
         let small = serialize_state(&suspended_state(&gvm, 10), Codec::None).unwrap();
         let large = serialize_state(&suspended_state(&gvm, 200), Codec::None).unwrap();
-        assert!(large.len() > small.len() * 5, "{} vs {}", small.len(), large.len());
+        assert!(
+            large.len() > small.len() * 5,
+            "{} vs {}",
+            small.len(),
+            large.len()
+        );
     }
 
     #[test]

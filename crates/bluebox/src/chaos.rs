@@ -78,7 +78,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 impl ChaosRng {
     /// Construct from a seed.
     pub fn new(seed: u64) -> ChaosRng {
-        ChaosRng { state: seed ^ GOLDEN }
+        ChaosRng {
+            state: seed ^ GOLDEN,
+        }
     }
 
     /// Next 64 random bits.
@@ -412,8 +414,7 @@ impl ChaosPlan {
 
     /// Pure: does the instance crash after processing this message?
     pub fn decide_crash_after(&self, key: u64) -> bool {
-        mix(self.config.seed, PT_CRASH_AFTER, key) % 1000
-            < self.config.crash_after_permille as u64
+        mix(self.config.seed, PT_CRASH_AFTER, key) % 1000 < self.config.crash_after_permille as u64
     }
 
     /// Pure: is this send delivered twice?
@@ -602,7 +603,10 @@ mod tests {
                 plan_a.decide_delivery(key, m.redeliveries),
                 plan_b.decide_delivery(key, m.redeliveries)
             );
-            assert_eq!(plan_a.decide_crash_after(key), plan_b.decide_crash_after(key));
+            assert_eq!(
+                plan_a.decide_crash_after(key),
+                plan_b.decide_crash_after(key)
+            );
             assert_eq!(plan_a.decide_duplicate(key), plan_b.decide_duplicate(key));
             assert_eq!(plan_a.decide_reorder(key), plan_b.decide_reorder(key));
             if plan_a.decide_delivery(key, m.redeliveries)
@@ -611,7 +615,10 @@ mod tests {
                 differs = true;
             }
         }
-        assert!(differs, "different seeds should produce different schedules");
+        assert!(
+            differs,
+            "different seeds should produce different schedules"
+        );
     }
 
     #[test]

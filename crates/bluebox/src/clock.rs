@@ -51,7 +51,10 @@ impl Clock {
     ///
     /// On the real clock, which only time moves.
     pub fn advance(&self, by: Duration) {
-        let m = self.manual.as_ref().expect("only a manual clock can be advanced");
+        let m = self
+            .manual
+            .as_ref()
+            .expect("only a manual clock can be advanced");
         m.1.fetch_add(by.as_nanos() as u64, Ordering::AcqRel);
     }
 }

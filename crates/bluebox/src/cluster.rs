@@ -17,8 +17,8 @@ use crate::message::{Fault, Message, ReplyTo};
 use crate::metrics::Metrics;
 use crate::queue::{AffinityCounts, Policy, ServiceQueue};
 use crate::recovery::{
-    backoff_for, DeadLetter, Lease, PendingReclaim, RecoveryStats, RecoveryStatsSnapshot, LEASE_TTL,
-    REDELIVERY_BUDGET, SCAN_INTERVAL,
+    backoff_for, DeadLetter, Lease, PendingReclaim, RecoveryStats, RecoveryStatsSnapshot,
+    LEASE_TTL, REDELIVERY_BUDGET, SCAN_INTERVAL,
 };
 use crate::tcp::{Conn, TcpBroker};
 
@@ -278,13 +278,21 @@ impl Cluster {
     /// Fails with the holder's name if one is attached already.
     pub fn attach(&self, deployment: Arc<dyn Deployment>) -> Result<(), String> {
         let attached = self.deployment.set(deployment);
-        attached.map_err(|_| self.deployment.get().expect("attached already").name().to_string())
+        attached.map_err(|_| {
+            self.deployment
+                .get()
+                .expect("attached already")
+                .name()
+                .to_string()
+        })
     }
 
     /// Flip `msg`'s task (if the message is task-correlated: its
     /// `task-id` header, else its `fiber-id`'s task) into `phase`.
     fn note_phase(&self, msg: &Message, phase: Phase) {
-        let Some(deployment) = self.deployment.get() else { return };
+        let Some(deployment) = self.deployment.get() else {
+            return;
+        };
         let task = msg
             .get_header("task-id")
             .or_else(|| msg.get_header("fiber-id").and_then(task_of));
@@ -462,7 +470,12 @@ impl Cluster {
     /// Spawn `count` instances of `service` on `node_id`: threads of this
     /// process. (Remote worker processes add capacity by registering
     /// with a [`TcpBroker`].) Returns their instance ids.
-    pub fn spawn_instances(self: &Arc<Cluster>, service: &str, node_id: u32, count: usize) -> Vec<u64> {
+    pub fn spawn_instances(
+        self: &Arc<Cluster>,
+        service: &str,
+        node_id: u32,
+        count: usize,
+    ) -> Vec<u64> {
         let handler = self
             .services
             .read()
@@ -584,7 +597,10 @@ impl Cluster {
         msg.enqueued_at = Instant::now();
         self.metrics.sent.fetch_add(1, Ordering::Relaxed);
         self.obs.bus.emit(|| {
-            msg_event(&msg, |service, operation| EventKind::MessageSent { service, operation })
+            msg_event(&msg, |service, operation| EventKind::MessageSent {
+                service,
+                operation,
+            })
         });
         if msg.hold_until > 0 {
             if let Some(deployment) = self.deployment.get() {
@@ -621,7 +637,10 @@ impl Cluster {
         // list), nothing enters a queue above the durable watermark.
         debug_assert!(
             msg.hold_until == 0
-                || self.deployment.get().is_none_or(|d| d.durable(msg.hold_until)),
+                || self
+                    .deployment
+                    .get()
+                    .is_none_or(|d| d.durable(msg.hold_until)),
             "{}/{} queued behind watermark {} before it was durable",
             msg.service,
             msg.operation,
@@ -647,7 +666,10 @@ impl Cluster {
     /// Emit a [`EventKind::MessageRedelivered`] event for `msg`.
     fn emit_redelivered(&self, msg: &Message) {
         self.obs.bus.emit(|| {
-            msg_event(msg, |service, operation| EventKind::MessageRedelivered { service, operation })
+            msg_event(msg, |service, operation| EventKind::MessageRedelivered {
+                service,
+                operation,
+            })
         });
     }
 
@@ -733,8 +755,9 @@ impl Cluster {
                 // ResumeFromCall replies race back to the fiber's cache:
                 // stamp them with the node that last saved the fiber.
                 if let Some(deployment) = self.deployment.get() {
-                    if let Some(node) =
-                        request.get_header("fiber-id").and_then(|id| deployment.affine_node(id))
+                    if let Some(node) = request
+                        .get_header("fiber-id")
+                        .and_then(|id| deployment.affine_node(id))
                     {
                         reply = reply.with_affinity(node);
                     }
@@ -897,14 +920,16 @@ impl Cluster {
             let instances = self.instances.lock();
             let mut leases = self.leases.lock();
             leases
-                .extract_if(|_, lease| match instances.iter().find(|h| h.id == lease.instance) {
-                    None => true,
-                    Some(h) => {
-                        let vouched = (*h.control.heartbeat.lock()).max(lease.taken);
-                        !h.control.alive.load(Ordering::Relaxed)
-                            || now.saturating_duration_since(vouched) > LEASE_TTL
-                    }
-                })
+                .extract_if(
+                    |_, lease| match instances.iter().find(|h| h.id == lease.instance) {
+                        None => true,
+                        Some(h) => {
+                            let vouched = (*h.control.heartbeat.lock()).max(lease.taken);
+                            !h.control.alive.load(Ordering::Relaxed)
+                                || now.saturating_duration_since(vouched) > LEASE_TTL
+                        }
+                    },
+                )
                 .map(|(_, lease)| lease)
                 .collect()
         };
@@ -939,7 +964,10 @@ impl Cluster {
             self.metrics.redelivered.fetch_add(1, Ordering::Relaxed);
             self.recovery_stats.reclaims.fetch_add(1, Ordering::Relaxed);
             self.obs.bus.emit(|| {
-                msg_event(&p.msg, |service, operation| EventKind::LeaseReclaimed { service, operation })
+                msg_event(&p.msg, |service, operation| EventKind::LeaseReclaimed {
+                    service,
+                    operation,
+                })
             });
             self.emit_redelivered(&p.msg);
             self.note_phase(&p.msg, Phase::QueueWait);
@@ -966,7 +994,9 @@ impl Cluster {
                 if held.is_empty() {
                     return;
                 }
-                let (ready, rest) = held.drain(..).partition(|m| deployment.durable(m.hold_until));
+                let (ready, rest) = held
+                    .drain(..)
+                    .partition(|m| deployment.durable(m.hold_until));
                 *held = rest;
                 ready
             };
@@ -1002,7 +1032,9 @@ impl Cluster {
     /// abandoned lease and must settle it; the handler path's lease is
     /// settled by the instance loop.
     fn quarantine(&self, service: &str, msg: Message, reason: &str, settle: bool) {
-        self.recovery_stats.dead_letters.fetch_add(1, Ordering::Relaxed);
+        self.recovery_stats
+            .dead_letters
+            .fetch_add(1, Ordering::Relaxed);
         self.obs.bus.emit(|| {
             msg_event(&msg, |_, operation| EventKind::MessageDeadLettered {
                 service: service.to_string(),
@@ -1147,9 +1179,11 @@ fn instance_loop(
         // lease reaper detects the dead holder and re-queues it.
         if *control.fault.lock() == Some(FaultPoint::BeforeProcess) {
             cluster.obs.bus.emit(|| {
-                msg_event(&msg, |_, _| EventKind::InstanceCrashed { point: "before-process".into() })
-                    .node(ctx.node_id)
-                    .instance(ctx.instance_id)
+                msg_event(&msg, |_, _| EventKind::InstanceCrashed {
+                    point: "before-process".into(),
+                })
+                .node(ctx.node_id)
+                .instance(ctx.instance_id)
             });
             control.alive.store(false, Ordering::Relaxed);
             break;
@@ -1186,8 +1220,7 @@ fn instance_loop(
             if chaos_after {
                 cluster.emit_fault(&msg, "crash-after");
             }
-            let node_wide = chaos_after
-                && chaos.as_ref().is_some_and(|p| p.on_node_scope(&msg));
+            let node_wide = chaos_after && chaos.as_ref().is_some_and(|p| p.on_node_scope(&msg));
             crash_with(
                 &cluster,
                 &control,
@@ -1253,7 +1286,9 @@ fn crash_with(
 fn reaper_loop(weak: Weak<Cluster>) {
     loop {
         {
-            let Some(cluster) = weak.upgrade() else { return };
+            let Some(cluster) = weak.upgrade() else {
+                return;
+            };
             if cluster.closed.load(Ordering::Relaxed) {
                 return;
             }
@@ -1304,7 +1339,10 @@ mod tests {
         let (id, instance) = taken.recv_timeout(Duration::from_secs(10)).unwrap();
         clock.advance(LEASE_TTL - Duration::from_millis(1));
         cluster.recovery_tick(clock.now());
-        assert!(cluster.lease_held(id, instance), "reclaimed before the TTL ran out");
+        assert!(
+            cluster.lease_held(id, instance),
+            "reclaimed before the TTL ran out"
+        );
         clock.advance(Duration::from_millis(2));
         cluster.recovery_tick(clock.now());
         assert!(!cluster.lease_held(id, instance), "kept past the TTL");

@@ -64,7 +64,7 @@ pub use metrics::{Metrics, MetricsSnapshot, TransportMetrics, TransportMetricsSn
 pub use queue::{Policy, ServiceQueue};
 pub use recovery::{DeadLetter, RecoveryStats, RecoveryStatsSnapshot};
 pub use tcp::{
-    RemoteDelivery, RemoteHandler, TcpBroker, TcpBrokerConfig, TcpWorker, WorkerConfig,
-    WorkerCtx, WorkerStats,
+    RemoteDelivery, RemoteHandler, TcpBroker, TcpBrokerConfig, TcpWorker, WorkerConfig, WorkerCtx,
+    WorkerStats,
 };
 pub use wire::{FrameError, SettleBody, WireMsg, WirePayload, MAX_FRAME_LEN};

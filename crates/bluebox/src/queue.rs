@@ -508,9 +508,7 @@ mod tests {
         assert_eq!(q.depth(), 0);
         assert!(!q.wait_idle(Instant::now() + Duration::from_millis(30)));
         let q2 = q.clone();
-        let h = std::thread::spawn(move || {
-            q2.wait_idle(Instant::now() + Duration::from_secs(5))
-        });
+        let h = std::thread::spawn(move || q2.wait_idle(Instant::now() + Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(20));
         q.settle();
         assert!(h.join().unwrap());

@@ -63,7 +63,11 @@ fn wire_payload_of(msg: &Message) -> WirePayload {
     WirePayload {
         service: msg.service.clone(),
         operation: msg.operation.clone(),
-        headers: msg.headers.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+        headers: msg
+            .headers
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect(),
         body: msg.body.clone(),
         priority: msg.priority,
         hold_until: msg.hold_until,
@@ -117,12 +121,7 @@ const RECONNECT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// Deterministic reconnect backoff: exponential in `attempt` (1-based),
 /// capped, plus 0–50% jitter hashed from `(seed, attempt)` so a fleet
 /// of workers restarting together fans out instead of thundering.
-pub fn backoff_with_jitter(
-    base: Duration,
-    max: Duration,
-    seed: u64,
-    attempt: u32,
-) -> Duration {
+pub fn backoff_with_jitter(base: Duration, max: Duration, seed: u64, attempt: u32) -> Duration {
     let exp = attempt.saturating_sub(1).min(16);
     let raw = base.saturating_mul(1u32 << exp).min(max);
     // splitmix64 over (seed, attempt): stable across runs of one seed.
@@ -131,7 +130,11 @@ pub fn backoff_with_jitter(
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     let jitter_nanos = raw.as_nanos() as u64 / 2;
-    let jitter = if jitter_nanos == 0 { 0 } else { z % jitter_nanos };
+    let jitter = if jitter_nanos == 0 {
+        0
+    } else {
+        z % jitter_nanos
+    };
     raw + Duration::from_nanos(jitter)
 }
 
@@ -431,8 +434,7 @@ impl TcpBroker {
     }
 
     fn closing(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-            || self.cluster.upgrade().is_none_or(|c| c.is_shutdown())
+        self.stop.load(Ordering::Relaxed) || self.cluster.upgrade().is_none_or(|c| c.is_shutdown())
     }
 
     /// Whether the listener is still up (not shut down).
@@ -565,7 +567,9 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
                     break;
                 }
                 slots += instances;
-                let Some(cluster) = broker.cluster.upgrade() else { break };
+                let Some(cluster) = broker.cluster.upgrade() else {
+                    break;
+                };
                 let ids = (0..instances)
                     .map(|_| cluster.spawn_instance(&service, node, Slot::Remote(conn.clone())))
                     .collect();
@@ -596,7 +600,9 @@ fn conn_loop(broker: Arc<TcpBroker>, mut stream: TcpStream) {
                     tm.decode_errors.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
-                let Some(cluster) = broker.cluster.upgrade() else { break };
+                let Some(cluster) = broker.cluster.upgrade() else {
+                    break;
+                };
                 cluster.send(message_from(payload));
             }
             WireMsg::Heartbeat { .. } => {
@@ -1039,7 +1045,10 @@ mod tests {
     fn advance_until(clock: &Clock, mut done: impl FnMut() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !done() {
-            assert!(Instant::now() < deadline, "not done after 10 s of real time");
+            assert!(
+                Instant::now() < deadline,
+                "not done after 10 s of real time"
+            );
             clock.advance(BACKOFF_BASE);
             std::thread::sleep(SCAN_INTERVAL);
         }
@@ -1048,8 +1057,7 @@ mod tests {
     #[test]
     fn remote_worker_round_trip() {
         let cluster = Cluster::new();
-        let broker =
-            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         assert!(broker.alive());
         let handler = Arc::new(
             |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
@@ -1082,8 +1090,7 @@ mod tests {
     #[test]
     fn worker_fault_routes_back() {
         let cluster = Cluster::new();
-        let broker =
-            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let handler = Arc::new(
             |_ctx: &WorkerCtx, _d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
                 Err(Fault::new("{urn:w}Boom", "nope"))
@@ -1107,8 +1114,7 @@ mod tests {
     #[test]
     fn dead_connection_surfaces_as_lease_expiry() {
         let cluster = Cluster::new();
-        let broker =
-            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         // First delivery tears the connection mid-write; the reconnected
         // session must complete the redelivery.
         let torn = Arc::new(AtomicBool::new(false));
@@ -1128,7 +1134,10 @@ mod tests {
             handler,
         );
         let reply = cluster
-            .call(Message::new("echo", "Echo", b"alive".to_vec()), Duration::from_secs(10))
+            .call(
+                Message::new("echo", "Echo", b"alive".to_vec()),
+                Duration::from_secs(10),
+            )
             .unwrap();
         assert_eq!(reply, b"alive");
         let stats = cluster.recovery_stats();
@@ -1154,7 +1163,10 @@ mod tests {
         );
         let deadline = Instant::now() + Duration::from_secs(10);
         while cluster.live_instances(service) < slots as usize {
-            assert!(Instant::now() < deadline, "the worker's slots never came up");
+            assert!(
+                Instant::now() < deadline,
+                "the worker's slots never came up"
+            );
             std::thread::sleep(Duration::from_millis(2));
         }
         worker
@@ -1166,8 +1178,7 @@ mod tests {
     #[test]
     fn delivery_threads_are_reused() {
         let cluster = Cluster::new();
-        let broker =
-            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let threads = Arc::new(Mutex::new(std::collections::HashSet::new()));
         let seen = threads.clone();
         let handler = Arc::new(
@@ -1180,7 +1191,10 @@ mod tests {
         for i in 0..200u32 {
             let body = i.to_le_bytes().to_vec();
             let reply = cluster
-                .call(Message::new("echo", "Echo", body.clone()), Duration::from_secs(5))
+                .call(
+                    Message::new("echo", "Echo", body.clone()),
+                    Duration::from_secs(5),
+                )
                 .unwrap();
             assert_eq!(reply, body);
         }
@@ -1199,8 +1213,7 @@ mod tests {
     fn a_blocked_handler_does_not_hold_up_the_next_delivery() {
         let clock = Clock::manual();
         let cluster = Cluster::with_clock(clock.clone());
-        let broker =
-            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let (open, gate) = bounded::<()>(1);
         let (finished, first_done) = bounded::<bool>(1);
         let handler = Arc::new(
@@ -1217,11 +1230,17 @@ mod tests {
         let worker = worker_on(&cluster, &broker, "wedge", 1, handler);
         let caller = cluster.clone();
         let call = std::thread::spawn(move || {
-            caller.call(Message::new("wedge", "Go", b"x".to_vec()), Duration::from_secs(20))
+            caller.call(
+                Message::new("wedge", "Go", b"x".to_vec()),
+                Duration::from_secs(20),
+            )
         });
         let deadline = Instant::now() + Duration::from_secs(10);
         while cluster.busy_instances("wedge") == 0 {
-            assert!(Instant::now() < deadline, "the first delivery never went out");
+            assert!(
+                Instant::now() < deadline,
+                "the first delivery never went out"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
         clock.advance(LEASE_TTL + Duration::from_millis(1));
@@ -1243,8 +1262,7 @@ mod tests {
     fn a_panicking_handler_costs_only_its_own_delivery() {
         let clock = Clock::manual();
         let cluster = Cluster::with_clock(clock.clone());
-        let broker =
-            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let booms = Arc::new(AtomicU64::new(0));
         let handler_booms = booms.clone();
         let handler = Arc::new(
@@ -1266,14 +1284,21 @@ mod tests {
         }
         for i in 0..20u8 {
             let reply = cluster
-                .call(Message::new("fragile", "Go", vec![i]), Duration::from_secs(5))
+                .call(
+                    Message::new("fragile", "Go", vec![i]),
+                    Duration::from_secs(5),
+                )
                 .unwrap();
             assert_eq!(reply, vec![i]);
         }
         clock.advance(LEASE_TTL + Duration::from_millis(1));
         advance_until(&clock, || boom.is_finished());
         assert_eq!(boom.join().unwrap().unwrap(), b"boom");
-        assert_eq!(booms.load(Ordering::SeqCst), 2, "the panicked delivery came back once");
+        assert_eq!(
+            booms.load(Ordering::SeqCst),
+            2,
+            "the panicked delivery came back once"
+        );
         assert!(cluster.drain("fragile", Duration::from_secs(5)));
         let tm = broker.transport_metrics().snapshot();
         assert_eq!(tm.remote_settles, 21, "one applied settle per call");
@@ -1291,8 +1316,7 @@ mod tests {
     #[test]
     fn an_oversized_frame_fails_its_call_once_and_keeps_the_link() {
         let cluster = Cluster::new();
-        let broker =
-            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let handled = Arc::new(AtomicU64::new(0));
         let count = handled.clone();
         let handler = Arc::new(
@@ -1337,16 +1361,28 @@ mod tests {
     #[test]
     fn a_connection_registers_at_most_the_slot_budget() {
         let cluster = Cluster::new();
-        let broker =
-            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let mut peer = TcpStream::connect(broker.addr()).unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         let mut reader = FrameReader::new();
         let send =
             |peer: &mut TcpStream, msg: WireMsg| peer.write_all(&encode_frame(&msg)).unwrap();
-        send(&mut peer, WireMsg::Hello { worker: "greedy".into(), node: 1 });
-        assert!(matches!(reader.read_frame(&mut peer), Ok(WireMsg::HelloAck { .. })));
-        let register = |instances| WireMsg::Register { service: "greedy".into(), instances };
+        send(
+            &mut peer,
+            WireMsg::Hello {
+                worker: "greedy".into(),
+                node: 1,
+            },
+        );
+        assert!(matches!(
+            reader.read_frame(&mut peer),
+            Ok(WireMsg::HelloAck { .. })
+        ));
+        let register = |instances| WireMsg::Register {
+            service: "greedy".into(),
+            instances,
+        };
         send(&mut peer, register(SLOT_BUDGET));
         match reader.read_frame(&mut peer) {
             Ok(WireMsg::Registered { ids, .. }) => assert_eq!(ids.len(), SLOT_BUDGET as usize),
@@ -1379,15 +1415,24 @@ mod tests {
         }
         let cluster = Cluster::new();
         cluster.attach(Arc::new(NothingDurable)).unwrap();
-        let broker =
-            TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
+        let broker = TcpBroker::start(&cluster, "127.0.0.1:0", TcpBrokerConfig::default()).unwrap();
         let mut peer = TcpStream::connect(broker.addr()).unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         let mut reader = FrameReader::new();
         let send =
             |peer: &mut TcpStream, msg: WireMsg| peer.write_all(&encode_frame(&msg)).unwrap();
-        send(&mut peer, WireMsg::Hello { worker: "forger".into(), node: 1 });
-        assert!(matches!(reader.read_frame(&mut peer), Ok(WireMsg::HelloAck { .. })));
+        send(
+            &mut peer,
+            WireMsg::Hello {
+                worker: "forger".into(),
+                node: 1,
+            },
+        );
+        assert!(matches!(
+            reader.read_frame(&mut peer),
+            Ok(WireMsg::HelloAck { .. })
+        ));
         let payload = WirePayload {
             service: "anything".into(),
             operation: "Op".into(),
@@ -1401,7 +1446,11 @@ mod tests {
             Err(FrameError::Eof) | Err(FrameError::Io(std::io::ErrorKind::ConnectionReset)) => {}
             other => panic!("expected the broker to close the connection, got {other:?}"),
         }
-        assert_eq!(cluster.held_count(), 0, "nothing is parked on a worker's ticket");
+        assert_eq!(
+            cluster.held_count(),
+            0,
+            "nothing is parked on a worker's ticket"
+        );
         assert_eq!(broker.transport_metrics().snapshot().decode_errors, 1);
         cluster.shutdown();
     }
@@ -1420,7 +1469,10 @@ mod tests {
         while !done.load(Ordering::SeqCst) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(done.load(Ordering::SeqCst), "deadlocked: did not finish in {limit:?}");
+        assert!(
+            done.load(Ordering::SeqCst),
+            "deadlocked: did not finish in {limit:?}"
+        );
         t.join().unwrap();
     }
 
@@ -1509,9 +1561,7 @@ mod tests {
         };
         let broker = TcpBroker::start(&cluster, "127.0.0.1:0", config).unwrap();
         let handler = Arc::new(
-            |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
-                Ok(d.body.clone())
-            },
+            |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> { Ok(d.body.clone()) },
         );
         let worker = worker_on(&cluster, &broker, "echo", 1, handler);
         let t0 = Instant::now();
@@ -1532,14 +1582,15 @@ mod tests {
         };
         let broker = TcpBroker::start(&cluster, "127.0.0.1:0", config).unwrap();
         let handler = Arc::new(
-            |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> {
-                Ok(d.body.clone())
-            },
+            |_ctx: &WorkerCtx, d: &RemoteDelivery| -> Result<Vec<u8>, Fault> { Ok(d.body.clone()) },
         );
         let worker = worker_on(&cluster, &broker, "echo", 1, handler);
         std::thread::sleep(Duration::from_millis(500));
         let heartbeats = broker.transport_metrics().snapshot().heartbeats;
-        assert!(heartbeats >= 10, "{heartbeats} heartbeats in 500 ms at a 20 ms cadence");
+        assert!(
+            heartbeats >= 10,
+            "{heartbeats} heartbeats in 500 ms at a 20 ms cadence"
+        );
         worker.stop();
         cluster.shutdown();
     }

@@ -594,7 +594,11 @@ mod tests {
         for msg in &msgs {
             data.extend_from_slice(&encode_frame(msg));
         }
-        let mut stream = ChoppyStream { data, pos: 0, tick: 0 };
+        let mut stream = ChoppyStream {
+            data,
+            pos: 0,
+            tick: 0,
+        };
         let mut reader = FrameReader::new();
         let mut got = Vec::new();
         loop {
@@ -616,7 +620,11 @@ mod tests {
         });
         let mut data = encode_frame(&WireMsg::Heartbeat { seq: 1 });
         data.extend_from_slice(&frame[..frame.len() / 2]);
-        let mut stream = ChoppyStream { data, pos: 0, tick: 0 };
+        let mut stream = ChoppyStream {
+            data,
+            pos: 0,
+            tick: 0,
+        };
         let mut reader = FrameReader::new();
         let first = loop {
             match reader.read_frame(&mut stream) {

@@ -30,7 +30,10 @@ impl Deployment for Committed {
 /// point.
 fn attach_committed(cluster: &Cluster) -> Arc<AtomicU64> {
     let committed = Arc::new(AtomicU64::new(0));
-    let deployment = Committed { name: "committed", committed: committed.clone() };
+    let deployment = Committed {
+        name: "committed",
+        committed: committed.clone(),
+    };
     cluster.attach(Arc::new(deployment)).unwrap();
     committed
 }
@@ -42,12 +45,17 @@ fn sync_call_round_trips() {
         "upper",
         None,
         Arc::new(|_: &ServiceCtx, msg: &Message| {
-            Ok(String::from_utf8_lossy(&msg.body).to_uppercase().into_bytes())
+            Ok(String::from_utf8_lossy(&msg.body)
+                .to_uppercase()
+                .into_bytes())
         }),
     );
     cluster.spawn_instances("upper", 0, 1);
     let reply = cluster
-        .call(Message::new("upper", "Up", b"abc".to_vec()), Duration::from_secs(2))
+        .call(
+            Message::new("upper", "Up", b"abc".to_vec()),
+            Duration::from_secs(2),
+        )
         .unwrap();
     assert_eq!(reply, b"ABC");
     cluster.shutdown();
@@ -78,7 +86,10 @@ fn faults_propagate_to_callers() {
 fn call_to_unstaffed_service_times_out() {
     let cluster = Cluster::new();
     let err = cluster
-        .call(Message::new("nobody", "Op", vec![]), Duration::from_millis(100))
+        .call(
+            Message::new("nobody", "Op", vec![]),
+            Duration::from_millis(100),
+        )
         .unwrap_err();
     assert_eq!(err, CallError::Timeout);
     cluster.shutdown();
@@ -177,14 +188,25 @@ fn crash_before_process_redelivers_to_survivor() {
     // Wait for the doomed instance to die.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while cluster.live_instances("resilient") > 0 {
-        assert!(std::time::Instant::now() < deadline, "instance never crashed");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "instance never crashed"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(processed.load(Ordering::SeqCst), 0, "doomed instance processed nothing");
+    assert_eq!(
+        processed.load(Ordering::SeqCst),
+        0,
+        "doomed instance processed nothing"
+    );
     // Survivor picks everything up, including the re-queued delivery.
     cluster.spawn_instances("resilient", 1, 1);
     assert!(cluster.drain("resilient", Duration::from_secs(10)));
-    assert_eq!(processed.load(Ordering::SeqCst), 10, "all messages processed");
+    assert_eq!(
+        processed.load(Ordering::SeqCst),
+        10,
+        "all messages processed"
+    );
     let snap = cluster.metrics.snapshot();
     assert!(snap.redelivered >= 1, "the doomed delivery was redelivered");
     cluster.shutdown();
@@ -227,7 +249,11 @@ fn after_process_redelivery_is_idempotent_when_keyed_by_message_id() {
     let invocations = Arc::new(AtomicU64::new(0));
     let effects: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
     let redelivered_seen = Arc::new(AtomicU64::new(0));
-    let (inv, eff, red) = (invocations.clone(), effects.clone(), redelivered_seen.clone());
+    let (inv, eff, red) = (
+        invocations.clone(),
+        effects.clone(),
+        redelivered_seen.clone(),
+    );
     cluster.register_service(
         "ledger",
         None,
@@ -249,7 +275,10 @@ fn after_process_redelivery_is_idempotent_when_keyed_by_message_id() {
     cluster.send(Message::new("ledger", "Credit", vec![]));
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while cluster.live_instances("ledger") > 0 {
-        assert!(std::time::Instant::now() < deadline, "instance never crashed");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "instance never crashed"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
     // Survivor receives the redelivery of the already-processed message.
@@ -291,7 +320,10 @@ fn nested_sync_call_occupies_slot() {
         None,
         Arc::new(|ctx: &ServiceCtx, _: &Message| {
             ctx.cluster
-                .call(Message::new("inner", "Slow", vec![]), Duration::from_secs(5))
+                .call(
+                    Message::new("inner", "Slow", vec![]),
+                    Duration::from_secs(5),
+                )
                 .map_err(|e| Fault::new("nested", e.to_string()))?;
             Ok(vec![])
         }),
@@ -300,7 +332,11 @@ fn nested_sync_call_occupies_slot() {
     cluster.spawn_instances("outer", 0, 1);
     cluster.send(Message::new("outer", "Op", vec![]));
     std::thread::sleep(Duration::from_millis(30));
-    assert_eq!(cluster.busy_instances("outer"), 1, "slot held while blocked");
+    assert_eq!(
+        cluster.busy_instances("outer"),
+        1,
+        "slot held while blocked"
+    );
     assert!(cluster.drain("outer", Duration::from_secs(5)));
     let snap = cluster.metrics.snapshot();
     assert!(
@@ -336,7 +372,11 @@ fn wsdl_registry_serves_descriptions() {
     use gozer_xml::ServiceDescription;
     let cluster = Cluster::new();
     let desc = ServiceDescription::new("SecurityManager", "urn:security-manager-service")
-        .operation("ListSessions", "Lists sessions.", &[("FilterParams", "string")]);
+        .operation(
+            "ListSessions",
+            "Lists sessions.",
+            &[("FilterParams", "string")],
+        );
     cluster.register_service(
         "SecurityManager",
         Some(desc.clone()),
@@ -409,7 +449,10 @@ fn reaper_releases_held_messages_as_safety_net() {
     committed.store(1, Ordering::SeqCst);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while delivered.load(Ordering::SeqCst) == 0 {
-        assert!(std::time::Instant::now() < deadline, "reaper never released");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "reaper never released"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     cluster.shutdown();
@@ -422,11 +465,23 @@ fn reaper_releases_held_messages_as_safety_net() {
 fn a_second_attach_is_refused_and_names_the_first() {
     let cluster = Cluster::new();
     let committed = Arc::new(AtomicU64::new(0));
-    cluster.attach(Arc::new(Committed { name: "first", committed: committed.clone() })).unwrap();
-    let second = Committed { name: "second", committed: Arc::new(AtomicU64::new(u64::MAX)) };
+    cluster
+        .attach(Arc::new(Committed {
+            name: "first",
+            committed: committed.clone(),
+        }))
+        .unwrap();
+    let second = Committed {
+        name: "second",
+        committed: Arc::new(AtomicU64::new(u64::MAX)),
+    };
     assert_eq!(cluster.attach(Arc::new(second)), Err("first".to_string()));
     cluster.send(Message::new("gated3", "Op", vec![]).with_hold_until(1));
-    assert_eq!(cluster.held_count(), 1, "the first deployment still answers");
+    assert_eq!(
+        cluster.held_count(),
+        1,
+        "the first deployment still answers"
+    );
     committed.store(1, Ordering::SeqCst);
     cluster.note_durable(1);
     assert_eq!(cluster.held_count(), 0);
@@ -451,7 +506,10 @@ fn a_held_message_is_released_after_the_deployment_handle_is_dropped() {
     );
     cluster.spawn_instances("gated4", 0, 1);
     let committed = Arc::new(AtomicU64::new(0));
-    let deployment = Arc::new(Committed { name: "dropped", committed: committed.clone() });
+    let deployment = Arc::new(Committed {
+        name: "dropped",
+        committed: committed.clone(),
+    });
     cluster.attach(deployment.clone()).unwrap();
     cluster.send(Message::new("gated4", "Op", vec![]).with_hold_until(5));
     assert_eq!(cluster.held_count(), 1);

@@ -29,7 +29,10 @@ fn manual_cluster() -> (Arc<Cluster>, Clock) {
 fn advance_until(clock: &Clock, step: Duration, mut done: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(20);
     while !done() {
-        assert!(Instant::now() < deadline, "not done after 20 s of real time");
+        assert!(
+            Instant::now() < deadline,
+            "not done after 20 s of real time"
+        );
         clock.advance(step);
         std::thread::sleep(SCAN_INTERVAL);
     }
@@ -77,10 +80,14 @@ fn reaper_reclaims_lease_without_any_survivor_present() {
     let ids = cluster.spawn_instances("leased", 0, 1);
     cluster.kill_instance(ids[0], FaultPoint::BeforeProcess);
     cluster.send(Message::new("leased", "Op", vec![]));
-    wait_for("doomed instance never crashed", || cluster.live_instances("leased") == 0);
+    wait_for("doomed instance never crashed", || {
+        cluster.live_instances("leased") == 0
+    });
     // No survivor yet: the message sits leased (not lost, not settled).
     cluster.spawn_instances("leased", 1, 1);
-    advance_until(&clock, BACKOFF_BASE, || processed.load(Ordering::SeqCst) == 1);
+    advance_until(&clock, BACKOFF_BASE, || {
+        processed.load(Ordering::SeqCst) == 1
+    });
     assert!(cluster.drain("leased", Duration::from_secs(10)));
     assert_eq!(processed.load(Ordering::SeqCst), 1);
     let stats = cluster.recovery_stats();
@@ -117,8 +124,15 @@ fn poison_message_dead_letters_after_redelivery_budget() {
     assert_eq!(dead.len(), 1);
     assert_eq!(dead[0].msg.operation, "Poison");
     assert_eq!(dead[0].reason, "redelivery-budget");
-    assert_eq!(dead[0].msg.redeliveries, REDELIVERY_BUDGET, "budget was spent first");
-    assert_eq!(healthy.load(Ordering::SeqCst), 1, "the healthy message got through");
+    assert_eq!(
+        dead[0].msg.redeliveries, REDELIVERY_BUDGET,
+        "budget was spent first"
+    );
+    assert_eq!(
+        healthy.load(Ordering::SeqCst),
+        1,
+        "the healthy message got through"
+    );
     // The registry adopts the counter under the
     // paper-facing name.
     let text = cluster.obs().registry.render_text();
@@ -140,10 +154,13 @@ fn dead_letter_observers_fire_on_quarantine() {
             "recorder"
         }
         fn dead_lettered(&self, dl: &DeadLetter) {
-            self.0.lock().push((dl.service.clone(), dl.msg.operation.clone()));
+            self.0
+                .lock()
+                .push((dl.service.clone(), dl.msg.operation.clone()));
         }
     }
-    let seen: Arc<parking_lot::Mutex<Vec<(String, String)>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen: Arc<parking_lot::Mutex<Vec<(String, String)>>> =
+        Arc::new(parking_lot::Mutex::new(Vec::new()));
     cluster.attach(Arc::new(Recorder(seen.clone()))).unwrap();
     cluster.register_service(
         "oneshot",
@@ -154,10 +171,16 @@ fn dead_letter_observers_fire_on_quarantine() {
     // last redelivery the budget allows quarantines instead.
     cluster.send(Message::new("oneshot", "Doomed", vec![]));
     staff_until_dead_lettered(&cluster, &clock, "oneshot");
-    assert!(cluster.drain("oneshot", Duration::from_secs(5)), "quarantine settles the lease");
+    assert!(
+        cluster.drain("oneshot", Duration::from_secs(5)),
+        "quarantine settles the lease"
+    );
     // Observers run after the settle, so the drain can return first.
     wait_for("observer never ran", || !seen.lock().is_empty());
-    assert_eq!(seen.lock().as_slice(), &[("oneshot".to_string(), "Doomed".to_string())]);
+    assert_eq!(
+        seen.lock().as_slice(),
+        &[("oneshot".to_string(), "Doomed".to_string())]
+    );
     cluster.shutdown();
 }
 
@@ -180,14 +203,26 @@ fn send_after_delays_delivery() {
         }),
     );
     cluster.spawn_instances("later", 0, 1);
-    cluster.send_after(Message::new("later", "Delayed", vec![]), Duration::from_millis(50));
+    cluster.send_after(
+        Message::new("later", "Delayed", vec![]),
+        Duration::from_millis(50),
+    );
     clock.advance(Duration::from_millis(40));
-    cluster.send_after(Message::new("later", "Marker", vec![]), Duration::from_millis(9));
+    cluster.send_after(
+        Message::new("later", "Marker", vec![]),
+        Duration::from_millis(9),
+    );
     clock.advance(Duration::from_millis(9));
     wait_for("the marker never arrived", || !delivered.lock().is_empty());
-    assert_eq!(*delivered.lock(), ["Marker"], "released before its due time");
+    assert_eq!(
+        *delivered.lock(),
+        ["Marker"],
+        "released before its due time"
+    );
     clock.advance(Duration::from_millis(1));
-    wait_for("the delayed send never arrived", || delivered.lock().len() == 2);
+    wait_for("the delayed send never arrived", || {
+        delivered.lock().len() == 2
+    });
     assert_eq!(*delivered.lock(), ["Marker", "Delayed"]);
     cluster.shutdown();
 }
@@ -195,7 +230,8 @@ fn send_after_delays_delivery() {
 #[test]
 fn reclaimed_message_keeps_id_and_bumps_redeliveries() {
     let (cluster, clock) = manual_cluster();
-    let seen: Arc<parking_lot::Mutex<Vec<(u64, u32)>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen: Arc<parking_lot::Mutex<Vec<(u64, u32)>>> =
+        Arc::new(parking_lot::Mutex::new(Vec::new()));
     let s2 = seen.clone();
     cluster.register_service(
         "idem",
@@ -208,13 +244,22 @@ fn reclaimed_message_keeps_id_and_bumps_redeliveries() {
     let ids = cluster.spawn_instances("idem", 0, 1);
     cluster.kill_instance(ids[0], FaultPoint::AfterProcess);
     cluster.send(Message::new("idem", "Op", vec![]));
-    wait_for("instance never crashed", || cluster.live_instances("idem") == 0);
+    wait_for("instance never crashed", || {
+        cluster.live_instances("idem") == 0
+    });
     cluster.spawn_instances("idem", 1, 1);
     advance_until(&clock, BACKOFF_BASE, || seen.lock().len() == 2);
     assert!(cluster.drain("idem", Duration::from_secs(10)));
     let got = seen.lock();
-    assert_eq!(got.len(), 2, "at-least-once: processed, crashed on ack, reclaimed");
-    assert_eq!(got[0].0, got[1].0, "broker id (the idempotency key) survives reclaim");
+    assert_eq!(
+        got.len(),
+        2,
+        "at-least-once: processed, crashed on ack, reclaimed"
+    );
+    assert_eq!(
+        got[0].0, got[1].0,
+        "broker id (the idempotency key) survives reclaim"
+    );
     assert_eq!(got[0].1, 0);
     assert!(got[1].1 >= 1, "redelivery mark set on the reclaimed copy");
     cluster.shutdown();
@@ -323,7 +368,9 @@ fn late_result_is_dropped(kind: SlotKind) {
             ));
         }
     }
-    wait_for(&format!("{kind:?}: slots never came up"), || cluster.live_instances("slow") == 2);
+    wait_for(&format!("{kind:?}: slots never came up"), || {
+        cluster.live_instances("slow") == 2
+    });
 
     let mut request = Message::new("slow", "Work", vec![]);
     request.reply_to = ReplyTo::Service {
@@ -334,11 +381,14 @@ fn late_result_is_dropped(kind: SlotKind) {
     cluster.send(request);
     // The first delivery outlives its lease: the reaper reclaims the
     // message and a slot takes the redelivery after its backoff.
-    wait_for(&format!("{kind:?}: the first delivery never went out"), || {
-        cluster.busy_instances("slow") == 1
-    });
+    wait_for(
+        &format!("{kind:?}: the first delivery never went out"),
+        || cluster.busy_instances("slow") == 1,
+    );
     clock.advance(LEASE_TTL + Duration::from_millis(1));
-    advance_until(&clock, BACKOFF_BASE, || redelivery_started.try_recv().is_ok());
+    advance_until(&clock, BACKOFF_BASE, || {
+        redelivery_started.try_recv().is_ok()
+    });
     // Let the first delivery return. Once the probe behind it is
     // handled, its slot has finished with that late result.
     drop(open_first);
@@ -406,9 +456,16 @@ fn busy_remote_slot_keeps_every_lease() {
         WorkerConfig::new(broker.addr().to_string(), "busy", 1),
         handler,
     );
-    assert!(cluster.drain("busy", Duration::from_secs(20)), "busy never drained");
+    assert!(
+        cluster.drain("busy", Duration::from_secs(20)),
+        "busy never drained"
+    );
     let tm = broker.transport_metrics().snapshot();
-    assert_eq!(redelivered.load(Ordering::SeqCst), 0, "a busy slot's lease was reclaimed");
+    assert_eq!(
+        redelivered.load(Ordering::SeqCst),
+        0,
+        "a busy slot's lease was reclaimed"
+    );
     assert_eq!(handled.load(Ordering::SeqCst), 9);
     assert_eq!(tm.remote_settles, 9, "one applied settle per delivery");
     assert_eq!(tm.duplicate_settles, 0, "no settle dropped as a duplicate");

@@ -16,7 +16,11 @@ const fn tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             bit += 1;
         }
         t[0][i] = c;

@@ -20,25 +20,69 @@ const EOB: usize = 256;
 
 /// Deflate's length-code table: (base, extra_bits) for codes 257..=285.
 const LEN_TABLE: [(u16, u8); 29] = [
-    (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (9, 0), (10, 0),
-    (11, 1), (13, 1), (15, 1), (17, 1),
-    (19, 2), (23, 2), (27, 2), (31, 2),
-    (35, 3), (43, 3), (51, 3), (59, 3),
-    (67, 4), (83, 4), (99, 4), (115, 4),
-    (131, 5), (163, 5), (195, 5), (227, 5),
+    (3, 0),
+    (4, 0),
+    (5, 0),
+    (6, 0),
+    (7, 0),
+    (8, 0),
+    (9, 0),
+    (10, 0),
+    (11, 1),
+    (13, 1),
+    (15, 1),
+    (17, 1),
+    (19, 2),
+    (23, 2),
+    (27, 2),
+    (31, 2),
+    (35, 3),
+    (43, 3),
+    (51, 3),
+    (59, 3),
+    (67, 4),
+    (83, 4),
+    (99, 4),
+    (115, 4),
+    (131, 5),
+    (163, 5),
+    (195, 5),
+    (227, 5),
     (258, 0),
 ];
 
 /// Deflate's distance-code table: (base, extra_bits) for codes 0..=29.
 const DIST_TABLE: [(u16, u8); 30] = [
-    (1, 0), (2, 0), (3, 0), (4, 0),
-    (5, 1), (7, 1), (9, 2), (13, 2),
-    (17, 3), (25, 3), (33, 4), (49, 4),
-    (65, 5), (97, 5), (129, 6), (193, 6),
-    (257, 7), (385, 7), (513, 8), (769, 8),
-    (1025, 9), (1537, 9), (2049, 10), (3073, 10),
-    (4097, 11), (6145, 11), (8193, 12), (12289, 12),
-    (16385, 13), (24577, 13),
+    (1, 0),
+    (2, 0),
+    (3, 0),
+    (4, 0),
+    (5, 1),
+    (7, 1),
+    (9, 2),
+    (13, 2),
+    (17, 3),
+    (25, 3),
+    (33, 4),
+    (49, 4),
+    (65, 5),
+    (97, 5),
+    (129, 6),
+    (193, 6),
+    (257, 7),
+    (385, 7),
+    (513, 8),
+    (769, 8),
+    (1025, 9),
+    (1537, 9),
+    (2049, 10),
+    (3073, 10),
+    (4097, 11),
+    (6145, 11),
+    (8193, 12),
+    (12289, 12),
+    (16385, 13),
+    (24577, 13),
 ];
 
 fn length_code(len: u16) -> (usize, u16, u8) {
@@ -198,7 +242,9 @@ mod tests {
         let mut data = Vec::new();
         let mut x: u64 = 0x123456789;
         for _ in 0..10_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             data.push((x >> 33) as u8);
         }
         let clen = roundtrip(&data);

@@ -112,8 +112,7 @@ mod tests {
 
     #[test]
     fn deflate_smaller_than_gzip_smaller_than_none() {
-        let data = b"a typical serialized fiber has much structural repetition "
-            .repeat(100);
+        let data = b"a typical serialized fiber has much structural repetition ".repeat(100);
         let none = Codec::None.compress(&data).len();
         let defl = Codec::Deflate.compress(&data).len();
         let gz = Codec::Gzip.compress(&data).len();

@@ -73,7 +73,9 @@ pub fn compress_tokens(data: &[u8]) -> Vec<Token> {
                 break;
             }
             // Quick reject using the byte just past the current best.
-            if i + best_len < n && data[cand + best_len.min(max_len - 1)] == data[i + best_len.min(max_len - 1)] {
+            if i + best_len < n
+                && data[cand + best_len.min(max_len - 1)] == data[i + best_len.min(max_len - 1)]
+            {
                 let mut l = 0;
                 while l < max_len && data[cand + l] == data[i + l] {
                     l += 1;
@@ -99,8 +101,7 @@ pub fn compress_tokens(data: &[u8]) -> Vec<Token> {
                 // One-step lazy match: if i+1 has a strictly longer match,
                 // emit a literal and take that one next round.
                 let lazy_better = i + 1 < n
-                    && find_match(&head, &prev, i + 1)
-                        .is_some_and(|(l2, _)| l2 > len + 1);
+                    && find_match(&head, &prev, i + 1).is_some_and(|(l2, _)| l2 > len + 1);
                 if lazy_better {
                     tokens.push(Token::Literal(data[i]));
                     insert(&mut head, &mut prev, i);

@@ -78,12 +78,14 @@ fn paren_balance(src: &str) -> i32 {
 /// Deploy the workflow in `path` on a 2-node cluster, two instances
 /// per node.
 fn deploy(path: &str, profiling: bool) -> Result<(Arc<Cluster>, WorkflowService), String> {
-    let source =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let cluster = Cluster::new();
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source(&source)
-        .config(VinzConfig { profiling, ..VinzConfig::default() })
+        .config(VinzConfig {
+            profiling,
+            ..VinzConfig::default()
+        })
         .instances(0, 2)
         .instances(1, 2)
         .deploy()
@@ -96,7 +98,11 @@ fn deploy(path: &str, profiling: bool) -> Result<(Arc<Cluster>, WorkflowService)
 fn call(wf: &WorkflowService, function: &str, args: &[String]) -> Result<(), String> {
     let args = args
         .iter()
-        .map(|a| a.parse::<i64>().map(Value::Int).unwrap_or_else(|_| Value::str(a)))
+        .map(|a| {
+            a.parse::<i64>()
+                .map(Value::Int)
+                .unwrap_or_else(|_| Value::str(a))
+        })
         .collect();
     let v = wf
         .call(function, args, Duration::from_secs(300))

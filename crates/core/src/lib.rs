@@ -58,17 +58,17 @@ pub use bluebox::{
 };
 pub use gozer_compress::Codec;
 pub use gozer_lang::{Reader, Symbol, Value};
+pub use gozer_obs::{
+    CriticalPath, CriticalSegment, Event, EventBus, EventKind, FlightDump, FlightRecorder,
+    HealthReport, IntrospectServer, IntrospectSource, MetricsRegistry, Obs, Phase, PhaseBreakdown,
+    Snapshot, TaskSummary, TaskTimeline, TimelineSet, PHASE_COUNT,
+};
 pub use gozer_serial::{deserialize_state, deserialize_value, serialize_state, serialize_value};
 pub use gozer_vm::{
     Condition, FiberState, FnProfile, Gvm, ProfileReport, RunOutcome, SerialCostSnapshot,
     Suspension, VmError,
 };
 pub use gozer_xml::{Element, QName, ServiceDescription};
-pub use gozer_obs::{
-    CriticalPath, CriticalSegment, Event, EventBus, EventKind, FlightDump, FlightRecorder,
-    HealthReport, IntrospectServer, IntrospectSource, MetricsRegistry, Obs, Phase,
-    PhaseBreakdown, Snapshot, TaskSummary, TaskTimeline, TimelineSet, PHASE_COUNT,
-};
 pub use vinz::{
     DurabilityTicket, LogStats, LogStore, LogStoreBuilder, MemStore, StateStore, StoreError,
     SupervisorConfig, TaskRecord, TaskStatus, VinzConfig, VinzError, Watermark, WorkflowObs,

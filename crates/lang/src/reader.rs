@@ -283,10 +283,7 @@ impl Reader {
                         // comment: loop for the next form
                     }
                     Handler::User(func) => {
-                        let args = [
-                            Value::Opaque(Arc::new(stream.clone())),
-                            Value::Char(c),
-                        ];
+                        let args = [Value::Opaque(Arc::new(stream.clone())), Value::Char(c)];
                         let v = eval.call_function(&func, &args)?;
                         return Ok(Some(v));
                     }
@@ -665,8 +662,10 @@ mod tests {
     #[test]
     fn read_quotes() {
         assert_eq!(read1("'x").to_string(), "(quote x)");
-        assert_eq!(read1("`(a ,b ,@c)").to_string(),
-            "(quasiquote (a (unquote b) (unquote-splicing c)))");
+        assert_eq!(
+            read1("`(a ,b ,@c)").to_string(),
+            "(quasiquote (a (unquote b) (unquote-splicing c)))"
+        );
         assert_eq!(read1("#'+").to_string(), "(function +)");
     }
 
@@ -691,11 +690,7 @@ mod tests {
         // ^exit-flag^  =>  (%get-task-var 'exit-flag^) per Listing 5.
         struct TaskVarEval;
         impl ReadEval for TaskVarEval {
-            fn call_function(
-                &mut self,
-                _f: &Value,
-                args: &[Value],
-            ) -> Result<Value, LangError> {
+            fn call_function(&mut self, _f: &Value, args: &[Value]) -> Result<Value, LangError> {
                 // emulate the Gozer-side handler: read the next token off
                 // the stream and wrap it.
                 let stream = args[0].as_opaque::<SharedStream>().unwrap().clone();
@@ -708,9 +703,7 @@ mod tests {
             }
         }
         let mut reader = Reader::new();
-        reader
-            .table
-            .set_macro_character('^', Value::Nil, true);
+        reader.table.set_macro_character('^', Value::Nil, true);
         let stream = SharedStream::new("^exit-flag^");
         let form = reader.read(&stream, &mut TaskVarEval).unwrap().unwrap();
         assert_eq!(form.to_string(), "(%get-task-var (quote exit-flag^))");

@@ -176,7 +176,11 @@ mod tests {
         bus.set_enabled(true);
         // Spread across different shards via different node ids.
         for node in [3u32, 0, 7, 1, 5, 2] {
-            bus.emit(|| Event::new(EventKind::FiberRun).node(node).fiber("task-1/f0"));
+            bus.emit(|| {
+                Event::new(EventKind::FiberRun)
+                    .node(node)
+                    .fiber("task-1/f0")
+            });
         }
         let snap = bus.snapshot();
         assert_eq!(snap.len(), 6);
@@ -194,7 +198,11 @@ mod tests {
         bus.set_enabled(true);
         for i in 0..10u32 {
             // Same node → same shard → overflow after 4.
-            bus.emit(|| Event::new(EventKind::FiberRun).node(0).instance(u64::from(i)));
+            bus.emit(|| {
+                Event::new(EventKind::FiberRun)
+                    .node(0)
+                    .instance(u64::from(i))
+            });
         }
         assert_eq!(bus.len(), 4);
         assert_eq!(bus.dropped(), 6);

@@ -325,7 +325,9 @@ mod tests {
         assert_eq!(e.task.as_deref(), Some("task-3"));
         assert_eq!(e.fiber.as_deref(), Some("task-3/f7"));
         // An explicit task is not overridden.
-        let e = Event::new(EventKind::FiberRun).task("task-9").fiber("task-3/f7");
+        let e = Event::new(EventKind::FiberRun)
+            .task("task-9")
+            .fiber("task-3/f7");
         assert_eq!(e.task.as_deref(), Some("task-9"));
     }
 

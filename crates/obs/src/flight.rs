@@ -167,10 +167,7 @@ mod tests {
     use crate::event::EventKind;
 
     fn temp_base(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "gozer-flight-test-{tag}-{}",
-            std::process::id()
-        ))
+        std::env::temp_dir().join(format!("gozer-flight-test-{tag}-{}", std::process::id()))
     }
 
     #[test]

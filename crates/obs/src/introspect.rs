@@ -287,7 +287,10 @@ fn route(path: &str, source: &dyn IntrospectSource) -> (&'static str, String) {
                 Some(text) => ("200 OK", text),
                 None => ("404 Not Found", format!("no timeline for {task}\n")),
             },
-            _ => ("404 Not Found", "routes: /metrics /healthz /tasks /timeline/<task-id>\n".into()),
+            _ => (
+                "404 Not Found",
+                "routes: /metrics /healthz /tasks /timeline/<task-id>\n".into(),
+            ),
         },
     }
 }
@@ -375,7 +378,10 @@ mod tests {
         let holder = TcpStream::connect(addr).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while server.active_connections() < 1 {
-            assert!(std::time::Instant::now() < deadline, "holder never got a slot");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "holder never got a slot"
+            );
             std::thread::sleep(Duration::from_millis(2));
         }
 

@@ -140,7 +140,9 @@ impl HistogramSnapshot {
             };
             return Some(Duration::from_nanos(nanos as u64));
         }
-        Some(Duration::from_nanos(bucket_upper_nanos(HISTOGRAM_BUCKETS - 1)))
+        Some(Duration::from_nanos(bucket_upper_nanos(
+            HISTOGRAM_BUCKETS - 1,
+        )))
     }
 
     /// Median estimate (see [`HistogramSnapshot::quantile`]).
@@ -164,9 +166,7 @@ impl HistogramSnapshot {
         HistogramSnapshot {
             count: self.count.saturating_sub(earlier.count),
             sum_nanos: self.sum_nanos.saturating_sub(earlier.sum_nanos),
-            buckets: std::array::from_fn(|i| {
-                self.buckets[i].saturating_sub(earlier.buckets[i])
-            }),
+            buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
         }
     }
 }
@@ -298,10 +298,7 @@ impl MetricsRegistry {
                             } else {
                                 format!("{labels},le=\"{le}\"")
                             };
-                            let _ = writeln!(
-                                out,
-                                "{name}_bucket{{{le_label}}} {cumulative}"
-                            );
+                            let _ = writeln!(out, "{name}_bucket{{{le_label}}} {cumulative}");
                         }
                         let _ = writeln!(
                             out,
@@ -624,7 +621,9 @@ bb_wait_seconds{quantile=\"0.99\"} 0.003983994
         // Ranks in the overflow bucket clamp to the largest finite bound.
         assert_eq!(
             s.p99(),
-            Some(Duration::from_nanos(bucket_upper_nanos(HISTOGRAM_BUCKETS - 1)))
+            Some(Duration::from_nanos(bucket_upper_nanos(
+                HISTOGRAM_BUCKETS - 1
+            )))
         );
         assert_eq!(s.quantile(1.5), None);
         assert_eq!(s.quantile(-0.1), None);
@@ -700,7 +699,12 @@ bb_wait_seconds{quantile=\"0.99\"} 0.003983994
         reg.gauge("gozer_depth", "Depth.", "", &g);
         let before = reg.snapshot();
         g.store(4, Ordering::Relaxed);
-        reg.counter("gozer_new_total", "Appeared mid-interval.", "", &Arc::new(AtomicU64::new(7)));
+        reg.counter(
+            "gozer_new_total",
+            "Appeared mid-interval.",
+            "",
+            &Arc::new(AtomicU64::new(7)),
+        );
         let delta = reg.snapshot().diff(&before);
         assert_eq!(delta.gauge("gozer_depth"), Some(4));
         assert_eq!(delta.counter("gozer_new_total"), Some(7));

@@ -193,8 +193,14 @@ mod tests {
         b.phases[Phase::VmExec.index()] = Duration::from_millis(3);
         b.phases[Phase::QueueWait.index()] = Duration::from_millis(5);
         assert_eq!(b.total(), Duration::from_millis(8));
-        assert_eq!(b.dominant(), Some((Phase::QueueWait, Duration::from_millis(5))));
+        assert_eq!(
+            b.dominant(),
+            Some((Phase::QueueWait, Duration::from_millis(5)))
+        );
         let r = b.render();
-        assert!(r.contains("queue_wait=5.000ms") && r.contains("vm_exec=3.000ms"), "{r}");
+        assert!(
+            r.contains("queue_wait=5.000ms") && r.contains("vm_exec=3.000ms"),
+            "{r}"
+        );
     }
 }

@@ -151,15 +151,11 @@ impl TaskTimeline {
         let Some(done) = done else {
             return CriticalPath::default();
         };
-        let root = self.spans.iter().find(|s| {
-            s.parent.as_deref().is_none_or(|p| self.span(p).is_none())
-        });
-        let Some(mut fiber) = done
-            .fiber
-            .as_deref()
-            .and_then(|f| self.span(f))
-            .or(root)
-        else {
+        let root = self
+            .spans
+            .iter()
+            .find(|s| s.parent.as_deref().is_none_or(|p| self.span(p).is_none()));
+        let Some(mut fiber) = done.fiber.as_deref().and_then(|f| self.span(f)).or(root) else {
             return CriticalPath::default();
         };
         let mut cursor: Event = done.clone();
@@ -168,12 +164,7 @@ impl TaskTimeline {
                 .events
                 .iter()
                 .filter(|e| e.seq < cursor.seq)
-                .filter(|e| {
-                    matches!(
-                        e.kind,
-                        EventKind::FiberRun | EventKind::FiberResumed { .. }
-                    )
-                })
+                .filter(|e| matches!(e.kind, EventKind::FiberRun | EventKind::FiberResumed { .. }))
                 .max_by_key(|e| e.seq);
             let Some(act) = activation.cloned() else {
                 // Trace window truncated before this fiber's activation:
@@ -225,9 +216,7 @@ impl TaskTimeline {
                         .events
                         .iter()
                         .filter(|e| e.seq < act.seq)
-                        .filter(|e| {
-                            matches!(e.kind, EventKind::ServiceCallDispatched { .. })
-                        })
+                        .filter(|e| matches!(e.kind, EventKind::ServiceCallDispatched { .. }))
                         .max_by_key(|e| e.seq);
                     let Some(c) = call.cloned() else { break };
                     segs.push(CriticalSegment {
@@ -548,16 +537,15 @@ impl TimelineSet {
                     if let EventKind::FiberForked { child } = &e.kind {
                         let parent_fiber = fiber.clone();
                         acc.spans[idx].children.push(child.clone());
-                        let child_idx =
-                            *acc.fibers.entry(child.clone()).or_insert_with(|| {
-                                acc.spans.push(FiberSpan {
-                                    fiber: child.clone(),
-                                    parent: None,
-                                    children: Vec::new(),
-                                    events: Vec::new(),
-                                });
-                                acc.spans.len() - 1
+                        let child_idx = *acc.fibers.entry(child.clone()).or_insert_with(|| {
+                            acc.spans.push(FiberSpan {
+                                fiber: child.clone(),
+                                parent: None,
+                                children: Vec::new(),
+                                events: Vec::new(),
                             });
+                            acc.spans.len() - 1
+                        });
                         acc.spans[child_idx].parent = Some(parent_fiber);
                     }
                 }
@@ -577,10 +565,11 @@ impl TimelineSet {
             } else {
                 // Broker events naming a task the workflow layer never
                 // reported: orphans (a correlation bug).
-                set.orphans
-                    .extend(acc.events.into_iter().chain(
-                        acc.spans.into_iter().flat_map(|s| s.events),
-                    ));
+                set.orphans.extend(
+                    acc.events
+                        .into_iter()
+                        .chain(acc.spans.into_iter().flat_map(|s| s.events)),
+                );
             }
         }
         set.orphans.extend(unattached);
@@ -639,10 +628,12 @@ mod tests {
         });
         bus.emit(|| Event::new(EventKind::FiberRun).fiber("task-1/f1"));
         bus.emit(|| Event::new(EventKind::FiberDone).fiber("task-1/f1"));
-        bus.emit(|| Event::new(EventKind::TaskDone {
-            outcome: "completed".into(),
-        })
-        .task("task-1"));
+        bus.emit(|| {
+            Event::new(EventKind::TaskDone {
+                outcome: "completed".into(),
+            })
+            .task("task-1")
+        });
 
         let set = TimelineSet::build(&emitted(&bus));
         assert_eq!(set.tasks.len(), 1);
@@ -656,10 +647,18 @@ mod tests {
         assert!(rendered.contains("task task-1"));
         assert!(rendered.contains("fiber task-1/f0"));
         // Child is indented deeper than its parent.
-        let parent_line = rendered.lines().find(|l| l.ends_with("fiber task-1/f0")).unwrap();
-        let child_line = rendered.lines().find(|l| l.ends_with("fiber task-1/f1")).unwrap();
-        assert!(child_line.len() - child_line.trim_start().len()
-            > parent_line.len() - parent_line.trim_start().len());
+        let parent_line = rendered
+            .lines()
+            .find(|l| l.ends_with("fiber task-1/f0"))
+            .unwrap();
+        let child_line = rendered
+            .lines()
+            .find(|l| l.ends_with("fiber task-1/f1"))
+            .unwrap();
+        assert!(
+            child_line.len() - child_line.trim_start().len()
+                > parent_line.len() - parent_line.trim_start().len()
+        );
     }
 
     #[test]
@@ -696,12 +695,16 @@ mod tests {
         bus.emit(|| Event::new(EventKind::TaskStarted).task("task-1"));
         bus.emit(|| Event::new(EventKind::FiberRun).fiber("task-1/f0"));
         bus.emit(|| {
-            Event::new(EventKind::FiberForked { child: "task-1/f1".into() })
-                .fiber("task-1/f0")
+            Event::new(EventKind::FiberForked {
+                child: "task-1/f1".into(),
+            })
+            .fiber("task-1/f0")
         });
         bus.emit(|| {
-            Event::new(EventKind::FiberYield { reason: "children".into() })
-                .fiber("task-1/f0")
+            Event::new(EventKind::FiberYield {
+                reason: "children".into(),
+            })
+            .fiber("task-1/f0")
         });
         bus.emit(|| {
             Event::new(EventKind::MessageReleased {
@@ -713,21 +716,29 @@ mod tests {
         });
         bus.emit(|| Event::new(EventKind::FiberRun).fiber("task-1/f1"));
         bus.emit(|| {
-            Event::new(EventKind::ServiceCallDispatched { target: "maths:Square".into() })
-                .fiber("task-1/f1")
+            Event::new(EventKind::ServiceCallDispatched {
+                target: "maths:Square".into(),
+            })
+            .fiber("task-1/f1")
         });
         bus.emit(|| {
-            Event::new(EventKind::FiberResumed { via: "service-call".into() })
-                .fiber("task-1/f1")
+            Event::new(EventKind::FiberResumed {
+                via: "service-call".into(),
+            })
+            .fiber("task-1/f1")
         });
         bus.emit(|| Event::new(EventKind::FiberDone).fiber("task-1/f1"));
         bus.emit(|| {
-            Event::new(EventKind::FiberResumed { via: "awake".into() })
-                .fiber("task-1/f0")
+            Event::new(EventKind::FiberResumed {
+                via: "awake".into(),
+            })
+            .fiber("task-1/f0")
         });
         bus.emit(|| {
-            Event::new(EventKind::TaskDone { outcome: "completed".into() })
-                .fiber("task-1/f0")
+            Event::new(EventKind::TaskDone {
+                outcome: "completed".into(),
+            })
+            .fiber("task-1/f0")
         });
 
         let set = TimelineSet::build(&emitted(&bus));
@@ -791,10 +802,12 @@ mod tests {
             .task("task-9")
         });
         // Ambient traffic with no ids: orphan, but not "correlated".
-        bus.emit(|| Event::new(EventKind::MessageSent {
-            service: "admin".into(),
-            operation: "Spawn".into(),
-        }));
+        bus.emit(|| {
+            Event::new(EventKind::MessageSent {
+                service: "admin".into(),
+                operation: "Spawn".into(),
+            })
+        });
         let set = TimelineSet::build(&emitted(&bus));
         assert!(set.tasks.is_empty());
         assert_eq!(set.orphans.len(), 2);

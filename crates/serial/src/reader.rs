@@ -338,8 +338,7 @@ impl<'a> ValueReader<'a> {
                  workflow source before resuming its fibers"
             ))
         })?;
-        if chunk as usize >= program.chunks.len() || pc as usize > program.chunk(chunk).code.len()
-        {
+        if chunk as usize >= program.chunks.len() || pc as usize > program.chunk(chunk).code.len() {
             return Err(SerError::new("frame position out of range"));
         }
         Ok(Frame {

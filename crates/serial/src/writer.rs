@@ -147,7 +147,10 @@ impl ValueWriter {
 
     /// Consume and return the bytes.
     pub fn finish(self) -> Vec<u8> {
-        debug_assert!(!self.header, "enveloped writers finish via finish_enveloped");
+        debug_assert!(
+            !self.header,
+            "enveloped writers finish via finish_enveloped"
+        );
         self.out
     }
 
@@ -481,9 +484,7 @@ impl ValueWriter {
         self.uv(state.dyn_state.restarts.len() as u64);
         for r in &state.dyn_state.restarts {
             if r.foreign {
-                return Err(SerError::new(
-                    "foreign restart entries cannot be persisted",
-                ));
+                return Err(SerError::new("foreign restart entries cannot be persisted"));
             }
             self.uv(r.id);
             self.bytes(r.name.name().as_bytes());

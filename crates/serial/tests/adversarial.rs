@@ -36,8 +36,7 @@ fn deep_gvm() -> Arc<Gvm> {
 /// running the workflow one suspension past its first save.
 fn delta_fixture(gvm: &Arc<Gvm>) -> (Vec<u8>, Vec<u8>, FiberState) {
     let f = gvm.function("outer").unwrap();
-    let RunOutcome::Suspended(susp1) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap()
-    else {
+    let RunOutcome::Suspended(susp1) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap() else {
         panic!("expected suspension at :one");
     };
     let full1 = serialize_state(&susp1.state, Codec::None).unwrap();

@@ -44,8 +44,7 @@ fn suspend(gvm: &Arc<Gvm>, state: gozer_vm::FiberState, v: Value) -> gozer_vm::S
 fn delta_reconstitutes_bit_identical_and_resumes() {
     let gvm = deep_gvm();
     let f = gvm.function("outer").unwrap();
-    let RunOutcome::Suspended(susp1) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap()
-    else {
+    let RunOutcome::Suspended(susp1) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap() else {
         panic!("expected suspension at :one");
     };
     // Save 1: a fresh fiber has no clean prefix — full snapshot.
@@ -350,8 +349,7 @@ fn warm_cache_is_bit_identical_to_cold_for_random_suspension_sequences() {
 fn a_base_save_leaves_the_next_delta_nothing_to_walk() {
     let gvm = deep_gvm();
     let f = gvm.function("outer").unwrap();
-    let RunOutcome::Suspended(susp1) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap()
-    else {
+    let RunOutcome::Suspended(susp1) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap() else {
         panic!("expected suspension at :one");
     };
     // First suspension: nothing to be a delta of.

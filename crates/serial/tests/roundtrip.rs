@@ -18,8 +18,20 @@ fn roundtrip_value(v: &Value, gvm: &Arc<Gvm>) -> Value {
 fn atoms_roundtrip() {
     let gvm = Gvm::with_pool_size(1);
     for src in [
-        "nil", "t", "0", "41", "127", "128", "-1", "9223372036854775807", "3.25", "-0.5",
-        "#\\x", "\"hello\\nworld\"", ":kw", "'sym",
+        "nil",
+        "t",
+        "0",
+        "41",
+        "127",
+        "128",
+        "-1",
+        "9223372036854775807",
+        "3.25",
+        "-0.5",
+        "#\\x",
+        "\"hello\\nworld\"",
+        ":kw",
+        "'sym",
     ] {
         let v = gvm.eval_str(src).unwrap();
         assert_eq!(roundtrip_value(&v, &gvm), v, "for {src}");
@@ -96,7 +108,8 @@ fn natives_roundtrip_by_name() {
     let plus = gvm.function("+").unwrap();
     let back = roundtrip_value(&plus, &gvm);
     assert_eq!(
-        gvm.call_sync(&back, vec![Value::Int(2), Value::Int(3)]).unwrap(),
+        gvm.call_sync(&back, vec![Value::Int(2), Value::Int(3)])
+            .unwrap(),
         Value::Int(5)
     );
 }
@@ -130,7 +143,7 @@ const SIMPLE_WF: &str = "
 #[test]
 fn fiber_migrates_between_vms() {
     let _ = WORKFLOW_SRC; // the task-var variant belongs to the vinz tests
-    // Node 1: start the workflow, run to the first yield.
+                          // Node 1: start the workflow, run to the first yield.
     let gvm1 = Gvm::with_pool_size(1);
     gvm1.load_str(SIMPLE_WF, "wf").unwrap();
     let f = gvm1.function("simple-wf").unwrap();
@@ -216,7 +229,11 @@ fn compression_codecs_equivalent_for_state() {
 /// uses, so `CHAOS_SEED=<n>` replays a failing tree exactly.
 fn random_tree(rng: &mut bluebox::ChaosRng, depth: u32) -> Value {
     // Leaves only at the bottom; aggregates become available above it.
-    let choice = if depth == 0 { rng.below(8) } else { rng.below(11) };
+    let choice = if depth == 0 {
+        rng.below(8)
+    } else {
+        rng.below(11)
+    };
     match choice {
         0 => Value::Nil,
         1 => Value::Bool(true),

@@ -198,7 +198,10 @@ impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
                 return v;
             }
         }
-        panic!("prop_filter {:?} rejected 1000 consecutive samples", self.reason);
+        panic!(
+            "prop_filter {:?} rejected 1000 consecutive samples",
+            self.reason
+        );
     }
 }
 
@@ -333,9 +336,9 @@ mod string {
                 }
                 '\\' => {
                     i += 1;
-                    let c = *chars.get(i).unwrap_or_else(|| {
-                        panic!("dangling escape in regex {pattern:?}")
-                    });
+                    let c = *chars
+                        .get(i)
+                        .unwrap_or_else(|| panic!("dangling escape in regex {pattern:?}"));
                     i += 1;
                     Atom::Literal(c)
                 }
@@ -358,7 +361,9 @@ mod string {
         let mut ranges = Vec::new();
         let mut i = 0;
         while i < members.len() {
-            if i + 2 < members.len() + 1 && members.get(i + 1) == Some(&'-') && i + 2 < members.len()
+            if i + 2 < members.len() + 1
+                && members.get(i + 1) == Some(&'-')
+                && i + 2 < members.len()
             {
                 ranges.push((members[i], members[i + 2]));
                 i += 3;
@@ -470,10 +475,8 @@ pub mod arbitrary {
 
     impl Arbitrary for char {
         fn arbitrary() -> BoxedStrategy<char> {
-            FullDomain(|rng: &mut TestRng| {
-                char::from_u32(rng.below(0xD800) as u32).unwrap_or('a')
-            })
-            .boxed()
+            FullDomain(|rng: &mut TestRng| char::from_u32(rng.below(0xD800) as u32).unwrap_or('a'))
+                .boxed()
         }
     }
 
@@ -511,13 +514,19 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> SizeRange {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end }
+            SizeRange {
+                lo: r.start,
+                hi: r.end,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> SizeRange {
-            SizeRange { lo: *r.start(), hi: *r.end() + 1 }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end() + 1,
+            }
         }
     }
 
@@ -536,7 +545,10 @@ pub mod collection {
     /// A strategy for vectors whose length falls in `size` and whose
     /// elements come from `elem`.
     pub fn vec<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { elem, size: size.into() }
+        VecStrategy {
+            elem,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S>
@@ -709,7 +721,9 @@ pub mod prelude {
     pub use crate::arbitrary::Arbitrary;
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
     pub use crate::{any, BoxedStrategy, Just, Strategy, TestRng, Union};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Define property tests. See crate docs for supported forms.
@@ -815,10 +829,7 @@ macro_rules! prop_assert_eq {
 macro_rules! prop_assert_ne {
     ($a:expr, $b:expr $(,)?) => {{
         let (__a, __b) = (&$a, &$b);
-        $crate::prop_assert!(
-            *__a != *__b,
-            "assertion failed: {:?} == {:?}", __a, __b
-        );
+        $crate::prop_assert!(*__a != *__b, "assertion failed: {:?} == {:?}", __a, __b);
     }};
 }
 
@@ -846,11 +857,15 @@ mod tests {
             assert!(!s.is_empty() && s.len() <= 9, "{s:?}");
             assert!(s.chars().next().unwrap().is_ascii_alphabetic(), "{s:?}");
             assert!(
-                s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'),
+                s.chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'),
                 "{s:?}"
             );
             let t = crate::Strategy::new_value(&"[ -~]{0,20}", &mut rng);
-            assert!(t.len() <= 20 && t.chars().all(|c| (' '..='~').contains(&c)), "{t:?}");
+            assert!(
+                t.len() <= 20 && t.chars().all(|c| (' '..='~').contains(&c)),
+                "{t:?}"
+            );
         }
     }
 
@@ -898,9 +913,7 @@ mod tests {
     fn depth_of(n: &Nested) -> usize {
         match n {
             Nested::Leaf => 1,
-            Nested::Node(children) => {
-                1 + children.iter().map(depth_of).max().unwrap_or(0)
-            }
+            Nested::Node(children) => 1 + children.iter().map(depth_of).max().unwrap_or(0),
         }
     }
 }

@@ -52,9 +52,15 @@ pub(crate) struct CallReq {
 
 impl CallReq {
     fn encode(&self) -> Vec<u8> {
-        let fields: [&str; 5] =
-            [&self.service, &self.operation, &self.soap_action, &self.task, &self.fiber];
-        let mut out = format!("{}{FIELD_SEP}{}\n", fields.join(FIELD_SEP), self.attempts).into_bytes();
+        let fields: [&str; 5] = [
+            &self.service,
+            &self.operation,
+            &self.soap_action,
+            &self.task,
+            &self.fiber,
+        ];
+        let mut out =
+            format!("{}{FIELD_SEP}{}\n", fields.join(FIELD_SEP), self.attempts).into_bytes();
         out.extend_from_slice(&self.body);
         out
     }
@@ -110,7 +116,10 @@ pub(crate) fn dispatch(inner: &Inner, req: CallReq) -> Result<u64, VinzError> {
     let correlation = inner.cluster.allocate_correlation();
     let key = format!("{PREFIX}{correlation}");
     let ticket = inner.store.put_batch(&[(&key, &req.encode())])?;
-    inner.cluster.send(req.into_message(&inner.name, correlation).with_hold_until(ticket.0));
+    inner.cluster.send(
+        req.into_message(&inner.name, correlation)
+            .with_hold_until(ticket.0),
+    );
     Ok(correlation)
 }
 
@@ -134,13 +143,22 @@ pub(crate) fn take_reply(
         return Ok(Vec::new());
     };
     let forget = || drop(inner.store.delete(&key));
-    let entry = Entry { fiber_id, lock_wait: LOCK_WAIT, answers: FiberPhase::Suspended, once: None };
+    let entry = Entry {
+        fiber_id,
+        lock_wait: LOCK_WAIT,
+        answers: FiberPhase::Suspended,
+        once: None,
+    };
     inner.enter_fiber(
         ctx,
         msg,
         entry,
         // Nobody is left to take the reply.
-        |why| if why != TurnedAway::Busy { forget() },
+        |why| {
+            if why != TurnedAway::Busy {
+                forget()
+            }
+        },
         |rt| {
             if msg.get_header("fault-code").is_some() {
                 // Re-read under the fiber lock: a redelivered fault may
@@ -158,7 +176,10 @@ pub(crate) fn take_reply(
             let fault = msg.get_header("fault-code").map(|code| (code, message));
             let resp = response(&rt.gvm, &msg.body, fault)
                 .map_err(|e| VinzError(format!("bad reply body: {e}")))?;
-            Ok(Some(Resume::With { via: "service-call", value: resp }))
+            Ok(Some(Resume::With {
+                via: "service-call",
+                value: resp,
+            }))
         },
     )
 }
@@ -185,17 +206,27 @@ pub(crate) fn response(
 /// Re-send a call one attempt further along, after the backoff: rewrite
 /// its record, count it, and send the same request under the same
 /// correlation.
-pub(crate) fn redispatch(inner: &Inner, correlation: u64, mut req: CallReq) -> Result<(), VinzError> {
+pub(crate) fn redispatch(
+    inner: &Inner,
+    correlation: u64,
+    mut req: CallReq,
+) -> Result<(), VinzError> {
     let delay = delay_for(req.attempts, correlation);
     req.attempts += 1;
-    inner.store.put(&format!("{PREFIX}{correlation}"), &req.encode())?;
+    inner
+        .store
+        .put(&format!("{PREFIX}{correlation}"), &req.encode())?;
     inner.metrics.calls_retried.fetch_add(1, Ordering::Relaxed);
     inner.obs.bus.emit(|| {
-        Event::new(EventKind::CallRetried { attempt: req.attempts })
-            .task(req.task.as_str())
-            .fiber(req.fiber.as_str())
+        Event::new(EventKind::CallRetried {
+            attempt: req.attempts,
+        })
+        .task(req.task.as_str())
+        .fiber(req.fiber.as_str())
     });
-    inner.cluster.send_after(req.into_message(&inner.name, correlation), delay);
+    inner
+        .cluster
+        .send_after(req.into_message(&inner.name, correlation), delay);
     Ok(())
 }
 
@@ -206,7 +237,9 @@ pub(crate) fn redispatch(inner: &Inner, correlation: u64, mut req: CallReq) -> R
 /// leaves the record for [`take_reply`] to consume, so a lost one is
 /// sent again a call timeout later.
 pub(crate) fn scan(inner: &Inner, seen: &mut FxHashMap<String, Instant>, now: Instant) {
-    let Ok(keys) = inner.store.list(PREFIX) else { return };
+    let Ok(keys) = inner.store.list(PREFIX) else {
+        return;
+    };
     seen.retain(|k, _| keys.contains(k));
     for key in keys {
         let first = *seen.entry(key.clone()).or_insert(now);
@@ -216,8 +249,12 @@ pub(crate) fn scan(inner: &Inner, seen: &mut FxHashMap<String, Instant>, now: In
         let Some(correlation) = key.strip_prefix(PREFIX).and_then(|c| c.parse::<u64>().ok()) else {
             continue;
         };
-        let Ok(Some(bytes)) = inner.store.get(&key) else { continue };
-        let Some(req) = CallReq::decode(&bytes) else { continue };
+        let Ok(Some(bytes)) = inner.store.get(&key) else {
+            continue;
+        };
+        let Some(req) = CallReq::decode(&bytes) else {
+            continue;
+        };
         seen.insert(key, now);
         if req.attempts < MAX_ATTEMPTS {
             let _ = redispatch(inner, correlation, req);

@@ -168,7 +168,11 @@ fn invoke_stub(fn_name: &str, service: &str, op: &OperationDesc) -> Value {
         list(vec![
             sym("retry"),
             Value::Nil,
-            list(vec![sym(fn_name), Value::keyword("message"), sym("message")]),
+            list(vec![
+                sym(fn_name),
+                Value::keyword("message"),
+                sym("message"),
+            ]),
         ]),
     ]);
     list(vec![

@@ -232,7 +232,10 @@ impl Inner {
     /// leaves neither, and needs neither: every entry turns a finished
     /// task's messages away before asking. The meta comes back too, so
     /// the caller that goes on to load and save reads it once.
-    pub(crate) fn fiber_phase(&self, fiber_id: &str) -> Result<(FiberPhase, Option<FiberMeta>), VinzError> {
+    pub(crate) fn fiber_phase(
+        &self,
+        fiber_id: &str,
+    ) -> Result<(FiberPhase, Option<FiberMeta>), VinzError> {
         if self.fiber_done(fiber_id)? {
             return Ok((FiberPhase::Done, None));
         }
@@ -259,9 +262,8 @@ impl Inner {
     /// it has none.
     pub(crate) fn load_result(&self, rt: &NodeRuntime, fiber_id: &str) -> Result<Value, VinzError> {
         match self.load_immutable(rt, &result_key(fiber_id))? {
-            Some(bytes) => {
-                deserialize_value(&bytes, &rt.gvm).map_err(|e| VinzError(format!("bad result for {fiber_id}: {e}")))
-            }
+            Some(bytes) => deserialize_value(&bytes, &rt.gvm)
+                .map_err(|e| VinzError(format!("bad result for {fiber_id}: {e}"))),
             None => Ok(Value::Nil),
         }
     }
@@ -282,7 +284,10 @@ impl Inner {
 
     /// What a suspended fiber waits on, from its crumb.
     pub(crate) fn wait_of(&self, fiber_id: &str) -> Result<Option<Wait>, VinzError> {
-        Ok(self.store.get(&crumb_key(fiber_id))?.map(|b| Wait::decode(&b)))
+        Ok(self
+            .store
+            .get(&crumb_key(fiber_id))?
+            .map(|b| Wait::decode(&b)))
     }
 
     /// Register `child_id` in `parent_id`'s child registry, which the
@@ -290,7 +295,9 @@ impl Inner {
     /// a fork writes its own id and reads nothing, however many siblings
     /// came before.
     pub(crate) fn register_child(&self, parent_id: &str, child_id: &str) -> Result<(), VinzError> {
-        Ok(self.store.put(&(children_prefix(parent_id) + child_id), b"")?)
+        Ok(self
+            .store
+            .put(&(children_prefix(parent_id) + child_id), b"")?)
     }
 
     /// The children registered under `parent_id`.
@@ -313,7 +320,12 @@ impl Inner {
     /// execution, so the per-node immutable cache serves it after the
     /// first read — the second compartment of the §4.2 cache
     /// measurements.
-    pub(crate) fn save_task_def(&self, rt: &NodeRuntime, task_id: &str, def: &Value) -> Result<(), VinzError> {
+    pub(crate) fn save_task_def(
+        &self,
+        rt: &NodeRuntime,
+        task_id: &str,
+        def: &Value,
+    ) -> Result<(), VinzError> {
         let key = task_def_key(task_id);
         let bytes = serialize_value(def, self.config.codec)?;
         self.store.put(&key, &bytes)?;
@@ -331,7 +343,11 @@ impl Inner {
     }
 
     /// Read write-once data through the immutable cache.
-    fn load_immutable(&self, rt: &NodeRuntime, key: &str) -> Result<Option<Arc<Vec<u8>>>, VinzError> {
+    fn load_immutable(
+        &self,
+        rt: &NodeRuntime,
+        key: &str,
+    ) -> Result<Option<Arc<Vec<u8>>>, VinzError> {
         if let Some(data) = rt.cache.get_immutable(key) {
             return Ok(Some(data));
         }
@@ -345,7 +361,11 @@ impl Inner {
     // ---- the fiber operations (Table 1) -----------------------------------
 
     /// RunFiber: execute a fiber from its persisted continuation.
-    pub(crate) fn op_run_fiber(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
+    pub(crate) fn op_run_fiber(
+        self: &Arc<Inner>,
+        ctx: &ServiceCtx,
+        msg: &Message,
+    ) -> Result<Vec<u8>, VinzError> {
         let fiber_id = required_header(msg, "fiber-id")?;
         let entry = Entry {
             fiber_id,
@@ -370,14 +390,20 @@ impl Inner {
 
     /// AwakeFiber: resume a parent awaiting children (§3.5), with the §5
     /// bounded lock wait.
-    pub(crate) fn op_awake_fiber(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
+    pub(crate) fn op_awake_fiber(
+        self: &Arc<Inner>,
+        ctx: &ServiceCtx,
+        msg: &Message,
+    ) -> Result<Vec<u8>, VinzError> {
         let fiber_id = required_header(msg, "fiber-id")?;
         let entry = Entry {
             fiber_id,
             lock_wait: self.config.awake_wait_limit,
             answers: FiberPhase::Suspended,
             // Each child's termination wake-up counts once.
-            once: msg.get_header("from-child").map(|child| ("awakes-consumed", child)),
+            once: msg
+                .get_header("from-child")
+                .map(|child| ("awakes-consumed", child)),
         };
         self.enter_fiber(
             ctx,
@@ -388,7 +414,9 @@ impl Inner {
                 // the instance hostage.
                 if why == TurnedAway::Busy {
                     self.metrics.awake_retries.fetch_add(1, Ordering::Relaxed);
-                    self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::AwakeRetry);
+                    self.emit(ctx.node_id, ctx.instance_id, fiber_id, || {
+                        EventKind::AwakeRetry
+                    });
                 }
             },
             |_| {
@@ -402,7 +430,11 @@ impl Inner {
 
     /// JoinProcess: resume a fiber waiting on another fiber's
     /// termination, delivering the target's result.
-    pub(crate) fn op_join_process(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
+    pub(crate) fn op_join_process(
+        self: &Arc<Inner>,
+        ctx: &ServiceCtx,
+        msg: &Message,
+    ) -> Result<Vec<u8>, VinzError> {
         let fiber_id = required_header(msg, "fiber-id")?;
         let target = msg.get_header("target").unwrap_or("");
         let entry = Entry {
@@ -522,7 +554,9 @@ impl Inner {
         let outcome = match resume {
             Resume::Run => {
                 self.metrics.fibers_run.fetch_add(1, Ordering::Relaxed);
-                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberRun);
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || {
+                    EventKind::FiberRun
+                });
                 rt.gvm.run_fiber(state)
             }
             Resume::With { via, value } => {
@@ -530,9 +564,10 @@ impl Inner {
                 // Never below zero: a resume can race a terminate that
                 // already dropped the count.
                 let gauge = &self.metrics.suspended_fibers;
-                let _ = gauge.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberResumed {
-                    via: via.into(),
+                let _ =
+                    gauge.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || {
+                    EventKind::FiberResumed { via: via.into() }
                 });
                 rt.gvm.resume_fiber(state, value)
             }
@@ -541,8 +576,10 @@ impl Inner {
             Ok(RunOutcome::Done(value)) => self.finish_fiber(ctx, rt, fiber_id, value, lineage)?,
             Ok(RunOutcome::Suspended(susp)) => {
                 let wait = Wait::parse(&susp.payload)?;
-                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberYield {
-                    reason: wait.reason().to_string(),
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || {
+                    EventKind::FiberYield {
+                        reason: wait.reason().to_string(),
+                    }
                 });
                 // The crumb rides in the save's batch with the meta
                 // record that makes the fiber read as suspended, so the
@@ -550,7 +587,9 @@ impl Inner {
                 // phase is flipped after the save, which banked
                 // serialize time.
                 self.save_fiber(rt, ctx.instance_id, fiber_id, susp.state, meta, &wait)?;
-                self.metrics.suspended_fibers.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .suspended_fibers
+                    .fetch_add(1, Ordering::Relaxed);
                 self.tracker.note_phase(task_id, wait.phase());
                 // A join registers its waiter; a racing completion is
                 // caught by checking for the result *after* registering.
@@ -560,8 +599,10 @@ impl Inner {
             }
             Err(VmError::Unwind(Unwind::TerminateTask(cond))) => {
                 self.tracker.fiber_finished(task_id);
-                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
-                    outcome: "terminated".into(),
+                self.emit(ctx.node_id, ctx.instance_id, fiber_id, || {
+                    EventKind::TaskDone {
+                        outcome: "terminated".into(),
+                    }
                 });
                 self.tracker.finish(task_id, TaskStatus::Terminated(cond));
             }
@@ -570,7 +611,13 @@ impl Inner {
                 // task (robust default — a lost child would otherwise hang
                 // its parent forever).
                 self.tracker.fiber_finished(task_id);
-                self.fail_task(ctx.node_id, ctx.instance_id, fiber_id, "failed", e.to_condition());
+                self.fail_task(
+                    ctx.node_id,
+                    ctx.instance_id,
+                    fiber_id,
+                    "failed",
+                    e.to_condition(),
+                );
             }
         }
         Ok(Vec::new())
@@ -590,14 +637,16 @@ impl Inner {
         // result exists" to fibers of this deployment only, whose next
         // saves follow the result in the log, so they are not held.
         self.tracker.note_phase(task_id, Phase::Serialize);
-        let bytes =
-            serialize_value(&value, self.config.codec).map_err(|e| VinzError(format!("result of {fiber_id}: {e}")))?;
+        let bytes = serialize_value(&value, self.config.codec)
+            .map_err(|e| VinzError(format!("result of {fiber_id}: {e}")))?;
         let key = result_key(fiber_id);
         self.store.put(&key, &bytes)?;
         rt.cache.put_immutable(&key, Arc::new(bytes));
         self.hot.write().remove(fiber_id);
         self.tracker.fiber_finished(task_id);
-        self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::FiberDone);
+        self.emit(ctx.node_id, ctx.instance_id, fiber_id, || {
+            EventKind::FiberDone
+        });
         // Until another of the task's fibers activates (or the root
         // finish below closes the ledger) the task is waiting on the
         // broker.
@@ -607,8 +656,10 @@ impl Inner {
         // notify their parent on termination; plain fork-and-exec fibers
         // do not.
         if let Some(parent_id) = lineage.notify {
-            self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::AwakeSent {
-                parent: parent_id.clone(),
+            self.emit(ctx.node_id, ctx.instance_id, fiber_id, || {
+                EventKind::AwakeSent {
+                    parent: parent_id.clone(),
+                }
             });
             self.send_awake(&parent_id, fiber_id);
         }
@@ -618,8 +669,10 @@ impl Inner {
             // Emit the event *before* finishing the task: the finish
             // notification wakes waiting clients, who may read the
             // event stream immediately.
-            self.emit(ctx.node_id, ctx.instance_id, fiber_id, || EventKind::TaskDone {
-                outcome: "completed".into(),
+            self.emit(ctx.node_id, ctx.instance_id, fiber_id, || {
+                EventKind::TaskDone {
+                    outcome: "completed".into(),
+                }
             });
             self.tracker.finish(task_id, TaskStatus::Completed(value));
         }
@@ -676,7 +729,11 @@ impl Inner {
     /// Add `waiter` to `target`'s waiter list; if the target already
     /// finished, wake immediately (registration-then-check closes the
     /// race with a concurrent finish).
-    fn register_join_waiter(self: &Arc<Inner>, target: &str, waiter: &str) -> Result<(), VinzError> {
+    fn register_join_waiter(
+        self: &Arc<Inner>,
+        target: &str,
+        waiter: &str,
+    ) -> Result<(), VinzError> {
         let key = waiters_key(target);
         {
             let _guard = self
@@ -747,7 +804,10 @@ struct Lineage {
 impl Lineage {
     fn of(state: &FiberState) -> Lineage {
         let flag = |slot| state.ext.get(slot).is_some_and(Value::is_truthy);
-        let parent = state.ext.get("parent-id").and_then(|v| v.as_str().map(str::to_owned));
+        let parent = state
+            .ext
+            .get("parent-id")
+            .and_then(|v| v.as_str().map(str::to_owned));
         Lineage {
             is_root: flag("root"),
             notify: parent.filter(|_| flag("notify-parent")),
@@ -765,9 +825,15 @@ mod tests {
         let gvm = Gvm::with_pool_size(1);
         let parse = |src: &str| Wait::parse(&gvm.eval_str(src).unwrap()).unwrap();
         assert_eq!(parse("{:reason :children}"), Wait::Children);
-        assert_eq!(parse("{:reason \"join\" :target \"t/f1\"}"), Wait::Join("t/f1".into()));
+        assert_eq!(
+            parse("{:reason \"join\" :target \"t/f1\"}"),
+            Wait::Join("t/f1".into())
+        );
         assert_eq!(parse("{:reason :service-call}"), Wait::ServiceCall);
-        assert_eq!(Wait::parse(&Value::Nil).unwrap(), Wait::Other("manual".into()));
+        assert_eq!(
+            Wait::parse(&Value::Nil).unwrap(),
+            Wait::Other("manual".into())
+        );
         assert!(Wait::parse(&gvm.eval_str("{:reason :join}").unwrap()).is_err());
     }
 

@@ -8,8 +8,8 @@ use std::time::Instant;
 
 use gozer_obs::{EventKind, Phase};
 use gozer_serial::{
-    deserialize_state, deserialize_state_delta_costed, serialize_state_base, serialize_state_delta_costed,
-    serialize_state_sized, SeedUse,
+    deserialize_state, deserialize_state_delta_costed, serialize_state_base,
+    serialize_state_delta_costed, serialize_state_sized, SeedUse,
 };
 use gozer_vm::FiberState;
 
@@ -80,13 +80,16 @@ impl Inner {
         fiber_id: &str,
         state: FiberState,
     ) -> Result<(), VinzError> {
-        self.tracker.note_phase(Inner::task_of(fiber_id), Phase::Serialize);
+        self.tracker
+            .note_phase(Inner::task_of(fiber_id), Phase::Serialize);
         let start = Instant::now();
         let bytes = serialize_state_sized(&state, self.config.codec, FIRST_SAVE_HINT)
             .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
         let nanos = nanos_since(start);
         self.store.put(&base_key(fiber_id, 0), &bytes)?;
-        self.metrics.full_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.metrics
+            .full_bytes
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.note_saved(rt, instance, fiber_id, 0, state, bytes.len(), nanos);
         Ok(())
     }
@@ -122,8 +125,8 @@ impl Inner {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |min| {
                 (min == 0 || nanos < min).then_some(nanos)
             });
-        self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberPersisted {
-            bytes: saved_len,
+        self.emit(rt.node_id, instance, fiber_id, || {
+            EventKind::FiberPersisted { bytes: saved_len }
         });
     }
 
@@ -162,7 +165,8 @@ impl Inner {
         meta: Option<FiberMeta>,
         wait: &Wait,
     ) -> Result<(), VinzError> {
-        self.tracker.note_phase(Inner::task_of(fiber_id), Phase::Serialize);
+        self.tracker
+            .note_phase(Inner::task_of(fiber_id), Phase::Serialize);
         let (version, generation, chain) = meta.unwrap_or_default();
         let hot = self.hot.read().get(fiber_id).copied();
         let migrated = hot.is_some_and(|h| h.node != rt.node_id);
@@ -175,11 +179,19 @@ impl Inner {
         hot.node = rt.node_id;
 
         let mut delta = None;
-        if self.config.delta_snapshots && version > 0 && !migrated && chain < self.config.compact_every {
+        if self.config.delta_snapshots
+            && version > 0
+            && !migrated
+            && chain < self.config.compact_every
+        {
             let start = Instant::now();
-            let (bytes, seeds) =
-                serialize_state_delta_costed(&state, state.clean_prefix, self.config.codec, hot.last_delta_size)
-                    .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
+            let (bytes, seeds) = serialize_state_delta_costed(
+                &state,
+                state.clean_prefix,
+                self.config.codec,
+                hot.last_delta_size,
+            )
+            .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
             delta = bytes.map(|bytes| (bytes, nanos_since(start)));
             self.note_seeding(seeds);
         }
@@ -208,7 +220,11 @@ impl Inner {
                 let bytes = serialize_state_base(&state, self.config.codec, hot.last_size)
                     .map_err(|e| VinzError(format!("persist {fiber_id}: {e}")))?;
                 let nanos = nanos_since(start);
-                let new_gen = if chain > 0 { generation + 1 } else { generation };
+                let new_gen = if chain > 0 {
+                    generation + 1
+                } else {
+                    generation
+                };
                 let meta = meta_rec(version + 1, new_gen, 0);
                 self.store.put_batch(&[
                     (&base_key(fiber_id, new_gen), &bytes),
@@ -223,7 +239,9 @@ impl Inner {
                         let _ = self.store.delete(&delta_key(fiber_id, k));
                     }
                 }
-                self.metrics.full_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                self.metrics
+                    .full_bytes
+                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
                 hot.last_size = bytes.len();
                 (bytes.len(), nanos)
             }
@@ -246,7 +264,8 @@ impl Inner {
         fiber_id: &str,
         meta: Option<FiberMeta>,
     ) -> Result<FiberState, VinzError> {
-        self.tracker.note_phase(Inner::task_of(fiber_id), Phase::Deserialize);
+        self.tracker
+            .note_phase(Inner::task_of(fiber_id), Phase::Deserialize);
         let (version, generation, chain) = meta.unwrap_or_default();
         if let Some(state) = rt.cache.get_fiber(fiber_id, version) {
             self.emit(rt.node_id, instance, fiber_id, || EventKind::FiberLoaded {
@@ -259,8 +278,8 @@ impl Inner {
             .get(&base_key(fiber_id, generation))?
             .ok_or_else(|| VinzError(format!("fiber {fiber_id} has no persisted state")))?;
         let start = Instant::now();
-        let mut state =
-            deserialize_state(&bytes, &rt.gvm).map_err(|e| VinzError(format!("load {fiber_id}: {e}")))?;
+        let mut state = deserialize_state(&bytes, &rt.gvm)
+            .map_err(|e| VinzError(format!("load {fiber_id}: {e}")))?;
         self.note_loaded(bytes.len(), start);
         for k in 0..chain {
             let dbytes = self
@@ -285,20 +304,30 @@ impl Inner {
     fn note_loaded(&self, bytes: usize, start: Instant) {
         let m = &self.metrics;
         m.deserialize_count.fetch_add(1, Ordering::Relaxed);
-        m.deserialize_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        m.deserialize_nanos.fetch_add(nanos_since(start), Ordering::Relaxed);
+        m.deserialize_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        m.deserialize_nanos
+            .fetch_add(nanos_since(start), Ordering::Relaxed);
     }
 
     /// Count where one delta save or load got its seeding tables.
     fn note_seeding(&self, seeds: SeedUse) {
         let m = &self.metrics;
-        m.seed_frames_reused.fetch_add(seeds.reused, Ordering::Relaxed);
-        m.seed_frames_walked.fetch_add(seeds.walked, Ordering::Relaxed);
+        m.seed_frames_reused
+            .fetch_add(seeds.reused, Ordering::Relaxed);
+        m.seed_frames_walked
+            .fetch_add(seeds.walked, Ordering::Relaxed);
     }
 
     /// Return a state [`Inner::load_fiber`] handed out, unrun and
     /// unchanged, to the node cache under the version it was loaded at.
-    pub(super) fn keep_loaded(&self, rt: &NodeRuntime, fiber_id: &str, meta: Option<FiberMeta>, state: FiberState) {
+    pub(super) fn keep_loaded(
+        &self,
+        rt: &NodeRuntime,
+        fiber_id: &str,
+        meta: Option<FiberMeta>,
+        state: FiberState,
+    ) {
         let (version, _, _) = meta.unwrap_or_default();
         rt.cache.put_fiber(fiber_id, version, state);
     }

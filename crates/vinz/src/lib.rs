@@ -66,6 +66,8 @@ pub mod testing;
 pub mod tracker;
 
 pub use cache::{CacheStats, FiberCache};
+pub use gozer_obs::{FlightDump, FlightRecorder};
+pub use gozer_vm::{FnProfile, ProfileReport, SerialCostSnapshot};
 pub use prelude::VINZ_PRELUDE;
 pub use service::{
     NodeRuntime, StartError, VinzConfig, VinzError, VinzMetrics, WorkflowObs, WorkflowService,
@@ -76,6 +78,4 @@ pub use store::{
     StoreError, Watermark,
 };
 pub use supervisor::SupervisorConfig;
-pub use gozer_obs::{FlightDump, FlightRecorder};
-pub use gozer_vm::{FnProfile, ProfileReport, SerialCostSnapshot};
 pub use tracker::{TaskRecord, TaskStatus, TaskTracker};

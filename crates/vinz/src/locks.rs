@@ -95,15 +95,23 @@ mod tests {
     #[test]
     fn exclusive_per_key() {
         let locks = InProcessLocks::new();
-        let g = locks.acquire("lock/t1".into(), Duration::from_millis(200)).unwrap();
+        let g = locks
+            .acquire("lock/t1".into(), Duration::from_millis(200))
+            .unwrap();
         assert!(
-            locks.acquire("lock/t1".into(), Duration::from_millis(50)).is_none(),
+            locks
+                .acquire("lock/t1".into(), Duration::from_millis(50))
+                .is_none(),
             "second acquire should time out"
         );
         // Different name is independent.
-        assert!(locks.acquire("lock/t2".into(), Duration::from_millis(50)).is_some());
+        assert!(locks
+            .acquire("lock/t2".into(), Duration::from_millis(50))
+            .is_some());
         drop(g);
-        assert!(locks.acquire("lock/t1".into(), Duration::from_millis(200)).is_some());
+        assert!(locks
+            .acquire("lock/t1".into(), Duration::from_millis(200))
+            .is_some());
     }
 
     #[test]
@@ -151,7 +159,10 @@ mod tests {
                 locks.acquire("lock/x".into(), LOCK_WAIT).is_some()
             });
             assert!(holder.join().is_err(), "holder should have panicked");
-            assert!(waiter.join().unwrap(), "waiter should get the dead holder's lock");
+            assert!(
+                waiter.join().unwrap(),
+                "waiter should get the dead holder's lock"
+            );
         });
     }
 }

@@ -89,12 +89,7 @@ fn normalize_taskvar(name: Symbol) -> String {
 pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
     // ---- identity -----------------------------------------------------
     reg(gvm, "get-process-id", |ctx, _args| {
-        NativeOutcome::ok(
-            ctx.ext
-                .get("fiber-id")
-                .cloned()
-                .unwrap_or(Value::Nil),
-        )
+        NativeOutcome::ok(ctx.ext.get("fiber-id").cloned().unwrap_or(Value::Nil))
     });
     reg(gvm, "get-task-id", |ctx, _args| {
         NativeOutcome::ok(ctx.ext.get("task-id").cloned().unwrap_or(Value::Nil))
@@ -147,8 +142,10 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         // The orphan scan re-sends AwakeFiber for the finished children
         // of a suspended parent it finds here.
         inner.register_child(&parent_id, &child_id)?;
-        inner.emit(rt.node_id, IN_FIBER, &parent_id, || EventKind::FiberForked {
-            child: child_id.clone(),
+        inner.emit(rt.node_id, IN_FIBER, &parent_id, || {
+            EventKind::FiberForked {
+                child: child_id.clone(),
+            }
         });
         // Children inherit the task's deadline so deadline-aware queue
         // policies can order their RunFiber messages too.
@@ -183,7 +180,9 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
                 return NativeOutcome::ok(deserialize_value(&bytes, ctx.gvm)?);
             }
             if inner.cluster.clock().now() > deadline || inner.cluster.is_shutdown() {
-                return Err(VmError::msg(format!("join-process: {target} never finished")));
+                return Err(VmError::msg(format!(
+                    "join-process: {target} never finished"
+                )));
             }
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -207,14 +206,24 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         let inner = up(&w)?;
         let fiber_id = ext_str(ctx, "fiber-id", "call-wsdl-operation-async")?;
         let (service, operation, soap_action, body) = call_params(&kwargs, &inner)?;
-        inner.emit(node_id, IN_FIBER, &fiber_id, || EventKind::ServiceCallDispatched {
-            target: format!("{service}:{operation}"),
+        inner.emit(node_id, IN_FIBER, &fiber_id, || {
+            EventKind::ServiceCallDispatched {
+                target: format!("{service}:{operation}"),
+            }
         });
         // The workflow ids ride on the request and, copied by the broker,
         // on its ResumeFromCall reply: faults injected into either leg
         // correlate back to this fiber's timeline.
         let task = ext_str(ctx, "task-id", "call").unwrap_or_default();
-        let req = CallReq { service, operation, soap_action, task, fiber: fiber_id, attempts: 1, body };
+        let req = CallReq {
+            service,
+            operation,
+            soap_action,
+            task,
+            fiber: fiber_id,
+            attempts: 1,
+            body,
+        };
         let correlation = calls::dispatch(&inner, req)?;
         NativeOutcome::ok(Value::Int(correlation as i64))
     });
@@ -367,19 +376,17 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         let n = args[1]
             .as_int()
             .filter(|n| *n > 0)
-            .ok_or_else(|| VmError::msg("%chunk size must be positive"))?
-            as usize;
-        let chunks: Vec<Value> = items
-            .chunks(n)
-            .map(|c| Value::list(c.to_vec()))
-            .collect();
+            .ok_or_else(|| VmError::msg("%chunk size must be positive"))? as usize;
+        let chunks: Vec<Value> = items.chunks(n).map(|c| Value::list(c.to_vec())).collect();
         NativeOutcome::ok(Value::list(chunks))
     });
 
     // ---- handler actions (§3.7) --------------------------------------------
     reg(gvm, "%run-handler", |ctx, args| {
         if args.len() != 2 {
-            return Err(VmError::msg("%run-handler requires a handler and a condition"));
+            return Err(VmError::msg(
+                "%run-handler requires a handler and a condition",
+            ));
         }
         run_handler(ctx, &args[0], &args[1])
     });
@@ -538,10 +545,7 @@ fn expand_defhandler(args: &[Value]) -> VmResult<Value> {
     Ok(Value::list(vec![
         Value::symbol("%defparameter"),
         Value::list(vec![Value::symbol("quote"), Value::Symbol(name)]),
-        Value::list(vec![
-            Value::symbol("quote"),
-            Value::Map(Arc::new(map)),
-        ]),
+        Value::list(vec![Value::symbol("quote"), Value::Map(Arc::new(map))]),
     ]))
 }
 
@@ -558,7 +562,9 @@ fn expand_with_retries(args: &[Value]) -> VmResult<Value> {
         ));
     };
     if !opts.len().is_multiple_of(2) {
-        return Err(VmError::Compile("with-retries options must be pairs".into()));
+        return Err(VmError::Compile(
+            "with-retries options must be pairs".into(),
+        ));
     }
     let mut count = Value::Int(3);
     let mut name = Value::str("with-retries");
@@ -598,10 +604,7 @@ fn expand_with_retries(args: &[Value]) -> VmResult<Value> {
     Ok(Value::list(vec![
         Value::symbol("%retry-call"),
         Value::list(thunk),
-        Value::list(vec![
-            Value::symbol("quote"),
-            Value::Map(Arc::new(handler)),
-        ]),
+        Value::list(vec![Value::symbol("quote"), Value::Map(Arc::new(handler))]),
         Value::list(vec![Value::symbol("lambda"), Value::Nil, fallback]),
     ]))
 }
@@ -610,7 +613,11 @@ fn expand_with_retries(args: &[Value]) -> VmResult<Value> {
 
 /// Run one named handler (created by `defhandler`) against a signaled
 /// condition: match the designators, then perform the action.
-fn run_handler(ctx: &mut NativeCtx<'_>, handler: &Value, condition: &Value) -> VmResult<NativeOutcome> {
+fn run_handler(
+    ctx: &mut NativeCtx<'_>,
+    handler: &Value,
+    condition: &Value,
+) -> VmResult<NativeOutcome> {
     let Some(h) = handler.as_map() else {
         return Err(VmError::type_error("handler object", handler));
     };
@@ -641,11 +648,7 @@ fn run_handler(ctx: &mut NativeCtx<'_>, handler: &Value, condition: &Value) -> V
                     .map(|v| format!("{v}"))
                     .unwrap_or_default();
                 let key = format!("retries:{hname}");
-                let used = ctx
-                    .ext
-                    .get(&key)
-                    .and_then(Value::as_int)
-                    .unwrap_or(0);
+                let used = ctx.ext.get(&key).and_then(Value::as_int).unwrap_or(0);
                 if used >= limit {
                     // Budget spent: transfer to a `give-up` restart if
                     // one is established (e.g. by `with-retries`'

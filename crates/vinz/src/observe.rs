@@ -334,7 +334,10 @@ impl IntrospectSource for VinzIntrospect {
         };
         let healthy = reaper && !shutdown && transport_up && (total == 0 || alive > 0);
         let mut details = vec![
-            ("reaper".into(), if reaper { "alive" } else { "dead" }.into()),
+            (
+                "reaper".into(),
+                if reaper { "alive" } else { "dead" }.into(),
+            ),
             ("instances".into(), format!("{alive}/{total}")),
             (
                 "supervisor".into(),
@@ -349,7 +352,10 @@ impl IntrospectSource for VinzIntrospect {
                 "transport".into(),
                 format!("{transport} ({})", if transport_up { "up" } else { "down" }),
             ),
-            ("cluster".into(), if shutdown { "shutdown" } else { "up" }.into()),
+            (
+                "cluster".into(),
+                if shutdown { "shutdown" } else { "up" }.into(),
+            ),
         ];
         if let Some(broker) = &tcp {
             details.push(("workers".into(), broker.live_connections().to_string()));

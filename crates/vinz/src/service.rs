@@ -361,13 +361,22 @@ impl WorkflowServiceBuilder {
         // bound, before the deployment attaches.
         inner.node_runtime(ADMIN_NODE)?;
         let introspect = self.introspect_addr.as_deref().map(|addr| {
-            let source = Arc::new(VinzIntrospect { inner: Arc::downgrade(&inner) });
-            IntrospectServer::start(addr, source).map_err(|e| VinzError(format!("introspect bind {addr}: {e}")))
+            let source = Arc::new(VinzIntrospect {
+                inner: Arc::downgrade(&inner),
+            });
+            IntrospectServer::start(addr, source)
+                .map_err(|e| VinzError(format!("introspect bind {addr}: {e}")))
         });
-        let listener = self.tcp_listen_addr.as_deref().map(|addr| match self.cluster.tcp_broker() {
-            Some(_) => Err(VinzError(format!("tcp listen {addr}: the cluster already has a TCP broker"))),
-            None => TcpListener::bind(addr).map_err(|e| VinzError(format!("tcp listen {addr}: {e}"))),
-        });
+        let listener =
+            self.tcp_listen_addr
+                .as_deref()
+                .map(|addr| match self.cluster.tcp_broker() {
+                    Some(_) => Err(VinzError(format!(
+                        "tcp listen {addr}: the cluster already has a TCP broker"
+                    ))),
+                    None => TcpListener::bind(addr)
+                        .map_err(|e| VinzError(format!("tcp listen {addr}: {e}"))),
+                });
         let (introspect, listener) = (introspect.transpose()?, listener.transpose()?);
         let attached = Attached {
             name: self.name.clone(),
@@ -395,7 +404,8 @@ impl WorkflowServiceBuilder {
         let handler = WorkflowHandler {
             inner: Arc::downgrade(&inner),
         };
-        self.cluster.register_service(&self.name, None, Arc::new(handler));
+        self.cluster
+            .register_service(&self.name, None, Arc::new(handler));
         supervisor::start(&inner);
         let service = WorkflowService { inner };
         // Workers may connect the moment the broker accepts.
@@ -445,10 +455,13 @@ impl WorkflowService {
         args: Vec<Value>,
         deadline: Option<Duration>,
     ) -> Result<String, VinzError> {
-        self.try_start(function, args, deadline).map_err(|e| match e {
-            StartError::Rejected { reason } => VinzError(format!("admission rejected: {reason}")),
-            StartError::Failed(e) => e,
-        })
+        self.try_start(function, args, deadline)
+            .map_err(|e| match e {
+                StartError::Rejected { reason } => {
+                    VinzError(format!("admission rejected: {reason}"))
+                }
+                StartError::Failed(e) => e,
+            })
     }
 
     /// Why a start may not be admitted right now: `max_inflight_tasks`
@@ -644,8 +657,14 @@ impl Deployment for Attached {
     /// on or off. Every workflow message names its task through a
     /// `fiber-id` or `task-id` header.
     fn dead_lettered(&self, dl: &DeadLetter) {
-        let Some(inner) = self.inner.upgrade() else { return };
-        let Some(fiber) = dl.msg.get_header("fiber-id").or(dl.msg.get_header("task-id")) else {
+        let Some(inner) = self.inner.upgrade() else {
+            return;
+        };
+        let Some(fiber) = dl
+            .msg
+            .get_header("fiber-id")
+            .or(dl.msg.get_header("task-id"))
+        else {
             return;
         };
         if dl.service != inner.name || inner.tracker.is_final(Inner::task_of(fiber)) {
@@ -653,10 +672,16 @@ impl Deployment for Attached {
         }
         let cond = Condition::with_types(
             vec!["dead-letter".into(), "error".into()],
-            format!("{} message {} dead-lettered: {}", dl.msg.operation, dl.msg.id, dl.reason),
+            format!(
+                "{} message {} dead-lettered: {}",
+                dl.msg.operation, dl.msg.id, dl.reason
+            ),
             Value::Nil,
         );
-        inner.metrics.tasks_dead_lettered.fetch_add(1, Ordering::Relaxed);
+        inner
+            .metrics
+            .tasks_dead_lettered
+            .fetch_add(1, Ordering::Relaxed);
         inner.fail_task(u32::MAX, u64::MAX, fiber, "dead-letter", cond);
     }
 }
@@ -706,7 +731,10 @@ impl bluebox::Handler for WorkflowHandler {
 impl Inner {
     // ---- node runtimes ------------------------------------------------
 
-    pub(crate) fn node_runtime(self: &Arc<Inner>, node_id: u32) -> Result<Arc<NodeRuntime>, VinzError> {
+    pub(crate) fn node_runtime(
+        self: &Arc<Inner>,
+        node_id: u32,
+    ) -> Result<Arc<NodeRuntime>, VinzError> {
         if let Some(rt) = self.nodes.read().get(&node_id) {
             return Ok(rt.clone());
         }

@@ -1228,7 +1228,10 @@ fn load_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, StoreError> {
         Some(Err(e)) => e.to_string(),
         None => "bad magic".to_string(),
     };
-    Err(StoreError::corrupt("checkpoint", format!("{why} in checkpoint")))
+    Err(StoreError::corrupt(
+        "checkpoint",
+        format!("{why} in checkpoint"),
+    ))
 }
 
 /// The checkpoint after its magic: one frame, bound only by its `u32`

@@ -177,8 +177,8 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState, now: Instant) {
     // STALL_AFTER: messages still queued or leased will move things
     // forward on their own (the broker's reaper guarantees leased
     // messages come back).
-    let quiescent = inner.cluster.queue_depth(&inner.name) == 0
-        && inner.cluster.in_flight(&inner.name) == 0;
+    let quiescent =
+        inner.cluster.queue_depth(&inner.name) == 0 && inner.cluster.in_flight(&inner.name) == 0;
     if !quiescent {
         st.stalled_since = None;
         return;
@@ -194,7 +194,12 @@ fn tick(inner: &Arc<Inner>, st: &mut ScanState, now: Instant) {
 }
 
 /// Re-send whatever moves each unfinished fiber of `task` forward.
-fn resume_orphans(inner: &Inner, st: &mut ScanState, task: &str, now: Instant) -> Result<(), VinzError> {
+fn resume_orphans(
+    inner: &Inner,
+    st: &mut ScanState,
+    task: &str,
+    now: Instant,
+) -> Result<(), VinzError> {
     for fiber_id in &inner.fibers_of(task)? {
         match inner.fiber_phase(fiber_id)?.0 {
             FiberPhase::Initial => {
@@ -249,11 +254,16 @@ fn mark_resent(st: &mut ScanState, key: &str, now: Instant) -> bool {
 }
 
 fn note_orphan(inner: &Inner, fiber_id: &str, via: &str) {
-    inner.metrics.orphans_resumed.fetch_add(1, Ordering::Relaxed);
     inner
-        .obs
-        .bus
-        .emit(|| Event::new(EventKind::OrphanResumed { via: via.to_string() }).fiber(fiber_id));
+        .metrics
+        .orphans_resumed
+        .fetch_add(1, Ordering::Relaxed);
+    inner.obs.bus.emit(|| {
+        Event::new(EventKind::OrphanResumed {
+            via: via.to_string(),
+        })
+        .fiber(fiber_id)
+    });
 }
 
 #[cfg(test)]
@@ -265,7 +275,10 @@ mod tests {
         assert_eq!(delay_for(1, 42), delay_for(1, 42));
         // BACKOFF × attempt + (correlation ^ attempt) mod JITTER.
         assert_eq!(delay_for(1, 42), BACKOFF + Duration::from_millis(43 % 10));
-        assert_eq!(delay_for(3, 42), BACKOFF * 3 + Duration::from_millis(41 % 10));
+        assert_eq!(
+            delay_for(3, 42),
+            BACKOFF * 3 + Duration::from_millis(41 % 10)
+        );
         assert!(delay_for(1, 42) < BACKOFF + JITTER);
     }
 }

@@ -46,7 +46,9 @@ impl Inner {
         // A one-way send has no reply to carry "no such function".
         let admin = self.node_runtime(ADMIN_NODE)?;
         if admin.gvm.function(function).is_none() {
-            return Err(VinzError(format!("workflow function {function} is not defined")));
+            return Err(VinzError(format!(
+                "workflow function {function} is not defined"
+            )));
         }
         let body = serialize_value(&Value::list(args), self.config.codec)?;
         let task_id = self.new_task_id();
@@ -56,7 +58,9 @@ impl Inner {
         let mut due = None;
         if let Some(d) = deadline {
             let at = Instant::now() + d;
-            msg = msg.header("deadline-ms", d.as_millis().to_string()).with_deadline(at);
+            msg = msg
+                .header("deadline-ms", d.as_millis().to_string())
+                .with_deadline(at);
             due = Some(at);
         }
         self.tracker.task_started(&task_id, due);
@@ -73,7 +77,11 @@ impl Inner {
     /// one-way, gets the same task however often the broker delivers
     /// it, and is owed an end state under that name if the task cannot
     /// be started: nobody reads a one-way message's fault.
-    pub(crate) fn op_start(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
+    pub(crate) fn op_start(
+        self: &Arc<Inner>,
+        ctx: &ServiceCtx,
+        msg: &Message,
+    ) -> Result<Vec<u8>, VinzError> {
         let named = msg.get_header("task-id");
         if let Some(n) = named
             .and_then(|id| id.strip_prefix("task-"))
@@ -81,16 +89,26 @@ impl Inner {
         {
             // A name of our own shape: keep the counter ahead of it, so
             // whoever mints next cannot collide with it.
-            self.next_task.fetch_max(n.saturating_add(1), Ordering::Relaxed);
+            self.next_task
+                .fetch_max(n.saturating_add(1), Ordering::Relaxed);
         }
         match self.begin_task(ctx, msg, named) {
             Ok(task_id) => Ok(task_id.into_bytes()),
             Err(e) => {
                 if let Some(task_id) = named {
                     self.tracker.task_started(task_id, None);
-                    let cond =
-                        Condition::with_types(vec!["start-failed".into(), "error".into()], e.0.clone(), Value::Nil);
-                    self.fail_task(ctx.node_id, ctx.instance_id, &main_fiber(task_id), "failed", cond);
+                    let cond = Condition::with_types(
+                        vec!["start-failed".into(), "error".into()],
+                        e.0.clone(),
+                        Value::Nil,
+                    );
+                    self.fail_task(
+                        ctx.node_id,
+                        ctx.instance_id,
+                        &main_fiber(task_id),
+                        "failed",
+                        cond,
+                    );
                 }
                 Err(e)
             }
@@ -110,7 +128,8 @@ impl Inner {
             .gvm
             .function(function)
             .ok_or_else(|| VinzError(format!("workflow function {function} is not defined")))?;
-        let args = deserialize_value(&msg.body, &rt.gvm).map_err(|e| VinzError(format!("bad Start arguments: {e}")))?;
+        let args = deserialize_value(&msg.body, &rt.gvm)
+            .map_err(|e| VinzError(format!("bad Start arguments: {e}")))?;
         // Freshly deserialized, so the list Arc is unshared and the
         // argument vector moves out without a per-element clone.
         let args: Vec<Value> = match args {
@@ -149,7 +168,9 @@ impl Inner {
         state.ext.set("task-id", Value::str(&task_id));
         state.ext.set("fiber-id", Value::str(&fiber_id));
         state.ext.set("root", Value::Bool(true));
-        state.ext.set("spawn-limit", Value::Int(self.config.spawn_limit as i64));
+        state
+            .ext
+            .set("spawn-limit", Value::Int(self.config.spawn_limit as i64));
         if let Some(d) = deadline_ms {
             state.ext.set("deadline-ms", Value::str(d));
         }
@@ -163,7 +184,9 @@ impl Inner {
 
         self.save_newborn(&rt, ctx.instance_id, &fiber_id, state)?;
         drop(birth);
-        self.emit(ctx.node_id, ctx.instance_id, &fiber_id, || EventKind::TaskStarted);
+        self.emit(ctx.node_id, ctx.instance_id, &fiber_id, || {
+            EventKind::TaskStarted
+        });
         self.tracker.note_phase(&task_id, Phase::QueueWait);
         self.send_run_fiber(&fiber_id, deadline);
         Ok(task_id)
@@ -172,7 +195,11 @@ impl Inner {
     /// Run: Start then wait for completion (synchronous; occupies this
     /// instance's slot, so deployments using the service-level Run need
     /// at least two instances).
-    pub(crate) fn op_run(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
+    pub(crate) fn op_run(
+        self: &Arc<Inner>,
+        ctx: &ServiceCtx,
+        msg: &Message,
+    ) -> Result<Vec<u8>, VinzError> {
         let task_id_bytes = self.op_start(ctx, msg)?;
         let task_id = String::from_utf8_lossy(&task_id_bytes).into_owned();
         self.tracker
@@ -182,12 +209,18 @@ impl Inner {
     }
 
     /// Call: Run, then return the final result.
-    pub(crate) fn op_call(self: &Arc<Inner>, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, VinzError> {
+    pub(crate) fn op_call(
+        self: &Arc<Inner>,
+        ctx: &ServiceCtx,
+        msg: &Message,
+    ) -> Result<Vec<u8>, VinzError> {
         let task_id_bytes = self.op_run(ctx, msg)?;
         let task_id = String::from_utf8_lossy(&task_id_bytes).into_owned();
         match self.tracker.status(&task_id) {
             Some(TaskStatus::Completed(v)) => Ok(serialize_value(&v, self.config.codec)?),
-            Some(TaskStatus::Failed(c)) | Some(TaskStatus::Terminated(c)) => Err(VinzError(format!("{c}"))),
+            Some(TaskStatus::Failed(c)) | Some(TaskStatus::Terminated(c)) => {
+                Err(VinzError(format!("{c}")))
+            }
             other => Err(VinzError(format!("unexpected status {other:?}"))),
         }
     }
@@ -200,7 +233,10 @@ impl Inner {
             .ok_or_else(|| VinzError("Terminate requires task-id".into()))?;
         self.tracker.finish(
             task_id,
-            TaskStatus::Terminated(Condition::new("terminated", "terminated by management request")),
+            TaskStatus::Terminated(Condition::new(
+                "terminated",
+                "terminated by management request",
+            )),
         );
         Ok(Vec::new())
     }
@@ -208,7 +244,14 @@ impl Inner {
     /// End `fiber_id`'s task `Failed` with `cond`: the fiber died of an
     /// unhandled condition, never came to be, or a message of its task
     /// was dead-lettered. `why` labels the flight dump (`{task}-{why}`).
-    pub(crate) fn fail_task(&self, node: u32, instance: u64, fiber_id: &str, why: &str, cond: Condition) {
+    pub(crate) fn fail_task(
+        &self,
+        node: u32,
+        instance: u64,
+        fiber_id: &str,
+        why: &str,
+        cond: Condition,
+    ) {
         let task_id = Inner::task_of(fiber_id);
         self.emit(node, instance, fiber_id, || EventKind::TaskDone {
             outcome: "failed".into(),

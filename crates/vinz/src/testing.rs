@@ -58,8 +58,11 @@ pub fn register_square_service(
     nodes: u32,
     latency: Duration,
 ) {
-    let desc = ServiceDescription::new(name, &format!("urn:{}", name.to_lowercase()))
-        .operation("Square", "Squares the field n.", &[("n", "int")]);
+    let desc = ServiceDescription::new(name, &format!("urn:{}", name.to_lowercase())).operation(
+        "Square",
+        "Squares the field n.",
+        &[("n", "int")],
+    );
     register_value_service(cluster, name, Some(desc), move |_op, req| {
         std::thread::sleep(latency);
         let n = req
@@ -80,11 +83,7 @@ pub fn register_square_service(
 /// the description as usual; the placeholder handler faults loudly if a
 /// message is ever delivered to a locally spawned instance (none should
 /// exist — spawn none, let workers register).
-pub fn register_remote_service_desc(
-    cluster: &Arc<Cluster>,
-    name: &str,
-    desc: ServiceDescription,
-) {
+pub fn register_remote_service_desc(cluster: &Arc<Cluster>, name: &str, desc: ServiceDescription) {
     let service = name.to_string();
     cluster.register_service(
         name,
@@ -179,7 +178,15 @@ pub fn run_workflow_under_chaos(
     config: ChaosConfig,
 ) -> Result<ChaosRun, String> {
     let flight_base = std::env::var_os("GOZER_FLIGHT_DIR").map(PathBuf::from);
-    run_workflow_under_chaos_store(source, function, args, config, VinzConfig::default(), None, flight_base)
+    run_workflow_under_chaos_store(
+        source,
+        function,
+        args,
+        config,
+        VinzConfig::default(),
+        None,
+        flight_base,
+    )
 }
 
 /// [`run_workflow_under_chaos`] with every option explicit:
@@ -212,7 +219,10 @@ pub fn run_workflow_under_chaos_store(
     cluster.set_chaos(plan.clone());
     let mut builder = WorkflowService::builder(&cluster, SERVICE)
         .source(source)
-        .config(VinzConfig { profiling: true, ..vinz })
+        .config(VinzConfig {
+            profiling: true,
+            ..vinz
+        })
         .instances(0, 2)
         .instances(1, 2);
     if let Some(store) = store {

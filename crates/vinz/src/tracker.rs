@@ -86,7 +86,9 @@ impl TaskRecord {
     /// telescope to *exactly* `finished_at - started_at`. No-op once
     /// the ledger is closed.
     fn roll_phase(&mut self, next: Option<Phase>, now: Instant) {
-        let Some(cur) = self.current_phase else { return };
+        let Some(cur) = self.current_phase else {
+            return;
+        };
         self.phases.phases[cur.index()] += now.saturating_duration_since(self.phase_since);
         self.current_phase = next;
         self.phase_since = now;
@@ -132,7 +134,8 @@ impl TaskTracker {
     /// [`task_started`](Self::task_started) and the birth of the task's
     /// main fiber, under one lock: what `Start` records.
     pub fn task_born(&self, id: &str, deadline: Option<Instant>) {
-        self.register(&mut self.state.lock(), id, deadline).fibers_created += 1;
+        self.register(&mut self.state.lock(), id, deadline)
+            .fibers_created += 1;
     }
 
     fn register<'a>(
@@ -363,7 +366,10 @@ mod tests {
         let latency = t.latency.snapshot();
         assert_eq!((latency.count, latency.sum_nanos), (1, d.as_nanos() as u64));
         let vm = t.phase_hists[Phase::VmExec.index()].snapshot();
-        assert_eq!(vm.sum_nanos, rec.phases.get(Phase::VmExec).as_nanos() as u64);
+        assert_eq!(
+            vm.sum_nanos,
+            rec.phases.get(Phase::VmExec).as_nanos() as u64
+        );
         assert_eq!(rec.current_phase, None);
         assert!(rec.phases.get(Phase::VmExec) >= Duration::from_millis(2));
         // Every banked phase was visited; admission never is (it lives

@@ -40,13 +40,7 @@ fn hold_config(max_inflight: usize, retries: u32) -> VinzConfig {
 
 fn wait_suspended(wf: &WorkflowService, count: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while wf
-        .obs()
-        .counters()
-        .suspended_fibers
-        .load(Ordering::Relaxed)
-        < count
-    {
+    while wf.obs().counters().suspended_fibers.load(Ordering::Relaxed) < count {
         assert!(Instant::now() < deadline, "fibers never suspended");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -65,7 +59,9 @@ fn awake(cluster: &Arc<Cluster>, task: &str) {
 fn full_capacity_sheds_with_typed_rejection() {
     let cluster = Cluster::new();
     let wf = deploy(&cluster, hold_config(3, 0));
-    let held: Vec<String> = (0..3).map(|_| wf.start("hold", vec![], None).unwrap()).collect();
+    let held: Vec<String> = (0..3)
+        .map(|_| wf.start("hold", vec![], None).unwrap())
+        .collect();
     wait_suspended(&wf, 3);
 
     let t0 = Instant::now();
@@ -77,7 +73,10 @@ fn full_capacity_sheds_with_typed_rejection() {
     );
     match shed {
         Err(StartError::Rejected { reason }) => {
-            assert!(reason.contains("inflight"), "reason names the signal: {reason}");
+            assert!(
+                reason.contains("inflight"),
+                "reason names the signal: {reason}"
+            );
         }
         other => panic!("expected a typed rejection, got {other:?}"),
     }

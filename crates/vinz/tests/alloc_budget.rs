@@ -83,12 +83,17 @@ fn a_quick_task_stays_within_its_allocation_budget() {
     let run = |n: usize| {
         for i in 0..n as i64 {
             let task = wf.start("quick", vec![Value::Int(i)], None).unwrap();
-            let rec = wf.wait(&task, Duration::from_secs(30)).expect("task finished");
+            let rec = wf
+                .wait(&task, Duration::from_secs(30))
+                .expect("task finished");
             assert_eq!(rec.status, TaskStatus::Completed(Value::Int(i * i)));
         }
     };
     run(WARM_UP);
-    let (allocs, bytes) = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let (allocs, bytes) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     run(TASKS);
     let per_task = (ALLOCS.load(Ordering::Relaxed) - allocs) as f64 / TASKS as f64;
     let bytes_per_task = (BYTES.load(Ordering::Relaxed) - bytes) as f64 / TASKS as f64;

@@ -174,7 +174,10 @@ fn same_seed_same_fault_schedule() {
             || a.decide_duplicate(key) != c.decide_duplicate(key)
             || a.decide_crash_after(key) != c.decide_crash_after(key);
     }
-    assert!(c_differs, "a different seed must yield a different schedule");
+    assert!(
+        c_differs,
+        "a different seed must yield a different schedule"
+    );
 }
 
 /// End-to-end determinism: the same seed run twice injects the same
@@ -186,22 +189,33 @@ fn same_seed_same_fault_schedule() {
 fn same_seed_reproduces_end_to_end() {
     let seed = chaos_seeds(1)[0];
     let args = vec![Value::Int(8)];
-    let first =
-        run_workflow_under_chaos(FOR_EACH_WF, "main", args.clone(), ChaosConfig::turbulence(seed))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "{e}\n  replay with: {}",
-                    repro_command("-p vinz --test chaos", "same_seed_reproduces_end_to_end", seed)
+    let first = run_workflow_under_chaos(
+        FOR_EACH_WF,
+        "main",
+        args.clone(),
+        ChaosConfig::turbulence(seed),
+    )
+    .unwrap_or_else(|e| {
+        panic!(
+            "{e}\n  replay with: {}",
+            repro_command(
+                "-p vinz --test chaos",
+                "same_seed_reproduces_end_to_end",
+                seed
+            )
+        )
+    });
+    let second = run_workflow_under_chaos(FOR_EACH_WF, "main", args, ChaosConfig::turbulence(seed))
+        .unwrap_or_else(|e| {
+            panic!(
+                "{e}\n  replay with: {}",
+                repro_command(
+                    "-p vinz --test chaos",
+                    "same_seed_reproduces_end_to_end",
+                    seed
                 )
-            });
-    let second =
-        run_workflow_under_chaos(FOR_EACH_WF, "main", args, ChaosConfig::turbulence(seed))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "{e}\n  replay with: {}",
-                    repro_command("-p vinz --test chaos", "same_seed_reproduces_end_to_end", seed)
-                )
-            });
+            )
+        });
     assert_eq!(first.value, sum_squares(8));
     assert_eq!(first.value, second.value);
     assert!(

@@ -119,10 +119,7 @@ fn delta_resume_is_opcode_identical_sixteen_seeds() {
             )
             .map_err(|e| format!("seed {seed}: {label}: {e}"))?;
             if r.value != Value::Int(47) {
-                return Err(format!(
-                    "seed {seed}: {label}: wrong result {:?}",
-                    r.value
-                ));
+                return Err(format!("seed {seed}: {label}: wrong result {:?}", r.value));
             }
             Ok(r)
         };

@@ -60,7 +60,9 @@ fn a_second_deployment_on_a_cluster_is_refused() {
         .err()
         .expect("a second deployment on one cluster must be refused");
     assert!(refused.0.contains("`first`"), "{refused}");
-    let v = first.call("main", vec![Value::Int(7)], Duration::from_secs(30)).unwrap();
+    let v = first
+        .call("main", vec![Value::Int(7)], Duration::from_secs(30))
+        .unwrap();
     assert_eq!(v, Value::Int(49));
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -99,7 +101,9 @@ fn a_deploy_that_fails_to_bind_leaves_the_cluster_unclaimed() {
         .deploy()
         .expect("the failed deploys must leave the cluster unclaimed");
     assert!(cluster.tcp_broker().is_some(), "the retry's broker is up");
-    let v = svc.call("main", vec![Value::Int(7)], Duration::from_secs(30)).unwrap();
+    let v = svc
+        .call("main", vec![Value::Int(7)], Duration::from_secs(30))
+        .unwrap();
     assert_eq!(v, Value::Int(49));
     drop(taken);
     cluster.shutdown();
@@ -520,13 +524,19 @@ fn a_group_is_one_write() {
         (1, 1, 1),
         "{before:?} -> {after:?}"
     );
-    assert_eq!(after.committed_entries - before.committed_entries, GROUP_OPS);
+    assert_eq!(
+        after.committed_entries - before.committed_entries,
+        GROUP_OPS
+    );
     // From the index (the overlay is retired) and from disk alone.
     assert_eq!(contents(&store), want);
     drop(store);
     let store = LogStore::builder(&dir).build().unwrap();
     assert_eq!(contents(&store), want);
-    assert_eq!(store.get("earlier").unwrap(), Some(b"its own group".to_vec()));
+    assert_eq!(
+        store.get("earlier").unwrap(),
+        Some(b"its own group".to_vec())
+    );
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -609,7 +619,10 @@ fn a_torn_group_recovers_to_a_record_boundary() {
         // Whole records of the last group that precede the cut.
         let whole = ends.iter().filter(|end| **end <= cut).count() - 1;
         assert_eq!(contents(&store), group_batches(None, whole), "cut at {cut}");
-        assert_eq!(store.get("earlier").unwrap(), Some(b"its own group".to_vec()));
+        assert_eq!(
+            store.get("earlier").unwrap(),
+            Some(b"its own group".to_vec())
+        );
         drop(store);
         // And the tear itself is gone from disk.
         assert_eq!(
@@ -858,16 +871,27 @@ fn run_two_tasks_on_log(dir: &Path, seed: u64) -> Result<Arc<Gvm>, String> {
         .map_err(|e| format!("seed {seed}: deploy failed: {e}"))?;
     let tasks: Vec<(String, i64)> = [4i64, 6]
         .iter()
-        .map(|&n| (workflow.start("main", vec![Value::Int(n)], None).unwrap(), n))
+        .map(|&n| {
+            (
+                workflow.start("main", vec![Value::Int(n)], None).unwrap(),
+                n,
+            )
+        })
         .collect();
     for (task, n) in &tasks {
         let want = Value::Int(6 * n + (0..*n).map(|i| i * i).sum::<i64>());
-        match workflow.wait(task, Duration::from_secs(45)).map(|r| r.status) {
+        match workflow
+            .wait(task, Duration::from_secs(45))
+            .map(|r| r.status)
+        {
             Some(TaskStatus::Completed(v)) if v == want => {}
             other => return Err(format!("seed {seed}: main({n}) ended {other:?}")),
         }
     }
-    workflow.store().flush().map_err(|e| format!("seed {seed}: {e}"))?;
+    workflow
+        .store()
+        .flush()
+        .map_err(|e| format!("seed {seed}: {e}"))?;
     let gvm = workflow.node_runtimes()[0].gvm.clone();
     cluster.shutdown();
     Ok(gvm)
@@ -885,7 +909,8 @@ fn closure_violation(dir: &Path, gvm: &Arc<Gvm>) -> Option<String> {
         let plain = format!("fiber/{fiber}");
         let compacted = format!("{plain}@");
         let keys = store.list(&plain).unwrap();
-        keys.iter().any(|k| *k == plain || k.starts_with(&compacted))
+        keys.iter()
+            .any(|k| *k == plain || k.starts_with(&compacted))
     };
     let task_of = |fiber: &str| fiber.split('/').next().unwrap().to_owned();
     for key in store.list("result/").unwrap() {

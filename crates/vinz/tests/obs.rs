@@ -440,7 +440,10 @@ fn a_waited_task_is_already_in_the_latency_histogram() {
     let cluster = Cluster::new();
     // Uncompressed saves: the test is about the tracker, and 2 000
     // deflates dominate its time in a debug build.
-    let config = VinzConfig { codec: Codec::None, ..VinzConfig::default() };
+    let config = VinzConfig {
+        codec: Codec::None,
+        ..VinzConfig::default()
+    };
     let workflow = WorkflowService::builder(&cluster, "wf")
         .source("(defun main (n) (* n n))")
         .config(config)
@@ -451,14 +454,21 @@ fn a_waited_task_is_already_in_the_latency_histogram() {
     let key = "gozer_task_latency_seconds{service=\"wf\"}";
     let mut late = Vec::new();
     for waited in 1..=2000u64 {
-        let task = workflow.start("main", vec![Value::Int(3)], None).expect("start");
-        let rec = workflow.wait(&task, Duration::from_secs(30)).expect("task finishes");
+        let task = workflow
+            .start("main", vec![Value::Int(3)], None)
+            .expect("start");
+        let rec = workflow
+            .wait(&task, Duration::from_secs(30))
+            .expect("task finishes");
         assert_eq!(rec.status, TaskStatus::Completed(Value::Int(9)));
         let count = obs.snapshot().histogram(key).map_or(0, |h| h.count);
         if count < waited {
             late.push((waited, count));
         }
     }
-    assert!(late.is_empty(), "(waited, counted) after a wait returned: {late:?}");
+    assert!(
+        late.is_empty(),
+        "(waited, counted) after a wait returned: {late:?}"
+    );
     cluster.shutdown();
 }

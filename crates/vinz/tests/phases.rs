@@ -216,15 +216,36 @@ fn gate_costs(store: Option<Arc<dyn StateStore>>) -> (GateCost, GateCost) {
     }
     let workflow = builder.deploy().unwrap();
     let obs = workflow.obs();
-    let parked_total = || obs.snapshot().counter("gozer_messages_held_total").unwrap_or(0);
+    let parked_total = || {
+        obs.snapshot()
+            .counter("gozer_messages_held_total")
+            .unwrap_or(0)
+    };
     let run = |function: &str, arg: i64, want: i64| {
         let before = parked_total();
-        let task = workflow.start(function, vec![Value::Int(arg)], None).unwrap();
-        let rec = workflow.wait(&task, Duration::from_secs(45)).expect("task finishes");
-        assert_eq!(rec.status, TaskStatus::Completed(Value::Int(want)), "{function}");
-        assert_eq!(cluster.held_count(), 0, "{function}: a message is still parked");
+        let task = workflow
+            .start(function, vec![Value::Int(arg)], None)
+            .unwrap();
+        let rec = workflow
+            .wait(&task, Duration::from_secs(45))
+            .expect("task finishes");
+        assert_eq!(
+            rec.status,
+            TaskStatus::Completed(Value::Int(want)),
+            "{function}"
+        );
+        assert_eq!(
+            cluster.held_count(),
+            0,
+            "{function}: a message is still parked"
+        );
         GateCost {
-            hold: obs.tracker().get(&task).unwrap().phases.get(Phase::DurabilityHold),
+            hold: obs
+                .tracker()
+                .get(&task)
+                .unwrap()
+                .phases
+                .get(Phase::DurabilityHold),
             parked: parked_total() - before,
         }
     };
@@ -232,8 +253,14 @@ fn gate_costs(store: Option<Arc<dyn StateStore>>) -> (GateCost, GateCost) {
     // Children now start while their parent is still in its first run,
     // so wake-ups that find it "initial" back off and requeue; none of
     // them may sit on the parent's lock long enough to time another out.
-    let retries = obs.counters().awake_retries.load(std::sync::atomic::Ordering::Relaxed);
-    assert!(retries <= 8, "for-each of 8 needed {retries} AwakeFiber lock retries");
+    let retries = obs
+        .counters()
+        .awake_retries
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert!(
+        retries <= 8,
+        "for-each of 8 needed {retries} AwakeFiber lock retries"
+    );
     let calls = run("calls", 5, 75);
     cluster.shutdown();
     (internal, calls)
@@ -261,10 +288,17 @@ fn durability_hold_only_at_the_deployment_boundary() {
         .build()
         .unwrap();
     let (internal, calls) = gate_costs(Some(Arc::new(store)));
-    assert_eq!(internal.hold, Duration::ZERO, "fork/join/for-each waited on a save");
+    assert_eq!(
+        internal.hold,
+        Duration::ZERO,
+        "fork/join/for-each waited on a save"
+    );
     assert_eq!(internal.parked, 0, "a fiber-bound message was parked");
     assert_eq!(calls.parked, 3, "one park per async call");
-    assert!(calls.hold > Duration::ZERO, "a parked request must bank durability_hold");
+    assert!(
+        calls.hold > Duration::ZERO,
+        "a parked request must bank durability_hold"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -350,7 +384,9 @@ fn introspect_http_matches_in_process_exporter() {
     let obs = workflow.obs();
     obs.set_tracing(true);
     let task = workflow.start("main", vec![Value::Int(6)], None).unwrap();
-    let rec = workflow.wait(&task, Duration::from_secs(45)).expect("task finishes");
+    let rec = workflow
+        .wait(&task, Duration::from_secs(45))
+        .expect("task finishes");
     assert!(rec.status.is_final());
     drain_stragglers(&workflow);
 
@@ -369,7 +405,10 @@ fn introspect_http_matches_in_process_exporter() {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    assert!(matched, "/metrics never matched export_text() byte for byte");
+    assert!(
+        matched,
+        "/metrics never matched export_text() byte for byte"
+    );
     // The run reached both task histograms: a phase ledger that
     // reconciles against latency also holds when both are empty.
     assert!(scraped.contains("# TYPE gozer_task_phase_seconds histogram\n"));

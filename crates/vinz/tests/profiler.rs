@@ -76,7 +76,12 @@ fn fail_sweep(test: &str, failures: Vec<String>) {
         .filter_map(|f| f.split(':').next())
         .filter_map(|s| s.strip_prefix("seed "))
         .filter_map(|s| s.trim().parse::<u64>().ok())
-        .map(|seed| format!("    {}", repro_command("-p vinz --test profiler", test, seed)))
+        .map(|seed| {
+            format!(
+                "    {}",
+                repro_command("-p vinz --test profiler", test, seed)
+            )
+        })
         .collect();
     panic!(
         "{} seed(s) failed:\n  {}\n  replay with:\n{}",
@@ -253,7 +258,10 @@ fn failing_seed_leaves_complete_flight_dumps() {
         .filter_map(|d| d.file_name().map(|n| n.to_string_lossy().into_owned()))
         .collect();
     assert!(labels.iter().any(|l| l.contains("failed")), "{labels:?}");
-    assert!(labels.iter().any(|l| l.contains("chaos-seed-1")), "{labels:?}");
+    assert!(
+        labels.iter().any(|l| l.contains("chaos-seed-1")),
+        "{labels:?}"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
 
@@ -265,7 +273,10 @@ fn panic_hook_records_flight_dump() {
     let cluster = Cluster::new();
     let wf = WorkflowService::builder(&cluster, "workflow")
         .source("(defun main () 1)")
-        .config(VinzConfig { profiling: true, ..VinzConfig::default() })
+        .config(VinzConfig {
+            profiling: true,
+            ..VinzConfig::default()
+        })
         .instances(0, 1)
         .deploy()
         .unwrap();
@@ -324,9 +335,15 @@ fn serialize_costs_equal_persist_counters() {
         .deploy()
         .unwrap();
     let obs = wf.obs();
-    assert_eq!(obs.profile().serial.min_serialize_nanos, None, "nothing saved yet");
+    assert_eq!(
+        obs.profile().serial.min_serialize_nanos,
+        None,
+        "nothing saved yet"
+    );
     for _ in 0..4 {
-        let v = wf.call("main", vec![Value::Int(5)], Duration::from_secs(30)).unwrap();
+        let v = wf
+            .call("main", vec![Value::Int(5)], Duration::from_secs(30))
+            .unwrap();
         assert_eq!(v, Value::Int(47));
     }
     cluster.shutdown();

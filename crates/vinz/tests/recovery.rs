@@ -31,7 +31,10 @@ const TIMEOUT: Duration = Duration::from_secs(60);
 fn advance_until(clock: &Clock, step: Duration, mut done: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(30);
     while !done() {
-        assert!(Instant::now() < deadline, "not done after 30 s of real time");
+        assert!(
+            Instant::now() < deadline,
+            "not done after 30 s of real time"
+        );
         clock.advance(step);
         std::thread::sleep(SCAN_INTERVAL);
     }
@@ -118,8 +121,11 @@ fn armed_sweep_completes_without_harness_intervention() {
 #[test]
 fn supervisor_respawns_after_total_node_loss() {
     let cluster = Cluster::new();
-    let desc = ServiceDescription::new("SlowSquare", "urn:slow-square")
-        .operation("Square", "Squares the field n, slowly.", &[("n", "int")]);
+    let desc = ServiceDescription::new("SlowSquare", "urn:slow-square").operation(
+        "Square",
+        "Squares the field n, slowly.",
+        &[("n", "int")],
+    );
     register_value_service(&cluster, "SlowSquare", Some(desc), |_op, req| {
         std::thread::sleep(Duration::from_millis(300));
         let n = req
@@ -209,10 +215,12 @@ fn poisoned_operation_fails_the_task(operation: &str) {
     // so the budget is spent by real redeliveries, not starvation; the
     // clock moves through each redelivery's backoff.
     let task = wf.start("main", vec![], None).unwrap();
-    advance_until(&clock, BACKOFF_MAX, || wf.status(&task).is_some_and(|s| s.is_final()));
-    let rec = wf.wait(&task, Duration::ZERO).expect(
-        "dead-lettering must resolve the task instead of hanging it",
-    );
+    advance_until(&clock, BACKOFF_MAX, || {
+        wf.status(&task).is_some_and(|s| s.is_final())
+    });
+    let rec = wf
+        .wait(&task, Duration::ZERO)
+        .expect("dead-lettering must resolve the task instead of hanging it");
     match rec.status {
         TaskStatus::Failed(c) => assert!(c.matches("dead-letter"), "{c}"),
         other => panic!("expected Failed after quarantine, got {other:?}"),
@@ -220,7 +228,8 @@ fn poisoned_operation_fails_the_task(operation: &str) {
     assert!(cluster.dead_letter_total() > 0, "quarantine counter moved");
     let dead = cluster.dead_letters("workflow");
     assert!(
-        dead.iter().any(|d| d.msg.operation == operation && d.msg.redeliveries == REDELIVERY_BUDGET),
+        dead.iter()
+            .any(|d| d.msg.operation == operation && d.msg.redeliveries == REDELIVERY_BUDGET),
         "the poisoned operation is what got quarantined, its budget spent: {dead:?}"
     );
     let obs = wf.obs();
@@ -246,7 +255,10 @@ fn poisoned_operation_fails_the_task(operation: &str) {
 #[test]
 fn orphan_scan_runs_a_fiber_known_only_by_its_birth_record() {
     let (task, left) = orphan_scan_finishes("RunFiber", "(defun main (n) (* n n))", 12, 144);
-    assert_eq!(left, [format!("fiber/{task}/f0"), format!("task-def/{task}")]);
+    assert_eq!(
+        left,
+        [format!("fiber/{task}/f0"), format!("task-def/{task}")]
+    );
 }
 
 /// A `for-each` parent suspended on its children, and every child's
@@ -279,7 +291,12 @@ fn orphan_scan_wakes_a_join_whose_wake_up_was_lost() {
 /// duplicate `Start`, which adds nothing) and the orphan scan must
 /// finish it with `expected`. Returns the task and the keys the first
 /// life left.
-fn orphan_scan_finishes(poisoned: &str, source: &str, n: i64, expected: i64) -> (String, Vec<String>) {
+fn orphan_scan_finishes(
+    poisoned: &str,
+    source: &str,
+    n: i64,
+    expected: i64,
+) -> (String, Vec<String>) {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
     let doomed = Cluster::new();
     doomed.set_chaos(ChaosPlan::new(ChaosConfig::poison(7, poisoned)));
@@ -313,7 +330,9 @@ fn orphan_scan_finishes(poisoned: &str, source: &str, n: i64, expected: i64) -> 
         .deploy()
         .unwrap();
     assert_eq!(wf.start("main", vec![Value::Int(n)], None).unwrap(), task);
-    advance_until(&clock, STALL_AFTER / 4, || wf.status(&task).is_some_and(|s| s.is_final()));
+    advance_until(&clock, STALL_AFTER / 4, || {
+        wf.status(&task).is_some_and(|s| s.is_final())
+    });
     let rec = wf
         .wait(&task, Duration::ZERO)
         .unwrap_or_else(|| panic!("the orphan scan finishes the task ({poisoned} lost)"));
@@ -397,12 +416,17 @@ fn call_timeout_synthesizes_fault_and_gives_up() {
     let obs = wf.obs();
     obs.set_tracing(true);
     let task = wf.start("main", vec![], None).unwrap();
-    advance_until(&clock, CALL_TIMEOUT / 40, || wf.status(&task).is_some_and(|s| s.is_final()));
+    advance_until(&clock, CALL_TIMEOUT / 40, || {
+        wf.status(&task).is_some_and(|s| s.is_final())
+    });
     let rec = wf.wait(&task, Duration::ZERO).expect("task finishes");
     assert_eq!(rec.status, TaskStatus::Completed(Value::keyword("gave-up")));
     // Every attempt went out, and none was answered.
     assert_eq!(cluster.queue_depth("Ghost"), MAX_ATTEMPTS as usize);
-    assert_eq!(obs.counters().calls_retried.load(Ordering::Relaxed), u64::from(MAX_ATTEMPTS - 1));
+    assert_eq!(
+        obs.counters().calls_retried.load(Ordering::Relaxed),
+        u64::from(MAX_ATTEMPTS - 1)
+    );
     // The synthesized reply, like a real one, correlates to the caller.
     let fiber = format!("{task}/f0");
     let replies: Vec<_> = obs
@@ -436,7 +460,11 @@ fn a_background_join_gives_up_once_the_clock_passes_its_deadline() {
     });
     match wf.status(&task) {
         Some(TaskStatus::Failed(c)) => {
-            assert!(c.to_string().contains("join-process: nowhere/f0 never finished"), "{c}")
+            assert!(
+                c.to_string()
+                    .contains("join-process: nowhere/f0 never finished"),
+                "{c}"
+            )
         }
         other => panic!("expected the join to fail the task, got {other:?}"),
     }
@@ -476,10 +504,11 @@ fn flaky_service_sweep_converges_without_duplicate_effects() {
         register_value_service(
             &cluster,
             "Flaky",
-            Some(
-                ServiceDescription::new("Flaky", "urn:flaky")
-                    .operation("Do", "Fails five times per input, then squares.", &[("n", "int")]),
-            ),
+            Some(ServiceDescription::new("Flaky", "urn:flaky").operation(
+                "Do",
+                "Fails five times per input, then squares.",
+                &[("n", "int")],
+            )),
             move |_op, req| {
                 let n = req
                     .as_map()

@@ -159,7 +159,10 @@ fn unsupported_operation_fails_at_compile_time() {
         "(deflink SM :wsdl \"urn:security-manager-service\" :port \"SecurityManager\")
          (defun main () :loaded)",
     );
-    assert_eq!(wf.call("main", vec![], TIMEOUT).unwrap(), Value::keyword("loaded"));
+    assert_eq!(
+        wf.call("main", vec![], TIMEOUT).unwrap(),
+        Value::keyword("loaded")
+    );
     cluster.shutdown();
 }
 
@@ -216,9 +219,7 @@ fn defhandler_retry_action_with_count() {
     register_value_service(
         &cluster,
         "Flaky",
-        Some(
-            ServiceDescription::new("Flaky", "urn:flaky").operation("Get", "Flaky get.", &[]),
-        ),
+        Some(ServiceDescription::new("Flaky", "urn:flaky").operation("Get", "Flaky get.", &[])),
         move |_op, _req| {
             let n = attempts2.fetch_add(1, Ordering::SeqCst);
             if n < 2 {
@@ -254,9 +255,7 @@ fn defhandler_retry_count_exhausts() {
         &cluster,
         "Broken",
         Some(ServiceDescription::new("Broken", "urn:broken").operation("Get", "", &[])),
-        |_op, _req| -> Result<Value, Fault> {
-            Err(Fault::new("{urn:broken}Always", "nope"))
-        },
+        |_op, _req| -> Result<Value, Fault> { Err(Fault::new("{urn:broken}Always", "nope")) },
     );
     cluster.spawn_instances("Broken", 0, 1);
     let wf = deploy(

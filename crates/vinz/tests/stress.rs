@@ -73,7 +73,10 @@ fn task_variables_are_isolated_between_tasks() {
 #[test]
 fn large_fanout_with_tiny_spawn_limit() {
     let cluster = Cluster::new();
-    let config = VinzConfig { spawn_limit: 2, ..VinzConfig::default() };
+    let config = VinzConfig {
+        spawn_limit: 2,
+        ..VinzConfig::default()
+    };
     let wf = deploy_with(
         &cluster,
         "(defun main (n) (apply #'+ (for-each (i in (range n)) i)))",
@@ -105,7 +108,10 @@ fn parallel_inside_for_each() {
 #[test]
 fn three_level_nesting() {
     let cluster = Cluster::new();
-    let config = VinzConfig { spawn_limit: 4, ..VinzConfig::default() };
+    let config = VinzConfig {
+        spawn_limit: 4,
+        ..VinzConfig::default()
+    };
     let wf = deploy_with(
         &cluster,
         "(defun main ()
@@ -142,7 +148,11 @@ fn results_can_be_large_and_structured() {
         let m = item.as_map().unwrap();
         assert_eq!(m.get(&Value::keyword("index")), Some(&Value::Int(i as i64)));
         assert_eq!(
-            m.get(&Value::keyword("squares")).unwrap().as_list().unwrap().len(),
+            m.get(&Value::keyword("squares"))
+                .unwrap()
+                .as_list()
+                .unwrap()
+                .len(),
             50
         );
     }
@@ -153,7 +163,10 @@ fn results_can_be_large_and_structured() {
 fn recursive_distributed_fibonacci() {
     // Recursion through fork/join: each level forks two children.
     let cluster = Cluster::new();
-    let config = VinzConfig { spawn_limit: 32, ..VinzConfig::default() };
+    let config = VinzConfig {
+        spawn_limit: 32,
+        ..VinzConfig::default()
+    };
     let wf = deploy_with(
         &cluster,
         "(defun dfib (n)

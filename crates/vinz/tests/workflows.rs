@@ -72,7 +72,10 @@ fn dist_sum_squares_matches_listing_1() {
 #[test]
 fn spawn_limit_bounds_outstanding_children() {
     let cluster = Cluster::new();
-    let config = VinzConfig { spawn_limit: 3, ..VinzConfig::default() };
+    let config = VinzConfig {
+        spawn_limit: 3,
+        ..VinzConfig::default()
+    };
     let wf = deploy_cfg(
         &cluster,
         "(defun main (n)
@@ -146,7 +149,10 @@ fn task_variables_share_state_across_fibers() {
     // child itself returns t (the value of the setf), as in the paper's
     // listing.
     let cluster = Cluster::new();
-    let config = VinzConfig { spawn_limit: 1, ..VinzConfig::default() };
+    let config = VinzConfig {
+        spawn_limit: 1,
+        ..VinzConfig::default()
+    };
     let wf = deploy_cfg(
         &cluster,
         "(deftaskvar exit-flag \"When this becomes true, stop.\")
@@ -233,14 +239,19 @@ fn runaway_recursion_fails_only_its_own_task() {
     );
     let runaways =
         ["runaway", "runaway-nested"].map(|f| wf.start(f, vec![Value::Int(0)], None).unwrap());
-    let caught = wf.start("runaway-caught", vec![Value::Int(0)], None).unwrap();
+    let caught = wf
+        .start("runaway-caught", vec![Value::Int(0)], None)
+        .unwrap();
     let healthy: Vec<String> = (0..100i64)
         .map(|n| wf.start("healthy", vec![Value::Int(n)], None).unwrap())
         .collect();
     for (n, task) in healthy.iter().enumerate() {
         let n = n as i64;
         let rec = wf.wait(task, TIMEOUT).expect("a healthy task completes");
-        assert_eq!(rec.status, TaskStatus::Completed(Value::Int(n * (n + 1) * (2 * n + 1) / 6)));
+        assert_eq!(
+            rec.status,
+            TaskStatus::Completed(Value::Int(n * (n + 1) * (2 * n + 1) / 6))
+        );
     }
     for task in &runaways {
         match wf.wait(task, TIMEOUT).expect("a runaway task ends").status {
@@ -418,10 +429,7 @@ fn figure1_event_sequence_is_ordered() {
 #[test]
 fn persistence_metrics_account_for_suspensions() {
     let cluster = Cluster::new();
-    let wf = deploy(
-        &cluster,
-        "(defun main () (for-each (i in (range 4)) i))",
-    );
+    let wf = deploy(&cluster, "(defun main () (for-each (i in (range 4)) i))");
     wf.call("main", vec![], TIMEOUT).unwrap();
     use std::sync::atomic::Ordering;
     let obs = wf.obs();
@@ -463,7 +471,10 @@ impl vinz::StateStore for CountingStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), vinz::StoreError> {
         self.puts.lock().unwrap().push(vec![key.to_string()]);
         if key.starts_with("children/") {
-            self.registry_puts.lock().unwrap().push(key.len() + data.len());
+            self.registry_puts
+                .lock()
+                .unwrap()
+                .push(key.len() + data.len());
         }
         self.inner.put(key, data)
     }
@@ -475,12 +486,14 @@ impl vinz::StateStore for CountingStore {
     }
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, vinz::StoreError> {
         if key.starts_with("children/") {
-            self.registry_gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.registry_gets
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
         self.inner.get(key)
     }
     fn delete(&self, key: &str) -> Result<(), vinz::StoreError> {
-        self.deletes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.deletes
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.inner.delete(key)
     }
     fn list(&self, prefix: &str) -> Result<Vec<String>, vinz::StoreError> {
@@ -540,9 +553,17 @@ fn store_census_of_a_task() {
     let keys: Vec<&String> = one.iter().chain(&two).flatten().collect();
     // Nothing but these is ever written (no key records a phase).
     const FAMILIES: [&str; 7] = [
-        "task-def/", "fiber/", "fiber-v/", "susp/", "result/", "children/", "waiters/",
+        "task-def/",
+        "fiber/",
+        "fiber-v/",
+        "susp/",
+        "result/",
+        "children/",
+        "waiters/",
     ];
-    let stray = keys.iter().find(|k| !FAMILIES.iter().any(|f| k.starts_with(f)));
+    let stray = keys
+        .iter()
+        .find(|k| !FAMILIES.iter().any(|f| k.starts_with(f)));
     assert_eq!(stray, None, "{keys:?}");
     // The meta record is written by suspensions only, with what it names.
     for call in one.iter().chain(&two) {
@@ -596,7 +617,10 @@ fn store_census_of_an_async_call() {
     assert_eq!(writes[0], writes[1], "{puts:?}");
     let batches = store.batches.lock().unwrap().clone();
     assert_eq!(
-        batches.iter().filter(|b| b.iter().any(|k| k.starts_with("call-req/"))).count(),
+        batches
+            .iter()
+            .filter(|b| b.iter().any(|k| k.starts_with("call-req/")))
+            .count(),
         1,
         "{batches:?}"
     );
@@ -610,7 +634,9 @@ fn store_census_of_an_async_call() {
     );
     // One node, no join: the record is the only thing deleted.
     assert_eq!(store.deletes.load(Ordering::Relaxed), 1);
-    assert!(vinz::StateStore::list(&*store, "call-req/").unwrap().is_empty());
+    assert!(vinz::StateStore::list(&*store, "call-req/")
+        .unwrap()
+        .is_empty());
     assert_eq!(wf.obs().counters().calls_retried.load(Ordering::Relaxed), 1);
     cluster.shutdown();
 }
@@ -632,7 +658,10 @@ fn child_registry_is_linear_in_children() {
         .unwrap();
     let registry_of = |n: i64| {
         let want = (0..n).map(|i| i * i).sum::<i64>();
-        assert_eq!(wf.call("fan", vec![Value::Int(n)], TIMEOUT).unwrap(), Value::Int(want));
+        assert_eq!(
+            wf.call("fan", vec![Value::Int(n)], TIMEOUT).unwrap(),
+            Value::Int(want)
+        );
         assert!(cluster.drain("wf", TIMEOUT));
         std::mem::take(&mut *store.registry_puts.lock().unwrap())
     };
@@ -640,7 +669,10 @@ fn child_registry_is_linear_in_children() {
     assert_eq!((few.len(), many.len()), (8, 64));
     // `children/task-N/f0/task-N/fM`, empty value: the longest entry
     // among 64 is a digit or two longer than among 8, not 8 times.
-    assert!(many.iter().max().unwrap() <= &(few.iter().max().unwrap() + 2), "{few:?}\n{many:?}");
+    assert!(
+        many.iter().max().unwrap() <= &(few.iter().max().unwrap() + 2),
+        "{few:?}\n{many:?}"
+    );
     assert_eq!(store.registry_gets.load(Ordering::Relaxed), 0);
     cluster.shutdown();
 }
@@ -763,7 +795,10 @@ const TWO_CALLS: &str = "(defun main () (+ (GA-Square-Method :n 3) (GB-Square-Me
 
 /// The fiber that emitted the first event `kind` matches.
 fn fiber_of(events: &[Event], kind: fn(&EventKind) -> bool) -> String {
-    let e = events.iter().find(|e| kind(&e.kind)).expect("event recorded");
+    let e = events
+        .iter()
+        .find(|e| kind(&e.kind))
+        .expect("event recorded");
     e.fiber.clone().expect("lifecycle events carry their fiber")
 }
 
@@ -846,7 +881,11 @@ fn run_gated(case: &Redelivery, deliver_twice: bool) -> (Value, u64, usize, usiz
     let obs = wf.obs();
     obs.set_tracing(true);
     let task = wf.start("main", vec![], None).unwrap();
-    assert!(cluster.drain("wf", TIMEOUT), "{}: parked on the gates", case.op);
+    assert!(
+        cluster.drain("wf", TIMEOUT),
+        "{}: parked on the gates",
+        case.op
+    );
     let correlation = wf.store().list("call-req/").unwrap()[0]
         .trim_start_matches("call-req/")
         .to_string();
@@ -858,7 +897,11 @@ fn run_gated(case: &Redelivery, deliver_twice: bool) -> (Value, u64, usize, usiz
     );
     if deliver_twice {
         cluster.send((case.duplicate)(&task, &obs.events(), &correlation));
-        assert!(cluster.drain("wf", TIMEOUT), "{}: duplicate handled", case.op);
+        assert!(
+            cluster.drain("wf", TIMEOUT),
+            "{}: duplicate handled",
+            case.op
+        );
     }
     cluster.spawn_instances("GateB", 0, 1);
     let rec = wf.wait(&task, TIMEOUT).expect("task finishes");

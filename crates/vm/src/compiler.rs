@@ -335,8 +335,7 @@ impl<'h> Compiler<'h> {
     /// never threads captures.
     fn is_global_ref(&self, name: Symbol) -> bool {
         !self.fns.iter().any(|ctx| {
-            ctx.find_visible(name).is_some()
-                || ctx.captures.iter().any(|(n, _)| *n == name)
+            ctx.find_visible(name).is_some() || ctx.captures.iter().any(|(n, _)| *n == name)
         })
     }
 
@@ -590,7 +589,8 @@ impl<'h> Compiler<'h> {
         let setter = self.sym_const(Symbol::intern("%def-macro"));
         self.emit(Op::LoadGlobal(setter));
         self.emit_const(Value::Symbol(name));
-        let chunk = self.compile_function(&format!("macro {}", name.name()), &args[1], &args[2..])?;
+        let chunk =
+            self.compile_function(&format!("macro {}", name.name()), &args[1], &args[2..])?;
         self.emit(Op::MakeClosure(chunk));
         self.emit(Op::Call(2));
         Ok(())
@@ -631,7 +631,9 @@ impl<'h> Compiler<'h> {
                 return self.compile_expr(&call, false);
             }
         }
-        Err(VmError::Compile(format!("unsupported setf place: {place:?}")))
+        Err(VmError::Compile(format!(
+            "unsupported setf place: {place:?}"
+        )))
     }
 
     fn compile_defvar(&mut self, args: &[Value], always_set: bool) -> VmResult<()> {
@@ -950,9 +952,8 @@ impl<'h> Compiler<'h> {
                         return Err(VmError::Compile("empty case clause".into()));
                     }
                     let key = &items[0];
-                    let is_default =
-                        key.as_symbol().is_some_and(|s| s.name() == "otherwise")
-                            || matches!(key, Value::Bool(true));
+                    let is_default = key.as_symbol().is_some_and(|s| s.name() == "otherwise")
+                        || matches!(key, Value::Bool(true));
                     let test = if is_default {
                         Value::Bool(true)
                     } else if let Some(keys) = key.as_list() {
@@ -1135,10 +1136,7 @@ impl<'h> Compiler<'h> {
                 // — the local-parallelism primitive of §2.
                 let mut lambda = vec![sym("lambda"), Value::Nil];
                 lambda.extend_from_slice(args);
-                Ok(Value::list(vec![
-                    sym("%make-future"),
-                    Value::list(lambda),
-                ]))
+                Ok(Value::list(vec![sym("%make-future"), Value::list(lambda)]))
             }
             "loop" => expand_loop(self.host, args),
             other => Err(VmError::Compile(format!("unknown core macro {other}"))),
@@ -1148,17 +1146,26 @@ impl<'h> Compiler<'h> {
 
 /// The names handled by the compiler's built-in expanders.
 pub const CORE_MACROS: &[&str] = &[
-    "when", "unless", "cond", "case", "dolist", "dotimes", "incf", "decf", "push", "append!",
-    "%", "loop", "prog1", "ignore-errors", "future",
+    "when",
+    "unless",
+    "cond",
+    "case",
+    "dolist",
+    "dotimes",
+    "incf",
+    "decf",
+    "push",
+    "append!",
+    "%",
+    "loop",
+    "prog1",
+    "ignore-errors",
+    "future",
 ];
 
 /// Expand a core macro outside a compilation (the `macroexpand-1`
 /// builtin). `None` when `name` is not a core macro.
-pub fn expand_core(
-    host: &dyn MacroHost,
-    name: &str,
-    args: &[Value],
-) -> Option<VmResult<Value>> {
+pub fn expand_core(host: &dyn MacroHost, name: &str, args: &[Value]) -> Option<VmResult<Value>> {
     if !CORE_MACROS.contains(&name) {
         return None;
     }
@@ -1352,8 +1359,8 @@ fn quasi_expand(form: &Value, depth: u32) -> VmResult<Value> {
 fn expand_loop(host: &dyn MacroHost, args: &[Value]) -> VmResult<Value> {
     let sym = Value::symbol;
     let mut inits: Vec<Value> = Vec::new(); // (var init) pairs
-    // Conditions deciding whether another iteration *exists* (sequence
-    // non-empty, index in range).
+                                            // Conditions deciding whether another iteration *exists* (sequence
+                                            // non-empty, index in range).
     let mut for_conds: Vec<Value> = Vec::new();
     // Per-iteration variable updates run before user conditions
     // ((setq var (first seq)) for in-style clauses).

@@ -85,11 +85,7 @@ impl Condition {
         match &v {
             Value::Map(m) if m.get(&Value::keyword("types")).is_some() => Condition(v),
             Value::Str(s) => Condition::error(s.to_string()),
-            _ => Condition::with_types(
-                vec!["error".to_string()],
-                format!("{v:?}"),
-                v.clone(),
-            ),
+            _ => Condition::with_types(vec!["error".to_string()], format!("{v:?}"), v.clone()),
         }
     }
 
@@ -103,12 +99,14 @@ impl Condition {
     /// The designator list.
     pub fn types(&self) -> Vec<String> {
         self.field("types")
-            .and_then(|v| v.as_list().map(|items| {
-                items
-                    .iter()
-                    .filter_map(|t| t.as_str().map(str::to_owned))
-                    .collect()
-            }))
+            .and_then(|v| {
+                v.as_list().map(|items| {
+                    items
+                        .iter()
+                        .filter_map(|t| t.as_str().map(str::to_owned))
+                        .collect()
+                })
+            })
             .unwrap_or_default()
     }
 

@@ -114,11 +114,21 @@ mod tests {
     #[test]
     fn fusion_is_non_overlapping() {
         // Three LoadLocals: (0,1) fuse, 2 is left alone (no partner).
-        let mut code = vec![Op::LoadLocal(0), Op::LoadLocal(1), Op::LoadLocal(2), Op::Return];
+        let mut code = vec![
+            Op::LoadLocal(0),
+            Op::LoadLocal(1),
+            Op::LoadLocal(2),
+            Op::Return,
+        ];
         fuse_code(&mut code);
         assert_eq!(
             code,
-            vec![Op::LoadLocal2(0, 1), Op::LoadLocal(1), Op::LoadLocal(2), Op::Return]
+            vec![
+                Op::LoadLocal2(0, 1),
+                Op::LoadLocal(1),
+                Op::LoadLocal(2),
+                Op::Return
+            ]
         );
     }
 
@@ -145,7 +155,9 @@ mod tests {
                 for (k, part) in parts.iter().enumerate().skip(1) {
                     let slot = code[i + k];
                     let kept = slot == *part
-                        || slot.fused_constituents().is_some_and(|inner| inner[0] == *part);
+                        || slot
+                            .fused_constituents()
+                            .is_some_and(|inner| inner[0] == *part);
                     assert!(kept, "slot {} must retain {part:?}, found {slot:?}", i + k);
                 }
             }

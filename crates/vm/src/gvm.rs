@@ -537,9 +537,7 @@ impl Gvm {
             // Attach a backtrace to unhandled conditions: the heap frames
             // are still intact (nothing unwound), so the full chain of
             // function names and code positions is available.
-            Err(VmError::Signal(cond)) => {
-                Err(VmError::Signal(attach_backtrace(cond, &frames)))
-            }
+            Err(VmError::Signal(cond)) => Err(VmError::Signal(attach_backtrace(cond, &frames))),
             Err(e) => Err(e),
         }
     }

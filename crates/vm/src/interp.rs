@@ -83,8 +83,7 @@ use crate::fiber::{DynState, FiberExt, FiberState, Frame, HandlerEntry, RestartE
 use crate::gvm::{Gvm, NativeCtx};
 use crate::limits::{in_handler_reserve, Activation, MAX_ACTIVATIONS, MAX_FRAMES};
 use crate::profile::{
-    ProfScope, IDX_CALL, IDX_CONST, IDX_JUMP, IDX_JUMP_IF_FALSE, IDX_LOAD_LOCAL,
-    IDX_STORE_LOCAL,
+    ProfScope, IDX_CALL, IDX_CONST, IDX_JUMP, IDX_JUMP_IF_FALSE, IDX_LOAD_LOCAL, IDX_STORE_LOCAL,
 };
 use crate::runtime::{
     determine_deep, force, force_all, Closure, ContinuationVal, Fast2, NativeFn, NativeOutcome,
@@ -258,7 +257,16 @@ pub(crate) fn interp(
     let mut prof = gvm.profiler().scope(frames);
     loop {
         match run_loop(
-            gvm, frames, ds, ids, ext, nested, &mut prof, low, &mut pool, &mut gcache,
+            gvm,
+            frames,
+            ds,
+            ids,
+            ext,
+            nested,
+            &mut prof,
+            low,
+            &mut pool,
+            &mut gcache,
         ) {
             Ok(Flow::Continue) => unreachable!("run_loop never yields Continue"),
             Ok(Flow::Done(v)) => return Ok(InterpOutcome::Done(v)),
@@ -330,7 +338,11 @@ fn try_restart_transfer(
 /// alone — it breaks out and the outer loop handles it with the full
 /// frame stack in scope.
 enum Pending {
-    Call { n: u16, tail: bool, after: AfterCall },
+    Call {
+        n: u16,
+        tail: bool,
+        after: AfterCall,
+    },
     Return,
     PushCC,
 }
@@ -481,7 +493,11 @@ fn run_loop(
                             continue;
                         }
                     }
-                    break Pending::Call { n, tail: false, after: AfterCall::Push };
+                    break Pending::Call {
+                        n,
+                        tail: false,
+                        after: AfterCall::Push,
+                    };
                 }
                 Op::TailCall(n) => {
                     // A native in tail position pushes its value like the
@@ -493,7 +509,11 @@ fn run_loop(
                             continue;
                         }
                     }
-                    break Pending::Call { n, tail: true, after: AfterCall::Push };
+                    break Pending::Call {
+                        n,
+                        tail: true,
+                        after: AfterCall::Push,
+                    };
                 }
                 Op::Return => break Pending::Return,
                 Op::MakeClosure(ci) => {
@@ -631,7 +651,11 @@ fn run_loop(
                             continue;
                         }
                     }
-                    break Pending::Call { n, tail: false, after: AfterCall::Push };
+                    break Pending::Call {
+                        n,
+                        tail: false,
+                        after: AfterCall::Push,
+                    };
                 }
                 Op::LoadLocalCall(s, n) => {
                     let v = locals[s as usize].clone();
@@ -646,7 +670,11 @@ fn run_loop(
                             continue;
                         }
                     }
-                    break Pending::Call { n, tail: false, after: AfterCall::Push };
+                    break Pending::Call {
+                        n,
+                        tail: false,
+                        after: AfterCall::Push,
+                    };
                 }
                 Op::CallBranchFalse(n, off) => {
                     // The pc stays at the retained JumpIfFalse: closure pushes
@@ -667,7 +695,11 @@ fn run_loop(
                             continue;
                         }
                     }
-                    break Pending::Call { n, tail: false, after: AfterCall::BranchFalse(off) };
+                    break Pending::Call {
+                        n,
+                        tail: false,
+                        after: AfterCall::BranchFalse(off),
+                    };
                 }
                 Op::DupStore(slot) => {
                     // Dup; StoreLocal — net effect: the top of stack stays
@@ -704,11 +736,10 @@ fn run_loop(
                     // reconstructs the unfused stack shape and takes the
                     // generic call path.
                     let ic_pc = (*pc - 1) as usize;
-                    let callee =
-                        match load_global(gvm, program, chunk, g, ic_pc, gcache)? {
-                            Some(v) => v,
-                            None => return Err(unbound_global(gvm, program, ds, ids, ext, g)),
-                        };
+                    let callee = match load_global(gvm, program, chunk, g, ic_pc, gcache)? {
+                        Some(v) => v,
+                        None => return Err(unbound_global(gvm, program, ds, ids, ext, g)),
+                    };
                     if let Some(p) = prof.as_mut() {
                         p.count_idx(IDX_LOAD_LOCAL);
                         p.count_idx(IDX_LOAD_LOCAL);
@@ -726,15 +757,18 @@ fn run_loop(
                     stack.push(callee.value.clone());
                     stack.push(locals[a as usize].clone());
                     stack.push(locals[b as usize].clone());
-                    break Pending::Call { n: 2, tail: false, after: AfterCall::Push };
+                    break Pending::Call {
+                        n: 2,
+                        tail: false,
+                        after: AfterCall::Push,
+                    };
                 }
                 Op::GlobalLocalConstCall(g, s, c) => {
                     let ic_pc = (*pc - 1) as usize;
-                    let callee =
-                        match load_global(gvm, program, chunk, g, ic_pc, gcache)? {
-                            Some(v) => v,
-                            None => return Err(unbound_global(gvm, program, ds, ids, ext, g)),
-                        };
+                    let callee = match load_global(gvm, program, chunk, g, ic_pc, gcache)? {
+                        Some(v) => v,
+                        None => return Err(unbound_global(gvm, program, ds, ids, ext, g)),
+                    };
                     if let Some(p) = prof.as_mut() {
                         p.count_idx(IDX_LOAD_LOCAL);
                         p.count_idx(IDX_CONST);
@@ -752,7 +786,11 @@ fn run_loop(
                     stack.push(callee.value.clone());
                     stack.push(locals[s as usize].clone());
                     stack.push(program.consts[c as usize].clone());
-                    break Pending::Call { n: 2, tail: false, after: AfterCall::Push };
+                    break Pending::Call {
+                        n: 2,
+                        tail: false,
+                        after: AfterCall::Push,
+                    };
                 }
             }
         };
@@ -1072,9 +1110,8 @@ fn frames_exhausted(
     ids: &mut u64,
     ext: &mut FiberExt,
 ) -> VmError {
-    let cond = Condition::stack_exhausted(format!(
-        "stack exhausted: more than {MAX_FRAMES} frames"
-    ));
+    let cond =
+        Condition::stack_exhausted(format!("stack exhausted: more than {MAX_FRAMES} frames"));
     raise(gvm, ds, ids, ext, cond)
 }
 
@@ -1094,8 +1131,7 @@ fn activations_exhausted(
         "stack exhausted: more than {MAX_ACTIVATIONS} nested activations"
     ));
     let unhandled = cond.clone();
-    in_handler_reserve(|| raise(gvm, ds, ids, ext, cond))
-        .unwrap_or(VmError::Signal(unhandled))
+    in_handler_reserve(|| raise(gvm, ds, ids, ext, cond)).unwrap_or(VmError::Signal(unhandled))
 }
 
 /// Deliver a call's immediate result per `after`. For `BranchFalse`
@@ -1152,7 +1188,9 @@ fn fast2_of(callee: &Value) -> Option<Fast2> {
     let Value::Func(func) = callee else {
         return None;
     };
-    func.as_any().downcast_ref::<NativeFn>().and_then(|nf| nf.fast2)
+    func.as_any()
+        .downcast_ref::<NativeFn>()
+        .and_then(|nf| nf.fast2)
 }
 
 /// The two-int fast paths, mirroring the generic natives exactly:
@@ -1284,7 +1322,12 @@ fn const_symbol(program: &Program, c: u32) -> VmResult<gozer_lang::Symbol> {
 /// so the capture behind that snapshot already determined theirs.
 fn determine_frames(frames: &[Frame], low: usize) -> VmResult<()> {
     for f in &frames[low.saturating_sub(1)..] {
-        for v in f.locals.iter().chain(f.stack.iter()).chain(f.captures.iter()) {
+        for v in f
+            .locals
+            .iter()
+            .chain(f.stack.iter())
+            .chain(f.captures.iter())
+        {
             determine_deep(v)?;
         }
     }
@@ -1321,7 +1364,11 @@ pub(crate) fn frame_for_closure(
 }
 
 /// Bind `args` against `spec`, producing the parameter slot values.
-fn bind_params(spec: &ParamSpec, mut args: Vec<Value>, fn_name: &str) -> Result<Vec<Value>, Condition> {
+fn bind_params(
+    spec: &ParamSpec,
+    mut args: Vec<Value>,
+    fn_name: &str,
+) -> Result<Vec<Value>, Condition> {
     let nreq = spec.required.len();
     if args.len() < nreq {
         return Err(Condition::with_types(
@@ -1384,10 +1431,7 @@ fn bind_params(spec: &ParamSpec, mut args: Vec<Value>, fn_name: &str) -> Result<
     } else if spec.rest.is_none() && !leftover.is_empty() {
         return Err(Condition::with_types(
             vec!["program-error".into(), "error".into()],
-            format!(
-                "{fn_name}: too many arguments ({} extra)",
-                leftover.len()
-            ),
+            format!("{fn_name}: too many arguments ({} extra)", leftover.len()),
             Value::Nil,
         ));
     }

@@ -62,8 +62,8 @@ pub use gvm::{FiberObsEvent, FiberObsKind, FiberObserver, Gvm, GvmHost, NativeCt
 pub use natives::ObjectVal;
 pub use opt::set_fuse_override;
 pub use pool::ThreadPool;
-pub use verify::verify_program;
 pub use profile::{
     FnProfile, ProfileReport, SerialCostSnapshot, VmProfiler, OPCODE_COUNT, OPCODE_NAMES,
 };
 pub use runtime::{force, Closure, ContinuationVal, Fast2, FutureVal, NativeFn, NativeOutcome};
+pub use verify::verify_program;

@@ -176,13 +176,23 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     });
     reg(gvm, "1+", |_, args| {
         arity("1+", &args, 1, Some(1))?;
-        fold("1+", &[args[0].clone(), Value::Int(1)], i64::checked_add, |a, b| a + b)
-            .map(NativeOutcome::Value)
+        fold(
+            "1+",
+            &[args[0].clone(), Value::Int(1)],
+            i64::checked_add,
+            |a, b| a + b,
+        )
+        .map(NativeOutcome::Value)
     });
     reg(gvm, "1-", |_, args| {
         arity("1-", &args, 1, Some(1))?;
-        fold("1-", &[args[0].clone(), Value::Int(1)], i64::checked_sub, |a, b| a - b)
-            .map(NativeOutcome::Value)
+        fold(
+            "1-",
+            &[args[0].clone(), Value::Int(1)],
+            i64::checked_sub,
+            |a, b| a - b,
+        )
+        .map(NativeOutcome::Value)
     });
     reg(gvm, "floor", |_, args| {
         arity("floor", &args, 1, Some(1))?;
@@ -207,12 +217,10 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     reg(gvm, "expt", |_, args| {
         arity("expt", &args, 2, Some(2))?;
         match (Num::of(&args[0])?, Num::of(&args[1])?) {
-            (Num::Int(a), Num::Int(b)) if (0..=62).contains(&b) => {
-                match a.checked_pow(b as u32) {
-                    Some(r) => NativeOutcome::ok(Value::Int(r)),
-                    None => NativeOutcome::ok(Value::Float((a as f64).powi(b as i32))),
-                }
-            }
+            (Num::Int(a), Num::Int(b)) if (0..=62).contains(&b) => match a.checked_pow(b as u32) {
+                Some(r) => NativeOutcome::ok(Value::Int(r)),
+                None => NativeOutcome::ok(Value::Float((a as f64).powi(b as i32))),
+            },
             (a, b) => NativeOutcome::ok(Value::Float(a.f64().powf(b.f64()))),
         }
     });

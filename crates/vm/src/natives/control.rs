@@ -38,7 +38,9 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     });
     reg(gvm, "eval", |ctx, args| {
         arity("eval", &args, 1, Some(1))?;
-        ctx.gvm.eval_form(&args[0], "eval").map(NativeOutcome::Value)
+        ctx.gvm
+            .eval_form(&args[0], "eval")
+            .map(NativeOutcome::Value)
     });
     reg(gvm, "%def-macro", |ctx, args| {
         arity("%def-macro", &args, 2, Some(2))?;
@@ -124,7 +126,11 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
                 "params: {} required, {} optional{}{}\n",
                 chunk.params.required.len(),
                 chunk.params.optional.len(),
-                if chunk.params.rest.is_some() { ", &rest" } else { "" },
+                if chunk.params.rest.is_some() {
+                    ", &rest"
+                } else {
+                    ""
+                },
                 if chunk.params.keys.is_empty() {
                     String::new()
                 } else {
@@ -250,9 +256,7 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     reg(gvm, "find-restart", |ctx, args| {
         arity("find-restart", &args, 1, Some(1))?;
         let name = sym_arg("find-restart", &args, 0)?;
-        NativeOutcome::ok(Value::Bool(
-            ctx.ds.restarts.iter().any(|r| r.name == name),
-        ))
+        NativeOutcome::ok(Value::Bool(ctx.ds.restarts.iter().any(|r| r.name == name)))
     });
     reg(gvm, "compute-restarts", |ctx, args| {
         arity("compute-restarts", &args, 0, Some(0))?;

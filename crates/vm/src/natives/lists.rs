@@ -22,10 +22,7 @@ fn to_items(name: &str, v: &Value) -> VmResult<Vec<Value>> {
             .iter()
             .map(|(k, v)| Value::list(vec![k.clone(), v.clone()]))
             .collect()),
-        other => Err(VmError::type_error(
-            &format!("sequence ({name})"),
-            other,
-        )),
+        other => Err(VmError::type_error(&format!("sequence ({name})"), other)),
     }
 }
 
@@ -52,15 +49,30 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     });
     reg(gvm, "first", |_, args| {
         arity("first", &args, 1, Some(1))?;
-        NativeOutcome::ok(seq_arg("first", &args, 0)?.first().cloned().unwrap_or(Value::Nil))
+        NativeOutcome::ok(
+            seq_arg("first", &args, 0)?
+                .first()
+                .cloned()
+                .unwrap_or(Value::Nil),
+        )
     });
     reg(gvm, "second", |_, args| {
         arity("second", &args, 1, Some(1))?;
-        NativeOutcome::ok(seq_arg("second", &args, 0)?.get(1).cloned().unwrap_or(Value::Nil))
+        NativeOutcome::ok(
+            seq_arg("second", &args, 0)?
+                .get(1)
+                .cloned()
+                .unwrap_or(Value::Nil),
+        )
     });
     reg(gvm, "third", |_, args| {
         arity("third", &args, 1, Some(1))?;
-        NativeOutcome::ok(seq_arg("third", &args, 0)?.get(2).cloned().unwrap_or(Value::Nil))
+        NativeOutcome::ok(
+            seq_arg("third", &args, 0)?
+                .get(2)
+                .cloned()
+                .unwrap_or(Value::Nil),
+        )
     });
     reg(gvm, "rest", |_, args| {
         arity("rest", &args, 1, Some(1))?;
@@ -110,7 +122,12 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     });
     reg(gvm, "last", |_, args| {
         arity("last", &args, 1, Some(1))?;
-        NativeOutcome::ok(seq_arg("last", &args, 0)?.last().cloned().unwrap_or(Value::Nil))
+        NativeOutcome::ok(
+            seq_arg("last", &args, 0)?
+                .last()
+                .cloned()
+                .unwrap_or(Value::Nil),
+        )
     });
     reg(gvm, "butlast", |_, args| {
         arity("butlast", &args, 1, Some(1))?;
@@ -251,7 +268,13 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     reg(gvm, "find", |_, args| {
         arity("find", &args, 2, Some(2))?;
         let items = seq_arg("find", &args, 1)?;
-        NativeOutcome::ok(items.iter().find(|v| *v == &args[0]).cloned().unwrap_or(Value::Nil))
+        NativeOutcome::ok(
+            items
+                .iter()
+                .find(|v| *v == &args[0])
+                .cloned()
+                .unwrap_or(Value::Nil),
+        )
     });
     reg(gvm, "find-if", |ctx, args| {
         arity("find-if", &args, 2, Some(2))?;

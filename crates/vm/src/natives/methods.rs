@@ -54,7 +54,12 @@ impl ObjectVal {
 
 impl fmt::Debug for ObjectVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Object({}, {} fields)", self.class, self.fields.lock().len())
+        write!(
+            f,
+            "Object({}, {} fields)",
+            self.class,
+            self.fields.lock().len()
+        )
     }
 }
 
@@ -228,12 +233,14 @@ fn string_method(s: &str, method: &str, margs: &[Value]) -> VmResult<Value> {
             let a = margs
                 .first()
                 .and_then(Value::as_int)
-                .ok_or_else(|| VmError::msg("substring: integer start required"))? as usize;
+                .ok_or_else(|| VmError::msg("substring: integer start required"))?
+                as usize;
             let chars: Vec<char> = s.chars().collect();
             let b = match margs.get(1) {
                 Some(v) => v
                     .as_int()
-                    .ok_or_else(|| VmError::type_error("integer", v))? as usize,
+                    .ok_or_else(|| VmError::type_error("integer", v))?
+                    as usize,
                 None => chars.len(),
             };
             if a > b || b > chars.len() {

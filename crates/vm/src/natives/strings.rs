@@ -82,7 +82,9 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     });
     reg(gvm, "string-upcase", |_, args| {
         arity("string-upcase", &args, 1, Some(1))?;
-        NativeOutcome::ok(Value::from(str_arg("string-upcase", &args, 0)?.to_uppercase()))
+        NativeOutcome::ok(Value::from(
+            str_arg("string-upcase", &args, 0)?.to_uppercase(),
+        ))
     });
     reg(gvm, "string-downcase", |_, args| {
         arity("string-downcase", &args, 1, Some(1))?;
@@ -128,22 +130,27 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
     reg(gvm, "string-contains?", |_, args| {
         arity("string-contains?", &args, 2, Some(2))?;
         NativeOutcome::ok(Value::Bool(
-            str_arg("string-contains?", &args, 0)?
-                .contains(str_arg("string-contains?", &args, 1)?),
+            str_arg("string-contains?", &args, 0)?.contains(str_arg("string-contains?", &args, 1)?),
         ))
     });
     reg(gvm, "string-starts-with?", |_, args| {
         arity("string-starts-with?", &args, 2, Some(2))?;
         NativeOutcome::ok(Value::Bool(
-            str_arg("string-starts-with?", &args, 0)?
-                .starts_with(str_arg("string-starts-with?", &args, 1)?),
+            str_arg("string-starts-with?", &args, 0)?.starts_with(str_arg(
+                "string-starts-with?",
+                &args,
+                1,
+            )?),
         ))
     });
     reg(gvm, "string-ends-with?", |_, args| {
         arity("string-ends-with?", &args, 2, Some(2))?;
         NativeOutcome::ok(Value::Bool(
-            str_arg("string-ends-with?", &args, 0)?
-                .ends_with(str_arg("string-ends-with?", &args, 1)?),
+            str_arg("string-ends-with?", &args, 0)?.ends_with(str_arg(
+                "string-ends-with?",
+                &args,
+                1,
+            )?),
         ))
     });
     reg(gvm, "string=", |_, args| {

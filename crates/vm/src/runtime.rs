@@ -341,9 +341,7 @@ pub fn determine_deep(v: &Value) -> VmResult<()> {
             }
             Ok(())
         }
-        Value::List(items) | Value::Vector(items) => {
-            items.iter().try_for_each(determine_deep)
-        }
+        Value::List(items) | Value::Vector(items) => items.iter().try_for_each(determine_deep),
         Value::Map(m) => m.iter().try_for_each(|(k, val)| {
             determine_deep(k)?;
             determine_deep(val)

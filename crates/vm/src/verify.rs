@@ -101,7 +101,10 @@ fn verify_chunk(program: &Program, chunk_idx: u32) -> VmResult<()> {
                             program,
                             chunk_idx,
                             i,
-                            format!("fused {op:?} expects {part:?} at slot {}, found {next:?}", i + k),
+                            format!(
+                                "fused {op:?} expects {part:?} at slot {}, found {next:?}",
+                                i + k
+                            ),
                         ))
                     }
                     None => {
@@ -132,7 +135,10 @@ fn check_const(program: &Program, chunk: u32, pc: usize, c: u32) -> VmResult<()>
             program,
             chunk,
             pc,
-            format!("constant index {c} out of range ({} consts)", program.consts.len()),
+            format!(
+                "constant index {c} out of range ({} consts)",
+                program.consts.len()
+            ),
         ))
     }
 }
@@ -217,7 +223,10 @@ fn verify_op(program: &Program, chunk_idx: u32, op: &Op, i: usize) -> VmResult<(
                     program,
                     chunk_idx,
                     i,
-                    format!("closure chunk {target} out of range ({} chunks)", program.chunks.len()),
+                    format!(
+                        "closure chunk {target} out of range ({} chunks)",
+                        program.chunks.len()
+                    ),
                 ));
             };
             // The capture list is read against the *instantiating* frame.
@@ -277,7 +286,11 @@ mod tests {
     use gozer_lang::{Symbol, Value};
 
     fn program(code: Vec<Op>) -> Program {
-        program_with(code, vec![Value::Int(1), Value::Symbol(Symbol::intern("x"))], 2)
+        program_with(
+            code,
+            vec![Value::Int(1), Value::Symbol(Symbol::intern("x"))],
+            2,
+        )
     }
 
     fn program_with(code: Vec<Op>, consts: Vec<Value>, locals: u16) -> Program {
@@ -338,12 +351,16 @@ mod tests {
     #[test]
     fn rejects_fused_op_without_its_second_slot() {
         // Fused LoadLocal2 must be followed by LoadLocal(1).
-        let e = verify_program(&program(vec![Op::LoadLocal2(0, 1), Op::Pop, Op::Return]))
-            .unwrap_err();
+        let e =
+            verify_program(&program(vec![Op::LoadLocal2(0, 1), Op::Pop, Op::Return])).unwrap_err();
         assert!(e.to_string().contains("expects"), "{e}");
         // And with the proper landing pad it verifies.
-        verify_program(&program(vec![Op::LoadLocal2(0, 1), Op::LoadLocal(1), Op::Return]))
-            .unwrap();
+        verify_program(&program(vec![
+            Op::LoadLocal2(0, 1),
+            Op::LoadLocal(1),
+            Op::Return,
+        ]))
+        .unwrap();
     }
 
     #[test]
@@ -356,7 +373,8 @@ mod tests {
     #[test]
     fn compiler_output_always_verifies() {
         let gvm = crate::Gvm::new();
-        gvm.eval_str("(defun f (a b) (if (< a b) (f b a) (+ a b)))").unwrap();
+        gvm.eval_str("(defun f (a b) (if (< a b) (f b a) (+ a b)))")
+            .unwrap();
         // load_str already verified; this exercises a direct call too.
         let f = gvm.function("f").unwrap();
         let cl = f.as_callable::<crate::runtime::Closure>().unwrap();

@@ -117,7 +117,9 @@ fn yield_resume_identical_across_modes() {
                 RunOutcome::Suspended(s) => {
                     payloads.push(s.payload.clone());
                     // Resume with double the yielded value.
-                    let Value::Int(i) = s.payload else { panic!("int payload") };
+                    let Value::Int(i) = s.payload else {
+                        panic!("int payload")
+                    };
                     outcome = gvm.resume_fiber(s.state, Value::Int(i * 2)).unwrap();
                 }
                 RunOutcome::Done(v) => return (payloads, v, gvm.profiler().snapshot()),
@@ -169,10 +171,16 @@ fn inline_cache_sees_redefinition() {
     )
     .unwrap();
     let f = gvm.function("apply-op").unwrap();
-    assert_eq!(gvm.call_sync(&f, vec![Value::Int(100)]).unwrap(), Value::Int(5050));
+    assert_eq!(
+        gvm.call_sync(&f, vec![Value::Int(100)]).unwrap(),
+        Value::Int(5050)
+    );
     gvm.eval_str("(setq *op* (lambda (a b) (- a b)))").unwrap();
     let folded: i64 = (1..=100i64).fold(0, |acc, i| acc - i);
-    assert_eq!(gvm.call_sync(&f, vec![Value::Int(100)]).unwrap(), Value::Int(folded));
+    assert_eq!(
+        gvm.call_sync(&f, vec![Value::Int(100)]).unwrap(),
+        Value::Int(folded)
+    );
 }
 
 #[test]
@@ -226,14 +234,22 @@ fn cached_fast2_follows_the_global_epoch() {
     let v = differential(src, "phases", vec![Value::Int(n)]);
     let mut acc = 0i64;
     let mut expected = Vec::new();
-    for step in [|a: i64, b: i64| a + b, |a, b| a + b, |a, b| a - b, |a, b| a + 2 * b] {
+    for step in [
+        |a: i64, b: i64| a + b,
+        |a, b| a + b,
+        |a, b| a - b,
+        |a, b| a + 2 * b,
+    ] {
         for i in 1..=n {
             acc = step(step(acc, i), 1);
         }
         expected.push(Value::Int(acc));
     }
     let type_error = Value::list(
-        ["type-error", "error", "condition"].into_iter().map(Value::from).collect(),
+        ["type-error", "error", "condition"]
+            .into_iter()
+            .map(Value::from)
+            .collect(),
     );
     expected.push(type_error);
     expected.push(Value::Nil);
@@ -335,14 +351,14 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![(-20i64..20).prop_map(Expr::Lit), Just(Expr::Var)];
     leaf.prop_recursive(4, 48, 3, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Sub(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone(), inner.clone())
-                .prop_map(|(c, t, e)| Expr::If(Box::new(c), Box::new(t), Box::new(e))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Sub(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| Expr::If(
+                Box::new(c),
+                Box::new(t),
+                Box::new(e)
+            )),
             (inner.clone(), inner).prop_map(|(a, b)| Expr::Let(Box::new(a), Box::new(b))),
         ]
     })

@@ -96,9 +96,15 @@ fn a_handler_catches_both_exhaustions() {
             assert_eq!(v, Value::keyword("caught"), "{shape}");
         }
         // Caught in a fiber too, and the VM goes on working after it.
-        gvm.load_str("(defun guarded (n) (catching (lambda () (h n))))", "guarded")
-            .unwrap();
-        assert_eq!(run_fiber(&gvm, "guarded", 0).unwrap(), Value::keyword("caught"));
+        gvm.load_str(
+            "(defun guarded (n) (catching (lambda () (h n))))",
+            "guarded",
+        )
+        .unwrap();
+        assert_eq!(
+            run_fiber(&gvm, "guarded", 0).unwrap(),
+            Value::keyword("caught")
+        );
         assert_eq!(run_fiber(&gvm, "depth", 100).unwrap(), Value::Int(100));
     });
 }

@@ -84,20 +84,17 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![(-50i64..50).prop_map(Expr::Lit), Just(Expr::Var)];
     leaf.prop_recursive(5, 64, 4, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Sub(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Min(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Max(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone(), inner.clone())
-                .prop_map(|(c, t, e)| Expr::If(Box::new(c), Box::new(t), Box::new(e))),
-            (inner.clone(), inner)
-                .prop_map(|(a, b)| Expr::Let(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Sub(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Min(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Max(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| Expr::If(
+                Box::new(c),
+                Box::new(t),
+                Box::new(e)
+            )),
+            (inner.clone(), inner).prop_map(|(a, b)| Expr::Let(Box::new(a), Box::new(b))),
         ]
     })
 }

@@ -6,7 +6,8 @@ use gozer_vm::{Gvm, RunOutcome, VmError};
 
 fn eval(src: &str) -> Value {
     let gvm = Gvm::with_pool_size(2);
-    gvm.eval_str(src).unwrap_or_else(|e| panic!("eval failed: {e}\nsource: {src}"))
+    gvm.eval_str(src)
+        .unwrap_or_else(|e| panic!("eval failed: {e}\nsource: {src}"))
 }
 
 fn eval_err(src: &str) -> VmError {
@@ -43,10 +44,7 @@ fn let_scoping_and_shadowing() {
     assert_eq!(eval("(let ((x 1)) (let ((x 2)) x))"), Value::Int(2));
     assert_eq!(eval("(let ((x 1)) (let ((x (+ x 1))) x))"), Value::Int(2));
     // parallel let: inits see outer bindings
-    assert_eq!(
-        eval("(let ((x 1)) (let ((x 10) (y x)) y))"),
-        Value::Int(1)
-    );
+    assert_eq!(eval("(let ((x 1)) (let ((x 10) (y x)) y))"), Value::Int(1));
     // let*: sequential
     assert_eq!(eval("(let* ((x 1) (y (+ x 1))) y)"), Value::Int(2));
 }
@@ -134,7 +132,10 @@ fn loop_macro_subset() {
         Value::Int(30)
     );
     assert_eq!(eval("(loop for i from 1 to 5 sum i)"), Value::Int(15));
-    assert_eq!(eval("(loop for i from 0 below 10 by 2 count (evenp i))"), Value::Int(5));
+    assert_eq!(
+        eval("(loop for i from 0 below 10 by 2 count (evenp i))"),
+        Value::Int(5)
+    );
     assert_eq!(
         eval("(let ((n 0)) (loop repeat 4 do (incf n)) n)"),
         Value::Int(4)
@@ -148,7 +149,10 @@ fn loop_macro_subset() {
 #[test]
 fn quasiquote() {
     assert_eq!(eval("`(1 2 ,(+ 1 2))"), eval("(list 1 2 3)"));
-    assert_eq!(eval("(let ((xs (list 2 3))) `(1 ,@xs 4))"), eval("(list 1 2 3 4)"));
+    assert_eq!(
+        eval("(let ((xs (list 2 3))) `(1 ,@xs 4))"),
+        eval("(list 1 2 3 4)")
+    );
     assert_eq!(eval("`(a b)"), eval("(list 'a 'b)"));
 }
 
@@ -174,7 +178,10 @@ fn strings_and_format() {
         Value::str("1 + 2 = 3\n")
     );
     assert_eq!(eval("(concat \"a\" 1 :k)"), Value::str("a1:k"));
-    assert_eq!(eval("(string-split \"a,b,c\" \",\")"), eval("(list \"a\" \"b\" \"c\")"));
+    assert_eq!(
+        eval("(string-split \"a,b,c\" \",\")"),
+        eval("(list \"a\" \"b\" \"c\")")
+    );
     assert_eq!(eval("(string-join (list 1 2) \"-\")"), Value::str("1-2"));
 }
 
@@ -199,14 +206,8 @@ fn higher_order_natives() {
         eval("(mapcar (lambda (x) (* x 10)) (list 1 2 3))"),
         eval("(list 10 20 30)")
     );
-    assert_eq!(
-        eval("(reduce #'+ (list 1 2 3 4) 100)"),
-        Value::Int(110)
-    );
-    assert_eq!(
-        eval("(sort (list 3 1 2) #'<)"),
-        eval("(list 1 2 3)")
-    );
+    assert_eq!(eval("(reduce #'+ (list 1 2 3 4) 100)"), Value::Int(110));
+    assert_eq!(eval("(sort (list 3 1 2) #'<)"), eval("(list 1 2 3)"));
     assert_eq!(
         eval("(remove-if #'evenp (list 1 2 3 4 5))"),
         eval("(list 1 3 5)")
@@ -220,14 +221,8 @@ fn higher_order_natives() {
 #[test]
 fn prelude_functions() {
     assert_eq!(eval("(cadr (list 1 2 3))"), Value::Int(2));
-    assert_eq!(
-        eval("(funcall (curry #'+ 1 2) 3)"),
-        Value::Int(6)
-    );
-    assert_eq!(
-        eval("(funcall (complement #'evenp) 3)"),
-        Value::Bool(true)
-    );
+    assert_eq!(eval("(funcall (curry #'+ 1 2) 3)"), Value::Int(6));
+    assert_eq!(eval("(funcall (complement #'evenp) 3)"), Value::Bool(true));
     assert_eq!(eval("(funcall (constantly 9) 1 2 3)"), Value::Int(9));
     assert_eq!(
         eval("(mapcan (lambda (x) (list x x)) (list 1 2))"),
@@ -256,10 +251,7 @@ fn touch_and_future_done() {
 
 #[test]
 fn pcall_forces_arguments() {
-    assert_eq!(
-        eval("(pcall #'+ (future 1) (future 2))"),
-        Value::Int(3)
-    );
+    assert_eq!(eval("(pcall #'+ (future 1) (future 2))"), Value::Int(3));
 }
 
 #[test]
@@ -386,7 +378,8 @@ fn condition_designator_matching() {
 #[test]
 fn yield_suspends_and_resume_delivers_value() {
     let gvm = Gvm::with_pool_size(2);
-    gvm.eval_str("(defun wf () (+ 100 (yield :waiting)))").unwrap();
+    gvm.eval_str("(defun wf () (+ 100 (yield :waiting)))")
+        .unwrap();
     let f = gvm.function("wf").unwrap();
     let outcome = gvm.call_fiber(&f, vec![]).unwrap();
     let RunOutcome::Suspended(susp) = outcome else {
@@ -502,10 +495,7 @@ fn reader_macro_installed_at_runtime() {
 #[test]
 fn eval_and_read_from_string() {
     assert_eq!(eval("(eval (read-from-string \"(+ 1 2)\"))"), Value::Int(3));
-    assert_eq!(
-        eval("(eval (list '+ 1 2))"),
-        Value::Int(3)
-    );
+    assert_eq!(eval("(eval (list '+ 1 2))"), Value::Int(3));
 }
 
 #[test]

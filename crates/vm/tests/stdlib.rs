@@ -54,15 +54,24 @@ fn list_searching() {
 
 #[test]
 fn list_transforms() {
-    assert_eq!(eval("(append (list 1) nil (list 2 3))"), eval("(list 1 2 3)"));
+    assert_eq!(
+        eval("(append (list 1) nil (list 2 3))"),
+        eval("(list 1 2 3)")
+    );
     assert_eq!(eval("(reverse (list 1 2 3))"), eval("(list 3 2 1)"));
     assert_eq!(eval("(remove 2 (list 1 2 3 2))"), eval("(list 1 3)"));
-    assert_eq!(eval("(flatten (list 1 (list 2 (list 3)) 4))"), eval("(list 1 2 3 4)"));
+    assert_eq!(
+        eval("(flatten (list 1 (list 2 (list 3)) 4))"),
+        eval("(list 1 2 3 4)")
+    );
     assert_eq!(eval("(subseq (list 1 2 3 4 5) 1 3)"), eval("(list 2 3)"));
     assert_eq!(eval("(subseq \"hello\" 1 3)"), Value::str("el"));
     assert_eq!(eval("(range 3)"), eval("(list 0 1 2)"));
     assert_eq!(eval("(range 5 1 -2)"), eval("(list 5 3)"));
-    assert_eq!(eval("(sort (list \"b\" \"a\" \"c\"))"), eval("(list \"a\" \"b\" \"c\")"));
+    assert_eq!(
+        eval("(sort (list \"b\" \"a\" \"c\"))"),
+        eval("(list \"a\" \"b\" \"c\")")
+    );
     assert_eq!(eval("(vector->list [1 2])"), eval("(list 1 2)"));
     assert_eq!(eval("(list->vector (list 1 2))"), eval("[1 2]"));
     // seq->list on a map yields (k v) pairs.
@@ -98,10 +107,22 @@ fn string_functions() {
     assert_eq!(eval("(string-upcase \"abc\")"), Value::str("ABC"));
     assert_eq!(eval("(string-downcase \"ABC\")"), Value::str("abc"));
     assert_eq!(eval("(string-trim \"  x  \")"), Value::str("x"));
-    assert_eq!(eval("(string-replace \"a-b-c\" \"-\" \"+\")"), Value::str("a+b+c"));
-    assert_eq!(eval("(string-contains? \"hello\" \"ell\")"), Value::Bool(true));
-    assert_eq!(eval("(string-starts-with? \"hello\" \"he\")"), Value::Bool(true));
-    assert_eq!(eval("(string-ends-with? \"hello\" \"lo\")"), Value::Bool(true));
+    assert_eq!(
+        eval("(string-replace \"a-b-c\" \"-\" \"+\")"),
+        Value::str("a+b+c")
+    );
+    assert_eq!(
+        eval("(string-contains? \"hello\" \"ell\")"),
+        Value::Bool(true)
+    );
+    assert_eq!(
+        eval("(string-starts-with? \"hello\" \"he\")"),
+        Value::Bool(true)
+    );
+    assert_eq!(
+        eval("(string-ends-with? \"hello\" \"lo\")"),
+        Value::Bool(true)
+    );
     assert_eq!(eval("(string= \"a\" \"a\")"), Value::Bool(true));
     assert_eq!(eval("(string< \"a\" \"b\")"), Value::Bool(true));
     assert_eq!(eval("(parse-integer \" 42 \")"), Value::Int(42));
@@ -153,10 +174,7 @@ fn predicates() {
 #[test]
 fn equality_flavours() {
     // eq: identity for aggregates.
-    assert_eq!(
-        eval("(let ((a (list 1 2))) (eq a a))"),
-        Value::Bool(true)
-    );
+    assert_eq!(eval("(let ((a (list 1 2))) (eq a a))"), Value::Bool(true));
     assert_eq!(eval("(eq (list 1 2) (list 1 2))"), Value::Nil);
     // equal: structural.
     assert_eq!(eval("(equal (list 1 2) (list 1 2))"), Value::Bool(true));
@@ -212,9 +230,15 @@ fn error_messages_are_helpful() {
     assert!(eval_err("(+ 1 \"x\")").to_string().contains("number"));
     assert!(eval_err("(funcall 42)").to_string().contains("function"));
     assert!(eval_err("(first 42)").to_string().contains("sequence"));
-    assert!(eval_err("(elt (list 1) 5)").to_string().contains("out of bounds"));
-    assert!(eval_err("((lambda (x) x))").to_string().contains("expected at least 1"));
-    assert!(eval_err("((lambda (x) x) 1 2)").to_string().contains("too many"));
+    assert!(eval_err("(elt (list 1) 5)")
+        .to_string()
+        .contains("out of bounds"));
+    assert!(eval_err("((lambda (x) x))")
+        .to_string()
+        .contains("expected at least 1"));
+    assert!(eval_err("((lambda (x) x) 1 2)")
+        .to_string()
+        .contains("too many"));
     assert!(eval_err("((lambda (&key k) k) :wrong 1)")
         .to_string()
         .contains("unknown keyword"));

@@ -36,9 +36,7 @@ fn main() -> ExitCode {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         let result: Result<(), String> = match arg.as_str() {
             "--broker" => value("--broker").map(|v| broker = Some(v)),
             "--name" => value("--name").map(|v| name = v),

@@ -84,7 +84,8 @@ pub fn compute_reply(delivery: &RemoteDelivery, gvm: &Arc<Gvm>) -> Result<Vec<u8
         }
         other => return Err(Fault::new("{worker}NoSuchOp", other)),
     };
-    serialize_value(&reply, Codec::Deflate).map_err(|e| Fault::new("{worker}BadReply", e.to_string()))
+    serialize_value(&reply, Codec::Deflate)
+        .map_err(|e| Fault::new("{worker}BadReply", e.to_string()))
 }
 
 /// The `gozer-worker` binary's request handler: value-protocol compute
@@ -173,7 +174,11 @@ pub struct ProcessSupervisor {
 impl ProcessSupervisor {
     /// A supervisor launching `bin` against `broker` (`host:port`).
     /// `chaos` passes `--chaos` so workers honor [`chaos_headers`].
-    pub fn new(bin: impl Into<PathBuf>, broker: impl Into<String>, chaos: bool) -> ProcessSupervisor {
+    pub fn new(
+        bin: impl Into<PathBuf>,
+        broker: impl Into<String>,
+        chaos: bool,
+    ) -> ProcessSupervisor {
         ProcessSupervisor {
             bin: bin.into(),
             broker: broker.into(),
@@ -198,7 +203,9 @@ impl ProcessSupervisor {
         if self.chaos {
             cmd.arg("--chaos");
         }
-        cmd.stdin(Stdio::null()).stdout(Stdio::null()).stderr(Stdio::inherit());
+        cmd.stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit());
         cmd.spawn()
     }
 
@@ -206,14 +213,20 @@ impl ProcessSupervisor {
     pub fn spawn(&self, spec: WorkerSpec) -> std::io::Result<usize> {
         let child = self.launch(&spec)?;
         let mut workers = self.workers.lock().unwrap();
-        workers.push(WorkerSlot { spec, child: Some(child) });
+        workers.push(WorkerSlot {
+            spec,
+            child: Some(child),
+        });
         Ok(workers.len() - 1)
     }
 
     /// The OS pid of the worker in `slot`, if it is currently running.
     pub fn pid(&self, slot: usize) -> Option<u32> {
         let workers = self.workers.lock().unwrap();
-        workers.get(slot).and_then(|w| w.child.as_ref()).map(|c| c.id())
+        workers
+            .get(slot)
+            .and_then(|w| w.child.as_ref())
+            .map(|c| c.id())
     }
 
     /// `kill -9` the worker in `slot` and reap it. Returns `true` if a
@@ -222,8 +235,12 @@ impl ProcessSupervisor {
     /// broker learns of the death only from the socket.
     pub fn kill(&self, slot: usize) -> bool {
         let mut workers = self.workers.lock().unwrap();
-        let Some(worker) = workers.get_mut(slot) else { return false };
-        let Some(mut child) = worker.child.take() else { return false };
+        let Some(worker) = workers.get_mut(slot) else {
+            return false;
+        };
+        let Some(mut child) = worker.child.take() else {
+            return false;
+        };
         let killed = child.kill().is_ok();
         let _ = child.wait();
         killed
@@ -236,7 +253,10 @@ impl ProcessSupervisor {
         self.kill(slot);
         let mut workers = self.workers.lock().unwrap();
         let Some(worker) = workers.get_mut(slot) else {
-            return Err(std::io::Error::new(std::io::ErrorKind::NotFound, "no such worker slot"));
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                "no such worker slot",
+            ));
         };
         worker.child = Some(self.launch(&worker.spec)?);
         Ok(())
@@ -314,7 +334,11 @@ impl KillPlan {
             let after = Duration::from_millis(20 + (h >> 8) % 180);
             // 10–60ms dead time before the replacement comes up.
             let respawn_after = Duration::from_millis(10 + (h >> 16) % 50);
-            events.push(KillEvent { victim, after, respawn_after });
+            events.push(KillEvent {
+                victim,
+                after,
+                respawn_after,
+            });
         }
         events.sort_by_key(|e| e.after);
         KillPlan { kills: events }

@@ -75,10 +75,8 @@ fn run_seed(seed: u64, tasks: i64, store: bool) -> Result<SeedOutcome, String> {
         .instances(1, 2)
         .tcp_listen("127.0.0.1:0");
     let store_dir = if store {
-        let dir = std::env::temp_dir().join(format!(
-            "gozer-cluster-kill-{}-{seed}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("gozer-cluster-kill-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let log = LogStore::builder(&dir)
             .build()
@@ -168,7 +166,11 @@ fn report(test: &str, seeds: &[u64], failures: Vec<String>, reclaimed_seeds: usi
             .filter_map(|f| f.split(':').next())
             .filter_map(|s| s.strip_prefix("seed "))
             .filter_map(|s| s.trim().parse::<u64>().ok())
-            .map(|seed| format!("    CLUSTER_SEED={seed} cargo test -p gozer-worker --test cluster_kill {test}"))
+            .map(|seed| {
+                format!(
+                    "    CLUSTER_SEED={seed} cargo test -p gozer-worker --test cluster_kill {test}"
+                )
+            })
             .collect();
         panic!(
             "{}/{} seeds failed:\n  {}\n  replay with:\n{}",
@@ -208,7 +210,11 @@ fn kill9_sweep_completes_every_task_exactly_once() {
     // two live processes, and across 16 seeds at least one kill must
     // have landed mid-lease (in practice most do).
     if failures.is_empty() {
-        assert_eq!(kills, seeds.len() * 2, "every scheduled kill -9 hit a live process");
+        assert_eq!(
+            kills,
+            seeds.len() * 2,
+            "every scheduled kill -9 hit a live process"
+        );
         assert!(
             reclaimed_seeds > 0,
             "no seed saw a lease reclaim — kills never landed mid-delivery"
@@ -286,7 +292,8 @@ fn worker_processes_serve_a_clean_run() {
     let mut tasks = Vec::new();
     for n in 0..4i64 {
         tasks.push((
-            wf.start("main", vec![Value::Int(n), Value::Int(5)], None).unwrap(),
+            wf.start("main", vec![Value::Int(n), Value::Int(5)], None)
+                .unwrap(),
             n * n,
         ));
     }

@@ -57,17 +57,19 @@ fn run_with_chaos(
     let fired = AtomicBool::new(false);
     let handled = AtomicU64::new(0);
     let fire_at = tasks as u64 / 2;
-    let handler = Arc::new(move |ctx: &bluebox::WorkerCtx, d: &bluebox::RemoteDelivery| {
-        // Halfway through the load, sever the connection once. The
-        // settle for this delivery is lost with the socket, so the
-        // broker must redeliver it — to the same worker, post-rejoin.
-        if handled.fetch_add(1, Ordering::Relaxed) == fire_at
-            && !fired.swap(true, Ordering::Relaxed)
-        {
-            chaos(ctx);
-        }
-        compute_reply(d, &gvm)
-    });
+    let handler = Arc::new(
+        move |ctx: &bluebox::WorkerCtx, d: &bluebox::RemoteDelivery| {
+            // Halfway through the load, sever the connection once. The
+            // settle for this delivery is lost with the socket, so the
+            // broker must redeliver it — to the same worker, post-rejoin.
+            if handled.fetch_add(1, Ordering::Relaxed) == fire_at
+                && !fired.swap(true, Ordering::Relaxed)
+            {
+                chaos(ctx);
+            }
+            compute_reply(d, &gvm)
+        },
+    );
     let mut config = WorkerConfig::new(addr.to_string(), "Compute", 2);
     config.name = "rejoiner".into();
     config.seed = 7;
@@ -91,7 +93,8 @@ fn run_with_chaos(
     let mut started = Vec::new();
     for n in 0..tasks {
         started.push((
-            wf.start("main", vec![Value::Int(n), Value::Int(15)], None).unwrap(),
+            wf.start("main", vec![Value::Int(n), Value::Int(15)], None)
+                .unwrap(),
             n * n,
         ));
     }
@@ -119,9 +122,11 @@ fn run_with_chaos(
 #[test]
 fn worker_rejoins_after_disconnect_without_duplicate_effects() {
     let tasks = 10i64;
-    let (tm, reconnects, _settles, reclaims) =
-        run_with_chaos(tasks, |ctx| ctx.drop_connection());
-    assert!(reconnects >= 1, "the worker must have rejoined (got {reconnects})");
+    let (tm, reconnects, _settles, reclaims) = run_with_chaos(tasks, |ctx| ctx.drop_connection());
+    assert!(
+        reconnects >= 1,
+        "the worker must have rejoined (got {reconnects})"
+    );
     assert!(
         reclaims >= 1,
         "the dropped delivery's lease must have been reclaimed (got {reclaims})"
@@ -134,7 +139,10 @@ fn worker_rejoins_after_disconnect_without_duplicate_effects() {
         "expected a redelivery beyond the {tasks} tasks, saw {}",
         tm.remote_deliveries
     );
-    assert_eq!(tm.remote_settles, tasks as u64, "one applied settle per task");
+    assert_eq!(
+        tm.remote_settles, tasks as u64,
+        "one applied settle per task"
+    );
     assert_eq!(tm.duplicate_settles, 0, "no settle applied twice");
     assert!(tm.worker_disconnects >= 1);
 }
@@ -146,11 +154,19 @@ fn worker_rejoins_after_disconnect_without_duplicate_effects() {
 #[test]
 fn torn_frame_surfaces_as_lease_expiry_not_a_wedge() {
     let tasks = 8i64;
-    let (tm, reconnects, _settles, reclaims) =
-        run_with_chaos(tasks, |ctx| ctx.write_torn_frame());
-    assert!(reconnects >= 1, "the worker must have rejoined (got {reconnects})");
-    assert!(reclaims >= 1, "torn write must surface as lease reclaim (got {reclaims})");
-    assert_eq!(tm.remote_settles, tasks as u64, "one applied settle per task");
+    let (tm, reconnects, _settles, reclaims) = run_with_chaos(tasks, |ctx| ctx.write_torn_frame());
+    assert!(
+        reconnects >= 1,
+        "the worker must have rejoined (got {reconnects})"
+    );
+    assert!(
+        reclaims >= 1,
+        "torn write must surface as lease reclaim (got {reclaims})"
+    );
+    assert_eq!(
+        tm.remote_settles, tasks as u64,
+        "one applied settle per task"
+    );
     assert_eq!(tm.duplicate_settles, 0, "no settle applied twice");
     assert!(tm.worker_disconnects >= 1);
 }

@@ -10,13 +10,13 @@
 
 pub mod parser;
 pub mod qname;
-pub mod wsdl;
 pub mod writer;
+pub mod wsdl;
 
 pub use parser::{parse, ParseError};
 pub use qname::QName;
-pub use wsdl::{OperationDesc, ParamDesc, ServiceDescription};
 pub use writer::write_document;
+pub use wsdl::{OperationDesc, ParamDesc, ServiceDescription};
 
 /// An XML element.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -19,7 +19,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "XML parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "XML parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -159,10 +163,7 @@ impl<'a> Parser<'a> {
         result
     }
 
-    fn element_inner(
-        &mut self,
-        scopes: &[HashMap<String, String>],
-    ) -> Result<Element, ParseError> {
+    fn element_inner(&mut self, scopes: &[HashMap<String, String>]) -> Result<Element, ParseError> {
         self.expect(b'<')?;
         let raw_name = self.name()?;
         // Collect attributes, splitting out namespace declarations.
@@ -228,8 +229,7 @@ impl<'a> Parser<'a> {
                 self.pos += 9;
                 let start = self.pos;
                 self.until("]]>")?;
-                let text =
-                    String::from_utf8_lossy(&self.input[start..self.pos - 3]).into_owned();
+                let text = String::from_utf8_lossy(&self.input[start..self.pos - 3]).into_owned();
                 element.children.push(Node::Text(text));
             } else if self.starts_with("<?") {
                 self.until("?>")?;
@@ -325,10 +325,8 @@ mod tests {
 
     #[test]
     fn namespaces_resolve() {
-        let doc = parse(
-            r#"<s:svc xmlns:s="urn:svc" xmlns="urn:default"><op/><s:inner/></s:svc>"#,
-        )
-        .unwrap();
+        let doc = parse(r#"<s:svc xmlns:s="urn:svc" xmlns="urn:default"><op/><s:inner/></s:svc>"#)
+            .unwrap();
         assert_eq!(doc.name.ns, "urn:svc");
         let op = doc.find("op").unwrap();
         assert_eq!(op.name.ns, "urn:default");

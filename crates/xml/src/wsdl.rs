@@ -150,10 +150,7 @@ impl ServiceDescription {
                 .get_attr("name")
                 .ok_or_else(|| bad("operation missing name"))?
                 .to_string();
-            let soap_action = op
-                .get_attr("soapAction")
-                .unwrap_or_default()
-                .to_string();
+            let soap_action = op.get_attr("soapAction").unwrap_or_default().to_string();
             let doc = op
                 .find("documentation")
                 .map(Element::text_content)

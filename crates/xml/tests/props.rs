@@ -77,7 +77,8 @@ fn normalize(e: &Element) -> Element {
             Node::Text(t) => pending_text.push_str(t),
             Node::Element(c) => {
                 if !pending_text.trim().is_empty() {
-                    out.children.push(Node::Text(std::mem::take(&mut pending_text)));
+                    out.children
+                        .push(Node::Text(std::mem::take(&mut pending_text)));
                 } else {
                     pending_text.clear();
                 }

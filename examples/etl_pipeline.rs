@@ -79,7 +79,10 @@ fn feed_service(cluster: &Arc<Cluster>) {
         let mut records = Vec::new();
         for i in 0..6i64 {
             let mut m = gozer_lang::AssocMap::new();
-            m.insert(Value::keyword("symbol"), Value::str(format!("sym{batch}-{i}")));
+            m.insert(
+                Value::keyword("symbol"),
+                Value::str(format!("sym{batch}-{i}")),
+            );
             // One invalid row per batch (negative amount) to be dropped.
             let amount = if i == 3 { -1 } else { batch * 10 + i };
             m.insert(Value::keyword("amount"), Value::Int(amount));
@@ -108,7 +111,9 @@ fn main() {
     // redelivery let the survivors finish the task.
     cluster.kill_node(0, FaultPoint::BeforeProcess);
 
-    let rec = wf.wait(&task, Duration::from_secs(120)).expect("task finishes despite the crash");
+    let rec = wf
+        .wait(&task, Duration::from_secs(120))
+        .expect("task finishes despite the crash");
     println!("status: {:?}", rec.status);
     println!(
         "fibers created: {}, duration: {:?}",

@@ -53,7 +53,9 @@ fn main() {
     obs.set_tracing(true);
     let before = obs.snapshot();
 
-    let v = wf.call("main", vec![Value::Int(6)], Duration::from_secs(60)).expect("workflow");
+    let v = wf
+        .call("main", vec![Value::Int(6)], Duration::from_secs(60))
+        .expect("workflow");
     assert_eq!(v, Value::Int((0..6).map(|i| i * i).sum()));
 
     println!("== per-task timeline (with critical path) =====================\n");

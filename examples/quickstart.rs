@@ -45,7 +45,9 @@ fn main() {
     for f in ["loc-sum-squares", "par-sum-squares"] {
         let func = gvm.function(f).unwrap();
         let t0 = Instant::now();
-        let v = gvm.call_sync(&func, vec![Value::list(numbers.clone())]).unwrap();
+        let v = gvm
+            .call_sync(&func, vec![Value::list(numbers.clone())])
+            .unwrap();
         println!("{f:>18}: {v:?}  ({:?})", t0.elapsed());
         assert_eq!(v, Value::Int(expected));
     }
@@ -61,7 +63,11 @@ fn main() {
         .expect("deploy");
     let t0 = Instant::now();
     let v = wf
-        .call("dist-sum-squares", vec![Value::list(numbers)], Duration::from_secs(60))
+        .call(
+            "dist-sum-squares",
+            vec![Value::list(numbers)],
+            Duration::from_secs(60),
+        )
         .expect("distributed run");
     println!("{:>18}: {v:?}  ({:?})", "dist-sum-squares", t0.elapsed());
     assert_eq!(v, Value::Int(expected));

@@ -71,7 +71,10 @@ fn portfolio_service(cluster: &Arc<Cluster>, poison: bool) {
         let mut positions = Vec::new();
         for i in 0..12i64 {
             let mut m = gozer_lang::AssocMap::new();
-            m.insert(Value::keyword("instrument"), Value::str(format!("{id}-instr-{i}")));
+            m.insert(
+                Value::keyword("instrument"),
+                Value::str(format!("{id}-instr-{i}")),
+            );
             m.insert(Value::keyword("quantity"), Value::Int(100 + i * 10));
             // In the poisoned run, one position carries a negative price.
             let price = if poison && i == 7 { -1 } else { 5 + (i % 3) };
@@ -94,7 +97,11 @@ fn run(portfolio: &str, poison: bool) {
         .deploy()
         .expect("deploy");
     let report = wf
-        .call("risk-report", vec![Value::str(portfolio)], Duration::from_secs(60))
+        .call(
+            "risk-report",
+            vec![Value::str(portfolio)],
+            Duration::from_secs(60),
+        )
         .expect("risk report");
     println!("report for {portfolio}: {report:?}");
     let status = report

@@ -56,7 +56,9 @@ fn main() {
     let obs = wf.obs();
     obs.set_tracing(true);
 
-    let v = wf.call("main", vec![Value::Int(7)], Duration::from_secs(60)).expect("workflow");
+    let v = wf
+        .call("main", vec![Value::Int(7)], Duration::from_secs(60))
+        .expect("workflow");
     // base = 70; children: 70*1 + 70*2 = 210.
     assert_eq!(v, Value::Int(210));
 

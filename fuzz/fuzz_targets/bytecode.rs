@@ -62,7 +62,10 @@ fn random_op(rng: &mut TestRng) -> Op {
         23 => Op::PushCC,
         24 => Op::PushHandler,
         25 => Op::PopHandlers(n),
-        26 => Op::PushRestart { name: c, offset: off },
+        26 => Op::PushRestart {
+            name: c,
+            offset: off,
+        },
         27 => Op::PopRestarts(n),
         // The fused table, quads included — these drive the
         // keep-tail-slots checks, the part of the verifier with real
@@ -128,7 +131,12 @@ fn random_program(rng: &mut TestRng) -> Program {
             }
         })
         .collect();
-    Program { id: 0xF022, name: "fuzz-bytecode".into(), consts, chunks }
+    Program {
+        id: 0xF022,
+        name: "fuzz-bytecode".into(),
+        consts,
+        chunks,
+    }
 }
 
 /// Compile a seed, then knock its bytecode about: operand tweaks, op

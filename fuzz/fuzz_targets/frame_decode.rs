@@ -68,8 +68,12 @@ fn arbitrary_msg(rng: &mut TestRng) -> WireMsg {
                 SettleBody::Fault(string(rng, 24), string(rng, 48))
             },
         },
-        6 => WireMsg::Send { payload: payload(rng) },
-        7 => WireMsg::Heartbeat { seq: rng.next_u64() },
+        6 => WireMsg::Send {
+            payload: payload(rng),
+        },
+        7 => WireMsg::Heartbeat {
+            seq: rng.next_u64(),
+        },
         _ => WireMsg::Bye,
     }
 }

@@ -35,8 +35,7 @@ struct Fixture {
 
 fn fixture(gvm: &Arc<Gvm>) -> Fixture {
     let f = gvm.function("outer").unwrap();
-    let RunOutcome::Suspended(susp1) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap()
-    else {
+    let RunOutcome::Suspended(susp1) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap() else {
         panic!("expected suspension at :one");
     };
     let full1 = serialize_state(&susp1.state, Codec::None).unwrap();

@@ -21,8 +21,7 @@ const WF: &str = r#"
 
 fn fixtures(gvm: &Arc<Gvm>) -> (Vec<u8>, Vec<u8>) {
     let f = gvm.function("outer").unwrap();
-    let RunOutcome::Suspended(susp) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap()
-    else {
+    let RunOutcome::Suspended(susp) = gvm.call_fiber(&f, vec![Value::from("job")]).unwrap() else {
         panic!("expected suspension");
     };
     let snapshot = serialize_state(&susp.state, Codec::None).unwrap();

@@ -74,7 +74,9 @@ fn run_plain(gvm: &Arc<Gvm>, n: i64, reply: impl Fn(i64) -> i64) -> Value {
     loop {
         match outcome {
             RunOutcome::Suspended(s) => {
-                let Value::Int(i) = s.payload else { panic!("int payload") };
+                let Value::Int(i) = s.payload else {
+                    panic!("int payload")
+                };
                 outcome = gvm.resume_fiber(s.state, Value::Int(reply(i))).unwrap();
             }
             RunOutcome::Done(v) => return v,
@@ -102,7 +104,9 @@ fn run_with_delta_roundtrip(
         match outcome {
             RunOutcome::Suspended(s) => {
                 suspensions += 1;
-                let Value::Int(i) = s.payload else { panic!("int payload") };
+                let Value::Int(i) = s.payload else {
+                    panic!("int payload")
+                };
                 let resume_v = Value::Int(reply(i));
                 if suspensions == snap_at {
                     // Full snapshot: the delta base. Reload it so its
@@ -130,7 +134,9 @@ fn run_with_delta_roundtrip(
                         }
                     };
                     in_fused_region = restored.frames.iter().any(pc_in_retained_slot);
-                    let Value::Int(j) = resumed.payload else { panic!("int payload") };
+                    let Value::Int(j) = resumed.payload else {
+                        panic!("int payload")
+                    };
                     outcome = gvm.resume_fiber(restored, Value::Int(reply(j))).unwrap();
                 } else {
                     outcome = gvm.resume_fiber(s.state, resume_v).unwrap();
@@ -206,7 +212,9 @@ fn fused_and_unfused_states_interchange() {
         let final_v = loop {
             match outcome {
                 RunOutcome::Suspended(s) => {
-                    let Value::Int(i) = s.payload else { panic!("int payload") };
+                    let Value::Int(i) = s.payload else {
+                        panic!("int payload")
+                    };
                     if !moved && i == 3 {
                         // Migrate mid-run to the other-mode VM.
                         let bytes = serialize_state(&s.state, Codec::None).unwrap();
@@ -222,6 +230,9 @@ fn fused_and_unfused_states_interchange() {
             }
         };
         assert!(moved, "migration point never reached");
-        assert_eq!(final_v, expected, "cross-mode migration {from}->{to} diverged");
+        assert_eq!(
+            final_v, expected,
+            "cross-mode migration {from}->{to} diverged"
+        );
     }
 }

@@ -41,9 +41,7 @@ fn listing3_five_values_limit_three() {
     let (events, status) = run_with_limit(3, 5);
     assert_eq!(
         status,
-        TaskStatus::Completed(Value::list(
-            (1..=5).map(|n| Value::Int(n * n)).collect()
-        ))
+        TaskStatus::Completed(Value::list((1..=5).map(|n| Value::Int(n * n)).collect()))
     );
     // The root fiber is f0; count its forks and children-yields.
     let root = Some("task-1/f0");
@@ -132,7 +130,12 @@ fn dynamic_spawn_limit_adjustment() {
     let v = wf.call("main", vec![], TIMEOUT).unwrap();
     assert_eq!(
         v,
-        Value::list(vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)])
+        Value::list(vec![
+            Value::Int(1),
+            Value::Int(2),
+            Value::Int(3),
+            Value::Int(4)
+        ])
     );
     // With limit 1, forks and awakes strictly alternate after the first.
     let root = Some("task-1/f0");

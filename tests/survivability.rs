@@ -111,11 +111,19 @@ fn seeded_chaos_sweep_from_facade() {
             Ok(run) => assert_eq!(run.value, expected(12), "seed {seed}"),
             Err(e) => failures.push(format!(
                 "{e}\n    replay: {}",
-                repro_command("--test survivability", "seeded_chaos_sweep_from_facade", seed)
+                repro_command(
+                    "--test survivability",
+                    "seeded_chaos_sweep_from_facade",
+                    seed
+                )
             )),
         }
     }
-    assert!(failures.is_empty(), "failed seeds:\n  {}", failures.join("\n  "));
+    assert!(
+        failures.is_empty(),
+        "failed seeds:\n  {}",
+        failures.join("\n  ")
+    );
 }
 
 #[test]

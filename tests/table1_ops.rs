@@ -49,7 +49,9 @@ fn start_msg(service: &str, function: &str, op: &str) -> Message {
 #[test]
 fn start_returns_task_id_immediately() {
     let (cluster, wf) = system();
-    let task = wf.start("with-children", vec![Value::Int(4)], None).unwrap();
+    let task = wf
+        .start("with-children", vec![Value::Int(4)], None)
+        .unwrap();
     assert!(task.starts_with("task-"));
     // It is genuinely asynchronous: the task is observable before/while
     // running and completes on its own.
@@ -64,14 +66,14 @@ fn run_operation_waits_for_completion() {
     // The raw service-level Run (needs a second instance free, which the
     // 3-per-node deployment provides).
     let reply = cluster
-        .call(
-            start_msg(SERVICE, "quick", "Run"),
-            Duration::from_secs(30),
-        )
+        .call(start_msg(SERVICE, "quick", "Run"), Duration::from_secs(30))
         .unwrap();
     let task = String::from_utf8_lossy(&reply).into_owned();
     let rec = wf.wait(&task, TIMEOUT).unwrap();
-    assert_eq!(rec.status, TaskStatus::Completed(Value::keyword("quick-done")));
+    assert_eq!(
+        rec.status,
+        TaskStatus::Completed(Value::keyword("quick-done"))
+    );
     cluster.shutdown();
 }
 
@@ -79,10 +81,7 @@ fn run_operation_waits_for_completion() {
 fn call_operation_returns_last_result() {
     let (cluster, _wf) = system();
     let reply = cluster
-        .call(
-            start_msg(SERVICE, "quick", "Call"),
-            Duration::from_secs(30),
-        )
+        .call(start_msg(SERVICE, "quick", "Call"), Duration::from_secs(30))
         .unwrap();
     let gvm = Gvm::with_pool_size(1);
     let v = deserialize_value(&reply, &gvm).unwrap();
@@ -96,9 +95,7 @@ fn terminate_operation_stops_any_workflow() {
     let task = wf.start("forever", vec![], None).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     // Raw management message, as a monitoring tool would send it.
-    cluster.send(
-        Message::new(SERVICE, "Terminate", Vec::new()).header("task-id", &task),
-    );
+    cluster.send(Message::new(SERVICE, "Terminate", Vec::new()).header("task-id", &task));
     let rec = wf.wait(&task, TIMEOUT).unwrap();
     assert!(matches!(rec.status, TaskStatus::Terminated(_)));
     cluster.shutdown();
@@ -109,7 +106,9 @@ fn runfiber_and_awakefiber_drive_children() {
     let (cluster, wf) = system();
     let obs = wf.obs();
     obs.set_tracing(true);
-    let v = wf.call("with-children", vec![Value::Int(6)], TIMEOUT).unwrap();
+    let v = wf
+        .call("with-children", vec![Value::Int(6)], TIMEOUT)
+        .unwrap();
     assert_eq!(v, Value::Int((0..6).map(|i| i * i).sum()));
     let events = obs.events();
     let runs = events
