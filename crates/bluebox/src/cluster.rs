@@ -1,7 +1,7 @@
 //! The cluster: broker, service registry, instances, failure injection.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -133,7 +133,8 @@ pub(crate) type ReplySlot = Sender<Result<Vec<u8>, Fault>>;
 
 /// The workflow deployment a cluster serves, as the broker sees it:
 /// one method per question the broker asks about the work it carries.
-/// A cluster serves one ([`Cluster::attach`]). Every method but `name`
+/// A cluster serves one at a time ([`Cluster::attach`],
+/// [`Cluster::detach`]). Every method but `name`
 /// has the answer a cluster with no deployment gives, so an
 /// implementation states only what it knows.
 pub trait Deployment: Send + Sync {
@@ -179,9 +180,11 @@ pub struct Cluster {
     affinity_slack: RwLock<usize>,
     /// The affinity delivery counts every queue of this cluster adds to.
     affinity: AffinityCounts,
-    /// The workflow deployment this cluster serves, once one has
-    /// attached ([`Cluster::attach`]).
-    deployment: OnceLock<Arc<dyn Deployment>>,
+    /// The workflow deployment this cluster serves, while one is
+    /// attached ([`Cluster::attach`], [`Cluster::detach`]). Read once per
+    /// message that asks it something; nothing that reads it again may
+    /// run under the read guard (a waiting detach would block it).
+    deployment: RwLock<Option<Arc<dyn Deployment>>>,
     chaos: RwLock<Option<Arc<ChaosPlan>>>,
     /// Broker metrics.
     pub metrics: Metrics,
@@ -241,7 +244,7 @@ impl Cluster {
             policy,
             affinity_slack: RwLock::new(crate::queue::DEFAULT_AFFINITY_SLACK),
             affinity: AffinityCounts::default(),
-            deployment: OnceLock::new(),
+            deployment: RwLock::new(None),
             chaos: RwLock::new(None),
             metrics: Metrics::default(),
             obs,
@@ -274,30 +277,44 @@ impl Cluster {
     }
 
     /// Attach the workflow deployment this cluster serves. A cluster
-    /// serves one: what the broker asks a deployment is cluster-wide.
-    /// Fails with the holder's name if one is attached already.
+    /// serves one at a time: what the broker asks a deployment is
+    /// cluster-wide. Fails with the holder's name while one is attached.
     pub fn attach(&self, deployment: Arc<dyn Deployment>) -> Result<(), String> {
-        let attached = self.deployment.set(deployment);
-        attached.map_err(|_| {
-            self.deployment
-                .get()
-                .expect("attached already")
-                .name()
-                .to_string()
-        })
+        let mut slot = self.deployment.write();
+        match &*slot {
+            Some(holder) => Err(holder.name().to_string()),
+            None => {
+                *slot = Some(deployment);
+                Ok(())
+            }
+        }
     }
 
-    /// Flip `msg`'s task (if the message is task-correlated: its
-    /// `task-id` header, else its `fiber-id`'s task) into `phase`.
-    fn note_phase(&self, msg: &Message, phase: Phase) {
-        let Some(deployment) = self.deployment.get() else {
-            return;
+    /// Detach the deployment named `name`, if it is the one attached.
+    /// A parked message is released only if that deployment reports its
+    /// watermark durable; the rest are dropped, as
+    /// [`shutdown`](Self::shutdown) drops them: once detached, nothing
+    /// could tell when they become safe to send.
+    pub fn detach(&self, name: &str) {
+        let ready: Vec<Message> = {
+            let mut slot = self.deployment.write();
+            let Some(deployment) = slot.take_if(|d| d.name() == name) else {
+                return;
+            };
+            let mut held = self.held.lock();
+            held.drain(..)
+                .filter(|m| deployment.durable(m.hold_until))
+                .collect()
         };
-        let task = msg
-            .get_header("task-id")
-            .or_else(|| msg.get_header("fiber-id").and_then(task_of));
-        if let Some(task) = task {
-            deployment.note_phase(task, phase);
+        for msg in ready {
+            self.release_held(msg);
+        }
+    }
+
+    /// Flip `msg`'s task into `phase`.
+    fn note_phase(&self, msg: &Message, phase: Phase) {
+        if let Some(deployment) = &*self.deployment.read() {
+            note_phase_of(deployment.as_ref(), msg, phase);
         }
     }
 
@@ -603,7 +620,7 @@ impl Cluster {
             })
         });
         if msg.hold_until > 0 {
-            if let Some(deployment) = self.deployment.get() {
+            if let Some(deployment) = &*self.deployment.read() {
                 // Probe and park under the held-list lock: note_durable
                 // drains that list under the same lock *after* the
                 // store's watermark advances, so a commit can't slip
@@ -620,7 +637,7 @@ impl Cluster {
                             watermark: msg.hold_until,
                         })
                     });
-                    self.note_phase(&msg, Phase::DurabilityHold);
+                    note_phase_of(deployment.as_ref(), &msg, Phase::DurabilityHold);
                     held.push(msg);
                     return;
                 }
@@ -639,7 +656,8 @@ impl Cluster {
             msg.hold_until == 0
                 || self
                     .deployment
-                    .get()
+                    .read()
+                    .as_ref()
                     .is_none_or(|d| d.durable(msg.hold_until)),
             "{}/{} queued behind watermark {} before it was durable",
             msg.service,
@@ -754,7 +772,7 @@ impl Cluster {
                 }
                 // ResumeFromCall replies race back to the fiber's cache:
                 // stamp them with the node that last saved the fiber.
-                if let Some(deployment) = self.deployment.get() {
+                if let Some(deployment) = &*self.deployment.read() {
                     if let Some(node) = request
                         .get_header("fiber-id")
                         .and_then(|id| deployment.affine_node(id))
@@ -988,7 +1006,8 @@ impl Cluster {
         // 4. Safety net for the speculative-send gate: re-probe held
         //    messages directly, in case a commit-hook notification was
         //    lost (e.g. the hook was installed after a flush completed).
-        if let Some(deployment) = self.deployment.get() {
+        let deployment = self.deployment.read().clone();
+        if let Some(deployment) = deployment {
             let ready: Vec<Message> = {
                 let mut held = self.held.lock();
                 if held.is_empty() {
@@ -1055,9 +1074,48 @@ impl Cluster {
         if settle {
             self.queue(service).settle();
         }
-        if let Some(deployment) = self.deployment.get() {
+        // Cloned out of the slot: failing the task sends messages, and
+        // those read the slot again.
+        let deployment = self.deployment.read().clone();
+        if let Some(deployment) = deployment {
             deployment.dead_lettered(&dl);
         }
+    }
+
+    /// Stop and join every instance of `service`, and drop its
+    /// registration. An in-flight delivery finishes and settles first;
+    /// undelivered messages stay queued for whoever registers the
+    /// service next.
+    pub fn stop_service(&self, service: &str) {
+        self.stop_instances(|h| h.service == service);
+        self.services.write().remove(service);
+    }
+
+    /// Stop the instances `which` picks, wake them, join them and drop
+    /// them from the table. Each is joined before it leaves the table,
+    /// so the reaper never takes a stopping instance for a dead holder.
+    /// The calling thread is never joined.
+    fn stop_instances(&self, which: impl Fn(&InstanceHandle) -> bool) {
+        let (ids, threads): (Vec<u64>, Vec<Option<JoinHandle<()>>>) = self
+            .instances
+            .lock()
+            .iter_mut()
+            .filter(|h| which(h))
+            .map(|h| {
+                h.control.stop.store(true, Ordering::Relaxed);
+                (h.id, h.thread.take())
+            })
+            .unzip();
+        for q in self.queues.read().values() {
+            q.interrupt();
+        }
+        let me = std::thread::current().id();
+        for t in threads.into_iter().flatten() {
+            if t.thread().id() != me {
+                let _ = t.join();
+            }
+        }
+        self.instances.lock().retain(|h| !ids.contains(&h.id));
     }
 
     /// Stop all instances and close all queues.
@@ -1078,18 +1136,21 @@ impl Cluster {
         if let Some(broker) = tcp {
             broker.shutdown();
         }
-        let mut instances = self.instances.lock();
-        for h in instances.iter() {
-            h.control.stop.store(true, Ordering::Relaxed);
-        }
         for q in self.queues.read().values() {
             q.close();
         }
-        for h in instances.iter_mut() {
-            if let Some(t) = h.thread.take() {
-                let _ = t.join();
-            }
-        }
+        self.stop_instances(|_| true);
+    }
+}
+
+/// Flip `msg`'s task (if the message is task-correlated: its `task-id`
+/// header, else its `fiber-id`'s task) into `phase`.
+fn note_phase_of(deployment: &dyn Deployment, msg: &Message, phase: Phase) {
+    let task = msg
+        .get_header("task-id")
+        .or_else(|| msg.get_header("fiber-id").and_then(task_of));
+    if let Some(task) = task {
+        deployment.note_phase(task, phase);
     }
 }
 

@@ -521,3 +521,68 @@ fn a_held_message_is_released_after_the_deployment_handle_is_dropped() {
     assert_eq!(delivered.load(Ordering::SeqCst), 1);
     cluster.shutdown();
 }
+
+/// Detach ends a deployment's hold on the cluster: a held message goes
+/// out only if that deployment reports its watermark durable, the rest
+/// are dropped (never passed by the vacuous no-deployment gate), and
+/// the cluster takes the next deployment.
+#[test]
+fn detach_releases_only_what_is_durable_and_frees_the_slot() {
+    let cluster = Cluster::new();
+    let delivered = Arc::new(AtomicU64::new(0));
+    let seen = delivered.clone();
+    cluster.register_service(
+        "gated5",
+        None,
+        Arc::new(move |_: &ServiceCtx, _: &Message| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![])
+        }),
+    );
+    cluster.spawn_instances("gated5", 0, 1);
+    let committed = attach_committed(&cluster);
+    cluster.send(Message::new("gated5", "Op", vec![]).with_hold_until(1));
+    cluster.send(Message::new("gated5", "Op", vec![]).with_hold_until(5));
+    assert_eq!(cluster.held_count(), 2);
+    // Committed, but the hook's notification has not come.
+    committed.store(1, Ordering::SeqCst);
+    cluster.detach("someone-else");
+    assert_eq!(cluster.held_count(), 2, "only the holder detaches");
+    cluster.detach("committed");
+    assert_eq!(cluster.held_count(), 0);
+    assert!(cluster.drain("gated5", Duration::from_secs(2)));
+    assert_eq!(delivered.load(Ordering::SeqCst), 1);
+    cluster.note_durable(5);
+    assert!(cluster.drain("gated5", Duration::from_secs(2)));
+    assert_eq!(delivered.load(Ordering::SeqCst), 1, "dropped, not held");
+    let next = Committed {
+        name: "next",
+        committed: Arc::new(AtomicU64::new(0)),
+    };
+    assert_eq!(cluster.attach(Arc::new(next)), Ok(()));
+    cluster.shutdown();
+}
+
+/// `stop_service` joins a service's instances and forgets them; what
+/// they had not taken stays queued for the next registration.
+#[test]
+fn a_stopped_service_keeps_its_queue_for_the_next_registration() {
+    let cluster = Cluster::new();
+    let handler = Arc::new(|_: &ServiceCtx, msg: &Message| Ok(msg.body.clone()));
+    cluster.register_service("svc", None, handler.clone());
+    cluster.spawn_instances("svc", 0, 2);
+    let reply = cluster.call(
+        Message::new("svc", "Op", b"a".to_vec()),
+        Duration::from_secs(2),
+    );
+    assert_eq!(reply.unwrap(), b"a");
+    cluster.stop_service("svc");
+    assert_eq!(cluster.live_instances("svc"), 0);
+    cluster.send(Message::new("svc", "Op", vec![]));
+    assert_eq!(cluster.queue_depth("svc"), 1);
+    cluster.register_service("svc", None, handler);
+    cluster.spawn_instances("svc", 0, 1);
+    assert!(cluster.drain("svc", Duration::from_secs(2)));
+    assert_eq!(cluster.live_instances("svc"), 1);
+    cluster.shutdown();
+}

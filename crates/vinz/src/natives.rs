@@ -172,14 +172,18 @@ pub(crate) fn install_vinz(gvm: &Arc<Gvm>, inner: Weak<Inner>, node_id: u32) {
         }
         // Background thread: only this thread blocks, the fiber is
         // unaffected (§3.4). The deadline is on the cluster's clock, and
-        // a shutdown ends the wait too: the instance that touches this
-        // future is one that shutdown joins.
+        // the deployment's or the cluster's shutdown ends the wait too:
+        // the instance that touches this future is one that shutdown
+        // joins.
         let deadline = inner.cluster.clock().now() + JOIN_DEADLINE;
         loop {
             if let Some(bytes) = inner.result_bytes(target)? {
                 return NativeOutcome::ok(deserialize_value(&bytes, ctx.gvm)?);
             }
-            if inner.cluster.clock().now() > deadline || inner.cluster.is_shutdown() {
+            if inner.cluster.clock().now() > deadline
+                || inner.is_stopped()
+                || inner.cluster.is_shutdown()
+            {
                 return Err(VmError::msg(format!(
                     "join-process: {target} never finished"
                 )));

@@ -3,7 +3,7 @@
 //! introspection source, the merged profile and the flight dump.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use gozer_obs::{
     Event, FlightDump, FlightRecorder, HealthReport, IntrospectSource, Obs, Phase, Snapshot,
@@ -106,12 +106,6 @@ impl WorkflowObs {
     /// The underlying shared observability handle (bus + registry).
     pub fn handle(&self) -> Arc<Obs> {
         self.inner.obs.clone()
-    }
-
-    /// Weak handle for the panic hook registry (must not keep a dropped
-    /// deployment alive).
-    pub(crate) fn inner_weak(&self) -> Weak<Inner> {
-        Arc::downgrade(&self.inner)
     }
 }
 
@@ -301,29 +295,22 @@ impl Inner {
     }
 }
 
-/// The workflow layer behind the live introspection endpoint:
-/// everything is reached through a `Weak` so an open scrape cannot keep
-/// a dropped deployment alive — requests after teardown degrade to
-/// empty bodies and a `degraded` health verdict.
+/// The workflow layer behind the live introspection endpoint. The
+/// server stops with its deployment ([`WorkflowService::shutdown`]),
+/// which is what lets it hold the deployment.
+///
+/// [`WorkflowService::shutdown`]: crate::WorkflowService::shutdown
 pub(crate) struct VinzIntrospect {
-    pub(crate) inner: Weak<Inner>,
+    pub(crate) inner: Arc<Inner>,
 }
 
 impl IntrospectSource for VinzIntrospect {
     fn metrics_text(&self) -> String {
-        self.inner
-            .upgrade()
-            .map(|i| i.obs.registry.render_text())
-            .unwrap_or_default()
+        self.inner.obs.registry.render_text()
     }
 
     fn health(&self) -> HealthReport {
-        let Some(inner) = self.inner.upgrade() else {
-            return HealthReport {
-                healthy: false,
-                details: vec![("deployment".into(), "gone".into())],
-            };
-        };
+        let inner = &self.inner;
         let reaper = inner.cluster.reaper_alive();
         let (alive, total) = inner.cluster.instance_counts();
         let shutdown = inner.cluster.is_shutdown();
@@ -364,10 +351,8 @@ impl IntrospectSource for VinzIntrospect {
     }
 
     fn tasks(&self) -> Vec<TaskSummary> {
-        let Some(inner) = self.inner.upgrade() else {
-            return Vec::new();
-        };
-        let mut rows: Vec<TaskSummary> = inner
+        let mut rows: Vec<TaskSummary> = self
+            .inner
             .tracker
             .all()
             .into_iter()
@@ -393,8 +378,7 @@ impl IntrospectSource for VinzIntrospect {
     }
 
     fn timeline(&self, task: &str) -> Option<String> {
-        let inner = self.inner.upgrade()?;
-        TimelineSet::build(&inner.obs.bus.snapshot())
+        TimelineSet::build(&self.inner.obs.bus.snapshot())
             .task(task)
             .map(|t| t.render())
     }

@@ -11,8 +11,9 @@
 //! balances freely.
 
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bluebox::tcp::{TcpBroker, TcpBrokerConfig};
@@ -249,16 +250,34 @@ pub(crate) struct Inner {
     /// ([`WorkflowServiceBuilder::introspect`]). Held so its accept loop
     /// lives exactly as long as the deployment.
     introspect: Mutex<Option<IntrospectServer>>,
+    /// The supervisor thread, when supervision is on; joined by
+    /// [`Inner::shutdown`].
+    supervisor: Mutex<Option<JoinHandle<()>>>,
+    /// Set once, by [`Inner::shutdown`].
+    stopped: AtomicBool,
     pub nodes: RwLock<FxHashMap<u32, Arc<NodeRuntime>>>,
     pub hot: RwLock<FxHashMap<String, FiberHot>>,
     pub next_task: AtomicU64,
     next_fiber: AtomicU64,
 }
 
-/// A deployed workflow service.
+/// A deployed workflow service. Clones are handles on one deployment;
+/// the drop of the last one shuts it down
+/// ([`WorkflowService::shutdown`]).
 #[derive(Clone)]
 pub struct WorkflowService {
     pub(crate) inner: Arc<Inner>,
+    _last: Arc<LastHandle>,
+}
+
+/// Shared by every clone of a [`WorkflowService`]: its drop is the drop
+/// of the last handle.
+struct LastHandle(Arc<Inner>);
+
+impl Drop for LastHandle {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
 }
 
 /// Staged deployment of a [`WorkflowService`]: created by
@@ -335,11 +354,12 @@ impl WorkflowServiceBuilder {
     /// source lazily, which is what lets migrated continuations re-link
     /// (program ids are content-derived).
     ///
-    /// A cluster serves one workflow deployment ([`Cluster::attach`]),
-    /// so deploying on a cluster that already has one fails before
-    /// anything is installed. The listen and introspection addresses
-    /// are bound before the deployment attaches, so a deploy that fails
-    /// on either leaves the cluster free.
+    /// A cluster serves one workflow deployment at a time
+    /// ([`Cluster::attach`]), so deploying on a cluster that has one
+    /// fails before anything is installed; once that one is shut down,
+    /// the name can be deployed again. The listen and introspection
+    /// addresses are bound before the deployment attaches, so a deploy
+    /// that fails on either leaves the cluster free.
     pub fn deploy(self) -> Result<WorkflowService, VinzError> {
         let inner = Arc::new(Inner {
             name: self.name.clone(),
@@ -352,6 +372,8 @@ impl WorkflowServiceBuilder {
             obs: self.cluster.obs(),
             metrics: VinzMetrics::default(),
             introspect: Mutex::new(None),
+            supervisor: Mutex::new(None),
+            stopped: AtomicBool::new(false),
             nodes: RwLock::new(FxHashMap::default()),
             hot: RwLock::new(FxHashMap::default()),
             next_task: AtomicU64::new(1),
@@ -362,7 +384,7 @@ impl WorkflowServiceBuilder {
         inner.node_runtime(ADMIN_NODE)?;
         let introspect = self.introspect_addr.as_deref().map(|addr| {
             let source = Arc::new(VinzIntrospect {
-                inner: Arc::downgrade(&inner),
+                inner: inner.clone(),
             });
             IntrospectServer::start(addr, source)
                 .map_err(|e| VinzError(format!("introspect bind {addr}: {e}")))
@@ -378,17 +400,20 @@ impl WorkflowServiceBuilder {
                         .map_err(|e| VinzError(format!("tcp listen {addr}: {e}"))),
                 });
         let (introspect, listener) = (introspect.transpose()?, listener.transpose()?);
-        let attached = Attached {
-            name: self.name.clone(),
-            store: inner.store.clone(),
-            inner: Arc::downgrade(&inner),
-        };
-        self.cluster.attach(Arc::new(attached)).map_err(|first| {
+        let attached = Arc::new(Attached {
+            inner: inner.clone(),
+        });
+        self.cluster.attach(attached.clone()).map_err(|first| {
             VinzError(format!(
                 "cluster already serves workflow deployment `{first}`; deploy `{}` on its own cluster",
                 self.name
             ))
         })?;
+        // From here a failed step drops the handle, which detaches.
+        let service = WorkflowService {
+            inner: inner.clone(),
+            _last: Arc::new(LastHandle(inner.clone())),
+        };
         inner.register_metrics();
         inner.store.attach_obs(&inner.obs);
         // The commit hook releases held messages (see
@@ -401,22 +426,17 @@ impl WorkflowServiceBuilder {
                 }
             }));
         }
-        let handler = WorkflowHandler {
-            inner: Arc::downgrade(&inner),
-        };
-        self.cluster
-            .register_service(&self.name, None, Arc::new(handler));
-        supervisor::start(&inner);
-        let service = WorkflowService { inner };
+        self.cluster.register_service(&self.name, None, attached);
+        *inner.supervisor.lock() = supervisor::start(&inner);
         // Workers may connect the moment the broker accepts.
         if let Some(listener) = listener {
-            TcpBroker::serve(&service.inner.cluster, listener, TcpBrokerConfig::default())
+            TcpBroker::serve(&inner.cluster, listener, TcpBrokerConfig::default())
                 .map_err(|e| VinzError(format!("tcp listen: {e}")))?;
         }
         for (node_id, count) in self.instances {
-            service.spawn_instances(node_id, count);
+            service.spawn_instances(node_id, count)?;
         }
-        *service.inner.introspect.lock() = introspect;
+        *inner.introspect.lock() = introspect;
         Ok(service)
     }
 }
@@ -439,10 +459,24 @@ impl WorkflowService {
 
     /// Spawn service instances on a node (threads competing for this
     /// service's queue).
-    pub fn spawn_instances(&self, node_id: u32, count: usize) {
+    pub fn spawn_instances(&self, node_id: u32, count: usize) -> Result<(), VinzError> {
+        self.inner.running()?;
         self.inner
             .cluster
             .spawn_instances(&self.inner.name, node_id, count);
+        Ok(())
+    }
+
+    /// End the deployment, in this order: stop its supervisor; stop and
+    /// join its instances (an in-flight delivery finishes and settles,
+    /// an undelivered message stays queued); flush the store, so every
+    /// held message goes out at a durable watermark; stop the
+    /// introspection server; detach from the cluster, which can then
+    /// take another deployment, of this name too. Idempotent, and run
+    /// by the drop of the last handle. Afterwards `start`, `call`,
+    /// `run` and `spawn_instances` fail at once.
+    pub fn shutdown(&self) {
+        self.inner.shutdown();
     }
 
     /// Asynchronously begin execution of a workflow, returning its task
@@ -487,6 +521,7 @@ impl WorkflowService {
         args: Vec<Value>,
         deadline: Option<Duration>,
     ) -> Result<String, StartError> {
+        self.inner.running().map_err(StartError::Failed)?;
         // Admission is the one phase that lives *outside* the tracker
         // window (no task exists yet), so it feeds the histogram
         // directly and is excluded from per-task phase sums.
@@ -611,34 +646,29 @@ impl WorkflowService {
     }
 }
 
-/// What the broker asks of this deployment. It holds the store itself,
-/// so held messages are still answered for once every
-/// [`WorkflowService`] handle is gone; the rest reaches the deployment
-/// through a weak reference, as the handler does.
+/// The deployment as the cluster sees it: the handler every instance
+/// runs and the answers the broker asks for. The cluster holds it, and
+/// through it the deployment, until [`Inner::shutdown`] detaches it.
 struct Attached {
-    name: String,
-    store: Arc<dyn StateStore>,
-    inner: Weak<Inner>,
+    inner: Arc<Inner>,
 }
 
 impl Deployment for Attached {
     fn name(&self) -> &str {
-        &self.name
+        &self.inner.name
     }
 
     /// Service replies (ResumeFromCall) are built by the broker, not by
     /// Vinz: they chase the cache of the node that last saved the fiber.
     fn affine_node(&self, fiber_id: &str) -> Option<u32> {
-        self.inner.upgrade()?.last_node(fiber_id)
+        self.inner.last_node(fiber_id)
     }
 
     /// The broker's leg of phase attribution: durability parks, hold
     /// releases, lease reclaims and requeues flip the owning task's
     /// ledger.
     fn note_phase(&self, task_id: &str, phase: Phase) {
-        if let Some(inner) = self.inner.upgrade() {
-            inner.tracker.note_phase(task_id, phase);
-        }
+        self.inner.tracker.note_phase(task_id, phase);
     }
 
     /// Speculative persistence (LogStore): saves return a ticket before
@@ -649,7 +679,7 @@ impl Deployment for Attached {
     /// its next group instead of lingering for more saves. Synchronous
     /// stores answer "always durable".
     fn durable(&self, watermark: u64) -> bool {
-        self.store.durable(Watermark(watermark))
+        self.inner.store.durable(Watermark(watermark))
     }
 
     /// Quarantine is a broker decision, and a task whose message was
@@ -657,9 +687,7 @@ impl Deployment for Attached {
     /// on or off. Every workflow message names its task through a
     /// `fiber-id` or `task-id` header.
     fn dead_lettered(&self, dl: &DeadLetter) {
-        let Some(inner) = self.inner.upgrade() else {
-            return;
-        };
+        let inner = &self.inner;
         let Some(fiber) = dl
             .msg
             .get_header("fiber-id")
@@ -686,15 +714,9 @@ impl Deployment for Attached {
     }
 }
 
-struct WorkflowHandler {
-    inner: Weak<Inner>,
-}
-
-impl bluebox::Handler for WorkflowHandler {
+impl bluebox::Handler for Attached {
     fn handle(&self, ctx: &ServiceCtx, msg: &Message) -> Result<Vec<u8>, Fault> {
-        let Some(inner) = self.inner.upgrade() else {
-            return Err(Fault::new("{vinz}Gone", "workflow service was dropped"));
-        };
+        let inner = &self.inner;
         let result = match msg.operation.as_str() {
             "Start" => inner.op_start(ctx, msg),
             "Run" => inner.op_run(ctx, msg),
@@ -702,7 +724,7 @@ impl bluebox::Handler for WorkflowHandler {
             "Terminate" => inner.op_terminate(msg),
             "RunFiber" => inner.op_run_fiber(ctx, msg),
             "AwakeFiber" => inner.op_awake_fiber(ctx, msg),
-            "ResumeFromCall" => crate::calls::take_reply(&inner, ctx, msg),
+            "ResumeFromCall" => crate::calls::take_reply(inner, ctx, msg),
             "JoinProcess" => inner.op_join_process(ctx, msg),
             other => Err(VinzError(format!("unknown operation {other}"))),
         };
@@ -725,6 +747,45 @@ impl bluebox::Handler for WorkflowHandler {
             }
         }
         result.map_err(|e| Fault::new("{vinz}OperationFailed", e.0))
+    }
+}
+
+impl Inner {
+    /// [`WorkflowService::shutdown`]. The first call does the work; the
+    /// calling thread is never joined.
+    fn shutdown(&self) {
+        if self.stopped.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let supervisor = self.supervisor.lock().take();
+        if let Some(t) = supervisor.filter(|t| t.thread().id() != std::thread::current().id()) {
+            let _ = t.join();
+        }
+        self.cluster.stop_service(&self.name);
+        // A failed flush leaves its messages parked; detach drops them.
+        let _ = self.store.flush();
+        self.introspect.lock().take();
+        // The store stops reporting commits to a cluster that may next
+        // serve another store's watermarks.
+        self.store.set_commit_hook(Arc::new(|_| {}));
+        self.cluster.detach(&self.name);
+    }
+
+    /// Whether [`Inner::shutdown`] has begun: waits on the deployment's
+    /// behalf end when it has.
+    pub(crate) fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::Relaxed)
+    }
+
+    /// Refuse a call on a deployment that is shut down.
+    fn running(&self) -> Result<(), VinzError> {
+        match self.is_stopped() {
+            true => Err(VinzError(format!(
+                "workflow deployment `{}` is shut down",
+                self.name
+            ))),
+            false => Ok(()),
+        }
     }
 }
 

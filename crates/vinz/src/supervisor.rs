@@ -33,7 +33,8 @@
 //! for poison messages, not an eternal hang.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gozer_obs::{Event, EventKind};
@@ -91,18 +92,19 @@ impl Default for SupervisorConfig {
 
 // ---- the supervisor thread --------------------------------------------
 
-/// Start the supervisor thread for a deployment. Holds only a weak
-/// reference: dropping the service (or shutting the cluster down) ends
-/// the thread.
-pub(crate) fn start(inner: &Arc<Inner>) {
+/// Start the supervisor thread for a deployment, if supervision is on.
+/// The thread ends with the deployment's shutdown, which joins it, or
+/// with the cluster's.
+pub(crate) fn start(inner: &Arc<Inner>) -> Option<JoinHandle<()>> {
     if !inner.config.supervision.enabled {
-        return;
+        return None;
     }
-    let weak = Arc::downgrade(inner);
-    std::thread::Builder::new()
+    let inner = inner.clone();
+    let thread = std::thread::Builder::new()
         .name(format!("vinz-supervisor-{}", inner.name))
-        .spawn(move || supervise(weak))
+        .spawn(move || supervise(inner))
         .expect("spawn supervisor thread");
+    Some(thread)
 }
 
 struct ScanState {
@@ -118,22 +120,16 @@ struct ScanState {
     call_seen: FxHashMap<String, Instant>,
 }
 
-fn supervise(weak: Weak<Inner>) {
+fn supervise(inner: Arc<Inner>) {
     let mut st = ScanState {
         next_node: 100,
         stalled_since: None,
         resent: FxHashMap::default(),
         call_seen: FxHashMap::default(),
     };
-    loop {
-        {
-            let Some(inner) = weak.upgrade() else { return };
-            if inner.cluster.is_shutdown() {
-                return;
-            }
-            let now = inner.cluster.clock().now();
-            tick(&inner, &mut st, now);
-        }
+    while !inner.is_stopped() && !inner.cluster.is_shutdown() {
+        let now = inner.cluster.clock().now();
+        tick(&inner, &mut st, now);
         std::thread::sleep(INTERVAL);
     }
 }

@@ -331,7 +331,7 @@ static PANIC_HOOK: Once = Once::new();
 pub fn install_flight_panic_hook(obs: &WorkflowObs) {
     if let Ok(mut dumpers) = PANIC_DUMPERS.lock() {
         dumpers.retain(|w| w.strong_count() > 0);
-        dumpers.push(obs.inner_weak());
+        dumpers.push(Arc::downgrade(&obs.inner));
     }
     PANIC_HOOK.call_once(|| {
         let previous = std::panic::take_hook();

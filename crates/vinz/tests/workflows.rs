@@ -1002,3 +1002,232 @@ fn named_start_that_cannot_begin_fails_its_task() {
     assert_eq!(rec.status, TaskStatus::Completed(Value::keyword("ok")));
     cluster.shutdown();
 }
+
+// ---- a deployment's lifetime -----------------------------------------------
+
+mod lifecycle {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::time::{Duration, Instant};
+
+    use bluebox::{Cluster, FaultPoint};
+    use gozer_lang::Value;
+    use vinz::testing::register_square_service;
+    use vinz::{
+        CommitHook, LogStore, StateStore, StoreError, SupervisorConfig, VinzConfig, Watermark,
+        WorkflowService,
+    };
+
+    use super::{deploy, TIMEOUT};
+
+    /// How long one lifecycle step may take before it counts as hung.
+    const STEP: Duration = Duration::from_secs(10);
+
+    /// Run `step` on its own thread; fail unless it returns within
+    /// [`STEP`].
+    fn within(what: &str, step: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            step();
+            let _ = tx.send(());
+        });
+        assert!(rx.recv_timeout(STEP).is_ok(), "{what} did not return");
+    }
+
+    /// Poll `done` until it holds; fail once [`STEP`] has passed.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + STEP;
+        while !done() {
+            assert!(Instant::now() < deadline, "never saw {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A `LogStore` whose commits the broker learns of only through
+    /// `flush`: until then its durability probe says no and its commit
+    /// hook is held back, so every async call request stays parked.
+    struct CommitsAtFlush {
+        log: LogStore,
+        flushed: AtomicBool,
+        hook: Mutex<Option<CommitHook>>,
+    }
+
+    impl StateStore for CommitsAtFlush {
+        fn put(&self, key: &str, data: &[u8]) -> Result<(), StoreError> {
+            self.log.put(key, data)
+        }
+        fn put_batch(&self, entries: &[(&str, &[u8])]) -> Result<Watermark, StoreError> {
+            self.log.put_batch(entries)
+        }
+        fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError> {
+            self.log.get(key)
+        }
+        fn delete(&self, key: &str) -> Result<(), StoreError> {
+            self.log.delete(key)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
+            self.log.list(prefix)
+        }
+        fn bytes_written(&self) -> u64 {
+            self.log.bytes_written()
+        }
+        fn bytes_read(&self) -> u64 {
+            self.log.bytes_read()
+        }
+        fn flush(&self) -> Result<Watermark, StoreError> {
+            let w = self.log.flush()?;
+            self.flushed.store(true, Ordering::SeqCst);
+            if let Some(hook) = self.hook.lock().unwrap().clone() {
+                hook(w);
+            }
+            Ok(w)
+        }
+        fn durable(&self, w: Watermark) -> bool {
+            self.flushed.load(Ordering::SeqCst) && self.log.durable(w)
+        }
+        fn set_commit_hook(&self, hook: CommitHook) {
+            *self.hook.lock().unwrap() = Some(hook);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "vinz-lifecycle-{tag}-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ))
+    }
+
+    /// The drop of the last handle ends the deployment: the same cluster
+    /// takes a new deployment of the same name, which serves, and only
+    /// its instances are live.
+    #[test]
+    fn redeploy_after_the_handle_drops() {
+        let cluster = Cluster::new();
+        let wf = deploy(&cluster, "(defun main () (+ 20 22))");
+        assert_eq!(wf.call("main", vec![], TIMEOUT).unwrap(), Value::Int(42));
+        drop(wf);
+        let wf = WorkflowService::builder(&cluster, "wf")
+            .source("(defun main () (* 6 7))")
+            .instances(0, 2)
+            .deploy()
+            .expect("a dropped deployment must leave its cluster free");
+        assert_eq!(wf.call("main", vec![], TIMEOUT).unwrap(), Value::Int(42));
+        assert_eq!(cluster.live_instances("wf"), 2);
+        assert_eq!(cluster.metrics.faults.load(Ordering::Relaxed), 0);
+        cluster.shutdown();
+    }
+
+    /// Shutdown flushes the store, so a held call request goes out at a
+    /// durable watermark, and undelivered Starts stay queued: nothing is
+    /// dropped, faulted or dead-lettered.
+    #[test]
+    fn shutdown_loses_nothing() {
+        let dir = temp_dir("loses-nothing");
+        let cluster = Cluster::new();
+        register_square_service(&cluster, "Square", 1, 1, Duration::ZERO);
+        let store = Arc::new(CommitsAtFlush {
+            log: LogStore::builder(&dir).build().unwrap(),
+            flushed: AtomicBool::new(false),
+            hook: Mutex::new(None),
+        });
+        let config = VinzConfig {
+            supervision: SupervisorConfig { enabled: false },
+            ..VinzConfig::default()
+        };
+        let wf = WorkflowService::builder(&cluster, "wf")
+            .source(
+                "(deflink S :wsdl \"urn:square\" :port \"Square\")
+                 (defun held (n) (S-Square-Method :n n))
+                 (defun main () :ok)",
+            )
+            .store(store)
+            .config(config)
+            .instances(1, 1)
+            .deploy()
+            .unwrap();
+        wf.start("held", vec![Value::Int(7)], None).unwrap();
+        assert!(cluster.drain("wf", TIMEOUT));
+        assert_eq!(cluster.held_count(), 1, "the call request is parked");
+        // With its one instance gone (Square's are on node 0), the
+        // deployment's Starts queue.
+        cluster.kill_node(1, FaultPoint::BeforeProcess);
+        wait_until("the instance die", || cluster.live_instances("wf") == 0);
+        for _ in 0..3 {
+            wf.start("main", vec![], None).unwrap();
+        }
+        assert_eq!(cluster.queue_depth("wf"), 3);
+        let faults = cluster.metrics.faults.load(Ordering::Relaxed);
+        let handle = wf.clone();
+        within("shutdown", move || handle.shutdown());
+        assert_eq!(cluster.held_count(), 0);
+        assert_eq!(cluster.dead_letter_total(), 0);
+        assert_eq!(cluster.metrics.faults.load(Ordering::Relaxed), faults);
+        // The released request is served; its reply queues beside the
+        // three Starts.
+        assert!(cluster.drain("Square", TIMEOUT));
+        assert_eq!(cluster.queue_depth("wf"), 4);
+        cluster.shutdown();
+        drop(wf);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Shutdown may be called again, and by the drop of the last handle
+    /// after the cluster's own shutdown; every step returns promptly,
+    /// and the handles left refuse work at once.
+    #[test]
+    fn shutdown_is_safe_to_repeat() {
+        let cluster = Cluster::new();
+        let wf = deploy(&cluster, "(defun main () :ok)");
+        assert_eq!(
+            wf.call("main", vec![], TIMEOUT).unwrap(),
+            Value::keyword("ok")
+        );
+        let other = wf.clone();
+        for _ in 0..2 {
+            let handle = wf.clone();
+            within("shutdown", move || handle.shutdown());
+        }
+        let before = Instant::now();
+        assert!(other.start("main", vec![], None).is_err());
+        assert!(other.run("main", vec![], TIMEOUT).is_err());
+        assert!(other.call("main", vec![], TIMEOUT).is_err());
+        assert!(other.spawn_instances(0, 1).is_err());
+        assert!(before.elapsed() < STEP, "a refused call waited");
+        assert_eq!(cluster.live_instances("wf"), 0);
+        let c = cluster.clone();
+        within("cluster shutdown", move || c.shutdown());
+        within("drop", move || drop(wf));
+        within("drop of the last handle", move || drop(other));
+    }
+
+    /// Shutdown breaks every cycle through the cluster, the supervisor
+    /// and the introspection server: once the handles are dropped,
+    /// nothing holds the store.
+    #[test]
+    fn shutdown_leaks_nothing() {
+        let cluster = Cluster::new();
+        let store: Arc<dyn StateStore> = Arc::new(vinz::MemStore::new());
+        let wf = WorkflowService::builder(&cluster, "wf")
+            .source("(defun main () :ok)")
+            .store(store.clone())
+            .introspect("127.0.0.1:0")
+            .instances(0, 2)
+            .deploy()
+            .unwrap();
+        let obs = wf.obs();
+        assert_eq!(
+            wf.call("main", vec![], TIMEOUT).unwrap(),
+            Value::keyword("ok")
+        );
+        assert!(Arc::strong_count(&store) > 1);
+        wf.shutdown();
+        drop(obs);
+        drop(wf);
+        assert_eq!(Arc::strong_count(&store), 1);
+        cluster.shutdown();
+    }
+}

@@ -1,8 +1,8 @@
 #!/bin/sh
-# CI gate: release build, every test of every workspace member but
-# `fuzz` with the chaos sweeps at 16 seeds (the paper's experiments at
-# smoke size among them), the GVM's tests unfused, clippy, rustdoc, and
-# the two smokes that run release binaries.
+# CI gate: formatting and the ratchet, release build, every test of
+# every workspace member but `fuzz` with the chaos sweeps at 16 seeds
+# (the paper's experiments at smoke size among them), the GVM's tests
+# unfused, clippy, rustdoc, and the two smokes that run release binaries.
 #
 # Offline-friendly: the workspace uses only in-tree path dependencies,
 # so --offline always works; we pass it when the network is known-bad
@@ -18,6 +18,15 @@ run() {
     echo "+ $*"
     "$@"
 }
+
+# Format gate: the workspace is rustfmt-clean (taskbench/ is outside
+# the workspace and not checked).
+run "$CARGO" fmt --all --check
+
+# Ratchet gate: no count ROADMAP.md tracks (strict lines, rustfmt hunks,
+# sleeps in the suites, clock reads in the runtime) may rise above its
+# line in RATCHET without an edit to that file.
+run sh scripts/ratchet.sh --check
 
 run "$CARGO" build --release $OFFLINE
 
