@@ -779,13 +779,13 @@ impl Inner {
 
     /// Refuse a call on a deployment that is shut down.
     fn running(&self) -> Result<(), VinzError> {
-        match self.is_stopped() {
-            true => Err(VinzError(format!(
-                "workflow deployment `{}` is shut down",
-                self.name
-            ))),
-            false => Ok(()),
+        if self.is_stopped() {
+            let name = &self.name;
+            return Err(VinzError(format!(
+                "workflow deployment `{name}` is shut down"
+            )));
         }
+        Ok(())
     }
 }
 

@@ -1010,7 +1010,7 @@ mod lifecycle {
     use std::sync::{mpsc, Arc, Mutex};
     use std::time::{Duration, Instant};
 
-    use bluebox::{Cluster, FaultPoint};
+    use bluebox::{Cluster, Deployment, FaultPoint, Message};
     use gozer_lang::Value;
     use vinz::testing::register_square_service;
     use vinz::{
@@ -1027,11 +1027,12 @@ mod lifecycle {
     /// [`STEP`].
     fn within(what: &str, step: impl FnOnce() + Send + 'static) {
         let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
+        let thread = std::thread::spawn(move || {
             step();
             let _ = tx.send(());
         });
         assert!(rx.recv_timeout(STEP).is_ok(), "{what} did not return");
+        thread.join().unwrap();
     }
 
     /// Poll `done` until it holds; fail once [`STEP`] has passed.
@@ -1090,6 +1091,28 @@ mod lifecycle {
         }
     }
 
+    impl CommitsAtFlush {
+        fn open(dir: &std::path::Path) -> Arc<CommitsAtFlush> {
+            Arc::new(CommitsAtFlush {
+                log: LogStore::builder(dir).build().unwrap(),
+                flushed: AtomicBool::new(false),
+                hook: Mutex::new(None),
+            })
+        }
+    }
+
+    /// A deployment whose store has committed nothing.
+    struct NothingDurable;
+
+    impl Deployment for NothingDurable {
+        fn name(&self) -> &str {
+            "nothing-durable"
+        }
+        fn durable(&self, _watermark: u64) -> bool {
+            false
+        }
+    }
+
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
             "vinz-lifecycle-{tag}-{}-{}",
@@ -1129,11 +1152,7 @@ mod lifecycle {
         let dir = temp_dir("loses-nothing");
         let cluster = Cluster::new();
         register_square_service(&cluster, "Square", 1, 1, Duration::ZERO);
-        let store = Arc::new(CommitsAtFlush {
-            log: LogStore::builder(&dir).build().unwrap(),
-            flushed: AtomicBool::new(false),
-            hook: Mutex::new(None),
-        });
+        let store = CommitsAtFlush::open(&dir);
         let config = VinzConfig {
             supervision: SupervisorConfig { enabled: false },
             ..VinzConfig::default()
@@ -1170,6 +1189,31 @@ mod lifecycle {
         // three Starts.
         assert!(cluster.drain("Square", TIMEOUT));
         assert_eq!(cluster.queue_depth("wf"), 4);
+        cluster.shutdown();
+        drop(wf);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shut-down deployment's store no longer reports commits to the
+    /// cluster: its watermarks must not release what the next
+    /// deployment parked.
+    #[test]
+    fn a_shut_down_store_reports_no_commits() {
+        let dir = temp_dir("reports-no-commits");
+        let cluster = Cluster::new();
+        let store = CommitsAtFlush::open(&dir);
+        let wf = WorkflowService::builder(&cluster, "wf")
+            .source("(defun main () :ok)")
+            .store(store.clone())
+            .deploy()
+            .unwrap();
+        wf.shutdown();
+        cluster.attach(Arc::new(NothingDurable)).unwrap();
+        cluster.send(Message::new("gated", "Op", vec![]).with_hold_until(1));
+        assert_eq!(cluster.held_count(), 1);
+        let hook = store.hook.lock().unwrap().clone().unwrap();
+        hook(Watermark(u64::MAX));
+        assert_eq!(cluster.held_count(), 1, "released by a stale commit");
         cluster.shutdown();
         drop(wf);
         let _ = std::fs::remove_dir_all(&dir);
