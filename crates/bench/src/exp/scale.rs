@@ -17,8 +17,7 @@
 //! What no taskbench workload measures is the parked population: the
 //! churn is `quick-closed`'s task run beside a million parked fibers.
 //! Where the churn latency goes is taskbench's `phase.*_share`; that
-//! the phases sum to the latency is `vinz/tests/phases.rs`; admission
-//! shedding is `vinz/tests/admission.rs`.
+//! the phases sum to the latency is `vinz/tests/phases.rs`.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

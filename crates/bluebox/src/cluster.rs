@@ -408,7 +408,7 @@ impl Cluster {
             move || weak.upgrade().map_or(0, |c| c.held.lock().len() as u64),
         );
         // Backpressure introspection: total waiting messages across all
-        // service queues, read by admission gates and the scale bench.
+        // service queues.
         let weak = Arc::downgrade(self);
         reg.gauge_fn(
             "gozer_queue_depth",

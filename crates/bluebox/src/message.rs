@@ -108,8 +108,12 @@ pub struct Message {
     pub headers: Headers,
     /// Opaque payload (the embedder's serialized value).
     pub body: Vec<u8>,
-    /// Larger is more urgent. `AwakeFiber` messages are sent low-priority
-    /// per §5.
+    /// Larger is more urgent. Only [`Policy::Priority`] ranks by it, and
+    /// only the queue's property tests run that policy: clusters run
+    /// FCFS (EDF in the `sec5-scheduling` experiment), so the low
+    /// priority `AwakeFiber` messages carry per §5 has no effect.
+    ///
+    /// [`Policy::Priority`]: crate::Policy::Priority
     pub priority: i32,
     /// Soft deadline used by the EDF scheduling policy (§5 future work).
     pub deadline: Option<Instant>,

@@ -25,8 +25,8 @@ use crate::event::Event;
 /// Number of independent ring-buffer shards.
 const SHARDS: usize = 8;
 
-/// Default per-shard ring capacity (events beyond it evict the oldest).
-const DEFAULT_SHARD_CAPACITY: usize = 16 * 1024;
+/// Per-shard ring capacity (events beyond it evict the oldest).
+pub(crate) const SHARD_CAPACITY: usize = 16 * 1024;
 
 struct Shard {
     ring: Mutex<VecDeque<Event>>,
@@ -35,7 +35,6 @@ struct Shard {
 /// Sharded ring buffer of structured [`Event`]s with a global sequence.
 pub struct EventBus {
     shards: Vec<Shard>,
-    shard_capacity: usize,
     seq: AtomicU64,
     enabled: AtomicBool,
     // A handle the metrics registry adopts as
@@ -50,21 +49,14 @@ impl Default for EventBus {
 }
 
 impl EventBus {
-    /// New bus with the default per-shard capacity, disabled.
+    /// New bus, disabled.
     pub fn new() -> EventBus {
-        EventBus::with_capacity(DEFAULT_SHARD_CAPACITY)
-    }
-
-    /// New bus whose shards each hold at most `shard_capacity` events.
-    pub fn with_capacity(shard_capacity: usize) -> EventBus {
-        let shard_capacity = shard_capacity.max(1);
         EventBus {
             shards: (0..SHARDS)
                 .map(|_| Shard {
                     ring: Mutex::new(VecDeque::new()),
                 })
                 .collect(),
-            shard_capacity,
             seq: AtomicU64::new(0),
             enabled: AtomicBool::new(false),
             dropped: Arc::new(AtomicU64::new(0)),
@@ -99,7 +91,7 @@ impl EventBus {
         event.at = Instant::now();
         let shard = &self.shards[event.node.unwrap_or(0) as usize % SHARDS];
         let mut ring = shard.ring.lock();
-        if ring.len() >= self.shard_capacity {
+        if ring.len() >= SHARD_CAPACITY {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -194,48 +186,42 @@ mod tests {
 
     #[test]
     fn ring_overflow_drops_oldest_and_counts() {
-        let bus = EventBus::with_capacity(4);
+        let bus = EventBus::new();
         bus.set_enabled(true);
-        for i in 0..10u32 {
-            // Same node → same shard → overflow after 4.
-            bus.emit(|| {
-                Event::new(EventKind::FiberRun)
-                    .node(0)
-                    .instance(u64::from(i))
-            });
+        let total = SHARD_CAPACITY as u64 + 6;
+        for i in 0..total {
+            // Same node → same shard → overflow after SHARD_CAPACITY.
+            bus.emit(|| Event::new(EventKind::FiberRun).node(0).instance(i));
         }
-        assert_eq!(bus.len(), 4);
+        assert_eq!(bus.len(), SHARD_CAPACITY);
         assert_eq!(bus.dropped(), 6);
         let snap = bus.snapshot();
         assert_eq!(snap.first().unwrap().instance, Some(6));
-        assert_eq!(snap.last().unwrap().instance, Some(9));
+        assert_eq!(snap.last().unwrap().instance, Some(total - 1));
     }
 
     /// Overflow drops must be counted on *every* shard, not just shard
     /// 0: emit past capacity on each shard (distinct node ids cover all
-    /// eight) and check the shared counter accounts for all of them.
+    /// eight, about 131 k events in all) and check the shared counter
+    /// accounts for all of them.
     #[test]
     fn ring_overflow_counts_drops_on_every_shard() {
-        const CAP: usize = 4;
-        const PER_SHARD: u32 = 10;
-        let bus = EventBus::with_capacity(CAP);
+        const EXTRA: usize = 6;
+        let bus = EventBus::new();
         bus.set_enabled(true);
         for node in 0..SHARDS as u32 {
-            for _ in 0..PER_SHARD {
+            for _ in 0..SHARD_CAPACITY + EXTRA {
                 bus.emit(|| Event::new(EventKind::FiberRun).node(node));
             }
         }
-        // Every shard kept CAP events and dropped the rest.
-        assert_eq!(bus.len(), SHARDS * CAP);
-        assert_eq!(
-            bus.dropped(),
-            (SHARDS as u64) * (u64::from(PER_SHARD) - CAP as u64)
-        );
+        // Every shard kept SHARD_CAPACITY events and dropped the rest.
+        assert_eq!(bus.len(), SHARDS * SHARD_CAPACITY);
+        assert_eq!(bus.dropped(), (SHARDS * EXTRA) as u64);
         // Each shard's survivors are that node's newest events.
         let snap = bus.snapshot();
         for node in 0..SHARDS as u32 {
             let kept = snap.iter().filter(|e| e.node == Some(node)).count();
-            assert_eq!(kept, CAP, "shard for node {node}");
+            assert_eq!(kept, SHARD_CAPACITY, "shard for node {node}");
         }
     }
 

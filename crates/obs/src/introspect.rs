@@ -20,10 +20,9 @@
 //! short-lived thread and one request per connection
 //! (`Connection: close`), no TLS, no keep-alive — it serves curl and
 //! Prometheus scrapes, not browsers. Concurrent connections are capped
-//! ([`DEFAULT_MAX_CONNS`], tunable via
-//! [`IntrospectServer::start_with_limit`]); overflow is answered with
-//! an immediate `503` instead of an unbounded thread pile-up, so a
-//! misbehaving scraper cannot exhaust the node it is observing.
+//! at [`MAX_CONNS`]; overflow is answered with an immediate `503`
+//! instead of an unbounded thread pile-up, so a misbehaving scraper
+//! cannot exhaust the node it is observing.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -32,8 +31,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Concurrent-connection cap used by [`IntrospectServer::start`].
-pub const DEFAULT_MAX_CONNS: usize = 32;
+/// Concurrent-connection cap: the `MAX_CONNS + 1`-th simultaneous
+/// client is answered `503 Service Unavailable` and closed without
+/// touching the source.
+pub const MAX_CONNS: usize = 32;
 
 /// One liveness report, rendered by `/healthz`.
 #[derive(Debug, Clone)]
@@ -97,23 +98,12 @@ pub struct IntrospectServer {
 
 impl IntrospectServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// start serving `source` with the [`DEFAULT_MAX_CONNS`] cap.
-    /// Returns the bound address — with port 0 the one the OS picked.
+    /// start serving `source`, at most [`MAX_CONNS`] connections at a
+    /// time. Returns the bound address — with port 0 the one the OS
+    /// picked.
     pub fn start(
         addr: &str,
         source: Arc<dyn IntrospectSource>,
-    ) -> std::io::Result<IntrospectServer> {
-        IntrospectServer::start_with_limit(addr, source, DEFAULT_MAX_CONNS)
-    }
-
-    /// [`start`](IntrospectServer::start) with an explicit cap on
-    /// concurrent connections. The `max_conns + 1`-th simultaneous
-    /// client is answered `503 Service Unavailable` and closed without
-    /// touching the source.
-    pub fn start_with_limit(
-        addr: &str,
-        source: Arc<dyn IntrospectSource>,
-        max_conns: usize,
     ) -> std::io::Result<IntrospectServer> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
@@ -121,10 +111,9 @@ impl IntrospectServer {
         let active = Arc::new(AtomicUsize::new(0));
         let stop2 = stop.clone();
         let active2 = active.clone();
-        let max_conns = max_conns.max(1);
         let handle = std::thread::Builder::new()
             .name("gozer-introspect".into())
-            .spawn(move || accept_loop(listener, source, stop2, active2, max_conns))?;
+            .spawn(move || accept_loop(listener, source, stop2, active2))?;
         Ok(IntrospectServer {
             addr: bound,
             stop,
@@ -165,7 +154,6 @@ fn accept_loop(
     source: Arc<dyn IntrospectSource>,
     stop: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
-    max_conns: usize,
 ) {
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
@@ -178,7 +166,7 @@ fn accept_loop(
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
         // Claim a slot before spawning; overflow is turned away at the
         // door with a 503 rather than queued behind slow scrapes.
-        if active.fetch_add(1, Ordering::SeqCst) >= max_conns {
+        if active.fetch_add(1, Ordering::SeqCst) >= MAX_CONNS {
             active.fetch_sub(1, Ordering::SeqCst);
             // Drain the request head (briefly) before responding:
             // closing with unread data in the buffer would RST the
@@ -370,35 +358,53 @@ mod tests {
 
     #[test]
     fn overflow_connections_get_503_without_touching_the_source() {
-        let server = IntrospectServer::start_with_limit("127.0.0.1:0", Arc::new(Fixed), 1).unwrap();
-        let addr = server.addr();
-
-        // Occupy the single slot with a connection that sends nothing:
-        // its serve thread parks in read(), holding the slot.
-        let holder = TcpStream::connect(addr).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while server.active_connections() < 1 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "holder never got a slot"
-            );
-            std::thread::sleep(Duration::from_millis(2));
+        /// [`Fixed`], counting the scrapes that reach it.
+        struct Counted(AtomicUsize);
+        impl IntrospectSource for Counted {
+            fn metrics_text(&self) -> String {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Fixed.metrics_text()
+            }
+            fn health(&self) -> HealthReport {
+                Fixed.health()
+            }
+            fn tasks(&self) -> Vec<TaskSummary> {
+                Fixed.tasks()
+            }
+            fn timeline(&self, task: &str) -> Option<String> {
+                Fixed.timeline(task)
+            }
         }
+        let source = Arc::new(Counted(AtomicUsize::new(0)));
+        let server = IntrospectServer::start("127.0.0.1:0", source.clone()).unwrap();
+        let addr = server.addr();
+        let wait_for = |want: usize, what: &str| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while server.active_connections() != want {
+                assert!(std::time::Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+
+        // Occupy every slot with connections that send nothing: their
+        // serve threads park in read(), each holding its slot.
+        let holders: Vec<TcpStream> = (0..MAX_CONNS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        wait_for(MAX_CONNS, "the holders never got every slot");
 
         // The next client is turned away at the door.
         let (status, body) = get(addr, "/metrics");
         assert_eq!(status, "HTTP/1.1 503 Service Unavailable");
         assert!(body.contains("busy"));
+        assert_eq!(source.0.load(Ordering::SeqCst), 0);
 
-        // The holder still owns a live, working slot.
-        drop(holder);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while server.active_connections() > 0 {
-            assert!(std::time::Instant::now() < deadline, "slot never released");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // Once the holders go, the slots serve again.
+        drop(holders);
+        wait_for(0, "the slots were never released");
         let (status, _) = get(addr, "/metrics");
         assert_eq!(status, "HTTP/1.1 200 OK");
+        assert_eq!(source.0.load(Ordering::SeqCst), 1);
     }
 
     #[test]

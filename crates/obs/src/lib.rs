@@ -71,17 +71,13 @@ impl Obs {
             registry: MetricsRegistry::new(),
             flight: FlightRecorder::new(),
         };
-        obs.adopt_dropped();
-        obs
-    }
-
-    fn adopt_dropped(&self) {
-        self.registry.counter(
+        obs.registry.counter(
             "gozer_events_dropped_total",
             "Events evicted from the bus ring by overflow.",
             "",
-            self.bus.dropped_handle(),
+            obs.bus.dropped_handle(),
         );
+        obs
     }
 }
 
@@ -98,16 +94,9 @@ mod tests {
         assert!(text.contains("# TYPE gozer_events_dropped_total counter"));
         assert!(text.contains("\ngozer_events_dropped_total 0\n"));
 
-        // Overflow a tiny ring and watch the adopted counter move.
-        let obs = Obs {
-            bus: EventBus::with_capacity(2),
-            ..Obs::new()
-        };
-        // `new()` adopted the counter of the bus it built; adopt the
-        // replacement's.
-        obs.adopt_dropped();
+        // Overflow one shard's ring and watch the adopted counter move.
         obs.bus.set_enabled(true);
-        for _ in 0..5 {
+        for _ in 0..bus::SHARD_CAPACITY + 3 {
             obs.bus.emit(|| Event::new(EventKind::FiberRun).node(0));
         }
         assert_eq!(obs.bus.dropped(), 3);

@@ -9,10 +9,9 @@
 //!
 //! Phases (see DESIGN.md §14):
 //!
-//! * `admission` — client-side backoff before the `Start` message is
-//!   even sent (admission control, PR 6). Outside the task's tracker
-//!   window, so it is observed directly into the histogram and is *not*
-//!   part of the per-task breakdown sum.
+//! * `admission` — recorded by nothing since the admission gate went
+//!   (DESIGN §12); kept so the label space, and the reports that list
+//!   every phase, keep their shape. Always zero.
 //! * `queue_wait` — time a task's messages sit in broker queues (or the
 //!   task waits on forked children), excluding durability holds.
 //! * `durability_hold` — time parked on a `hold_until` watermark while
@@ -31,7 +30,9 @@ use std::time::Duration;
 /// One phase of a task's wall-clock decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
-    /// Client-side admission backoff (pre-Start; histogram-only).
+    /// Nothing records it any more (DESIGN §12); it stays so
+    /// [`Phase::ALL`], the label space and the reports built from them
+    /// keep their shape.
     Admission,
     /// Broker queue wait / waiting on forked children.
     QueueWait,

@@ -694,8 +694,10 @@ impl Inner {
     }
 
     /// Send the AwakeFiber message that tells `parent_id` its child
-    /// `child_id` has finished. AwakeFiber messages are low priority
-    /// (§5).
+    /// `child_id` has finished. It is stamped low priority as §5 says,
+    /// but that changes nothing here: only `Policy::Priority` ranks by
+    /// priority, and no cluster runs it (FCFS everywhere, EDF in the
+    /// `sec5-scheduling` experiment).
     pub(crate) fn send_awake(&self, parent_id: &str, child_id: &str) {
         let msg = Message::new(&self.name, "AwakeFiber", Vec::new())
             .header("fiber-id", parent_id)

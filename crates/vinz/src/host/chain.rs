@@ -37,6 +37,13 @@ pub(super) type FiberMeta = (u64, u64, u64);
 /// is a previous one to go by.
 const FIRST_SAVE_HINT: usize = 256;
 
+/// Delta records a fiber's chain may stack on its full snapshot; the
+/// save after that compacts the chain into a fresh full snapshot.
+/// Compaction is also forced when the fiber migrates nodes (its next
+/// loader replays the chain cold anyway, so the chain stops paying for
+/// itself).
+const COMPACT_EVERY: u64 = 8;
+
 impl Inner {
     /// The node that last persisted the fiber, if it has been saved
     /// since it first ran.
@@ -138,7 +145,7 @@ impl Inner {
     /// Steady state writes a *delta* record (the frames above the VM's
     /// clean prefix plus the dynamic state) stacked on the fiber's last
     /// full snapshot; the chain is compacted back into a full snapshot
-    /// every [`VinzConfig::compact_every`] saves, on node migration, or
+    /// every [`COMPACT_EVERY`] saves, on node migration, or
     /// whenever a delta would be unsound (no clean prefix, mutable
     /// object reachable from a clean frame). A first suspension has no
     /// snapshot of this run to be a delta of and replaces the birth
@@ -154,8 +161,6 @@ impl Inner {
     /// deployment (RunFiber for a fresh child, AwakeFiber/JoinProcess on
     /// completion) only leads to later records of the same log, which a
     /// crash cannot keep without keeping this one (DESIGN.md §13).
-    ///
-    /// [`VinzConfig::compact_every`]: crate::VinzConfig::compact_every
     pub(super) fn save_fiber(
         &self,
         rt: &NodeRuntime,
@@ -179,11 +184,7 @@ impl Inner {
         hot.node = rt.node_id;
 
         let mut delta = None;
-        if self.config.delta_snapshots
-            && version > 0
-            && !migrated
-            && chain < self.config.compact_every
-        {
+        if self.config.delta_snapshots && version > 0 && !migrated && chain < COMPACT_EVERY {
             let start = Instant::now();
             let (bytes, seeds) = serialize_state_delta_costed(
                 &state,

@@ -70,7 +70,7 @@ pub use gozer_obs::{FlightDump, FlightRecorder};
 pub use gozer_vm::{FnProfile, ProfileReport, SerialCostSnapshot};
 pub use prelude::VINZ_PRELUDE;
 pub use service::{
-    NodeRuntime, StartError, VinzConfig, VinzError, VinzMetrics, WorkflowObs, WorkflowService,
+    NodeRuntime, VinzConfig, VinzError, VinzMetrics, WorkflowObs, WorkflowService,
     WorkflowServiceBuilder,
 };
 pub use store::{

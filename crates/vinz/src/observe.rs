@@ -245,16 +245,6 @@ impl Inner {
                 "Fiber saves persisted as delta snapshots.",
                 &m.delta_saves,
             ),
-            (
-                "gozer_admission_rejected_total",
-                "Starts shed by the admission gate.",
-                &m.admission_rejected,
-            ),
-            (
-                "gozer_admission_delayed_total",
-                "Starts delayed by the admission gate before a decision.",
-                &m.admission_delayed,
-            ),
         ] {
             reg.counter(name, help, &labels, handle);
         }

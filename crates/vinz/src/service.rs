@@ -14,7 +14,7 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bluebox::tcp::{TcpBroker, TcpBrokerConfig};
 use bluebox::{Cluster, DeadLetter, Deployment, Fault, Message, ServiceCtx};
@@ -70,21 +70,6 @@ pub struct VinzConfig {
     /// dirty stacks, mutable objects reachable from clean frames — fall
     /// back to full snapshots transparently.
     pub delta_snapshots: bool,
-    /// Compact a fiber's base + delta chain into a fresh full snapshot
-    /// once it grows this long. Compaction is also forced when the
-    /// fiber migrates nodes (its next loader replays the chain cold
-    /// anyway, so the chain stops paying for itself).
-    pub compact_every: u64,
-    /// Admission control: maximum tasks in flight (started but not yet
-    /// final) before new `Start`s are delayed and then shed. `0`
-    /// disables the check.
-    pub max_inflight_tasks: usize,
-    /// How many times an over-pressure `Start` is delayed (each delay
-    /// is one `admission_backoff` sleep) before it is rejected. `0`
-    /// rejects immediately — the load-shedding configuration.
-    pub admission_retries: u32,
-    /// Sleep between admission re-checks of a delayed `Start`.
-    pub admission_backoff: Duration,
 }
 
 impl Default for VinzConfig {
@@ -98,10 +83,6 @@ impl Default for VinzConfig {
             profiling: false,
             supervision: SupervisorConfig::default(),
             delta_snapshots: true,
-            compact_every: 8,
-            max_inflight_tasks: 0,
-            admission_retries: 3,
-            admission_backoff: Duration::from_millis(5),
         }
     }
 }
@@ -160,12 +141,6 @@ pub struct VinzMetrics {
     /// Saves persisted as deltas (the rest of `persist_count` were
     /// full snapshots).
     pub delta_saves: Arc<AtomicU64>,
-    /// `Start`s shed by the admission gate (typed rejection returned to
-    /// the caller).
-    pub admission_rejected: Arc<AtomicU64>,
-    /// `Start`s delayed (backoff slept at least once) by the admission
-    /// gate before being admitted or rejected.
-    pub admission_delayed: Arc<AtomicU64>,
     /// Fibers currently suspended with a persisted continuation.
     /// Incremented on every suspension persist, decremented when a
     /// resume operation reloads the fiber; approximate under task
@@ -208,33 +183,6 @@ impl From<SerError> for VinzError {
         VinzError(e.to_string())
     }
 }
-
-/// Outcome of a gated [`WorkflowService::try_start`]: the admission
-/// layer sheds load with a *typed* rejection, distinct from transport
-/// or deployment failures, so callers can retry-with-backoff instead of
-/// treating shed as an error.
-#[derive(Debug, Clone)]
-pub enum StartError {
-    /// The admission gate shed the start; `reason` says how many tasks
-    /// were in flight against `max_inflight_tasks`.
-    Rejected {
-        /// Why the start was rejected.
-        reason: String,
-    },
-    /// The start was admitted but failed downstream.
-    Failed(VinzError),
-}
-
-impl std::fmt::Display for StartError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StartError::Rejected { reason } => write!(f, "admission rejected: {reason}"),
-            StartError::Failed(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for StartError {}
 
 pub(crate) struct Inner {
     pub name: String,
@@ -480,78 +428,15 @@ impl WorkflowService {
     }
 
     /// Asynchronously begin execution of a workflow, returning its task
-    /// id (the Start operation). Admission-gate sheds surface as a
-    /// plain [`VinzError`] here; use [`WorkflowService::try_start`] for
-    /// the typed rejection.
+    /// id (the Start operation).
     pub fn start(
         &self,
         function: &str,
         args: Vec<Value>,
         deadline: Option<Duration>,
     ) -> Result<String, VinzError> {
-        self.try_start(function, args, deadline)
-            .map_err(|e| match e {
-                StartError::Rejected { reason } => {
-                    VinzError(format!("admission rejected: {reason}"))
-                }
-                StartError::Failed(e) => e,
-            })
-    }
-
-    /// Why a start may not be admitted right now: `max_inflight_tasks`
-    /// tasks are already in flight. `None` admits it.
-    fn admission_pressure(&self) -> Option<String> {
-        let max = self.inner.config.max_inflight_tasks;
-        if max == 0 {
-            return None;
-        }
-        let running = self.inner.tracker.running_count();
-        (running >= max as u64)
-            .then(|| format!("inflight tasks {running} >= max_inflight_tasks {max}"))
-    }
-
-    /// [`WorkflowService::start`] behind the admission gate: when a
-    /// too many tasks are in flight the start is delayed up to
-    /// `admission_retries` backoff sleeps, then shed with a typed
-    /// [`StartError::Rejected`] instead of queuing into an overloaded
-    /// cluster.
-    pub fn try_start(
-        &self,
-        function: &str,
-        args: Vec<Value>,
-        deadline: Option<Duration>,
-    ) -> Result<String, StartError> {
-        self.inner.running().map_err(StartError::Failed)?;
-        // Admission is the one phase that lives *outside* the tracker
-        // window (no task exists yet), so it feeds the histogram
-        // directly and is excluded from per-task phase sums.
-        let gate_opened = Instant::now();
-        let admission_hist = &self.inner.tracker.phase_hists[Phase::Admission.index()];
-        let mut waits = 0u32;
-        while let Some(reason) = self.admission_pressure() {
-            if waits >= self.inner.config.admission_retries {
-                self.inner
-                    .metrics
-                    .admission_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                admission_hist.observe_duration(gate_opened.elapsed());
-                return Err(StartError::Rejected { reason });
-            }
-            if waits == 0 {
-                self.inner
-                    .metrics
-                    .admission_delayed
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            waits += 1;
-            std::thread::sleep(self.inner.config.admission_backoff);
-        }
-        if waits > 0 {
-            admission_hist.observe_duration(gate_opened.elapsed());
-        }
-        self.inner
-            .send_start(function, args, deadline)
-            .map_err(StartError::Failed)
+        self.inner.running()?;
+        self.inner.send_start(function, args, deadline)
     }
 
     /// Synchronously execute a workflow, returning its record (the Run

@@ -101,7 +101,7 @@ pub struct TaskTracker {
     state: Mutex<FxHashMap<String, TaskRecord>>,
     cond: Condvar,
     /// Tasks started but not yet final — kept as an atomic beside the
-    /// map so the admission gate can read it without taking the lock.
+    /// map so a load driver can read it without taking the lock.
     running: AtomicU64,
     /// Start→complete latency (`gozer_task_latency_seconds`), observed
     /// once per task by the [`finish`](Self::finish) that ends it.
@@ -110,8 +110,7 @@ pub struct TaskTracker {
     /// by `Phase::index()`: each finished task's nonzero phase totals,
     /// observed with its latency. The closed enum *is* the cardinality
     /// guard: the label space is exactly `PHASE_COUNT` phases × deployed
-    /// services. (Admission, which happens before a task exists, is
-    /// observed by the admission gate.)
+    /// services. (Nothing observes `Admission`.)
     pub(crate) phase_hists: [Arc<Histogram>; PHASE_COUNT],
 }
 
@@ -225,8 +224,7 @@ impl TaskTracker {
         true
     }
 
-    /// Tasks started but not yet final (the admission gate's in-flight
-    /// count).
+    /// Tasks started but not yet final.
     pub fn running_count(&self) -> u64 {
         self.running.load(Ordering::Relaxed)
     }
@@ -372,8 +370,8 @@ mod tests {
         );
         assert_eq!(rec.current_phase, None);
         assert!(rec.phases.get(Phase::VmExec) >= Duration::from_millis(2));
-        // Every banked phase was visited; admission never is (it lives
-        // outside the tracker window).
+        // Every banked phase was visited; admission never is (nothing
+        // records it).
         assert_eq!(rec.phases.get(Phase::Admission), Duration::ZERO);
         // The ledger is closed: later flips change nothing.
         t.note_phase("t1", Phase::QueueWait);

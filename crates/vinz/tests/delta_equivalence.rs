@@ -3,12 +3,12 @@
 //! Delta persistence is a pure encoding change: a fiber reconstituted
 //! from base + delta chain must be bit-identical to one saved whole, so
 //! two runs of the same `(workload, seed)` — one with delta snapshots
-//! off, one with them on and an aggressive compaction cadence — must
-//! produce the same final value and execute the exact same opcodes.
-//! The survivability preset additionally kills nodes and crashes
+//! off, one with them on — must produce the same final value and
+//! execute the exact same opcodes. The turbulence sweep's fiber saves
+//! often enough that its chain is compacted on every seed. The
+//! survivability preset additionally kills nodes and crashes
 //! instances, so the delta-side runs resume from delta chains after
-//! node kills and across compaction boundaries, with chaos armed the
-//! whole time.
+//! node kills, with chaos armed the whole time.
 
 use std::collections::BTreeMap;
 
@@ -19,7 +19,7 @@ use vinz::testing::{
 use vinz::VinzConfig;
 
 /// Three frames deep at every suspension (`main` → `mid` → `leaf`, all
-/// non-tail), with three *sequential* fork+joins in the leaf: every
+/// non-tail), with [`JOINS`] *sequential* fork+joins in the leaf: every
 /// resume re-runs only the leaf frame, which is exactly the shape delta
 /// snapshots exist for. Each `join-process` suspends on a unique child
 /// id and `JoinProcess` resumes are deduplicated by target, so every
@@ -29,12 +29,17 @@ use vinz::VinzConfig;
 const DEEP_SEQ_WF: &str = "
 (defun triple (n) (* n 3))
 (defun leaf (n)
-  (+ (join-process (fork-and-exec #'triple :argument n))
-     (join-process (fork-and-exec #'triple :argument n))
-     (join-process (fork-and-exec #'triple :argument n))))
+  (let ((acc 0))
+    (dotimes (i 12 acc)
+      (setq acc (+ acc (join-process (fork-and-exec #'triple :argument n)))))))
 (defun mid (n) (+ 1 (leaf n)))
 (defun main (n) (+ (mid n) 1))
 ";
+
+/// The `dotimes` count of `DEEP_SEQ_WF`, its `join-process` calls per
+/// task: `main` suspends this often, more than the 8 deltas a chain
+/// holds before it is compacted, while its children never suspend.
+const JOINS: u64 = 12;
 
 /// Parallel-forking variant: the parent suspends once per child
 /// wake-up, so its repeated saves exercise the delta path (the sleeps
@@ -58,9 +63,6 @@ fn full_config() -> VinzConfig {
 fn delta_config() -> VinzConfig {
     VinzConfig {
         delta_snapshots: true,
-        // Compact every other save so the sweep crosses compaction
-        // boundaries many times per run, not just at the tail.
-        compact_every: 2,
         ..VinzConfig::default()
     }
 }
@@ -100,7 +102,8 @@ fn fail_sweep(test: &str, failures: Vec<String>) {
 /// 16 seeds, turbulence preset (drops, delays, duplicates, reordering —
 /// no crashes, so opcode totals are exactly comparable): the delta
 /// deployment must match the full-snapshot deployment opcode for
-/// opcode, and must actually take the delta path.
+/// opcode, must actually take the delta path, and must compact a chain
+/// on every seed.
 #[test]
 fn delta_resume_is_opcode_identical_sixteen_seeds() {
     let mut failures = Vec::new();
@@ -118,7 +121,7 @@ fn delta_resume_is_opcode_identical_sixteen_seeds() {
                 None,
             )
             .map_err(|e| format!("seed {seed}: {label}: {e}"))?;
-            if r.value != Value::Int(47) {
+            if r.value != Value::Int(JOINS as i64 * 15 + 2) {
                 return Err(format!("seed {seed}: {label}: wrong result {:?}", r.value));
             }
             Ok(r)
@@ -138,6 +141,18 @@ fn delta_resume_is_opcode_identical_sixteen_seeds() {
         }
         total_delta_saves += delta.delta_saves;
         total_persists += delta.persists;
+        // Every fiber's birth is a full save, and so is `main`'s first
+        // suspension; a full save beyond those is a compaction (or a
+        // save on a node the fiber migrated to).
+        let firsts = (JOINS + 1) + 1;
+        let full_saves = delta.persists - delta.delta_saves;
+        if full_saves <= firsts {
+            failures.push(format!(
+                "seed {seed}: no chain was compacted ({full_saves} full saves, \
+                 {} deltas)",
+                delta.delta_saves
+            ));
+        }
         if full.profile.opcodes != delta.profile.opcodes {
             failures.push(format!(
                 "seed {seed}: opcode counts diverge between snapshot formats:\n    \
@@ -153,7 +168,7 @@ fn delta_resume_is_opcode_identical_sixteen_seeds() {
             ));
         }
     }
-    // Three suspensions per fiber with two clean outer frames: the
+    // Twelve suspensions per task with two clean outer frames: the
     // sweep as a whole must exercise the delta path heavily, or the
     // equivalence above proved nothing.
     assert!(

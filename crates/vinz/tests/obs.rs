@@ -396,8 +396,6 @@ const FAMILY_SHAPES: &[&str] = &[
     "bluebox_tcp_remote_settles_total counter [] Remote settles applied to a live lease.",
     "bluebox_tcp_worker_connects_total counter [] Worker connections accepted.",
     "bluebox_tcp_worker_disconnects_total counter [] Worker connections lost or closed.",
-    "gozer_admission_delayed_total counter [service] Starts delayed by the admission gate before a decision.",
-    "gozer_admission_rejected_total counter [service] Starts shed by the admission gate.",
     "gozer_affinity_hits_total counter [] Affinity-stamped messages delivered to their affine node.",
     "gozer_affinity_misses_total counter [] Affinity-stamped messages delivered elsewhere (steal or dead node).",
     "gozer_dead_letters_total counter [] Messages quarantined after exhausting their redelivery budget.",

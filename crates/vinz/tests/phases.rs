@@ -99,7 +99,7 @@ fn chaos_run_ledgers(seed: u64) -> Result<(), String> {
         if rec.current_phase.is_some() {
             err.get_or_insert(format!("seed {seed}: task {} ledger left open", rec.id));
         }
-        // Admission lives outside the tracker window, always.
+        // Nothing records admission.
         if !rec.phases.get(Phase::Admission).is_zero() {
             err.get_or_insert(format!(
                 "seed {seed}: task {} banked admission time inside its ledger",
@@ -121,9 +121,6 @@ fn chaos_run_ledgers(seed: u64) -> Result<(), String> {
         .unwrap_or((0, 0));
     let mut phase_nanos = 0u64;
     for phase in Phase::ALL {
-        if phase == Phase::Admission {
-            continue;
-        }
         if let Some(h) = delta.histogram(&format!(
             "gozer_task_phase_seconds{{phase=\"{}\",service=\"workflow\"}}",
             phase.as_str()

@@ -8,6 +8,11 @@
 #                    suites (crates/*/tests/*.rs and tests/*.rs)
 #   instant_now_src  lines reading `Instant::now` in the bluebox, vinz
 #                    and obs sources
+#   config_fields    pub fields of `VinzConfig` (crates/vinz/src/service.rs)
+#   format_in_host   lines calling `format!` in crates/vinz/src/host.rs
+#   string_id_fields `String` / `Option<String>` fields named task,
+#                    fiber, child, parent or target in
+#                    crates/obs/src/event.rs
 #
 #   sh scripts/ratchet.sh           print every count
 #   sh scripts/ratchet.sh --check   also compare them with RATCHET
@@ -57,6 +62,16 @@ counts() {
     echo "sleep_in_suites $(cat crates/*/tests/*.rs tests/*.rs | grep -c 'thread::sleep' || true)"
     echo "instant_now_src $(find crates/bluebox/src crates/vinz/src crates/obs/src -name '*.rs' \
         -exec cat {} + | grep -c 'Instant::now' || true)"
+    echo "config_fields $(awk '
+        /^pub struct VinzConfig \{/ { inside = 1; next }
+        inside && /^\}/ { inside = 0 }
+        inside && /^[ \t]*pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }
+    ' crates/vinz/src/service.rs)"
+    echo "format_in_host $(grep -c 'format!' crates/vinz/src/host.rs || true)"
+    echo "string_id_fields $(grep -cE \
+        '^[ \t]*(pub[ \t]+)?(task|fiber|child|parent|target)[ \t]*:[ \t]*(Option<String>|String)[ \t]*,' \
+        crates/obs/src/event.rs || true)"
 }
 
 case "${1:-}" in
