@@ -4,7 +4,7 @@
 CARGO ?= cargo
 CHAOS_SEEDS ?= 16
 
-.PHONY: build test test-chaos test-repeat fuzz-smoke taskbench-smoke ci
+.PHONY: build test test-chaos test-repeat fuzz-smoke taskbench-smoke ab ci
 
 build:
 	$(CARGO) build --release
@@ -40,6 +40,13 @@ fuzz-smoke:
 # that no longer matches BENCHMARK.json is what fails.
 taskbench-smoke:
 	$(CARGO) run --release --offline --quiet --manifest-path taskbench/Cargo.toml -- --smoke
+
+# A/B timing of this tree against PARENT on the task-level benchmark:
+# PAIRS alternating pairs of AB_SECONDS per workload (scripts/ab.sh).
+PAIRS ?= 3
+AB_SECONDS ?= 3
+ab:
+	sh scripts/ab.sh "$(PARENT)" $(PAIRS) $(AB_SECONDS)
 
 ci:
 	sh scripts/ci.sh

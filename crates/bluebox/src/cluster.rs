@@ -1239,14 +1239,14 @@ fn instance_loop(
         // Manual kill before processing: die holding the message — the
         // lease reaper detects the dead holder and re-queues it.
         if *control.fault.lock() == Some(FaultPoint::BeforeProcess) {
-            cluster.obs.bus.emit(|| {
-                msg_event(&msg, |_, _| EventKind::InstanceCrashed {
-                    point: "before-process".into(),
-                })
-                .node(ctx.node_id)
-                .instance(ctx.instance_id)
-            });
-            control.alive.store(false, Ordering::Relaxed);
+            crash_with(
+                &cluster,
+                &control,
+                &msg,
+                FaultPoint::BeforeProcess,
+                &ctx,
+                false,
+            );
             break;
         }
         control.busy.store(true, Ordering::Relaxed);

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bluebox::{CallError, Cluster, Deployment, Fault, FaultPoint, Message, ReplyTo, ServiceCtx};
+use gozer_obs::EventKind;
 use parking_lot::Mutex;
 
 /// A deployment whose store has committed every watermark up to
@@ -36,6 +37,18 @@ fn attach_committed(cluster: &Cluster) -> Arc<AtomicU64> {
     };
     cluster.attach(Arc::new(deployment)).unwrap();
     committed
+}
+
+/// Wait up to 5 s for every instance of `service` to have died.
+fn wait_until_dead(cluster: &Cluster, service: &str) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while cluster.live_instances(service) > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "instance never crashed"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 #[test]
@@ -186,14 +199,7 @@ fn crash_before_process_redelivers_to_survivor() {
         cluster.send(Message::new("resilient", "Op", vec![]));
     }
     // Wait for the doomed instance to die.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while cluster.live_instances("resilient") > 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "instance never crashed"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_until_dead(&cluster, "resilient");
     assert_eq!(
         processed.load(Ordering::SeqCst),
         0,
@@ -210,6 +216,38 @@ fn crash_before_process_redelivers_to_survivor() {
     let snap = cluster.metrics.snapshot();
     assert!(snap.redelivered >= 1, "the doomed delivery was redelivered");
     cluster.shutdown();
+}
+
+#[test]
+fn a_killed_instance_emits_one_crash_event_naming_it() {
+    for (point, label) in [
+        (FaultPoint::BeforeProcess, "before-process"),
+        (FaultPoint::AfterProcess, "after-process"),
+    ] {
+        let cluster = Cluster::new();
+        cluster.obs().bus.set_enabled(true);
+        cluster.register_service(
+            "doomed",
+            None,
+            Arc::new(|_: &ServiceCtx, _: &Message| Ok(vec![])),
+        );
+        let ids = cluster.spawn_instances("doomed", 0, 1);
+        cluster.kill_instance(ids[0], point);
+        cluster.send(Message::new("doomed", "Op", vec![]));
+        wait_until_dead(&cluster, "doomed");
+        let crashes: Vec<_> = cluster
+            .obs()
+            .bus
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::InstanceCrashed { point } => Some((point, e.instance)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashes, vec![(label.to_string(), Some(ids[0]))]);
+        cluster.shutdown();
+    }
 }
 
 #[test]
@@ -273,14 +311,7 @@ fn after_process_redelivery_is_idempotent_when_keyed_by_message_id() {
     let ids = cluster.spawn_instances("ledger", 0, 1);
     cluster.kill_instance(ids[0], FaultPoint::AfterProcess);
     cluster.send(Message::new("ledger", "Credit", vec![]));
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while cluster.live_instances("ledger") > 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "instance never crashed"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_until_dead(&cluster, "ledger");
     // Survivor receives the redelivery of the already-processed message.
     cluster.spawn_instances("ledger", 1, 1);
     assert!(cluster.drain("ledger", Duration::from_secs(10)));

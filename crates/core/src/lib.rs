@@ -68,7 +68,7 @@ pub use gozer_vm::{
     Condition, FiberState, FnProfile, Gvm, ProfileReport, RunOutcome, SerialCostSnapshot,
     Suspension, VmError,
 };
-pub use gozer_xml::{Element, QName, ServiceDescription};
+pub use gozer_xml::ServiceDescription;
 pub use vinz::{
     DurabilityTicket, LogStats, LogStore, LogStoreBuilder, MemStore, StateStore, StoreError,
     SupervisorConfig, TaskRecord, TaskStatus, VinzConfig, VinzError, Watermark, WorkflowObs,

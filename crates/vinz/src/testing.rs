@@ -7,7 +7,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex as StdMutex, Once, Weak};
 use std::time::Duration;
 
-use bluebox::{Cluster, Fault, Message, ServiceCtx};
+use bluebox::{Cluster, Fault, Handler, Message, ServiceCtx};
 use gozer_compress::Codec;
 use gozer_lang::Value;
 use gozer_serial::{deserialize_value, serialize_value};
@@ -30,23 +30,27 @@ pub fn register_value_service(
     desc: Option<ServiceDescription>,
     f: impl Fn(&str, Value) -> Result<Value, Fault> + Send + Sync + 'static,
 ) {
+    cluster.register_service(name, desc, value_handler(f));
+}
+
+/// The handler [`register_value_service`] registers: it decodes the
+/// request value, calls `f` and encodes its reply.
+pub fn value_handler(
+    f: impl Fn(&str, Value) -> Result<Value, Fault> + Send + Sync + 'static,
+) -> Arc<dyn Handler> {
     // A tiny VM used only to decode/encode values on the service side.
     let gvm = Gvm::with_pool_size(1);
-    cluster.register_service(
-        name,
-        desc,
-        Arc::new(move |_ctx: &ServiceCtx, msg: &Message| {
-            let request = if msg.body.is_empty() {
-                Value::Nil
-            } else {
-                deserialize_value(&msg.body, &gvm)
-                    .map_err(|e| Fault::new("{vinz}BadRequest", e.to_string()))?
-            };
-            let reply = f(&msg.operation, request)?;
-            serialize_value(&reply, Codec::Deflate)
-                .map_err(|e| Fault::new("{vinz}BadReply", e.to_string()))
-        }),
-    );
+    Arc::new(move |_ctx: &ServiceCtx, msg: &Message| {
+        let request = if msg.body.is_empty() {
+            Value::Nil
+        } else {
+            deserialize_value(&msg.body, &gvm)
+                .map_err(|e| Fault::new("{vinz}BadRequest", e.to_string()))?
+        };
+        let reply = f(&msg.operation, request)?;
+        serialize_value(&reply, Codec::Deflate)
+            .map_err(|e| Fault::new("{vinz}BadReply", e.to_string()))
+    })
 }
 
 /// A slow echo-ish "compute" service: takes `{:n <int>}`-shaped requests,

@@ -5,11 +5,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bluebox::{Cluster, Fault};
+use bluebox::{Cluster, Fault, Message, ServiceCtx};
 use gozer_lang::Value;
 use gozer_obs::EventKind;
 use gozer_xml::ServiceDescription;
-use vinz::testing::register_value_service;
+use parking_lot::Mutex;
+use vinz::testing::{register_value_service, value_handler};
 use vinz::{TaskStatus, WorkflowService};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -26,36 +27,52 @@ fn security_manager_desc() -> ServiceDescription {
 }
 
 fn cluster_with_sm() -> Arc<Cluster> {
+    cluster_with_sm_recording().0
+}
+
+/// A cluster with two SecurityManager instances on node 0, and the
+/// `soap-action` header of every request they have received.
+fn cluster_with_sm_recording() -> (Arc<Cluster>, Arc<Mutex<Vec<String>>>) {
     let cluster = Cluster::new();
-    register_value_service(
-        &cluster,
+    let actions = Arc::new(Mutex::new(Vec::new()));
+    let seen = actions.clone();
+    let inner = value_handler(security_manager);
+    cluster.register_service(
         "SecurityManager",
         Some(security_manager_desc()),
-        |op, req| match op {
-            "ListSessions" => {
-                let realm = req
-                    .as_map()
-                    .and_then(|m| m.get(&Value::str("WithinRealm")).cloned())
-                    .unwrap_or(Value::Nil);
-                Ok(Value::list(vec![
-                    Value::str("session-1"),
-                    Value::str("session-2"),
-                    realm,
-                ]))
-            }
-            "Square" => {
-                let n = req
-                    .as_map()
-                    .and_then(|m| m.get(&Value::str("n")).cloned())
-                    .and_then(|v| v.as_int())
-                    .ok_or_else(|| Fault::new("{urn:sm}BadArg", "need n"))?;
-                Ok(Value::Int(n * n))
-            }
-            other => Err(Fault::new("{urn:sm}NoSuchOp", other)),
-        },
+        Arc::new(move |ctx: &ServiceCtx, msg: &Message| {
+            let action = msg.get_header("soap-action").unwrap_or_default();
+            seen.lock().push(action.to_string());
+            inner.handle(ctx, msg)
+        }),
     );
     cluster.spawn_instances("SecurityManager", 0, 2);
-    cluster
+    (cluster, actions)
+}
+
+fn security_manager(op: &str, req: Value) -> Result<Value, Fault> {
+    match op {
+        "ListSessions" => {
+            let realm = req
+                .as_map()
+                .and_then(|m| m.get(&Value::str("WithinRealm")).cloned())
+                .unwrap_or(Value::Nil);
+            Ok(Value::list(vec![
+                Value::str("session-1"),
+                Value::str("session-2"),
+                realm,
+            ]))
+        }
+        "Square" => {
+            let n = req
+                .as_map()
+                .and_then(|m| m.get(&Value::str("n")).cloned())
+                .and_then(|v| v.as_int())
+                .ok_or_else(|| Fault::new("{urn:sm}BadArg", "need n"))?;
+            Ok(Value::Int(n * n))
+        }
+        other => Err(Fault::new("{urn:sm}NoSuchOp", other)),
+    }
 }
 
 fn deploy(cluster: &Arc<Cluster>, source: &str) -> WorkflowService {
@@ -71,7 +88,7 @@ fn deploy(cluster: &Arc<Cluster>, source: &str) -> WorkflowService {
 fn deflink_generates_working_stubs() {
     // The Listing 2 shape: deflink at load, generated -Method function
     // with keyword args, non-blocking call, response parse.
-    let cluster = cluster_with_sm();
+    let (cluster, actions) = cluster_with_sm_recording();
     let wf = deploy(
         &cluster,
         "(deflink SM :wsdl \"urn:security-manager-service\" :port \"SecurityManager\")
@@ -86,6 +103,11 @@ fn deflink_generates_working_stubs() {
             Value::str("session-2"),
             Value::str("prod"),
         ])
+    );
+    // The stub carries the description's SOAP action for its operation.
+    assert_eq!(
+        *actions.lock(),
+        ["urn:security-manager-service:ListSessions"]
     );
     cluster.shutdown();
 }
