@@ -42,7 +42,12 @@ taskbench-smoke:
 	$(CARGO) run --release --offline --quiet --manifest-path taskbench/Cargo.toml -- --smoke
 
 # A/B timing of this tree against PARENT on the task-level benchmark:
-# PAIRS alternating pairs of AB_SECONDS per workload (scripts/ab.sh).
+# PAIRS interleaved pairs of AB_SECONDS per workload, each with a third
+# run of the parent against itself (A/A). Per metric x workload it
+# prints change/parent beside the A/A spread (the largest |aa/parent - 1|
+# over the pairs) and a verdict, `better`, `worse` or `unresolved`:
+# unresolved unless |change/parent - 1| exceeds the A/A spread
+# (scripts/ab.sh).
 PAIRS ?= 3
 AB_SECONDS ?= 3
 ab:

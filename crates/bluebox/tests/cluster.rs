@@ -575,10 +575,22 @@ fn detach_releases_only_what_is_durable_and_frees_the_slot() {
     cluster.send(Message::new("gated5", "Op", vec![]).with_hold_until(1));
     cluster.send(Message::new("gated5", "Op", vec![]).with_hold_until(5));
     assert_eq!(cluster.held_count(), 2);
-    // Committed, but the hook's notification has not come.
-    committed.store(1, Ordering::SeqCst);
+    // Nothing is committed yet, so no reaper scan releases a message
+    // while the wrong name detaches; and none can re-attach the holder.
     cluster.detach("someone-else");
     assert_eq!(cluster.held_count(), 2, "only the holder detaches");
+    let next = Arc::new(Committed {
+        name: "next",
+        committed: Arc::new(AtomicU64::new(0)),
+    });
+    assert_eq!(
+        cluster.attach(next.clone()),
+        Err("committed".to_string()),
+        "only the holder detaches"
+    );
+    // Committed, but the hook's notification has not come. Detach
+    // releases the message if the reaper's re-probe has not already.
+    committed.store(1, Ordering::SeqCst);
     cluster.detach("committed");
     assert_eq!(cluster.held_count(), 0);
     assert!(cluster.drain("gated5", Duration::from_secs(2)));
@@ -586,11 +598,7 @@ fn detach_releases_only_what_is_durable_and_frees_the_slot() {
     cluster.note_durable(5);
     assert!(cluster.drain("gated5", Duration::from_secs(2)));
     assert_eq!(delivered.load(Ordering::SeqCst), 1, "dropped, not held");
-    let next = Committed {
-        name: "next",
-        committed: Arc::new(AtomicU64::new(0)),
-    };
-    assert_eq!(cluster.attach(Arc::new(next)), Ok(()));
+    assert_eq!(cluster.attach(next), Ok(()));
     cluster.shutdown();
 }
 

@@ -25,6 +25,6 @@ pub mod symbol;
 pub mod value;
 
 pub use error::LangError;
-pub use reader::{NoEval, ReadEval, ReadTable, Reader};
+pub use reader::{Cursor, NoEval, ReadEval, ReadTable, Reader};
 pub use symbol::{symbol_name, Symbol};
 pub use value::{AssocMap, Callable, Opaque, Value};

@@ -9,6 +9,14 @@
 //! User-defined handlers are Gozer functions `(lambda (the-stream c) ...)`;
 //! running them requires an evaluator, which the reader reaches through the
 //! [`ReadEval`] callback so this crate does not depend on the VM.
+//!
+//! The reader reads the source text in place through a [`Cursor`] it owns:
+//! a byte offset, a line and a column, no lock and no copy of the text per
+//! character, and the read table indexes ASCII macro characters directly.
+//! Only a user handler sees a [`SharedStream`]: the reader lends the
+//! function its cursor inside one, and takes it back, wherever the
+//! function's `read`, `read-char` and `peek-char` calls left it, when the
+//! function returns.
 
 use std::fmt;
 use std::sync::Arc;
@@ -40,86 +48,137 @@ impl ReadEval for NoEval {
     }
 }
 
-/// A character stream with position tracking, shareable with Gozer code as
-/// an opaque value (reader-macro functions receive it as `the-stream`).
-#[derive(Clone)]
-pub struct SharedStream {
-    inner: Arc<Mutex<StreamInner>>,
-}
-
-struct StreamInner {
-    chars: Vec<char>,
+/// A read position in a source text: the text, the byte offset of the
+/// next character, that character's 1-based line and column, and the
+/// nesting depth of the form being read.
+///
+/// The reader reads through a cursor it owns, one plain field access
+/// per character. While a user reader macro runs, the reader lends its
+/// cursor to a [`SharedStream`] that the macro function receives, and
+/// takes it back when the function returns.
+#[derive(Clone, Default)]
+pub struct Cursor {
+    src: Arc<str>,
     pos: usize,
     line: u32,
     col: u32,
     depth: u32,
 }
 
-impl SharedStream {
-    /// Create a stream over the whole of `src`.
+impl Cursor {
+    /// A cursor at the start of `src`.
     pub fn new(src: &str) -> Self {
-        SharedStream {
-            inner: Arc::new(Mutex::new(StreamInner {
-                chars: src.chars().collect(),
-                pos: 0,
-                line: 1,
-                col: 1,
-                depth: 0,
-            })),
+        Cursor {
+            src: Arc::from(src),
+            pos: 0,
+            line: 1,
+            col: 1,
+            depth: 0,
         }
     }
 
-    /// Peek without consuming.
+    /// The next character, not consumed.
+    #[inline]
     pub fn peek(&self) -> Option<char> {
-        let inner = self.inner.lock();
-        inner.chars.get(inner.pos).copied()
-    }
-
-    /// Consume and return the next character.
-    pub fn next(&self) -> Option<char> {
-        let mut inner = self.inner.lock();
-        let c = inner.chars.get(inner.pos).copied()?;
-        inner.pos += 1;
-        if c == '\n' {
-            inner.line += 1;
-            inner.col = 1;
+        let b = *self.src.as_bytes().get(self.pos)?;
+        if b.is_ascii() {
+            Some(b as char)
         } else {
-            inner.col += 1;
+            self.src[self.pos..].chars().next()
         }
-        Some(c)
-    }
-
-    /// Current (line, column), 1-based.
-    pub fn position(&self) -> (u32, u32) {
-        let inner = self.inner.lock();
-        (inner.line, inner.col)
     }
 
     fn err(&self, msg: impl Into<String>) -> LangError {
-        let (l, c) = self.position();
-        LangError::at(msg, l, c)
+        LangError::at(msg, self.line, self.col)
     }
 
     /// Increment the nesting depth, failing beyond the cap (prevents
     /// stack exhaustion on pathological inputs like ten thousand open
     /// parentheses).
-    pub(crate) fn enter(&self) -> Result<(), LangError> {
-        let mut inner = self.inner.lock();
-        if inner.depth >= MAX_NESTING {
-            return Err(LangError::at(
-                format!("nesting deeper than {MAX_NESTING}"),
-                inner.line,
-                inner.col,
-            ));
+    fn enter(&mut self) -> Result<(), LangError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING}")));
         }
-        inner.depth += 1;
+        self.depth += 1;
         Ok(())
     }
 
     /// Decrement the nesting depth.
-    pub(crate) fn leave(&self) {
-        let mut inner = self.inner.lock();
-        inner.depth = inner.depth.saturating_sub(1);
+    fn leave(&mut self) {
+        self.depth = self.depth.saturating_sub(1);
+    }
+}
+
+impl Iterator for Cursor {
+    type Item = char;
+
+    /// Consume and return the next character.
+    #[inline]
+    fn next(&mut self) -> Option<char> {
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        if c == '\n' {
+            self.line += 1;
+            self.col = 1;
+        } else {
+            self.col += 1;
+        }
+        Some(c)
+    }
+}
+
+/// A character stream shareable with Gozer code as an opaque value:
+/// reader-macro functions receive one as `the-stream`, and
+/// `make-string-stream` makes one. It holds a [`Cursor`]; a read from
+/// the stream takes the cursor out for the length of that read
+/// ([`SharedStream::with_cursor`]), and the stream the reader lends a
+/// macro function holds the reader's own cursor until the function
+/// returns. Either way the stream is at end of input while its cursor
+/// is out.
+#[derive(Clone)]
+pub struct SharedStream {
+    cursor: Arc<Mutex<Cursor>>,
+}
+
+impl SharedStream {
+    /// Create a stream over the whole of `src`.
+    pub fn new(src: &str) -> Self {
+        SharedStream::lend(Cursor::new(src))
+    }
+
+    fn lend(cursor: Cursor) -> Self {
+        SharedStream {
+            cursor: Arc::new(Mutex::new(cursor)),
+        }
+    }
+
+    fn take_back(&self) -> Cursor {
+        std::mem::take(&mut *self.cursor.lock())
+    }
+
+    /// Peek without consuming.
+    pub fn peek(&self) -> Option<char> {
+        self.cursor.lock().peek()
+    }
+
+    /// Consume and return the next character.
+    pub fn next(&self) -> Option<char> {
+        self.cursor.lock().next()
+    }
+
+    /// Current (line, column), 1-based; columns count characters.
+    pub fn position(&self) -> (u32, u32) {
+        let cursor = self.cursor.lock();
+        (cursor.line, cursor.col)
+    }
+
+    /// Run `f` on the stream's cursor, taken out of the stream (and out
+    /// of its lock) until `f` returns: how `read` reads a stream.
+    pub fn with_cursor<R>(&self, f: impl FnOnce(&mut Cursor) -> R) -> R {
+        let mut cursor = self.take_back();
+        let out = f(&mut cursor);
+        *self.cursor.lock() = cursor;
+        out
     }
 }
 
@@ -142,7 +201,7 @@ impl Opaque for SharedStream {
 /// Handler invoked when a macro character is encountered. `None` means the
 /// handler consumed input but produced no form (comments).
 type NativeHandler =
-    fn(&Reader, &SharedStream, char, &mut dyn ReadEval) -> Result<Option<Value>, LangError>;
+    fn(&Reader, &mut Cursor, char, &mut dyn ReadEval) -> Result<Option<Value>, LangError>;
 
 /// A reader-macro handler: built-in (Rust) or user-supplied (Gozer
 /// function of `(the-stream char)`).
@@ -162,55 +221,76 @@ struct MacroEntry {
     terminating: bool,
 }
 
-/// The mapping from macro characters to handlers.
-#[derive(Clone, Default)]
+/// The mapping from macro characters to handlers: ASCII characters by
+/// index, any others by hash. Cloning it is one reference count;
+/// [`ReadTable::set_macro_character`] copies the entries only when a
+/// clone still shares them.
+#[derive(Clone)]
 pub struct ReadTable {
-    entries: FxHashMap<char, MacroEntry>,
+    entries: Arc<Entries>,
+}
+
+#[derive(Clone)]
+struct Entries {
+    ascii: [Option<MacroEntry>; 128],
+    other: FxHashMap<char, MacroEntry>,
 }
 
 impl ReadTable {
     /// The standard Gozer read table.
     pub fn standard() -> Self {
-        let mut t = ReadTable::default();
-        t.set_native('(', read_list, true);
-        t.set_native(')', unexpected_close, true);
-        t.set_native('[', read_vector, true);
-        t.set_native(']', unexpected_close, true);
-        t.set_native('{', read_map, true);
-        t.set_native('}', unexpected_close, true);
-        t.set_native('"', read_string, true);
-        t.set_native('\'', read_quote, true);
-        t.set_native('`', read_quasiquote, true);
-        t.set_native(',', read_unquote, true);
-        t.set_native(';', read_line_comment, true);
-        t.set_native('#', read_dispatch, false);
+        let mut t = ReadTable {
+            entries: Arc::new(Entries {
+                ascii: std::array::from_fn(|_| None),
+                other: FxHashMap::default(),
+            }),
+        };
+        t.set('(', Handler::Native(read_list), true);
+        t.set(')', Handler::Native(unexpected_close), true);
+        t.set('[', Handler::Native(read_vector), true);
+        t.set(']', Handler::Native(unexpected_close), true);
+        t.set('{', Handler::Native(read_map), true);
+        t.set('}', Handler::Native(unexpected_close), true);
+        t.set('"', Handler::Native(read_string), true);
+        t.set('\'', Handler::Native(read_quote), true);
+        t.set('`', Handler::Native(read_quasiquote), true);
+        t.set(',', Handler::Native(read_unquote), true);
+        t.set(';', Handler::Native(read_line_comment), true);
+        t.set('#', Handler::Native(read_dispatch), false);
         t
     }
 
-    fn set_native(&mut self, c: char, h: NativeHandler, terminating: bool) {
-        self.entries.insert(
-            c,
-            MacroEntry {
-                handler: Handler::Native(h),
-                terminating,
-            },
-        );
+    fn set(&mut self, c: char, handler: Handler, terminating: bool) {
+        let entry = MacroEntry {
+            handler,
+            terminating,
+        };
+        let entries = Arc::make_mut(&mut self.entries);
+        match entries.ascii.get_mut(c as usize) {
+            Some(slot) => *slot = Some(entry),
+            None => {
+                entries.other.insert(c, entry);
+            }
+        }
     }
 
     /// Install a user macro character, as `set-macro-character` does.
     pub fn set_macro_character(&mut self, c: char, func: Value, terminating: bool) {
-        self.entries.insert(
-            c,
-            MacroEntry {
-                handler: Handler::User(func),
-                terminating,
-            },
-        );
+        self.set(c, Handler::User(func), terminating);
+    }
+
+    #[inline]
+    fn get(&self, c: char) -> Option<&MacroEntry> {
+        match self.entries.ascii.get(c as usize) {
+            Some(slot) => slot.as_ref(),
+            None => self.entries.other.get(&c),
+        }
     }
 
     /// Is `c` a terminating macro character?
+    #[inline]
     fn is_terminating(&self, c: char) -> bool {
-        self.entries.get(&c).map(|e| e.terminating).unwrap_or(false)
+        self.get(c).is_some_and(|e| e.terminating)
     }
 }
 
@@ -238,25 +318,24 @@ impl Reader {
 
     /// Read every form in `src` with the standard table and no evaluator.
     pub fn read_all_str(src: &str) -> Result<Vec<Value>, LangError> {
-        Reader::new().read_all(&SharedStream::new(src), &mut NoEval)
+        Reader::new().read_all(&mut Cursor::new(src), &mut NoEval)
     }
 
     /// Read a single form from `src`.
     pub fn read_one_str(src: &str) -> Result<Value, LangError> {
-        let stream = SharedStream::new(src);
         Reader::new()
-            .read(&stream, &mut NoEval)?
+            .read(&mut Cursor::new(src), &mut NoEval)?
             .ok_or_else(|| LangError::new("no form in input"))
     }
 
-    /// Read all remaining forms from `stream`.
+    /// Read all remaining forms from `cur`.
     pub fn read_all(
         &self,
-        stream: &SharedStream,
+        cur: &mut Cursor,
         eval: &mut dyn ReadEval,
     ) -> Result<Vec<Value>, LangError> {
         let mut forms = Vec::new();
-        while let Some(form) = self.read(stream, eval)? {
+        while let Some(form) = self.read(cur, eval)? {
             forms.push(form);
         }
         Ok(forms)
@@ -265,31 +344,34 @@ impl Reader {
     /// Read one form, or `None` at end of input.
     pub fn read(
         &self,
-        stream: &SharedStream,
+        cur: &mut Cursor,
         eval: &mut dyn ReadEval,
     ) -> Result<Option<Value>, LangError> {
         loop {
-            self.skip_whitespace(stream);
-            let Some(c) = stream.peek() else {
+            skip_whitespace(cur);
+            let Some(c) = cur.peek() else {
                 return Ok(None);
             };
-            if let Some(entry) = self.table.entries.get(&c).cloned() {
-                stream.next();
-                match entry.handler {
-                    Handler::Native(h) => {
-                        if let Some(v) = h(self, stream, c, eval)? {
-                            return Ok(Some(v));
-                        }
-                        // comment: loop for the next form
-                    }
-                    Handler::User(func) => {
-                        let args = [Value::Opaque(Arc::new(stream.clone())), Value::Char(c)];
-                        let v = eval.call_function(&func, &args)?;
+            let Some(entry) = self.table.get(c) else {
+                return self.read_token(cur).map(Some);
+            };
+            cur.next();
+            match &entry.handler {
+                Handler::Native(h) => {
+                    if let Some(v) = h(self, cur, c, eval)? {
                         return Ok(Some(v));
                     }
+                    // comment: loop for the next form
                 }
-            } else {
-                return Ok(Some(self.read_token(stream)?));
+                Handler::User(func) => {
+                    // Lend the cursor to the stream the function reads,
+                    // and take it back wherever the function left it.
+                    let stream = SharedStream::lend(std::mem::take(cur));
+                    let args = [Value::Opaque(Arc::new(stream.clone())), Value::Char(c)];
+                    let v = eval.call_function(func, &args);
+                    *cur = stream.take_back();
+                    return v.map(Some);
+                }
             }
         }
     }
@@ -297,76 +379,71 @@ impl Reader {
     /// Read one form, erroring at EOF (used inside delimited forms).
     fn read_required(
         &self,
-        stream: &SharedStream,
+        cur: &mut Cursor,
         eval: &mut dyn ReadEval,
         what: &str,
     ) -> Result<Value, LangError> {
-        self.read(stream, eval)?
-            .ok_or_else(|| stream.err(format!("unexpected end of input in {what}")))
-    }
-
-    fn skip_whitespace(&self, stream: &SharedStream) {
-        while let Some(c) = stream.peek() {
-            if c.is_whitespace() {
-                stream.next();
-            } else {
-                break;
-            }
-        }
+        self.read(cur, eval)?
+            .ok_or_else(|| cur.err(format!("unexpected end of input in {what}")))
     }
 
     /// Read forms until `close`, consuming it.
     fn read_delimited(
         &self,
-        stream: &SharedStream,
+        cur: &mut Cursor,
         eval: &mut dyn ReadEval,
         close: char,
         what: &str,
     ) -> Result<Vec<Value>, LangError> {
-        stream.enter()?;
-        let result = self.read_delimited_inner(stream, eval, close, what);
-        stream.leave();
+        cur.enter()?;
+        let result = self.read_delimited_inner(cur, eval, close, what);
+        cur.leave();
         result
     }
 
     fn read_delimited_inner(
         &self,
-        stream: &SharedStream,
+        cur: &mut Cursor,
         eval: &mut dyn ReadEval,
         close: char,
         what: &str,
     ) -> Result<Vec<Value>, LangError> {
         let mut items = Vec::new();
         loop {
-            self.skip_whitespace(stream);
-            match stream.peek() {
-                None => return Err(stream.err(format!("unterminated {what}"))),
+            skip_whitespace(cur);
+            match cur.peek() {
+                None => return Err(cur.err(format!("unterminated {what}"))),
                 Some(c) if c == close => {
-                    stream.next();
+                    cur.next();
                     return Ok(items);
                 }
                 Some(';') => {
-                    stream.next();
-                    read_line_comment(self, stream, ';', eval)?;
+                    cur.next();
+                    read_line_comment(self, cur, ';', eval)?;
                 }
-                _ => items.push(self.read_required(stream, eval, what)?),
+                _ => items.push(self.read_required(cur, eval, what)?),
             }
         }
     }
 
-    fn read_token(&self, stream: &SharedStream) -> Result<Value, LangError> {
-        let mut tok = String::new();
-        while let Some(c) = stream.peek() {
+    fn read_token(&self, cur: &mut Cursor) -> Result<Value, LangError> {
+        let start = cur.pos;
+        while let Some(c) = cur.peek() {
             if c.is_whitespace() || self.table.is_terminating(c) {
                 break;
             }
-            tok.push(c);
-            stream.next();
+            cur.next();
         }
-        if tok.is_empty() {
-            return Err(stream.err("empty token"));
+        if cur.pos == start {
+            return Err(cur.err("empty token"));
         }
-        Ok(classify_token(&tok))
+        Ok(classify_token(&cur.src[start..cur.pos]))
+    }
+}
+
+fn skip_whitespace(cur: &mut Cursor) {
+    while cur.peek().is_some_and(char::is_whitespace) {
+        cur.next();
     }
 }
 
@@ -413,7 +490,7 @@ fn parse_number(tok: &str) -> Option<Value> {
 
 fn read_list(
     r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     _c: char,
     e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
@@ -422,7 +499,7 @@ fn read_list(
 
 fn read_vector(
     r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     _c: char,
     e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
@@ -431,7 +508,7 @@ fn read_vector(
 
 fn read_map(
     r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     _c: char,
     e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
@@ -449,7 +526,7 @@ fn read_map(
 
 fn unexpected_close(
     _r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     c: char,
     _e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
@@ -458,7 +535,7 @@ fn unexpected_close(
 
 fn read_string(
     _r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     _c: char,
     _e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
@@ -486,7 +563,7 @@ fn wrap(head: &str, form: Value) -> Value {
 
 fn read_quote(
     r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     _c: char,
     e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
@@ -495,7 +572,7 @@ fn read_quote(
 
 fn read_quasiquote(
     r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     _c: char,
     e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
@@ -507,7 +584,7 @@ fn read_quasiquote(
 
 fn read_unquote(
     r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     _c: char,
     e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
@@ -522,15 +599,11 @@ fn read_unquote(
 
 fn read_line_comment(
     _r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     _c: char,
     _e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
-    while let Some(c) = s.next() {
-        if c == '\n' {
-            break;
-        }
-    }
+    s.find(|&c| c == '\n');
     Ok(None)
 }
 
@@ -538,7 +611,7 @@ fn read_line_comment(
 /// block comments (nesting).
 fn read_dispatch(
     r: &Reader,
-    s: &SharedStream,
+    s: &mut Cursor,
     _c: char,
     e: &mut dyn ReadEval,
 ) -> Result<Option<Value>, LangError> {
@@ -570,7 +643,7 @@ fn read_dispatch(
     }
 }
 
-fn read_char_literal(s: &SharedStream) -> Result<Value, LangError> {
+fn read_char_literal(s: &mut Cursor) -> Result<Value, LangError> {
     let Some(first) = s.next() else {
         return Err(s.err("unexpected end of input after #\\"));
     };
@@ -695,7 +768,10 @@ mod tests {
                 // the stream and wrap it.
                 let stream = args[0].as_opaque::<SharedStream>().unwrap().clone();
                 let r = Reader::new();
-                let name = r.read(&stream, &mut NoEval).unwrap().unwrap();
+                let name = stream
+                    .with_cursor(|cur| r.read(cur, &mut NoEval))
+                    .unwrap()
+                    .unwrap();
                 Ok(Value::list(vec![
                     Value::symbol("%get-task-var"),
                     Value::list(vec![Value::symbol("quote"), name]),
@@ -704,8 +780,8 @@ mod tests {
         }
         let mut reader = Reader::new();
         reader.table.set_macro_character('^', Value::Nil, true);
-        let stream = SharedStream::new("^exit-flag^");
-        let form = reader.read(&stream, &mut TaskVarEval).unwrap().unwrap();
+        let mut cur = Cursor::new("^exit-flag^");
+        let form = reader.read(&mut cur, &mut TaskVarEval).unwrap().unwrap();
         assert_eq!(form.to_string(), "(%get-task-var (quote exit-flag^))");
     }
 

@@ -11,7 +11,7 @@ use gozer_obs::{
 };
 use gozer_vm::{ProfileReport, SerialCostSnapshot};
 
-use crate::service::{Inner, VinzMetrics, ADMIN_NODE};
+use crate::service::{Inner, VinzMetrics};
 use crate::tracker::{TaskStatus, TaskTracker};
 
 /// The observability view of a deployed workflow service, returned by
@@ -112,14 +112,11 @@ impl WorkflowObs {
 impl Inner {
     /// Merge every node VM's profiler snapshot into one
     /// [`ProfileReport`] and fill in the continuation costs from the
-    /// save/load counters. The admin runtime is skipped (it never
-    /// executes workflow fibers, and its profiler is never enabled).
+    /// save/load counters.
     pub(crate) fn profile_report(&self) -> ProfileReport {
         let mut report = ProfileReport::default();
         for rt in self.nodes.read().values() {
-            if rt.node_id != ADMIN_NODE {
-                report.merge(&rt.gvm.profiler().snapshot());
-            }
+            report.merge(&rt.gvm.profiler().snapshot());
         }
         let m = &self.metrics;
         let load = |handle: &AtomicU64| handle.load(Ordering::Relaxed);

@@ -36,9 +36,6 @@ use crate::tracker::{TaskRecord, TaskStatus, TaskTracker};
 
 pub use crate::observe::WorkflowObs;
 
-/// Node id used by the client-side (non-instance) runtime.
-pub(crate) const ADMIN_NODE: u32 = u32::MAX;
-
 /// Deployment configuration.
 #[derive(Debug, Clone)]
 pub struct VinzConfig {
@@ -297,10 +294,13 @@ impl WorkflowServiceBuilder {
     /// Compile the source, register the service on the cluster, and
     /// spawn any requested instances.
     ///
-    /// The source is compiled eagerly on an admin runtime so deployment
-    /// fails fast on compile errors; each node instance re-loads the same
-    /// source lazily, which is what lets migrated continuations re-link
-    /// (program ids are content-derived).
+    /// Before the deployment attaches, it builds the runtime (one GVM
+    /// with the Vinz prelude and the source loaded) of every node it
+    /// places instances on, or node 0's when it places none, so a
+    /// compile error fails the deploy. A node that gets instances later
+    /// builds its runtime on its first message. Every node loads the
+    /// same source under the same unit name, which is what lets
+    /// migrated continuations re-link (program ids are content-derived).
     ///
     /// A cluster serves one workflow deployment at a time
     /// ([`Cluster::attach`]), so deploying on a cluster that has one
@@ -329,7 +329,13 @@ impl WorkflowServiceBuilder {
         });
         // Fail fast on compile errors and on addresses that cannot be
         // bound, before the deployment attaches.
-        inner.node_runtime(ADMIN_NODE)?;
+        let mut placed = self.instances.iter().filter(|(_, n)| *n > 0).peekable();
+        if placed.peek().is_none() {
+            inner.node_runtime(0)?;
+        }
+        for (node_id, _) in placed {
+            inner.node_runtime(*node_id)?;
+        }
         let introspect = self.introspect_addr.as_deref().map(|addr| {
             let source = Arc::new(VinzIntrospect {
                 inner: inner.clone(),
@@ -496,15 +502,12 @@ impl WorkflowService {
         }
     }
 
-    /// Per-node runtimes created so far (for cache statistics).
+    /// The deployment's node runtimes, one per node: those
+    /// [`WorkflowServiceBuilder::deploy`] built for the nodes it placed
+    /// instances on (node 0's when it placed none), and one for each
+    /// node that has run a message since.
     pub fn node_runtimes(&self) -> Vec<Arc<NodeRuntime>> {
-        self.inner
-            .nodes
-            .read()
-            .values()
-            .filter(|n| n.node_id != ADMIN_NODE)
-            .cloned()
-            .collect()
+        self.inner.nodes.read().values().cloned().collect()
     }
 
     /// The underlying store (for experiment instrumentation).
@@ -696,31 +699,29 @@ impl Inner {
             .map_err(|e| VinzError(format!("workflow source failed to load: {e}")))?;
         // The VM leg of the observability layer: continuation captures
         // and re-entries, correlated through the fiber's ext map.
-        if node_id != ADMIN_NODE {
-            let obs = self.obs.clone();
-            gvm.set_fiber_observer(Some(Arc::new(move |e: &FiberObsEvent<'_>| {
-                let kind = match e.kind {
-                    FiberObsKind::Suspended { frames } => EventKind::VmSuspend { frames },
-                    FiberObsKind::Resumed => EventKind::VmResume,
-                    // Completion/failure already appear as lifecycle
-                    // events (FiberDone / TaskDone).
-                    FiberObsKind::Completed | FiberObsKind::Failed => return,
-                };
-                obs.bus.emit(|| {
-                    let id = |slot| e.ext.get(slot).and_then(|v| v.as_str().map(str::to_owned));
-                    Event::new(kind)
-                        .node(node_id)
-                        .task_opt(id("task-id"))
-                        .fiber_opt(id("fiber-id"))
-                });
-            })));
-            // Profiling is enabled only now, after the prelude and the
-            // workflow source have loaded: load-time opcode execution
-            // would otherwise drown the workflow's own opcode mix (and
-            // vary with source size rather than behaviour).
-            if self.config.profiling {
-                gvm.profiler().set_enabled(true);
-            }
+        let obs = self.obs.clone();
+        gvm.set_fiber_observer(Some(Arc::new(move |e: &FiberObsEvent<'_>| {
+            let kind = match e.kind {
+                FiberObsKind::Suspended { frames } => EventKind::VmSuspend { frames },
+                FiberObsKind::Resumed => EventKind::VmResume,
+                // Completion/failure already appear as lifecycle
+                // events (FiberDone / TaskDone).
+                FiberObsKind::Completed | FiberObsKind::Failed => return,
+            };
+            obs.bus.emit(|| {
+                let id = |slot| e.ext.get(slot).and_then(|v| v.as_str().map(str::to_owned));
+                Event::new(kind)
+                    .node(node_id)
+                    .task_opt(id("task-id"))
+                    .fiber_opt(id("fiber-id"))
+            });
+        })));
+        // Profiling is enabled only now, after the prelude and the
+        // workflow source have loaded: load-time opcode execution
+        // would otherwise drown the workflow's own opcode mix (and
+        // vary with source size rather than behaviour).
+        if self.config.profiling {
+            gvm.profiler().set_enabled(true);
         }
         let rt = Arc::new(NodeRuntime {
             node_id,

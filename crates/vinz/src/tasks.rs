@@ -19,7 +19,7 @@ use gozer_serial::{deserialize_value, serialize_value};
 use gozer_vm::Condition;
 
 use crate::locks::{JOIN_DEADLINE, LOCK_WAIT};
-use crate::service::{Inner, VinzError, ADMIN_NODE};
+use crate::service::{Inner, NodeRuntime, VinzError};
 use crate::tracker::TaskStatus;
 
 /// The main fiber of `task_id`.
@@ -43,9 +43,11 @@ impl Inner {
         args: Vec<Value>,
         deadline: Option<Duration>,
     ) -> Result<String, VinzError> {
-        // A one-way send has no reply to carry "no such function".
-        let admin = self.node_runtime(ADMIN_NODE)?;
-        if admin.gvm.function(function).is_none() {
+        // A one-way send has no reply to carry "no such function". Every
+        // node loads the same source, so any runtime answers; `deploy`
+        // built at least one.
+        let defined = |rt: &Arc<NodeRuntime>| rt.gvm.function(function).is_some();
+        if !self.nodes.read().values().any(defined) {
             return Err(VinzError(format!(
                 "workflow function {function} is not defined"
             )));

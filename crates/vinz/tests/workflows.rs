@@ -972,6 +972,59 @@ fn wakeup_that_beats_its_suspension_is_retried_not_lost() {
 
 // ---- Start names its task ---------------------------------------------------
 
+/// A deployment builds one VM per node it places instances on, all of
+/// them before it attaches, and no other: its first task builds none,
+/// and `start` checks a function name against one of them.
+#[test]
+fn one_runtime_per_node_built_before_the_first_task() {
+    let cluster = Cluster::new();
+    let wf = WorkflowService::builder(&cluster, "wf")
+        .source("(defun main () (+ 20 22))")
+        .instances(0, 2)
+        .instances(1, 1)
+        .deploy()
+        .unwrap();
+    let nodes = |wf: &WorkflowService| {
+        let mut ids: Vec<u32> = wf.node_runtimes().iter().map(|rt| rt.node_id).collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(nodes(&wf), [0, 1]);
+    let rts = wf.node_runtimes();
+    assert!(!Arc::ptr_eq(&rts[0].gvm, &rts[1].gvm), "a VM per node");
+    assert!(wf.start("no-such-function", vec![], None).is_err());
+    assert_eq!(wf.call("main", vec![], TIMEOUT).unwrap(), Value::Int(42));
+    assert_eq!(nodes(&wf), [0, 1]);
+    drop(wf);
+    // A deployment that places no instances still builds node 0's, so
+    // its source is compiled before it attaches.
+    let wf = WorkflowService::builder(&cluster, "wf")
+        .source("(defun main () :ok)")
+        .deploy()
+        .unwrap();
+    assert_eq!(nodes(&wf), [0]);
+    assert!(wf.start("no-such-function", vec![], None).is_err());
+    cluster.shutdown();
+}
+
+/// A source that reads but does not compile fails the deploy too, and
+/// leaves the cluster free.
+#[test]
+fn a_compile_error_fails_the_deploy() {
+    let cluster = Cluster::new();
+    let err = WorkflowService::builder(&cluster, "wf")
+        .source("(defun ok () 1)\n(defun main () (if))")
+        .instances(0, 1)
+        .instances(1, 1)
+        .deploy()
+        .err()
+        .expect("a compile error must fail the deploy");
+    assert!(err.0.contains("compile error"), "{err}");
+    let wf = deploy(&cluster, "(defun main () (+ 20 22))");
+    assert_eq!(wf.call("main", vec![], TIMEOUT).unwrap(), Value::Int(42));
+    cluster.shutdown();
+}
+
 /// `start` returns as soon as the `Start` is sent, so a `Start` that
 /// cannot begin its task has nobody to fault to: the task it names ends
 /// `Failed` instead — whoever chose the name, the service's own

@@ -278,12 +278,29 @@ impl Program {
 /// FNV-1a 64-bit hash, used to derive stable [`Program::id`]s from source
 /// text (stable across processes, unlike `DefaultHasher`).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    fnv1a64_feed(0xcbf29ce484222325, bytes)
+}
+
+fn fnv1a64_feed(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+}
+
+/// [`fnv1a64`] of the text `args` formats, fed to the hash as it is
+/// written rather than collected into a `String` first.
+pub(crate) fn fnv1a64_fmt(args: fmt::Arguments<'_>) -> u64 {
+    struct Fnv(u64);
+    impl fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = fnv1a64_feed(self.0, s.as_bytes());
+            Ok(())
+        }
     }
-    h
+    let mut h = Fnv(fnv1a64(b""));
+    // `Fnv` never fails, and no `Display`/`Debug` of a value does.
+    let _ = fmt::write(&mut h, args);
+    h.0
 }
 
 /// Render a chunk's code for debugging and the `disassemble` builtin.
@@ -344,6 +361,15 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), fnv1a64(b"a"));
         assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+    }
+
+    #[test]
+    fn fnv_of_formatted_text_is_fnv_of_the_string() {
+        let form = gozer_lang::Reader::read_one_str("(f \"s\" #\\c [1 2.5] {:k nil})").unwrap();
+        assert_eq!(
+            fnv1a64_fmt(format_args!("unit#3:{form:?}")),
+            fnv1a64(format!("unit#3:{form:?}").as_bytes())
+        );
     }
 
     #[test]

@@ -10,12 +10,11 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gozer_lang::reader::SharedStream;
-use gozer_lang::{LangError, ReadEval, Reader, Symbol, Value};
+use gozer_lang::{Cursor, LangError, ReadEval, Reader, Symbol, Value};
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
 
-use crate::bytecode::{fnv1a64, ProgramRef};
+use crate::bytecode::{fnv1a64_fmt, ProgramRef};
 use crate::compiler::{Compiler, MacroHost};
 use crate::conditions::Condition;
 use crate::error::{Unwind, VmError, VmResult};
@@ -367,16 +366,16 @@ impl Gvm {
     /// text, so loading identical source on another node reproduces
     /// identical programs — the invariant fiber migration relies on.
     pub fn load_str(self: &Arc<Gvm>, src: &str, unit_name: &str) -> VmResult<Value> {
-        let stream = SharedStream::new(src);
+        let mut cursor = Cursor::new(src);
         let mut last = Value::Nil;
         let mut index = 0u32;
         loop {
             let reader = self.reader.lock().clone();
             let mut eval = GvmReadEval { gvm: self };
-            let form = reader.read(&stream, &mut eval)?;
+            let form = reader.read(&mut cursor, &mut eval)?;
             let Some(form) = form else { break };
             let name = format!("{unit_name}#{index}");
-            let id = fnv1a64(format!("{name}:{form:?}").as_bytes());
+            let id = fnv1a64_fmt(format_args!("{name}:{form:?}"));
             let host = GvmHost(self);
             let program = Compiler::compile_toplevel(&host, &form, &name, id)?;
             crate::verify::verify_program(&program)?;
@@ -390,7 +389,7 @@ impl Gvm {
     /// Evaluate a single already-read form (used by the `eval` builtin
     /// and by deflink's generated definitions).
     pub fn eval_form(self: &Arc<Gvm>, form: &Value, unit_name: &str) -> VmResult<Value> {
-        let id = fnv1a64(format!("{unit_name}:{form:?}").as_bytes());
+        let id = fnv1a64_fmt(format_args!("{unit_name}:{form:?}"));
         let host = GvmHost(self);
         let program = Compiler::compile_toplevel(&host, form, unit_name, id)?;
         crate::verify::verify_program(&program)?;

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use gozer_lang::reader::SharedStream;
-use gozer_lang::Value;
+use gozer_lang::{Cursor, Value};
 
 use crate::error::VmError;
 use crate::gvm::{Gvm, GvmReadEval};
@@ -25,7 +25,7 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
         let eof_value = args.get(2).cloned().unwrap_or(Value::Nil);
         let reader = ctx.gvm.reader.lock().clone();
         let mut eval = GvmReadEval { gvm: ctx.gvm };
-        match reader.read(&stream, &mut eval)? {
+        match stream.with_cursor(|cur| reader.read(cur, &mut eval))? {
             Some(form) => NativeOutcome::ok(form),
             None if eof_error => Err(VmError::msg("read: end of input")),
             None => NativeOutcome::ok(eof_value),
@@ -36,10 +36,9 @@ pub(super) fn install(gvm: &Arc<Gvm>) {
         let src = args[0]
             .as_str()
             .ok_or_else(|| VmError::type_error("string", &args[0]))?;
-        let stream = SharedStream::new(src);
         let reader = ctx.gvm.reader.lock().clone();
         let mut eval = GvmReadEval { gvm: ctx.gvm };
-        match reader.read(&stream, &mut eval)? {
+        match reader.read(&mut Cursor::new(src), &mut eval)? {
             Some(form) => NativeOutcome::ok(form),
             None => Err(VmError::msg("read-from-string: no form in input")),
         }

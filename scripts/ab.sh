@@ -1,30 +1,38 @@
 #!/bin/sh
 # A/B timing of this tree against a parent revision on the task-level
-# benchmark (BENCHMARK.json), in alternating pairs:
+# benchmark (BENCHMARK.json), in interleaved pairs, with the parent run
+# against itself beside it (A/A) as the noise floor:
 #
 #   sh scripts/ab.sh <parent-rev> [pairs] [seconds]
 #
-# It checks <parent-rev> out in a git worktree under target/ab/, builds
+# It exports <parent-rev> with `git archive` under target/ab/, builds
 # that tree's taskbench into target/ab/parent and this tree's into
 # target/ab/change, then runs every workload (WORKLOADS="a b" picks
 # some) `pairs` times per side (default 3) for `seconds` each (default
-# 3) with `--seed 7 --trace 0`, the driver's mode. Pair i runs the
-# parent first when i is odd and this tree first when it is even. The
-# runs work in target/ab/run/, since taskbench writes .bench_tmp/ and
-# .bench_out/ into its working directory.
+# 3) with `--seed 7 --trace 0`, the driver's mode. Each pair is three
+# runs: the parent, this tree, and the parent binary once more (`aa`),
+# in an order that rotates from pair to pair so that no side always
+# runs first. The runs work in target/ab/run/, since taskbench writes
+# .bench_tmp/ and .bench_out/ into its working directory.
 #
 # Around each run it reads the host's steal ticks (the `cpu` line of
 # /proc/stat, all CPUs) and the process's user + system CPU (the
-# shell's `times`). It prints, per end-to-end metric x workload, the
-# median of each side, change/parent, and the pairs each side won
-# (the better of the pair's two values by the metric's `better` in
-# BENCHMARK.json; a tie wins nothing, a run without the figure loses);
-# then per workload the median CPU per attempted task of each side;
-# then every run whose steal share was above 10 % of the host's ticks.
-# A slow run beside high steal is the host taking the shared hardware
-# thread, not the program. The raw runs stay in target/ab/runs.tsv.
+# shell's `times`). It prints, per end-to-end metric x workload:
+#   - the median of the parent and of this tree, and change/parent;
+#   - the A/A spread: the largest |aa/parent - 1| over the pairs, how
+#     far two runs of the same binary fell apart within one pair;
+#   - the pairs each side won (the better of the pair's two values by
+#     the metric's `better` in BENCHMARK.json; a tie wins nothing, a
+#     run without the figure loses);
+#   - a verdict: `better` or `worse` when |change/parent - 1| exceeds
+#     the A/A spread, else `unresolved` (the host moved two runs of one
+#     binary as far as the change moved this one).
+# Then per workload the median CPU per attempted task of each side; then
+# every run whose steal share was above 10 % of the host's ticks. A slow
+# run beside high steal is the host taking the shared hardware thread,
+# not the program. The raw runs stay in target/ab/runs.tsv.
 #
-# The worktree is removed when the script ends, however it ends.
+# The exported tree is removed when the script ends, however it ends.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -60,18 +68,15 @@ WORKLOADS="${WORKLOADS:-$(bench_list workloads)}"
 METRICS="$(bench_list end_to_end | tr '\n' ' ')"
 
 cleanup() {
-    if [ -d "$SRC" ]; then
-        git worktree remove --force "$SRC" || true
-    fi
-    git worktree prune
+    rm -rf "$SRC"
 }
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
 mkdir -p "$AB/run"
 rm -rf "$SRC"
-git worktree prune
-git worktree add --detach --quiet "$SRC" "$REV"
+mkdir -p "$SRC"
+git archive "$REV" | tar -x -C "$SRC"
 
 build() {
     echo "ab: building $1 taskbench from $2" >&2
@@ -97,13 +102,16 @@ cpu_between() {
 }
 
 # One run: appends `workload pair side steal cpu_us_per_task metrics...`
-# to $RUNS (`-` where a run gave no figure).
+# to $RUNS (`-` where a run gave no figure). Side `aa` is the parent's
+# binary again.
 run_one() {
     workload=$1 pair=$2 side=$3
+    bin=$side
+    [ "$side" = aa ] && bin=parent
     set -- $(host_ticks)
     steal0=$1 total0=$2
     times >"$AB/times.0"
-    line=$(cd "$AB/run" && "$AB/$side/release/taskbench" --workload "$workload" \
+    line=$(cd "$AB/run" && "$AB/$bin/release/taskbench" --workload "$workload" \
         --seed 7 --seconds "$SECONDS_PER_RUN" --trace 0 2>/dev/null | tail -n 1) || true
     times >"$AB/times.1"
     set -- $(host_ticks)
@@ -131,7 +139,11 @@ run_one() {
 for workload in $WORKLOADS; do
     pair=1
     while [ "$pair" -le "$PAIRS" ]; do
-        if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        case $((pair % 3)) in
+        1) order="parent change aa" ;;
+        2) order="change aa parent" ;;
+        *) order="aa parent change" ;;
+        esac
         for side in $order; do
             echo "ab: $workload pair $pair/$PAIRS $side" >&2
             run_one "$workload" "$pair" "$side"
@@ -165,8 +177,10 @@ awk -F '\t' -v metrics="$METRICS" -v rev="$REV" -v pairs="$PAIRS" -v secs="$SECO
     }
     END {
         nm = split(metrics, m, / +/)
-        printf "ab: %s vs this tree, %d pairs x %s s per workload, seed 7\n\n", rev, pairs, secs
-        printf "%-14s %-12s %12s %12s %8s %6s %6s\n", "workload", "metric", "parent", "change", "ratio", "won-p", "won-c"
+        printf "ab: %s vs this tree, %d pairs x %s s per workload, seed 7\n", rev, pairs, secs
+        printf "a/a: largest |aa/parent - 1| over the pairs; unresolved unless |ratio - 1| exceeds it\n\n"
+        printf "%-14s %-12s %12s %12s %8s %8s %6s %6s  %s\n", "workload", "metric", "parent", "change", "ratio",
+            "a/a", "won-p", "won-c", "verdict"
         for (k = 1; k <= nw; k++) {
             w = order[k]
             for (i = 1; i < nm; i += 2) {
@@ -174,8 +188,14 @@ awk -F '\t' -v metrics="$METRICS" -v rev="$REV" -v pairs="$PAIRS" -v secs="$SECO
                 mp = median(vals[w SUBSEP name SUBSEP "parent"])
                 mc = median(vals[w SUBSEP name SUBSEP "change"])
                 wp = wc = 0
+                spread = "-"
                 for (p = 1; p <= pairs; p++) {
                     a = got[w, name, p, "parent"]; b = got[w, name, p, "change"]
+                    aa = got[w, name, p, "aa"]
+                    if (a != "-" && aa != "-" && a != "" && aa != "" && a + 0 != 0) {
+                        d = aa / a - 1; if (d < 0) d = -d
+                        if (spread == "-" || d > spread) spread = d
+                    }
                     if (a == "-" && b == "-") continue
                     if (a == "-") { wc++; continue }
                     if (b == "-") { wp++; continue }
@@ -183,7 +203,13 @@ awk -F '\t' -v metrics="$METRICS" -v rev="$REV" -v pairs="$PAIRS" -v secs="$SECO
                     if ((better == "higher") == (b + 0 > a + 0)) wc++; else wp++
                 }
                 ratio = (mp != "-" && mc != "-" && mp + 0 != 0) ? sprintf("%.3f", mc / mp) : "-"
-                printf "%-14s %-12s %12s %12s %8s %6d %6d\n", w, name, mp, mc, ratio, wp, wc
+                verdict = "unresolved"
+                if (ratio != "-" && spread != "-") {
+                    d = ratio - 1; if (d < 0) d = -d
+                    if (d > spread) verdict = ((better == "higher") == (ratio + 0 > 1)) ? "better" : "worse"
+                }
+                printf "%-14s %-12s %12s %12s %8s %8s %6d %6d  %s\n", w, name, mp, mc, ratio,
+                    (spread == "-" ? "-" : sprintf("%.3f", spread)), wp, wc, verdict
             }
         }
         printf "\n%-14s %18s %18s\n", "workload", "parent cpu_us/task", "change cpu_us/task"
