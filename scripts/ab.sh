@@ -9,7 +9,7 @@
 # that tree's taskbench into target/ab/parent and this tree's into
 # target/ab/change, then runs every workload (WORKLOADS="a b" picks
 # some) `pairs` times per side (default 3) for `seconds` each (default
-# 3) with `--seed 7 --trace 0`, the driver's mode. Each pair is three
+# 3) with `--seed 7 --trace 0`, the benchmark's own mode. Each pair is three
 # runs: the parent, this tree, and the parent binary once more (`aa`),
 # in an order that rotates from pair to pair so that no side always
 # runs first. The runs work in target/ab/run/, since taskbench writes
